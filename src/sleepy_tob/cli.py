@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from pathlib import Path
@@ -72,6 +72,16 @@ def decimal_str(x: Fraction, places: int = 12) -> str:
     return f"{q:.{places}f}"
 
 
+SCENARIO_KEYS = {"name", "params", "schedule", "adversary", "oracles"}
+PARAM_KEYS = {"n", "horizon", "tau", "eta", "pi", "gamma", "beta", "r_a", "seed", "beta_tilde"}
+
+
+def _reject_unknown(data: dict, known: set[str], where: str) -> None:
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} key {', '.join(map(repr, unknown))}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -92,6 +102,8 @@ class Scenario:
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
         p = data["params"]
+        _reject_unknown(data, SCENARIO_KEYS, "scenario")
+        _reject_unknown(p, PARAM_KEYS, "params")
         return Scenario(
             name=data.get("name", "scenario"),
             n=int(p["n"]),
@@ -150,9 +162,7 @@ class Scenario:
         )
 
     def with_seed(self, seed: int) -> "Scenario":
-        data = self.to_dict()
-        data["params"]["seed"] = seed
-        return Scenario.from_dict(data)
+        return replace(self, seed=seed)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -170,13 +180,6 @@ def build_schedule(scenario: Scenario) -> Schedule:
             horizon=scenario.horizon,
             awake_honest=tuple(frozenset(s) for s in ex["awake_honest"]),
             byzantine=tuple(frozenset(s) for s in ex["byzantine"]),
-            synchronous=tuple(
-                not (
-                    scenario.r_a is not None
-                    and scenario.r_a + 1 <= r <= scenario.r_a + scenario.pi
-                )
-                for r in range(scenario.horizon)
-            ),
             r_a=scenario.r_a if scenario.pi else None,
             pi=scenario.pi,
             params=params,
@@ -437,17 +440,35 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, dict]:
 # commands
 
 
+def seed_override(cli_seed: int | None) -> int | None:
+    """``--seed`` if given, else ``SLEEPY_TOB_SEED`` if set, else None.
+
+    Raises ``ValueError`` when the environment value is not an integer.
+    """
+    if cli_seed is not None:
+        return cli_seed
+    text = os.environ.get("SLEEPY_TOB_SEED")
+    if text is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"SLEEPY_TOB_SEED must be an integer, got {text!r}") from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot load scenario: {exc}", file=sys.stderr)
         return 2
-    env_seed = os.environ.get("SLEEPY_TOB_SEED")
-    if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
-    elif env_seed is not None:
-        scenario = scenario.with_seed(int(env_seed))
+    try:
+        seed = seed_override(args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if seed is not None:
+        scenario = scenario.with_seed(seed)
     try:
         trace, report = run_scenario(scenario)
     except Exception as exc:
@@ -538,10 +559,11 @@ def aggregate_runs(reports: list[dict]) -> dict:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    env_seed = os.environ.get("SLEEPY_TOB_SEED")
-    base_seed = args.seed if args.seed is not None else (
-        int(env_seed) if env_seed is not None else 0
-    )
+    try:
+        base_seed = seed_override(args.seed) or 0
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     strategies = args.strategies.split(",")
     for name in strategies:
         if name not in STRATEGIES:

@@ -52,9 +52,6 @@ class Log:
     def extended(self, value: Value) -> "Log":
         return Log(self.values + (value,))
 
-    def prefix(self, length: int) -> "Log":
-        return Log(self.values[:length])
-
     def prefixes(self) -> Iterator["Log"]:
         """Every prefix of this log, from the empty log up to the log itself."""
         for k in range(len(self.values) + 1):

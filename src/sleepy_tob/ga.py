@@ -174,6 +174,17 @@ class GaRecord:
 DeliveryFilter = Callable[[ProcessId, Sequence[VoteMsg]], Iterable[VoteMsg]]
 
 
+def delivered(q: ProcessId, queued: Sequence, chosen: Iterable) -> list:
+    """Asynchronous delivery to receiver ``q``: the messages of ``queued``,
+    in queue order, that the adversary ``chosen`` or that ``q`` sent itself.
+
+    Self-delivery is never suppressed, and a chosen message that was never
+    queued (a forgery) is never delivered.
+    """
+    chosen = set(chosen)
+    return [m for m in queued if m in chosen or m.sender == q]
+
+
 def run_instance(
     round: int,
     inputs: Mapping[ProcessId, Log],
@@ -191,7 +202,8 @@ def run_instance(
     are adversarial votes for this round; ``initial_sets`` carry each
     receiver's older votes.  Under synchrony every sent message reaches
     every receiver; otherwise ``delivery`` picks the subset each receiver
-    sees (a receiver's own vote is always delivered to itself).
+    sees, filtered through ``delivered``: a receiver always gets the votes
+    it sent itself, and never a vote that was not sent.
     """
     initial_sets = dict(initial_sets or {})
     byz_set = (
@@ -225,11 +237,9 @@ def run_instance(
         if any(m.round >= round for m in initial.messages):
             raise ValueError("initial set contains messages not strictly older than the round")
         if synchronous or delivery is None:
-            got = set(sent)
+            got = sent
         else:
-            got = set(delivery(q, tuple(sent))) & set(sent)
-            # self-delivery is never adversarially suppressed
-            got |= {m for m in sent if m.sender == q and q in inputs}
+            got = delivered(q, sent, delivery(q, tuple(sent)))
         merged = merge_latest(initial, got)
         views[q] = ReceiverView(
             initial=initial,

@@ -188,13 +188,14 @@ def check_async_conditions(
     """
     beta = Fraction(beta)
     h_ra = schedule.honest(r_a)
+    awake = [schedule.awake(r) for r in range(len(schedule.awake_honest))]
     verdicts = []
     for r in range(r_a + 1, r_a + pi + 2):
         if r >= len(schedule.awake_honest):
             verdicts.append(RoundVerdict(r, False, detail="round beyond schedule"))
             continue
         survivors = len(h_ra - schedule.byz(r))
-        pool = len(_union_awake(schedule, r - tau, r))
+        pool = len(_union(awake, r - tau, r))
         ok = survivors > (1 - beta) * pool
         verdicts.append(
             RoundVerdict(r, ok, detail="" if ok else f"{survivors} survivors vs pool {pool}")
@@ -211,21 +212,14 @@ def check_async_conditions(
     )
 
 
-def _union_awake(schedule: "Schedule", lo: int, hi: int) -> frozenset[int]:
-    out: set[int] = set()
-    for r in range(max(lo, 0), hi + 1):
-        if 0 <= r < len(schedule.awake_honest):
-            out |= schedule.awake(r)
-    return frozenset(out)
-
-
 def check_tau_sleepiness(schedule: "Schedule", tau: int, beta: Fraction) -> CheckResult:
     """Per round r: |H_r| > (1 - beta) * |S_[r-tau, r]| (strict)."""
     beta = Fraction(beta)
+    awake = [schedule.awake(r) for r in range(len(schedule.awake_honest))]
     verdicts = []
     for r in range(schedule.horizon):
         nh = len(schedule.honest(r))
-        pool = len(_union_awake(schedule, r - tau, r))
+        pool = len(_union(awake, r - tau, r))
         ok = nh > (1 - beta) * pool
         verdicts.append(
             RoundVerdict(r, ok, detail="" if ok else f"{nh} awake honest vs pool {pool}")

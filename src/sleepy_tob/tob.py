@@ -36,7 +36,7 @@ from .core import (
     vrf_eval,
     vrf_verify,
 )
-from .ga import GaOutput, InitialVoteSet, grade, merge_latest
+from .ga import GaOutput, InitialVoteSet
 
 
 class Phase(Enum):
@@ -91,7 +91,6 @@ class ProcessState:
 
     pid: ProcessId
     vrf_seed: int
-    awake: bool = False
     candidate: Log = EMPTY_LOG  # longest any-grade output seen at the last round-1 step
     chain_head: Log = EMPTY_LOG  # base of this process's next proposal
     delivered: Log = EMPTY_LOG  # longest decided log
@@ -147,15 +146,6 @@ def latest_unexpired(
         InitialVoteSet(owner=owner, messages=frozenset(initial)),
         frozenset(current),
     )
-
-
-def compute_instance_output(
-    state: ProcessState, r: int, window: ExpirationWindow
-) -> tuple[InitialVoteSet, frozenset[VoteMsg], GaOutput]:
-    """Grade the instance of round ``r`` from this process's store."""
-    initial, current = latest_unexpired(state.votes_seen, r, window, state.pid)
-    merged = merge_latest(initial, current)
-    return initial, current, grade(merged)
 
 
 def step_view0(state: ProcessState) -> list[ProposeMsg]:

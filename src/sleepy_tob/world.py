@@ -1,7 +1,8 @@
 """Round-based sleepy-model environment.
 
 A schedule fixes, per round, which well-behaved processes are awake and
-which processes are Byzantine, plus a synchrony flag per round.  Execution
+which processes are Byzantine, plus at most one asynchronous window
+[r_a+1, r_a+pi]; every round outside it is synchronous.  Execution
 of round r is a send phase (everyone awake at the beginning of r sends,
 Byzantine messages come from the adversary strategy) followed by a receive
 phase: every process awake at the end of r (equivalently, at the beginning
@@ -31,7 +32,7 @@ from .core import (
     VoteMsg,
     vrf_eval,
 )
-from .ga import ForgeryError, GaOutput, GaRecord, ReceiverView, grade, merge_latest
+from .ga import ForgeryError, GaOutput, GaRecord, ReceiverView, delivered, grade, merge_latest
 from .model_checks import ModelParams
 from .tob import (
     ExpirationWindow,
@@ -61,15 +62,15 @@ class Schedule:
 
     ``awake_honest`` and ``byzantine`` hold beginning-of-round sets for
     rounds 0..horizon (one extra entry: who is awake at the end of the last
-    executed round).  ``synchronous`` has one flag per executed round; the
-    asynchronous rounds are exactly [r_a+1, r_a+pi] when a window exists.
+    executed round).  Synchrony is derived, not stored: the asynchronous
+    rounds are exactly ``window_rounds``, [r_a+1, r_a+pi] when a window
+    exists, and every other round is synchronous.
     """
 
     n: int
     horizon: int
     awake_honest: tuple[frozenset[ProcessId], ...]
     byzantine: tuple[frozenset[ProcessId], ...]
-    synchronous: tuple[bool, ...]
     r_a: int | None
     pi: int
     params: ModelParams
@@ -84,7 +85,7 @@ class Schedule:
         return self.awake_honest[r] | self.byzantine[r]
 
     def sync(self, r: int) -> bool:
-        return self.synchronous[r]
+        return r not in self.window_rounds
 
     def validate(self) -> None:
         if self.horizon < 1:
@@ -93,8 +94,6 @@ class Schedule:
             raise ScheduleError("awake sets must cover rounds 0..horizon inclusive")
         if len(self.byzantine) != self.horizon + 1:
             raise ScheduleError("byzantine sets must cover rounds 0..horizon inclusive")
-        if len(self.synchronous) != self.horizon:
-            raise ScheduleError("need one synchrony flag per executed round")
         for r in range(self.horizon + 1):
             ids = self.awake_honest[r] | self.byzantine[r]
             if ids and (min(ids) < 0 or max(ids) >= self.n):
@@ -107,19 +106,10 @@ class Schedule:
         if self.r_a is None:
             if self.pi != 0:
                 raise ScheduleError("a window length needs a last synchronous round r_a")
-            expected_async: set[int] = set()
-        else:
-            if self.pi < 1:
-                raise ScheduleError("a window at r_a must have positive length")
-            if self.r_a + self.pi + 1 >= self.horizon:
-                raise ScheduleError("window must end before the final round")
-            expected_async = set(range(self.r_a + 1, self.r_a + self.pi + 1))
-        actual_async = {r for r in range(self.horizon) if not self.synchronous[r]}
-        if actual_async != expected_async:
-            raise ScheduleError(
-                f"asynchronous rounds {sorted(actual_async)} do not match the "
-                f"declared window {sorted(expected_async)}"
-            )
+        elif self.pi < 1:
+            raise ScheduleError("a window at r_a must have positive length")
+        elif self.r_a + self.pi + 1 >= self.horizon:
+            raise ScheduleError("window must end before the final round")
 
     @property
     def window_rounds(self) -> range:
@@ -144,15 +134,11 @@ def constant_schedule(
     honest = (
         frozenset(honest_awake) if honest_awake is not None else frozenset(range(n - n_byz))
     )
-    sync = tuple(
-        not (r_a is not None and r_a + 1 <= r <= r_a + pi) for r in range(horizon)
-    )
     return Schedule(
         n=n,
         horizon=horizon,
         awake_honest=tuple([honest] * (horizon + 1)),
         byzantine=tuple([byz] * (horizon + 1)),
-        synchronous=sync,
         r_a=r_a,
         pi=pi,
         params=params,
@@ -285,40 +271,29 @@ class World:
     def step_round(self, r: int) -> None:
         """Execute the send and receive phases of round ``r``."""
         sched = self.schedule
+        clock = ViewClock(r)
         inputs: dict[ProcessId, Log] = {}
 
         for p in sorted(sched.honest(r)):
             state = self.states[p]
-            state.awake = True
-            clock = ViewClock(r)
             if clock.phase is Phase.VIEW0:
                 for pm in step_view0(state):
                     self._broadcast(pm, r)
-            elif clock.phase is Phase.ROUND1:
-                outputs = (
-                    state.pending_output
-                    if state.pending_output_round == r - 1
-                    else GaOutput()
-                )
+                continue
+            outputs = (
+                state.pending_output if state.pending_output_round == r - 1 else GaOutput()
+            )
+            if clock.phase is Phase.ROUND1:
                 proposals = state.proposals_seen.get(clock.view, set())
                 decisions, vote = step_round1(state, clock.view, outputs, proposals)
                 for log in decisions:
                     self.events.append(DecideEvent(round=r, pid=p, log=log))
-                inputs[p] = vote.log
                 self._broadcast(vote, r)
             else:
-                outputs = (
-                    state.pending_output
-                    if state.pending_output_round == r - 1
-                    else GaOutput()
-                )
                 vote, proposal = step_round2(state, clock.view, outputs)
-                inputs[p] = vote.log
                 self._broadcast(vote, r)
                 self._broadcast(proposal, r)
-
-        for asleep in sorted(set(range(sched.n)) - sched.awake(r)):
-            self.states[asleep].awake = False
+            inputs[p] = vote.log
 
         for msg in self.strategy.messages(self, r):
             if msg.sender not in sched.byz(r):
@@ -331,16 +306,16 @@ class World:
                 )
             self._broadcast(msg, r)
 
-        receivers = sorted(sched.honest(r + 1))
+        synchronous = sched.sync(r)
         views: dict[ProcessId, ReceiverView] = {}
-        for q in receivers:
+        for q in sorted(sched.honest(r + 1)):
             state = self.states[q]
             queued = self.pending[q]
-            if sched.sync(r):
+            if synchronous:
                 kept = list(queued)
             else:
-                chosen = set(self.strategy.delivery_filter(self, r, q, tuple(queued)))
-                kept = [m for m in queued if m in chosen or m.sender == q]
+                chosen = self.strategy.delivery_filter(self, r, q, tuple(queued))
+                kept = delivered(q, queued, chosen)
             kept_set = set(kept)
             self.pending[q] = [m for m in queued if m not in kept_set]
             for m in kept:
@@ -361,7 +336,7 @@ class World:
         if r >= 1:
             record = GaRecord(
                 round=r,
-                synchronous=sched.sync(r),
+                synchronous=synchronous,
                 inputs=inputs,
                 byzantine=sched.byz(r),
                 receivers=views,
@@ -384,11 +359,6 @@ class World:
             events=tuple(self.events),
             final_logs=final,
         )
-
-
-def step_round(world: World, r: int) -> World:
-    world.step_round(r)
-    return world
 
 
 def run(schedule: Schedule, strategy: AdversaryStrategy, seed: int) -> Trace:
@@ -581,16 +551,11 @@ def generate_schedule(
                 cur |= set(pool)  # wake everyone rather than break the ratio
             awake.append(frozenset(cur))
 
-        sync = tuple(
-            not (r_a is not None and pi >= 1 and r_a + 1 <= r <= r_a + pi)
-            for r in range(horizon)
-        )
         schedule = Schedule(
             n=n,
             horizon=horizon,
             awake_honest=tuple(awake),
             byzantine=tuple([byz] * (horizon + 1)),
-            synchronous=sync,
             r_a=r_a if pi >= 1 else None,
             pi=pi if pi >= 1 else 0,
             params=params,

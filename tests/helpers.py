@@ -49,7 +49,6 @@ def random_bounded_schedule(rng: random.Random) -> Schedule:
         horizon=horizon,
         awake_honest=tuple(frozenset(a) for a in awake),
         byzantine=tuple([byz] * (horizon + 1)),
-        synchronous=tuple([True] * horizon),
         r_a=None,
         pi=0,
         params=params,

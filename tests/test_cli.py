@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -16,6 +17,28 @@ from sleepy_tob.cli import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+#: scenario -> (exit code, sha256[:16] of trace.jsonl, sha256[:16] of report.json)
+GOLDEN = {
+    "prop1_baseline": (1, "db3db457bb6ab6b2", "3c15a622f1fea58b"),
+    "prop1_expiring": (0, "ce6e912d9ba28be5", "8336d6af4f488323"),
+    "split_decision_eta0": (1, "63c70948980f5156", "b58322772f586e04"),
+    "split_decision_eta2": (0, "ee702c79eee539ce", "1836facf6f02d65a"),
+    "stall_participation_drop": (0, "38c07dde8e19674d", "ccb9169d3a61bd3a"),
+    "sync_faultfree": (0, "fd33763b31157f02", "fda45c4855c02d40"),
+}
+
+
+def sha16(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outputs(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
+    code = main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path)])
+    trace, report = sha16(tmp_path / "trace.jsonl"), sha16(tmp_path / "report.json")
+    assert (code, trace, report) == GOLDEN[name]
 
 
 def test_parse_ratio_exact():
@@ -74,8 +97,33 @@ class TestCmdRun:
         header = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[0])
         assert header["params"]["seed"] == 99
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", str(SCENARIOS / "sync_faultfree.json")], ["campaign", "--seeds", "1"]],
+        ids=["run", "campaign"],
+    )
+    def test_non_integer_env_seed_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SLEEPY_TOB_SEED", "abc")
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error: SLEEPY_TOB_SEED must be an integer, got 'abc'" in err
+
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+
+class TestUnknownScenarioKeys:
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("where", ["params", "top"])
+    def test_unknown_key_exits_2_naming_it(self, command, where, tmp_path, capsys):
+        data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
+        (data["params"] if where == "params" else data)["gama"] = "1/2"
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(data))
+        argv = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert main(argv) == 2
+        assert "'gama'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestCmdCheck:

@@ -202,14 +202,19 @@ class TestRunInstance:
             )
 
     def test_own_vote_always_delivered(self):
+        # the filter drops every sent vote and picks one that was never sent
+        forged = vote(5, AX, round=3)
         record = run_instance(
             round=3,
             inputs={0: A, 1: B},
             synchronous=False,
-            delivery=lambda q, msgs: [],
+            delivery=lambda q, msgs: [forged],
         )
         assert record.receivers[0].output.grade_of(A) == 1
         assert record.receivers[1].output.grade_of(B) == 1
+        for view in record.receivers.values():
+            assert forged not in view.received
+            assert view.m == 1
 
     def test_initial_set_must_be_older_than_round(self):
         with pytest.raises(ValueError):

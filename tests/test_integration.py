@@ -63,7 +63,6 @@ def test_corruption_inside_window_still_resilient():
         horizon=horizon,
         awake_honest=tuple(awake),
         byzantine=tuple(byz),
-        synchronous=tuple(not (r_a + 1 <= r <= r_a + pi) for r in range(horizon)),
         r_a=r_a,
         pi=pi,
         params=params,

@@ -51,19 +51,14 @@ class TestBetaTilde:
         assert beta_tilde(THIRD, THIRD - Fraction(1, 10**9)) < Fraction(1, 10**8)
 
 
-def mk_schedule(awake, byz, params, horizon=None, r_a=None, pi=0, sync=None):
+def mk_schedule(awake, byz, params, horizon=None, r_a=None, pi=0):
     horizon = horizon if horizon is not None else len(awake) - 1
     byz = [frozenset(b) for b in byz]
-    if sync is None:
-        sync = tuple(
-            not (r_a is not None and r_a + 1 <= r <= r_a + pi) for r in range(horizon)
-        )
     return Schedule(
         n=30,
         horizon=horizon,
         awake_honest=tuple(frozenset(a) for a in awake),
         byzantine=tuple(byz),
-        synchronous=tuple(sync),
         r_a=r_a,
         pi=pi,
         params=params,

@@ -145,7 +145,6 @@ class TestLiveness:
             horizon=horizon,
             awake_honest=tuple(awake),
             byzantine=tuple([frozenset()] * (horizon + 1)),
-            synchronous=tuple([True] * horizon),
             r_a=None,
             pi=0,
             params=params(tau=4, eta=4),
@@ -167,7 +166,6 @@ class TestLiveness:
             horizon=horizon,
             awake_honest=tuple(awake),
             byzantine=tuple([frozenset()] * (horizon + 1)),
-            synchronous=tuple([True] * horizon),
             r_a=None,
             pi=0,
             params=params(tau=0, eta=0),

@@ -76,7 +76,6 @@ class TestDelivery:
             horizon=horizon,
             awake_honest=tuple(awake),
             byzantine=tuple([frozenset()] * (horizon + 1)),
-            synchronous=tuple([True] * horizon),
             r_a=None,
             pi=0,
             params=params(eta=None, tau=0),
@@ -107,6 +106,20 @@ class TestDelivery:
             if not isinstance(e, DeliverEvent) and hasattr(e, "msg") and e.msg.sender == 3
         ]
         assert sends_by_3 and not any(3 <= r <= 5 for r in sends_by_3)
+
+    def test_async_round_never_delivers_unsent_message(self):
+        forged = VoteMsg(sender=4, round=5, log=Log((GENESIS,)))
+        strategy = AdversaryStrategy(
+            name="forger",
+            messages=lambda world, r: [],
+            delivery_filter=lambda world, r, q, cand: [*cand, forged],
+        )
+        p = params(tau=4, eta=4, pi=1)
+        sched = constant_schedule(n=5, horizon=10, n_byz=1, params=p, r_a=4, pi=1)
+        world = World(sched, strategy, seed=2)
+        trace = world.run()
+        assert all(e.msg != forged for e in trace.events if isinstance(e, DeliverEvent))
+        assert all(4 not in state.votes_seen for state in world.states.values())
 
     def test_async_round_with_null_strategy_degenerates_to_sync(self):
         p = params(tau=4, eta=4, pi=1)
@@ -149,7 +162,6 @@ class TestScheduleValidation:
                 horizon=2,
                 awake_honest=tuple([frozenset({0, 1})] * 3),
                 byzantine=tuple([frozenset({1})] * 3),
-                synchronous=(True, True),
                 r_a=None,
                 pi=0,
                 params=params(),
@@ -162,23 +174,9 @@ class TestScheduleValidation:
                 horizon=2,
                 awake_honest=tuple([frozenset({0})] * 3),
                 byzantine=(frozenset({2, 3}), frozenset({2}), frozenset({2})),
-                synchronous=(True, True),
                 r_a=None,
                 pi=0,
                 params=params(),
-            ).validate()
-
-    def test_window_sync_flags_must_match(self):
-        with pytest.raises(ScheduleError):
-            Schedule(
-                n=4,
-                horizon=6,
-                awake_honest=tuple([frozenset({0, 1})] * 7),
-                byzantine=tuple([frozenset()] * 7),
-                synchronous=tuple([True] * 6),
-                r_a=2,
-                pi=2,
-                params=params(pi=2, tau=4, eta=4),
             ).validate()
 
 
@@ -254,7 +252,6 @@ class TestGrowingAdversary:
             horizon=horizon,
             awake_honest=tuple(awake),
             byzantine=tuple(byz),
-            synchronous=tuple([True] * horizon),
             r_a=None,
             pi=0,
             params=params(),
