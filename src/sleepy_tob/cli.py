@@ -43,8 +43,10 @@ from .world import (
     DecideEvent,
     DeliverEvent,
     GaRecordEvent,
+    InfeasibleScheduleError,
     STRATEGIES,
     Schedule,
+    ScheduleError,
     SendEvent,
     Trace,
     constant_schedule,
@@ -104,6 +106,14 @@ class Scenario:
         p = data["params"]
         _reject_unknown(data, SCENARIO_KEYS, "scenario")
         _reject_unknown(p, PARAM_KEYS, "params")
+        spec = data.get("adversary", {})
+        if not isinstance(spec, dict):
+            raise ValueError(f'adversary must be an object like {{"name": "prop1"}}, got {spec!r}')
+        adversary = spec.get("name", "none")
+        if adversary not in STRATEGIES:
+            raise ValueError(
+                f"unknown adversary {adversary!r}; known: {', '.join(sorted(STRATEGIES))}"
+            )
         return Scenario(
             name=data.get("name", "scenario"),
             n=int(p["n"]),
@@ -116,7 +126,7 @@ class Scenario:
             r_a=None if p.get("r_a") is None else int(p["r_a"]),
             seed=int(p.get("seed", 0)),
             schedule_spec=data.get("schedule", {"constant": {}}),
-            adversary=data.get("adversary", {}).get("name", "none"),
+            adversary=adversary,
             oracles=data.get("oracles", {}),
             beta_tilde_override=(
                 None
@@ -490,8 +500,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .world import InfeasibleScheduleError, ScheduleError
-
     try:
         scenario = load_scenario(args.scenario)
         schedule = build_schedule(scenario)
@@ -528,11 +536,20 @@ def cmd_sweep_beta(args: argparse.Namespace) -> int:
     return 0
 
 
-def aggregate_runs(reports: list[dict]) -> dict:
+def aggregate_runs(reports: list[dict], *, infeasible: int = 0, errors: int = 0) -> dict:
     """Fold per-run reports into campaign totals.  A failing run under
     satisfied model assumptions becomes a replayable counterexample; a
-    failing run whose assumptions were already broken is only flagged."""
-    counts = {"runs": 0, "in_model": 0, "oracle_pass": 0, "out_of_model_failures": 0}
+    failing run whose assumptions were already broken is only flagged.
+    ``infeasible`` and ``errors`` count runs that produced no report (no
+    schedule fits the model, or the run raised); ``runs`` counts them too."""
+    counts = {
+        "runs": infeasible + errors,
+        "in_model": 0,
+        "oracle_pass": 0,
+        "out_of_model_failures": 0,
+        "infeasible": infeasible,
+        "error": errors,
+    }
     counterexamples: list[dict] = []
     latencies: list[Fraction] = []
     for report in reports:
@@ -570,6 +587,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(f"error: unknown strategy {name}", file=sys.stderr)
             return 2
     reports = []
+    failed: dict[str, list[str]] = {"infeasible": [], "error": []}
     for i in range(args.seeds):
         scenario = Scenario(
             name=f"campaign-{i}",
@@ -585,9 +603,22 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             schedule_spec={"generate": {"n_byz": args.n_byz}},
             adversary=strategies[i % len(strategies)],
         )
-        _, report = run_scenario(scenario)
+        try:
+            _, report = run_scenario(scenario)
+        except InfeasibleScheduleError as exc:
+            failed["infeasible"].append(str(exc))
+            continue
+        except Exception as exc:  # one broken run must not end the campaign
+            failed["error"].append(f"{type(exc).__name__}: {exc}")
+            continue
         reports.append(report)
-    aggregate = aggregate_runs(reports)
+    if not reports:
+        reasons = "; ".join(f"{kind}: {msgs[0]}" for kind, msgs in failed.items() if msgs)
+        print(f"error: no campaign run completed ({reasons})", file=sys.stderr)
+        return 2
+    aggregate = aggregate_runs(
+        reports, infeasible=len(failed["infeasible"]), errors=len(failed["error"])
+    )
     text = json.dumps(aggregate, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 ProcessId = int
@@ -39,9 +39,24 @@ GENESIS = Value(id=0, proposer=0, view=0)
 
 @dataclass(frozen=True, slots=True)
 class Log:
-    """Immutable sequence of values."""
+    """Immutable sequence of values, equal by value.
+
+    The hash is computed once, at construction: logs are dict keys in every
+    tally and oracle, and rehashing the whole value tuple on each lookup
+    would make every lookup cost the length of the log.  It is the hash a
+    plain frozen dataclass over ``values`` computes, so the iteration order
+    of sets holding logs, which some outputs follow, does not depend on the
+    caching.
+    """
 
     values: tuple[Value, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.values,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.values)
@@ -82,6 +97,31 @@ def compatible(a: Log, b: Log) -> bool:
 
 def conflicts(a: Log, b: Log) -> bool:
     return not compatible(a, b)
+
+
+def is_chain(logs: Iterable[Log]) -> bool:
+    """True iff the logs are pairwise compatible.
+
+    By transitivity of the prefix order, that holds iff each log is a prefix
+    of the next once they are sorted by length.
+    """
+    ordered = sorted(set(logs), key=len)
+    return all(is_prefix(a, b) for a, b in zip(ordered, ordered[1:]))
+
+
+def maximal(logs: Iterable[Log]) -> list[Log]:
+    """The distinct logs that are not a proper prefix of another input log,
+    longest first.
+
+    Maximal logs are pairwise conflicting, and any conflicting logs have
+    distinct maximal extensions, so the inputs hold three pairwise
+    conflicting logs iff there are at least three maximal ones.
+    """
+    tops: list[Log] = []
+    for log in sorted(dict.fromkeys(logs), key=len, reverse=True):
+        if not any(is_prefix(log, top) for top in tops):
+            tops.append(log)
+    return tops
 
 
 def longest_common_prefix(logs: Iterable[Log]) -> Log:

@@ -85,12 +85,16 @@ def tally(msgs: Iterable[VoteMsg]) -> dict[Log, int]:
     """Vote count for every prefix of every voted log.
 
     ``count(L)`` is the number of senders whose vote extends (or equals) L;
-    the input must hold at most one message per sender.
+    the input must hold at most one message per sender.  Votes are grouped
+    by log first, so each distinct log's prefixes are expanded once.
     """
-    counts: dict[Log, int] = {}
+    per_log: dict[Log, int] = {}
     for msg in msgs:
-        for p in msg.log.prefixes():
-            counts[p] = counts.get(p, 0) + 1
+        per_log[msg.log] = per_log.get(msg.log, 0) + 1
+    counts: dict[Log, int] = {}
+    for log, k in per_log.items():
+        for p in log.prefixes():
+            counts[p] = counts.get(p, 0) + k
     return counts
 
 

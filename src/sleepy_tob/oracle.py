@@ -7,6 +7,14 @@ brute-force reimplementation on exact rationals.  Verdicts are
 three-valued -- pass, fail, or not-applicable/inconclusive -- so checks
 whose assumptions do not hold in a given run can never produce spurious
 failures, and probabilistic liveness can be reported honestly.
+
+Properties about sets of logs are decided on the log tree: a set is
+pairwise compatible iff it is a chain (``core.is_chain``), and it holds
+three pairwise-conflicting logs iff it has at least three maximal elements
+(``core.maximal``).  These tests decide uniqueness, bounded divergence,
+graded consistency and safety.  Only when one fails does the pairwise or
+triple scan run, to name the first violation in scan order as the witness,
+so verdicts and witnesses are those of the scans alone.
 """
 
 from __future__ import annotations
@@ -24,10 +32,12 @@ from .core import (
     VoteMsg,
     compatible,
     conflicts,
+    is_chain,
     is_prefix,
     longest_common_prefix,
+    maximal,
 )
-from .ga import GaRecord
+from .ga import GaOutput, GaRecord
 from .world import SendEvent, Trace
 
 
@@ -133,6 +143,43 @@ def _find_clique(record: GaRecord, lam: Log) -> frozenset[ProcessId]:
         members -= set(bad)
 
 
+def _graded_consistency_witness(outputs: Mapping[ProcessId, GaOutput]) -> dict | None:
+    """First (receiver, grade-1 log, receiver missing it) in scan order."""
+    for i, out_i in outputs.items():
+        for lam in out_i.grade1_logs():
+            for j, out_j in outputs.items():
+                if out_j.grade_of(lam) is None:
+                    return {"receiver": i, "log": repr(lam), "missing_at": j}
+    return None
+
+
+def _uniqueness_witness(outputs: Mapping[ProcessId, GaOutput]) -> dict | None:
+    """First conflicting pair of grade-1 outputs in scan order."""
+    grade1_pairs = [
+        (i, lam) for i, out_i in outputs.items() for lam in out_i.grade1_logs()
+    ]
+    for a in range(len(grade1_pairs)):
+        for b in range(a + 1, len(grade1_pairs)):
+            (i, la), (j, lb) = grade1_pairs[a], grade1_pairs[b]
+            if conflicts(la, lb):
+                return {"receiver_a": i, "log_a": repr(la), "receiver_b": j, "log_b": repr(lb)}
+    return None
+
+
+def _divergent_triple(logs: list[Log]) -> list[str] | None:
+    """First pairwise-conflicting triple of ``logs`` in scan order."""
+    for a in range(len(logs)):
+        for b in range(a + 1, len(logs)):
+            for c in range(b + 1, len(logs)):
+                if (
+                    conflicts(logs[a], logs[b])
+                    and conflicts(logs[a], logs[c])
+                    and conflicts(logs[b], logs[c])
+                ):
+                    return [repr(logs[a]), repr(logs[b]), repr(logs[c])]
+    return None
+
+
 def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
     """Evaluate the agreement properties on one record.
 
@@ -160,17 +207,12 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
         ):
             na(name, why)
     else:
-        fail: dict | None = None
-        for i, out_i in outputs.items():
-            for lam in out_i.grade1_logs():
-                for j, out_j in outputs.items():
-                    if out_j.grade_of(lam) is None:
-                        fail = {"receiver": i, "log": repr(lam), "missing_at": j}
-                        break
-                if fail:
-                    break
-            if fail:
-                break
+        grade1 = {lam for out in outputs.values() for lam in out.grade1_logs()}
+        fail = (
+            None
+            if all(out.grades.keys() >= grade1 for out in outputs.values())
+            else _graded_consistency_witness(outputs)
+        )
         reports["graded_consistency"] = OracleReport(
             "graded_consistency",
             Verdict.FAIL if fail else Verdict.PASS,
@@ -202,45 +244,15 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
         else:
             na("validity", "no well-behaved inputs")
 
-        fail = None
-        grade1_pairs = [
-            (i, lam) for i, out_i in outputs.items() for lam in out_i.grade1_logs()
-        ]
-        for a in range(len(grade1_pairs)):
-            for b in range(a + 1, len(grade1_pairs)):
-                (i, la), (j, lb) = grade1_pairs[a], grade1_pairs[b]
-                if conflicts(la, lb):
-                    fail = {"receiver_a": i, "log_a": repr(la), "receiver_b": j, "log_b": repr(lb)}
-                    break
-            if fail:
-                break
+        fail = None if is_chain(grade1) else _uniqueness_witness(outputs)
         reports["uniqueness"] = OracleReport(
             "uniqueness", Verdict.FAIL if fail else Verdict.PASS, witness=fail
         )
 
         fail = None
         for i, out_i in outputs.items():
-            logs = list(out_i.grades)
-            found = False
-            for a in range(len(logs)):
-                for b in range(a + 1, len(logs)):
-                    for c in range(b + 1, len(logs)):
-                        if (
-                            conflicts(logs[a], logs[b])
-                            and conflicts(logs[a], logs[c])
-                            and conflicts(logs[b], logs[c])
-                        ):
-                            fail = {
-                                "receiver": i,
-                                "logs": [repr(logs[a]), repr(logs[b]), repr(logs[c])],
-                            }
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if fail:
+            if len(maximal(out_i.grades)) >= 3:
+                fail = {"receiver": i, "logs": _divergent_triple(list(out_i.grades))}
                 break
         reports["bounded_divergence"] = OracleReport(
             "bounded_divergence", Verdict.FAIL if fail else Verdict.PASS, witness=fail
@@ -329,25 +341,32 @@ def check_safety_after(trace: Trace, r: int) -> OracleReport:
             if last is None or log != last:
                 snapshots.append((pid, r2, log))
                 last = log
+    if is_chain(log for _, _, log in snapshots):
+        return OracleReport("safety_after", Verdict.PASS, detail=f"after round {r}")
+    return OracleReport(
+        "safety_after",
+        Verdict.FAIL,
+        detail=f"conflicting delivered logs after round {r}",
+        witness=_safety_witness(snapshots),
+    )
+
+
+def _safety_witness(snapshots: list[tuple[ProcessId, int, Log]]) -> dict | None:
+    """First conflicting pair of delivered-log snapshots in scan order."""
     for a in range(len(snapshots)):
         for b in range(a + 1, len(snapshots)):
             pi_, ri_, li_ = snapshots[a]
             pj_, rj_, lj_ = snapshots[b]
             if not compatible(li_, lj_):
-                return OracleReport(
-                    "safety_after",
-                    Verdict.FAIL,
-                    detail=f"conflicting delivered logs after round {r}",
-                    witness={
-                        "process_a": pi_,
-                        "round_a": ri_,
-                        "log_a": repr(li_),
-                        "process_b": pj_,
-                        "round_b": rj_,
-                        "log_b": repr(lj_),
-                    },
-                )
-    return OracleReport("safety_after", Verdict.PASS, detail=f"after round {r}")
+                return {
+                    "process_a": pi_,
+                    "round_a": ri_,
+                    "log_a": repr(li_),
+                    "process_b": pj_,
+                    "round_b": rj_,
+                    "log_b": repr(lj_),
+                }
+    return None
 
 
 def check_liveness_after(trace: Trace, r: int, window: int) -> OracleReport:

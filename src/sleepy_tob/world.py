@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from . import model_checks
@@ -176,7 +177,11 @@ Event = SendEvent | DeliverEvent | DecideEvent | GaRecordEvent
 
 @dataclass(frozen=True)
 class Trace:
-    """Append-only event log of one run plus the context to interpret it."""
+    """Append-only event log of one run plus the context to interpret it.
+
+    The events are indexed by kind once, on first use; the accessors return
+    fresh lists, so callers may modify what they get.
+    """
 
     schedule: Schedule
     strategy_name: str
@@ -188,25 +193,47 @@ class Trace:
     def horizon(self) -> int:
         return self.schedule.horizon
 
+    @cached_property
+    def _by_kind(self) -> dict[type, list[Event]]:
+        """Events by class; send events are also filed under their message
+        class (``VoteMsg``, ``ProposeMsg``)."""
+        by_kind: dict[type, list[Event]] = {
+            SendEvent: [], DeliverEvent: [], DecideEvent: [], GaRecordEvent: [],
+            VoteMsg: [], ProposeMsg: [],
+        }
+        for e in self.events:
+            by_kind[type(e)].append(e)
+            if type(e) is SendEvent:
+                by_kind[type(e.msg)].append(e)
+        return by_kind
+
+    @cached_property
+    def _input_rounds(self) -> dict[Value, int]:
+        rounds: dict[Value, int] = {}
+        for e in self._by_kind[ProposeMsg]:
+            if e.msg.sender in self.schedule.honest(e.round) and e.msg.log.values:
+                rounds.setdefault(e.msg.log.values[-1], e.round)
+        return rounds
+
     def decide_events(self) -> list[DecideEvent]:
-        return [e for e in self.events if isinstance(e, DecideEvent)]
+        return list(self._by_kind[DecideEvent])
 
     def send_events(self) -> list[SendEvent]:
-        return [e for e in self.events if isinstance(e, SendEvent)]
+        return list(self._by_kind[SendEvent])
 
     def vote_sends(self) -> list[SendEvent]:
-        return [e for e in self.send_events() if isinstance(e.msg, VoteMsg)]
+        return list(self._by_kind[VoteMsg])
 
     def propose_sends(self) -> list[SendEvent]:
-        return [e for e in self.send_events() if isinstance(e.msg, ProposeMsg)]
+        return list(self._by_kind[ProposeMsg])
 
     def ga_records(self) -> dict[int, GaRecord]:
-        return {e.round: e.record for e in self.events if isinstance(e, GaRecordEvent)}
+        return {e.round: e.record for e in self._by_kind[GaRecordEvent]}
 
     def decided_up_to(self, r: int) -> list[Log]:
         """Distinct logs decided by well-behaved processes in rounds <= r."""
         seen: dict[Log, None] = {}
-        for e in self.decide_events():
+        for e in self._by_kind[DecideEvent]:
             if e.round <= r:
                 seen.setdefault(e.log, None)
         return list(seen)
@@ -214,12 +241,7 @@ class Trace:
     def first_input_round(self, value: Value) -> int | None:
         """Round in which ``value`` was introduced: its first appearance as
         the fresh tip of a proposal from a well-behaved process."""
-        for e in self.events:
-            if isinstance(e, SendEvent) and isinstance(e.msg, ProposeMsg):
-                if e.msg.sender in self.schedule.honest(e.round) and e.msg.log.values:
-                    if e.msg.log.values[-1] == value:
-                        return e.round
-        return None
+        return self._input_rounds.get(value)
 
 
 StrategyMessages = Callable[["World", int], Sequence[Msg]]

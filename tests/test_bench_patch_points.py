@@ -1,0 +1,42 @@
+"""The benchmark's per-layer tracer (``perfbench/layers.py``) patches
+functions of the package by name; a refactor that renames or moves one of
+them must fail here, not only when the benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+from sleepy_tob import cli, ga
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def test_every_patch_point_exists_and_is_restored():
+    original = ga.tally
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        assert tracer.warnings == set()
+    finally:
+        tracer.restore()
+    assert ga.tally is original
+
+
+def test_traced_run_counts_without_warnings():
+    scenario = cli.load_scenario(LAYERS.parent.parent / "scenarios" / "sync_faultfree.json")
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        cli.run_scenario(scenario)
+        counts = tracer.end_run()
+    finally:
+        tracer.restore()
+    assert tracer.warnings == set()
+    assert counts["ga.tally.calls"] > 0
+    assert counts["ga.tally.prefix_updates"] > 0

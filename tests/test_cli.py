@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,8 @@ from sleepy_tob.cli import (
     trace_lines,
 )
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 #: scenario -> (exit code, sha256[:16] of trace.jsonl, sha256[:16] of report.json)
 GOLDEN = {
@@ -39,6 +42,26 @@ def test_golden_outputs(name, tmp_path, monkeypatch):
     code = main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path)])
     trace, report = sha16(tmp_path / "trace.jsonl"), sha16(tmp_path / "report.json")
     assert (code, trace, report) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["prop1_baseline", "split_decision_eta0"])
+def test_outputs_do_not_depend_on_hash_seed(name, tmp_path):
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / hash_seed
+        env = {k: v for k, v in os.environ.items() if k != "SLEEPY_TOB_SEED"}
+        env["PYTHONHASHSEED"] = hash_seed
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "sleepy_tob", "run", str(SCENARIOS / f"{name}.json"),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == GOLDEN[name][0], proc.stderr
+        outputs.append(((out / "trace.jsonl").read_bytes(), (out / "report.json").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_parse_ratio_exact():
@@ -123,6 +146,27 @@ class TestUnknownScenarioKeys:
         argv = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
         assert main(argv) == 2
         assert "'gama'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestUnknownAdversary:
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize(
+        "adversary, message",
+        [
+            ({"name": "prop2"}, "unknown adversary 'prop2'; known: none, prop1, split_decision"),
+            ("prop1", "adversary must be an object like {\"name\": \"prop1\"}, got 'prop1'"),
+        ],
+        ids=["unknown-name", "not-an-object"],
+    )
+    def test_bad_adversary_exits_2_naming_it(self, command, adversary, message, tmp_path, capsys):
+        data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
+        data["adversary"] = adversary
+        path = tmp_path / "adversary.json"
+        path.write_text(json.dumps(data))
+        argv = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
 
@@ -227,6 +271,38 @@ class TestCmdCampaign:
         aggregate = json.loads(capsys.readouterr().out)
         assert aggregate["counts"]["in_model"] == 4
         assert aggregate["counts"]["oracle_pass"] == 4
+
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--n", "5", "--n-byz", "4"], "infeasible: no schedule satisfying"),
+            (["--n", "3", "--strategies", "prop1"], "error: ValueError: the suppression"),
+        ],
+        ids=["infeasible", "error"],
+    )
+    def test_no_completed_run_exits_2(self, argv, reason, capsys):
+        assert main(["campaign", "--seeds", "2", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: no campaign run completed (")
+        assert reason in lines[0]
+        assert "Traceback" not in captured.err
+
+    def test_failed_runs_counted_next_to_completed_ones(self, capsys):
+        # prop1 needs two Byzantine processes and n=3 gives it one, so every
+        # other run raises; the split_decision runs complete
+        code = main(
+            ["campaign", "--seeds", "4", "--n", "3", "--strategies", "prop1,split_decision"]
+        )
+        assert code == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert counts["runs"] == 4
+        assert counts["error"] == 2
+        assert counts["infeasible"] == 0
+        assert counts["oracle_pass"] + counts["out_of_model_failures"] == 2
 
 
 class TestAggregation:

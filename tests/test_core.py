@@ -10,8 +10,10 @@ from sleepy_tob.core import (
     Value,
     compatible,
     conflicts,
+    is_chain,
     is_prefix,
     longest_common_prefix,
+    maximal,
     vrf_eval,
     vrf_verify,
 )
@@ -30,6 +32,11 @@ def all_logs(max_len: int = 4):
 
 
 log_strategy = st.lists(st.integers(0, 2), max_size=5).map(lambda ids: mklog(*ids))
+#: Sets of short logs over three values: duplicates, shared prefixes and the
+#: empty log all come up often.
+log_sets = st.lists(
+    st.lists(st.integers(0, 2), max_size=3).map(lambda ids: mklog(*ids)), max_size=8
+)
 
 
 def test_is_prefix_examples():
@@ -74,6 +81,53 @@ def test_compatible_symmetric(a, b):
 def test_conflict_preserved_under_extension(a, b, i):
     if conflicts(a, b):
         assert conflicts(a.extended(V[i]), b)
+
+
+@given(st.lists(st.integers(0, 2), max_size=5), st.lists(st.integers(0, 2), max_size=5))
+def test_log_hash_eq_contract(ids, other_ids):
+    a = mklog(*ids)
+    built = EMPTY_LOG
+    for i in ids:
+        built = built.extended(V[i])
+    assert a == built and hash(a) == hash(built)
+    assert (a == mklog(*other_ids)) == (ids == other_ids)
+    # the hash a plain frozen dataclass over ``values`` computes: the iteration
+    # order of sets of logs (and of messages holding logs) must not depend on
+    # the caching
+    assert hash(a) == hash((a.values,))
+    assert list(a.prefixes())[-1] == a
+    with pytest.raises(AttributeError):
+        a.values = ()
+    with pytest.raises(AttributeError):
+        a._hash = 0
+
+
+def test_structural_examples():
+    assert is_chain([]) and is_chain([EMPTY_LOG, mklog(0, 1), mklog(0), mklog(0, 1)])
+    assert not is_chain([mklog(0), mklog(1)])
+    assert maximal([mklog(0), EMPTY_LOG, mklog(0, 1), mklog(1), mklog(0, 1)]) == [
+        mklog(0, 1),
+        mklog(1),
+    ]
+    assert maximal([]) == []
+
+
+@given(log_sets)
+def test_is_chain_matches_pairwise_scan(logs):
+    pairwise = all(compatible(a, b) for a, b in itertools.combinations(logs, 2))
+    assert is_chain(logs) == pairwise
+
+
+@given(log_sets)
+def test_maximal_matches_brute_force_and_triple_scan(logs):
+    tops = maximal(logs)
+    expected = {a for a in logs if not any(is_prefix(a, b) and a != b for b in logs)}
+    assert len(tops) == len(expected) and set(tops) == expected
+    triple = any(
+        conflicts(a, b) and conflicts(a, c) and conflicts(b, c)
+        for a, b, c in itertools.combinations(logs, 3)
+    )
+    assert (len(tops) >= 3) == triple
 
 
 def test_lcp_examples():

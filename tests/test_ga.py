@@ -118,6 +118,38 @@ def vote_sets(draw):
     return msgs
 
 
+def per_message_tally(msgs):
+    counts = {}
+    for msg in msgs:
+        for p in msg.log.prefixes():
+            counts[p] = counts.get(p, 0) + 1
+    return counts
+
+
+@st.composite
+def repeated_vote_lists(draw):
+    """Votes drawn from a pool of at most three logs, so many senders share
+    a log."""
+    values = [Value(id=i, proposer=0, view=0) for i in range(3)]
+    pool = draw(
+        st.lists(
+            st.lists(st.integers(0, 2), max_size=4).map(
+                lambda ids: Log(tuple(values[i] for i in ids))
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    picks = draw(st.lists(st.sampled_from(pool), max_size=12))
+    return [vote(sender, log) for sender, log in enumerate(picks)]
+
+
+@given(repeated_vote_lists())
+def test_grouped_tally_matches_per_message_expansion(msgs):
+    # same counts, and the same insertion order, which grade outputs inherit
+    assert list(tally(msgs).items()) == list(per_message_tally(msgs).items())
+
+
 @given(vote_sets())
 def test_grade_thresholds_match_fraction_oracle(msgs):
     m = len(msgs)

@@ -1,8 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
-from sleepy_tob.core import EMPTY_LOG, Log, Value, VoteMsg
-from sleepy_tob.ga import InitialVoteSet, run_instance
+from hypothesis import given
+from hypothesis import strategies as st
+
+from sleepy_tob.core import EMPTY_LOG, Log, Value, VoteMsg, conflicts
+from sleepy_tob.ga import (
+    GaOutput,
+    GaRecord,
+    InitialVoteSet,
+    ReceiverView,
+    empty_initial,
+    run_instance,
+)
 from sleepy_tob.model_checks import ModelParams
 from sleepy_tob.oracle import (
     Verdict,
@@ -23,6 +34,7 @@ THIRD = Fraction(1, 3)
 A = Log((Value(1, 0, 1),))
 AX = Log((Value(1, 0, 1), Value(3, 1, 2)))
 B = Log((Value(2, 0, 1),))
+C = Log((Value(4, 0, 1),))
 
 
 def params(tau=2, eta=2, pi=0, gamma="0"):
@@ -102,6 +114,122 @@ class TestGaProperties:
             record = run_instance(round=2, inputs=inputs)
             for q, view in record.receivers.items():
                 assert naive_record_outputs(record, q) == view.output.grades
+
+
+def hand_built_record(outputs):
+    """Synchronous record with quorum (every receiver is an awake honest
+    sender, no Byzantine or initial senders) whose receivers output the given
+    grades, whatever their inputs would have produced."""
+    return GaRecord(
+        round=3,
+        synchronous=True,
+        inputs={q: AX for q in outputs},
+        byzantine=frozenset(),
+        receivers={
+            q: ReceiverView(
+                initial=empty_initial(q),
+                received=frozenset(),
+                output=GaOutput(grades),
+                m=len(outputs),
+            )
+            for q, grades in outputs.items()
+        },
+    )
+
+
+class TestGaPropertyWitnesses:
+    """Each FAIL names the first violation in scan order."""
+
+    def test_graded_consistency_witness(self):
+        record = hand_built_record(
+            {
+                0: {EMPTY_LOG: 1, A: 1, AX: 0},
+                1: {EMPTY_LOG: 1, A: 0, AX: 1},
+                2: {EMPTY_LOG: 1},
+            }
+        )
+        reports = check_ga_properties(record)
+        assert reports["graded_consistency"].verdict is Verdict.FAIL
+        assert reports["graded_consistency"].witness == {
+            "receiver": 0,
+            "log": repr(A),
+            "missing_at": 2,
+        }
+        assert reports["uniqueness"].verdict is Verdict.PASS
+        assert reports["bounded_divergence"].verdict is Verdict.PASS
+
+    def test_uniqueness_witness(self):
+        record = hand_built_record(
+            {
+                0: {EMPTY_LOG: 1, A: 1, B: 0},
+                1: {EMPTY_LOG: 1, B: 1, A: 0},
+                2: {EMPTY_LOG: 1, A: 0, B: 0},
+            }
+        )
+        reports = check_ga_properties(record)
+        assert reports["uniqueness"].verdict is Verdict.FAIL
+        assert reports["uniqueness"].witness == {
+            "receiver_a": 0,
+            "log_a": repr(A),
+            "receiver_b": 1,
+            "log_b": repr(B),
+        }
+        assert reports["graded_consistency"].verdict is Verdict.PASS
+        assert reports["bounded_divergence"].verdict is Verdict.PASS
+
+    def test_bounded_divergence_witness(self):
+        record = hand_built_record(
+            {
+                0: {EMPTY_LOG: 1, A: 0, B: 0},
+                1: {EMPTY_LOG: 1, A: 0, AX: 0, B: 0, C: 0},
+                2: {EMPTY_LOG: 1, A: 0, B: 0, C: 0},
+            }
+        )
+        reports = check_ga_properties(record)
+        assert reports["bounded_divergence"].verdict is Verdict.FAIL
+        # A is not maximal (AX extends it), but the scan meets it first
+        assert reports["bounded_divergence"].witness == {
+            "receiver": 1,
+            "logs": [repr(A), repr(B), repr(C)],
+        }
+        assert reports["graded_consistency"].verdict is Verdict.PASS
+        assert reports["uniqueness"].verdict is Verdict.PASS
+
+
+@st.composite
+def hand_built_outputs(draw):
+    """One to three receivers, each grading a few logs drawn from a pool of
+    seven that holds chains and conflicts."""
+    pool = [
+        EMPTY_LOG, A, AX, B, C,
+        Log((Value(1, 0, 1), Value(5, 1, 2))),
+        Log((Value(2, 0, 1), Value(6, 1, 2))),
+    ]
+    receivers = draw(st.integers(1, 3))
+    return {
+        q: draw(st.dictionaries(st.sampled_from(pool), st.integers(0, 1), max_size=5))
+        for q in range(receivers)
+    }
+
+
+@given(hand_built_outputs())
+def test_structural_verdicts_match_brute_force(outputs):
+    reports = check_ga_properties(hand_built_record(outputs))
+    grade1 = [lam for g in outputs.values() for lam, v in g.items() if v == 1]
+    consistent = all(lam in g for lam in grade1 for g in outputs.values())
+    unique = not any(conflicts(a, b) for a, b in itertools.combinations(grade1, 2))
+    bounded = not any(
+        conflicts(a, b) and conflicts(a, c) and conflicts(b, c)
+        for g in outputs.values()
+        for a, b, c in itertools.combinations(g, 3)
+    )
+    for name, holds in [
+        ("graded_consistency", consistent),
+        ("uniqueness", unique),
+        ("bounded_divergence", bounded),
+    ]:
+        assert reports[name].verdict is (Verdict.PASS if holds else Verdict.FAIL), name
+        assert (reports[name].witness is None) == holds, name
 
 
 class TestSafety:

@@ -2,15 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from sleepy_tob.core import GENESIS, Log, Value, VoteMsg
+from sleepy_tob.core import GENESIS, Log, ProposeMsg, Value, VoteMsg, vrf_eval
 from sleepy_tob.ga import ForgeryError
 from sleepy_tob.model_checks import ModelParams, check_all
 from sleepy_tob.world import (
     AdversaryStrategy,
+    DecideEvent,
     DeliverEvent,
     InfeasibleScheduleError,
     Schedule,
     ScheduleError,
+    SendEvent,
+    Trace,
     World,
     constant_schedule,
     generate_schedule,
@@ -45,6 +48,33 @@ class TestDeterminism:
         a = run(sched, null_strategy(), seed=5)
         b = run(sched, null_strategy(), seed=6)
         assert a != b
+
+
+class TestTraceIndex:
+    def test_accessors_keep_event_order_and_return_fresh_lists(self):
+        sched = constant_schedule(n=3, horizon=4, n_byz=1, params=params())
+        fresh = Value(7, 0, 1)
+        log = Log((GENESIS, fresh))
+
+        def propose(sender, view):
+            return ProposeMsg(sender=sender, view=view, log=log, vrf=vrf_eval(0, sender, view))
+
+        events = (
+            SendEvent(0, propose(2, 1)),  # Byzantine: introduces nothing
+            SendEvent(1, VoteMsg(sender=0, round=1, log=log)),
+            SendEvent(2, propose(0, 1)),  # first well-behaved proposal of the tip
+            DecideEvent(2, 0, log),
+            SendEvent(3, propose(1, 2)),
+        )
+        trace = Trace(sched, "none", 0, events, final_logs={})
+        assert trace.first_input_round(fresh) == 2
+        assert trace.first_input_round(GENESIS) is None
+        assert [e.round for e in trace.send_events()] == [0, 1, 2, 3]
+        assert [e.round for e in trace.vote_sends()] == [1]
+        assert [e.round for e in trace.propose_sends()] == [0, 2, 3]
+        trace.decide_events().clear()
+        assert trace.decide_events() == [DecideEvent(2, 0, log)]
+        assert trace.decided_up_to(1) == [] and trace.decided_up_to(2) == [log]
 
 
 class TestDelivery:
