@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -54,8 +54,6 @@ from .world import (
     run,
 )
 
-getcontext().prec = 50
-
 
 def parse_ratio(text: str | int | float) -> Fraction:
     if isinstance(text, int):
@@ -70,11 +68,14 @@ def ratio_str(x: Fraction) -> str:
 
 
 def decimal_str(x: Fraction, places: int = 12) -> str:
-    q = Decimal(x.numerator) / Decimal(x.denominator)
-    return f"{q:.{places}f}"
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q = Decimal(x.numerator) / Decimal(x.denominator)
+        return f"{q:.{places}f}"
 
 
 SCENARIO_KEYS = {"name", "params", "schedule", "adversary", "oracles"}
+SCHEDULE_KINDS = ("constant", "explicit", "generate")
 PARAM_KEYS = {"n", "horizon", "tau", "eta", "pi", "gamma", "beta", "r_a", "seed", "beta_tilde"}
 
 
@@ -82,6 +83,21 @@ def _reject_unknown(data: dict, known: set[str], where: str) -> None:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(f"unknown {where} key {', '.join(map(repr, unknown))}")
+
+
+def _schedule_spec(spec: object) -> dict:
+    """Check a scenario's ``"schedule"``: one kind mapped to an object."""
+    if not isinstance(spec, dict) or len(spec) != 1:
+        raise ValueError(
+            f"schedule must be an object with exactly one of {', '.join(SCHEDULE_KINDS)}, "
+            f"got {spec!r}"
+        )
+    [(kind, body)] = spec.items()
+    if kind not in SCHEDULE_KINDS:
+        raise ValueError(f"unknown schedule kind {kind!r}; known: {', '.join(SCHEDULE_KINDS)}")
+    if not isinstance(body, dict):
+        raise ValueError(f"schedule {kind!r} must map to an object, got {body!r}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -125,7 +141,7 @@ class Scenario:
             beta=parse_ratio(p.get("beta", "1/3")),
             r_a=None if p.get("r_a") is None else int(p["r_a"]),
             seed=int(p.get("seed", 0)),
-            schedule_spec=data.get("schedule", {"constant": {}}),
+            schedule_spec=_schedule_spec(data.get("schedule", {"constant": {}})),
             adversary=adversary,
             oracles=data.get("oracles", {}),
             beta_tilde_override=(
@@ -181,23 +197,21 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def build_schedule(scenario: Scenario) -> Schedule:
-    spec = scenario.schedule_spec
+    [(kind, body)] = scenario.schedule_spec.items()
     params = scenario.model_params()
-    if "explicit" in spec:
-        ex = spec["explicit"]
+    if kind == "explicit":
         schedule = Schedule(
             n=scenario.n,
             horizon=scenario.horizon,
-            awake_honest=tuple(frozenset(s) for s in ex["awake_honest"]),
-            byzantine=tuple(frozenset(s) for s in ex["byzantine"]),
+            awake_honest=tuple(frozenset(s) for s in body["awake_honest"]),
+            byzantine=tuple(frozenset(s) for s in body["byzantine"]),
             r_a=scenario.r_a if scenario.pi else None,
             pi=scenario.pi,
             params=params,
         )
         schedule.validate()
         return schedule
-    if "generate" in spec:
-        gen = spec["generate"]
+    if kind == "generate":
         return generate_schedule(
             n=scenario.n,
             horizon=scenario.horizon,
@@ -209,13 +223,12 @@ def build_schedule(scenario: Scenario) -> Schedule:
             seed=scenario.seed,
             eta=scenario.eta,
             beta_tilde=scenario.beta_tilde_override,
-            n_byz=gen.get("n_byz"),
+            n_byz=body.get("n_byz"),
         )
-    const = spec.get("constant", {})
     return constant_schedule(
         n=scenario.n,
         horizon=scenario.horizon,
-        n_byz=int(const.get("n_byz", 0)),
+        n_byz=int(body.get("n_byz", 0)),
         params=params,
         r_a=scenario.r_a if scenario.pi else None,
         pi=scenario.pi,

@@ -51,34 +51,41 @@ def empty_initial(owner: ProcessId) -> InitialVoteSet:
     return InitialVoteSet(owner=owner)
 
 
+def keep_latest(
+    latest: dict[ProcessId, tuple[int, VoteMsg | None]], msg: VoteMsg
+) -> None:
+    """Fold ``msg`` into ``latest``, which maps each sender to the round of
+    its newest vote and that vote, or ``None`` when the sender voted two
+    different logs in that round.
+
+    A later round replaces the entry, a different log at the same round
+    marks an equivocation, and an older or duplicate vote changes nothing.
+    This is the one rule deciding which of a sender's votes counts.
+    """
+    entry = latest.get(msg.sender)
+    if entry is None or msg.round > entry[0]:
+        latest[msg.sender] = (msg.round, msg)
+    elif msg.round == entry[0] and entry[1] is not None and entry[1].log != msg.log:
+        latest[msg.sender] = (msg.round, None)
+
+
 def merge_latest(
     initial: InitialVoteSet, round_msgs: Iterable[VoteMsg]
 ) -> frozenset[VoteMsg]:
     """Combine an initial vote set with the current round's votes.
 
-    Current-round votes supersede initial-set entries from the same sender,
+    The round's votes, all sent in the instance's round, and then the
+    strictly older initial ones are folded through ``keep_latest``:
+    current-round votes supersede initial-set entries from the same sender,
     equivocators (two differing logs from one sender in the round) are
     dropped entirely, and the result holds at most one message per sender.
     """
-    seen_this_round: set[ProcessId] = set()
-    poisoned: set[ProcessId] = set()
-    current: dict[ProcessId, VoteMsg] = {}
+    latest: dict[ProcessId, tuple[int, VoteMsg | None]] = {}
     for msg in round_msgs:
-        seen_this_round.add(msg.sender)
-        prior = current.get(msg.sender)
-        if msg.sender in poisoned:
-            continue
-        if prior is not None and prior.log != msg.log:
-            poisoned.add(msg.sender)
-            del current[msg.sender]
-            continue
-        current[msg.sender] = msg
-
-    merged = dict(current)
+        keep_latest(latest, msg)
     for msg in initial.messages:
-        if msg.sender not in seen_this_round:
-            merged[msg.sender] = msg
-    return frozenset(merged.values())
+        keep_latest(latest, msg)
+    return frozenset(msg for _, msg in latest.values() if msg is not None)
 
 
 def tally(msgs: Iterable[VoteMsg]) -> dict[Log, int]:
@@ -115,23 +122,18 @@ class GaOutput:
         return [log for log, g in self.grades.items() if g == 1]
 
     def longest_grade1(self) -> Log | None:
-        """Longest grade-1 log.  Grade-1 logs of a single tally are always
-        pairwise compatible, so the longest one is unique."""
-        best = None
-        for log in self.grade1_logs():
-            if best is None or (len(log), log.lex_key) > (len(best), best.lex_key):
-                best = log
-        return best
+        """Longest grade-1 log.  Two conflicting grade-1 logs would need more
+        than ``m`` votes, so grade-1 logs form a chain and the longest one is
+        unique."""
+        return max(self.grade1_logs(), key=len, default=None)
 
     def longest_any(self) -> Log | None:
-        """Longest output at any grade.  Equal-length conflicts prefer the
-        grade-1 log if there is one, then the smallest by value ids."""
-        best: tuple[int, int, tuple, Log] | None = None
-        for log, g in self.grades.items():
-            key = (-len(log), -g, log.lex_key)
-            if best is None or key < best[:3]:
-                best = (*key, log)
-        return None if best is None else best[3]
+        """Longest output at any grade.  A grade-1 log and a conflicting log
+        of any grade would also need more than ``m`` votes, so equal-length
+        outputs are both grade 0; the smallest by value ids wins."""
+        top = max(map(len, self.grades), default=0)
+        tied = [log for log in self.grades if len(log) == top]
+        return min(tied, key=lambda log: log.lex_key, default=None)
 
 
 def grade(msgs: Iterable[VoteMsg]) -> GaOutput:

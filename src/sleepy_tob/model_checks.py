@@ -29,8 +29,6 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:  # only for annotations; schedules are duck-typed here
     from .world import Schedule
 
-Ratio = Fraction
-
 
 def beta_tilde(beta: Fraction, gamma: Fraction) -> Fraction:
     """Reduced failure ratio (beta - gamma) / (gamma * (beta - 2) + 1).

@@ -36,7 +36,7 @@ from .core import (
     vrf_eval,
     vrf_verify,
 )
-from .ga import GaOutput, InitialVoteSet
+from .ga import GaOutput, InitialVoteSet, keep_latest
 
 
 class Phase(Enum):
@@ -81,10 +81,6 @@ class ExpirationWindow:
         return max(0, r - self.eta)
 
 
-#: Marker for a (sender, round) slot whose votes disagreed.
-EQUIVOCATED = object()
-
-
 @dataclass
 class ProcessState:
     """Mutable per-process protocol state plus its message store."""
@@ -94,26 +90,22 @@ class ProcessState:
     candidate: Log = EMPTY_LOG  # longest any-grade output seen at the last round-1 step
     chain_head: Log = EMPTY_LOG  # base of this process's next proposal
     delivered: Log = EMPTY_LOG  # longest decided log
-    # votes_seen[sender][send_round] is the log voted, or EQUIVOCATED
-    votes_seen: dict[ProcessId, dict[int, object]] = field(default_factory=dict)
+    # votes_seen[sender] is (round, vote) for the sender's newest vote, the
+    # vote None if it equivocated in that round (see ga.keep_latest)
+    votes_seen: dict[ProcessId, tuple[int, VoteMsg | None]] = field(default_factory=dict)
     proposals_seen: dict[int, set[ProposeMsg]] = field(default_factory=dict)
     pending_output: GaOutput = field(default_factory=GaOutput)
     pending_output_round: int = -1
 
     def absorb(self, msg: VoteMsg | ProposeMsg) -> None:
         if isinstance(msg, VoteMsg):
-            by_round = self.votes_seen.setdefault(msg.sender, {})
-            prior = by_round.get(msg.round)
-            if prior is None:
-                by_round[msg.round] = msg.log
-            elif prior is not EQUIVOCATED and prior != msg.log:
-                by_round[msg.round] = EQUIVOCATED
+            keep_latest(self.votes_seen, msg)
         else:
             self.proposals_seen.setdefault(msg.view, set()).add(msg)
 
 
 def latest_unexpired(
-    votes_seen: dict[ProcessId, dict[int, object]],
+    votes_seen: dict[ProcessId, tuple[int, VoteMsg | None]],
     r: int,
     window: ExpirationWindow,
     owner: ProcessId,
@@ -121,27 +113,20 @@ def latest_unexpired(
     """Split a vote store into (older latest votes, current-round votes) for
     the instance at round ``r``.
 
-    For each sender only the vote with the greatest send round inside the
-    window survives; a sender whose votes at that round disagree is dropped.
-    The pair feeds ``ga.merge_latest``, which gives current-round votes
-    precedence over the carried-over set.
+    Each sender's newest vote counts if it was sent inside the window; a
+    sender whose newest round equivocated is dropped, with no fallback to an
+    older vote.  This relies on the store holding no round above ``r`` at
+    the round-``r`` receive phase, which ``World`` ensures by rejecting
+    strategy votes that do not carry round ``r``.  The pair feeds
+    ``ga.merge_latest``, which gives current-round votes precedence over
+    the carried-over set.
     """
     lo = window.start(r)
     initial: list[VoteMsg] = []
     current: list[VoteMsg] = []
-    for sender, by_round in votes_seen.items():
-        entry = by_round.get(r)
-        if entry is not None:
-            if entry is not EQUIVOCATED:
-                current.append(VoteMsg(sender=sender, round=r, log=entry))
-            continue  # a round-r entry (clean or not) supersedes older votes
-        for past in range(r - 1, lo - 1, -1):
-            entry = by_round.get(past)
-            if entry is None:
-                continue
-            if entry is not EQUIVOCATED:
-                initial.append(VoteMsg(sender=sender, round=past, log=entry))
-            break
+    for rnd, msg in votes_seen.values():
+        if msg is not None and rnd >= lo:
+            (current if rnd == r else initial).append(msg)
     return (
         InitialVoteSet(owner=owner, messages=frozenset(initial)),
         frozenset(current),

@@ -170,6 +170,47 @@ class TestUnknownAdversary:
         assert not (tmp_path / "report.json").exists()
 
 
+class TestMalformedSchedule:
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ("constant", "schedule must be an object with exactly one of constant, explicit, "
+                         "generate, got 'constant'"),
+            ({"constnt": {}}, "unknown schedule kind 'constnt'; known: constant, explicit, "
+                              "generate"),
+            ({"constant": {}, "generate": {}}, "schedule must be an object with exactly one of "
+                                               "constant, explicit, generate, got {'constant'"),
+            ({"constant": 2}, "schedule 'constant' must map to an object, got 2"),
+        ],
+        ids=["not-an-object", "unknown-kind", "two-kinds", "kind-not-an-object"],
+    )
+    def test_bad_schedule_exits_2_naming_it(self, command, schedule, message, tmp_path, capsys):
+        data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
+        data["schedule"] = schedule
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(data))
+        argv = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
+def test_import_leaves_decimal_precision_alone():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )
+    code = (
+        "import decimal; before = decimal.getcontext().prec; "
+        "import sleepy_tob.cli; print(before, decimal.getcontext().prec)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
+
+
 class TestCmdCheck:
     def test_gamma_at_least_beta_domain_error(self, tmp_path, capsys):
         bad = {

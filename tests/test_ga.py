@@ -14,6 +14,7 @@ from sleepy_tob.ga import (
     run_instance,
     tally,
 )
+from sleepy_tob.oracle import naive_merged_votes
 
 A = Log((Value(1, 0, 1),))
 B = Log((Value(2, 0, 1),))
@@ -49,6 +50,30 @@ class TestMergeLatest:
     def test_initial_set_rejects_duplicate_senders(self):
         with pytest.raises(ValueError):
             initial(9, vote(1, A, round=2), vote(1, B, round=3))
+
+
+@st.composite
+def merge_inputs(draw):
+    """Round-``r`` votes (duplicates and equivocations included) and an
+    initial set of at most one older vote per sender."""
+    r = draw(st.integers(1, 6))
+    logs = st.sampled_from([A, B, AX])
+    round_msgs = draw(
+        st.lists(st.builds(vote, st.integers(0, 5), logs, st.just(r)), max_size=10)
+    )
+    older = draw(st.dictionaries(st.integers(0, 5), st.tuples(st.integers(0, r - 1), logs)))
+    init = initial(9, *(vote(s, log, round=rnd) for s, (rnd, log) in older.items()))
+    return init, round_msgs
+
+
+@settings(max_examples=300)
+@given(merge_inputs())
+def test_merge_latest_matches_naive_merge(inputs):
+    init, round_msgs = inputs
+    merged = merge_latest(init, round_msgs)
+    assert {m.sender: m.log for m in merged} == naive_merged_votes(init.messages, round_msgs)
+    assert len({m.sender for m in merged}) == len(merged)
+    assert merged <= init.messages | set(round_msgs)
 
 
 class TestTally:
@@ -169,6 +194,33 @@ def test_grade1_logs_form_a_chain(msgs):
     for a in g1:
         for b in g1:
             assert compatible(a, b)
+
+
+def full_tie_break_longest_grade1(out):
+    """Longest grade-1 log, ties broken by value ids."""
+    best = None
+    for log in out.grade1_logs():
+        if best is None or (len(log), log.lex_key) > (len(best), best.lex_key):
+            best = log
+    return best
+
+
+def full_tie_break_longest_any(out):
+    """Longest log, equal lengths preferring grade 1, then value ids."""
+    best = None
+    for log, g in out.grades.items():
+        key = (-len(log), -g, log.lex_key)
+        if best is None or key < best[:3]:
+            best = (*key, log)
+    return None if best is None else best[3]
+
+
+@settings(max_examples=300)
+@given(vote_sets())
+def test_longest_outputs_need_no_grade_tie_break(msgs):
+    out = grade(msgs)
+    assert out.longest_grade1() == full_tie_break_longest_grade1(out)
+    assert out.longest_any() == full_tie_break_longest_any(out)
 
 
 @given(vote_sets())

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sleepy_tob.core import (
     EMPTY_LOG,
@@ -11,7 +13,6 @@ from sleepy_tob.core import (
 )
 from sleepy_tob.ga import GaOutput
 from sleepy_tob.tob import (
-    EQUIVOCATED,
     ExpirationWindow,
     Phase,
     ProcessState,
@@ -48,42 +49,59 @@ class TestViewClock:
         assert ViewClock.proposal_round(4) == 6
 
 
-class TestLatestUnexpired:
-    def mk_store(self, *entries):
-        store: dict[int, dict[int, object]] = {}
-        for sender, rnd, log in entries:
-            store.setdefault(sender, {})[rnd] = log
-        return store
+def absorbed(*votes):
+    """A process store holding ``votes``, absorbed in the given order."""
+    st_ = state(pid=9)
+    for sender, rnd, log in votes:
+        st_.absorb(VoteMsg(sender, rnd, log))
+    return st_.votes_seen
 
+
+class TestLatestUnexpired:
     def test_newer_vote_wins(self):
-        store = self.mk_store((1, 3, A), (1, 5, B))
+        store = absorbed((1, 3, A), (1, 5, B))
         initial, current = latest_unexpired(store, 5, ExpirationWindow(2), owner=9)
         assert current == frozenset({VoteMsg(1, 5, B)})
         assert initial.messages == frozenset()
 
     def test_expired_vote_dropped(self):
-        store = self.mk_store((1, 2, A))
+        store = absorbed((1, 2, A))
         initial, current = latest_unexpired(store, 5, ExpirationWindow(2), owner=9)
         assert initial.messages == frozenset()
         assert current == frozenset()
 
+    def test_vote_at_window_edge_kept(self):
+        store = absorbed((1, 3, A))
+        initial, current = latest_unexpired(store, 5, ExpirationWindow(2), owner=9)
+        assert initial.messages == frozenset({VoteMsg(1, 3, A)})
+        assert current == frozenset()
+
     def test_eta_zero_keeps_only_current_round(self):
-        store = self.mk_store((1, 4, A), (2, 5, B))
+        store = absorbed((1, 4, A), (2, 5, B))
         initial, current = latest_unexpired(store, 5, ExpirationWindow(0), owner=9)
         assert initial.messages == frozenset()
         assert current == frozenset({VoteMsg(2, 5, B)})
 
     def test_equivocation_at_latest_round_voids_sender(self):
-        store = self.mk_store((1, 4, EQUIVOCATED), (1, 3, A))
+        store = absorbed((1, 3, A), (1, 4, A), (1, 4, B))
         initial, current = latest_unexpired(store, 5, ExpirationWindow(3), owner=9)
         # the round-4 equivocation is this sender's latest message: dropped,
         # with no fallback to the older clean vote
         assert initial.messages == frozenset()
 
     def test_infinite_window(self):
-        store = self.mk_store((1, 0, A))
+        store = absorbed((1, 0, A))
         initial, current = latest_unexpired(store, 9, ExpirationWindow(None), owner=9)
         assert initial.messages == frozenset({VoteMsg(1, 0, A)})
+
+    def test_returns_the_stored_messages(self):
+        old, new = VoteMsg(1, 3, A), VoteMsg(2, 5, B)
+        st_ = state(pid=9)
+        st_.absorb(old)
+        st_.absorb(new)
+        initial, current = latest_unexpired(st_.votes_seen, 5, ExpirationWindow(4), owner=9)
+        assert [m is old for m in initial.messages] == [True]
+        assert [m is new for m in current] == [True]
 
 
 class TestAbsorb:
@@ -91,15 +109,93 @@ class TestAbsorb:
         st = state()
         st.absorb(VoteMsg(1, 4, A))
         st.absorb(VoteMsg(1, 4, B))
-        assert st.votes_seen[1][4] is EQUIVOCATED
+        assert st.votes_seen[1] == (4, None)
         st.absorb(VoteMsg(1, 4, A))
-        assert st.votes_seen[1][4] is EQUIVOCATED
+        assert st.votes_seen[1] == (4, None)
 
     def test_duplicate_vote_is_not_equivocation(self):
         st = state()
         st.absorb(VoteMsg(1, 4, A))
         st.absorb(VoteMsg(1, 4, A))
-        assert st.votes_seen[1][4] == A
+        assert st.votes_seen[1] == (4, VoteMsg(1, 4, A))
+
+    def test_later_round_replaces_even_an_equivocation(self):
+        st = state()
+        st.absorb(VoteMsg(1, 4, A))
+        st.absorb(VoteMsg(1, 4, B))
+        st.absorb(VoteMsg(1, 6, AX))
+        assert st.votes_seen == {1: (6, VoteMsg(1, 6, AX))}
+
+    def test_late_older_vote_changes_nothing(self):
+        st = state()
+        st.absorb(VoteMsg(1, 6, A))
+        st.absorb(VoteMsg(1, 4, B))
+        st.absorb(VoteMsg(1, 4, A))
+        assert st.votes_seen == {1: (6, VoteMsg(1, 6, A))}
+
+
+_EQUIVOCATED = object()
+
+
+def reference_latest_unexpired(arrivals, r, eta):
+    """Brute-force reference: keep every sender's log per send round (or a
+    marker where two logs disagree), then scan back from round ``r`` to the
+    window start for each sender's newest round."""
+    by_sender: dict[int, dict[int, object]] = {}
+    for msg in arrivals:
+        by_round = by_sender.setdefault(msg.sender, {})
+        prior = by_round.get(msg.round)
+        if prior is None:
+            by_round[msg.round] = msg.log
+        elif prior is not _EQUIVOCATED and prior != msg.log:
+            by_round[msg.round] = _EQUIVOCATED
+    lo = 0 if eta is None else max(0, r - eta)
+    initial, current = set(), set()
+    for sender, by_round in by_sender.items():
+        for past in range(r, lo - 1, -1):
+            entry = by_round.get(past)
+            if entry is None:
+                continue
+            if entry is not _EQUIVOCATED:
+                (current if past == r else initial).add(VoteMsg(sender, past, entry))
+            break
+    return frozenset(initial), frozenset(current)
+
+
+@st.composite
+def receive_phases(draw):
+    """Per round r, the votes arriving at its receive phase: any send round
+    up to r, in any order, so late older votes, duplicates and
+    equivocations all occur."""
+    horizon = draw(st.integers(1, 7))
+    return [
+        draw(
+            st.lists(
+                st.builds(
+                    VoteMsg,
+                    st.integers(0, 3),
+                    st.integers(0, r),
+                    st.sampled_from([A, AX, B]),
+                ),
+                max_size=6,
+            )
+        )
+        for r in range(horizon)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(phases=receive_phases(), eta=st.sampled_from([None, 0, 1, 2, 3, 4]))
+def test_latest_unexpired_matches_per_round_reference(phases, eta):
+    st_ = state(pid=9)
+    window = ExpirationWindow(eta)
+    arrivals = []
+    for r, batch in enumerate(phases):
+        for msg in batch:
+            st_.absorb(msg)
+        arrivals.extend(batch)
+        initial, current = latest_unexpired(st_.votes_seen, r, window, owner=9)
+        assert (initial.messages, current) == reference_latest_unexpired(arrivals, r, eta)
 
 
 class TestStepView0:

@@ -111,8 +111,10 @@ class TestDelivery:
             params=params(eta=None, tau=0),
         )
         world = World(sched, null_strategy(), seed=3)
+        newest_held = {}
         for r in range(horizon):
             world.step_round(r)
+            newest_held[r] = {s: rnd for s, (rnd, _) in world.states[3].votes_seen.items()}
         trace_events = world.events
         round3_votes = {
             e.msg
@@ -128,8 +130,12 @@ class TestDelivery:
         # nothing reached the sleeper during rounds 2-4's receive phases; the
         # backlog lands at the round-5 receive phase, entering round 6
         assert by_round and set(by_round.values()) == {5}
-        # and the woken process holds those votes when it next acts
-        assert all(3 in world.states[3].votes_seen.get(s, {}) for s in (0, 1, 2))
+        # and the woken process holds those votes when it next acts: its
+        # store keeps each sender's newest vote, which was from round 1 while
+        # it slept and is the round-5 one of the backlog once it wakes (its
+        # own round-2 vote, its last before sleeping, arrives with them)
+        assert newest_held[4] == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert newest_held[5] == {0: 5, 1: 5, 2: 5, 3: 2}
         # asleep rounds produce no messages
         sends_by_3 = [
             e.round for e in trace_events
