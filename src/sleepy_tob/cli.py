@@ -56,11 +56,12 @@ from .world import (
 
 
 def parse_ratio(text: str | int | float) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
     if isinstance(text, float):
         raise ValueError(f"ratios must be exact strings, got float {text}")
-    return Fraction(str(text))
+    try:
+        return Fraction(text if isinstance(text, int) else str(text))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not an exact ratio: {text!r}") from None
 
 
 def ratio_str(x: Fraction) -> str:
@@ -75,33 +76,69 @@ def decimal_str(x: Fraction, places: int = 12) -> str:
 
 
 SCENARIO_KEYS = {"name", "params", "schedule", "adversary", "oracles"}
-SCHEDULE_KINDS = ("constant", "explicit", "generate")
 PARAM_KEYS = {"n", "horizon", "tau", "eta", "pi", "gamma", "beta", "r_a", "seed", "beta_tilde"}
+SCHEDULE_KEYS = {"constant": {"n_byz"}, "explicit": {"awake_honest", "byzantine"},
+                 "generate": {"n_byz"}}
+ORACLE_KEYS = {"liveness_window"}
+LIVENESS_WINDOW = 8
 
 
-def _reject_unknown(data: dict, known: set[str], where: str) -> None:
-    unknown = sorted(set(data) - known)
+def _object(value: object, where: str, known: set[str]) -> dict:
+    """``value`` if it is an object whose keys are all in ``known``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must map to an object, got {value!r}")
+    unknown = sorted(set(value) - known)
     if unknown:
         raise ValueError(f"unknown {where} key {', '.join(map(repr, unknown))}")
+    return value
 
 
-def _schedule_spec(spec: object) -> dict:
-    """Check a scenario's ``"schedule"``: one kind mapped to an object."""
+def _count(value: object, where: str) -> None:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{where} must be a non-negative integer, got {value!r}")
+
+
+def known_adversary(name: str) -> str:
+    if not isinstance(name, str) or name not in STRATEGIES:
+        raise ValueError(f"unknown adversary {name!r}; known: {', '.join(sorted(STRATEGIES))}")
+    return name
+
+
+def _check_schedule_spec(spec: object) -> None:
+    """A scenario's ``"schedule"``: one kind mapped to an object of that
+    kind's keys; ``explicit`` lists hold one list of process ids per round."""
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ValueError(
-            f"schedule must be an object with exactly one of {', '.join(SCHEDULE_KINDS)}, "
+            f"schedule must be an object with exactly one of {', '.join(SCHEDULE_KEYS)}, "
             f"got {spec!r}"
         )
     [(kind, body)] = spec.items()
-    if kind not in SCHEDULE_KINDS:
-        raise ValueError(f"unknown schedule kind {kind!r}; known: {', '.join(SCHEDULE_KINDS)}")
-    if not isinstance(body, dict):
-        raise ValueError(f"schedule {kind!r} must map to an object, got {body!r}")
-    return spec
+    if kind not in SCHEDULE_KEYS:
+        raise ValueError(f"unknown schedule kind {kind!r}; known: {', '.join(SCHEDULE_KEYS)}")
+    body = _object(body, f"schedule {kind!r}", SCHEDULE_KEYS[kind])
+    if kind != "explicit":
+        if body.get("n_byz") is not None:
+            _count(body["n_byz"], f"schedule {kind!r} n_byz")
+        return
+    for key in ("awake_honest", "byzantine"):
+        rounds = body.get(key)
+        if not isinstance(rounds, list):
+            raise ValueError(f"schedule 'explicit' {key} must be a list of rounds, got {rounds!r}")
+        for r, ids in enumerate(rounds):
+            if not isinstance(ids, list) or any(type(p) is not int for p in ids):
+                raise ValueError(
+                    f"schedule 'explicit' {key} round {r} must be a list of process ids, "
+                    f"got {ids!r}"
+                )
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run's inputs.  Construction checks the schedule, adversary and
+    oracle settings and bundles the model parameters into the one
+    ``ModelParams`` (``model_params()``) that the schedule carries, so an
+    invalid scenario raises ``ValueError`` instead of being built."""
+
     name: str
     n: int
     horizon: int
@@ -116,33 +153,50 @@ class Scenario:
     adversary: str = "none"
     oracles: dict = field(default_factory=dict)
     beta_tilde_override: Fraction | None = None
+    _params: ModelParams = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_schedule_spec(self.schedule_spec)
+        known_adversary(self.adversary)
+        _object(self.oracles, "oracles", ORACLE_KEYS)
+        _count(self.oracles.get("liveness_window", LIVENESS_WINDOW), "oracles liveness_window")
+        params = ModelParams(
+            tau=self.tau,
+            eta=self.eta,
+            pi=self.pi,
+            gamma=self.gamma,
+            beta=self.beta,
+            beta_tilde=self.beta_tilde_override,
+        )
+        object.__setattr__(self, "_params", params)
 
     @staticmethod
-    def from_dict(data: dict) -> "Scenario":
-        p = data["params"]
-        _reject_unknown(data, SCENARIO_KEYS, "scenario")
-        _reject_unknown(p, PARAM_KEYS, "params")
+    def from_dict(data: object) -> "Scenario":
+        data = _object(data, "scenario", SCENARIO_KEYS)
+        p = _object(data.get("params"), "params", PARAM_KEYS)
         spec = data.get("adversary", {})
         if not isinstance(spec, dict):
             raise ValueError(f'adversary must be an object like {{"name": "prop1"}}, got {spec!r}')
-        adversary = spec.get("name", "none")
-        if adversary not in STRATEGIES:
-            raise ValueError(
-                f"unknown adversary {adversary!r}; known: {', '.join(sorted(STRATEGIES))}"
-            )
+
+        def integer(key: str, default: int | None = None) -> int | None:
+            value = p.get(key, default)
+            if type(value) is not int and not (value is None and key in ("eta", "r_a")):
+                raise ValueError(f"params {key} must be an integer, got {value!r}")
+            return value
+
         return Scenario(
             name=data.get("name", "scenario"),
-            n=int(p["n"]),
-            horizon=int(p["horizon"]),
-            tau=int(p.get("tau", 0)),
-            eta=None if p.get("eta") is None else int(p["eta"]),
-            pi=int(p.get("pi", 0)),
+            n=integer("n"),
+            horizon=integer("horizon"),
+            tau=integer("tau", 0),
+            eta=integer("eta"),
+            pi=integer("pi", 0),
             gamma=parse_ratio(p.get("gamma", "0")),
             beta=parse_ratio(p.get("beta", "1/3")),
-            r_a=None if p.get("r_a") is None else int(p["r_a"]),
-            seed=int(p.get("seed", 0)),
-            schedule_spec=_schedule_spec(data.get("schedule", {"constant": {}})),
-            adversary=adversary,
+            r_a=integer("r_a"),
+            seed=integer("seed", 0),
+            schedule_spec=data.get("schedule", {"constant": {}}),
+            adversary=_object(spec, "adversary", {"name"}).get("name", "none"),
             oracles=data.get("oracles", {}),
             beta_tilde_override=(
                 None
@@ -178,14 +232,7 @@ class Scenario:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def model_params(self) -> ModelParams:
-        return ModelParams(
-            tau=self.tau,
-            eta=self.eta,
-            pi=self.pi,
-            gamma=self.gamma,
-            beta=self.beta,
-            beta_tilde=self.beta_tilde_override,
-        )
+        return self._params
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
@@ -199,40 +246,24 @@ def load_scenario(path: str | Path) -> Scenario:
 def build_schedule(scenario: Scenario) -> Schedule:
     [(kind, body)] = scenario.schedule_spec.items()
     params = scenario.model_params()
-    if kind == "explicit":
-        schedule = Schedule(
-            n=scenario.n,
-            horizon=scenario.horizon,
-            awake_honest=tuple(frozenset(s) for s in body["awake_honest"]),
-            byzantine=tuple(frozenset(s) for s in body["byzantine"]),
-            r_a=scenario.r_a if scenario.pi else None,
-            pi=scenario.pi,
-            params=params,
-        )
-        schedule.validate()
-        return schedule
+    r_a = scenario.r_a if params.pi >= 1 else None
     if kind == "generate":
         return generate_schedule(
-            n=scenario.n,
-            horizon=scenario.horizon,
-            tau=scenario.tau,
-            gamma=scenario.gamma,
-            beta=scenario.beta,
-            pi=scenario.pi,
-            r_a=scenario.r_a,
-            seed=scenario.seed,
-            eta=scenario.eta,
-            beta_tilde=scenario.beta_tilde_override,
-            n_byz=body.get("n_byz"),
+            scenario.n, scenario.horizon, params, r_a, scenario.seed, n_byz=body.get("n_byz")
         )
-    return constant_schedule(
+    if kind == "constant":
+        return constant_schedule(scenario.n, scenario.horizon, body.get("n_byz") or 0, params,
+                                 r_a=r_a)
+    schedule = Schedule(
         n=scenario.n,
         horizon=scenario.horizon,
-        n_byz=int(body.get("n_byz", 0)),
+        awake_honest=tuple(frozenset(s) for s in body["awake_honest"]),
+        byzantine=tuple(frozenset(s) for s in body["byzantine"]),
+        r_a=r_a,
         params=params,
-        r_a=scenario.r_a if scenario.pi else None,
-        pi=scenario.pi,
     )
+    schedule.validate()
+    return schedule
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +409,16 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, dict]:
     strategy = STRATEGIES[scenario.adversary]()
     trace = run(schedule, strategy, scenario.seed)
     model_report = check_all(schedule)
-    toggles = scenario.oracles
-    liveness_window = int(toggles.get("liveness_window", 8))
-
-    gates: list[tuple[OracleReport, bool]] = []
+    liveness_window = scenario.oracles.get("liveness_window", LIVENESS_WINDOW)
     reports: dict[str, dict] = {}
+    failures: list[str] = []
+
+    def gate(report: OracleReport, gating: bool = True) -> None:
+        if gating and report.verdict is Verdict.FAIL:
+            failures.append(report.name)
 
     safety = check_safety_after(trace, 0)
-    gates.append((safety, toggles.get("safety", True)))
+    gate(safety)
     reports["safety_after_0"] = safety.to_dict()
 
     ga_reports = trace_ga_reports(trace)
@@ -401,31 +434,24 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, dict]:
         "rounds_checked": applicable_rounds,
         "failures": ga_failures,
     }
-    if ga_failures and toggles.get("ga_properties", True):
-        gates.append(
-            (
-                OracleReport("ga_properties", Verdict.FAIL, detail="see report"),
-                True,
-            )
-        )
+    if ga_failures:
+        failures.append("ga_properties")
 
     in_model = model_report.all_pass
-    if schedule.r_a is not None and schedule.pi > 0:
+    if schedule.r_a is not None:
         resilience = check_async_resilience(trace, schedule.r_a, schedule.pi)
-        resilience_applicable = (
-            in_model and not scenario.model_params().async_resilience_gaps()
-        )
+        resilience_applicable = in_model and not schedule.params.async_resilience_gaps()
         reports["async_resilience"] = {
             **resilience.to_dict(),
             "gating": resilience_applicable,
         }
-        gates.append((resilience, resilience_applicable and toggles.get("resilience", True)))
+        gate(resilience, resilience_applicable)
 
         last_async = schedule.r_a + schedule.pi
         healing = check_healing(trace, last_async, liveness_window=liveness_window)
         healing_applicable = model_report.sleepy_pass
         reports["healing"] = {**healing.to_dict(), "gating": healing_applicable}
-        gates.append((healing, healing_applicable and toggles.get("healing", True)))
+        gate(healing, healing_applicable)
     else:
         liveness = check_liveness_after(trace, 0, liveness_window)
         # probabilistic with Byzantine leaders in play, so only fault-free
@@ -434,13 +460,8 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, dict]:
             model_report.sleepy_pass and len(schedule.byz(schedule.horizon)) == 0
         )
         reports["liveness_after_0"] = {**liveness.to_dict(), "gating": liveness_applicable}
-        gates.append((liveness, liveness_applicable and toggles.get("liveness", True)))
+        gate(liveness, liveness_applicable)
 
-    failures = [
-        rep.name
-        for rep, gating in gates
-        if gating and rep.verdict is Verdict.FAIL
-    ]
     summary = {
         "decide_events": len(trace.decide_events()),
         "distinct_decided": len(trace.decided_up_to(trace.horizon)),
@@ -482,7 +503,7 @@ def seed_override(cli_seed: int | None) -> int | None:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: cannot load scenario: {exc}", file=sys.stderr)
         return 2
     try:
@@ -531,15 +552,19 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_beta(args: argparse.Namespace) -> int:
-    beta = parse_ratio(args.beta)
     steps = args.steps
     if steps < 2:
         print("error: need at least 2 steps", file=sys.stderr)
         return 2
     rows = ["gamma,beta_tilde"]
-    for k in range(steps):
-        gamma = beta * k / steps
-        rows.append(f"{decimal_str(gamma)},{decimal_str(beta_tilde(beta, gamma))}")
+    try:
+        beta = parse_ratio(args.beta)
+        for k in range(steps):
+            gamma = beta * k / steps
+            rows.append(f"{decimal_str(gamma)},{decimal_str(beta_tilde(beta, gamma))}")
+    except ValueError as exc:
+        print(f"error: --beta: {exc}", file=sys.stderr)
+        return 2
     text = "\n".join(rows) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -591,19 +616,11 @@ def aggregate_runs(reports: list[dict], *, infeasible: int = 0, errors: int = 0)
 def cmd_campaign(args: argparse.Namespace) -> int:
     try:
         base_seed = seed_override(args.seed) or 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    strategies = args.strategies.split(",")
-    for name in strategies:
-        if name not in STRATEGIES:
-            print(f"error: unknown strategy {name}", file=sys.stderr)
-            return 2
-    reports = []
-    failed: dict[str, list[str]] = {"infeasible": [], "error": []}
-    for i in range(args.seeds):
-        scenario = Scenario(
-            name=f"campaign-{i}",
+        if args.seeds < 1:
+            raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+        strategies = [known_adversary(name) for name in args.strategies.split(",")]
+        base = Scenario(
+            name="campaign",
             n=args.n,
             horizon=args.horizon,
             tau=args.tau,
@@ -611,9 +628,18 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             pi=args.pi,
             gamma=parse_ratio(args.gamma),
             beta=parse_ratio(args.beta),
-            r_a=args.r_a if args.pi else None,
-            seed=base_seed + i,
+            r_a=args.r_a,
+            seed=base_seed,
             schedule_spec={"generate": {"n_byz": args.n_byz}},
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    reports = []
+    failed: dict[str, list[str]] = {"infeasible": [], "error": []}
+    for i in range(args.seeds):
+        scenario = replace(
+            base, name=f"campaign-{i}", seed=base_seed + i,
             adversary=strategies[i % len(strategies)],
         )
         try:

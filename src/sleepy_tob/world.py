@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -65,7 +64,8 @@ class Schedule:
     rounds 0..horizon (one extra entry: who is awake at the end of the last
     executed round).  Synchrony is derived, not stored: the asynchronous
     rounds are exactly ``window_rounds``, [r_a+1, r_a+pi] when a window
-    exists, and every other round is synchronous.
+    exists, and every other round is synchronous.  ``pi`` and every other
+    model parameter are read from ``params``.
     """
 
     n: int
@@ -73,8 +73,11 @@ class Schedule:
     awake_honest: tuple[frozenset[ProcessId], ...]
     byzantine: tuple[frozenset[ProcessId], ...]
     r_a: int | None
-    pi: int
     params: ModelParams
+
+    @property
+    def pi(self) -> int:
+        return self.params.pi
 
     def honest(self, r: int) -> frozenset[ProcessId]:
         return self.awake_honest[r]
@@ -126,7 +129,6 @@ def constant_schedule(
     params: ModelParams,
     *,
     r_a: int | None = None,
-    pi: int = 0,
     honest_awake: Iterable[ProcessId] | None = None,
 ) -> Schedule:
     """Full-participation schedule: fixed honest awake set, fixed Byzantine
@@ -141,7 +143,6 @@ def constant_schedule(
         awake_honest=tuple([honest] * (horizon + 1)),
         byzantine=tuple([byz] * (horizon + 1)),
         r_a=r_a,
-        pi=pi,
         params=params,
     )
 
@@ -490,45 +491,28 @@ STRATEGIES: dict[str, Callable[[], AdversaryStrategy]] = {
 def generate_schedule(
     n: int,
     horizon: int,
-    tau: int,
-    gamma: Fraction,
-    beta: Fraction,
-    pi: int,
+    params: ModelParams,
     r_a: int | None,
     seed: int,
     *,
-    eta: int | None = None,
-    beta_tilde: Fraction | None = None,
     n_byz: int | None = None,
     max_attempts: int = 50,
 ) -> Schedule:
-    """Sample a schedule satisfying every model constraint, or raise
-    ``InfeasibleScheduleError`` after bounded attempts.
+    """Sample a schedule satisfying every model constraint in ``params``,
+    or raise ``InfeasibleScheduleError`` after bounded attempts.
 
     Churn moves are rejected locally whenever they would break the churn or
     failure-ratio bounds, the awake set is frozen around any asynchronous
     window so the window support conditions hold, and the result is passed
-    through the full validator before being returned.
+    through the full validator before being returned.  A window that the
+    schedule's structure cannot hold raises ``ScheduleError`` at once.
     """
-    gamma, beta = Fraction(gamma), Fraction(beta)
-    if not 0 <= gamma < beta:
-        raise ValueError(f"gamma must be < beta (gamma={gamma}, beta={beta})")
-    if pi >= 1:
-        if r_a is None:
-            raise ValueError("a window length needs r_a")
-        if tau <= pi:
-            raise ValueError(f"window must be shorter than the churn window (pi={pi}, tau={tau})")
-        if r_a + pi + 1 >= horizon:
-            raise ValueError("window must end before the final round")
-    if eta is None:
-        eta = tau
-    bt = beta_tilde if beta_tilde is not None else model_checks.beta_tilde(beta, gamma)
-    params = ModelParams(
-        tau=tau, eta=eta, pi=pi, gamma=gamma, beta=beta, beta_tilde=beta_tilde
-    )
+    tau, pi, gamma, bt = params.tau, params.pi, params.gamma, params.beta_tilde
+    if pi >= 1 and tau <= pi:
+        raise ValueError(f"window must be shorter than the churn window (pi={pi}, tau={tau})")
 
     rng = random.Random(seed)
-    if r_a is not None and pi >= 1:
+    if r_a is not None:
         freeze_lo, freeze_hi = max(0, r_a - tau), r_a + pi + 1
     else:
         freeze_lo, freeze_hi = horizon + 2, horizon + 2  # never
@@ -578,14 +562,10 @@ def generate_schedule(
             horizon=horizon,
             awake_honest=tuple(awake),
             byzantine=tuple([byz] * (horizon + 1)),
-            r_a=r_a if pi >= 1 else None,
-            pi=pi if pi >= 1 else 0,
+            r_a=r_a,
             params=params,
         )
-        try:
-            schedule.validate()
-        except ScheduleError:
-            continue
+        schedule.validate()  # the structure does not depend on the draw
         if model_checks.check_all(schedule).all_pass:
             return schedule
 

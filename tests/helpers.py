@@ -50,6 +50,5 @@ def random_bounded_schedule(rng: random.Random) -> Schedule:
         awake_honest=tuple(frozenset(a) for a in awake),
         byzantine=tuple([byz] * (horizon + 1)),
         r_a=None,
-        pi=0,
         params=params,
     )

@@ -106,8 +106,9 @@ def window_battery():
         r_a = 6 if i % 2 == 0 else 7
         seed = 1000 + i
         sched = generate_schedule(
-            n=20, horizon=20, tau=4, gamma=Fraction(1, 10), beta=THIRD,
-            pi=2, r_a=r_a, seed=seed, n_byz=4,
+            n=20, horizon=20,
+            params=ModelParams(tau=4, eta=4, pi=2, gamma=Fraction(1, 10), beta=THIRD),
+            r_a=r_a, seed=seed, n_byz=4,
         )
         model_ok = check_all(sched).all_pass
         for make in (strategy_prop1, strategy_split_decision):

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -156,8 +158,10 @@ class TestUnknownAdversary:
         [
             ({"name": "prop2"}, "unknown adversary 'prop2'; known: none, prop1, split_decision"),
             ("prop1", "adversary must be an object like {\"name\": \"prop1\"}, got 'prop1'"),
+            ({"nme": "prop1"}, "unknown adversary key 'nme'"),
+            ({"name": ["prop1"]}, "unknown adversary ['prop1']"),
         ],
-        ids=["unknown-name", "not-an-object"],
+        ids=["unknown-name", "not-an-object", "unknown-key", "name-not-a-string"],
     )
     def test_bad_adversary_exits_2_naming_it(self, command, adversary, message, tmp_path, capsys):
         data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
@@ -182,8 +186,21 @@ class TestMalformedSchedule:
             ({"constant": {}, "generate": {}}, "schedule must be an object with exactly one of "
                                                "constant, explicit, generate, got {'constant'"),
             ({"constant": 2}, "schedule 'constant' must map to an object, got 2"),
+            ({"constant": {"nbyz": 2}}, "unknown schedule 'constant' key 'nbyz'"),
+            ({"constant": {"n_byz": "2"}},
+             "schedule 'constant' n_byz must be a non-negative integer, got '2'"),
+            ({"generate": {"n_byz": -1}},
+             "schedule 'generate' n_byz must be a non-negative integer, got -1"),
+            ({"explicit": {"awake_honest": [1] * 15, "byzantine": [[]] * 15}},
+             "schedule 'explicit' awake_honest round 0 must be a list of process ids, got 1"),
+            ({"explicit": {"awake_honest": [[0]] * 15, "byzantine": [[], [], ["7"]] + [[]] * 12}},
+             "schedule 'explicit' byzantine round 2 must be a list of process ids, got ['7']"),
+            ({"explicit": {"awake_honest": [[0]] * 15}},
+             "schedule 'explicit' byzantine must be a list of rounds, got None"),
         ],
-        ids=["not-an-object", "unknown-kind", "two-kinds", "kind-not-an-object"],
+        ids=["not-an-object", "unknown-kind", "two-kinds", "kind-not-an-object", "unknown-key",
+             "n_byz-string", "n_byz-negative", "explicit-entry-not-a-list",
+             "explicit-id-not-an-int", "explicit-missing-list"],
     )
     def test_bad_schedule_exits_2_naming_it(self, command, schedule, message, tmp_path, capsys):
         data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
@@ -194,6 +211,81 @@ class TestMalformedSchedule:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+
+def run_or_check(command, data, tmp_path):
+    """Exit code of ``command`` (run or check) on ``data`` written to a file."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    return main(argv)
+
+
+class TestBadScenarioObjects:
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"oracles": "x"}, "oracles must map to an object, got 'x'"),
+            ({"oracles": {"livenes_window": 3}}, "unknown oracles key 'livenes_window'"),
+            ({"oracles": {"safety": False}}, "unknown oracles key 'safety'"),
+            ({"oracles": {"liveness_window": -3}},
+             "oracles liveness_window must be a non-negative integer, got -3"),
+            ({"params": "x"}, "params must map to an object, got 'x'"),
+            ({"params": {"horizon": 14}}, "params n must be an integer, got None"),
+            ({"params": {"n": 8.9, "horizon": 14}}, "params n must be an integer, got 8.9"),
+            ({"params": {"n": 8, "horizon": 14, "eta": True}},
+             "params eta must be an integer, got True"),
+        ],
+        ids=["oracles-not-an-object", "oracles-typo", "oracles-toggle",
+             "negative-liveness-window", "params-not-an-object", "params-missing-n",
+             "params-float-n", "params-bool-eta"],
+    )
+    def test_exits_2_naming_the_problem(self, command, changes, message, tmp_path, capsys):
+        data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
+        assert run_or_check(command, {**data, **changes}, tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_scenario_not_an_object_exits_2(self, command, tmp_path, capsys):
+        assert run_or_check(command, [1, 2], tmp_path) == 2
+        assert "scenario must map to an object, got [1, 2]" in capsys.readouterr().err
+
+    def test_liveness_window_zero_is_accepted(self, tmp_path):
+        data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
+        assert run_or_check("check", {**data, "oracles": {"liveness_window": 0}}, tmp_path) == 0
+
+
+@pytest.mark.parametrize("kind", ["constant", "explicit", "generate"])
+def test_every_schedule_kind_carries_the_scenario_params(kind):
+    # eta=None means never expire for every kind; generate used to run with eta=tau
+    scenario = load_scenario(SCENARIOS / "prop1_expiring.json")
+    spec = {
+        "constant": {"n_byz": 2},
+        "explicit": {"awake_honest": [list(range(8))] * 17, "byzantine": [[8, 9]] * 17},
+        "generate": {"n_byz": 2},
+    }[kind]
+    scenario = replace(scenario, eta=None, schedule_spec={kind: spec})
+    schedule = build_schedule(scenario)
+    assert schedule.params == scenario.model_params()
+    assert schedule.params.eta is None
+    assert (schedule.r_a, schedule.pi) == (4, 2)
+
+
+def test_readme_scenario_examples_load():
+    """Every JSON block in the README is a scenario the loader accepts, and
+    the README names every key the loader knows."""
+    from sleepy_tob.cli import ORACLE_KEYS, PARAM_KEYS, SCHEDULE_KEYS
+
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        Scenario.from_dict(json.loads(block))
+    keys = PARAM_KEYS | ORACLE_KEYS | set(SCHEDULE_KEYS).union(*SCHEDULE_KEYS.values())
+    for key in sorted(keys):
+        assert f"`{key}`" in readme, key
 
 
 def test_import_leaves_decimal_precision_alone():
@@ -288,6 +380,17 @@ class TestCmdSweepBeta:
     def test_too_few_steps(self, capsys):
         assert main(["sweep-beta", "--steps", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "beta, message",
+        [("abc", "error: --beta: not an exact ratio: 'abc'"),
+         ("2", "error: --beta: beta must be in (0, 1], got 2")],
+    )
+    def test_bad_beta_exits_2(self, beta, message, capsys):
+        assert main(["sweep-beta", "--beta", beta, "--steps", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
 
 class TestCmdCampaign:
     def test_small_faultfree_campaign_all_pass(self, capsys):
@@ -331,6 +434,27 @@ class TestCmdCampaign:
         assert lines[0].startswith("error: no campaign run completed (")
         assert reason in lines[0]
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--gamma", "abc"], "error: not an exact ratio: 'abc'"),
+            (["--gamma", "1/2"], "error: gamma must be < beta (gamma=1/2, beta=1/3)"),
+            (["--eta", "-1"], "error: tau, eta, and pi must be nonnegative"),
+            (["--n-byz", "-1"], "error: schedule 'generate' n_byz must be a non-negative "
+                                "integer, got -1"),
+            (["--seeds", "0"], "error: --seeds must be at least 1, got 0"),
+            (["--strategies", "prop1,bogus"],
+             "error: unknown adversary 'bogus'; known: none, prop1, split_decision"),
+        ],
+        ids=["gamma-not-a-ratio", "gamma-above-beta", "negative-eta", "negative-n-byz",
+             "no-seeds", "unknown-strategy"],
+    )
+    def test_bad_flags_exit_2_with_one_line(self, argv, message, capsys):
+        assert main(["campaign", "--seeds", "2", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
 
     def test_failed_runs_counted_next_to_completed_ones(self, capsys):
         # prop1 needs two Byzantine processes and n=3 gives it one, so every

@@ -47,7 +47,6 @@ def honest_schedules(draw):
         awake_honest=tuple(awake),
         byzantine=tuple([frozenset()] * (horizon + 1)),
         r_a=None,
-        pi=0,
         params=params,
     )
 
@@ -86,7 +85,6 @@ def test_round_with_nobody_awake_can_break_safety_under_expiry():
         awake_honest=awake,
         byzantine=(frozenset(),) * 13,
         r_a=None,
-        pi=0,
         params=ModelParams(tau=0, eta=0, pi=0, gamma=Fraction(1, 4), beta=THIRD),
     )
     sleepiness = check_tau_sleepiness(schedule, 0, THIRD)

@@ -29,8 +29,9 @@ THIRD = Fraction(1, 3)
 
 def test_churny_faultfree_run_stays_safe_and_live():
     sched = generate_schedule(
-        n=16, horizon=20, tau=4, gamma=Fraction(1, 10), beta=THIRD,
-        pi=0, r_a=None, seed=21, n_byz=0,
+        n=16, horizon=20,
+        params=ModelParams(tau=4, eta=4, pi=0, gamma=Fraction(1, 10), beta=THIRD),
+        r_a=None, seed=21, n_byz=0,
     )
     assert check_all(sched).all_pass
     trace = run(sched, null_strategy(), seed=21)
@@ -64,7 +65,6 @@ def test_corruption_inside_window_still_resilient():
         awake_honest=tuple(awake),
         byzantine=tuple(byz),
         r_a=r_a,
-        pi=pi,
         params=params,
     )
     sched.validate()

@@ -51,7 +51,7 @@ class TestBetaTilde:
         assert beta_tilde(THIRD, THIRD - Fraction(1, 10**9)) < Fraction(1, 10**8)
 
 
-def mk_schedule(awake, byz, params, horizon=None, r_a=None, pi=0):
+def mk_schedule(awake, byz, params, horizon=None, r_a=None):
     horizon = horizon if horizon is not None else len(awake) - 1
     byz = [frozenset(b) for b in byz]
     return Schedule(
@@ -60,7 +60,6 @@ def mk_schedule(awake, byz, params, horizon=None, r_a=None, pi=0):
         awake_honest=tuple(frozenset(a) for a in awake),
         byzantine=tuple(byz),
         r_a=r_a,
-        pi=pi,
         params=params,
     )
 
@@ -128,7 +127,7 @@ class TestAsyncConditions:
         # 7 awake-honest at r_a, 2 disjoint byzantine, pool of 9: 7 > 6
         awake = [frozenset(range(7))] * 8
         byz = [frozenset({27, 28})] * 8
-        sched = mk_schedule(awake, byz, params(pi=2), r_a=2, pi=2)
+        sched = mk_schedule(awake, byz, params(pi=2), r_a=2)
         result = check_async_conditions(sched, r_a=2, pi=2, tau=2, beta=THIRD)
         assert result.passed
 
@@ -136,14 +135,14 @@ class TestAsyncConditions:
         awake = [frozenset(range(4))] * 8
         byz = [frozenset(range(4, 8)) if r < 3 else frozenset(range(8)) for r in range(8)]
         awake = [a - byz[i] for i, a in enumerate(awake)]
-        sched = mk_schedule(awake, byz, params(pi=2), r_a=2, pi=2)
+        sched = mk_schedule(awake, byz, params(pi=2), r_a=2)
         result = check_async_conditions(sched, r_a=2, pi=2, tau=2, beta=THIRD)
         assert not result.passed
 
     def test_containment_violation_fails(self):
         awake = [frozenset(range(7))] * 3 + [frozenset(range(6))] + [frozenset(range(7))] * 4
         byz = [frozenset()] * 8
-        sched = mk_schedule(awake, byz, params(pi=1), r_a=2, pi=1)
+        sched = mk_schedule(awake, byz, params(pi=1), r_a=2)
         result = check_async_conditions(sched, r_a=2, pi=1, tau=2, beta=THIRD)
         assert not result.passed
 

@@ -50,7 +50,7 @@ def prop1_trace(eta, seed=7, horizon=16):
     p = params(tau=eta, eta=eta, pi=2) if eta else ModelParams(
         tau=0, eta=0, pi=2, gamma=Fraction(0), beta=THIRD
     )
-    sched = constant_schedule(n=10, horizon=horizon, n_byz=2, params=p, r_a=4, pi=2)
+    sched = constant_schedule(n=10, horizon=horizon, n_byz=2, params=p, r_a=4)
     return run(sched, strategy_prop1(), seed=seed)
 
 
@@ -274,7 +274,6 @@ class TestLiveness:
             awake_honest=tuple(awake),
             byzantine=tuple([frozenset()] * (horizon + 1)),
             r_a=None,
-            pi=0,
             params=params(tau=4, eta=4),
         )
         trace = run(sched, null_strategy(), seed=2)
@@ -295,7 +294,6 @@ class TestLiveness:
             awake_honest=tuple(awake),
             byzantine=tuple([frozenset()] * (horizon + 1)),
             r_a=None,
-            pi=0,
             params=params(tau=0, eta=0),
         )
         t = run(sched, null_strategy(), seed=0)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -107,7 +108,6 @@ class TestDelivery:
             awake_honest=tuple(awake),
             byzantine=tuple([frozenset()] * (horizon + 1)),
             r_a=None,
-            pi=0,
             params=params(eta=None, tau=0),
         )
         world = World(sched, null_strategy(), seed=3)
@@ -151,7 +151,7 @@ class TestDelivery:
             delivery_filter=lambda world, r, q, cand: [*cand, forged],
         )
         p = params(tau=4, eta=4, pi=1)
-        sched = constant_schedule(n=5, horizon=10, n_byz=1, params=p, r_a=4, pi=1)
+        sched = constant_schedule(n=5, horizon=10, n_byz=1, params=p, r_a=4)
         world = World(sched, strategy, seed=2)
         trace = world.run()
         assert all(e.msg != forged for e in trace.events if isinstance(e, DeliverEvent))
@@ -159,7 +159,7 @@ class TestDelivery:
 
     def test_async_round_with_null_strategy_degenerates_to_sync(self):
         p = params(tau=4, eta=4, pi=1)
-        sched = constant_schedule(n=5, horizon=10, n_byz=0, params=p, r_a=4, pi=1)
+        sched = constant_schedule(n=5, horizon=10, n_byz=0, params=p, r_a=4)
         trace = run(sched, null_strategy(), seed=2)
         from sleepy_tob.oracle import Verdict, check_safety_after
 
@@ -169,7 +169,7 @@ class TestDelivery:
 class TestForgery:
     def test_strategy_forging_honest_sender_aborts(self):
         sched = constant_schedule(
-            n=4, horizon=4, n_byz=1, params=params(), r_a=None, pi=0
+            n=4, horizon=4, n_byz=1, params=params(), r_a=None
         )
         evil = AdversaryStrategy(
             name="forger",
@@ -199,7 +199,6 @@ class TestScheduleValidation:
                 awake_honest=tuple([frozenset({0, 1})] * 3),
                 byzantine=tuple([frozenset({1})] * 3),
                 r_a=None,
-                pi=0,
                 params=params(),
             ).validate()
 
@@ -211,7 +210,6 @@ class TestScheduleValidation:
                 awake_honest=tuple([frozenset({0})] * 3),
                 byzantine=(frozenset({2, 3}), frozenset({2}), frozenset({2})),
                 r_a=None,
-                pi=0,
                 params=params(),
             ).validate()
 
@@ -219,7 +217,7 @@ class TestScheduleValidation:
 class TestStrategies:
     def test_prop1_needs_two_byzantine(self):
         p = params(tau=4, eta=4, pi=2)
-        sched = constant_schedule(n=6, horizon=12, n_byz=1, params=p, r_a=4, pi=2)
+        sched = constant_schedule(n=6, horizon=12, n_byz=1, params=p, r_a=4)
         with pytest.raises(ValueError, match="two Byzantine"):
             World(sched, strategy_prop1(), seed=0)
 
@@ -231,13 +229,13 @@ class TestStrategies:
 
     def test_split_decision_without_byzantine_emits_nothing(self):
         p = params(tau=4, eta=4, pi=1)
-        sched = constant_schedule(n=6, horizon=10, n_byz=0, params=p, r_a=4, pi=1)
+        sched = constant_schedule(n=6, horizon=10, n_byz=0, params=p, r_a=4)
         trace = run(sched, strategy_split_decision(), seed=0)
         assert all(e.msg.sender < 6 for e in trace.send_events())
 
     def test_prop1_on_expiring_protocol_trace_has_no_conflicts(self):
         p = params(tau=4, eta=4, pi=2)
-        sched = constant_schedule(n=10, horizon=16, n_byz=2, params=p, r_a=4, pi=2)
+        sched = constant_schedule(n=10, horizon=16, n_byz=2, params=p, r_a=4)
         trace = run(sched, strategy_prop1(), seed=7)
         from sleepy_tob.oracle import Verdict, check_async_resilience
 
@@ -245,7 +243,7 @@ class TestStrategies:
 
     def test_prop1_on_plain_protocol_forces_conflicting_decides(self):
         p = params(tau=0, eta=0, pi=2)
-        sched = constant_schedule(n=10, horizon=16, n_byz=2, params=p, r_a=4, pi=2)
+        sched = constant_schedule(n=10, horizon=16, n_byz=2, params=p, r_a=4)
         trace = run(sched, strategy_prop1(), seed=7)
         decides = trace.decide_events()
         from sleepy_tob.core import conflicts
@@ -259,7 +257,7 @@ class TestStrategies:
         # honest receiver grades the adversarial log 1 in the first window
         # instance
         p = params(tau=0, eta=0, pi=2)
-        sched = constant_schedule(n=10, horizon=16, n_byz=3, params=p, r_a=4, pi=2)
+        sched = constant_schedule(n=10, horizon=16, n_byz=3, params=p, r_a=4)
         trace = run(sched, strategy_prop1(), seed=7)
         record = trace.ga_records()[5]
         target = next(
@@ -289,7 +287,6 @@ class TestGrowingAdversary:
             awake_honest=tuple(awake),
             byzantine=tuple(byz),
             r_a=None,
-            pi=0,
             params=params(),
         )
         trace = run(sched, null_strategy(), seed=1)
@@ -300,44 +297,74 @@ class TestGrowingAdversary:
 class TestGenerateSchedule:
     def test_output_passes_all_checks(self):
         sched = generate_schedule(
-            n=20, horizon=18, tau=4, gamma=Fraction(1, 10), beta=THIRD,
-            pi=2, r_a=6, seed=0, n_byz=4,
+            n=20, horizon=18,
+            params=ModelParams(tau=4, eta=4, pi=2, gamma=Fraction(1, 10), beta=THIRD),
+            r_a=6, seed=0, n_byz=4,
         )
         assert check_all(sched).all_pass
         sched.validate()
 
     def test_gamma_zero_awake_sets_never_shrink(self):
         sched = generate_schedule(
-            n=12, horizon=14, tau=3, gamma=Fraction(0), beta=THIRD,
-            pi=0, r_a=None, seed=3,
+            n=12, horizon=14,
+            params=ModelParams(tau=3, eta=3, pi=0, gamma=Fraction(0), beta=THIRD),
+            r_a=None, seed=3,
         )
         for r in range(sched.horizon):
             assert sched.honest(r) <= sched.honest(r + 1)
 
     def test_tau_zero_unconstrained_churn_allowed(self):
         sched = generate_schedule(
-            n=12, horizon=14, tau=0, gamma=Fraction(0), beta=THIRD,
-            pi=0, r_a=None, seed=3,
+            n=12, horizon=14,
+            params=ModelParams(tau=0, eta=0, pi=0, gamma=Fraction(0), beta=THIRD),
+            r_a=None, seed=3,
         )
         assert check_all(sched).all_pass
 
     def test_gamma_at_beta_rejected(self):
         with pytest.raises(ValueError, match="gamma must be < beta"):
             generate_schedule(
-                n=12, horizon=10, tau=2, gamma=THIRD, beta=THIRD,
-                pi=0, r_a=None, seed=0,
+                n=12, horizon=10,
+                params=ModelParams(tau=2, eta=2, pi=0, gamma=THIRD, beta=THIRD),
+                r_a=None, seed=0,
             )
 
     def test_window_longer_than_tau_rejected(self):
         with pytest.raises(ValueError):
             generate_schedule(
-                n=12, horizon=12, tau=2, gamma=Fraction(0), beta=THIRD,
-                pi=3, r_a=4, seed=0,
+                n=12, horizon=12,
+                params=ModelParams(tau=2, eta=2, pi=3, gamma=Fraction(0), beta=THIRD),
+                r_a=4, seed=0,
             )
 
     def test_infeasible_parameters_raise(self):
         with pytest.raises(InfeasibleScheduleError):
             generate_schedule(
-                n=4, horizon=10, tau=4, gamma=Fraction(1, 100), beta=THIRD,
-                pi=2, r_a=4, seed=0, n_byz=3, max_attempts=5,
+                n=4, horizon=10,
+                params=ModelParams(tau=4, eta=4, pi=2, gamma=Fraction(1, 100), beta=THIRD),
+                r_a=4, seed=0, n_byz=3, max_attempts=5,
             )
+
+    def test_params_are_carried_unchanged(self):
+        # eta=None (never expire) is not replaced by tau
+        p = ModelParams(tau=4, eta=None, pi=2, gamma=Fraction(1, 10), beta=THIRD)
+        sched = generate_schedule(n=20, horizon=18, params=p, r_a=6, seed=0, n_byz=4)
+        assert sched.params is p
+        assert sched.pi == 2 and list(sched.window_rounds) == [7, 8]
+
+    @pytest.mark.parametrize(
+        "pi, r_a, message",
+        [(2, None, "needs a last synchronous round"), (0, 4, "positive length"),
+         (2, 8, "end before the final round")],
+        ids=["window-without-r_a", "r_a-without-window", "window-past-horizon"],
+    )
+    def test_structural_window_errors_raise_at_once(self, pi, r_a, message):
+        p = ModelParams(tau=4, eta=4, pi=pi, gamma=Fraction(1, 10), beta=THIRD)
+        with pytest.raises(ScheduleError, match=message):
+            generate_schedule(n=20, horizon=10, params=p, r_a=r_a, seed=0, n_byz=4)
+
+
+def test_schedule_window_length_is_read_from_params():
+    sched = constant_schedule(n=6, horizon=10, n_byz=0, params=params(tau=4, eta=4, pi=2), r_a=4)
+    assert "pi" not in {f.name for f in dataclasses.fields(Schedule)}
+    assert sched.pi == 2 and list(sched.window_rounds) == [5, 6]
