@@ -55,13 +55,19 @@ from .world import (
 )
 
 
+class ScenarioError(ValueError):
+    """A scenario file's shape is wrong: an unknown or missing key, a wrong
+    type, a ratio that does not parse or an unknown adversary.  A value
+    outside the model's domain raises a plain ``ValueError``."""
+
+
 def parse_ratio(text: str | int | float) -> Fraction:
     if isinstance(text, float):
-        raise ValueError(f"ratios must be exact strings, got float {text}")
+        raise ScenarioError(f"ratios must be exact strings, got float {text}")
     try:
         return Fraction(text if isinstance(text, int) else str(text))
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not an exact ratio: {text!r}") from None
+        raise ScenarioError(f"not an exact ratio: {text!r}") from None
 
 
 def ratio_str(x: Fraction) -> str:
@@ -86,21 +92,21 @@ LIVENESS_WINDOW = 8
 def _object(value: object, where: str, known: set[str]) -> dict:
     """``value`` if it is an object whose keys are all in ``known``."""
     if not isinstance(value, dict):
-        raise ValueError(f"{where} must map to an object, got {value!r}")
+        raise ScenarioError(f"{where} must map to an object, got {value!r}")
     unknown = sorted(set(value) - known)
     if unknown:
-        raise ValueError(f"unknown {where} key {', '.join(map(repr, unknown))}")
+        raise ScenarioError(f"unknown {where} key {', '.join(map(repr, unknown))}")
     return value
 
 
 def _count(value: object, where: str) -> None:
     if type(value) is not int or value < 0:
-        raise ValueError(f"{where} must be a non-negative integer, got {value!r}")
+        raise ScenarioError(f"{where} must be a non-negative integer, got {value!r}")
 
 
 def known_adversary(name: str) -> str:
     if not isinstance(name, str) or name not in STRATEGIES:
-        raise ValueError(f"unknown adversary {name!r}; known: {', '.join(sorted(STRATEGIES))}")
+        raise ScenarioError(f"unknown adversary {name!r}; known: {', '.join(sorted(STRATEGIES))}")
     return name
 
 
@@ -108,13 +114,13 @@ def _check_schedule_spec(spec: object) -> None:
     """A scenario's ``"schedule"``: one kind mapped to an object of that
     kind's keys; ``explicit`` lists hold one list of process ids per round."""
     if not isinstance(spec, dict) or len(spec) != 1:
-        raise ValueError(
+        raise ScenarioError(
             f"schedule must be an object with exactly one of {', '.join(SCHEDULE_KEYS)}, "
             f"got {spec!r}"
         )
     [(kind, body)] = spec.items()
     if kind not in SCHEDULE_KEYS:
-        raise ValueError(f"unknown schedule kind {kind!r}; known: {', '.join(SCHEDULE_KEYS)}")
+        raise ScenarioError(f"unknown schedule kind {kind!r}; known: {', '.join(SCHEDULE_KEYS)}")
     body = _object(body, f"schedule {kind!r}", SCHEDULE_KEYS[kind])
     if kind != "explicit":
         if body.get("n_byz") is not None:
@@ -123,10 +129,12 @@ def _check_schedule_spec(spec: object) -> None:
     for key in ("awake_honest", "byzantine"):
         rounds = body.get(key)
         if not isinstance(rounds, list):
-            raise ValueError(f"schedule 'explicit' {key} must be a list of rounds, got {rounds!r}")
+            raise ScenarioError(
+                f"schedule 'explicit' {key} must be a list of rounds, got {rounds!r}"
+            )
         for r, ids in enumerate(rounds):
             if not isinstance(ids, list) or any(type(p) is not int for p in ids):
-                raise ValueError(
+                raise ScenarioError(
                     f"schedule 'explicit' {key} round {r} must be a list of process ids, "
                     f"got {ids!r}"
                 )
@@ -176,12 +184,14 @@ class Scenario:
         p = _object(data.get("params"), "params", PARAM_KEYS)
         spec = data.get("adversary", {})
         if not isinstance(spec, dict):
-            raise ValueError(f'adversary must be an object like {{"name": "prop1"}}, got {spec!r}')
+            raise ScenarioError(
+                f'adversary must be an object like {{"name": "prop1"}}, got {spec!r}'
+            )
 
         def integer(key: str, default: int | None = None) -> int | None:
             value = p.get(key, default)
             if type(value) is not int and not (value is None and key in ("eta", "r_a")):
-                raise ValueError(f"params {key} must be an integer, got {value!r}")
+                raise ScenarioError(f"params {key} must be an integer, got {value!r}")
             return value
 
         return Scenario(
@@ -252,16 +262,17 @@ def build_schedule(scenario: Scenario) -> Schedule:
             scenario.n, scenario.horizon, params, r_a, scenario.seed, n_byz=body.get("n_byz")
         )
     if kind == "constant":
-        return constant_schedule(scenario.n, scenario.horizon, body.get("n_byz") or 0, params,
-                                 r_a=r_a)
-    schedule = Schedule(
-        n=scenario.n,
-        horizon=scenario.horizon,
-        awake_honest=tuple(frozenset(s) for s in body["awake_honest"]),
-        byzantine=tuple(frozenset(s) for s in body["byzantine"]),
-        r_a=r_a,
-        params=params,
-    )
+        schedule = constant_schedule(scenario.n, scenario.horizon, body.get("n_byz") or 0,
+                                     params, r_a=r_a)
+    else:
+        schedule = Schedule(
+            n=scenario.n,
+            horizon=scenario.horizon,
+            awake_honest=tuple(frozenset(s) for s in body["awake_honest"]),
+            byzantine=tuple(frozenset(s) for s in body["byzantine"]),
+            r_a=r_a,
+            params=params,
+        )
     schedule.validate()
     return schedule
 
@@ -295,7 +306,8 @@ def msg_to_json(msg: VoteMsg | ProposeMsg) -> dict:
     }
 
 
-def record_to_json(record: GaRecord) -> dict:
+def record_to_json(record: GaRecord, ids: dict[VoteMsg | ProposeMsg, int]) -> dict:
+    """``initial`` and ``received`` name their votes by send id (``ids``)."""
     receivers = {}
     for q in sorted(record.receivers):
         view = record.receivers[q]
@@ -305,14 +317,8 @@ def record_to_json(record: GaRecord) -> dict:
         )
         receivers[str(q)] = {
             "m": view.m,
-            "initial": sorted(
-                (msg_to_json(m) for m in view.initial.messages),
-                key=lambda d: (d["sender"], d["round"]),
-            ),
-            "received": sorted(
-                (msg_to_json(m) for m in view.received),
-                key=lambda d: (d["sender"], json.dumps(d, sort_keys=True)),
-            ),
+            "initial": sorted(ids[m] for m in view.initial.messages),
+            "received": sorted(ids[m] for m in view.received),
             "output": grades,
         }
     return {
@@ -324,7 +330,14 @@ def record_to_json(record: GaRecord) -> dict:
 
 
 def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
-    """JSON-lines rendition: a header then one event object per line."""
+    """JSON-lines rendition: a header then one event object per line.
+
+    Each ``send`` line carries an ``id``, its index among the send lines;
+    ``deliver`` lines and ``ga_record`` vote sets name messages by that id
+    (a message sent twice is named by its first id).
+    """
+    ids: dict[VoteMsg | ProposeMsg, int] = {}
+    sends = 0
     lines = [
         json.dumps(
             {
@@ -338,35 +351,19 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     ]
     for e in trace.events:
         if isinstance(e, SendEvent):
-            obj = {
-                "kind": "send",
-                "round": e.round,
-                "actor": e.msg.sender,
-                "payload": {"msg": msg_to_json(e.msg)},
-            }
+            ids.setdefault(e.msg, sends)
+            obj = {"kind": "send", "id": sends, "actor": e.msg.sender,
+                   "payload": {"msg": msg_to_json(e.msg)}}
+            sends += 1
         elif isinstance(e, DeliverEvent):
-            obj = {
-                "kind": "deliver",
-                "round": e.round,
-                "actor": e.receiver,
-                "payload": {"msg": msg_to_json(e.msg)},
-            }
+            obj = {"kind": "deliver", "actor": e.receiver,
+                   "payload": {"msgs": [ids[m] for m in e.msgs]}}
         elif isinstance(e, DecideEvent):
-            obj = {
-                "kind": "decide",
-                "round": e.round,
-                "actor": e.pid,
-                "payload": {"log": log_to_json(e.log)},
-            }
+            obj = {"kind": "decide", "actor": e.pid, "payload": {"log": log_to_json(e.log)}}
         else:
             assert isinstance(e, GaRecordEvent)
-            obj = {
-                "kind": "ga_record",
-                "round": e.round,
-                "actor": None,
-                "payload": record_to_json(e.record),
-            }
-        lines.append(json.dumps(obj, sort_keys=True))
+            obj = {"kind": "ga_record", "actor": None, "payload": record_to_json(e.record, ids)}
+        lines.append(json.dumps({**obj, "round": e.round}, sort_keys=True))
     return lines
 
 
@@ -537,7 +534,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
         schedule = build_schedule(scenario)
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, json.JSONDecodeError, ScenarioError) as exc:
         print(f"error: cannot load scenario: {exc}", file=sys.stderr)
         return 2
     except (ScheduleError, InfeasibleScheduleError) as exc:

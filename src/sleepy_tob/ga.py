@@ -180,15 +180,19 @@ class GaRecord:
 DeliveryFilter = Callable[[ProcessId, Sequence[VoteMsg]], Iterable[VoteMsg]]
 
 
-def delivered(q: ProcessId, queued: Sequence, chosen: Iterable) -> list:
-    """Asynchronous delivery to receiver ``q``: the messages of ``queued``,
-    in queue order, that the adversary ``chosen`` or that ``q`` sent itself.
+def delivered(q: ProcessId, queued: Sequence, chosen: Iterable) -> tuple[list, list]:
+    """Asynchronous delivery to receiver ``q``: split ``queued``, keeping
+    queue order, into the messages the adversary ``chosen`` or that ``q``
+    sent itself, and the rest, which stay held.
 
     Self-delivery is never suppressed, and a chosen message that was never
     queued (a forgery) is never delivered.
     """
     chosen = set(chosen)
-    return [m for m in queued if m in chosen or m.sender == q]
+    kept, held = [], []
+    for m in queued:
+        (kept if m in chosen or m.sender == q else held).append(m)
+    return kept, held
 
 
 def run_instance(
@@ -245,7 +249,7 @@ def run_instance(
         if synchronous or delivery is None:
             got = sent
         else:
-            got = delivered(q, sent, delivery(q, tuple(sent)))
+            got, _ = delivered(q, sent, delivery(q, tuple(sent)))
         merged = merge_latest(initial, got)
         views[q] = ReceiverView(
             initial=initial,

@@ -38,7 +38,7 @@ from .core import (
     maximal,
 )
 from .ga import GaOutput, GaRecord
-from .world import SendEvent, Trace
+from .world import DeliverEvent, SendEvent, Trace
 
 
 class Verdict(Enum):
@@ -538,16 +538,18 @@ def check_window_votes_extend(trace: Trace, r_a: int, pi: int) -> OracleReport:
 
 
 def check_trace_wellformed(trace: Trace) -> OracleReport:
-    """Deliveries only reference messages that were actually sent."""
+    """Every delivered message was sent earlier in the trace."""
     sent_msgs = set()
     for e in trace.events:
         if isinstance(e, SendEvent):
             sent_msgs.add(e.msg)
-        elif hasattr(e, "msg") and e.msg not in sent_msgs:
-            return OracleReport(
-                "trace_wellformed",
-                Verdict.FAIL,
-                detail="delivered message was never sent",
-                witness={"round": e.round, "msg": repr(e.msg)},
-            )
+        elif isinstance(e, DeliverEvent):
+            for m in e.msgs:
+                if m not in sent_msgs:
+                    return OracleReport(
+                        "trace_wellformed",
+                        Verdict.FAIL,
+                        detail="delivered message was never sent",
+                        witness={"round": e.round, "receiver": e.receiver, "msg": repr(m)},
+                    )
     return OracleReport("trace_wellformed", Verdict.PASS)

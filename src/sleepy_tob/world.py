@@ -92,12 +92,16 @@ class Schedule:
         return r not in self.window_rounds
 
     def validate(self) -> None:
+        if self.n < 1:
+            raise ScheduleError(f"need at least 1 process, got n = {self.n}")
         if self.horizon < 1:
             raise ScheduleError("horizon must be at least 1 round")
         if len(self.awake_honest) != self.horizon + 1:
             raise ScheduleError("awake sets must cover rounds 0..horizon inclusive")
         if len(self.byzantine) != self.horizon + 1:
             raise ScheduleError("byzantine sets must cover rounds 0..horizon inclusive")
+        if not any(self.awake_honest):
+            raise ScheduleError("no well-behaved process is awake in any round")
         for r in range(self.horizon + 1):
             ids = self.awake_honest[r] | self.byzantine[r]
             if ids and (min(ids) < 0 or max(ids) >= self.n):
@@ -155,9 +159,12 @@ class SendEvent:
 
 @dataclass(frozen=True)
 class DeliverEvent:
+    """One receive phase of ``receiver``: the messages it took from its
+    queue, in delivery order (none, if the queue was empty or all held)."""
+
     round: int
     receiver: ProcessId
-    msg: Msg
+    msgs: tuple[Msg, ...]
 
 
 @dataclass(frozen=True)
@@ -335,14 +342,12 @@ class World:
             state = self.states[q]
             queued = self.pending[q]
             if synchronous:
-                kept = list(queued)
+                kept, self.pending[q] = queued, []
             else:
                 chosen = self.strategy.delivery_filter(self, r, q, tuple(queued))
-                kept = delivered(q, queued, chosen)
-            kept_set = set(kept)
-            self.pending[q] = [m for m in queued if m not in kept_set]
+                kept, self.pending[q] = delivered(q, queued, chosen)
+            self.events.append(DeliverEvent(round=r, receiver=q, msgs=tuple(kept)))
             for m in kept:
-                self.events.append(DeliverEvent(round=r, receiver=q, msg=m))
                 state.absorb(m)
             initial, current = latest_unexpired(state.votes_seen, r, self.window, q)
             merged = merge_latest(initial, current)

@@ -40,3 +40,19 @@ def test_traced_run_counts_without_warnings():
     assert tracer.warnings == set()
     assert counts["ga.tally.calls"] > 0
     assert counts["ga.tally.prefix_updates"] > 0
+
+
+def test_traced_cli_run_counts_trace_bytes_of_every_kind(tmp_path, monkeypatch):
+    # the tracer reads the event kind out of each line cli.trace_lines writes
+    monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
+    scenario = LAYERS.parent.parent / "scenarios" / "sync_faultfree.json"
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path)]) == 0
+        counts = tracer.end_run()
+    finally:
+        tracer.restore()
+    assert tracer.warnings == set()
+    for kind in ("send", "deliver", "decide", "ga_record"):
+        assert counts[f"cli.trace_bytes.{kind}"] > 0, kind

@@ -15,22 +15,24 @@ from sleepy_tob.cli import (
     decimal_str,
     load_scenario,
     main,
+    msg_to_json,
     parse_ratio,
     run_scenario,
     trace_lines,
 )
+from sleepy_tob.world import DeliverEvent
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
 #: scenario -> (exit code, sha256[:16] of trace.jsonl, sha256[:16] of report.json)
 GOLDEN = {
-    "prop1_baseline": (1, "db3db457bb6ab6b2", "3c15a622f1fea58b"),
-    "prop1_expiring": (0, "ce6e912d9ba28be5", "8336d6af4f488323"),
-    "split_decision_eta0": (1, "63c70948980f5156", "b58322772f586e04"),
-    "split_decision_eta2": (0, "ee702c79eee539ce", "1836facf6f02d65a"),
-    "stall_participation_drop": (0, "38c07dde8e19674d", "ccb9169d3a61bd3a"),
-    "sync_faultfree": (0, "fd33763b31157f02", "fda45c4855c02d40"),
+    "prop1_baseline": (1, "ec79e88d86fc1ae3", "3c15a622f1fea58b"),
+    "prop1_expiring": (0, "805327d180cefbe9", "8336d6af4f488323"),
+    "split_decision_eta0": (1, "c0da8edf8a294cc8", "b58322772f586e04"),
+    "split_decision_eta2": (0, "6cb5e9ebc56e1dbb", "1836facf6f02d65a"),
+    "stall_participation_drop": (0, "b841c1347c12215e", "ccb9169d3a61bd3a"),
+    "sync_faultfree": (0, "5febfaf1c8e0596d", "fda45c4855c02d40"),
 }
 
 
@@ -64,6 +66,47 @@ def test_outputs_do_not_depend_on_hash_seed(name, tmp_path):
         assert proc.returncode == GOLDEN[name][0], proc.stderr
         outputs.append(((out / "trace.jsonl").read_bytes(), (out / "report.json").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
+    """Resolving the send ids in trace.jsonl gives back every receive phase
+    and every receiver's initial and received votes of the run."""
+    monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
+    main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path)])
+    trace, _ = run_scenario(load_scenario(SCENARIOS / f"{name}.json"))
+    lines = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+    sends = [obj for obj in lines if obj["kind"] == "send"]
+    assert [obj["id"] for obj in sends] == list(range(len(sends)))
+    sent = [obj["payload"]["msg"] for obj in sends]
+    assert sent == [msg_to_json(e.msg) for e in trace.send_events()]
+
+    def resolve(ids):
+        assert all(0 <= i < len(sent) for i in ids)
+        return [sent[i] for i in ids]
+
+    def canonical(msgs):
+        return sorted(json.dumps(m, sort_keys=True) for m in msgs)
+
+    deliveries = [
+        (obj["round"], obj["actor"], resolve(obj["payload"]["msgs"]))
+        for obj in lines if obj["kind"] == "deliver"
+    ]
+    assert deliveries == [
+        (e.round, e.receiver, [msg_to_json(m) for m in e.msgs])
+        for e in trace.events if isinstance(e, DeliverEvent)
+    ]
+    records = {obj["round"]: obj["payload"]["receivers"] for obj in lines
+               if obj["kind"] == "ga_record"}
+    assert records.keys() == trace.ga_records().keys()
+    for r, record in trace.ga_records().items():
+        assert records[r].keys() == {str(q) for q in record.receivers}
+        for q, view in record.receivers.items():
+            written = records[r][str(q)]
+            assert canonical(resolve(written["initial"])) == canonical(
+                map(msg_to_json, view.initial.messages))
+            assert canonical(resolve(written["received"])) == canonical(
+                map(msg_to_json, view.received))
 
 
 def test_parse_ratio_exact():
@@ -316,6 +359,31 @@ class TestCmdCheck:
         path.write_text(json.dumps(bad))
         assert main(["check", str(path)]) == 2
         assert "domain error" in capsys.readouterr().err
+
+    def test_schema_error_is_not_a_domain_error(self, tmp_path, capsys):
+        data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
+        assert run_or_check("check", {**data, "oracles": {"livenes_window": 3}}, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot load scenario: unknown oracles key 'livenes_window'\n"
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"n": 0}, "need at least 1 process, got n = 0"),
+            ({"n": 3, "n_byz": 3}, "no well-behaved process is awake in any round"),
+        ],
+        ids=["no-process", "nobody-awake"],
+    )
+    def test_schedule_without_a_process_exits_2(self, command, changes, message, tmp_path,
+                                                 capsys):
+        data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
+        data["params"]["n"] = changes["n"]
+        data["schedule"] = {"constant": {"n_byz": changes.get("n_byz", 0)}}
+        assert run_or_check(command, data, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(message + "\n") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_valid_scenario_all_pass(self, capsys):
         assert main(["check", str(SCENARIOS / "sync_faultfree.json")]) == 0

@@ -28,7 +28,15 @@ from sleepy_tob.oracle import (
     first_full_view_after,
     naive_record_outputs,
 )
-from sleepy_tob.world import constant_schedule, null_strategy, run, strategy_prop1
+from sleepy_tob.world import (
+    DeliverEvent,
+    SendEvent,
+    Trace,
+    constant_schedule,
+    null_strategy,
+    run,
+    strategy_prop1,
+)
 
 THIRD = Fraction(1, 3)
 A = Log((Value(1, 0, 1),))
@@ -335,3 +343,27 @@ class TestVoteDiscipline:
 
 def test_trace_wellformed():
     assert check_trace_wellformed(faultfree_trace()).verdict is Verdict.PASS
+
+
+class TestTraceWellformedFailures:
+    def hand_trace(self, *events):
+        sched = constant_schedule(n=3, horizon=4, n_byz=0, params=params())
+        return Trace(sched, "none", 0, events, final_logs={})
+
+    def test_unsent_vote_in_a_batch_fails_with_witness(self):
+        sent, unsent = VoteMsg(0, 1, A), VoteMsg(1, 1, B)
+        trace = self.hand_trace(
+            SendEvent(1, sent),
+            DeliverEvent(1, 2, (sent,)),
+            DeliverEvent(1, 0, (sent, unsent)),
+        )
+        report = check_trace_wellformed(trace)
+        assert report.verdict is Verdict.FAIL
+        assert report.witness == {"round": 1, "receiver": 0, "msg": repr(unsent)}
+
+    def test_delivery_before_its_send_fails(self):
+        vote = VoteMsg(0, 1, A)
+        trace = self.hand_trace(DeliverEvent(0, 1, (vote,)), SendEvent(1, vote))
+        report = check_trace_wellformed(trace)
+        assert report.verdict is Verdict.FAIL
+        assert report.witness == {"round": 0, "receiver": 1, "msg": repr(vote)}

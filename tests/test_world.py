@@ -85,13 +85,17 @@ class TestDelivery:
         seen = set()
         for e in trace.events:
             if isinstance(e, DeliverEvent):
-                key = (e.receiver, e.msg)
-                assert key not in seen
-                seen.add(key)
+                for m in e.msgs:
+                    key = (e.receiver, m)
+                    assert key not in seen
+                    seen.add(key)
         sent = {e.msg for e in trace.send_events()}
         # every receiver eventually got every message
         for q in range(4):
-            got = {e.msg for e in trace.events if isinstance(e, DeliverEvent) and e.receiver == q}
+            got = {
+                m for e in trace.events if isinstance(e, DeliverEvent) and e.receiver == q
+                for m in e.msgs
+            }
             assert got == sent
 
     def test_sleeper_gets_queued_messages_on_waking(self):
@@ -117,16 +121,15 @@ class TestDelivery:
             newest_held[r] = {s: rnd for s, (rnd, _) in world.states[3].votes_seen.items()}
         trace_events = world.events
         round3_votes = {
-            e.msg
-            for e in trace_events
-            if isinstance(e, DeliverEvent) and isinstance(e.msg, VoteMsg)
-            and e.msg.round == 3 and e.receiver == 0
+            m
+            for e in trace_events if isinstance(e, DeliverEvent) and e.receiver == 0
+            for m in e.msgs if isinstance(m, VoteMsg) and m.round == 3
         }
         assert round3_votes
         deliveries_to_3 = [
             e for e in trace_events if isinstance(e, DeliverEvent) and e.receiver == 3
         ]
-        by_round = {e.msg: e.round for e in deliveries_to_3 if e.msg in round3_votes}
+        by_round = {m: e.round for e in deliveries_to_3 for m in e.msgs if m in round3_votes}
         # nothing reached the sleeper during rounds 2-4's receive phases; the
         # backlog lands at the round-5 receive phase, entering round 6
         assert by_round and set(by_round.values()) == {5}
@@ -154,7 +157,7 @@ class TestDelivery:
         sched = constant_schedule(n=5, horizon=10, n_byz=1, params=p, r_a=4)
         world = World(sched, strategy, seed=2)
         trace = world.run()
-        assert all(e.msg != forged for e in trace.events if isinstance(e, DeliverEvent))
+        assert all(forged not in e.msgs for e in trace.events if isinstance(e, DeliverEvent))
         assert all(4 not in state.votes_seen for state in world.states.values())
 
     def test_async_round_with_null_strategy_degenerates_to_sync(self):
@@ -212,6 +215,18 @@ class TestScheduleValidation:
                 r_a=None,
                 params=params(),
             ).validate()
+
+    def test_no_process_rejected(self):
+        with pytest.raises(ScheduleError, match="at least 1 process"):
+            constant_schedule(n=0, horizon=4, n_byz=0, params=params()).validate()
+
+    def test_nobody_awake_in_any_round_rejected(self):
+        # all processes Byzantine, or every honest set empty: nobody runs the protocol
+        with pytest.raises(ScheduleError, match="no well-behaved process is awake"):
+            constant_schedule(n=3, horizon=4, n_byz=3, params=params()).validate()
+        with pytest.raises(ScheduleError, match="no well-behaved process is awake"):
+            constant_schedule(n=3, horizon=4, n_byz=0, params=params(),
+                              honest_awake=()).validate()
 
 
 class TestStrategies:
