@@ -7,9 +7,13 @@ an oracle report, exit nonzero on any applicable oracle failure),
 reduced failure-ratio curve), and ``campaign`` (many randomized
 constraint-respecting runs with aggregated verdicts).
 
-Scenario files are JSON with exact ratio strings ("1/3"); traces are
-JSON-lines with one event per line (kind, round, actor, payload) under a
-header carrying the scenario hash.  Everything is deterministic given the
+Scenario files are JSON with exact ratio strings ("1/3").  A trace is
+JSON-lines: a header carrying the scenario hash and parameters, then one
+object per line (kind, round, actor, payload) of five kinds, each fact
+written once: ``log`` (one distinct log, linked to its parent log),
+``send`` (one message, with a send id), ``deliver`` (one receive phase, by
+send id), ``decide`` (a log id) and ``ga_record`` (each receiver's
+participation and graded output).  Everything is deterministic given the
 scenario: the same file and seed produce byte-identical outputs.  The
 environment variable ``SLEEPY_TOB_SEED`` overrides the scenario seed.
 """
@@ -21,11 +25,11 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from .core import Log, ProposeMsg, Value, VoteMsg
 from .ga import GaRecord
@@ -142,8 +146,8 @@ def _check_schedule_spec(spec: object) -> None:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One run's inputs.  Construction checks the schedule, adversary and
-    oracle settings and bundles the model parameters into the one
+    """One run's inputs.  Construction checks the name, schedule, adversary
+    and oracle settings and bundles the model parameters into the one
     ``ModelParams`` (``model_params()``) that the schedule carries, so an
     invalid scenario raises ``ValueError`` instead of being built."""
 
@@ -164,6 +168,8 @@ class Scenario:
     _params: ModelParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ScenarioError(f"name must be a string, got {self.name!r}")
         _check_schedule_spec(self.schedule_spec)
         known_adversary(self.adversary)
         _object(self.oracles, "oracles", ORACLE_KEYS)
@@ -281,62 +287,50 @@ def build_schedule(scenario: Scenario) -> Schedule:
 # serialization
 
 
-def value_to_json(v: Value) -> dict:
-    return {"id": v.id, "proposer": v.proposer, "view": v.view}
-
-
-def log_to_json(log: Log) -> list[dict]:
-    return [value_to_json(v) for v in log.values]
-
-
-def msg_to_json(msg: VoteMsg | ProposeMsg) -> dict:
+def msg_to_json(msg: VoteMsg | ProposeMsg, log_id: Callable[[Log], int]) -> dict:
     if isinstance(msg, VoteMsg):
-        return {
-            "type": "vote",
-            "sender": msg.sender,
-            "round": msg.round,
-            "log": log_to_json(msg.log),
-        }
+        return {"type": "vote", "sender": msg.sender, "round": msg.round, "log": log_id(msg.log)}
     return {
         "type": "propose",
         "sender": msg.sender,
         "view": msg.view,
-        "log": log_to_json(msg.log),
+        "log": log_id(msg.log),
         "vrf": {"value": msg.vrf.value, "sender": msg.vrf.sender, "view": msg.vrf.view},
     }
 
 
-def record_to_json(record: GaRecord, ids: dict[VoteMsg | ProposeMsg, int]) -> dict:
-    """``initial`` and ``received`` name their votes by send id (``ids``)."""
-    receivers = {}
-    for q in sorted(record.receivers):
-        view = record.receivers[q]
-        grades = sorted(
-            ((log_to_json(log), g) for log, g in view.output.grades.items()),
-            key=lambda item: json.dumps(item[0], sort_keys=True),
-        )
-        receivers[str(q)] = {
-            "m": view.m,
-            "initial": sorted(ids[m] for m in view.initial.messages),
-            "received": sorted(ids[m] for m in view.received),
-            "output": grades,
-        }
+def record_to_json(record: GaRecord, log_id: Callable[[Log], int]) -> dict:
+    """The receivers' claims: each one's participation ``m`` and its graded
+    output as ``[log id, grade]`` pairs sorted by id.  The rest of the record
+    is stated by other lines: the inputs are the round's vote sends from
+    senders outside ``byzantine``, and a receiver's initial and received
+    votes are its ``deliver`` lines folded by the latest-vote rule within
+    the header's ``eta``."""
     return {
         "synchronous": record.synchronous,
-        "inputs": {str(p): log_to_json(log) for p, log in sorted(record.inputs.items())},
         "byzantine": sorted(record.byzantine),
-        "receivers": receivers,
+        "receivers": {
+            str(q): {"m": view.m,
+                     "output": sorted([log_id(log), g] for log, g in view.output.grades.items())}
+            for q, view in record.receivers.items()
+        },
     }
 
 
 def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
-    """JSON-lines rendition: a header then one event object per line.
+    """JSON-lines rendition: a header then one object per line.
 
-    Each ``send`` line carries an ``id``, its index among the send lines;
-    ``deliver`` lines and ``ga_record`` vote sets name messages by that id
-    (a message sent twice is named by its first id).
+    Each distinct log is written once, as a ``log`` line whose payload is
+    its ``id``, its ``parent`` id and its last ``value`` (both null for the
+    empty log, the root).  It comes before the first line naming it, with
+    that line's round; ids follow first use, and the logs new to one line
+    are numbered by length, then value ids.  Each ``send`` line carries an
+    ``id``, its index among the send lines; ``deliver`` lines name messages
+    by that id (a message sent twice is named by its first id), and every
+    other line names logs by log id.
     """
-    ids: dict[VoteMsg | ProposeMsg, int] = {}
+    log_ids: dict[Log, int] = {}
+    send_ids: dict[VoteMsg | ProposeMsg, int] = {}
     sends = 0
     lines = [
         json.dumps(
@@ -349,21 +343,47 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
             sort_keys=True,
         )
     ]
+
+    def write(obj: dict, r: int) -> None:
+        lines.append(json.dumps({**obj, "round": r}, sort_keys=True))
+
+    def introduce(logs: Iterable[Log], r: int) -> None:
+        """Write a ``log`` line for each of ``logs`` and their prefixes that
+        no earlier line named."""
+        fresh: set[Log] = set()
+        for log in logs:
+            # the walk ends at the empty log at the latest: it is its own slice
+            while log not in log_ids and log not in fresh:
+                fresh.add(log)
+                log = Log(log.values[:-1])
+        for log in sorted(fresh, key=lambda log: (len(log), log.lex_key)):
+            log_ids[log] = len(log_ids)
+            write({"kind": "log", "actor": None, "payload": {
+                "id": log_ids[log],
+                "parent": log_ids[Log(log.values[:-1])] if log else None,
+                "value": asdict(log.values[-1]) if log else None,
+            }}, r)
+
     for e in trace.events:
         if isinstance(e, SendEvent):
-            ids.setdefault(e.msg, sends)
+            introduce((e.msg.log,), e.round)
+            send_ids.setdefault(e.msg, sends)
             obj = {"kind": "send", "id": sends, "actor": e.msg.sender,
-                   "payload": {"msg": msg_to_json(e.msg)}}
+                   "payload": {"msg": msg_to_json(e.msg, log_ids.__getitem__)}}
             sends += 1
         elif isinstance(e, DeliverEvent):
             obj = {"kind": "deliver", "actor": e.receiver,
-                   "payload": {"msgs": [ids[m] for m in e.msgs]}}
+                   "payload": {"msgs": [send_ids[m] for m in e.msgs]}}
         elif isinstance(e, DecideEvent):
-            obj = {"kind": "decide", "actor": e.pid, "payload": {"log": log_to_json(e.log)}}
+            introduce((e.log,), e.round)
+            obj = {"kind": "decide", "actor": e.pid, "payload": {"log": log_ids[e.log]}}
         else:
             assert isinstance(e, GaRecordEvent)
-            obj = {"kind": "ga_record", "actor": None, "payload": record_to_json(e.record, ids)}
-        lines.append(json.dumps({**obj, "round": e.round}, sort_keys=True))
+            introduce((log for view in e.record.receivers.values()
+                       for log in view.output.grades), e.round)
+            obj = {"kind": "ga_record", "actor": None,
+                   "payload": record_to_json(e.record, log_ids.__getitem__)}
+        write(obj, e.round)
     return lines
 
 
@@ -497,21 +517,34 @@ def seed_override(cli_seed: int | None) -> int | None:
         raise ValueError(f"SLEEPY_TOB_SEED must be an integer, got {text!r}") from None
 
 
+#: What loading a scenario, building its schedule and running it may raise
+#: because of the scenario itself.
+SCENARIO_ERRORS = (OSError, ValueError, ScheduleError, InfeasibleScheduleError)
+
+
+def scenario_error(exc: Exception) -> str:
+    """The line ``run`` and ``check`` print for one of ``SCENARIO_ERRORS``."""
+    if isinstance(exc, (OSError, json.JSONDecodeError, ScenarioError)):
+        return f"error: cannot load scenario: {exc}"
+    if isinstance(exc, (ScheduleError, InfeasibleScheduleError)):
+        return f"schedule error: {exc}"
+    return f"domain error: {exc}"
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"error: cannot load scenario: {exc}", file=sys.stderr)
-        return 2
     try:
         seed = seed_override(args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if seed is not None:
-        scenario = scenario.with_seed(seed)
     try:
+        scenario = load_scenario(args.scenario)
+        if seed is not None:
+            scenario = scenario.with_seed(seed)
         trace, report = run_scenario(scenario)
+    except SCENARIO_ERRORS as exc:
+        print(scenario_error(exc), file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"error: run failed: {exc}", file=sys.stderr)
         return 2
@@ -534,14 +567,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
         schedule = build_schedule(scenario)
-    except (OSError, KeyError, json.JSONDecodeError, ScenarioError) as exc:
-        print(f"error: cannot load scenario: {exc}", file=sys.stderr)
-        return 2
-    except (ScheduleError, InfeasibleScheduleError) as exc:
-        print(f"schedule error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
+    except SCENARIO_ERRORS as exc:
+        print(scenario_error(exc), file=sys.stderr)
         return 2
     report = check_all(schedule)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))

@@ -476,67 +476,6 @@ def check_healing(
     return OracleReport("healing", Verdict.PASS, detail=f"healed from round {r_heal}")
 
 
-def check_decided_implies_voted(trace: Trace, r_a: int) -> OracleReport:
-    """Once a log is decided in some round <= r_a, every awake well-behaved
-    process votes extensions of it in every later round up to r_a."""
-    sched = trace.schedule
-    decided = [(e.round, e.log) for e in trace.decide_events() if e.round <= r_a]
-    for rd, lam in decided:
-        for e in trace.vote_sends():
-            if rd <= e.round <= r_a and e.msg.sender in sched.honest(e.round):
-                if not is_prefix(lam, e.msg.log):
-                    return OracleReport(
-                        "decided_implies_voted",
-                        Verdict.FAIL,
-                        witness={
-                            "decided_round": rd,
-                            "decided": repr(lam),
-                            "voter": e.msg.sender,
-                            "vote_round": e.round,
-                            "vote": repr(e.msg.log),
-                        },
-                    )
-    return OracleReport(
-        "decided_implies_voted",
-        Verdict.PASS if decided else Verdict.NOT_APPLICABLE,
-        detail=f"{len(decided)} decisions at or before round {r_a}",
-    )
-
-
-def check_window_votes_extend(trace: Trace, r_a: int, pi: int) -> OracleReport:
-    """Processes awake at r_a that stay awake and uncorrupted keep voting
-    extensions of the common round-r_a log throughout the window and one
-    round beyond."""
-    sched = trace.schedule
-    base_votes = [
-        e.msg.log
-        for e in trace.vote_sends()
-        if e.round == r_a and e.msg.sender in sched.honest(r_a)
-    ]
-    if not base_votes:
-        return OracleReport(
-            "window_votes_extend", Verdict.NOT_APPLICABLE, detail="no votes at r_a"
-        )
-    lam = longest_common_prefix(base_votes)
-    guard = sched.honest(r_a)
-    for e in trace.vote_sends():
-        if r_a + 1 <= e.round <= r_a + pi + 1:
-            p = e.msg.sender
-            if p in guard and p in sched.honest(e.round):
-                if not is_prefix(lam, e.msg.log):
-                    return OracleReport(
-                        "window_votes_extend",
-                        Verdict.FAIL,
-                        witness={
-                            "process": p,
-                            "round": e.round,
-                            "vote": repr(e.msg.log),
-                            "base": repr(lam),
-                        },
-                    )
-    return OracleReport("window_votes_extend", Verdict.PASS, detail=f"base {lam!r}")
-
-
 def check_trace_wellformed(trace: Trace) -> OracleReport:
     """Every delivered message was sent earlier in the trace."""
     sent_msgs = set()

@@ -195,7 +195,6 @@ class Trace:
     strategy_name: str
     seed: int
     events: tuple[Event, ...]
-    final_logs: dict[ProcessId, Log]
 
     @property
     def horizon(self) -> int:
@@ -289,7 +288,6 @@ class World:
         }
         self.pending: dict[ProcessId, list[Msg]] = {p: [] for p in range(schedule.n)}
         self.events: list[Event] = []
-        self.round: int = 0
         if strategy.validate is not None:
             strategy.validate(self)
 
@@ -370,22 +368,15 @@ class World:
                 receivers=views,
             )
             self.events.append(GaRecordEvent(round=r, record=record))
-        self.round = r + 1
 
     def run(self) -> Trace:
         for r in range(self.schedule.horizon):
             self.step_round(r)
-        final = {
-            p: self.states[p].delivered
-            for p in range(self.schedule.n)
-            if p not in self.schedule.byz(self.schedule.horizon)
-        }
         return Trace(
             schedule=self.schedule,
             strategy_name=self.strategy.name,
             seed=self.seed,
             events=tuple(self.events),
-            final_logs=final,
         )
 
 

@@ -54,5 +54,5 @@ def test_traced_cli_run_counts_trace_bytes_of_every_kind(tmp_path, monkeypatch):
     finally:
         tracer.restore()
     assert tracer.warnings == set()
-    for kind in ("send", "deliver", "decide", "ga_record"):
+    for kind in ("log", "send", "deliver", "decide", "ga_record"):
         assert counts[f"cli.trace_bytes.{kind}"] > 0, kind

@@ -15,11 +15,11 @@ from sleepy_tob.cli import (
     decimal_str,
     load_scenario,
     main,
-    msg_to_json,
     parse_ratio,
     run_scenario,
     trace_lines,
 )
+from sleepy_tob.core import Log, ProposeMsg, Value, VoteMsg, VrfTag
 from sleepy_tob.world import DeliverEvent
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,12 +27,12 @@ SCENARIOS = ROOT / "scenarios"
 
 #: scenario -> (exit code, sha256[:16] of trace.jsonl, sha256[:16] of report.json)
 GOLDEN = {
-    "prop1_baseline": (1, "ec79e88d86fc1ae3", "3c15a622f1fea58b"),
-    "prop1_expiring": (0, "805327d180cefbe9", "8336d6af4f488323"),
-    "split_decision_eta0": (1, "c0da8edf8a294cc8", "b58322772f586e04"),
-    "split_decision_eta2": (0, "6cb5e9ebc56e1dbb", "1836facf6f02d65a"),
-    "stall_participation_drop": (0, "b841c1347c12215e", "ccb9169d3a61bd3a"),
-    "sync_faultfree": (0, "5febfaf1c8e0596d", "fda45c4855c02d40"),
+    "prop1_baseline": (1, "0be6ac476cf52aa4", "3c15a622f1fea58b"),
+    "prop1_expiring": (0, "101e6f346fff8bf1", "8336d6af4f488323"),
+    "split_decision_eta0": (1, "153838206fc95bb2", "b58322772f586e04"),
+    "split_decision_eta2": (0, "f73161e3e1385412", "1836facf6f02d65a"),
+    "stall_participation_drop": (0, "9ecd97ce39581630", "ccb9169d3a61bd3a"),
+    "sync_faultfree": (0, "214eb4757072e1d1", "fda45c4855c02d40"),
 }
 
 
@@ -70,43 +70,87 @@ def test_outputs_do_not_depend_on_hash_seed(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
-    """Resolving the send ids in trace.jsonl gives back every receive phase
-    and every receiver's initial and received votes of the run."""
+    """trace.jsonl alone gives back every log, send, receive phase and
+    decision of the run, and per instance its inputs and each receiver's
+    initial and received votes, participation and output.
+
+    The votes are folded here, not with the package's rule: per receiver
+    and sender, the newest round delivered counts if it is inside the
+    expiry window, unless the sender voted two logs in that round."""
     monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
     main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path)])
     trace, _ = run_scenario(load_scenario(SCENARIOS / f"{name}.json"))
-    lines = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
-    sends = [obj for obj in lines if obj["kind"] == "send"]
-    assert [obj["id"] for obj in sends] == list(range(len(sends)))
-    sent = [obj["payload"]["msg"] for obj in sends]
-    assert sent == [msg_to_json(e.msg) for e in trace.send_events()]
+    header, *lines = map(json.loads, (tmp_path / "trace.jsonl").read_text().splitlines())
+    eta = header["params"]["eta"]
+    logs: list[Log] = []
+    sent, deliveries, decisions, records = [], [], [], {}
+    newest = {}  # (receiver, sender) -> (newest round delivered, its votes)
 
-    def resolve(ids):
-        assert all(0 <= i < len(sent) for i in ids)
-        return [sent[i] for i in ids]
+    def log(i):
+        assert 0 <= i < len(logs)  # written before the first line naming it
+        return logs[i]
 
-    def canonical(msgs):
-        return sorted(json.dumps(m, sort_keys=True) for m in msgs)
+    for obj in lines:
+        kind, r, actor, payload = obj["kind"], obj["round"], obj["actor"], obj["payload"]
+        if kind == "log":
+            assert payload["id"] == len(logs)
+            if payload["parent"] is None:
+                assert payload["value"] is None
+                logs.append(Log())
+            else:
+                logs.append(log(payload["parent"]).extended(Value(**payload["value"])))
+        elif kind == "send":
+            assert obj["id"] == len(sent)
+            fields = {**payload["msg"], "log": log(payload["msg"]["log"])}
+            if fields.pop("type") == "vote":
+                sent.append((r, VoteMsg(**fields)))
+            else:
+                sent.append((r, ProposeMsg(**{**fields, "vrf": VrfTag(**fields["vrf"])})))
+        elif kind == "deliver":
+            msgs = [sent[i][1] for i in payload["msgs"]]
+            deliveries.append((r, actor, msgs))
+            for m in msgs:
+                if isinstance(m, VoteMsg):
+                    rnd, votes = newest.get((actor, m.sender), (-1, set()))
+                    if m.round > rnd:
+                        newest[actor, m.sender] = (m.round, {m})
+                    elif m.round == rnd:
+                        votes.add(m)
+        elif kind == "decide":
+            decisions.append((r, actor, log(payload["log"])))
+        else:
+            assert kind == "ga_record"
+            start = 0 if eta is None else r - eta
+            views = {}
+            for q, claim in payload["receivers"].items():
+                counted = [next(iter(votes)) for (receiver, _), (rnd, votes) in newest.items()
+                           if receiver == int(q) and rnd >= start and len(votes) == 1]
+                views[int(q)] = (
+                    {m for m in counted if m.round < r},
+                    {m for m in counted if m.round == r},
+                    claim["m"],
+                    {log(i): g for i, g in claim["output"]},
+                )
+            inputs = {m.sender: m.log for rnd, m in sent if rnd == r and isinstance(m, VoteMsg)
+                      and m.sender not in payload["byzantine"]}
+            records[r] = (payload["synchronous"], set(payload["byzantine"]), inputs, views)
 
-    deliveries = [
-        (obj["round"], obj["actor"], resolve(obj["payload"]["msgs"]))
-        for obj in lines if obj["kind"] == "deliver"
+    assert [m for _, m in sent] == [e.msg for e in trace.send_events()]
+    assert deliveries == [(e.round, e.receiver, list(e.msgs))
+                          for e in trace.events if isinstance(e, DeliverEvent)]
+    assert decisions == [(e.round, e.pid, e.log) for e in trace.decide_events()]
+    assert records == {
+        r: (record.synchronous, set(record.byzantine), record.inputs,
+            {q: (set(view.initial.messages), set(view.received), view.m, view.output.grades)
+             for q, view in record.receivers.items()})
+        for r, record in trace.ga_records().items()
+    }
+    named = [m.log for _, m in sent] + [log for _, _, log in decisions] + [
+        log for record in trace.ga_records().values()
+        for view in record.receivers.values() for log in view.output.grades
     ]
-    assert deliveries == [
-        (e.round, e.receiver, [msg_to_json(m) for m in e.msgs])
-        for e in trace.events if isinstance(e, DeliverEvent)
-    ]
-    records = {obj["round"]: obj["payload"]["receivers"] for obj in lines
-               if obj["kind"] == "ga_record"}
-    assert records.keys() == trace.ga_records().keys()
-    for r, record in trace.ga_records().items():
-        assert records[r].keys() == {str(q) for q in record.receivers}
-        for q, view in record.receivers.items():
-            written = records[r][str(q)]
-            assert canonical(resolve(written["initial"])) == canonical(
-                map(msg_to_json, view.initial.messages))
-            assert canonical(resolve(written["received"])) == canonical(
-                map(msg_to_json, view.received))
+    assert len(set(logs)) == len(logs)
+    assert set(logs) == {prefix for log in named for prefix in log.prefixes()}
 
 
 def test_parse_ratio_exact():
@@ -279,10 +323,11 @@ class TestBadScenarioObjects:
             ({"params": {"n": 8.9, "horizon": 14}}, "params n must be an integer, got 8.9"),
             ({"params": {"n": 8, "horizon": 14, "eta": True}},
              "params eta must be an integer, got True"),
+            ({"name": 5}, "name must be a string, got 5"),
         ],
         ids=["oracles-not-an-object", "oracles-typo", "oracles-toggle",
              "negative-liveness-window", "params-not-an-object", "params-missing-n",
-             "params-float-n", "params-bool-eta"],
+             "params-float-n", "params-bool-eta", "name-not-a-string"],
     )
     def test_exits_2_naming_the_problem(self, command, changes, message, tmp_path, capsys):
         data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
@@ -359,6 +404,14 @@ class TestCmdCheck:
         path.write_text(json.dumps(bad))
         assert main(["check", str(path)]) == 2
         assert "domain error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_domain_error_has_one_label_in_run_and_check(self, command, tmp_path, capsys):
+        data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
+        data["params"]["gamma"] = "1/2"
+        assert run_or_check(command, data, tmp_path) == 2
+        assert capsys.readouterr().err.startswith("domain error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_schema_error_is_not_a_domain_error(self, tmp_path, capsys):
         data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())

@@ -18,13 +18,11 @@ from sleepy_tob.model_checks import ModelParams
 from sleepy_tob.oracle import (
     Verdict,
     check_async_resilience,
-    check_decided_implies_voted,
     check_ga_properties,
     check_healing,
     check_liveness_after,
     check_safety_after,
     check_trace_wellformed,
-    check_window_votes_extend,
     first_full_view_after,
     naive_record_outputs,
 )
@@ -327,20 +325,6 @@ class TestResilienceAndHealing:
         assert check_healing(trace, 6).verdict is Verdict.INCONCLUSIVE
 
 
-class TestVoteDiscipline:
-    def test_decided_implies_voted_on_sync_prefix(self):
-        trace = prop1_trace(eta=4)
-        assert check_decided_implies_voted(trace, 4).verdict is Verdict.PASS
-
-    def test_window_votes_extend_decided_log(self):
-        trace = prop1_trace(eta=4)
-        assert check_window_votes_extend(trace, 4, 2).verdict is Verdict.PASS
-
-    def test_window_votes_violated_without_expiration(self):
-        trace = prop1_trace(eta=0)
-        assert check_window_votes_extend(trace, 4, 2).verdict is Verdict.FAIL
-
-
 def test_trace_wellformed():
     assert check_trace_wellformed(faultfree_trace()).verdict is Verdict.PASS
 
@@ -348,7 +332,7 @@ def test_trace_wellformed():
 class TestTraceWellformedFailures:
     def hand_trace(self, *events):
         sched = constant_schedule(n=3, horizon=4, n_byz=0, params=params())
-        return Trace(sched, "none", 0, events, final_logs={})
+        return Trace(sched, "none", 0, events)
 
     def test_unsent_vote_in_a_batch_fails_with_witness(self):
         sent, unsent = VoteMsg(0, 1, A), VoteMsg(1, 1, B)

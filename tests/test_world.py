@@ -67,7 +67,7 @@ class TestTraceIndex:
             DecideEvent(2, 0, log),
             SendEvent(3, propose(1, 2)),
         )
-        trace = Trace(sched, "none", 0, events, final_logs={})
+        trace = Trace(sched, "none", 0, events)
         assert trace.first_input_round(fresh) == 2
         assert trace.first_input_round(GENESIS) is None
         assert [e.round for e in trace.send_events()] == [0, 1, 2, 3]
