@@ -66,8 +66,8 @@ class ScenarioError(ValueError):
 
 
 def parse_ratio(text: str | int | float) -> Fraction:
-    if isinstance(text, float):
-        raise ScenarioError(f"ratios must be exact strings, got float {text}")
+    if isinstance(text, (bool, float)):
+        raise ScenarioError(f"ratios must be exact strings, got {type(text).__name__} {text}")
     try:
         return Fraction(text if isinstance(text, int) else str(text))
     except (ValueError, ZeroDivisionError):

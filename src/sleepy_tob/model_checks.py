@@ -40,7 +40,9 @@ def beta_tilde(beta: Fraction, gamma: Fraction) -> Fraction:
     beta, gamma = Fraction(beta), Fraction(gamma)
     if not 0 < beta <= 1:
         raise ValueError(f"beta must be in (0, 1], got {beta}")
-    if gamma < 0 or gamma > beta:
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if gamma > beta:
         raise ValueError(f"gamma must be < beta (gamma={gamma}, beta={beta})")
     return (beta - gamma) / (gamma * (beta - 2) + 1)
 
@@ -69,7 +71,9 @@ class ModelParams:
             raise ValueError("tau, eta, and pi must be nonnegative")
         if not 0 < self.beta <= 1:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        if not 0 <= self.gamma < self.beta:
+        if self.gamma < 0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if self.gamma >= self.beta:
             raise ValueError(
                 f"gamma must be < beta (gamma={self.gamma}, beta={self.beta})"
             )

@@ -10,11 +10,13 @@ failures, and probabilistic liveness can be reported honestly.
 
 Properties about sets of logs are decided on the log tree: a set is
 pairwise compatible iff it is a chain (``core.is_chain``), and it holds
-three pairwise-conflicting logs iff it has at least three maximal elements
-(``core.maximal``).  These tests decide uniqueness, bounded divergence,
-graded consistency and safety.  Only when one fails does the pairwise or
-triple scan run, to name the first violation in scan order as the witness,
-so verdicts and witnesses are those of the scans alone.
+two or three pairwise-conflicting logs iff it has that many maximal
+elements (``core.maximal``).  For the agreement properties the test that
+decides also names the witness: the grade-1 log a receiver lacks for
+graded consistency, and the first maximal logs for uniqueness and bounded
+divergence.  Safety is decided by ``is_chain`` too, but its witness is
+still the first conflicting pair in scan order, since the golden reports
+of the attacked scenarios contain it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .core import (
     longest_common_prefix,
     maximal,
 )
-from .ga import GaOutput, GaRecord
+from .ga import GaRecord
 from .world import DeliverEvent, SendEvent, Trace
 
 
@@ -143,43 +145,6 @@ def _find_clique(record: GaRecord, lam: Log) -> frozenset[ProcessId]:
         members -= set(bad)
 
 
-def _graded_consistency_witness(outputs: Mapping[ProcessId, GaOutput]) -> dict | None:
-    """First (receiver, grade-1 log, receiver missing it) in scan order."""
-    for i, out_i in outputs.items():
-        for lam in out_i.grade1_logs():
-            for j, out_j in outputs.items():
-                if out_j.grade_of(lam) is None:
-                    return {"receiver": i, "log": repr(lam), "missing_at": j}
-    return None
-
-
-def _uniqueness_witness(outputs: Mapping[ProcessId, GaOutput]) -> dict | None:
-    """First conflicting pair of grade-1 outputs in scan order."""
-    grade1_pairs = [
-        (i, lam) for i, out_i in outputs.items() for lam in out_i.grade1_logs()
-    ]
-    for a in range(len(grade1_pairs)):
-        for b in range(a + 1, len(grade1_pairs)):
-            (i, la), (j, lb) = grade1_pairs[a], grade1_pairs[b]
-            if conflicts(la, lb):
-                return {"receiver_a": i, "log_a": repr(la), "receiver_b": j, "log_b": repr(lb)}
-    return None
-
-
-def _divergent_triple(logs: list[Log]) -> list[str] | None:
-    """First pairwise-conflicting triple of ``logs`` in scan order."""
-    for a in range(len(logs)):
-        for b in range(a + 1, len(logs)):
-            for c in range(b + 1, len(logs)):
-                if (
-                    conflicts(logs[a], logs[b])
-                    and conflicts(logs[a], logs[c])
-                    and conflicts(logs[b], logs[c])
-                ):
-                    return [repr(logs[a]), repr(logs[b]), repr(logs[c])]
-    return None
-
-
 def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
     """Evaluate the agreement properties on one record.
 
@@ -192,6 +157,10 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
     reports: dict[str, OracleReport] = {}
     applicable = record.synchronous and _quorum_holds(record)
     outputs = {q: view.output for q, view in record.receivers.items()}
+
+    def judge(name: str, witness: dict | None, detail: str = "") -> None:
+        verdict = Verdict.FAIL if witness else Verdict.PASS
+        reports[name] = OracleReport(name, verdict, detail=detail, witness=witness)
 
     def na(name: str, why: str) -> None:
         reports[name] = OracleReport(name, Verdict.NOT_APPLICABLE, detail=why)
@@ -207,56 +176,54 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
         ):
             na(name, why)
     else:
-        grade1 = {lam for out in outputs.values() for lam in out.grade1_logs()}
-        fail = (
-            None
-            if all(out.grades.keys() >= grade1 for out in outputs.values())
-            else _graded_consistency_witness(outputs)
-        )
-        reports["graded_consistency"] = OracleReport(
-            "graded_consistency",
-            Verdict.FAIL if fail else Verdict.PASS,
-            witness=fail,
-        )
-
+        # each grade-1 log with the first receiver grading it 1
+        holder: dict[Log, ProcessId] = {}
+        for q, out in outputs.items():
+            for lam in out.grade1_logs():
+                holder.setdefault(lam, q)
         fail = None
-        for i, out_i in outputs.items():
-            for lam in out_i.grades:
-                if not any(is_prefix(lam, inp) for inp in record.inputs.values()):
-                    fail = {"receiver": i, "log": repr(lam)}
-                    break
-            if fail:
+        for q, out in outputs.items():
+            if not out.grades.keys() >= holder.keys():
+                lam = next(lam for lam in holder if lam not in out.grades)
+                fail = {"receiver": holder[lam], "log": repr(lam), "missing_at": q}
                 break
-        reports["integrity"] = OracleReport(
-            "integrity", Verdict.FAIL if fail else Verdict.PASS, witness=fail
+        judge("graded_consistency", fail)
+
+        fail = next(
+            ({"receiver": i, "log": repr(lam)}
+             for i, out_i in outputs.items() for lam in out_i.grades
+             if not any(is_prefix(lam, inp) for inp in record.inputs.values())),
+            None,
         )
+        judge("integrity", fail)
 
         if record.inputs:
             lcp = longest_common_prefix(record.inputs.values())
-            fail = None
-            for i, out_i in outputs.items():
-                if out_i.grade_of(lcp) != 1:
-                    fail = {"receiver": i, "log": repr(lcp)}
-                    break
-            reports["validity"] = OracleReport(
-                "validity", Verdict.FAIL if fail else Verdict.PASS, witness=fail
+            fail = next(
+                ({"receiver": i, "log": repr(lcp)}
+                 for i, out_i in outputs.items() if out_i.grade_of(lcp) != 1),
+                None,
             )
+            judge("validity", fail)
         else:
             na("validity", "no well-behaved inputs")
 
-        fail = None if is_chain(grade1) else _uniqueness_witness(outputs)
-        reports["uniqueness"] = OracleReport(
-            "uniqueness", Verdict.FAIL if fail else Verdict.PASS, witness=fail
-        )
+        # maximal logs conflict pairwise, so two of them violate uniqueness
+        tops = maximal(holder)
+        fail = None
+        if len(tops) >= 2:
+            la, lb = tops[:2]
+            fail = {"receiver_a": holder[la], "log_a": repr(la),
+                    "receiver_b": holder[lb], "log_b": repr(lb)}
+        judge("uniqueness", fail)
 
         fail = None
         for i, out_i in outputs.items():
-            if len(maximal(out_i.grades)) >= 3:
-                fail = {"receiver": i, "logs": _divergent_triple(list(out_i.grades))}
+            tops = maximal(out_i.grades)
+            if len(tops) >= 3:
+                fail = {"receiver": i, "logs": [repr(lam) for lam in tops[:3]]}
                 break
-        reports["bounded_divergence"] = OracleReport(
-            "bounded_divergence", Verdict.FAIL if fail else Verdict.PASS, witness=fail
-        )
+        judge("bounded_divergence", fail)
 
     # clique validity: try every observed log (and prefix) as the common base
     candidates: set[Log] = set()
@@ -281,16 +248,9 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
         if fail:
             break
     if applicable_cliques == 0:
-        reports["clique_validity"] = OracleReport(
-            "clique_validity", Verdict.NOT_APPLICABLE, detail="no qualifying clique"
-        )
+        na("clique_validity", "no qualifying clique")
     else:
-        reports["clique_validity"] = OracleReport(
-            "clique_validity",
-            Verdict.FAIL if fail else Verdict.PASS,
-            detail=f"{applicable_cliques} qualifying base logs",
-            witness=fail,
-        )
+        judge("clique_validity", fail, detail=f"{applicable_cliques} qualifying base logs")
     return reports
 
 

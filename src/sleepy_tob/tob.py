@@ -3,14 +3,14 @@
 View 0 occupies round 0 and only multicasts a proposal for the genesis log.
 Every later view v >= 1 spans rounds 2v-1 and 2v:
 
-* round 2v-1: compute the outputs of the previous round's agreement
-  instance, decide every grade-1 log (delivering the longest), set the
-  candidate to the longest output at any grade, then vote for the log of
-  the highest-scoring valid proposal that does not conflict with the
-  candidate;
+* round 2v-1: take the outputs of the previous round's agreement
+  instance, decide the longest grade-1 log (it extends every other
+  grade-1 output), set the candidate to the longest output at any grade,
+  then vote for the log of the highest-scoring valid proposal that does
+  not conflict with the candidate;
 * round 2v: vote for the longest grade-1 output of the current view's
-  first instance, set the chain head to the longest output at any grade,
-  and multicast a proposal extending the chain head with a fresh value.
+  first instance, and multicast a proposal extending the chain head, the
+  longest output at any grade, with a fresh value.
 
 Votes feeding an instance are the *latest unexpired* messages: for each
 sender, the single newest vote sent within the expiration window, with a
@@ -83,19 +83,20 @@ class ExpirationWindow:
 
 @dataclass
 class ProcessState:
-    """Mutable per-process protocol state plus its message store."""
+    """Mutable per-process protocol state plus its message store.
+
+    It holds no delivered log: ``step_round1`` returns each decision, and
+    the trace's decide events are the one record of what was delivered.
+    """
 
     pid: ProcessId
     vrf_seed: int
     candidate: Log = EMPTY_LOG  # longest any-grade output seen at the last round-1 step
-    chain_head: Log = EMPTY_LOG  # base of this process's next proposal
-    delivered: Log = EMPTY_LOG  # longest decided log
     # votes_seen[sender] is (round, vote) for the sender's newest vote, the
     # vote None if it equivocated in that round (see ga.keep_latest)
     votes_seen: dict[ProcessId, tuple[int, VoteMsg | None]] = field(default_factory=dict)
     proposals_seen: dict[int, set[ProposeMsg]] = field(default_factory=dict)
-    pending_output: GaOutput = field(default_factory=GaOutput)
-    pending_output_round: int = -1
+    pending_output: GaOutput = field(default_factory=GaOutput)  # read by the next step
 
     def absorb(self, msg: VoteMsg | ProposeMsg) -> None:
         if isinstance(msg, VoteMsg):
@@ -165,23 +166,14 @@ def step_round1(
     view: int,
     outputs: GaOutput,
     proposals: Iterable[ProposeMsg],
-) -> tuple[list[Log], VoteMsg]:
+) -> tuple[Log | None, VoteMsg]:
     """Round 2v-1: decide, refresh the candidate, and vote a proposal.
 
-    Returns the decisions made (empty or the longest grade-1 log) and the
-    vote this process multicasts.  With no valid, candidate-compatible
+    Returns the decided log (the longest grade-1 output, or ``None``) and
+    the vote this process multicasts.  With no valid, candidate-compatible
     proposal at hand the process falls back to voting its own candidate,
     which keeps its vote extending anything it has decided.
     """
-    decisions: list[Log] = []
-    decided = outputs.longest_grade1()
-    if decided is not None:
-        decisions.append(decided)
-        if not compatible(decided, state.delivered) or len(decided) > len(
-            state.delivered
-        ):
-            state.delivered = decided
-
     longest = outputs.longest_any()
     if longest is not None:
         state.candidate = longest
@@ -197,7 +189,7 @@ def step_round1(
         if key > best_key or (key == best_key and pm.log.lex_key < best.log.lex_key):
             best = pm
     vote_log = best.log if best is not None else state.candidate
-    return decisions, VoteMsg(sender=state.pid, round=2 * view - 1, log=vote_log)
+    return outputs.longest_grade1(), VoteMsg(sender=state.pid, round=2 * view - 1, log=vote_log)
 
 
 def step_round2(
@@ -213,12 +205,13 @@ def step_round2(
     if vote_log is None:
         vote_log = state.candidate
     head = outputs.longest_any()
-    state.chain_head = head if head is not None else state.candidate
+    if head is None:
+        head = state.candidate
     fresh = Value(id=view + 1, proposer=state.pid, view=view + 1)
     proposal = ProposeMsg(
         sender=state.pid,
         view=view + 1,
-        log=state.chain_head.extended(fresh),
+        log=head.extended(fresh),
         vrf=vrf_eval(state.vrf_seed, state.pid, view + 1),
     )
     return (

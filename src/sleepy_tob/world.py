@@ -32,7 +32,7 @@ from .core import (
     VoteMsg,
     vrf_eval,
 )
-from .ga import ForgeryError, GaOutput, GaRecord, ReceiverView, delivered, grade, merge_latest
+from .ga import ForgeryError, GaRecord, ReceiverView, delivered, grade, merge_latest
 from .model_checks import ModelParams
 from .tob import (
     ExpirationWindow,
@@ -114,6 +114,8 @@ class Schedule:
         if self.r_a is None:
             if self.pi != 0:
                 raise ScheduleError("a window length needs a last synchronous round r_a")
+        elif self.r_a < 0:
+            raise ScheduleError(f"the last synchronous round r_a must be >= 0, got {self.r_a}")
         elif self.pi < 1:
             raise ScheduleError("a window at r_a must have positive length")
         elif self.r_a + self.pi + 1 >= self.horizon:
@@ -308,14 +310,14 @@ class World:
                 for pm in step_view0(state):
                     self._broadcast(pm, r)
                 continue
-            outputs = (
-                state.pending_output if state.pending_output_round == r - 1 else GaOutput()
-            )
+            # p is awake at r, so it received in round r - 1 and its
+            # pending output is that round's
+            outputs = state.pending_output
             if clock.phase is Phase.ROUND1:
-                proposals = state.proposals_seen.get(clock.view, set())
-                decisions, vote = step_round1(state, clock.view, outputs, proposals)
-                for log in decisions:
-                    self.events.append(DecideEvent(round=r, pid=p, log=log))
+                proposals = state.proposals_seen.pop(clock.view, set())
+                decided, vote = step_round1(state, clock.view, outputs, proposals)
+                if decided is not None:
+                    self.events.append(DecideEvent(round=r, pid=p, log=decided))
                 self._broadcast(vote, r)
             else:
                 vote, proposal = step_round2(state, clock.view, outputs)
@@ -351,7 +353,6 @@ class World:
             merged = merge_latest(initial, current)
             output = grade(merged)
             state.pending_output = output
-            state.pending_output_round = r
             views[q] = ReceiverView(
                 initial=initial,
                 received=current,

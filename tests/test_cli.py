@@ -160,6 +160,8 @@ def test_parse_ratio_exact():
     assert parse_ratio("0.05") == Fraction(1, 20)
     with pytest.raises(ValueError):
         parse_ratio(0.1)
+    with pytest.raises(ValueError, match="got bool True"):
+        parse_ratio(True)
 
 
 class TestCmdRun:
@@ -324,10 +326,12 @@ class TestBadScenarioObjects:
             ({"params": {"n": 8, "horizon": 14, "eta": True}},
              "params eta must be an integer, got True"),
             ({"name": 5}, "name must be a string, got 5"),
+            ({"params": {"n": 8, "horizon": 14, "beta": True}},
+             "ratios must be exact strings, got bool True"),
         ],
         ids=["oracles-not-an-object", "oracles-typo", "oracles-toggle",
              "negative-liveness-window", "params-not-an-object", "params-missing-n",
-             "params-float-n", "params-bool-eta", "name-not-a-string"],
+             "params-float-n", "params-bool-eta", "name-not-a-string", "params-bool-beta"],
     )
     def test_exits_2_naming_the_problem(self, command, changes, message, tmp_path, capsys):
         data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
@@ -411,6 +415,18 @@ class TestCmdCheck:
         data["params"]["gamma"] = "1/2"
         assert run_or_check(command, data, tmp_path) == 2
         assert capsys.readouterr().err.startswith("domain error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("r_a", [-1, -3])
+    def test_negative_r_a_is_a_schedule_error(self, command, r_a, tmp_path, capsys):
+        # a negative index would read the awake set from the end of the schedule
+        data = json.loads((SCENARIOS / "prop1_expiring.json").read_text())
+        data["params"]["r_a"] = r_a
+        assert run_or_check(command, data, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f"schedule error: the last synchronous round r_a must be >= 0, got {r_a}\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_schema_error_is_not_a_domain_error(self, tmp_path, capsys):

@@ -168,6 +168,11 @@ class TestModelParams:
         with pytest.raises(ValueError, match="gamma must be < beta"):
             params(gamma="1/3")
 
+    def test_negative_gamma_has_its_own_message(self):
+        for build in (lambda: params(gamma="-1/10"), lambda: beta_tilde(THIRD, Fraction(-1, 10))):
+            with pytest.raises(ValueError, match="^gamma must be >= 0, got -1/10$"):
+                build()
+
     def test_derived_beta_tilde(self):
         p = params(gamma="1/10")
         assert p.beta_tilde == Fraction(7, 25)

@@ -144,7 +144,9 @@ def hand_built_record(outputs):
 
 
 class TestGaPropertyWitnesses:
-    """Each FAIL names the first violation in scan order."""
+    """Each FAIL names the violation the deciding test finds: the first
+    receiver missing a grade-1 log, the first two maximal grade-1 logs, and
+    the first receiver's first three maximal outputs."""
 
     def test_graded_consistency_witness(self):
         record = hand_built_record(
@@ -193,10 +195,10 @@ class TestGaPropertyWitnesses:
         )
         reports = check_ga_properties(record)
         assert reports["bounded_divergence"].verdict is Verdict.FAIL
-        # A is not maximal (AX extends it), but the scan meets it first
+        # AX, not A, because A is a proper prefix of AX
         assert reports["bounded_divergence"].witness == {
             "receiver": 1,
-            "logs": [repr(A), repr(B), repr(C)],
+            "logs": [repr(AX), repr(B), repr(C)],
         }
         assert reports["graded_consistency"].verdict is Verdict.PASS
         assert reports["uniqueness"].verdict is Verdict.PASS
@@ -236,6 +238,23 @@ def test_structural_verdicts_match_brute_force(outputs):
     ]:
         assert reports[name].verdict is (Verdict.PASS if holds else Verdict.FAIL), name
         assert (reports[name].witness is None) == holds, name
+
+    # every witness is a real violation
+    log_of = {repr(lam): lam for g in outputs.values() for lam in g}
+    if not consistent:
+        w = reports["graded_consistency"].witness
+        assert outputs[w["receiver"]][log_of[w["log"]]] == 1
+        assert w["log"] not in map(repr, outputs[w["missing_at"]])
+    if not unique:
+        w = reports["uniqueness"].witness
+        la, lb = log_of[w["log_a"]], log_of[w["log_b"]]
+        assert outputs[w["receiver_a"]][la] == outputs[w["receiver_b"]][lb] == 1
+        assert conflicts(la, lb)
+    if not bounded:
+        w = reports["bounded_divergence"].witness
+        a, b, c = (log_of[r] for r in w["logs"])
+        assert {a, b, c} <= outputs[w["receiver"]].keys()
+        assert conflicts(a, b) and conflicts(a, c) and conflicts(b, c)
 
 
 class TestSafety:

@@ -33,3 +33,10 @@ def test_sweep_beta_writes_the_curve(tmp_path):
     lines = run_script("sweep_beta.py", "--steps", "3", "--out", str(out), cwd=tmp_path)
     assert f"wrote 3 rows to {out}" in lines
     assert len(out.read_text().splitlines()) == 4
+
+
+def test_code_lines_counts_every_module(tmp_path):
+    lines = run_script("code_lines.py", cwd=tmp_path)
+    counts = {name: int(count) for name, count in (line.split() for line in lines)}
+    assert {"core.py", "oracle.py", "world.py"} <= counts.keys()
+    assert counts["total"] == sum(v for k, v in counts.items() if k != "total") > 0

@@ -222,9 +222,8 @@ class TestStepRound1:
     def test_decides_grade1_and_sets_candidate(self):
         st = state()
         out = GaOutput({A: 1, EMPTY_LOG: 1})
-        decisions, vote = step_round1(st, 2, out, [])
-        assert decisions == [A]
-        assert st.delivered == A
+        decided, vote = step_round1(st, 2, out, [])
+        assert decided == A
         assert st.candidate == A
         assert vote.round == 3
 
@@ -259,10 +258,13 @@ class TestStepRound1:
 
     def test_conflicting_decision_adopted(self):
         st = state()
-        st.delivered = B
-        decisions, _ = step_round1(st, 2, GaOutput({A: 1}), [])
-        assert decisions == [A]
-        assert st.delivered == A
+        st.candidate = B
+        decided, _ = step_round1(st, 2, GaOutput({A: 1}), [])
+        assert decided == A
+
+    def test_no_grade1_output_decides_nothing(self):
+        decided, _ = step_round1(state(), 2, GaOutput({A: 0}), [])
+        assert decided is None
 
 
 class TestStepRound2:
@@ -271,7 +273,6 @@ class TestStepRound2:
         out = GaOutput({A: 1, AX: 0})
         vote, pm = step_round2(st, 3, out)
         assert vote.log == A
-        assert st.chain_head == AX
         assert pm.view == 4
         assert pm.log.values[:-1] == AX.values
         assert pm.log.values[-1] == Value(id=4, proposer=4, view=4)

@@ -370,8 +370,9 @@ class TestGenerateSchedule:
     @pytest.mark.parametrize(
         "pi, r_a, message",
         [(2, None, "needs a last synchronous round"), (0, 4, "positive length"),
-         (2, 8, "end before the final round")],
-        ids=["window-without-r_a", "r_a-without-window", "window-past-horizon"],
+         (2, 8, "end before the final round"), (2, -1, "r_a must be >= 0, got -1")],
+        ids=["window-without-r_a", "r_a-without-window", "window-past-horizon",
+             "negative-r_a"],
     )
     def test_structural_window_errors_raise_at_once(self, pi, r_a, message):
         p = ModelParams(tau=4, eta=4, pi=pi, gamma=Fraction(1, 10), beta=THIRD)
