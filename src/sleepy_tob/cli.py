@@ -730,7 +730,14 @@ def main(argv: list[str] | None = None) -> int:
     p_camp.set_defaults(func=cmd_campaign)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        if exc.filename is None:  # not a path, e.g. a closed stdout
+            raise
+        # every command reports its own input errors, so the path is an --out
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

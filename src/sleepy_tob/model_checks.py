@@ -43,7 +43,7 @@ def beta_tilde(beta: Fraction, gamma: Fraction) -> Fraction:
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if gamma > beta:
-        raise ValueError(f"gamma must be < beta (gamma={gamma}, beta={beta})")
+        raise ValueError(f"gamma must be <= beta (gamma={gamma}, beta={beta})")
     return (beta - gamma) / (gamma * (beta - 2) + 1)
 
 

@@ -386,96 +386,61 @@ def run(schedule: Schedule, strategy: AdversaryStrategy, seed: int) -> Trace:
     return World(schedule, strategy, seed).run()
 
 
-def _window_target(world: World) -> Log:
-    """Adversarial log conflicting with every honest chain (honest logs all
-    start from the shared genesis value)."""
+def window_attack(
+    name: str, base: int, k: int, proposes: bool, validate: Callable[[World], None] | None = None
+) -> AdversaryStrategy:
+    """The window attacks: in each asynchronous round every Byzantine process
+    votes for each of ``k`` one-value target logs, which conflict with every
+    honest chain (honest logs all start from the shared genesis value); with
+    ``proposes`` it also proposes each target on round-2 rounds, for the next
+    view.  Receiver ``q`` is shown only Byzantine messages for target
+    ``q mod k``, so all honest-to-honest delivery is suppressed."""
+
+    def targets(sched: Schedule) -> list[Log]:
+        assert sched.r_a is not None
+        proposer = min(sched.byz(sched.r_a + 1), default=0)
+        view = ViewClock(sched.r_a + 1).view
+        return [Log((Value(id=base + i + view, proposer=proposer, view=view),)) for i in range(k)]
+
+    def messages(world: World, r: int) -> list[Msg]:
+        sched = world.schedule
+        if r not in sched.window_rounds:
+            return []
+        logs = targets(sched)
+        clock = ViewClock(r)
+        out: list[Msg] = []
+        for b in sorted(sched.byz(r)):
+            out.extend(VoteMsg(sender=b, round=r, log=log) for log in logs)
+            if proposes and clock.phase is Phase.ROUND2:
+                view = clock.view + 1
+                vrf = vrf_eval(world.seed, b, view)
+                out.extend(ProposeMsg(sender=b, view=view, log=log, vrf=vrf) for log in logs)
+        return out
+
+    def delivery_filter(world: World, r: int, q: ProcessId, cand: Sequence[Msg]) -> list[Msg]:
+        byz = world.schedule.byz(r)
+        mine = targets(world.schedule)[q % k]
+        return [m for m in cand if m.sender in byz and m.log == mine]
+
+    return AdversaryStrategy(name, messages, delivery_filter, validate)
+
+
+def _two_byzantine_in_window(world: World) -> None:
     sched = world.schedule
-    assert sched.r_a is not None
-    first_byz = min(sched.byz(sched.r_a + 1))
-    view = ViewClock(sched.r_a + 1).view
-    return Log((Value(id=10_000 + view, proposer=first_byz, view=view),))
+    if any(len(sched.byz(r)) < 2 for r in sched.window_rounds):
+        raise ValueError("the suppression attack needs at least two Byzantine processes")
 
 
 def strategy_prop1() -> AdversaryStrategy:
-    """Window attack: suppress all honest-to-honest delivery and push votes
-    (and proposals, on proposal rounds) for one conflicting log."""
-
-    def messages(world: World, r: int) -> list[Msg]:
-        sched = world.schedule
-        if sched.r_a is None or r not in sched.window_rounds:
-            return []
-        target = _window_target(world)
-        out: list[Msg] = []
-        for b in sorted(sched.byz(r)):
-            out.append(VoteMsg(sender=b, round=r, log=target))
-            if r % 2 == 0 and r >= 2:
-                next_view = r // 2 + 1
-                out.append(
-                    ProposeMsg(
-                        sender=b,
-                        view=next_view,
-                        log=target,
-                        vrf=vrf_eval(world.seed, b, next_view),
-                    )
-                )
-        return out
-
-    def delivery_filter(
-        world: World, r: int, q: ProcessId, cand: Sequence[Msg]
-    ) -> list[Msg]:
-        byz = world.schedule.byz(r)
-        return [m for m in cand if m.sender in byz]
-
-    def validate(world: World) -> None:
-        sched = world.schedule
-        for r in sched.window_rounds:
-            if len(sched.byz(r)) < 2:
-                raise ValueError(
-                    "the suppression attack needs at least two Byzantine processes"
-                )
-
-    return AdversaryStrategy("prop1", messages, delivery_filter, validate)
+    """Suppress all honest-to-honest delivery and push votes (and proposals,
+    on round-2 rounds) for one conflicting log."""
+    return window_attack("prop1", 10_000, 1, proposes=True, validate=_two_byzantine_in_window)
 
 
 def strategy_split_decision() -> AdversaryStrategy:
-    """Window attack: show one half of the honest receivers unanimous votes
-    for one value and the other half votes for a different value."""
-
-    def _targets(world: World) -> tuple[Log, Log]:
-        sched = world.schedule
-        assert sched.r_a is not None
-        byz = sched.byz(sched.r_a + 1)
-        first_byz = min(byz) if byz else 0  # placeholder; nothing is sent without Byzantine ids
-        view = ViewClock(sched.r_a + 1).view
-        return (
-            Log((Value(id=20_000 + view, proposer=first_byz, view=view),)),
-            Log((Value(id=20_001 + view, proposer=first_byz, view=view),)),
-        )
-
-    def messages(world: World, r: int) -> list[Msg]:
-        sched = world.schedule
-        if sched.r_a is None or r not in sched.window_rounds:
-            return []
-        left, right = _targets(world)
-        out: list[Msg] = []
-        for b in sorted(sched.byz(r)):
-            out.append(VoteMsg(sender=b, round=r, log=left))
-            out.append(VoteMsg(sender=b, round=r, log=right))
-        return out
-
-    def delivery_filter(
-        world: World, r: int, q: ProcessId, cand: Sequence[Msg]
-    ) -> list[Msg]:
-        byz = world.schedule.byz(r)
-        left, right = _targets(world)
-        mine = left if q % 2 == 0 else right
-        return [
-            m
-            for m in cand
-            if m.sender in byz and isinstance(m, VoteMsg) and m.log == mine
-        ]
-
-    return AdversaryStrategy("split_decision", messages, delivery_filter)
+    """Show the even honest receivers unanimous votes for one value and the
+    odd ones votes for a different value."""
+    return window_attack("split_decision", 20_000, 2, proposes=False)
 
 
 STRATEGIES: dict[str, Callable[[], AdversaryStrategy]] = {

@@ -3,6 +3,7 @@ functions of the package by name; a refactor that renames or moves one of
 them must fail here, not only when the benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from sleepy_tob import cli, ga
@@ -56,3 +57,24 @@ def test_traced_cli_run_counts_trace_bytes_of_every_kind(tmp_path, monkeypatch):
     assert tracer.warnings == set()
     for kind in ("log", "send", "deliver", "decide", "ga_record"):
         assert counts[f"cli.trace_bytes.{kind}"] > 0, kind
+
+
+def test_every_timed_layer_is_called(tmp_path, monkeypatch):
+    """A refactor may keep a patched name but stop calling it; that layer
+    would then read 0 in the benchmark without a tracer warning."""
+    monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
+    benchmark = json.loads((LAYERS.parent.parent / "BENCHMARK.json").read_text())
+    layers = [m["name"].removesuffix(".self_s") for m in benchmark["per_layer"]
+              if m["name"].endswith(".self_s")]
+    scenario = LAYERS.parent.parent / "scenarios" / "prop1_expiring.json"
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path)]) == 0
+        assert cli.main(["campaign", "--seeds", "1"]) == 0
+        counts = tracer.end_run()
+    finally:
+        tracer.restore()
+    assert tracer.warnings == set()
+    assert layers
+    assert [layer for layer in layers if counts.get(f"{layer}.calls", 0) < 1] == []

@@ -607,6 +607,33 @@ class TestCmdCampaign:
         assert counts["oracle_pass"] + counts["out_of_model_failures"] == 2
 
 
+class TestUnwritableOut:
+    """An ``--out`` that cannot be written is one error line and exit 2."""
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["existing-file", "under-a-file"])
+    def test_run(self, out, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / out
+        assert main(["run", str(SCENARIOS / "sync_faultfree.json"), "--out", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: "), err
+
+    def test_campaign(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "campaign.json"
+        argv = ["campaign", "--seeds", "1", "--n", "8", "--horizon", "8", "--pi", "0",
+                "--strategies", "none", "--out", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: cannot write {path}: No such file or directory"]
+
+    def test_sweep_beta(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "curve.csv"
+        assert main(["sweep-beta", "--steps", "4", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: cannot write {path}: No such file or directory"]
+
+
 class TestAggregation:
     def _report(self, *, in_model, failures, latency="3"):
         return {

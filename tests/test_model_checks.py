@@ -40,7 +40,7 @@ class TestBetaTilde:
         assert beta_tilde(THIRD, gamma) == fig_curve(gamma)
 
     def test_domain_error_beyond_beta(self):
-        with pytest.raises(ValueError, match="gamma must be < beta"):
+        with pytest.raises(ValueError, match=r"^gamma must be <= beta \(gamma=1/2, beta=1/3\)$"):
             beta_tilde(THIRD, Fraction(1, 2))
 
     def test_monotonically_decreasing_on_grid(self):
