@@ -16,18 +16,29 @@ The model bounds four things, all with exact rational arithmetic:
 * sleepiness: each round's awake well-behaved processes exceed the usual
   quorum fraction of everyone awake during the trailing window.
 
-No verdict depends on floating point; every comparison is on ``Fraction``s
-or integers.
+The churn and failure-ratio bounds are written once, as the per-round
+predicates ``churn_ok`` and ``ratio_ok`` over the trailing-window union
+``_union``; ``world.generate_schedule`` rejects its churn moves with the
+same three.  No verdict depends on floating point; every comparison is on
+``Fraction``s or integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # only for annotations; schedules are duck-typed here
     from .world import Schedule
+
+
+def _unit_ratio(name: str, value: Fraction) -> Fraction:
+    """``value`` as a ``Fraction``; a ``ValueError`` unless it is in (0, 1]."""
+    value = Fraction(value)
+    if not 0 < value <= 1:
+        raise ValueError(f"{name} must be in (0, 1], got {value}")
+    return value
 
 
 def beta_tilde(beta: Fraction, gamma: Fraction) -> Fraction:
@@ -37,9 +48,7 @@ def beta_tilde(beta: Fraction, gamma: Fraction) -> Fraction:
     exactly 0 (the system may stall even without failures), and any larger
     drop-off rate is a domain error.
     """
-    beta, gamma = Fraction(beta), Fraction(gamma)
-    if not 0 < beta <= 1:
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
+    beta, gamma = _unit_ratio("beta", beta), Fraction(gamma)
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if gamma > beta:
@@ -69,8 +78,7 @@ class ModelParams:
         object.__setattr__(self, "beta", Fraction(self.beta))
         if self.tau < 0 or self.pi < 0 or (self.eta is not None and self.eta < 0):
             raise ValueError("tau, eta, and pi must be nonnegative")
-        if not 0 < self.beta <= 1:
-            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
+        _unit_ratio("beta", self.beta)
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.gamma >= self.beta:
@@ -80,7 +88,7 @@ class ModelParams:
         if self.beta_tilde is None:
             object.__setattr__(self, "beta_tilde", beta_tilde(self.beta, self.gamma))
         else:
-            object.__setattr__(self, "beta_tilde", Fraction(self.beta_tilde))
+            object.__setattr__(self, "beta_tilde", _unit_ratio("beta_tilde", self.beta_tilde))
 
     def async_resilience_gaps(self) -> list[str]:
         """Reasons (empty if none) why the asynchrony-resilience guarantee
@@ -140,42 +148,53 @@ def _union(sets: Sequence[frozenset[int]], lo: int, hi: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def churn_ok(recent: frozenset[int], now: frozenset[int], gamma: Fraction) -> bool:
+    """At most a ``gamma`` fraction of ``recent`` is missing from ``now``."""
+    return len(recent - now) <= gamma * len(recent)
+
+
+def ratio_ok(n_byz: int, n_awake: int, beta_tilde: Fraction) -> bool:
+    """The Byzantine share of ``n_awake`` stays below ``beta_tilde`` (strict)."""
+    return n_byz < beta_tilde * n_awake
+
+
+def _judge(
+    name: str, rounds: Iterable[int], rule: Callable[[int], str | None], detail: str = ""
+) -> CheckResult:
+    """One verdict per round: ``rule(r)`` is ``None`` for a vacuous pass,
+    ``""`` for a pass and the reason for a failure.  A non-empty ``detail``
+    fails the check as a whole."""
+    verdicts = []
+    for r in rounds:
+        why = rule(r)
+        verdicts.append(RoundVerdict(r, not why, vacuous=why is None, detail=why or ""))
+    passed = all(v.passed for v in verdicts) and not detail
+    return CheckResult(name, tuple(verdicts), passed, detail)
+
+
 def check_churn(schedule: "Schedule", tau: int, gamma: Fraction) -> CheckResult:
     """Per round r: |H_[r-tau, r-1] \\ H_r| <= gamma * |H_[r-tau, r-1]|."""
     gamma = Fraction(gamma)
-    verdicts = []
-    for r in range(schedule.horizon):
-        window = _union(schedule.awake_honest, r - tau, r - 1)
+
+    def rule(r: int) -> str | None:
+        window, now = _union(schedule.awake_honest, r - tau, r - 1), schedule.honest(r)
         if not window:
-            verdicts.append(RoundVerdict(r, True, vacuous=True))
-            continue
-        absent = len(window - schedule.honest(r))
-        ok = absent <= gamma * len(window)
-        verdicts.append(
-            RoundVerdict(r, ok, detail="" if ok else f"{absent}/{len(window)} dropped off")
-        )
-    return CheckResult(
-        name="churn_bound",
-        rounds=tuple(verdicts),
-        passed=all(v.passed for v in verdicts),
-    )
+            return None
+        absent = len(window - now)
+        return "" if churn_ok(window, now, gamma) else f"{absent}/{len(window)} dropped off"
+
+    return _judge("churn_bound", range(schedule.horizon), rule)
 
 
 def check_failure_ratio(schedule: "Schedule", beta_tilde: Fraction) -> CheckResult:
     """Per round r: |B_r| < beta_tilde * |S_r| (strict)."""
     beta_tilde = Fraction(beta_tilde)
-    verdicts = []
-    for r in range(schedule.horizon):
+
+    def rule(r: int) -> str:
         nb, ns = len(schedule.byz(r)), len(schedule.awake(r))
-        ok = nb < beta_tilde * ns
-        verdicts.append(
-            RoundVerdict(r, ok, detail="" if ok else f"{nb} Byzantine of {ns} awake")
-        )
-    return CheckResult(
-        name="failure_ratio",
-        rounds=tuple(verdicts),
-        passed=all(v.passed for v in verdicts),
-    )
+        return "" if ratio_ok(nb, ns, beta_tilde) else f"{nb} Byzantine of {ns} awake"
+
+    return _judge("failure_ratio", range(schedule.horizon), rule)
 
 
 def check_async_conditions(
@@ -191,26 +210,18 @@ def check_async_conditions(
     beta = Fraction(beta)
     h_ra = schedule.honest(r_a)
     awake = [schedule.awake(r) for r in range(len(schedule.awake_honest))]
-    verdicts = []
-    for r in range(r_a + 1, r_a + pi + 2):
-        if r >= len(schedule.awake_honest):
-            verdicts.append(RoundVerdict(r, False, detail="round beyond schedule"))
-            continue
+
+    def rule(r: int) -> str:
+        if r >= len(awake):
+            return "round beyond schedule"
         survivors = len(h_ra - schedule.byz(r))
         pool = len(_union(awake, r - tau, r))
-        ok = survivors > (1 - beta) * pool
-        verdicts.append(
-            RoundVerdict(r, ok, detail="" if ok else f"{survivors} survivors vs pool {pool}")
-        )
-    containment = r_a + 1 < len(schedule.awake_honest) and h_ra <= schedule.honest(
-        r_a + 1
-    )
-    passed = all(v.passed for v in verdicts) and containment
-    return CheckResult(
-        name="async_support",
-        rounds=tuple(verdicts),
-        passed=passed,
-        detail="" if containment else "awake set not contained in the next round",
+        return "" if survivors > (1 - beta) * pool else f"{survivors} survivors vs pool {pool}"
+
+    contained = r_a + 1 < len(awake) and h_ra <= schedule.honest(r_a + 1)
+    return _judge(
+        "async_support", range(r_a + 1, r_a + pi + 2), rule,
+        "" if contained else "awake set not contained in the next round",
     )
 
 
@@ -218,19 +229,13 @@ def check_tau_sleepiness(schedule: "Schedule", tau: int, beta: Fraction) -> Chec
     """Per round r: |H_r| > (1 - beta) * |S_[r-tau, r]| (strict)."""
     beta = Fraction(beta)
     awake = [schedule.awake(r) for r in range(len(schedule.awake_honest))]
-    verdicts = []
-    for r in range(schedule.horizon):
+
+    def rule(r: int) -> str:
         nh = len(schedule.honest(r))
         pool = len(_union(awake, r - tau, r))
-        ok = nh > (1 - beta) * pool
-        verdicts.append(
-            RoundVerdict(r, ok, detail="" if ok else f"{nh} awake honest vs pool {pool}")
-        )
-    return CheckResult(
-        name="tau_sleepiness",
-        rounds=tuple(verdicts),
-        passed=all(v.passed for v in verdicts),
-    )
+        return "" if nh > (1 - beta) * pool else f"{nh} awake honest vs pool {pool}"
+
+    return _judge("tau_sleepiness", range(schedule.horizon), rule)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .core import (
     vrf_eval,
 )
 from .ga import ForgeryError, GaRecord, ReceiverView, delivered, grade, merge_latest
-from .model_checks import ModelParams
+from .model_checks import ModelParams, _union, churn_ok, ratio_ok
 from .tob import (
     ExpirationWindow,
     Phase,
@@ -467,55 +467,46 @@ def generate_schedule(
     failure-ratio bounds, the awake set is frozen around any asynchronous
     window so the window support conditions hold, and the result is passed
     through the full validator before being returned.  A window that the
-    schedule's structure cannot hold raises ``ScheduleError`` at once.
+    schedule's structure cannot hold raises ``ScheduleError`` at once, and
+    a Byzantine count that breaks the failure ratio even with every process
+    awake raises ``InfeasibleScheduleError`` at once.
     """
     tau, pi, gamma, bt = params.tau, params.pi, params.gamma, params.beta_tilde
     if pi >= 1 and tau <= pi:
         raise ValueError(f"window must be shorter than the churn window (pi={pi}, tau={tau})")
 
     rng = random.Random(seed)
-    if r_a is not None:
-        freeze_lo, freeze_hi = max(0, r_a - tau), r_a + pi + 1
-    else:
-        freeze_lo, freeze_hi = horizon + 2, horizon + 2  # never
+    frozen = range(max(0, r_a - tau), r_a + pi + 2) if r_a is not None else range(0)
+    k = 0 if n_byz is None else n_byz
+    # without n_byz: the largest Byzantine set the failure ratio tolerates at 3/4 turnout
+    while n_byz is None and bt < 1 and ratio_ok(k + 1, k + 1 + ((n - k - 1) * 3) // 4, bt):
+        k += 1
+    pool = list(range(n - k))
+    if not pool:
+        raise InfeasibleScheduleError("no honest processes left after corruption")
+    byz = frozenset(range(n - k, n))
+    start = max(1, (len(pool) * 3) // 4)
 
     for _ in range(max_attempts):
-        if n_byz is not None:
-            k = n_byz
-        else:
-            # largest Byzantine set the failure ratio tolerates at 3/4 turnout
-            k = 0
-            while bt < 1 and (k + 1) * (1 - bt) < bt * (((n - k - 1) * 3) // 4):
-                k += 1
-        pool = list(range(n - k))
-        if not pool:
-            raise InfeasibleScheduleError("no honest processes left after corruption")
-        byz = frozenset(range(n - k, n))
-
-        start = max(1, (len(pool) * 3) // 4)
         awake: list[frozenset[ProcessId]] = [frozenset(rng.sample(pool, start))]
         for r in range(1, horizon + 1):
-            prev = set(awake[r - 1])
-            if freeze_lo <= r <= freeze_hi:
-                awake.append(frozenset(prev))
+            cur = set(awake[r - 1])
+            if r in frozen:
+                awake.append(frozenset(cur))
                 continue
-            cur = set(prev)
             for p in pool:
                 if p not in cur and rng.random() < 0.25:
                     cur.add(p)
             if gamma > 0:
                 droppable = sorted(cur)
                 rng.shuffle(droppable)
-                recent: set[ProcessId] = set()
-                if tau > 0:
-                    recent = set().union(*awake[max(0, r - tau) : r])
+                recent = _union(awake, r - tau, r - 1)
                 for p in droppable[: rng.randint(0, 2)]:
                     trial = cur - {p}
-                    churn_ok = not recent or len(recent - trial) <= gamma * len(recent)
-                    ratio_ok = k < bt * (len(trial) + k)
-                    if churn_ok and ratio_ok and trial:
+                    ok = churn_ok(recent, trial, gamma) and ratio_ok(k, len(trial) + k, bt)
+                    if ok and trial:
                         cur = trial
-            if not (k < bt * (len(cur) + k)):
+            if not ratio_ok(k, len(cur) + k, bt):
                 cur |= set(pool)  # wake everyone rather than break the ratio
             awake.append(frozenset(cur))
 
@@ -528,6 +519,11 @@ def generate_schedule(
             params=params,
         )
         schedule.validate()  # the structure does not depend on the draw
+        if not ratio_ok(k, n, bt):
+            raise InfeasibleScheduleError(
+                f"no schedule satisfying the model constraints: {k} Byzantine of {n} "
+                f"processes break the failure ratio {bt} even with every process awake"
+            )
         if model_checks.check_all(schedule).all_pass:
             return schedule
 

@@ -2,9 +2,12 @@
 functions of the package by name; a refactor that renames or moves one of
 them must fail here, not only when the benchmark runs."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
+
+from test_cli import GOLDEN
 
 from sleepy_tob import cli, ga
 
@@ -78,3 +81,19 @@ def test_every_timed_layer_is_called(tmp_path, monkeypatch):
     assert tracer.warnings == set()
     assert layers
     assert [layer for layer in layers if counts.get(f"{layer}.calls", 0) < 1] == []
+
+
+def test_benchmark_golden_reports_match_the_golden_table():
+    """``perfbench/run.py`` counts a scenario run whose exit code or
+    ``report.json`` hash is not in its own ``GOLDEN`` table as failed.  Its
+    trace column is informational and left out here."""
+    tree = ast.parse((LAYERS.parent / "run.py").read_text())
+    [table] = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", "") == "GOLDEN" for target in node.targets)
+    ]
+    bench = ast.literal_eval(table)
+    assert {name: (code, report) for name, (code, report, _trace) in bench.items()} == {
+        name: (code, report) for name, (code, _trace, report) in GOLDEN.items()
+    }

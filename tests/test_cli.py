@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from sleepy_tob import model_checks
 from sleepy_tob.cli import (
     Scenario,
     build_schedule,
@@ -454,6 +455,40 @@ class TestCmdCheck:
         assert err.endswith(message + "\n") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("override", ["-1", "0", "5"])
+    def test_beta_tilde_outside_unit_interval_exits_2(self, command, override, tmp_path,
+                                                      capsys):
+        # out of (0, 1] it would put every run out of model (no gating) or
+        # any Byzantine share in model
+        data = json.loads((SCENARIOS / "prop1_expiring.json").read_text())
+        data["params"]["beta_tilde"] = override
+        assert run_or_check(command, data, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f"domain error: beta_tilde must be in (0, 1], got {override}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_beta_tilde_in_unit_interval_is_accepted(self, tmp_path):
+        data = json.loads((SCENARIOS / "prop1_expiring.json").read_text())
+        data["params"]["beta_tilde"] = "1/5"
+        assert run_or_check("run", data, tmp_path) == 0
+
+    def test_impossible_byzantine_count_fails_at_once(self, tmp_path, capsys, monkeypatch):
+        # 7 of 8 Byzantine break the failure ratio 1/3 in every round, so no
+        # schedule is drawn and checked
+        checked = []
+        monkeypatch.setattr(model_checks, "check_all", checked.append)
+        data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
+        data["schedule"] = {"generate": {"n_byz": 7}}
+        assert run_or_check("run", data, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "schedule error: no schedule satisfying the model constraints: 7 Byzantine of 8 "
+            "processes break the failure ratio 1/3 even with every process awake\n"
+        )
+        assert checked == []
+        assert not (tmp_path / "out").exists()
+
     def test_valid_scenario_all_pass(self, capsys):
         assert main(["check", str(SCENARIOS / "sync_faultfree.json")]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -571,6 +606,14 @@ class TestCmdCampaign:
         assert lines[0].startswith("error: no campaign run completed (")
         assert reason in lines[0]
         assert "Traceback" not in captured.err
+
+    def test_impossible_byzantine_count_names_the_reason(self, capsys):
+        assert main(["campaign", "--seeds", "2", "--n-byz", "19"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no campaign run completed (infeasible: no schedule satisfying the model "
+            "constraints: 19 Byzantine of 20 processes break the failure ratio 7/25 even with "
+            "every process awake)"
+        ]
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -181,6 +181,13 @@ class TestModelParams:
         p = params(gamma="1/10", beta_tilde_override=Fraction(1, 5))
         assert p.beta_tilde == Fraction(1, 5)
 
+    @pytest.mark.parametrize("override", ["-1", "0", "5"])
+    def test_override_outside_unit_interval_is_a_domain_error(self, override):
+        # as for beta: 0 or less fails every round, above 1 passes any share
+        message = rf"^beta_tilde must be in \(0, 1\], got {override}$"
+        with pytest.raises(ValueError, match=message):
+            params(beta_tilde_override=Fraction(override))
+
     def test_async_gaps(self):
         assert params(tau=4, eta=4, pi=2).async_resilience_gaps() == []
         assert params(tau=0, eta=0, pi=2).async_resilience_gaps()
