@@ -46,7 +46,6 @@ from .oracle import (
 from .world import (
     DecideEvent,
     DeliverEvent,
-    GaRecordEvent,
     InfeasibleScheduleError,
     STRATEGIES,
     Schedule,
@@ -261,8 +260,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def build_schedule(scenario: Scenario) -> Schedule:
     [(kind, body)] = scenario.schedule_spec.items()
-    params = scenario.model_params()
-    r_a = scenario.r_a if params.pi >= 1 else None
+    params, r_a = scenario.model_params(), scenario.r_a
     if kind == "generate":
         return generate_schedule(
             scenario.n, scenario.horizon, params, r_a, scenario.seed, n_byz=body.get("n_byz")
@@ -378,11 +376,11 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
             introduce((e.log,), e.round)
             obj = {"kind": "decide", "actor": e.pid, "payload": {"log": log_ids[e.log]}}
         else:
-            assert isinstance(e, GaRecordEvent)
-            introduce((log for view in e.record.receivers.values()
+            assert isinstance(e, GaRecord)
+            introduce((log for view in e.receivers.values()
                        for log in view.output.grades), e.round)
             obj = {"kind": "ga_record", "actor": None,
-                   "payload": record_to_json(e.record, log_ids.__getitem__)}
+                   "payload": record_to_json(e, log_ids.__getitem__)}
         write(obj, e.round)
     return lines
 
@@ -652,7 +650,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             pi=args.pi,
             gamma=parse_ratio(args.gamma),
             beta=parse_ratio(args.beta),
-            r_a=args.r_a,
+            r_a=args.r_a if args.pi >= 1 else None,
             seed=base_seed,
             schedule_spec={"generate": {"n_byz": args.n_byz}},
         )

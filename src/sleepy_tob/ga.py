@@ -34,21 +34,12 @@ class InitialVoteSet:
     """A receiver's carried-over votes from earlier rounds: at most one
     message per sender, all from rounds strictly before the instance's."""
 
-    owner: ProcessId
     messages: frozenset[VoteMsg] = frozenset()
 
     def __post_init__(self) -> None:
         senders = [m.sender for m in self.messages]
         if len(senders) != len(set(senders)):
             raise ValueError("initial vote set holds more than one message per sender")
-
-    @property
-    def senders(self) -> frozenset[ProcessId]:
-        return frozenset(m.sender for m in self.messages)
-
-
-def empty_initial(owner: ProcessId) -> InitialVoteSet:
-    return InitialVoteSet(owner=owner)
 
 
 def keep_latest(
@@ -169,16 +160,6 @@ class GaRecord:
     byzantine: frozenset[ProcessId]
     receivers: dict[ProcessId, ReceiverView]
 
-    @property
-    def initial_senders(self) -> frozenset[ProcessId]:
-        out: set[ProcessId] = set()
-        for view in self.receivers.values():
-            out |= view.initial.senders
-        return frozenset(out)
-
-
-DeliveryFilter = Callable[[ProcessId, Sequence[VoteMsg]], Iterable[VoteMsg]]
-
 
 def delivered(q: ProcessId, queued: Sequence, chosen: Iterable) -> tuple[list, list]:
     """Asynchronous delivery to receiver ``q``: split ``queued``, keeping
@@ -203,17 +184,17 @@ def run_instance(
     *,
     receivers: Iterable[ProcessId] | None = None,
     byzantine: Iterable[ProcessId] | None = None,
-    synchronous: bool = True,
-    delivery: DeliveryFilter | None = None,
+    delivery: Callable[[ProcessId, Sequence[VoteMsg]], Iterable[VoteMsg]] | None = None,
 ) -> GaRecord:
     """Run one instance end to end and return its full record.
 
     ``inputs`` maps each well-behaved sender to its input log; ``byz_msgs``
     are adversarial votes for this round; ``initial_sets`` carry each
-    receiver's older votes.  Under synchrony every sent message reaches
-    every receiver; otherwise ``delivery`` picks the subset each receiver
-    sees, filtered through ``delivered``: a receiver always gets the votes
-    it sent itself, and never a vote that was not sent.
+    receiver's older votes.  The record is synchronous exactly when no
+    ``delivery`` is given: then every sent message reaches every receiver.
+    Otherwise ``delivery`` picks the subset each receiver sees, filtered
+    through ``delivered``: a receiver always gets the votes it sent itself,
+    and never a vote that was not sent.
     """
     initial_sets = dict(initial_sets or {})
     byz_set = (
@@ -241,12 +222,10 @@ def run_instance(
 
     views: dict[ProcessId, ReceiverView] = {}
     for q in receiver_ids:
-        initial = initial_sets.get(q, empty_initial(q))
-        if initial.owner != q:
-            raise ValueError(f"initial set owned by {initial.owner} assigned to {q}")
+        initial = initial_sets.get(q, InitialVoteSet())
         if any(m.round >= round for m in initial.messages):
             raise ValueError("initial set contains messages not strictly older than the round")
-        if synchronous or delivery is None:
+        if delivery is None:
             got = sent
         else:
             got, _ = delivered(q, sent, delivery(q, tuple(sent)))
@@ -260,7 +239,7 @@ def run_instance(
 
     return GaRecord(
         round=round,
-        synchronous=synchronous,
+        synchronous=delivery is None,
         inputs=dict(sorted(inputs.items())),
         byzantine=byz_set,
         receivers=views,

@@ -19,8 +19,9 @@ The model bounds four things, all with exact rational arithmetic:
 The churn and failure-ratio bounds are written once, as the per-round
 predicates ``churn_ok`` and ``ratio_ok`` over the trailing-window union
 ``_union``; ``world.generate_schedule`` rejects its churn moves with the
-same three.  No verdict depends on floating point; every comparison is on
-``Fraction``s or integers.
+same three.  The quorum rule of asynchrony support and sleepiness is
+written once, as ``_quorum``.  No verdict depends on floating point; every
+comparison is on ``Fraction``s or integers.
 """
 
 from __future__ import annotations
@@ -79,16 +80,14 @@ class ModelParams:
         if self.tau < 0 or self.pi < 0 or (self.eta is not None and self.eta < 0):
             raise ValueError("tau, eta, and pi must be nonnegative")
         _unit_ratio("beta", self.beta)
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.gamma >= self.beta:
             raise ValueError(
                 f"gamma must be < beta (gamma={self.gamma}, beta={self.beta})"
             )
-        if self.beta_tilde is None:
-            object.__setattr__(self, "beta_tilde", beta_tilde(self.beta, self.gamma))
-        else:
-            object.__setattr__(self, "beta_tilde", _unit_ratio("beta_tilde", self.beta_tilde))
+        derived = beta_tilde(self.beta, self.gamma)  # rejects a negative gamma
+        if self.beta_tilde is not None:
+            derived = _unit_ratio("beta_tilde", self.beta_tilde)
+        object.__setattr__(self, "beta_tilde", derived)
 
     def async_resilience_gaps(self) -> list[str]:
         """Reasons (empty if none) why the asynchrony-resilience guarantee
@@ -197,6 +196,20 @@ def check_failure_ratio(schedule: "Schedule", beta_tilde: Fraction) -> CheckResu
     return _judge("failure_ratio", range(schedule.horizon), rule)
 
 
+def _quorum(schedule: "Schedule", tau: int, beta: Fraction, who: str) -> Callable[[int, int], str]:
+    """``rule(r, count)``: a pass when ``count`` processes exceed a (1 - beta)
+    fraction of everyone awake over rounds [r - tau, r] (strict), else the
+    reason, naming the counted processes ``who``."""
+    beta = Fraction(beta)
+    awake = [schedule.awake(r) for r in range(len(schedule.awake_honest))]
+
+    def rule(r: int, count: int) -> str:
+        pool = len(_union(awake, r - tau, r))
+        return "" if count > (1 - beta) * pool else f"{count} {who} vs pool {pool}"
+
+    return rule
+
+
 def check_async_conditions(
     schedule: "Schedule", r_a: int, pi: int, tau: int, beta: Fraction
 ) -> CheckResult:
@@ -207,18 +220,16 @@ def check_async_conditions(
     (1 - beta) fraction of everyone awake over the trailing tau rounds; and
     that awake set must still be intact at the end of round r_a.
     """
-    beta = Fraction(beta)
     h_ra = schedule.honest(r_a)
-    awake = [schedule.awake(r) for r in range(len(schedule.awake_honest))]
+    rounds = len(schedule.awake_honest)
+    quorum = _quorum(schedule, tau, beta, "survivors")
 
     def rule(r: int) -> str:
-        if r >= len(awake):
+        if r >= rounds:
             return "round beyond schedule"
-        survivors = len(h_ra - schedule.byz(r))
-        pool = len(_union(awake, r - tau, r))
-        return "" if survivors > (1 - beta) * pool else f"{survivors} survivors vs pool {pool}"
+        return quorum(r, len(h_ra - schedule.byz(r)))
 
-    contained = r_a + 1 < len(awake) and h_ra <= schedule.honest(r_a + 1)
+    contained = r_a + 1 < rounds and h_ra <= schedule.honest(r_a + 1)
     return _judge(
         "async_support", range(r_a + 1, r_a + pi + 2), rule,
         "" if contained else "awake set not contained in the next round",
@@ -227,15 +238,10 @@ def check_async_conditions(
 
 def check_tau_sleepiness(schedule: "Schedule", tau: int, beta: Fraction) -> CheckResult:
     """Per round r: |H_r| > (1 - beta) * |S_[r-tau, r]| (strict)."""
-    beta = Fraction(beta)
-    awake = [schedule.awake(r) for r in range(len(schedule.awake_honest))]
-
-    def rule(r: int) -> str:
-        nh = len(schedule.honest(r))
-        pool = len(_union(awake, r - tau, r))
-        return "" if nh > (1 - beta) * pool else f"{nh} awake honest vs pool {pool}"
-
-    return _judge("tau_sleepiness", range(schedule.horizon), rule)
+    quorum = _quorum(schedule, tau, beta, "awake honest")
+    return _judge(
+        "tau_sleepiness", range(schedule.horizon), lambda r: quorum(r, len(schedule.honest(r)))
+    )
 
 
 @dataclass(frozen=True)

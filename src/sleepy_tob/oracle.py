@@ -113,13 +113,6 @@ def naive_record_outputs(record: GaRecord, receiver: ProcessId) -> dict[Log, int
 # graded-agreement properties
 
 
-def _quorum_holds(record: GaRecord) -> bool:
-    h_r = set(record.inputs)
-    s_r = h_r | set(record.byzantine)
-    pool = s_r | set(record.initial_senders)
-    return 3 * len(h_r) > 2 * len(pool)
-
-
 def _find_clique(record: GaRecord, lam: Log) -> frozenset[ProcessId]:
     """Largest natural mutually-informed set for ``lam``: senders whose
     input extends it plus receivers whose initial sets cover every member
@@ -155,7 +148,14 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
     synchronous and asynchronous rounds alike.
     """
     reports: dict[str, OracleReport] = {}
-    applicable = record.synchronous and _quorum_holds(record)
+    # everyone who can influence a tally, and the distinct carried-over logs
+    pool = set(record.inputs) | record.byzantine
+    initial_logs: set[Log] = set()
+    for view in record.receivers.values():
+        for m in view.initial.messages:
+            pool.add(m.sender)
+            initial_logs.add(m.log)
+    applicable = record.synchronous and 3 * len(record.inputs) > 2 * len(pool)
     outputs = {q: view.output for q, view in record.receivers.items()}
 
     def judge(name: str, witness: dict | None, detail: str = "") -> None:
@@ -189,10 +189,11 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
                 break
         judge("graded_consistency", fail)
 
+        input_prefixes = {p for log in set(record.inputs.values()) for p in log.prefixes()}
         fail = next(
             ({"receiver": i, "log": repr(lam)}
              for i, out_i in outputs.items() for lam in out_i.grades
-             if not any(is_prefix(lam, inp) for inp in record.inputs.values())),
+             if lam not in input_prefixes),
             None,
         )
         judge("integrity", fail)
@@ -225,20 +226,16 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
                 break
         judge("bounded_divergence", fail)
 
-    # clique validity: try every observed log (and prefix) as the common base
-    candidates: set[Log] = set()
-    for log in record.inputs.values():
-        candidates.update(log.prefixes())
-    for view in record.receivers.values():
-        for m in view.initial.messages:
-            candidates.update(m.log.prefixes())
-    pool_size = len(set(record.inputs) | set(record.byzantine) | set(record.initial_senders))
+    # clique validity: a clique receiver covers every member, itself included,
+    # with an initial vote extending the base, so only prefixes of carried-over
+    # logs can qualify as the common base
+    candidates = {p for log in initial_logs for p in log.prefixes()}
     applicable_cliques = 0
     fail = None
     for lam in sorted(candidates, key=lambda l: (len(l), l.lex_key)):
         clique = _find_clique(record, lam)
         clique_receivers = clique & set(record.receivers)
-        if not clique_receivers or not 3 * len(clique) > 2 * pool_size:
+        if not clique_receivers or not 3 * len(clique) > 2 * len(pool):
             continue
         applicable_cliques += 1
         for q in sorted(clique_receivers):

@@ -109,7 +109,6 @@ def latest_unexpired(
     votes_seen: dict[ProcessId, tuple[int, VoteMsg | None]],
     r: int,
     window: ExpirationWindow,
-    owner: ProcessId,
 ) -> tuple[InitialVoteSet, frozenset[VoteMsg]]:
     """Split a vote store into (older latest votes, current-round votes) for
     the instance at round ``r``.
@@ -128,10 +127,7 @@ def latest_unexpired(
     for rnd, msg in votes_seen.values():
         if msg is not None and rnd >= lo:
             (current if rnd == r else initial).append(msg)
-    return (
-        InitialVoteSet(owner=owner, messages=frozenset(initial)),
-        frozenset(current),
-    )
+    return InitialVoteSet(frozenset(initial)), frozenset(current)
 
 
 def step_view0(state: ProcessState) -> list[ProposeMsg]:

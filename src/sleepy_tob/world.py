@@ -176,13 +176,7 @@ class DecideEvent:
     log: Log
 
 
-@dataclass(frozen=True)
-class GaRecordEvent:
-    round: int
-    record: GaRecord
-
-
-Event = SendEvent | DeliverEvent | DecideEvent | GaRecordEvent
+Event = SendEvent | DeliverEvent | DecideEvent | GaRecord
 
 
 @dataclass(frozen=True)
@@ -207,7 +201,7 @@ class Trace:
         """Events by class; send events are also filed under their message
         class (``VoteMsg``, ``ProposeMsg``)."""
         by_kind: dict[type, list[Event]] = {
-            SendEvent: [], DeliverEvent: [], DecideEvent: [], GaRecordEvent: [],
+            SendEvent: [], DeliverEvent: [], DecideEvent: [], GaRecord: [],
             VoteMsg: [], ProposeMsg: [],
         }
         for e in self.events:
@@ -237,7 +231,7 @@ class Trace:
         return list(self._by_kind[ProposeMsg])
 
     def ga_records(self) -> dict[int, GaRecord]:
-        return {e.round: e.record for e in self._by_kind[GaRecordEvent]}
+        return {rec.round: rec for rec in self._by_kind[GaRecord]}
 
     def decided_up_to(self, r: int) -> list[Log]:
         """Distinct logs decided by well-behaved processes in rounds <= r."""
@@ -349,7 +343,7 @@ class World:
             self.events.append(DeliverEvent(round=r, receiver=q, msgs=tuple(kept)))
             for m in kept:
                 state.absorb(m)
-            initial, current = latest_unexpired(state.votes_seen, r, self.window, q)
+            initial, current = latest_unexpired(state.votes_seen, r, self.window)
             merged = merge_latest(initial, current)
             output = grade(merged)
             state.pending_output = output
@@ -361,14 +355,13 @@ class World:
             )
 
         if r >= 1:
-            record = GaRecord(
+            self.events.append(GaRecord(
                 round=r,
                 synchronous=synchronous,
                 inputs=inputs,
                 byzantine=sched.byz(r),
                 receivers=views,
-            )
-            self.events.append(GaRecordEvent(round=r, record=record))
+            ))
 
     def run(self) -> Trace:
         for r in range(self.schedule.horizon):

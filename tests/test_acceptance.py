@@ -199,13 +199,13 @@ def _random_sync_instance(rng: random.Random, *, with_initial: bool, plant: bool
             for s in inputs:
                 inputs[s] = rand_log(1, base.values)
             initial_sets = {
-                q: InitialVoteSet(owner=q, messages=frozenset(pool_votes.values()))
+                q: InitialVoteSet(messages=frozenset(pool_votes.values()))
                 for q in receivers
             }
         else:
             for q in receivers:
                 chosen = [v for v in pool_votes.values() if rng.random() < 0.6]
-                initial_sets[q] = InitialVoteSet(owner=q, messages=frozenset(chosen))
+                initial_sets[q] = InitialVoteSet(messages=frozenset(chosen))
     return run_instance(
         round=round_no,
         inputs=inputs,
@@ -213,7 +213,6 @@ def _random_sync_instance(rng: random.Random, *, with_initial: bool, plant: bool
         initial_sets=initial_sets,
         receivers=receivers,
         byzantine=byz_ids,
-        synchronous=True,
     )
 
 
@@ -276,7 +275,7 @@ def _split_decision_instance(eta: int):
     initial_sets = {}
     if eta >= 1:  # round-4 votes are inside the window [5 - eta, 5)
         initial_sets = {
-            q: InitialVoteSet(owner=q, messages=frozenset(old_votes)) for q in range(7)
+            q: InitialVoteSet(messages=frozenset(old_votes)) for q in range(7)
         }
     record = run_instance(
         round=5,
@@ -285,7 +284,6 @@ def _split_decision_instance(eta: int):
         initial_sets=initial_sets,
         receivers=range(7),
         byzantine=byz_ids,
-        synchronous=False,
         delivery=delivery,
     )
     return record, b, b_prime

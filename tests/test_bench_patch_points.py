@@ -7,6 +7,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
 from test_cli import GOLDEN
 
 from sleepy_tob import cli, ga
@@ -62,25 +63,49 @@ def test_traced_cli_run_counts_trace_bytes_of_every_kind(tmp_path, monkeypatch):
         assert counts[f"cli.trace_bytes.{kind}"] > 0, kind
 
 
-def test_every_timed_layer_is_called(tmp_path, monkeypatch):
-    """A refactor may keep a patched name but stop calling it; that layer
-    would then read 0 in the benchmark without a tracer warning."""
-    monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
-    benchmark = json.loads((LAYERS.parent.parent / "BENCHMARK.json").read_text())
-    layers = [m["name"].removesuffix(".self_s") for m in benchmark["per_layer"]
-              if m["name"].endswith(".self_s")]
+@pytest.fixture(scope="module")
+def traced_counts(tmp_path_factory):
+    """Counts and tracer warnings of one traced ``run`` of a shipped
+    scenario plus one default ``campaign`` seed."""
     scenario = LAYERS.parent.parent / "scenarios" / "prop1_expiring.json"
     tracer = load_tracer()
-    tracer.install()
-    try:
-        assert cli.main(["run", str(scenario), "--out", str(tmp_path)]) == 0
-        assert cli.main(["campaign", "--seeds", "1"]) == 0
-        counts = tracer.end_run()
-    finally:
-        tracer.restore()
-    assert tracer.warnings == set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("SLEEPY_TOB_SEED", raising=False)
+        tracer.install()
+        try:
+            out = tmp_path_factory.mktemp("run")
+            assert cli.main(["run", str(scenario), "--out", str(out)]) == 0
+            assert cli.main(["campaign", "--seeds", "1"]) == 0
+            counts = tracer.end_run()
+        finally:
+            tracer.restore()
+    return counts, tracer.warnings
+
+
+def benchmark_metrics(unit: str) -> list[str]:
+    benchmark = json.loads((LAYERS.parent.parent / "BENCHMARK.json").read_text())
+    return [m["name"] for m in benchmark["per_layer"] if m["unit"] == unit]
+
+
+def test_every_timed_layer_is_called(traced_counts):
+    """A refactor may keep a patched name but stop calling it; that layer
+    would then read 0 in the benchmark without a tracer warning."""
+    counts, warnings = traced_counts
+    layers = [name.removesuffix(".self_s") for name in benchmark_metrics("s")
+              if name.endswith(".self_s")]
+    assert warnings == set()
     assert layers
     assert [layer for layer in layers if counts.get(f"{layer}.calls", 0) < 1] == []
+
+
+def test_every_counted_metric_is_positive(traced_counts):
+    """Likewise for the exact counts: a count whose hook still runs but no
+    longer sees the work would read 0 without a warning."""
+    counts, warnings = traced_counts
+    metrics = benchmark_metrics("count")
+    assert warnings == set()
+    assert metrics
+    assert [name for name in metrics if counts.get(name, 0) < 1] == []
 
 
 def test_benchmark_golden_reports_match_the_golden_table():

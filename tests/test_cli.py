@@ -430,6 +430,18 @@ class TestCmdCheck:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("name", ["sync_faultfree", "stall_participation_drop"])
+    def test_r_a_without_a_window_is_a_schedule_error(self, command, name, tmp_path, capsys):
+        # r_a is null exactly when pi is 0; a given r_a used to be dropped silently
+        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        data["params"]["r_a"] = 1
+        assert run_or_check(command, data, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "schedule error: a window at r_a must have positive length\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_schema_error_is_not_a_domain_error(self, tmp_path, capsys):
         data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
         assert run_or_check("check", {**data, "oracles": {"livenes_window": 3}}, tmp_path) == 2
@@ -576,6 +588,12 @@ class TestCmdCampaign:
         assert aggregate["counts"]["runs"] == 3
         assert aggregate["counts"]["oracle_pass"] == 3
         assert aggregate["counterexamples"] == []
+
+    def test_r_a_is_ignored_without_a_window(self, capsys):
+        code = main(["campaign", "--seeds", "2", "--n", "8", "--horizon", "8", "--pi", "0",
+                     "--r-a", "3", "--strategies", "none"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["counts"]["oracle_pass"] == 2
 
     def test_adversarial_campaign_with_window(self, capsys):
         code = main([

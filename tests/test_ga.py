@@ -8,7 +8,6 @@ from sleepy_tob.core import EMPTY_LOG, Log, Value, VoteMsg, compatible, conflict
 from sleepy_tob.ga import (
     ForgeryError,
     InitialVoteSet,
-    empty_initial,
     grade,
     merge_latest,
     run_instance,
@@ -25,31 +24,31 @@ def vote(sender, log, round=5):
     return VoteMsg(sender=sender, round=round, log=log)
 
 
-def initial(owner, *msgs):
-    return InitialVoteSet(owner=owner, messages=frozenset(msgs))
+def initial(*msgs):
+    return InitialVoteSet(messages=frozenset(msgs))
 
 
 class TestMergeLatest:
     def test_round_vote_supersedes_initial(self):
-        merged = merge_latest(initial(9, vote(1, A, round=3)), {vote(1, B)})
+        merged = merge_latest(initial(vote(1, A, round=3)), {vote(1, B)})
         assert merged == frozenset({vote(1, B)})
 
     def test_round_equivocator_dropped_initial_kept(self):
         merged = merge_latest(
-            initial(9, vote(1, A, round=3)), {vote(2, B), vote(2, AX)}
+            initial(vote(1, A, round=3)), {vote(2, B), vote(2, AX)}
         )
         assert merged == frozenset({vote(1, A, round=3)})
 
     def test_empty_initial_reduces_to_round_votes(self):
-        assert merge_latest(empty_initial(9), {vote(1, A)}) == frozenset({vote(1, A)})
+        assert merge_latest(InitialVoteSet(), {vote(1, A)}) == frozenset({vote(1, A)})
 
     def test_round_equivocator_loses_initial_entry_too(self):
-        merged = merge_latest(initial(9, vote(2, A, round=3)), {vote(2, B), vote(2, AX)})
+        merged = merge_latest(initial(vote(2, A, round=3)), {vote(2, B), vote(2, AX)})
         assert merged == frozenset()
 
     def test_initial_set_rejects_duplicate_senders(self):
         with pytest.raises(ValueError):
-            initial(9, vote(1, A, round=2), vote(1, B, round=3))
+            initial(vote(1, A, round=2), vote(1, B, round=3))
 
 
 @st.composite
@@ -62,7 +61,7 @@ def merge_inputs(draw):
         st.lists(st.builds(vote, st.integers(0, 5), logs, st.just(r)), max_size=10)
     )
     older = draw(st.dictionaries(st.integers(0, 5), st.tuples(st.integers(0, r - 1), logs)))
-    init = initial(9, *(vote(s, log, round=rnd) for s, (rnd, log) in older.items()))
+    init = initial(*(vote(s, log, round=rnd) for s, (rnd, log) in older.items()))
     return init, round_msgs
 
 
@@ -254,7 +253,6 @@ class TestRunInstance:
             byz_msgs=byz,
             receivers=[4, 5],
             byzantine={7, 8, 9},
-            synchronous=False,
             delivery=lambda q, msgs: [m for m in msgs if m.sender >= 7],
         )
         for q in (4, 5):
@@ -263,14 +261,13 @@ class TestRunInstance:
     def test_clique_from_initial_sets_under_asynchrony(self):
         # carried-over votes for A from 5 senders dominate an empty round
         old = [vote(i, AX if i % 2 else A, round=2) for i in range(5)]
-        sets = {q: InitialVoteSet(owner=q, messages=frozenset(old)) for q in (0, 1)}
+        sets = {q: InitialVoteSet(messages=frozenset(old)) for q in (0, 1)}
         record = run_instance(
             round=3,
             inputs={},
             byz_msgs=[vote(9, B, round=3)],
             initial_sets=sets,
             byzantine={9},
-            synchronous=False,
             delivery=lambda q, msgs: [],
         )
         for q in (0, 1):
@@ -291,7 +288,6 @@ class TestRunInstance:
         record = run_instance(
             round=3,
             inputs={0: A, 1: B},
-            synchronous=False,
             delivery=lambda q, msgs: [forged],
         )
         assert record.receivers[0].output.grade_of(A) == 1
@@ -305,5 +301,5 @@ class TestRunInstance:
             run_instance(
                 round=3,
                 inputs={0: A},
-                initial_sets={0: initial(0, vote(1, A, round=3))},
+                initial_sets={0: initial(vote(1, A, round=3))},
             )

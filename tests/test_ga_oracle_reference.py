@@ -1,0 +1,298 @@
+"""The graded-agreement oracle against the code it replaced.
+
+``check_ga_properties``, ``_quorum_holds`` and ``_find_clique`` below are
+kept verbatim as they were when the oracle built the tally pool twice,
+expanded clique candidates from every receiver's every initial vote and
+scanned every input for each output log.  The one edit: initial senders are
+read from ``view.initial.messages`` (``_initial_senders``), since
+``GaRecord`` no longer carries them.  On every record both oracles must give
+the same reports, verdicts, details and witnesses alike.  The records come
+from ``ga.run_instance`` (synchronous and filtered delivery, initial sets
+holding round-``r`` voters, Byzantine equivocation, empty inputs, receivers
+that sent nothing) and from ``World`` runs of both window attacks.
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sleepy_tob import oracle
+from sleepy_tob.core import (
+    Log,
+    ProcessId,
+    Value,
+    VoteMsg,
+    is_prefix,
+    longest_common_prefix,
+    maximal,
+)
+from sleepy_tob.ga import GaOutput, GaRecord, InitialVoteSet, run_instance
+from sleepy_tob.model_checks import ModelParams
+from sleepy_tob.oracle import OracleReport, Verdict
+from sleepy_tob.world import (
+    STRATEGIES,
+    InfeasibleScheduleError,
+    constant_schedule,
+    generate_schedule,
+    run,
+)
+
+# ---------------------------------------------------------------------------
+# reference: the oracle as it was
+
+
+def _initial_senders(record: GaRecord) -> frozenset[ProcessId]:
+    out: set[ProcessId] = set()
+    for view in record.receivers.values():
+        out |= {m.sender for m in view.initial.messages}
+    return frozenset(out)
+
+
+def _quorum_holds(record: GaRecord) -> bool:
+    h_r = set(record.inputs)
+    s_r = h_r | set(record.byzantine)
+    pool = s_r | set(_initial_senders(record))
+    return 3 * len(h_r) > 2 * len(pool)
+
+
+def _find_clique(record: GaRecord, lam: Log) -> frozenset[ProcessId]:
+    """Largest natural mutually-informed set for ``lam``: senders whose
+    input extends it plus receivers whose initial sets cover every member
+    with a vote extending it (computed as a decreasing fixpoint)."""
+    receivers = set(record.receivers)
+    cover = {
+        q: {m.sender for m in record.receivers[q].initial.messages if is_prefix(lam, m.log)}
+        for q in receivers
+    }
+    members: set[ProcessId] = set()
+    for p, log in record.inputs.items():
+        if is_prefix(lam, log):
+            members.add(p)
+    for q in receivers:
+        if q in record.inputs and not is_prefix(lam, record.inputs[q]):
+            continue
+        if cover[q]:
+            members.add(q)
+    while True:
+        bad = [q for q in members if q in receivers and not members <= cover[q]]
+        if not bad:
+            return frozenset(members)
+        members -= set(bad)
+
+
+def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
+    """Evaluate the agreement properties on one record.
+
+    Graded consistency, integrity, validity, uniqueness, and bounded
+    divergence are asserted only for synchronous records whose awake honest
+    senders exceed two thirds of every process that can influence a tally;
+    clique validity is evaluated whenever its own hypotheses hold, in
+    synchronous and asynchronous rounds alike.
+    """
+    reports: dict[str, OracleReport] = {}
+    applicable = record.synchronous and _quorum_holds(record)
+    outputs = {q: view.output for q, view in record.receivers.items()}
+
+    def judge(name: str, witness: dict | None, detail: str = "") -> None:
+        verdict = Verdict.FAIL if witness else Verdict.PASS
+        reports[name] = OracleReport(name, verdict, detail=detail, witness=witness)
+
+    def na(name: str, why: str) -> None:
+        reports[name] = OracleReport(name, Verdict.NOT_APPLICABLE, detail=why)
+
+    if not applicable:
+        why = "round not synchronous" if not record.synchronous else "quorum assumption absent"
+        for name in (
+            "graded_consistency",
+            "integrity",
+            "validity",
+            "uniqueness",
+            "bounded_divergence",
+        ):
+            na(name, why)
+    else:
+        # each grade-1 log with the first receiver grading it 1
+        holder: dict[Log, ProcessId] = {}
+        for q, out in outputs.items():
+            for lam in out.grade1_logs():
+                holder.setdefault(lam, q)
+        fail = None
+        for q, out in outputs.items():
+            if not out.grades.keys() >= holder.keys():
+                lam = next(lam for lam in holder if lam not in out.grades)
+                fail = {"receiver": holder[lam], "log": repr(lam), "missing_at": q}
+                break
+        judge("graded_consistency", fail)
+
+        fail = next(
+            ({"receiver": i, "log": repr(lam)}
+             for i, out_i in outputs.items() for lam in out_i.grades
+             if not any(is_prefix(lam, inp) for inp in record.inputs.values())),
+            None,
+        )
+        judge("integrity", fail)
+
+        if record.inputs:
+            lcp = longest_common_prefix(record.inputs.values())
+            fail = next(
+                ({"receiver": i, "log": repr(lcp)}
+                 for i, out_i in outputs.items() if out_i.grade_of(lcp) != 1),
+                None,
+            )
+            judge("validity", fail)
+        else:
+            na("validity", "no well-behaved inputs")
+
+        # maximal logs conflict pairwise, so two of them violate uniqueness
+        tops = maximal(holder)
+        fail = None
+        if len(tops) >= 2:
+            la, lb = tops[:2]
+            fail = {"receiver_a": holder[la], "log_a": repr(la),
+                    "receiver_b": holder[lb], "log_b": repr(lb)}
+        judge("uniqueness", fail)
+
+        fail = None
+        for i, out_i in outputs.items():
+            tops = maximal(out_i.grades)
+            if len(tops) >= 3:
+                fail = {"receiver": i, "logs": [repr(lam) for lam in tops[:3]]}
+                break
+        judge("bounded_divergence", fail)
+
+    # clique validity: try every observed log (and prefix) as the common base
+    candidates: set[Log] = set()
+    for log in record.inputs.values():
+        candidates.update(log.prefixes())
+    for view in record.receivers.values():
+        for m in view.initial.messages:
+            candidates.update(m.log.prefixes())
+    pool_size = len(set(record.inputs) | set(record.byzantine) | set(_initial_senders(record)))
+    applicable_cliques = 0
+    fail = None
+    for lam in sorted(candidates, key=lambda l: (len(l), l.lex_key)):
+        clique = _find_clique(record, lam)
+        clique_receivers = clique & set(record.receivers)
+        if not clique_receivers or not 3 * len(clique) > 2 * pool_size:
+            continue
+        applicable_cliques += 1
+        for q in sorted(clique_receivers):
+            if outputs[q].grade_of(lam) != 1:
+                fail = {"receiver": q, "log": repr(lam), "clique_size": len(clique)}
+                break
+        if fail:
+            break
+    if applicable_cliques == 0:
+        na("clique_validity", "no qualifying clique")
+    else:
+        judge("clique_validity", fail, detail=f"{applicable_cliques} qualifying base logs")
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# the two oracles on the same records
+
+
+def same_reports(record: GaRecord) -> None:
+    ours = {name: rep.to_dict() for name, rep in oracle.check_ga_properties(record).items()}
+    reference = {name: rep.to_dict() for name, rep in check_ga_properties(record).items()}
+    assert ours == reference
+
+
+VALUES = [Value(id=i, proposer=99, view=0) for i in range(3)]
+logs = st.lists(st.integers(0, 2), max_size=3).map(lambda ids: Log(tuple(VALUES[i] for i in ids)))
+tips = st.sampled_from([Log((v,)) for v in VALUES])  # pairwise conflicting
+ROUND = 4
+
+
+@st.composite
+def instances(draw) -> GaRecord:
+    """One ``run_instance`` record.  Senders 0-7 are well-behaved, 10-11
+    Byzantine (one or two logs each, so some equivocate), 20-21 receivers
+    that sent nothing and 30-31 sleepers that only appear in initial sets.
+    Older votes come from a drawn subset of them, round-``ROUND`` voters
+    included, and each receiver holds a drawn subset of those.  A planted
+    record instead gives every sender an older vote, gives every receiver
+    all of them and has every well-behaved log extend one base, so that
+    clique validity applies.  Up to four edits then change receivers'
+    outputs, so that every property also fails and its witness is compared.
+    """
+    plant = draw(st.booleans())
+    base = draw(logs).values if plant else ()
+    based = logs.map(lambda log: Log(base + log.values))
+    inputs = draw(st.dictionaries(st.integers(0, 7), based, max_size=8))
+    byz_ids = list(range(10, 10 + draw(st.integers(0, 2))))
+    byz_msgs = [
+        VoteMsg(b, ROUND, log)
+        for b in byz_ids
+        for log in draw(st.lists(logs, min_size=1, max_size=2, unique=True))
+    ]
+    idle = draw(st.lists(st.sampled_from([20, 21]), unique=True))
+    receivers = sorted(set(inputs) | set(idle))
+    sleepers = draw(st.lists(st.sampled_from([30, 31]), unique=True))
+    senders = sorted(inputs) + byz_ids + idle + sleepers
+    if not plant:
+        senders = draw(st.lists(st.sampled_from(senders), unique=True)) if senders else []
+    older = [VoteMsg(s, draw(st.integers(1, ROUND - 1)), draw(based)) for s in senders]
+    initial_sets = {
+        q: InitialVoteSet(frozenset(m for m in older if plant or draw(st.booleans())))
+        for q in receivers
+    }
+    delivery = None
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        delivery = lambda q, msgs: [m for m in msgs if rng.random() < 0.5]  # noqa: E731
+    record = run_instance(
+        ROUND,
+        inputs,
+        byz_msgs,
+        initial_sets,
+        receivers=receivers,
+        byzantine=byz_ids,
+        delivery=delivery,
+    )
+    views = dict(record.receivers)
+    edits = st.tuples(st.sampled_from(receivers), logs | tips, st.sampled_from([None, 0, 1]))
+    for q, lam, g in draw(st.lists(edits, max_size=4)) if receivers else ():
+        grades = dict(views[q].output.grades)
+        if g is None:
+            grades.pop(lam, None)
+        else:
+            grades[lam] = g
+        views[q] = replace(views[q], output=GaOutput(grades))
+    return replace(record, receivers=views)
+
+
+@settings(max_examples=600, deadline=None)
+@given(instances())
+def test_run_instance_records_match_reference(record):
+    same_reports(record)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    preset=st.sampled_from(["prop1", "split_decision"]),
+    n=st.integers(8, 12),
+    n_byz=st.integers(2, 3),
+    tau=st.integers(2, 4),
+    eta=st.sampled_from([0, 2, 4, None]),
+    window=st.tuples(st.integers(1, 3), st.integers(1, 5)),
+    seed=st.integers(0, 2**16),
+)
+def test_world_records_match_reference(preset, n, n_byz, tau, eta, window, seed):
+    """Windows of generated schedules, inside and outside the model; a
+    constant schedule stands in when no generated one fits."""
+    pi, r_a = min(window[0], tau - 1), window[1]
+    horizon = r_a + pi + 6
+    params = ModelParams(tau=tau, eta=eta, pi=pi, gamma=Fraction(1, 10), beta=Fraction(1, 3))
+    try:
+        schedule = generate_schedule(n, horizon, params, r_a, seed, n_byz=n_byz, max_attempts=3)
+    except InfeasibleScheduleError:
+        schedule = constant_schedule(n, horizon, n_byz, params, r_a=r_a)
+    records = run(schedule, STRATEGIES[preset](), seed).ga_records()
+    assert records
+    for record in records.values():
+        same_reports(record)

@@ -11,7 +11,6 @@ from sleepy_tob.ga import (
     GaRecord,
     InitialVoteSet,
     ReceiverView,
-    empty_initial,
     run_instance,
 )
 from sleepy_tob.model_checks import ModelParams
@@ -80,7 +79,6 @@ class TestGaProperties:
             byz_msgs=[VoteMsg(s, 3, B) for s in (7, 8, 9)],
             byzantine={7, 8, 9},
             receivers=[4, 5],
-            synchronous=False,
             delivery=lambda q, msgs: [m for m in msgs if m.sender >= 7],
         )
         reports = check_ga_properties(record)
@@ -93,7 +91,7 @@ class TestGaProperties:
         # initial sets covering the whole clique; delivery suppressed
         old = [VoteMsg(s, 2, AX if s % 2 else A) for s in range(5)]
         sets = {
-            q: InitialVoteSet(owner=q, messages=frozenset(old)) for q in (0, 1)
+            q: InitialVoteSet(messages=frozenset(old)) for q in (0, 1)
         }
         record = run_instance(
             round=3,
@@ -102,7 +100,6 @@ class TestGaProperties:
             byzantine={9},
             initial_sets=sets,
             receivers=[0, 1],
-            synchronous=False,
             delivery=lambda q, msgs: [],
         )
         reports = check_ga_properties(record)
@@ -133,7 +130,7 @@ def hand_built_record(outputs):
         byzantine=frozenset(),
         receivers={
             q: ReceiverView(
-                initial=empty_initial(q),
+                initial=InitialVoteSet(),
                 received=frozenset(),
                 output=GaOutput(grades),
                 m=len(outputs),

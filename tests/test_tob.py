@@ -60,38 +60,38 @@ def absorbed(*votes):
 class TestLatestUnexpired:
     def test_newer_vote_wins(self):
         store = absorbed((1, 3, A), (1, 5, B))
-        initial, current = latest_unexpired(store, 5, ExpirationWindow(2), owner=9)
+        initial, current = latest_unexpired(store, 5, ExpirationWindow(2))
         assert current == frozenset({VoteMsg(1, 5, B)})
         assert initial.messages == frozenset()
 
     def test_expired_vote_dropped(self):
         store = absorbed((1, 2, A))
-        initial, current = latest_unexpired(store, 5, ExpirationWindow(2), owner=9)
+        initial, current = latest_unexpired(store, 5, ExpirationWindow(2))
         assert initial.messages == frozenset()
         assert current == frozenset()
 
     def test_vote_at_window_edge_kept(self):
         store = absorbed((1, 3, A))
-        initial, current = latest_unexpired(store, 5, ExpirationWindow(2), owner=9)
+        initial, current = latest_unexpired(store, 5, ExpirationWindow(2))
         assert initial.messages == frozenset({VoteMsg(1, 3, A)})
         assert current == frozenset()
 
     def test_eta_zero_keeps_only_current_round(self):
         store = absorbed((1, 4, A), (2, 5, B))
-        initial, current = latest_unexpired(store, 5, ExpirationWindow(0), owner=9)
+        initial, current = latest_unexpired(store, 5, ExpirationWindow(0))
         assert initial.messages == frozenset()
         assert current == frozenset({VoteMsg(2, 5, B)})
 
     def test_equivocation_at_latest_round_voids_sender(self):
         store = absorbed((1, 3, A), (1, 4, A), (1, 4, B))
-        initial, current = latest_unexpired(store, 5, ExpirationWindow(3), owner=9)
+        initial, current = latest_unexpired(store, 5, ExpirationWindow(3))
         # the round-4 equivocation is this sender's latest message: dropped,
         # with no fallback to the older clean vote
         assert initial.messages == frozenset()
 
     def test_infinite_window(self):
         store = absorbed((1, 0, A))
-        initial, current = latest_unexpired(store, 9, ExpirationWindow(None), owner=9)
+        initial, current = latest_unexpired(store, 9, ExpirationWindow(None))
         assert initial.messages == frozenset({VoteMsg(1, 0, A)})
 
     def test_returns_the_stored_messages(self):
@@ -99,7 +99,7 @@ class TestLatestUnexpired:
         st_ = state(pid=9)
         st_.absorb(old)
         st_.absorb(new)
-        initial, current = latest_unexpired(st_.votes_seen, 5, ExpirationWindow(4), owner=9)
+        initial, current = latest_unexpired(st_.votes_seen, 5, ExpirationWindow(4))
         assert [m is old for m in initial.messages] == [True]
         assert [m is new for m in current] == [True]
 
@@ -194,7 +194,7 @@ def test_latest_unexpired_matches_per_round_reference(phases, eta):
         for msg in batch:
             st_.absorb(msg)
         arrivals.extend(batch)
-        initial, current = latest_unexpired(st_.votes_seen, r, window, owner=9)
+        initial, current = latest_unexpired(st_.votes_seen, r, window)
         assert (initial.messages, current) == reference_latest_unexpired(arrivals, r, eta)
 
 
