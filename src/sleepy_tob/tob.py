@@ -93,7 +93,10 @@ class ProcessState:
     vrf_seed: int
     candidate: Log = EMPTY_LOG  # longest any-grade output seen at the last round-1 step
     # votes_seen[sender] is (round, vote) for the sender's newest vote, the
-    # vote None if it equivocated in that round (see ga.keep_latest)
+    # vote None if it equivocated in that round (see ga.keep_latest).  World
+    # may set it to a snapshot shared by every receiver of a synchronous
+    # round; a shared store is never changed in place, as World copies it
+    # before absorbing votes into it
     votes_seen: dict[ProcessId, tuple[int, VoteMsg | None]] = field(default_factory=dict)
     proposals_seen: dict[int, set[ProposeMsg]] = field(default_factory=dict)
     pending_output: GaOutput = field(default_factory=GaOutput)  # read by the next step

@@ -9,7 +9,17 @@ phase: every process awake at the end of r (equivalently, at the beginning
 of r+1) receives queued messages.  Under synchrony that is every message
 not yet received; in an asynchronous round the strategy picks an arbitrary
 subset, except that a process's own messages always reach it.  Messages
-for sleeping processes stay queued until their first awake receive phase.
+for sleeping processes stay queued until their first awake receive phase;
+none are queued for Byzantine processes, which never receive.
+
+A synchronous receive phase is computed once.  After it every receiver
+holds every vote sent so far, so ``World`` keeps one latest-vote store of
+all sends, copies it once per synchronous round, gives that snapshot to
+every receiver as its store and derives from it the one graded-agreement
+view they all share; each receiver still takes its own proposals.  In an
+asynchronous round each receiver copies its store (it may be a shared
+snapshot) before absorbing what the strategy let through, and computes a
+view of its own.
 
 Runs are deterministic functions of (schedule, strategy, seed) and record
 a full trace: sends, deliveries, decisions, and one agreement record per
@@ -32,7 +42,7 @@ from .core import (
     VoteMsg,
     vrf_eval,
 )
-from .ga import ForgeryError, GaRecord, ReceiverView, delivered, grade, merge_latest
+from .ga import ForgeryError, GaRecord, ReceiverView, delivered, grade, keep_latest, merge_latest
 from .model_checks import ModelParams, _union, churn_ok, ratio_ok
 from .tob import (
     ExpirationWindow,
@@ -283,14 +293,26 @@ class World:
             p: ProcessState(pid=p, vrf_seed=seed) for p in range(schedule.n)
         }
         self.pending: dict[ProcessId, list[Msg]] = {p: [] for p in range(schedule.n)}
+        # every vote sent so far, folded with ga.keep_latest
+        self.votes: dict[ProcessId, tuple[int, VoteMsg | None]] = {}
         self.events: list[Event] = []
         if strategy.validate is not None:
             strategy.validate(self)
 
     def _broadcast(self, msg: Msg, r: int) -> None:
         self.events.append(SendEvent(round=r, msg=msg))
+        if isinstance(msg, VoteMsg):
+            keep_latest(self.votes, msg)
+        byz = self.schedule.byz(r)  # never receivers again: Byzantine sets only grow
         for q in range(self.schedule.n):
-            self.pending[q].append(msg)
+            if q not in byz:
+                self.pending[q].append(msg)
+
+    def _receive(self, store: dict[ProcessId, tuple[int, VoteMsg | None]], r: int) -> ReceiverView:
+        """The round-``r`` graded-agreement view of a receiver holding ``store``."""
+        initial, current = latest_unexpired(store, r, self.window)
+        merged = merge_latest(initial, current)
+        return ReceiverView(initial, current, grade(merged), len(merged))
 
     def step_round(self, r: int) -> None:
         """Execute the send and receive phases of round ``r``."""
@@ -330,29 +352,33 @@ class World:
                 )
             self._broadcast(msg, r)
 
-        synchronous = sched.sync(r)
+        if synchronous := sched.sync(r):
+            # every receiver takes its whole queue, which holds every send it
+            # has not yet received, so each ends up holding every vote sent:
+            # one store and one view serve them all
+            store = dict(self.votes)
+            shared = self._receive(store, r)
         views: dict[ProcessId, ReceiverView] = {}
         for q in sorted(sched.honest(r + 1)):
             state = self.states[q]
             queued = self.pending[q]
             if synchronous:
                 kept, self.pending[q] = queued, []
+                state.votes_seen = store
+                for m in kept:
+                    if isinstance(m, ProposeMsg):
+                        state.absorb(m)
+                view = shared
             else:
                 chosen = self.strategy.delivery_filter(self, r, q, tuple(queued))
                 kept, self.pending[q] = delivered(q, queued, chosen)
+                state.votes_seen = dict(state.votes_seen)  # it may be a shared snapshot
+                for m in kept:
+                    state.absorb(m)
+                view = self._receive(state.votes_seen, r)
             self.events.append(DeliverEvent(round=r, receiver=q, msgs=tuple(kept)))
-            for m in kept:
-                state.absorb(m)
-            initial, current = latest_unexpired(state.votes_seen, r, self.window)
-            merged = merge_latest(initial, current)
-            output = grade(merged)
-            state.pending_output = output
-            views[q] = ReceiverView(
-                initial=initial,
-                received=current,
-                output=output,
-                m=len(merged),
-            )
+            state.pending_output = view.output
+            views[q] = view
 
         if r >= 1:
             self.events.append(GaRecord(

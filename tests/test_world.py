@@ -1,8 +1,10 @@
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from sleepy_tob.cli import build_schedule, load_scenario
 from sleepy_tob.core import GENESIS, Log, ProposeMsg, Value, VoteMsg, vrf_eval
 from sleepy_tob.ga import ForgeryError
 from sleepy_tob.model_checks import ModelParams, check_all
@@ -11,6 +13,7 @@ from sleepy_tob.world import (
     DecideEvent,
     DeliverEvent,
     InfeasibleScheduleError,
+    STRATEGIES,
     Schedule,
     ScheduleError,
     SendEvent,
@@ -145,6 +148,22 @@ class TestDelivery:
             if not isinstance(e, DeliverEvent) and hasattr(e, "msg") and e.msg.sender == 3
         ]
         assert sends_by_3 and not any(3 <= r <= 5 for r in sends_by_3)
+
+    def test_no_message_is_queued_for_a_byzantine_process(self):
+        # a Byzantine process never receives again (Byzantine sets only
+        # grow), so a queue kept for it would grow to the whole send log
+        scenario = load_scenario(Path(__file__).parent.parent / "scenarios" / "prop1_expiring.json")
+        sched = build_schedule(scenario)
+        world = World(sched, STRATEGIES[scenario.adversary](), scenario.seed)
+        deepest = dict.fromkeys(world.pending, 0)
+        for r in range(sched.horizon):
+            world.step_round(r)
+            for q, queue in world.pending.items():
+                deepest[q] = max(deepest[q], len(queue))
+        byz = sched.byz(sched.horizon)
+        assert byz == {8, 9}
+        assert {q: deepest[q] for q in byz} == {8: 0, 9: 0}
+        assert max(depth for q, depth in deepest.items() if q not in byz) == 21
 
     def test_async_round_never_delivers_unsent_message(self):
         forged = VoteMsg(sender=4, round=5, log=Log((GENESIS,)))

@@ -1,0 +1,222 @@
+"""The shared receive phase of ``World`` against the per-receiver one it
+replaced.
+
+``PerReceiverWorld`` below keeps ``_broadcast`` and ``step_round`` verbatim
+as they were when every receiver absorbed every delivered message into its
+own store and ran ``latest_unexpired``, ``merge_latest`` and ``grade`` on
+it.  Both worlds must give equal runs: every event, and each process's
+final ``votes_seen``, ``proposals_seen``, ``candidate`` and pending output.
+Events are compared by value, so the vote sets of each ``GaRecord`` view
+compare as sets; their iteration order may differ after a window and is
+not compared.  Schedules are generated ones with windows, and hand-built
+ones whose receivers sleep through a window, wake inside it, or are
+corrupted on the way.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sleepy_tob.core import Log, ProcessId, VoteMsg
+from sleepy_tob.ga import ForgeryError, GaRecord, ReceiverView, delivered, grade, merge_latest
+from sleepy_tob.model_checks import ModelParams
+from sleepy_tob.tob import Phase, ViewClock, latest_unexpired, step_round1, step_round2, step_view0
+from sleepy_tob.world import (
+    STRATEGIES,
+    DecideEvent,
+    DeliverEvent,
+    InfeasibleScheduleError,
+    Msg,
+    Schedule,
+    SendEvent,
+    World,
+    constant_schedule,
+    generate_schedule,
+)
+
+ETAS = [0, 1, 2, 4, None]
+
+# ---------------------------------------------------------------------------
+# reference: one receive computation per receiver
+
+
+class PerReceiverWorld(World):
+    def _broadcast(self, msg: Msg, r: int) -> None:
+        self.events.append(SendEvent(round=r, msg=msg))
+        for q in range(self.schedule.n):
+            self.pending[q].append(msg)
+
+    def step_round(self, r: int) -> None:
+        """Execute the send and receive phases of round ``r``."""
+        sched = self.schedule
+        clock = ViewClock(r)
+        inputs: dict[ProcessId, Log] = {}
+
+        for p in sorted(sched.honest(r)):
+            state = self.states[p]
+            if clock.phase is Phase.VIEW0:
+                for pm in step_view0(state):
+                    self._broadcast(pm, r)
+                continue
+            # p is awake at r, so it received in round r - 1 and its
+            # pending output is that round's
+            outputs = state.pending_output
+            if clock.phase is Phase.ROUND1:
+                proposals = state.proposals_seen.pop(clock.view, set())
+                decided, vote = step_round1(state, clock.view, outputs, proposals)
+                if decided is not None:
+                    self.events.append(DecideEvent(round=r, pid=p, log=decided))
+                self._broadcast(vote, r)
+            else:
+                vote, proposal = step_round2(state, clock.view, outputs)
+                self._broadcast(vote, r)
+                self._broadcast(proposal, r)
+            inputs[p] = vote.log
+
+        for msg in self.strategy.messages(self, r):
+            if msg.sender not in sched.byz(r):
+                raise ForgeryError(
+                    f"strategy authored a message for {msg.sender}, not Byzantine in round {r}"
+                )
+            if isinstance(msg, VoteMsg) and msg.round != r:
+                raise ForgeryError(
+                    f"strategy vote claims round {msg.round} during round {r}"
+                )
+            self._broadcast(msg, r)
+
+        synchronous = sched.sync(r)
+        views: dict[ProcessId, ReceiverView] = {}
+        for q in sorted(sched.honest(r + 1)):
+            state = self.states[q]
+            queued = self.pending[q]
+            if synchronous:
+                kept, self.pending[q] = queued, []
+            else:
+                chosen = self.strategy.delivery_filter(self, r, q, tuple(queued))
+                kept, self.pending[q] = delivered(q, queued, chosen)
+            self.events.append(DeliverEvent(round=r, receiver=q, msgs=tuple(kept)))
+            for m in kept:
+                state.absorb(m)
+            initial, current = latest_unexpired(state.votes_seen, r, self.window)
+            merged = merge_latest(initial, current)
+            output = grade(merged)
+            state.pending_output = output
+            views[q] = ReceiverView(
+                initial=initial,
+                received=current,
+                output=output,
+                m=len(merged),
+            )
+
+        if r >= 1:
+            self.events.append(GaRecord(
+                round=r,
+                synchronous=synchronous,
+                inputs=inputs,
+                byzantine=sched.byz(r),
+                receivers=views,
+            ))
+
+
+# ---------------------------------------------------------------------------
+# the comparison
+
+
+def assert_same_run(schedule: Schedule, preset: str, seed: int) -> None:
+    ref = PerReceiverWorld(schedule, STRATEGIES[preset](), seed)
+    new = World(schedule, STRATEGIES[preset](), seed)
+    ref_trace, new_trace = ref.run(), new.run()
+    assert len(new_trace.events) == len(ref_trace.events)
+    for got, want in zip(new_trace.events, ref_trace.events):
+        assert got == want
+    for p, want in ref.states.items():
+        got = new.states[p]
+        assert got.votes_seen == want.votes_seen, p
+        assert got.proposals_seen == want.proposals_seen, p
+        assert got.candidate == want.candidate, p
+        assert got.pending_output == want.pending_output, p
+    for record in new_trace.ga_records().values():
+        if record.synchronous:
+            assert len({id(view) for view in record.receivers.values()}) <= 1
+
+
+def params(eta: int | None, pi: int, tau: int | None = None) -> ModelParams:
+    tau = tau if tau is not None else (eta if eta is not None else 4)
+    return ModelParams(tau=tau, eta=eta, pi=pi, gamma=Fraction(1, 10), beta=Fraction(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    preset=st.sampled_from(["none", "prop1", "split_decision"]),
+    n=st.integers(6, 12),
+    n_byz=st.integers(2, 3),
+    tau=st.integers(2, 4),
+    eta=st.sampled_from(ETAS),
+    window=st.tuples(st.integers(1, 3), st.integers(1, 5)),
+    seed=st.integers(0, 2**16),
+)
+def test_generated_windows_match_reference(preset, n, n_byz, tau, eta, window, seed):
+    """Windows of generated schedules, inside and outside the model; a
+    constant schedule stands in when no generated one fits."""
+    pi, r_a = min(window[0], tau - 1), window[1]
+    horizon = r_a + pi + 6
+    p = params(eta, pi, tau)
+    try:
+        schedule = generate_schedule(n, horizon, p, r_a, seed, n_byz=n_byz, max_attempts=3)
+    except InfeasibleScheduleError:
+        schedule = constant_schedule(n, horizon, n_byz, p, r_a=r_a)
+    assert_same_run(schedule, preset, seed)
+
+
+@st.composite
+def hand_built(draw):
+    """A schedule whose honest processes each sleep through the window, wake
+    inside it, fall asleep inside it, or sleep through some other stretch;
+    process 0 never sleeps, and one process may turn Byzantine mid-run."""
+    preset = draw(st.sampled_from(["none", "prop1", "split_decision"]))
+    n_honest = draw(st.integers(2, 7))
+    n_byz = draw(st.integers(2 if preset == "prop1" else 0, 3))
+    n = n_honest + n_byz
+    pi = draw(st.integers(0, 3))
+    r_a = draw(st.integers(0, 4)) if pi else None
+    horizon = (r_a + pi + draw(st.integers(2, 5))) if pi else draw(st.integers(3, 10))
+    lo, hi = (r_a + 1, r_a + pi + 1) if pi else (0, 0)  # beginning-of-round bounds
+    asleep: dict[ProcessId, range] = {}
+    for p in range(1, n_honest):
+        mode = draw(st.sampled_from(["awake", "through", "wakes", "sleeps", "any"]))
+        if mode == "through":
+            asleep[p] = range(draw(st.integers(0, lo)), draw(st.integers(hi + 1, horizon + 2)))
+        elif mode == "wakes":
+            asleep[p] = range(draw(st.integers(0, lo)), draw(st.integers(lo + 1, hi + 1)))
+        elif mode == "sleeps":
+            asleep[p] = range(draw(st.integers(lo, hi)), draw(st.integers(hi + 1, horizon + 2)))
+        elif mode == "any":
+            a = draw(st.integers(0, horizon))
+            asleep[p] = range(a, draw(st.integers(a, horizon + 2)))
+    turncoat = draw(st.none() | st.tuples(st.integers(1, n_honest - 1), st.integers(1, horizon)))
+    awake, byz = [], []
+    base = frozenset(range(n_honest, n))
+    for r in range(horizon + 1):
+        corrupt = frozenset([turncoat[0]]) if turncoat and r >= turncoat[1] else frozenset()
+        awake.append(frozenset(
+            p for p in range(n_honest) if r not in asleep.get(p, ()) and p not in corrupt
+        ))
+        byz.append(base | corrupt)
+    schedule = Schedule(
+        n=n,
+        horizon=horizon,
+        awake_honest=tuple(awake),
+        byzantine=tuple(byz),
+        r_a=r_a,
+        params=params(draw(st.sampled_from(ETAS)), pi),
+    )
+    return schedule, preset, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hand_built())
+def test_sleepers_and_wakers_match_reference(case):
+    schedule, preset, seed = case
+    assert_same_run(schedule, preset, seed)
+
