@@ -10,13 +10,11 @@ from .core import (
     ProposeMsg,
     Value,
     VoteMsg,
-    VrfTag,
     compatible,
     conflicts,
     is_prefix,
     longest_common_prefix,
     vrf_eval,
-    vrf_verify,
 )
 from .ga import (
     GaOutput,

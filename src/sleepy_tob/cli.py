@@ -293,7 +293,7 @@ def msg_to_json(msg: VoteMsg | ProposeMsg, log_id: Callable[[Log], int]) -> dict
         "sender": msg.sender,
         "view": msg.view,
         "log": log_id(msg.log),
-        "vrf": {"value": msg.vrf.value, "sender": msg.vrf.sender, "view": msg.vrf.view},
+        "vrf": {"value": msg.ticket, "sender": msg.sender, "view": msg.view},
     }
 
 

@@ -5,6 +5,11 @@ A log is a finite sequence of values ordered by the prefix relation; two
 logs are compatible when one is a prefix of the other.  Everything else in
 the package (vote tallies, decisions, safety oracles) is phrased in terms
 of this algebra, so the operations here are kept exact and allocation-light.
+
+A proposal carries its lottery ticket as a plain integer.  Verifying a
+ticket is recomputing it, and ``World`` does that once, where a strategy's
+proposal enters the run; well-behaved processes draw theirs with the run's
+seed, so every proposal a process holds carries a genuine ticket.
 """
 
 from __future__ import annotations
@@ -148,35 +153,22 @@ class VoteMsg:
 
 
 @dataclass(frozen=True, slots=True)
-class VrfTag:
-    """Leader-lottery ticket: a 64-bit score bound to (sender, view)."""
-
-    value: int
-    sender: ProcessId
-    view: int
-
-
-@dataclass(frozen=True, slots=True)
 class ProposeMsg:
+    """Proposal of ``log`` for ``view``, with the sender's lottery ticket
+    ``vrf_eval(seed, sender, view)`` for that view."""
+
     sender: ProcessId
     view: int
     log: Log
-    vrf: VrfTag
+    ticket: int
 
 
-def vrf_eval(seed: int, p: ProcessId, view: int) -> VrfTag:
-    """Deterministic lottery score for (seed, p, view).
+def vrf_eval(seed: int, p: ProcessId, view: int) -> int:
+    """Deterministic lottery ticket of process ``p`` for ``view``.
 
-    Simulated with a keyed hash: verification is recomputation, scores for
+    Simulated with a keyed hash: verification is recomputation, tickets for
     distinct (sender, view) pairs collide only with negligible probability,
     and exact ties are broken downstream by process id.
     """
     payload = struct.pack(">QQQ", seed & _MASK64, p & _MASK64, view & _MASK64)
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return VrfTag(value=int.from_bytes(digest, "big"), sender=p, view=view)
-
-
-def vrf_verify(tag: VrfTag, seed: int) -> bool:
-    """True iff ``tag`` was produced by ``vrf_eval`` under ``seed``; a
-    mismatch signals a forged proposal."""
-    return tag == vrf_eval(seed, tag.sender, tag.view)
+    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")

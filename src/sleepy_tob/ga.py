@@ -20,13 +20,25 @@ floating point, so runs are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
-from .core import Log, ProcessId, VoteMsg
+from .core import Log, ProcessId, ProposeMsg, VoteMsg
 
 
 class ForgeryError(Exception):
-    """A message claims a sender that is not allowed to author it."""
+    """A message claims a sender that is not allowed to author it, or a
+    round or lottery ticket that is not its own."""
+
+
+def check_adversary_message(
+    msg: VoteMsg | ProposeMsg, r: int, byzantine: Container[ProcessId]
+) -> None:
+    """Raise ``ForgeryError`` unless the adversary may send ``msg`` in round
+    ``r``: its sender is Byzantine in ``r``, and a vote carries round ``r``."""
+    if msg.sender not in byzantine:
+        raise ForgeryError(f"adversary message from {msg.sender}, not Byzantine in round {r}")
+    if isinstance(msg, VoteMsg) and msg.round != r:
+        raise ForgeryError(f"adversary vote claims round {msg.round} during round {r}")
 
 
 @dataclass(frozen=True)
@@ -203,12 +215,9 @@ def run_instance(
         else frozenset(m.sender for m in byz_msgs)
     )
     for msg in byz_msgs:
-        if msg.sender in inputs or msg.sender not in byz_set:
-            raise ForgeryError(
-                f"byzantine vote from {msg.sender} which is not Byzantine this round"
-            )
-        if msg.round != round:
-            raise ValueError(f"byzantine vote for round {msg.round} in round {round}")
+        if msg.sender in inputs:
+            raise ForgeryError(f"adversary vote from {msg.sender}, which has an input log")
+        check_adversary_message(msg, round, byz_set)
 
     sent: list[VoteMsg] = [
         VoteMsg(sender=p, round=round, log=log) for p, log in sorted(inputs.items())

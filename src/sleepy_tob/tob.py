@@ -6,8 +6,8 @@ Every later view v >= 1 spans rounds 2v-1 and 2v:
 * round 2v-1: take the outputs of the previous round's agreement
   instance, decide the longest grade-1 log (it extends every other
   grade-1 output), set the candidate to the longest output at any grade,
-  then vote for the log of the highest-scoring valid proposal that does
-  not conflict with the candidate;
+  then vote for the log of the highest-ticket proposal that does not
+  conflict with the candidate;
 * round 2v: vote for the longest grade-1 output of the current view's
   first instance, and multicast a proposal extending the chain head, the
   longest output at any grade, with a fresh value.
@@ -16,6 +16,10 @@ Votes feeding an instance are the *latest unexpired* messages: for each
 sender, the single newest vote sent within the expiration window, with a
 sender whose newest votes disagree contributing nothing.  A window of zero
 rounds reproduces the plain current-round-only protocol.
+
+Proposals are ranked by their lottery tickets as given: ``World`` admits a
+strategy's proposal only with its genuine ticket, and well-behaved
+processes draw theirs with the run's seed, so no receiver checks one again.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .core import (
     VoteMsg,
     compatible,
     vrf_eval,
-    vrf_verify,
 )
 from .ga import GaOutput, InitialVoteSet, keep_latest
 
@@ -140,24 +143,9 @@ def step_view0(state: ProcessState) -> list[ProposeMsg]:
             sender=state.pid,
             view=1,
             log=Log((GENESIS,)),
-            vrf=vrf_eval(state.vrf_seed, state.pid, 1),
+            ticket=vrf_eval(state.vrf_seed, state.pid, 1),
         )
     ]
-
-
-def _valid_proposals(
-    state: ProcessState, view: int, proposals: Iterable[ProposeMsg]
-) -> list[ProposeMsg]:
-    out = []
-    for pm in proposals:
-        if pm.view != view:
-            continue
-        if pm.vrf.sender != pm.sender or pm.vrf.view != view:
-            continue
-        if not vrf_verify(pm.vrf, state.vrf_seed):
-            continue
-        out.append(pm)
-    return out
 
 
 def step_round1(
@@ -168,23 +156,27 @@ def step_round1(
 ) -> tuple[Log | None, VoteMsg]:
     """Round 2v-1: decide, refresh the candidate, and vote a proposal.
 
+    ``proposals`` are the proposals for ``view`` this process holds.
     Returns the decided log (the longest grade-1 output, or ``None``) and
-    the vote this process multicasts.  With no valid, candidate-compatible
-    proposal at hand the process falls back to voting its own candidate,
-    which keeps its vote extending anything it has decided.
+    the vote this process multicasts: the log of the highest-ticket
+    proposal compatible with the candidate, ties broken by the higher
+    sender and then the lexicographically smaller log.  With no
+    candidate-compatible proposal at hand the process falls back to voting
+    its own candidate, which keeps its vote extending anything it has
+    decided.
     """
     longest = outputs.longest_any()
     if longest is not None:
         state.candidate = longest
 
     best: ProposeMsg | None = None
-    for pm in _valid_proposals(state, view, proposals):
+    for pm in proposals:
         if not compatible(pm.log, state.candidate):
             continue
         if best is None:
             best = pm
             continue
-        key, best_key = (pm.vrf.value, pm.sender), (best.vrf.value, best.sender)
+        key, best_key = (pm.ticket, pm.sender), (best.ticket, best.sender)
         if key > best_key or (key == best_key and pm.log.lex_key < best.log.lex_key):
             best = pm
     vote_log = best.log if best is not None else state.candidate
@@ -211,7 +203,7 @@ def step_round2(
         sender=state.pid,
         view=view + 1,
         log=head.extended(fresh),
-        vrf=vrf_eval(state.vrf_seed, state.pid, view + 1),
+        ticket=vrf_eval(state.vrf_seed, state.pid, view + 1),
     )
     return (
         VoteMsg(sender=state.pid, round=2 * view, log=vote_log),

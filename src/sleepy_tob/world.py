@@ -21,6 +21,14 @@ asynchronous round each receiver copies its store (it may be a shared
 snapshot) before absorbing what the strategy let through, and computes a
 view of its own.
 
+The adversary's messages are checked once, where they enter the run: a
+message whose sender is not Byzantine in its round, a vote that does not
+carry the current round, or a proposal whose lottery ticket is not
+``vrf_eval(seed, sender, view)`` raises ``ForgeryError``.  Well-behaved
+processes draw their tickets with the run's seed, and delivery never hands
+over a message that was not queued, so every proposal a process holds
+carries a genuine ticket and no receiver verifies one.
+
 Runs are deterministic functions of (schedule, strategy, seed) and record
 a full trace: sends, deliveries, decisions, and one agreement record per
 round for the oracles.
@@ -42,7 +50,16 @@ from .core import (
     VoteMsg,
     vrf_eval,
 )
-from .ga import ForgeryError, GaRecord, ReceiverView, delivered, grade, keep_latest, merge_latest
+from .ga import (
+    ForgeryError,
+    GaRecord,
+    ReceiverView,
+    check_adversary_message,
+    delivered,
+    grade,
+    keep_latest,
+    merge_latest,
+)
 from .model_checks import ModelParams, _union, churn_ok, ratio_ok
 from .tob import (
     ExpirationWindow,
@@ -64,6 +81,11 @@ class ScheduleError(Exception):
 
 class InfeasibleScheduleError(Exception):
     """No schedule satisfying the requested constraints was found."""
+
+
+def _check_process_count(n: int) -> None:
+    if n < 1:
+        raise ScheduleError(f"need at least 1 process, got n = {n}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +124,7 @@ class Schedule:
         return r not in self.window_rounds
 
     def validate(self) -> None:
-        if self.n < 1:
-            raise ScheduleError(f"need at least 1 process, got n = {self.n}")
+        _check_process_count(self.n)
         if self.horizon < 1:
             raise ScheduleError("horizon must be at least 1 round")
         if len(self.awake_honest) != self.horizon + 1:
@@ -342,13 +363,12 @@ class World:
             inputs[p] = vote.log
 
         for msg in self.strategy.messages(self, r):
-            if msg.sender not in sched.byz(r):
+            check_adversary_message(msg, r, sched.byz(r))
+            if isinstance(msg, ProposeMsg) and msg.ticket != vrf_eval(
+                self.seed, msg.sender, msg.view
+            ):
                 raise ForgeryError(
-                    f"strategy authored a message for {msg.sender}, not Byzantine in round {r}"
-                )
-            if isinstance(msg, VoteMsg) and msg.round != r:
-                raise ForgeryError(
-                    f"strategy vote claims round {msg.round} during round {r}"
+                    f"adversary proposal from {msg.sender} has a forged ticket for view {msg.view}"
                 )
             self._broadcast(msg, r)
 
@@ -432,8 +452,8 @@ def window_attack(
             out.extend(VoteMsg(sender=b, round=r, log=log) for log in logs)
             if proposes and clock.phase is Phase.ROUND2:
                 view = clock.view + 1
-                vrf = vrf_eval(world.seed, b, view)
-                out.extend(ProposeMsg(sender=b, view=view, log=log, vrf=vrf) for log in logs)
+                ticket = vrf_eval(world.seed, b, view)
+                out.extend(ProposeMsg(sender=b, view=view, log=log, ticket=ticket) for log in logs)
         return out
 
     def delivery_filter(world: World, r: int, q: ProcessId, cand: Sequence[Msg]) -> list[Msg]:
@@ -485,11 +505,13 @@ def generate_schedule(
     Churn moves are rejected locally whenever they would break the churn or
     failure-ratio bounds, the awake set is frozen around any asynchronous
     window so the window support conditions hold, and the result is passed
-    through the full validator before being returned.  A window that the
-    schedule's structure cannot hold raises ``ScheduleError`` at once, and
-    a Byzantine count that breaks the failure ratio even with every process
-    awake raises ``InfeasibleScheduleError`` at once.
+    through the full validator before being returned.  No process at all,
+    or a window that the schedule's structure cannot hold, raises
+    ``ScheduleError`` at once, and a Byzantine count that breaks the
+    failure ratio even with every process awake raises
+    ``InfeasibleScheduleError`` at once.
     """
+    _check_process_count(n)
     tau, pi, gamma, bt = params.tau, params.pi, params.gamma, params.beta_tilde
     if pi >= 1 and tau <= pi:
         raise ValueError(f"window must be shorter than the churn window (pi={pi}, tau={tau})")

@@ -335,7 +335,7 @@ def test_criterion_7_stall_on_participation_drop():
 
     # the value introduced for view 3 (proposed in round 4, before the drop)
     props = [e.msg for e in trace.propose_sends() if e.round == 4]
-    winner = max(props, key=lambda m: (m.vrf.value, m.sender))
+    winner = max(props, key=lambda m: (m.ticket, m.sender))
     fresh = winner.log.values[-1]
 
     # in the view-3 voting round every awake process backs the winner log,
@@ -384,7 +384,7 @@ def test_criterion_8_liveness_statistics():
             ]
             if not props:
                 continue
-            winner = max(props, key=lambda m: (m.vrf.value, m.sender))
+            winner = max(props, key=lambda m: (m.ticket, m.sender))
             leader_total += 1
             if winner.log.values[-1] in first_decided:
                 leader_hits += 1

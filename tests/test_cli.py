@@ -20,7 +20,7 @@ from sleepy_tob.cli import (
     run_scenario,
     trace_lines,
 )
-from sleepy_tob.core import Log, ProposeMsg, Value, VoteMsg, VrfTag
+from sleepy_tob.core import Log, ProposeMsg, Value, VoteMsg
 from sleepy_tob.world import DeliverEvent
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,7 +106,9 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
             if fields.pop("type") == "vote":
                 sent.append((r, VoteMsg(**fields)))
             else:
-                sent.append((r, ProposeMsg(**{**fields, "vrf": VrfTag(**fields["vrf"])})))
+                vrf = fields.pop("vrf")
+                assert (vrf["sender"], vrf["view"]) == (fields["sender"], fields["view"])
+                sent.append((r, ProposeMsg(**fields, ticket=vrf["value"])))
         elif kind == "deliver":
             msgs = [sent[i][1] for i in payload["msgs"]]
             deliveries.append((r, actor, msgs))
@@ -453,15 +455,16 @@ class TestCmdCheck:
         "changes, message",
         [
             ({"n": 0}, "need at least 1 process, got n = 0"),
+            ({"n": 0, "kind": "generate"}, "need at least 1 process, got n = 0"),
             ({"n": 3, "n_byz": 3}, "no well-behaved process is awake in any round"),
         ],
-        ids=["no-process", "nobody-awake"],
+        ids=["no-process", "no-process-generate", "nobody-awake"],
     )
     def test_schedule_without_a_process_exits_2(self, command, changes, message, tmp_path,
                                                  capsys):
         data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
         data["params"]["n"] = changes["n"]
-        data["schedule"] = {"constant": {"n_byz": changes.get("n_byz", 0)}}
+        data["schedule"] = {changes.get("kind", "constant"): {"n_byz": changes.get("n_byz", 0)}}
         assert run_or_check(command, data, tmp_path) == 2
         err = capsys.readouterr().err
         assert err.endswith(message + "\n") and err.count("\n") == 1
@@ -612,8 +615,9 @@ class TestCmdCampaign:
         [
             (["--n", "5", "--n-byz", "4"], "infeasible: no schedule satisfying"),
             (["--n", "3", "--strategies", "prop1"], "error: ValueError: the suppression"),
+            (["--n", "0"], "error: ScheduleError: need at least 1 process, got n = 0"),
         ],
-        ids=["infeasible", "error"],
+        ids=["infeasible", "error", "no-process"],
     )
     def test_no_completed_run_exits_2(self, argv, reason, capsys):
         assert main(["campaign", "--seeds", "2", *argv]) == 2

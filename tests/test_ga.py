@@ -282,6 +282,14 @@ class TestRunInstance:
                 byzantine={9},
             )
 
+    def test_byzantine_vote_from_an_input_sender_rejected(self):
+        with pytest.raises(ForgeryError, match="from 0, which has an input log"):
+            run_instance(round=3, inputs={0: A}, byz_msgs=[vote(0, B, round=3)], byzantine={0})
+
+    def test_byzantine_vote_for_another_round_rejected(self):
+        with pytest.raises(ForgeryError, match="claims round 2 during round 3"):
+            run_instance(round=3, inputs={0: A}, byz_msgs=[vote(9, B, round=2)], byzantine={9})
+
     def test_own_vote_always_delivered(self):
         # the filter drops every sent vote and picks one that was never sent
         forged = vote(5, AX, round=3)

@@ -89,8 +89,8 @@ def test_proposal_equivocation_resolved_by_smallest_log():
     tag = vrf_eval(9, 5, 2)
     small = Log((Value(1, 5, 2),))
     large = Log((Value(8, 5, 2),))
-    pa = ProposeMsg(sender=5, view=2, log=large, vrf=tag)
-    pb = ProposeMsg(sender=5, view=2, log=small, vrf=tag)
+    pa = ProposeMsg(sender=5, view=2, log=large, ticket=tag)
+    pb = ProposeMsg(sender=5, view=2, log=small, ticket=tag)
     for ordering in ([pa, pb], [pb, pa]):
         _, vote = step_round1(state, 2, GaOutput(), ordering)
         assert vote.log == small

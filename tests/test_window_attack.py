@@ -55,7 +55,7 @@ def reference_prop1() -> AdversaryStrategy:
                         sender=b,
                         view=next_view,
                         log=target,
-                        vrf=vrf_eval(world.seed, b, next_view),
+                        ticket=vrf_eval(world.seed, b, next_view),
                     )
                 )
         return out
@@ -149,7 +149,7 @@ def honest_messages(sched: Schedule, seed: int, r: int) -> list[Msg]:
         out.append(VoteMsg(sender=h, round=r, log=log))
         if r % 2 == 0:
             view = clock.view + 1
-            out.append(ProposeMsg(sender=h, view=view, log=log, vrf=vrf_eval(seed, h, view)))
+            out.append(ProposeMsg(sender=h, view=view, log=log, ticket=vrf_eval(seed, h, view)))
     return out
 
 

@@ -61,7 +61,7 @@ class TestTraceIndex:
         log = Log((GENESIS, fresh))
 
         def propose(sender, view):
-            return ProposeMsg(sender=sender, view=view, log=log, vrf=vrf_eval(0, sender, view))
+            return ProposeMsg(sender=sender, view=view, log=log, ticket=vrf_eval(0, sender, view))
 
         events = (
             SendEvent(0, propose(2, 1)),  # Byzantine: introduces nothing
@@ -210,6 +210,44 @@ class TestForgery:
         )
         with pytest.raises(ForgeryError):
             run(sched, evil, seed=1)
+
+    @staticmethod
+    def proposer(ticket):
+        """A strategy whose Byzantine process 3 proposes, in round 0, a log
+        of its own for view 1 with the ticket ``ticket(seed)``."""
+        log = Log((GENESIS, Value(99, 3, 1)))
+
+        def messages(world, r):
+            if r != 0:
+                return []
+            return [ProposeMsg(sender=3, view=1, log=log, ticket=ticket(world.seed))]
+
+        return AdversaryStrategy("proposer", messages, lambda world, r, q, cand: cand)
+
+    @pytest.mark.parametrize(
+        "ticket",
+        [
+            lambda seed: vrf_eval(seed, 3, 1) ^ 1,
+            lambda seed: vrf_eval(seed, 0, 1),
+            lambda seed: vrf_eval(seed, 3, 2),
+        ],
+        ids=["flipped", "other-sender", "other-view"],
+    )
+    def test_strategy_forging_a_ticket_aborts(self, ticket):
+        sched = constant_schedule(n=4, horizon=4, n_byz=1, params=params())
+        with pytest.raises(ForgeryError, match="proposal from 3 has a forged ticket for view 1"):
+            run(sched, self.proposer(ticket), seed=1)
+
+    def test_strategy_ticket_is_admitted_and_ranked(self):
+        # a seed under which the Byzantine ticket is the highest of view 1
+        seed = next(s for s in range(1, 100)
+                    if max(range(4), key=lambda p: vrf_eval(s, p, 1)) == 3)
+        sched = constant_schedule(n=4, horizon=4, n_byz=1, params=params())
+        strategy = self.proposer(lambda seed: vrf_eval(seed, 3, 1))
+        trace = run(sched, strategy, seed=seed)
+        [byz_proposal] = [e.msg for e in trace.propose_sends() if e.msg.sender == 3]
+        votes = [e.msg.log for e in trace.vote_sends() if e.round == 1]
+        assert votes == [byz_proposal.log] * 3
 
 
 class TestScheduleValidation:
