@@ -27,7 +27,7 @@ from .ga import (
     tally,
 )
 from .model_checks import ModelParams, beta_tilde, check_all
-from .tob import ExpirationWindow, ProcessState, ViewClock, latest_unexpired
+from .tob import ProcessState, ViewClock, latest_unexpired
 from .world import (
     AdversaryStrategy,
     Schedule,

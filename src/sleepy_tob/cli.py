@@ -85,7 +85,7 @@ def decimal_str(x: Fraction, places: int = 12) -> str:
 
 
 SCENARIO_KEYS = {"name", "params", "schedule", "adversary", "oracles"}
-PARAM_KEYS = {"n", "horizon", "tau", "eta", "pi", "gamma", "beta", "r_a", "seed", "beta_tilde"}
+PARAM_KEYS = {"n", "horizon", "tau", "eta", "pi", "gamma", "beta", "r_a", "seed"}
 SCHEDULE_KEYS = {"constant": {"n_byz"}, "explicit": {"awake_honest", "byzantine"},
                  "generate": {"n_byz"}}
 ORACLE_KEYS = {"liveness_window"}
@@ -163,7 +163,6 @@ class Scenario:
     schedule_spec: dict
     adversary: str = "none"
     oracles: dict = field(default_factory=dict)
-    beta_tilde_override: Fraction | None = None
     _params: ModelParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -179,7 +178,6 @@ class Scenario:
             pi=self.pi,
             gamma=self.gamma,
             beta=self.beta,
-            beta_tilde=self.beta_tilde_override,
         )
         object.__setattr__(self, "_params", params)
 
@@ -213,30 +211,22 @@ class Scenario:
             schedule_spec=data.get("schedule", {"constant": {}}),
             adversary=_object(spec, "adversary", {"name"}).get("name", "none"),
             oracles=data.get("oracles", {}),
-            beta_tilde_override=(
-                None
-                if p.get("beta_tilde") is None
-                else parse_ratio(p["beta_tilde"])
-            ),
         )
 
     def to_dict(self) -> dict:
-        params: dict[str, Any] = {
-            "n": self.n,
-            "horizon": self.horizon,
-            "tau": self.tau,
-            "eta": self.eta,
-            "pi": self.pi,
-            "gamma": ratio_str(self.gamma),
-            "beta": ratio_str(self.beta),
-            "r_a": self.r_a,
-            "seed": self.seed,
-        }
-        if self.beta_tilde_override is not None:
-            params["beta_tilde"] = ratio_str(self.beta_tilde_override)
         return {
             "name": self.name,
-            "params": params,
+            "params": {
+                "n": self.n,
+                "horizon": self.horizon,
+                "tau": self.tau,
+                "eta": self.eta,
+                "pi": self.pi,
+                "gamma": ratio_str(self.gamma),
+                "beta": ratio_str(self.beta),
+                "r_a": self.r_a,
+                "seed": self.seed,
+            },
             "schedule": self.schedule_spec,
             "adversary": {"name": self.adversary},
             "oracles": self.oracles,
@@ -248,9 +238,6 @@ class Scenario:
 
     def model_params(self) -> ModelParams:
         return self._params
-
-    def with_seed(self, seed: int) -> "Scenario":
-        return replace(self, seed=seed)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -538,7 +525,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if seed is not None:
-            scenario = scenario.with_seed(seed)
+            scenario = replace(scenario, seed=seed)
         trace, report = run_scenario(scenario)
     except SCENARIO_ERRORS as exc:
         print(scenario_error(exc), file=sys.stderr)

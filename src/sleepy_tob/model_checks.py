@@ -26,7 +26,7 @@ comparison is on ``Fraction``s or integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -63,8 +63,8 @@ class ModelParams:
 
     ``tau`` (churn window) and ``pi`` (asynchrony window length) belong to
     the model; ``eta`` (vote expiration, ``None`` = never) belongs to the
-    protocol.  ``beta`` is the base failure ratio; ``beta_tilde`` defaults
-    to the derived reduced ratio and may be overridden.
+    protocol.  ``beta`` is the base failure ratio; ``beta_tilde`` is always
+    the reduced ratio derived from ``beta`` and ``gamma``, never set.
     """
 
     tau: int
@@ -72,7 +72,7 @@ class ModelParams:
     pi: int
     gamma: Fraction
     beta: Fraction
-    beta_tilde: Fraction | None = None
+    beta_tilde: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", Fraction(self.gamma))
@@ -84,10 +84,8 @@ class ModelParams:
             raise ValueError(
                 f"gamma must be < beta (gamma={self.gamma}, beta={self.beta})"
             )
-        derived = beta_tilde(self.beta, self.gamma)  # rejects a negative gamma
-        if self.beta_tilde is not None:
-            derived = _unit_ratio("beta_tilde", self.beta_tilde)
-        object.__setattr__(self, "beta_tilde", derived)
+        # rejects a negative gamma
+        object.__setattr__(self, "beta_tilde", beta_tilde(self.beta, self.gamma))
 
     def async_resilience_gaps(self) -> list[str]:
         """Reasons (empty if none) why the asynchrony-resilience guarantee

@@ -408,7 +408,7 @@ def first_full_view_after(last_async_round: int) -> int:
 
 
 def check_healing(
-    trace: Trace, last_async_round: int, *, liveness_window: int = 8
+    trace: Trace, last_async_round: int, *, liveness_window: int
 ) -> OracleReport:
     """Safety and liveness both hold after the first view that is entirely
     past the window (recovery-after-asynchrony, one-view healing lag)."""

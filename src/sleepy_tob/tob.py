@@ -13,13 +13,15 @@ Every later view v >= 1 spans rounds 2v-1 and 2v:
   longest output at any grade, with a fresh value.
 
 Votes feeding an instance are the *latest unexpired* messages: for each
-sender, the single newest vote sent within the expiration window, with a
-sender whose newest votes disagree contributing nothing.  A window of zero
-rounds reproduces the plain current-round-only protocol.
+sender, the single newest vote sent in the last ``eta`` rounds, with a
+sender whose newest votes disagree contributing nothing.  ``eta = 0``
+reproduces the plain current-round-only protocol; ``eta`` is read from the
+run's parameters and not stored here.
 
 Proposals are ranked by their lottery tickets as given: ``World`` admits a
-strategy's proposal only with its genuine ticket, and well-behaved
-processes draw theirs with the run's seed, so no receiver checks one again.
+strategy's proposal only with its genuine ticket, and the step functions
+draw a well-behaved process's ticket with the seed they are passed, which
+``World`` sets to its own, so no receiver checks one again.
 """
 
 from __future__ import annotations
@@ -65,24 +67,6 @@ class ViewClock:
             return Phase.VIEW0
         return Phase.ROUND1 if self.round % 2 == 1 else Phase.ROUND2
 
-    @staticmethod
-    def proposal_round(view: int) -> int:
-        """Round in which proposals for ``view`` are multicast."""
-        return 2 * (view - 1)
-
-
-@dataclass(frozen=True, slots=True)
-class ExpirationWindow:
-    """Number of past rounds whose latest votes still count; ``None`` never
-    expires anything."""
-
-    eta: int | None
-
-    def start(self, r: int) -> int:
-        if self.eta is None:
-            return 0
-        return max(0, r - self.eta)
-
 
 @dataclass
 class ProcessState:
@@ -93,7 +77,6 @@ class ProcessState:
     """
 
     pid: ProcessId
-    vrf_seed: int
     candidate: Log = EMPTY_LOG  # longest any-grade output seen at the last round-1 step
     # votes_seen[sender] is (round, vote) for the sender's newest vote, the
     # vote None if it equivocated in that round (see ga.keep_latest).  World
@@ -114,12 +97,13 @@ class ProcessState:
 def latest_unexpired(
     votes_seen: dict[ProcessId, tuple[int, VoteMsg | None]],
     r: int,
-    window: ExpirationWindow,
+    eta: int | None,
 ) -> tuple[InitialVoteSet, frozenset[VoteMsg]]:
     """Split a vote store into (older latest votes, current-round votes) for
     the instance at round ``r``.
 
-    Each sender's newest vote counts if it was sent inside the window; a
+    Each sender's newest vote counts if it was sent in rounds
+    [r - eta, r] (any round, with ``eta`` ``None``); a
     sender whose newest round equivocated is dropped, with no fallback to an
     older vote.  This relies on the store holding no round above ``r`` at
     the round-``r`` receive phase, which ``World`` ensures by rejecting
@@ -127,7 +111,7 @@ def latest_unexpired(
     ``ga.merge_latest``, which gives current-round votes precedence over
     the carried-over set.
     """
-    lo = window.start(r)
+    lo = 0 if eta is None else max(0, r - eta)
     initial: list[VoteMsg] = []
     current: list[VoteMsg] = []
     for rnd, msg in votes_seen.values():
@@ -136,14 +120,15 @@ def latest_unexpired(
     return InitialVoteSet(frozenset(initial)), frozenset(current)
 
 
-def step_view0(state: ProcessState) -> list[ProposeMsg]:
-    """Round 0: propose the genesis log with a lottery ticket for view 1."""
+def step_view0(state: ProcessState, seed: int) -> list[ProposeMsg]:
+    """Round 0: propose the genesis log with the run ``seed``'s lottery
+    ticket for view 1."""
     return [
         ProposeMsg(
             sender=state.pid,
             view=1,
             log=Log((GENESIS,)),
-            ticket=vrf_eval(state.vrf_seed, state.pid, 1),
+            ticket=vrf_eval(seed, state.pid, 1),
         )
     ]
 
@@ -184,9 +169,10 @@ def step_round1(
 
 
 def step_round2(
-    state: ProcessState, view: int, outputs: GaOutput
+    state: ProcessState, view: int, outputs: GaOutput, seed: int
 ) -> tuple[VoteMsg, ProposeMsg]:
-    """Round 2v: vote the longest grade-1 output and propose for view v+1.
+    """Round 2v: vote the longest grade-1 output and propose for view v+1,
+    with the run ``seed``'s lottery ticket.
 
     An empty tally (possible only for a process that woke mid-view and was
     shown nothing) falls back to the stale candidate for both the vote and
@@ -203,7 +189,7 @@ def step_round2(
         sender=state.pid,
         view=view + 1,
         log=head.extended(fresh),
-        ticket=vrf_eval(state.vrf_seed, state.pid, view + 1),
+        ticket=vrf_eval(seed, state.pid, view + 1),
     )
     return (
         VoteMsg(sender=state.pid, round=2 * view, log=vote_log),

@@ -24,11 +24,14 @@ view of its own.
 The adversary's messages are checked once, where they enter the run: a
 message whose sender is not Byzantine in its round, a vote that does not
 carry the current round, or a proposal whose lottery ticket is not
-``vrf_eval(seed, sender, view)`` raises ``ForgeryError``.  Well-behaved
-processes draw their tickets with the run's seed, and delivery never hands
-over a message that was not queued, so every proposal a process holds
-carries a genuine ticket and no receiver verifies one.
+``vrf_eval(seed, sender, view)`` raises ``ForgeryError``.  ``World`` hands
+the same seed to the step functions that draw the well-behaved processes'
+tickets, and delivery never hands over a message that was not queued, so
+every proposal a process holds carries a genuine ticket and no receiver
+verifies one.
 
+Every run setting has one source: the seed is ``World.seed``, and the vote
+expiry window and every model bound are read from ``schedule.params``.
 Runs are deterministic functions of (schedule, strategy, seed) and record
 a full trace: sends, deliveries, decisions, and one agreement record per
 round for the oracles.
@@ -62,7 +65,6 @@ from .ga import (
 )
 from .model_checks import ModelParams, _union, churn_ok, ratio_ok
 from .tob import (
-    ExpirationWindow,
     Phase,
     ProcessState,
     ViewClock,
@@ -166,14 +168,11 @@ def constant_schedule(
     params: ModelParams,
     *,
     r_a: int | None = None,
-    honest_awake: Iterable[ProcessId] | None = None,
 ) -> Schedule:
-    """Full-participation schedule: fixed honest awake set, fixed Byzantine
-    set (the top ids), single optional window."""
+    """Full-participation schedule: every well-behaved process awake, fixed
+    Byzantine set (the top ids), single optional window."""
     byz = frozenset(range(n - n_byz, n))
-    honest = (
-        frozenset(honest_awake) if honest_awake is not None else frozenset(range(n - n_byz))
-    )
+    honest = frozenset(range(n - n_byz))
     return Schedule(
         n=n,
         horizon=horizon,
@@ -220,7 +219,6 @@ class Trace:
 
     schedule: Schedule
     strategy_name: str
-    seed: int
     events: tuple[Event, ...]
 
     @property
@@ -309,9 +307,8 @@ class World:
         self.schedule = schedule
         self.strategy = strategy
         self.seed = seed
-        self.window = ExpirationWindow(schedule.params.eta)
         self.states: dict[ProcessId, ProcessState] = {
-            p: ProcessState(pid=p, vrf_seed=seed) for p in range(schedule.n)
+            p: ProcessState(pid=p) for p in range(schedule.n)
         }
         self.pending: dict[ProcessId, list[Msg]] = {p: [] for p in range(schedule.n)}
         # every vote sent so far, folded with ga.keep_latest
@@ -331,7 +328,7 @@ class World:
 
     def _receive(self, store: dict[ProcessId, tuple[int, VoteMsg | None]], r: int) -> ReceiverView:
         """The round-``r`` graded-agreement view of a receiver holding ``store``."""
-        initial, current = latest_unexpired(store, r, self.window)
+        initial, current = latest_unexpired(store, r, self.schedule.params.eta)
         merged = merge_latest(initial, current)
         return ReceiverView(initial, current, grade(merged), len(merged))
 
@@ -344,7 +341,7 @@ class World:
         for p in sorted(sched.honest(r)):
             state = self.states[p]
             if clock.phase is Phase.VIEW0:
-                for pm in step_view0(state):
+                for pm in step_view0(state, self.seed):
                     self._broadcast(pm, r)
                 continue
             # p is awake at r, so it received in round r - 1 and its
@@ -357,7 +354,7 @@ class World:
                     self.events.append(DecideEvent(round=r, pid=p, log=decided))
                 self._broadcast(vote, r)
             else:
-                vote, proposal = step_round2(state, clock.view, outputs)
+                vote, proposal = step_round2(state, clock.view, outputs, self.seed)
                 self._broadcast(vote, r)
                 self._broadcast(proposal, r)
             inputs[p] = vote.log
@@ -415,7 +412,6 @@ class World:
         return Trace(
             schedule=self.schedule,
             strategy_name=self.strategy.name,
-            seed=self.seed,
             events=tuple(self.events),
         )
 

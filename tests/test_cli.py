@@ -231,15 +231,19 @@ class TestCmdRun:
 
 class TestUnknownScenarioKeys:
     @pytest.mark.parametrize("command", ["run", "check"])
-    @pytest.mark.parametrize("where", ["params", "top"])
-    def test_unknown_key_exits_2_naming_it(self, command, where, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "where, key",
+        [("params", "gama"), ("top", "gama"), ("params", "beta_tilde")],
+        ids=["params", "top", "params-beta_tilde"],
+    )
+    def test_unknown_key_exits_2_naming_it(self, command, where, key, tmp_path, capsys):
         data = json.loads((SCENARIOS / "sync_faultfree.json").read_text())
-        (data["params"] if where == "params" else data)["gama"] = "1/2"
+        (data["params"] if where == "params" else data)[key] = "1/2"
         path = tmp_path / "typo.json"
         path.write_text(json.dumps(data))
         argv = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
         assert main(argv) == 2
-        assert "'gama'" in capsys.readouterr().err
+        assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
 
@@ -383,6 +387,25 @@ def test_readme_scenario_examples_load():
         assert f"`{key}`" in readme, key
 
 
+def test_readme_key_tables_list_exactly_the_loader_keys():
+    """The README's "Scenario files" table lists, for each object it names
+    below, exactly the keys the loader accepts."""
+    from sleepy_tob.cli import ORACLE_KEYS, PARAM_KEYS, SCENARIO_KEYS, SCHEDULE_KEYS
+
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Scenario files\n", 1)[1].split("\n### ", 1)[0]
+    rows = dict(re.findall(r"^\| (.+?) \| (.+) \|$", section, re.M))
+    want = {
+        "top level": SCENARIO_KEYS,
+        "`params`": PARAM_KEYS,
+        "`schedule`": set(SCHEDULE_KEYS),
+        "`oracles`": ORACLE_KEYS,
+        **{f"`{kind}`": keys for kind, keys in SCHEDULE_KEYS.items()},
+    }
+    listed = {obj: set(re.findall(r"`(\w+)`", rows.get(obj, ""))) for obj in want}
+    assert listed == want
+
+
 def test_import_leaves_decimal_precision_alone():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -475,19 +498,15 @@ class TestCmdCheck:
     def test_beta_tilde_outside_unit_interval_exits_2(self, command, override, tmp_path,
                                                       capsys):
         # out of (0, 1] it would put every run out of model (no gating) or
-        # any Byzantine share in model
+        # any Byzantine share in model; the ratio is derived from beta and
+        # gamma, so the key is refused whatever its value
         data = json.loads((SCENARIOS / "prop1_expiring.json").read_text())
         data["params"]["beta_tilde"] = override
         assert run_or_check(command, data, tmp_path) == 2
         assert capsys.readouterr().err == (
-            f"domain error: beta_tilde must be in (0, 1], got {override}\n"
+            "error: cannot load scenario: unknown params key 'beta_tilde'\n"
         )
         assert not (tmp_path / "out").exists()
-
-    def test_beta_tilde_in_unit_interval_is_accepted(self, tmp_path):
-        data = json.loads((SCENARIOS / "prop1_expiring.json").read_text())
-        data["params"]["beta_tilde"] = "1/5"
-        assert run_or_check("run", data, tmp_path) == 0
 
     def test_impossible_byzantine_count_fails_at_once(self, tmp_path, capsys, monkeypatch):
         # 7 of 8 Byzantine break the failure ratio 1/3 in every round, so no

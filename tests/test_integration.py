@@ -85,7 +85,7 @@ def test_infinite_expiration_faultfree():
 def test_proposal_equivocation_resolved_by_smallest_log():
     # one sender, one view, two different logs under the same lottery ticket:
     # the tie breaks to the lexicographically smaller log
-    state = ProcessState(pid=0, vrf_seed=9)
+    state = ProcessState(pid=0)
     tag = vrf_eval(9, 5, 2)
     small = Log((Value(1, 5, 2),))
     large = Log((Value(8, 5, 2),))

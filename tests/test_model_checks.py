@@ -64,14 +64,13 @@ def mk_schedule(awake, byz, params, horizon=None, r_a=None):
     )
 
 
-def params(tau=2, eta=2, pi=0, gamma="0", beta="1/3", beta_tilde_override=None):
+def params(tau=2, eta=2, pi=0, gamma="0", beta="1/3"):
     return ModelParams(
         tau=tau,
         eta=eta,
         pi=pi,
         gamma=Fraction(gamma),
         beta=Fraction(beta),
-        beta_tilde=beta_tilde_override,
     )
 
 
@@ -178,15 +177,10 @@ class TestModelParams:
         assert p.beta_tilde == Fraction(7, 25)
 
     def test_override_beta_tilde(self):
-        p = params(gamma="1/10", beta_tilde_override=Fraction(1, 5))
-        assert p.beta_tilde == Fraction(1, 5)
-
-    @pytest.mark.parametrize("override", ["-1", "0", "5"])
-    def test_override_outside_unit_interval_is_a_domain_error(self, override):
-        # as for beta: 0 or less fails every round, above 1 passes any share
-        message = rf"^beta_tilde must be in \(0, 1\], got {override}$"
-        with pytest.raises(ValueError, match=message):
-            params(beta_tilde_override=Fraction(override))
+        # the reduced ratio is derived from beta and gamma, never set
+        with pytest.raises(TypeError, match="beta_tilde"):
+            ModelParams(tau=2, eta=2, pi=0, gamma=Fraction(1, 10), beta=THIRD,
+                        beta_tilde=Fraction(1, 5))
 
     def test_async_gaps(self):
         assert params(tau=4, eta=4, pi=2).async_resilience_gaps() == []

@@ -333,12 +333,12 @@ class TestResilienceAndHealing:
         assert check_async_resilience(faultfree_trace(), 4, 0).verdict is Verdict.PASS
 
     def test_both_protocols_heal(self):
-        assert check_healing(prop1_trace(eta=0), 6).verdict is Verdict.PASS
-        assert check_healing(prop1_trace(eta=4), 6).verdict is Verdict.PASS
+        assert check_healing(prop1_trace(eta=0), 6, liveness_window=8).verdict is Verdict.PASS
+        assert check_healing(prop1_trace(eta=4), 6, liveness_window=8).verdict is Verdict.PASS
 
     def test_trace_ending_inside_window_inconclusive(self):
         trace = prop1_trace(eta=4, horizon=8)
-        assert check_healing(trace, 6).verdict is Verdict.INCONCLUSIVE
+        assert check_healing(trace, 6, liveness_window=8).verdict is Verdict.INCONCLUSIVE
 
 
 def test_trace_wellformed():
@@ -348,7 +348,7 @@ def test_trace_wellformed():
 class TestTraceWellformedFailures:
     def hand_trace(self, *events):
         sched = constant_schedule(n=3, horizon=4, n_byz=0, params=params())
-        return Trace(sched, "none", 0, events)
+        return Trace(sched, "none", events)
 
     def test_unsent_vote_in_a_batch_fails_with_witness(self):
         sent, unsent = VoteMsg(0, 1, A), VoteMsg(1, 1, B)

@@ -14,7 +14,6 @@ from sleepy_tob.core import (
 )
 from sleepy_tob.ga import GaOutput
 from sleepy_tob.tob import (
-    ExpirationWindow,
     Phase,
     ProcessState,
     ViewClock,
@@ -29,8 +28,11 @@ AX = Log((Value(1, 0, 1), Value(3, 1, 2)))
 B = Log((Value(2, 0, 1),))
 
 
-def state(pid=0, seed=11, **kw):
-    return ProcessState(pid=pid, vrf_seed=seed, **kw)
+SEED = 11
+
+
+def state(pid=0, **kw):
+    return ProcessState(pid=pid, **kw)
 
 
 class TestViewClock:
@@ -45,10 +47,6 @@ class TestViewClock:
         assert ViewClock(2 * view).view == view
         assert ViewClock(2 * view).phase is Phase.ROUND2
 
-    def test_proposal_round(self):
-        assert ViewClock.proposal_round(1) == 0
-        assert ViewClock.proposal_round(4) == 6
-
 
 def absorbed(*votes):
     """A process store holding ``votes``, absorbed in the given order."""
@@ -61,38 +59,38 @@ def absorbed(*votes):
 class TestLatestUnexpired:
     def test_newer_vote_wins(self):
         store = absorbed((1, 3, A), (1, 5, B))
-        initial, current = latest_unexpired(store, 5, ExpirationWindow(2))
+        initial, current = latest_unexpired(store, 5, 2)
         assert current == frozenset({VoteMsg(1, 5, B)})
         assert initial.messages == frozenset()
 
     def test_expired_vote_dropped(self):
         store = absorbed((1, 2, A))
-        initial, current = latest_unexpired(store, 5, ExpirationWindow(2))
+        initial, current = latest_unexpired(store, 5, 2)
         assert initial.messages == frozenset()
         assert current == frozenset()
 
     def test_vote_at_window_edge_kept(self):
         store = absorbed((1, 3, A))
-        initial, current = latest_unexpired(store, 5, ExpirationWindow(2))
+        initial, current = latest_unexpired(store, 5, 2)
         assert initial.messages == frozenset({VoteMsg(1, 3, A)})
         assert current == frozenset()
 
     def test_eta_zero_keeps_only_current_round(self):
         store = absorbed((1, 4, A), (2, 5, B))
-        initial, current = latest_unexpired(store, 5, ExpirationWindow(0))
+        initial, current = latest_unexpired(store, 5, 0)
         assert initial.messages == frozenset()
         assert current == frozenset({VoteMsg(2, 5, B)})
 
     def test_equivocation_at_latest_round_voids_sender(self):
         store = absorbed((1, 3, A), (1, 4, A), (1, 4, B))
-        initial, current = latest_unexpired(store, 5, ExpirationWindow(3))
+        initial, current = latest_unexpired(store, 5, 3)
         # the round-4 equivocation is this sender's latest message: dropped,
         # with no fallback to the older clean vote
         assert initial.messages == frozenset()
 
     def test_infinite_window(self):
         store = absorbed((1, 0, A))
-        initial, current = latest_unexpired(store, 9, ExpirationWindow(None))
+        initial, current = latest_unexpired(store, 9, None)
         assert initial.messages == frozenset({VoteMsg(1, 0, A)})
 
     def test_returns_the_stored_messages(self):
@@ -100,7 +98,7 @@ class TestLatestUnexpired:
         st_ = state(pid=9)
         st_.absorb(old)
         st_.absorb(new)
-        initial, current = latest_unexpired(st_.votes_seen, 5, ExpirationWindow(4))
+        initial, current = latest_unexpired(st_.votes_seen, 5, 4)
         assert [m is old for m in initial.messages] == [True]
         assert [m is new for m in current] == [True]
 
@@ -189,33 +187,32 @@ def receive_phases(draw):
 @given(phases=receive_phases(), eta=st.sampled_from([None, 0, 1, 2, 3, 4]))
 def test_latest_unexpired_matches_per_round_reference(phases, eta):
     st_ = state(pid=9)
-    window = ExpirationWindow(eta)
     arrivals = []
     for r, batch in enumerate(phases):
         for msg in batch:
             st_.absorb(msg)
         arrivals.extend(batch)
-        initial, current = latest_unexpired(st_.votes_seen, r, window)
+        initial, current = latest_unexpired(st_.votes_seen, r, eta)
         assert (initial.messages, current) == reference_latest_unexpired(arrivals, r, eta)
 
 
 class TestStepView0:
     def test_awake_process_proposes_genesis(self):
-        msgs = step_view0(state(pid=3))
+        msgs = step_view0(state(pid=3), SEED)
         assert len(msgs) == 1
         pm = msgs[0]
         assert pm.log == Log((GENESIS,))
         assert pm.view == 1
-        assert pm.ticket == vrf_eval(11, 3, 1)
+        assert pm.ticket == vrf_eval(SEED, 3, 1)
 
     def test_two_processes_same_log_different_scores(self):
-        a = step_view0(state(pid=0))[0]
-        b = step_view0(state(pid=1))[0]
+        a = step_view0(state(pid=0), SEED)[0]
+        b = step_view0(state(pid=1), SEED)[0]
         assert a.log == b.log
         assert a.ticket != b.ticket
 
 
-def proposal(sender, view, log, seed=11):
+def proposal(sender, view, log, seed=SEED):
     return ProposeMsg(sender=sender, view=view, log=log, ticket=vrf_eval(seed, sender, view))
 
 
@@ -245,6 +242,17 @@ class TestStepRound1:
         best = max(props, key=lambda p: (p.ticket, p.sender))
         assert vote.log == best.log == AX
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_equal_tickets_go_to_the_higher_sender(self, order):
+        # genuine tickets of two senders never tie, so the reference test
+        # below cannot reach this rule; the lower sender's log is the
+        # lexicographically smaller one, so only the sender rank picks AX
+        low = ProposeMsg(sender=1, view=2, log=A, ticket=7)
+        high = ProposeMsg(sender=2, view=2, log=AX, ticket=7)
+        assert A.lex_key < AX.lex_key
+        _, vote = step_round1(state(), 2, GaOutput(), [low, high][::order])
+        assert vote.log == AX
+
     def test_no_proposal_falls_back_to_candidate(self):
         st = state()
         st.candidate = AX
@@ -266,7 +274,7 @@ class TestStepRound2:
     def test_votes_longest_grade1_proposes_longest_any(self):
         st = state(pid=4)
         out = GaOutput({A: 1, AX: 0})
-        vote, pm = step_round2(st, 3, out)
+        vote, pm = step_round2(st, 3, out, SEED)
         assert vote.log == A
         assert pm.view == 4
         assert pm.log.values[:-1] == AX.values
@@ -274,23 +282,23 @@ class TestStepRound2:
 
     def test_genesis_case(self):
         st = state()
-        vote, pm = step_round2(st, 1, GaOutput({EMPTY_LOG: 1}))
+        vote, pm = step_round2(st, 1, GaOutput({EMPTY_LOG: 1}), SEED)
         assert vote.log == EMPTY_LOG
         assert len(pm.log) == 1
 
     def test_empty_output_falls_back_to_candidate(self):
         st = state()
         st.candidate = A
-        vote, pm = step_round2(st, 3, GaOutput())
+        vote, pm = step_round2(st, 3, GaOutput(), SEED)
         assert vote.log == A
         assert pm.log.values[:-1] == A.values
 
 
-def reference_step_round1(state, view, outputs, proposals):
+def reference_step_round1(state, view, outputs, proposals, seed):
     """``step_round1`` as it was when every receiver re-verified each
     proposal's ticket, kept verbatim except for field access: the ticket
-    is ``pm.ticket``, and the tag's sender and view were the message's own
-    ``pm.sender`` and ``pm.view``."""
+    is ``pm.ticket``, the tag's sender and view were the message's own
+    ``pm.sender`` and ``pm.view``, and the seed was held by the state."""
     longest = outputs.longest_any()
     if longest is not None:
         state.candidate = longest
@@ -301,7 +309,7 @@ def reference_step_round1(state, view, outputs, proposals):
             continue
         if pm.sender != pm.sender or pm.view != view:
             continue
-        if pm.ticket != vrf_eval(state.vrf_seed, pm.sender, pm.view):
+        if pm.ticket != vrf_eval(seed, pm.sender, pm.view):
             continue
         valid.append(pm)
 
@@ -350,9 +358,9 @@ def test_step_round1_matches_the_verifying_reference(seed, view, candidate, outp
         ProposeMsg(sender=s, view=view, log=log, ticket=vrf_eval(seed, s, view))
         for s, log in props
     ]
-    got_state = state(seed=seed, candidate=candidate)
-    ref_state = state(seed=seed, candidate=candidate)
+    got_state = state(candidate=candidate)
+    ref_state = state(candidate=candidate)
     got = step_round1(got_state, view, GaOutput(dict(outputs)), proposals)
-    want = reference_step_round1(ref_state, view, GaOutput(dict(outputs)), proposals)
+    want = reference_step_round1(ref_state, view, GaOutput(dict(outputs)), proposals, seed)
     assert got == want
     assert got_state.candidate == ref_state.candidate

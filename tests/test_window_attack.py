@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from sleepy_tob.core import GENESIS, Log, ProcessId, ProposeMsg, Value, VoteMsg, vrf_eval
 from sleepy_tob.model_checks import ModelParams
+from sleepy_tob.oracle import Verdict, check_async_resilience
 from sleepy_tob.tob import ViewClock
 from sleepy_tob.world import (
     AdversaryStrategy,
@@ -26,6 +27,7 @@ from sleepy_tob.world import (
     constant_schedule,
     generate_schedule,
     null_strategy,
+    run,
     strategy_prop1,
     strategy_split_decision,
 )
@@ -188,3 +190,25 @@ def test_preset_matches_hand_written_attack(preset, sched, seed, rng):
             assert family.delivery_filter(world, r, q, queue) == reference.delivery_filter(
                 world, r, q, queue
             ), (r, q)
+
+
+@pytest.mark.parametrize("eta", [2, 3, 4])
+def test_attacks_win_only_past_the_expiry_window(eta):
+    """With ``tau = eta`` and full participation, neither preset breaks
+    asynchrony resilience in a window of ``eta - 1`` or ``eta`` rounds, and
+    both break it in every run once the window lasts ``eta + 1`` rounds:
+    only then have the votes cast before the window all expired."""
+    r_a = 4
+    fails = {}
+    for pi in (eta - 1, eta, eta + 1):
+        params = ModelParams(tau=eta, eta=eta, pi=pi, gamma=Fraction(0), beta=Fraction(1, 3))
+        verdicts = [
+            check_async_resilience(
+                run(constant_schedule(10, r_a + pi + 10, n_byz, params, r_a=r_a), make(), seed),
+                r_a, pi,
+            ).verdict
+            for make, n_byz in ((strategy_prop1, 2), (strategy_split_decision, 3))
+            for seed in range(4)
+        ]
+        fails[pi] = verdicts.count(Verdict.FAIL)
+    assert fails == {eta - 1: 0, eta: 0, eta + 1: 8}

@@ -70,7 +70,7 @@ class TestTraceIndex:
             DecideEvent(2, 0, log),
             SendEvent(3, propose(1, 2)),
         )
-        trace = Trace(sched, "none", 0, events)
+        trace = Trace(sched, "none", events)
         assert trace.first_input_round(fresh) == 2
         assert trace.first_input_round(GENESIS) is None
         assert [e.round for e in trace.send_events()] == [0, 1, 2, 3]
@@ -282,8 +282,8 @@ class TestScheduleValidation:
         with pytest.raises(ScheduleError, match="no well-behaved process is awake"):
             constant_schedule(n=3, horizon=4, n_byz=3, params=params()).validate()
         with pytest.raises(ScheduleError, match="no well-behaved process is awake"):
-            constant_schedule(n=3, horizon=4, n_byz=0, params=params(),
-                              honest_awake=()).validate()
+            Schedule(n=3, horizon=4, awake_honest=(frozenset(),) * 5,
+                     byzantine=(frozenset(),) * 5, r_a=None, params=params()).validate()
 
 
 class TestStrategies:

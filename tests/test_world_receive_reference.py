@@ -4,8 +4,9 @@ replaced.
 ``PerReceiverWorld`` below keeps ``_broadcast`` and ``step_round`` verbatim
 as they were when every receiver absorbed every delivered message into its
 own store and ran ``latest_unexpired``, ``merge_latest`` and ``grade`` on
-it.  Both worlds must give equal runs: every event, and each process's
-final ``votes_seen``, ``proposals_seen``, ``candidate`` and pending output.
+it, except that the seed and ``eta`` are now passed as arguments.  Both
+worlds must give equal runs: every event, and each process's final
+``votes_seen``, ``proposals_seen``, ``candidate`` and pending output.
 Events are compared by value, so the vote sets of each ``GaRecord`` view
 compare as sets; their iteration order may differ after a window and is
 not compared.  Schedules are generated ones with windows, and hand-built
@@ -56,7 +57,7 @@ class PerReceiverWorld(World):
         for p in sorted(sched.honest(r)):
             state = self.states[p]
             if clock.phase is Phase.VIEW0:
-                for pm in step_view0(state):
+                for pm in step_view0(state, self.seed):
                     self._broadcast(pm, r)
                 continue
             # p is awake at r, so it received in round r - 1 and its
@@ -69,7 +70,7 @@ class PerReceiverWorld(World):
                     self.events.append(DecideEvent(round=r, pid=p, log=decided))
                 self._broadcast(vote, r)
             else:
-                vote, proposal = step_round2(state, clock.view, outputs)
+                vote, proposal = step_round2(state, clock.view, outputs, self.seed)
                 self._broadcast(vote, r)
                 self._broadcast(proposal, r)
             inputs[p] = vote.log
@@ -98,7 +99,7 @@ class PerReceiverWorld(World):
             self.events.append(DeliverEvent(round=r, receiver=q, msgs=tuple(kept)))
             for m in kept:
                 state.absorb(m)
-            initial, current = latest_unexpired(state.votes_seen, r, self.window)
+            initial, current = latest_unexpired(state.votes_seen, r, sched.params.eta)
             merged = merge_latest(initial, current)
             output = grade(merged)
             state.pending_output = output
