@@ -111,9 +111,27 @@ def tally(msgs: Iterable[VoteMsg]) -> dict[Log, int]:
 @dataclass(frozen=True)
 class GaOutput:
     """Graded logs emitted by one receiver: log -> grade, keeping only the
-    maximal grade per log."""
+    maximal grade per log.
+
+    The selections the protocol and the oracle read are made once, at
+    construction, since every receiver of a synchronous round shares one
+    output; they are not compared or shown, so an output is equal to and
+    shown as its ``grades``, which must not be changed after construction.
+    """
 
     grades: dict[Log, int] = field(default_factory=dict)
+    _grade1: tuple[Log, ...] = field(init=False, compare=False, repr=False)
+    _longest_grade1: Log | None = field(init=False, compare=False, repr=False)
+    _longest_any: Log | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        grade1 = tuple(log for log, g in self.grades.items() if g == 1)
+        top = max(map(len, self.grades), default=0)
+        tied = [log for log in self.grades if len(log) == top]
+        longest_any = min(tied, key=lambda log: log.lex_key, default=None)
+        object.__setattr__(self, "_grade1", grade1)
+        object.__setattr__(self, "_longest_grade1", max(grade1, key=len, default=None))
+        object.__setattr__(self, "_longest_any", longest_any)
 
     def __bool__(self) -> bool:
         return bool(self.grades)
@@ -122,21 +140,19 @@ class GaOutput:
         return self.grades.get(log)
 
     def grade1_logs(self) -> list[Log]:
-        return [log for log, g in self.grades.items() if g == 1]
+        return list(self._grade1)
 
     def longest_grade1(self) -> Log | None:
         """Longest grade-1 log.  Two conflicting grade-1 logs would need more
         than ``m`` votes, so grade-1 logs form a chain and the longest one is
         unique."""
-        return max(self.grade1_logs(), key=len, default=None)
+        return self._longest_grade1
 
     def longest_any(self) -> Log | None:
         """Longest output at any grade.  A grade-1 log and a conflicting log
         of any grade would also need more than ``m`` votes, so equal-length
         outputs are both grade 0; the smallest by value ids wins."""
-        top = max(map(len, self.grades), default=0)
-        tied = [log for log in self.grades if len(log) == top]
-        return min(tied, key=lambda log: log.lex_key, default=None)
+        return self._longest_any
 
 
 def grade(msgs: Iterable[VoteMsg]) -> GaOutput:

@@ -17,6 +17,11 @@ graded consistency, and the first maximal logs for uniqueness and bounded
 divergence.  Safety is decided by ``is_chain`` too, but its witness is
 still the first conflicting pair in scan order, since the golden reports
 of the attacked scenarios contain it.
+
+Receivers of one record that hold the same view object hold the same
+evidence and output, so the agreement properties are decided once per such
+group; in a synchronous ``World`` round every receiver shares one view.
+Witnesses still name the first receiver in record order.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .core import (
     longest_common_prefix,
     maximal,
 )
-from .ga import GaRecord
+from .ga import GaRecord, ReceiverView
 from .world import DeliverEvent, SendEvent, Trace
 
 
@@ -113,29 +118,40 @@ def naive_record_outputs(record: GaRecord, receiver: ProcessId) -> dict[Log, int
 # graded-agreement properties
 
 
-def _find_clique(record: GaRecord, lam: Log) -> frozenset[ProcessId]:
+def _by_view(record: GaRecord) -> list[tuple[ReceiverView, list[ProcessId]]]:
+    """The record's receivers grouped by the view object they hold, groups
+    in order of first appearance and members in record order.
+
+    Receivers holding one object hold the same evidence and output, so each
+    per-receiver test is decided once per group.  A scan of the receivers in
+    record order stops at the first failing one, which is the first member
+    of its group, so that member names the group in witnesses.
+    """
+    groups: dict[int, tuple[ReceiverView, list[ProcessId]]] = {}
+    for q, view in record.receivers.items():
+        groups.setdefault(id(view), (view, []))[1].append(q)
+    return list(groups.values())
+
+
+def _find_clique(
+    record: GaRecord, groups: list[tuple[ReceiverView, list[ProcessId]]], lam: Log
+) -> frozenset[ProcessId]:
     """Largest natural mutually-informed set for ``lam``: senders whose
     input extends it plus receivers whose initial sets cover every member
-    with a vote extending it (computed as a decreasing fixpoint)."""
-    receivers = set(record.receivers)
-    cover = {
-        q: {m.sender for m in record.receivers[q].initial.messages if is_prefix(lam, m.log)}
-        for q in receivers
-    }
-    members: set[ProcessId] = set()
-    for p, log in record.inputs.items():
-        if is_prefix(lam, log):
-            members.add(p)
-    for q in receivers:
-        if q in record.inputs and not is_prefix(lam, record.inputs[q]):
-            continue
-        if cover[q]:
-            members.add(q)
+    with a vote extending it (computed as a decreasing fixpoint).  The
+    receivers of one group share their cover."""
+    members = {p for p, log in record.inputs.items() if is_prefix(lam, log)}
+    covers: list[tuple[set[ProcessId], list[ProcessId]]] = []
+    for view, qs in groups:
+        cover = {m.sender for m in view.initial.messages if is_prefix(lam, m.log)}
+        covers.append((cover, qs))
+        if cover:  # a receiver whose input extends lam is a member already
+            members.update(q for q in qs if q not in record.inputs)
     while True:
-        bad = [q for q in members if q in receivers and not members <= cover[q]]
+        bad = [q for cover, qs in covers if not members <= cover for q in qs if q in members]
         if not bad:
             return frozenset(members)
-        members -= set(bad)
+        members.difference_update(bad)
 
 
 def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
@@ -148,15 +164,17 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
     synchronous and asynchronous rounds alike.
     """
     reports: dict[str, OracleReport] = {}
+    groups = _by_view(record)
     # everyone who can influence a tally, and the distinct carried-over logs
     pool = set(record.inputs) | record.byzantine
     initial_logs: set[Log] = set()
-    for view in record.receivers.values():
+    for view, _ in groups:
         for m in view.initial.messages:
             pool.add(m.sender)
             initial_logs.add(m.log)
     applicable = record.synchronous and 3 * len(record.inputs) > 2 * len(pool)
-    outputs = {q: view.output for q, view in record.receivers.items()}
+    # each group's output, under its first receiver
+    outputs = [(qs[0], view.output) for view, qs in groups]
 
     def judge(name: str, witness: dict | None, detail: str = "") -> None:
         verdict = Verdict.FAIL if witness else Verdict.PASS
@@ -178,11 +196,11 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
     else:
         # each grade-1 log with the first receiver grading it 1
         holder: dict[Log, ProcessId] = {}
-        for q, out in outputs.items():
+        for q, out in outputs:
             for lam in out.grade1_logs():
                 holder.setdefault(lam, q)
         fail = None
-        for q, out in outputs.items():
+        for q, out in outputs:
             if not out.grades.keys() >= holder.keys():
                 lam = next(lam for lam in holder if lam not in out.grades)
                 fail = {"receiver": holder[lam], "log": repr(lam), "missing_at": q}
@@ -192,7 +210,7 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
         input_prefixes = {p for log in set(record.inputs.values()) for p in log.prefixes()}
         fail = next(
             ({"receiver": i, "log": repr(lam)}
-             for i, out_i in outputs.items() for lam in out_i.grades
+             for i, out_i in outputs for lam in out_i.grades
              if lam not in input_prefixes),
             None,
         )
@@ -202,7 +220,7 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
             lcp = longest_common_prefix(record.inputs.values())
             fail = next(
                 ({"receiver": i, "log": repr(lcp)}
-                 for i, out_i in outputs.items() if out_i.grade_of(lcp) != 1),
+                 for i, out_i in outputs if out_i.grade_of(lcp) != 1),
                 None,
             )
             judge("validity", fail)
@@ -219,7 +237,7 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
         judge("uniqueness", fail)
 
         fail = None
-        for i, out_i in outputs.items():
+        for i, out_i in outputs:
             tops = maximal(out_i.grades)
             if len(tops) >= 3:
                 fail = {"receiver": i, "logs": [repr(lam) for lam in tops[:3]]}
@@ -230,16 +248,17 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
     # with an initial vote extending the base, so only prefixes of carried-over
     # logs can qualify as the common base
     candidates = {p for log in initial_logs for p in log.prefixes()}
+    receivers = set(record.receivers)
     applicable_cliques = 0
     fail = None
     for lam in sorted(candidates, key=lambda l: (len(l), l.lex_key)):
-        clique = _find_clique(record, lam)
-        clique_receivers = clique & set(record.receivers)
+        clique = _find_clique(record, groups, lam)
+        clique_receivers = clique & receivers
         if not clique_receivers or not 3 * len(clique) > 2 * len(pool):
             continue
         applicable_cliques += 1
         for q in sorted(clique_receivers):
-            if outputs[q].grade_of(lam) != 1:
+            if record.receivers[q].output.grade_of(lam) != 1:
                 fail = {"receiver": q, "log": repr(lam), "clique_size": len(clique)}
                 break
         if fail:

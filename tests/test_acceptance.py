@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from helpers import random_bounded_schedule
-from sleepy_tob.cli import decimal_str, load_scenario, main, run_scenario, trace_lines
-from sleepy_tob.core import Log, Value, VoteMsg, conflicts, is_prefix
+from sleepy_tob.cli import decimal_str, load_scenario, run_scenario, trace_lines
+from sleepy_tob.core import Log, Value, VoteMsg, conflicts
 from sleepy_tob.ga import InitialVoteSet, run_instance
 from sleepy_tob.model_checks import (
     ModelParams,
@@ -26,7 +26,6 @@ from sleepy_tob.oracle import (
     check_async_resilience,
     check_ga_properties,
     check_healing,
-    check_safety_after,
     naive_record_outputs,
 )
 from sleepy_tob.world import (

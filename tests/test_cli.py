@@ -13,7 +13,6 @@ from sleepy_tob import model_checks
 from sleepy_tob.cli import (
     Scenario,
     build_schedule,
-    decimal_str,
     load_scenario,
     main,
     parse_ratio,

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepy_tob.core import EMPTY_LOG, Log, Value, VoteMsg, compatible, conflicts, is_prefix
+from sleepy_tob.core import EMPTY_LOG, Log, Value, VoteMsg, compatible, conflicts
 from sleepy_tob.ga import (
     ForgeryError,
+    GaOutput,
     InitialVoteSet,
     grade,
     merge_latest,
@@ -198,7 +199,7 @@ def test_grade1_logs_form_a_chain(msgs):
 def full_tie_break_longest_grade1(out):
     """Longest grade-1 log, ties broken by value ids."""
     best = None
-    for log in out.grade1_logs():
+    for log in (log for log, g in out.grades.items() if g == 1):
         if best is None or (len(log), log.lex_key) > (len(best), best.lex_key):
             best = log
     return best
@@ -217,9 +218,31 @@ def full_tie_break_longest_any(out):
 @settings(max_examples=300)
 @given(vote_sets())
 def test_longest_outputs_need_no_grade_tie_break(msgs):
+    # the selections are made at construction; the references read grades
     out = grade(msgs)
+    assert out.grade1_logs() == [log for log, g in out.grades.items() if g == 1]
     assert out.longest_grade1() == full_tie_break_longest_grade1(out)
     assert out.longest_any() == full_tie_break_longest_any(out)
+
+
+class TestGaOutput:
+    def test_equality_and_repr_follow_grades_alone(self):
+        grades = {EMPTY_LOG: 1, A: 1, AX: 0, B: 0}
+        out = GaOutput(grades)
+        assert out == GaOutput(dict(grades))
+        assert out != GaOutput({EMPTY_LOG: 1, A: 1, AX: 0})
+        assert repr(out) == f"GaOutput(grades={grades!r})"
+
+    def test_empty_output_selects_nothing(self):
+        out = GaOutput()
+        assert out.grade1_logs() == []
+        assert out.longest_grade1() is None
+        assert out.longest_any() is None
+
+    def test_grade1_logs_is_a_fresh_list(self):
+        out = GaOutput({EMPTY_LOG: 1, A: 1})
+        out.grade1_logs().clear()
+        assert out.grade1_logs() == [EMPTY_LOG, A]
 
 
 @given(vote_sets())

@@ -9,7 +9,10 @@ read from ``view.initial.messages`` (``_initial_senders``), since
 the same reports, verdicts, details and witnesses alike.  The records come
 from ``ga.run_instance`` (synchronous and filtered delivery, initial sets
 holding round-``r`` voters, Byzantine equivocation, empty inputs, receivers
-that sent nothing) and from ``World`` runs of both window attacks.
+that sent nothing), from those records with receivers made to share view
+objects or to hold equal copies, which the oracle judges once per shared
+object, and from ``World`` runs of both window attacks, whose synchronous
+rounds give every receiver one view.
 """
 
 import random
@@ -272,6 +275,55 @@ def test_run_instance_records_match_reference(record):
     same_reports(record)
 
 
+@st.composite
+def shared_view_records(draw) -> GaRecord:
+    """An ``instances`` record in which each receiver keeps its own view,
+    takes the very view object of one of the first two receivers, or takes
+    an equal but distinct copy of it.  Those two views may first lose one
+    sender's initial vote, so that a shared cover can miss a clique member;
+    edited (failing) views are shared like any other."""
+    record = draw(instances())
+    own = dict(record.receivers)
+    for q in list(own)[:2]:
+        drop = draw(st.sampled_from([None, *sorted({m.sender for m in own[q].initial.messages})]))
+        kept = frozenset(m for m in own[q].initial.messages if m.sender != drop)
+        own[q] = replace(own[q], initial=InitialVoteSet(kept))
+    views = {}
+    for q in own:
+        other = own[draw(st.sampled_from(list(own)[:2]))]
+        how = draw(st.sampled_from(["own", "share", "share", "copy"]))
+        views[q] = own[q] if how == "own" else other if how == "share" else replace(other)
+    return replace(record, receivers=views)
+
+
+@settings(max_examples=600, deadline=None)
+@given(shared_view_records())
+def test_shared_view_records_match_reference(record):
+    same_reports(record)
+
+
+def test_shared_failing_views_match_reference_and_name_the_first_receiver():
+    """Receivers 0-3 share one view that grades only the three conflicting
+    tips, 4-7 hold an equal copy of it, and 8-9 the view ``run_instance``
+    gave.  Four properties fail, and each witness names the first failing
+    receiver in record order."""
+    inputs = {p: Log((VALUES[0],)) for p in range(8)}
+    record = run_instance(ROUND, inputs, receivers=range(10))
+    good = record.receivers[8]
+    bad = replace(good, output=GaOutput({tip: 0 for tip in (Log((v,)) for v in VALUES)}))
+    copy = replace(bad)
+    views = {q: bad if q < 4 else copy if q < 8 else good for q in range(10)}
+    record = replace(record, receivers={q: views[q] for q in (8, 2, 0, 5, 1, 3, 4, 6, 7, 9)})
+    same_reports(record)
+    reports = oracle.check_ga_properties(record)
+    failed = {name for name, rep in reports.items() if rep.verdict is Verdict.FAIL}
+    assert failed == {"graded_consistency", "integrity", "validity", "bounded_divergence"}
+    assert reports["graded_consistency"].witness["missing_at"] == 2
+    assert reports["integrity"].witness["receiver"] == 2
+    assert reports["validity"].witness["receiver"] == 2
+    assert reports["bounded_divergence"].witness["receiver"] == 2
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     preset=st.sampled_from(["prop1", "split_decision"]),
@@ -295,4 +347,8 @@ def test_world_records_match_reference(preset, n, n_byz, tau, eta, window, seed)
     records = run(schedule, STRATEGIES[preset](), seed).ga_records()
     assert records
     for record in records.values():
+        if record.synchronous:
+            # the oracle's shared-view path: one view object for every receiver
+            assert len({id(view) for view in record.receivers.values()}) <= 1
         same_reports(record)
+    assert any(r.synchronous and len(r.receivers) > 1 for r in records.values())

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sleepy_tob.model_checks import (
     ModelParams,
     beta_tilde,
-    check_all,
     check_async_conditions,
     check_churn,
     check_failure_ratio,
