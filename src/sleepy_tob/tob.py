@@ -6,11 +6,17 @@ Every later view v >= 1 spans rounds 2v-1 and 2v:
 * round 2v-1: take the outputs of the previous round's agreement
   instance, decide the longest grade-1 log (it extends every other
   grade-1 output), set the candidate to the longest output at any grade,
-  then vote for the log of the highest-ticket proposal that does not
-  conflict with the candidate;
+  then vote for the log of the highest-ticket proposal that extends the
+  candidate (a strict prefix of it does not qualify);
 * round 2v: vote for the longest grade-1 output of the current view's
   first instance, and multicast a proposal extending the chain head, the
   longest output at any grade, with a fresh value.
+
+Round 0 is no agreement instance, since no well-behaved process votes in
+it, so a process reaches round 1 with an empty output: the view-1 step
+decides nothing and keeps the empty candidate.  Votes sent in round 0 (by
+Byzantine processes only) stay in the store and count in later instances
+within the expiry window, like any older vote.
 
 Votes feeding an instance are the *latest unexpired* messages: for each
 sender, the single newest vote sent in the last ``eta`` rounds, with a
@@ -84,7 +90,12 @@ class ProcessState:
     # round; a shared store is never changed in place, as World copies it
     # before absorbing votes into it
     votes_seen: dict[ProcessId, tuple[int, VoteMsg | None]] = field(default_factory=dict)
-    proposals_seen: dict[int, set[ProposeMsg]] = field(default_factory=dict)
+    # proposals_seen[view] holds the proposals for that view; World may set
+    # it to a snapshot of frozensets shared by every receiver of a
+    # synchronous round, and copies it before absorbing proposals into it
+    proposals_seen: dict[int, set[ProposeMsg] | frozenset[ProposeMsg]] = field(
+        default_factory=dict
+    )
     pending_output: GaOutput = field(default_factory=GaOutput)  # read by the next step
 
     def absorb(self, msg: VoteMsg | ProposeMsg) -> None:
@@ -133,30 +144,15 @@ def step_view0(state: ProcessState, seed: int) -> list[ProposeMsg]:
     ]
 
 
-def step_round1(
-    state: ProcessState,
-    view: int,
-    outputs: GaOutput,
-    proposals: Iterable[ProposeMsg],
-) -> tuple[Log | None, VoteMsg]:
-    """Round 2v-1: decide, refresh the candidate, and vote a proposal.
-
-    ``proposals`` are the proposals for ``view`` this process holds.
-    Returns the decided log (the longest grade-1 output, or ``None``) and
-    the vote this process multicasts: the log of the highest-ticket
-    proposal compatible with the candidate, ties broken by the higher
-    sender and then the lexicographically smaller log.  With no
-    candidate-compatible proposal at hand the process falls back to voting
-    its own candidate, which keeps its vote extending anything it has
-    decided.
-    """
-    longest = outputs.longest_any()
-    if longest is not None:
-        state.candidate = longest
-
+def round1_vote_log(proposals: Iterable[ProposeMsg], candidate: Log) -> Log:
+    """The log a round-1 step votes: that of the highest-ticket proposal
+    extending ``candidate``, ties broken by the higher sender and then the
+    lexicographically smaller log, or ``candidate`` itself when no proposal
+    extends it.  A pure function of its arguments, so processes holding the
+    same proposals and candidate may share one result."""
     best: ProposeMsg | None = None
     for pm in proposals:
-        if not compatible(pm.log, state.candidate):
+        if not (len(pm.log) >= len(candidate) and compatible(pm.log, candidate)):
             continue
         if best is None:
             best = pm
@@ -164,7 +160,37 @@ def step_round1(
         key, best_key = (pm.ticket, pm.sender), (best.ticket, best.sender)
         if key > best_key or (key == best_key and pm.log.lex_key < best.log.lex_key):
             best = pm
-    vote_log = best.log if best is not None else state.candidate
+    return best.log if best is not None else candidate
+
+
+def step_round1(
+    state: ProcessState,
+    view: int,
+    outputs: GaOutput,
+    proposals: Iterable[ProposeMsg],
+    picks: dict[tuple[int, Log], Log],
+) -> tuple[Log | None, VoteMsg]:
+    """Round 2v-1: decide, refresh the candidate, and vote a proposal.
+
+    ``proposals`` are the proposals for ``view`` this process holds; they
+    may be shared with other processes and are not changed.  Returns the
+    decided log (the longest grade-1 output, or ``None``) and the vote this
+    process multicasts, whose log is ``round1_vote_log`` of the proposals
+    and the refreshed candidate.  Falling back to the candidate, and never
+    voting a strict prefix of it, keeps the vote extending anything this
+    process has decided.
+
+    ``picks`` memoises that log by (``id(proposals)``, candidate) for one
+    round; the caller keeps every proposal collection it passes alive while
+    the dict is in use, so an id names one collection.
+    """
+    longest = outputs.longest_any()
+    if longest is not None:
+        state.candidate = longest
+    key = (id(proposals), state.candidate)
+    vote_log = picks.get(key)
+    if vote_log is None:
+        vote_log = picks[key] = round1_vote_log(proposals, state.candidate)
     return outputs.longest_grade1(), VoteMsg(sender=state.pid, round=2 * view - 1, log=vote_log)
 
 

@@ -13,13 +13,16 @@ for sleeping processes stay queued until their first awake receive phase;
 none are queued for Byzantine processes, which never receive.
 
 A synchronous receive phase is computed once.  After it every receiver
-holds every vote sent so far, so ``World`` keeps one latest-vote store of
-all sends, copies it once per synchronous round, gives that snapshot to
-every receiver as its store and derives from it the one graded-agreement
-view they all share; each receiver still takes its own proposals.  In an
-asynchronous round each receiver copies its store (it may be a shared
-snapshot) before absorbing what the strategy let through, and computes a
-view of its own.
+holds every message sent so far, so ``World`` keeps one latest-vote store
+and one by-view proposal store of all sends, copies each once per
+synchronous round, gives those snapshots to every receiver as its stores
+and derives from the votes the one graded-agreement view they all share.
+The proposal snapshot holds only the views whose round-1 step is still to
+come, and the proposal store drops the others, since no process reads them
+again.  In an asynchronous round each receiver copies its stores (they may
+be shared snapshots) before absorbing what the strategy let through, and
+computes a view of its own.  Round 0 is no agreement instance (no
+well-behaved process votes in it), so its receivers get an empty view.
 
 The adversary's messages are checked once, where they enter the run: a
 message whose sender is not Byzantine in its round, a vote that does not
@@ -55,7 +58,9 @@ from .core import (
 )
 from .ga import (
     ForgeryError,
+    GaOutput,
     GaRecord,
+    InitialVoteSet,
     ReceiverView,
     check_adversary_message,
     delivered,
@@ -75,6 +80,9 @@ from .tob import (
 )
 
 Msg = VoteMsg | ProposeMsg
+
+_NO_PROPOSALS: frozenset[ProposeMsg] = frozenset()
+_NO_INSTANCE = ReceiverView(InitialVoteSet(), frozenset(), GaOutput(), 0)
 
 
 class ScheduleError(Exception):
@@ -313,6 +321,9 @@ class World:
         self.pending: dict[ProcessId, list[Msg]] = {p: [] for p in range(schedule.n)}
         # every vote sent so far, folded with ga.keep_latest
         self.votes: dict[ProcessId, tuple[int, VoteMsg | None]] = {}
+        # every proposal sent so far, by view, for the views whose round-1
+        # step has not passed by the last synchronous receive phase
+        self.proposals: dict[int, set[ProposeMsg]] = {}
         self.events: list[Event] = []
         if strategy.validate is not None:
             strategy.validate(self)
@@ -321,6 +332,8 @@ class World:
         self.events.append(SendEvent(round=r, msg=msg))
         if isinstance(msg, VoteMsg):
             keep_latest(self.votes, msg)
+        else:
+            self.proposals.setdefault(msg.view, set()).add(msg)
         byz = self.schedule.byz(r)  # never receivers again: Byzantine sets only grow
         for q in range(self.schedule.n):
             if q not in byz:
@@ -328,6 +341,8 @@ class World:
 
     def _receive(self, store: dict[ProcessId, tuple[int, VoteMsg | None]], r: int) -> ReceiverView:
         """The round-``r`` graded-agreement view of a receiver holding ``store``."""
+        if r == 0:
+            return _NO_INSTANCE
         initial, current = latest_unexpired(store, r, self.schedule.params.eta)
         merged = merge_latest(initial, current)
         return ReceiverView(initial, current, grade(merged), len(merged))
@@ -337,6 +352,9 @@ class World:
         sched = self.schedule
         clock = ViewClock(r)
         inputs: dict[ProcessId, Log] = {}
+        # round-1 vote logs by (id of a proposal collection, candidate); every
+        # collection is held by a process state throughout the send phase
+        picks: dict[tuple[int, Log], Log] = {}
 
         for p in sorted(sched.honest(r)):
             state = self.states[p]
@@ -348,8 +366,8 @@ class World:
             # pending output is that round's
             outputs = state.pending_output
             if clock.phase is Phase.ROUND1:
-                proposals = state.proposals_seen.pop(clock.view, set())
-                decided, vote = step_round1(state, clock.view, outputs, proposals)
+                proposals = state.proposals_seen.get(clock.view, _NO_PROPOSALS)
+                decided, vote = step_round1(state, clock.view, outputs, proposals, picks)
                 if decided is not None:
                     self.events.append(DecideEvent(round=r, pid=p, log=decided))
                 self._broadcast(vote, r)
@@ -371,9 +389,11 @@ class World:
 
         if synchronous := sched.sync(r):
             # every receiver takes its whole queue, which holds every send it
-            # has not yet received, so each ends up holding every vote sent:
-            # one store and one view serve them all
+            # has not yet received, so each ends up holding every message
+            # sent: one pair of stores and one view serve them all
             store = dict(self.votes)
+            self.proposals = {v: s for v, s in self.proposals.items() if 2 * v - 1 > r}
+            by_view = {v: frozenset(s) for v, s in self.proposals.items()}
             shared = self._receive(store, r)
         views: dict[ProcessId, ReceiverView] = {}
         for q in sorted(sched.honest(r + 1)):
@@ -382,14 +402,14 @@ class World:
             if synchronous:
                 kept, self.pending[q] = queued, []
                 state.votes_seen = store
-                for m in kept:
-                    if isinstance(m, ProposeMsg):
-                        state.absorb(m)
+                state.proposals_seen = by_view
                 view = shared
             else:
                 chosen = self.strategy.delivery_filter(self, r, q, tuple(queued))
                 kept, self.pending[q] = delivered(q, queued, chosen)
-                state.votes_seen = dict(state.votes_seen)  # it may be a shared snapshot
+                # either store may be a shared snapshot
+                state.votes_seen = dict(state.votes_seen)
+                state.proposals_seen = {v: set(s) for v, s in state.proposals_seen.items()}
                 for m in kept:
                     state.absorb(m)
                 view = self._receive(state.votes_seen, r)

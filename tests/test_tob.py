@@ -9,7 +9,7 @@ from sleepy_tob.core import (
     ProposeMsg,
     Value,
     VoteMsg,
-    compatible,
+    is_prefix,
     vrf_eval,
 )
 from sleepy_tob.ga import GaOutput
@@ -220,7 +220,7 @@ class TestStepRound1:
     def test_decides_grade1_and_sets_candidate(self):
         st = state()
         out = GaOutput({A: 1, EMPTY_LOG: 1})
-        decided, vote = step_round1(st, 2, out, [])
+        decided, vote = step_round1(st, 2, out, [], {})
         assert decided == A
         assert st.candidate == A
         assert vote.round == 3
@@ -232,13 +232,13 @@ class TestStepRound1:
         # regardless of score
         p_conflict = proposal(1, 2, B)
         p_extend = proposal(2, 2, AX)
-        _, vote = step_round1(st, 2, GaOutput({A: 1}), [p_conflict, p_extend])
+        _, vote = step_round1(st, 2, GaOutput({A: 1}), [p_conflict, p_extend], {})
         assert vote.log == AX
 
     def test_highest_valid_score_wins_among_compatible(self):
         st = state()
         props = [proposal(s, 2, AX) for s in range(5)]
-        _, vote = step_round1(st, 2, GaOutput({A: 1}), props)
+        _, vote = step_round1(st, 2, GaOutput({A: 1}), props, {})
         best = max(props, key=lambda p: (p.ticket, p.sender))
         assert vote.log == best.log == AX
 
@@ -250,23 +250,23 @@ class TestStepRound1:
         low = ProposeMsg(sender=1, view=2, log=A, ticket=7)
         high = ProposeMsg(sender=2, view=2, log=AX, ticket=7)
         assert A.lex_key < AX.lex_key
-        _, vote = step_round1(state(), 2, GaOutput(), [low, high][::order])
+        _, vote = step_round1(state(), 2, GaOutput(), [low, high][::order], {})
         assert vote.log == AX
 
     def test_no_proposal_falls_back_to_candidate(self):
         st = state()
         st.candidate = AX
-        _, vote = step_round1(st, 3, GaOutput(), [])
+        _, vote = step_round1(st, 3, GaOutput(), [], {})
         assert vote.log == AX
 
     def test_conflicting_decision_adopted(self):
         st = state()
         st.candidate = B
-        decided, _ = step_round1(st, 2, GaOutput({A: 1}), [])
+        decided, _ = step_round1(st, 2, GaOutput({A: 1}), [], {})
         assert decided == A
 
     def test_no_grade1_output_decides_nothing(self):
-        decided, _ = step_round1(state(), 2, GaOutput({A: 0}), [])
+        decided, _ = step_round1(state(), 2, GaOutput({A: 0}), [], {})
         assert decided is None
 
 
@@ -296,9 +296,11 @@ class TestStepRound2:
 
 def reference_step_round1(state, view, outputs, proposals, seed):
     """``step_round1`` as it was when every receiver re-verified each
-    proposal's ticket, kept verbatim except for field access: the ticket
+    proposal's ticket, kept verbatim except for field access (the ticket
     is ``pm.ticket``, the tag's sender and view were the message's own
-    ``pm.sender`` and ``pm.view``, and the seed was held by the state."""
+    ``pm.sender`` and ``pm.view``, and the seed was held by the state) and
+    for the round-1 rule: a proposal qualifies only if it extends the
+    candidate, where it once had only to be compatible with it."""
     longest = outputs.longest_any()
     if longest is not None:
         state.candidate = longest
@@ -315,7 +317,7 @@ def reference_step_round1(state, view, outputs, proposals, seed):
 
     best = None
     for pm in valid:
-        if not compatible(pm.log, state.candidate):
+        if not is_prefix(state.candidate, pm.log):
             continue
         if best is None:
             best = pm
@@ -360,7 +362,44 @@ def test_step_round1_matches_the_verifying_reference(seed, view, candidate, outp
     ]
     got_state = state(candidate=candidate)
     ref_state = state(candidate=candidate)
-    got = step_round1(got_state, view, GaOutput(dict(outputs)), proposals)
+    got = step_round1(got_state, view, GaOutput(dict(outputs)), proposals, {})
     want = reference_step_round1(ref_state, view, GaOutput(dict(outputs)), proposals, seed)
     assert got == want
     assert got_state.candidate == ref_state.candidate
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 3),
+    view=st.integers(1, 4),
+    collections=st.lists(
+        st.lists(st.tuples(st.integers(0, 3), tree_logs), max_size=6), min_size=1, max_size=3
+    ),
+    # per process: the collection it holds, its candidate and its outputs
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 2), tree_logs, st.dictionaries(tree_logs, st.integers(0, 1), max_size=2)
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_shared_picks_match_fresh_calls(seed, view, collections, steps):
+    # every collection stays referenced while picks is in use, as World's
+    # do for a round's send phase
+    held = [
+        frozenset(
+            ProposeMsg(sender=s, view=view, log=log, ticket=vrf_eval(seed, s, view))
+            for s, log in props
+        )
+        for props in collections
+    ]
+    picks = {}
+    for pid, (i, candidate, outputs) in enumerate(steps):
+        proposals = held[i % len(held)]
+        got_state = state(pid=pid, candidate=candidate)
+        fresh_state = state(pid=pid, candidate=candidate)
+        got = step_round1(got_state, view, GaOutput(dict(outputs)), proposals, picks)
+        want = step_round1(fresh_state, view, GaOutput(dict(outputs)), proposals, {})
+        assert got == want
+        assert got_state.candidate == fresh_state.candidate
