@@ -340,7 +340,8 @@ class World:
                 self.pending[q].append(msg)
 
     def _receive(self, store: dict[ProcessId, tuple[int, VoteMsg | None]], r: int) -> ReceiverView:
-        """The round-``r`` graded-agreement view of a receiver holding ``store``."""
+        """The round-``r`` graded-agreement view of a receiver holding ``store``;
+        empty in round 0, which is no instance."""
         if r == 0:
             return _NO_INSTANCE
         initial, current = latest_unexpired(store, r, self.schedule.params.eta)
