@@ -6,17 +6,26 @@ which processes are Byzantine, plus at most one asynchronous window
 of round r is a send phase (everyone awake at the beginning of r sends,
 Byzantine messages come from the adversary strategy) followed by a receive
 phase: every process awake at the end of r (equivalently, at the beginning
-of r+1) receives queued messages.  Under synchrony that is every message
+of r+1) receives from its queue.  Under synchrony that is every message
 not yet received; in an asynchronous round the strategy picks an arbitrary
-subset, except that a process's own messages always reach it.  Messages
-for sleeping processes stay queued until their first awake receive phase;
-none are queued for Byzantine processes, which never receive.
+subset, except that a process's own messages always reach it.
 
-A synchronous receive phase is computed once.  After it every receiver
-holds every message sent so far, so ``World`` keeps one latest-vote store
-and one by-view proposal store of all sends, copies each once per
-synchronous round, gives those snapshots to every receiver as its stores
-and derives from the votes the one graded-agreement view they all share.
+A send is stored once, not once per receiver.  ``World`` appends it to
+one send log, ``sent``; process q has a cursor, the index of the first
+send it has not received, and a held list, the messages an asynchronous
+receive phase held back from it, in send order.  Its queue is the held
+list followed by the log from its cursor, and every receive phase moves
+its cursor to the end of the log.  A sleeping process's cursor stays put
+until its first awake receive phase; a Byzantine process never receives
+again, so its cursor and held list are never read.
+
+A synchronous receive phase is computed once.  The receivers that hold
+nothing back and stand at one cursor share one tuple of the log's tail as
+their delivery.  After the phase every receiver holds every message sent
+so far, so ``World`` keeps one latest-vote store and one by-view proposal
+store of all sends, copies each once per synchronous round, gives those
+snapshots to every receiver as its stores and derives from the votes the
+one graded-agreement view they all share.
 The proposal snapshot holds only the views whose round-1 step is still to
 come, and the proposal store drops the others, since no process reads them
 again.  In an asynchronous round each receiver copies its stores (they may
@@ -200,7 +209,8 @@ class SendEvent:
 @dataclass(frozen=True)
 class DeliverEvent:
     """One receive phase of ``receiver``: the messages it took from its
-    queue, in delivery order (none, if the queue was empty or all held)."""
+    held list and the send log past its cursor, in send order (none, if
+    there were none or all were held back)."""
 
     round: int
     receiver: ProcessId
@@ -318,7 +328,13 @@ class World:
         self.states: dict[ProcessId, ProcessState] = {
             p: ProcessState(pid=p) for p in range(schedule.n)
         }
-        self.pending: dict[ProcessId, list[Msg]] = {p: [] for p in range(schedule.n)}
+        # every message sent so far, in send order; process q has received
+        # sent[:cursor[q]] except for held[q], which an asynchronous receive
+        # phase held back from it
+        self.sent: list[Msg] = []
+        self.cursor: list[int] = [0] * schedule.n
+        self.held: list[list[Msg]] = [[] for _ in range(schedule.n)]
+        self.round: int | None = None  # the last round stepped
         # every vote sent so far, folded with ga.keep_latest
         self.votes: dict[ProcessId, tuple[int, VoteMsg | None]] = {}
         # every proposal sent so far, by view, for the views whose round-1
@@ -334,10 +350,18 @@ class World:
             keep_latest(self.votes, msg)
         else:
             self.proposals.setdefault(msg.view, set()).add(msg)
-        byz = self.schedule.byz(r)  # never receivers again: Byzantine sets only grow
-        for q in range(self.schedule.n):
-            if q not in byz:
-                self.pending[q].append(msg)
+        self.sent.append(msg)
+
+    @property
+    def pending(self) -> dict[ProcessId, list[Msg]]:
+        """Each process's queue, in send order: what its next receive phase
+        chooses from.  Derived afresh on every read; empty for a process
+        Byzantine in the last round stepped, which never receives again."""
+        byz = self.schedule.byz(self.round) if self.round is not None else frozenset()
+        return {
+            q: [] if q in byz else self.held[q] + self.sent[self.cursor[q]:]
+            for q in range(self.schedule.n)
+        }
 
     def _receive(self, store: dict[ProcessId, tuple[int, VoteMsg | None]], r: int) -> ReceiverView:
         """The round-``r`` graded-agreement view of a receiver holding ``store``;
@@ -397,27 +421,40 @@ class World:
             by_view = {v: frozenset(s) for v, s in self.proposals.items()}
             shared = self._receive(store, r)
         views: dict[ProcessId, ReceiverView] = {}
+        # the log tail from each cursor, shared by the synchronous receivers
+        # that hold nothing back and stand at that cursor
+        tails: dict[int, tuple[Msg, ...]] = {}
+        sent, end = self.sent, len(self.sent)
         for q in sorted(sched.honest(r + 1)):
             state = self.states[q]
-            queued = self.pending[q]
+            start, held = self.cursor[q], self.held[q]
             if synchronous:
-                kept, self.pending[q] = queued, []
+                if held:
+                    kept = (*held, *sent[start:])
+                    self.held[q] = []
+                elif start in tails:
+                    kept = tails[start]
+                else:
+                    kept = tails[start] = tuple(sent[start:])
                 state.votes_seen = store
                 state.proposals_seen = by_view
                 view = shared
             else:
+                queued = held + sent[start:]
                 chosen = self.strategy.delivery_filter(self, r, q, tuple(queued))
-                kept, self.pending[q] = delivered(q, queued, chosen)
+                kept, self.held[q] = delivered(q, queued, chosen)
                 # either store may be a shared snapshot
                 state.votes_seen = dict(state.votes_seen)
                 state.proposals_seen = {v: set(s) for v, s in state.proposals_seen.items()}
                 for m in kept:
                     state.absorb(m)
                 view = self._receive(state.votes_seen, r)
+            self.cursor[q] = end
             self.events.append(DeliverEvent(round=r, receiver=q, msgs=tuple(kept)))
             state.pending_output = view.output
             views[q] = view
 
+        self.round = r
         if r >= 1:
             self.events.append(GaRecord(
                 round=r,

@@ -165,6 +165,72 @@ class TestDelivery:
         assert {q: deepest[q] for q in byz} == {8: 0, 9: 0}
         assert max(depth for q, depth in deepest.items() if q not in byz) == 21
 
+    def test_held_messages_precede_the_log_tail_on_waking(self):
+        # process 3 is shown nothing but its own messages in the window
+        # round 4, sleeps through the receive phases of rounds 5 and 6 and
+        # receives again at round 7: it takes what round 4 held back and
+        # then every later send, in send order, apart from the tail the
+        # others share; at round 8 it holds nothing back and shares it too
+        n, horizon = 4, 10
+        awake = [frozenset({0, 1, 2} if r in (6, 7) else range(n)) for r in range(horizon + 1)]
+        sched = Schedule(
+            n=n,
+            horizon=horizon,
+            awake_honest=tuple(awake),
+            byzantine=tuple([frozenset()] * (horizon + 1)),
+            r_a=3,
+            params=params(tau=4, eta=4, pi=1),
+        )
+        strategy = AdversaryStrategy(
+            name="hold_3",
+            messages=lambda world, r: [],
+            delivery_filter=lambda world, r, q, cand: [] if q == 3 else cand,
+        )
+        trace = run(sched, strategy, seed=2)
+        got = {
+            (e.round, e.receiver): e.msgs for e in trace.events if isinstance(e, DeliverEvent)
+        }
+        assert (5, 3) not in got and (6, 3) not in got
+        backlog = [
+            e.msg for e in trace.send_events()
+            if 4 <= e.round <= 7 and e.msg not in got[4, 3]
+        ]
+        assert any(m.sender != 3 for m in got[4, 0] if m not in got[4, 3])
+        assert got[7, 3] == tuple(backlog)
+        assert got[7, 0] is got[7, 1] is got[7, 2] is not got[7, 3]
+        assert got[8, 0] is got[8, 3]
+
+    def test_corrupted_process_gets_no_deliveries_and_no_queue(self):
+        horizon, corrupt_from = 8, 4
+        awake = [
+            frozenset(range(1, 5) if r >= corrupt_from else range(5)) for r in range(horizon + 1)
+        ]
+        byz = [frozenset({0} if r >= corrupt_from else ()) for r in range(horizon + 1)]
+        sched = Schedule(
+            n=5,
+            horizon=horizon,
+            awake_honest=tuple(awake),
+            byzantine=tuple(byz),
+            r_a=None,
+            params=params(),
+        )
+        world = World(sched, null_strategy(), seed=1)
+        for r in range(horizon):
+            world.step_round(r)
+            assert bool(world.pending[0]) == (r == corrupt_from - 1), r
+        to_0 = [e.round for e in world.events if isinstance(e, DeliverEvent) and e.receiver == 0]
+        # its last receive phase is the one before it falls asleep, at the
+        # end of round corrupt_from - 2
+        assert max(to_0) == corrupt_from - 2
+
+    def test_send_log_keeps_one_copy_of_each_send(self):
+        p = params(tau=4, eta=4, pi=1)
+        for sched in (sync_faultfree(), constant_schedule(n=5, horizon=10, n_byz=0, params=p, r_a=4)):
+            world = World(sched, null_strategy(), seed=2)
+            trace = world.run()
+            assert all(not held for held in world.held)
+            assert len(world.sent) == len(trace.send_events())
+
     def test_async_round_never_delivers_unsent_message(self):
         forged = VoteMsg(sender=4, round=5, log=Log((GENESIS,)))
         strategy = AdversaryStrategy(

@@ -4,8 +4,13 @@ replaced.
 ``PerReceiverWorld`` below keeps ``_broadcast`` and ``step_round`` verbatim
 as they were when every receiver absorbed every delivered message into its
 own store and ran ``latest_unexpired``, ``merge_latest`` and ``grade`` on
-it, except that the seed and ``eta`` are now passed as arguments.  Both
-worlds must give equal runs: every event, and each process's final
+it, except that the seed and ``eta`` are now passed as arguments and that
+it keeps its own per-receiver queues, ``queues``, since ``World.pending``
+is derived from the send log.  After every round, ``World.pending`` must
+equal those queues for every process not Byzantine in that round, and in
+a synchronous round the receivers that held nothing back and stood at one
+cursor must share one ``DeliverEvent.msgs`` tuple.  Both worlds must give
+equal runs: every event, and each process's final
 ``votes_seen``, ``candidate`` and pending output, and its final
 ``proposals_seen`` on the views it can still read, those whose round-1
 step lies at or past the horizon: ``World`` no longer takes a view out of
@@ -49,10 +54,14 @@ ETAS = [0, 1, 2, 4, None]
 
 
 class PerReceiverWorld(World):
+    def __init__(self, schedule: Schedule, strategy, seed: int):
+        super().__init__(schedule, strategy, seed)
+        self.queues: dict[ProcessId, list[Msg]] = {p: [] for p in range(schedule.n)}
+
     def _broadcast(self, msg: Msg, r: int) -> None:
         self.events.append(SendEvent(round=r, msg=msg))
         for q in range(self.schedule.n):
-            self.pending[q].append(msg)
+            self.queues[q].append(msg)
 
     def step_round(self, r: int) -> None:
         """Execute the send and receive phases of round ``r``."""
@@ -96,12 +105,12 @@ class PerReceiverWorld(World):
         views: dict[ProcessId, ReceiverView] = {}
         for q in sorted(sched.honest(r + 1)):
             state = self.states[q]
-            queued = self.pending[q]
+            queued = self.queues[q]
             if synchronous:
-                kept, self.pending[q] = queued, []
+                kept, self.queues[q] = queued, []
             else:
                 chosen = self.strategy.delivery_filter(self, r, q, tuple(queued))
-                kept, self.pending[q] = delivered(q, queued, chosen)
+                kept, self.queues[q] = delivered(q, queued, chosen)
             self.events.append(DeliverEvent(round=r, receiver=q, msgs=tuple(kept)))
             for m in kept:
                 state.absorb(m)
@@ -133,11 +142,28 @@ class PerReceiverWorld(World):
 def assert_same_run(schedule: Schedule, preset: str, seed: int) -> None:
     ref = PerReceiverWorld(schedule, STRATEGIES[preset](), seed)
     new = World(schedule, STRATEGIES[preset](), seed)
-    ref_trace, new_trace = ref.run(), new.run()
-    assert len(new_trace.events) == len(ref_trace.events)
-    for got, want in zip(new_trace.events, ref_trace.events):
-        assert got == want
     horizon = schedule.horizon
+    for r in range(horizon):
+        before = len(new.events)
+        cursor = list(new.cursor)
+        holding = {q for q in range(schedule.n) if new.held[q]}
+        ref.step_round(r)
+        new.step_round(r)
+        pending = new.pending
+        for q in range(schedule.n):
+            if q not in schedule.byz(r):
+                assert pending[q] == ref.queues[q], (r, q)
+        if schedule.sync(r):
+            # receivers that held nothing back and stood at one cursor share
+            # one tuple of messages
+            shared: dict[int, set[int]] = {}
+            for e in new.events[before:]:
+                if isinstance(e, DeliverEvent) and e.receiver not in holding:
+                    shared.setdefault(cursor[e.receiver], set()).add(id(e.msgs))
+            assert all(len(ids) == 1 for ids in shared.values()), r
+    assert len(new.events) == len(ref.events)
+    for got, want in zip(new.events, ref.events):
+        assert got == want
 
     def readable(store):
         return {v: props for v, props in store.items() if 2 * v - 1 >= horizon and props}
@@ -149,8 +175,8 @@ def assert_same_run(schedule: Schedule, preset: str, seed: int) -> None:
         assert got.candidate == want.candidate, p
         assert got.pending_output == want.pending_output, p
     assert len({id(new.states[q].proposals_seen) for q in schedule.honest(horizon)}) <= 1
-    for record in new_trace.ga_records().values():
-        if record.synchronous:
+    for record in new.events:
+        if isinstance(record, GaRecord) and record.synchronous:
             assert len({id(view) for view in record.receivers.values()}) <= 1
 
 
