@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -272,38 +272,35 @@ def build_schedule(scenario: Scenario) -> Schedule:
 # serialization
 
 
-def msg_to_json(msg: VoteMsg | ProposeMsg, log_id: Callable[[Log], int]) -> dict:
-    if isinstance(msg, VoteMsg):
-        return {"type": "vote", "sender": msg.sender, "round": msg.round, "log": log_id(msg.log)}
-    return {
-        "type": "propose",
-        "sender": msg.sender,
-        "view": msg.view,
-        "log": log_id(msg.log),
-        "vrf": {"value": msg.ticket, "sender": msg.sender, "view": msg.view},
-    }
+#: Encodes the header and ``ga_record`` lines; the other kinds are written
+#: from templates that lay their keys out as it does.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def record_to_json(record: GaRecord, log_id: Callable[[Log], int]) -> dict:
     """The receivers' claims: each one's participation ``m`` and its graded
-    output as ``[log id, grade]`` pairs sorted by id.  The rest of the record
-    is stated by other lines: the inputs are the round's vote sends from
+    output as ``[log id, grade]`` pairs sorted by id, built once per view
+    and shared by the receivers that hold it.  The rest of the record is
+    stated by other lines: the inputs are the round's vote sends from
     senders outside ``byzantine``, and a receiver's initial and received
     votes are its ``deliver`` lines folded by the latest-vote rule within
     the header's ``eta``."""
+    views = {id(view): view for view in record.receivers.values()}
+    claims = {
+        key: {"m": view.m,
+              "output": sorted([log_id(log), g] for log, g in view.output.grades.items())}
+        for key, view in views.items()
+    }
     return {
         "synchronous": record.synchronous,
         "byzantine": sorted(record.byzantine),
-        "receivers": {
-            str(q): {"m": view.m,
-                     "output": sorted([log_id(log), g] for log, g in view.output.grades.items())}
-            for q, view in record.receivers.items()
-        },
+        "receivers": {str(q): claims[id(view)] for q, view in record.receivers.items()},
     }
 
 
 def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
-    """JSON-lines rendition: a header then one object per line.
+    """JSON-lines rendition: a header then one object per line, each byte
+    for byte what ``json.dumps(obj, sort_keys=True)`` writes.
 
     Each distinct log is written once, as a ``log`` line whose payload is
     its ``id``, its ``parent`` id and its last ``value`` (both null for the
@@ -313,62 +310,82 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     ``id``, its index among the send lines; ``deliver`` lines name messages
     by that id (a message sent twice is named by its first id), and every
     other line names logs by log id.
+
+    The ``log``, ``send``, ``deliver`` and ``decide`` lines hold only
+    integers, nulls and fixed strings, so each is written from a fixed
+    per-kind template with its keys in sorted order; only the header and
+    ``ga_record`` lines go through the encoder.  Send ids are looked up by
+    message identity, falling back to equality for a delivered object that
+    was never sent as that object, and the id list of a delivery tuple that
+    several receivers share is formatted once.
     """
     log_ids: dict[Log, int] = {}
     send_ids: dict[VoteMsg | ProposeMsg, int] = {}
+    by_obj: dict[int, int] = {}  # id of each message object sent -> its send id
+    id_lists: dict[int, str] = {}  # id of each delivery tuple -> its send ids
     sends = 0
-    lines = [
-        json.dumps(
-            {
-                "kind": "header",
-                "scenario_hash": scenario.canonical_hash(),
-                "params": scenario.to_dict()["params"],
-                "strategy": trace.strategy_name,
-            },
-            sort_keys=True,
-        )
-    ]
-
-    def write(obj: dict, r: int) -> None:
-        lines.append(json.dumps({**obj, "round": r}, sort_keys=True))
+    lines = [_encode({"kind": "header", "scenario_hash": scenario.canonical_hash(),
+                      "params": scenario.to_dict()["params"], "strategy": trace.strategy_name})]
+    append = lines.append
 
     def introduce(logs: Iterable[Log], r: int) -> None:
         """Write a ``log`` line for each of ``logs`` and their prefixes that
         no earlier line named."""
-        fresh: set[Log] = set()
+        fresh: dict[Log, Log] = {}  # log -> its parent
         for log in logs:
             # the walk ends at the empty log at the latest: it is its own slice
             while log not in log_ids and log not in fresh:
-                fresh.add(log)
-                log = Log(log.values[:-1])
-        for log in sorted(fresh, key=lambda log: (len(log), log.lex_key)):
-            log_ids[log] = len(log_ids)
-            write({"kind": "log", "actor": None, "payload": {
-                "id": log_ids[log],
-                "parent": log_ids[Log(log.values[:-1])] if log else None,
-                "value": asdict(log.values[-1]) if log else None,
-            }}, r)
+                parent = fresh[log] = Log(log.values[:-1])
+                log = parent
+        if len(fresh) > 1:
+            fresh = {log: fresh[log] for log in sorted(fresh, key=lambda log: (len(log), log.lex_key))}
+        for log, parent in fresh.items():
+            i = log_ids[log] = len(log_ids)
+            if log:
+                v = log.values[-1]
+                append(f'{{"actor": null, "kind": "log", "payload": {{"id": {i}, '
+                       f'"parent": {log_ids[parent]}, "value": {{"id": {v.id}, '
+                       f'"proposer": {v.proposer}, "view": {v.view}}}}}, "round": {r}}}')
+            else:
+                append(f'{{"actor": null, "kind": "log", "payload": {{"id": {i}, '
+                       f'"parent": null, "value": null}}, "round": {r}}}')
 
     for e in trace.events:
-        if isinstance(e, SendEvent):
-            introduce((e.msg.log,), e.round)
-            send_ids.setdefault(e.msg, sends)
-            obj = {"kind": "send", "id": sends, "actor": e.msg.sender,
-                   "payload": {"msg": msg_to_json(e.msg, log_ids.__getitem__)}}
+        r = e.round
+        if isinstance(e, DeliverEvent):
+            ids = id_lists.get(id(e.msgs))
+            if ids is None:
+                ids = id_lists[id(e.msgs)] = ", ".join([
+                    str(by_obj[id(m)] if id(m) in by_obj else send_ids[m]) for m in e.msgs])
+            append(f'{{"actor": {e.receiver}, "kind": "deliver", '
+                   f'"payload": {{"msgs": [{ids}]}}, "round": {r}}}')
+        elif isinstance(e, SendEvent):
+            msg = e.msg
+            if msg.log not in log_ids:
+                introduce((msg.log,), r)
+            by_obj[id(msg)] = send_ids.setdefault(msg, sends)
+            if isinstance(msg, VoteMsg):
+                append(f'{{"actor": {msg.sender}, "id": {sends}, "kind": "send", '
+                       f'"payload": {{"msg": {{"log": {log_ids[msg.log]}, "round": {msg.round}, '
+                       f'"sender": {msg.sender}, "type": "vote"}}}}, "round": {r}}}')
+            else:
+                append(f'{{"actor": {msg.sender}, "id": {sends}, "kind": "send", '
+                       f'"payload": {{"msg": {{"log": {log_ids[msg.log]}, '
+                       f'"sender": {msg.sender}, "type": "propose", "view": {msg.view}, '
+                       f'"vrf": {{"sender": {msg.sender}, "value": {msg.ticket}, '
+                       f'"view": {msg.view}}}}}}}, "round": {r}}}')
             sends += 1
-        elif isinstance(e, DeliverEvent):
-            obj = {"kind": "deliver", "actor": e.receiver,
-                   "payload": {"msgs": [send_ids[m] for m in e.msgs]}}
         elif isinstance(e, DecideEvent):
-            introduce((e.log,), e.round)
-            obj = {"kind": "decide", "actor": e.pid, "payload": {"log": log_ids[e.log]}}
+            if e.log not in log_ids:
+                introduce((e.log,), r)
+            append(f'{{"actor": {e.pid}, "kind": "decide", '
+                   f'"payload": {{"log": {log_ids[e.log]}}}, "round": {r}}}')
         else:
             assert isinstance(e, GaRecord)
-            introduce((log for view in e.receivers.values()
-                       for log in view.output.grades), e.round)
-            obj = {"kind": "ga_record", "actor": None,
-                   "payload": record_to_json(e, log_ids.__getitem__)}
-        write(obj, e.round)
+            outputs = {id(view.output): view.output for view in e.receivers.values()}
+            introduce((log for output in outputs.values() for log in output.grades), r)
+            append(_encode({"kind": "ga_record", "actor": None, "round": r,
+                            "payload": record_to_json(e, log_ids.__getitem__)}))
     return lines
 
 

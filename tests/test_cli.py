@@ -48,7 +48,7 @@ def test_golden_outputs(name, tmp_path, monkeypatch):
     assert (code, trace, report) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", ["prop1_baseline", "split_decision_eta0"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_do_not_depend_on_hash_seed(name, tmp_path):
     outputs = []
     for hash_seed in ("0", "4242"):
@@ -64,6 +64,7 @@ def test_outputs_do_not_depend_on_hash_seed(name, tmp_path):
             env=env, capture_output=True, text=True,
         )
         assert proc.returncode == GOLDEN[name][0], proc.stderr
+        assert (sha16(out / "trace.jsonl"), sha16(out / "report.json")) == GOLDEN[name][1:]
         outputs.append(((out / "trace.jsonl").read_bytes(), (out / "report.json").read_bytes()))
     assert outputs[0] == outputs[1]
 
