@@ -1,14 +1,15 @@
 """The trace writer against the one it replaced.
 
 ``reference_trace_lines`` below, with ``reference_msg_to_json`` and
-``reference_record_to_json``, is ``cli.trace_lines`` verbatim as it was when
-every line was a dict encoded by ``json.dumps(sort_keys=True)``, send ids
-were looked up by message equality and every receiver's output was scanned
-for new logs.  Both writers must give equal lines on the six shipped
-scenarios, on ``World`` runs of random bounded schedules with and without a
-window, and on a hand-built trace that resends one message object, delivers
-an equal but distinct copy of it, decides the empty log and holds one record
-whose receivers share a view and one whose receivers do not.
+``reference_record_to_json``, is ``cli.trace_lines`` verbatim, docstrings
+left out, as it was when every line was a dict encoded by
+``json.dumps(sort_keys=True)``, send ids were looked up by message equality
+and every receiver's output was scanned for new logs.  Both writers must
+give equal lines on the six shipped scenarios, one default ``campaign``
+seed, ``World`` runs of random bounded schedules with and without a window,
+and a hand-built trace that resends one message object, delivers an equal
+but distinct copy of it, decides the empty log and holds one record whose
+receivers share a view and one whose receivers do not.
 
 Every line must also read back to itself through ``json``, which pins the
 templates to the encoder's spacing and key order where no golden hash
@@ -143,8 +144,8 @@ def assert_lines_read_back(lines: list[str]) -> None:
         assert json.dumps(json.loads(line), sort_keys=True) == line
 
 
-#: The header only reads the scenario's name, parameters and hash; traces
-#: that come from no scenario file borrow this one's.
+#: The header reads only the scenario's parameters and hash; traces that
+#: come from no scenario file borrow this one's.
 HEADER_SCENARIO = load_scenario(SCENARIOS / "sync_faultfree.json")
 
 
