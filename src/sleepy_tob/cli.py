@@ -331,11 +331,11 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     def introduce(logs: Iterable[Log], r: int) -> None:
         """Write a ``log`` line for each of ``logs`` and their prefixes that
         no earlier line named."""
-        fresh: dict[Log, Log] = {}  # log -> its parent
+        fresh: dict[Log, Log | None] = {}  # log -> its parent
         for log in logs:
-            # the walk ends at the empty log at the latest: it is its own slice
-            while log not in log_ids and log not in fresh:
-                parent = fresh[log] = Log(log.values[:-1])
+            # the walk ends at the empty log at the latest: it has no parent
+            while log is not None and log not in log_ids and log not in fresh:
+                parent = fresh[log] = log.parent
                 log = parent
         if len(fresh) > 1:
             fresh = {log: fresh[log] for log in sorted(fresh, key=lambda log: (len(log), log.lex_key))}
@@ -397,9 +397,14 @@ def decision_latencies(trace: Trace) -> dict[str, Any]:
     """Per decided value: rounds from its introduction to its first
     appearance in a decided log."""
     first_decided: dict[Value, int] = {}
+    seen: set[Log] = set()
     for e in trace.decide_events():
-        for v in e.log.values:
-            first_decided.setdefault(v, e.round)
+        # a log seen before had every value of its chain recorded then
+        log = e.log
+        while log and log not in seen:
+            seen.add(log)
+            first_decided.setdefault(log.values[-1], e.round)
+            log = log.parent
     latencies = []
     for v, decided_round in sorted(
         first_decided.items(), key=lambda item: (item[1], item[0].sort_key)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 ProcessId = int
 
@@ -44,7 +44,8 @@ GENESIS = Value(id=0, proposer=0, view=0)
 
 @dataclass(frozen=True, slots=True)
 class Log:
-    """Immutable sequence of values, equal by value.
+    """Immutable sequence of values, equal by value, and a node of the log
+    tree: its ``parent`` is the log without its last value.
 
     The hash is computed once, at construction: logs are dict keys in every
     tally and oracle, and rehashing the whole value tuple on each lookup
@@ -52,13 +53,21 @@ class Log:
     plain frozen dataclass over ``values`` computes, so the iteration order
     of sets holding logs, which some outputs follow, does not depend on the
     caching.
+
+    The parent link is neither compared nor shown.  ``extended`` sets it to
+    the receiver; a log built from a value tuple builds its parent on first
+    use and keeps it.  So a prefix walk follows links instead of slicing and
+    rehashing, and the logs of one chain share their prefixes.  No table
+    outside the logs themselves holds them.
     """
 
     values: tuple[Value, ...] = ()
     _hash: int = field(init=False, repr=False, compare=False)
+    _parent: "Log | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.values,)))
+        object.__setattr__(self, "_parent", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -69,13 +78,30 @@ class Log:
     def __bool__(self) -> bool:
         return bool(self.values)
 
-    def extended(self, value: Value) -> "Log":
-        return Log(self.values + (value,))
+    @property
+    def parent(self) -> "Log | None":
+        """This log without its last value; ``None`` for the empty log."""
+        parent = self._parent
+        if parent is None and self.values:
+            parent = Log(self.values[:-1])
+            object.__setattr__(self, "_parent", parent)
+        return parent
 
-    def prefixes(self) -> Iterator["Log"]:
-        """Every prefix of this log, from the empty log up to the log itself."""
-        for k in range(len(self.values) + 1):
-            yield Log(self.values[:k])
+    def extended(self, value: Value) -> "Log":
+        child = Log(self.values + (value,))
+        object.__setattr__(child, "_parent", self)
+        return child
+
+    def prefixes(self) -> list["Log"]:
+        """Every prefix of this log, from the empty log up to the log itself:
+        its ancestors in the log tree."""
+        chain = []
+        log: Log | None = self
+        while log is not None:
+            chain.append(log)
+            log = log.parent
+        chain.reverse()
+        return chain
 
     @property
     def lex_key(self) -> tuple[tuple[int, int, int], ...]:
@@ -92,7 +118,7 @@ EMPTY_LOG = Log()
 
 def is_prefix(a: Log, b: Log) -> bool:
     """True iff ``a`` is an initial segment of ``b`` (reflexive)."""
-    return len(a.values) <= len(b.values) and b.values[: len(a.values)] == a.values
+    return a is b or len(a.values) <= len(b.values) and b.values[: len(a.values)] == a.values
 
 
 def compatible(a: Log, b: Log) -> bool:
@@ -131,15 +157,16 @@ def maximal(logs: Iterable[Log]) -> list[Log]:
 
 def longest_common_prefix(logs: Iterable[Log]) -> Log:
     """Longest log that is a prefix of every input; the input set must be
-    nonempty."""
-    seqs = [log.values for log in logs]
-    if not seqs:
+    nonempty.  The shortest input walks down its parents until it is a
+    prefix of each distinct input."""
+    distinct = dict.fromkeys(logs)
+    if not distinct:
         raise ValueError("longest_common_prefix requires a nonempty set of logs")
-    shortest = min(seqs, key=len)
-    k = 0
-    while k < len(shortest) and all(s[k] == shortest[k] for s in seqs):
-        k += 1
-    return Log(shortest[:k])
+    lcp = min(distinct, key=len)
+    for log in distinct:
+        while not is_prefix(lcp, log):
+            lcp = lcp.parent
+    return lcp
 
 
 @dataclass(frozen=True, slots=True)

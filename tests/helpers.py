@@ -1,11 +1,28 @@
 """Shared builders for randomized schedules used by both the unit tests and
-the acceptance suite."""
+the acceptance suite, and slice-based references for the log-tree walks."""
 
 import random
 from fractions import Fraction
 
+from sleepy_tob.core import Log
 from sleepy_tob.model_checks import ModelParams, beta_tilde
 from sleepy_tob.world import Schedule
+
+
+def sliced_prefixes(log: Log) -> list[Log]:
+    """Every prefix of ``log``, shortest first, each built from a slice."""
+    return [Log(log.values[:k]) for k in range(len(log) + 1)]
+
+
+def sliced_common_prefix(logs) -> Log:
+    """The longest common prefix of a nonempty collection of logs, compared
+    value by value."""
+    seqs = [log.values for log in logs]
+    shortest = min(seqs, key=len)
+    k = 0
+    while k < len(shortest) and all(s[k] == shortest[k] for s in seqs):
+        k += 1
+    return Log(shortest[:k])
 
 
 def random_bounded_schedule(rng: random.Random) -> Schedule:

@@ -5,22 +5,26 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from helpers import sliced_prefixes
 from sleepy_tob import model_checks
 from sleepy_tob.cli import (
     Scenario,
     build_schedule,
+    decision_latencies,
     load_scenario,
     main,
     parse_ratio,
+    ratio_str,
     run_scenario,
     trace_lines,
 )
-from sleepy_tob.core import Log, ProposeMsg, Value, VoteMsg
-from sleepy_tob.world import DeliverEvent
+from sleepy_tob.core import Log, ProposeMsg, Value, VoteMsg, is_chain
+from sleepy_tob.world import DecideEvent, DeliverEvent
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -153,12 +157,62 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
         for view in record.receivers.values() for log in view.output.grades
     ]
     assert len(set(logs)) == len(logs)
-    assert set(logs) == {prefix for log in named for prefix in log.prefixes()}
+    assert set(logs) == {prefix for log in named for prefix in sliced_prefixes(log)}
+
+
+def per_value_decision_latencies(trace) -> tuple[int, Fraction | None]:
+    """Decided-value count and mean latency, with the first decision round
+    of each value taken value by value from every decided log."""
+    first_decided = {}
+    for e in trace.decide_events():
+        for v in e.log.values:
+            first_decided.setdefault(v, e.round)
+    latencies = [r - trace.first_input_round(v) for v, r in first_decided.items()
+                 if trace.first_input_round(v) is not None]
+    return len(latencies), Fraction(sum(latencies), len(latencies)) if latencies else None
+
+
+def campaign_traces(seeds: int = 8):
+    """Traces of ``sleepy-tob campaign`` runs with its default settings."""
+    base = Scenario(name="campaign", n=20, horizon=20, tau=4, eta=4, pi=2,
+                    gamma=Fraction(1, 10), beta=Fraction(1, 3), r_a=6, seed=0,
+                    schedule_spec={"generate": {"n_byz": 4}})
+    for seed in range(seeds):
+        adversary = ("prop1", "split_decision")[seed % 2]
+        yield run_scenario(replace(base, seed=seed, adversary=adversary))[0]
+
+
+def test_decision_latencies_match_the_per_value_scan():
+    traces = {name: run_scenario(load_scenario(SCENARIOS / f"{name}.json"))[0]
+              for name in sorted(GOLDEN)}
+    # these two decide conflicting logs, so a walk meets logs it has not seen
+    # below logs it has
+    for name in ("prop1_baseline", "split_decision_eta0"):
+        assert not is_chain(e.log for e in traces[name].decide_events())
+    for trace in [*traces.values(), *campaign_traces()]:
+        count, mean = per_value_decision_latencies(trace)
+        got = decision_latencies(trace)
+        assert got["decided_values"] == count
+        assert got["mean_decision_latency"] == (None if mean is None else ratio_str(mean))
+
+
+def test_decision_latencies_keep_the_first_decision_of_a_value_under_two_prefixes():
+    # a value decided under one prefix and later under another keeps its first
+    # round: the walk of the second log meets it in a log it has not seen
+    a, b, x = (Value(id=i, proposer=0, view=1) for i in (1, 2, 3))
+
+    class Decisions:
+        def decide_events(self):
+            return [DecideEvent(3, 0, Log((a, x))), DecideEvent(5, 0, Log((b, x)))]
+
+        def first_input_round(self, v):
+            return 1
+
+    assert per_value_decision_latencies(Decisions()) == (3, Fraction(8, 3))
+    assert decision_latencies(Decisions())["mean_decision_latency"] == "8/3"
 
 
 def test_parse_ratio_exact():
-    from fractions import Fraction
-
     assert parse_ratio("1/3") == Fraction(1, 3)
     assert parse_ratio("0.05") == Fraction(1, 20)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import sliced_common_prefix, sliced_prefixes
 from sleepy_tob.core import (
     EMPTY_LOG,
     Log,
@@ -127,6 +128,62 @@ def test_maximal_matches_brute_force_and_triple_scan(logs):
         for a, b, c in itertools.combinations(logs, 3)
     )
     assert (len(tops) >= 3) == triple
+
+
+@st.composite
+def tree_logs(draw):
+    """A log built one of three ways: by an ``extended`` chain from the empty
+    log, from a value tuple, or as a slice of a longer log's values."""
+    ids = draw(st.lists(st.integers(0, 2), max_size=6))
+    how = draw(st.sampled_from(["extended", "tuple", "slice"]))
+    if how == "extended":
+        log = EMPTY_LOG
+        for i in ids:
+            log = log.extended(V[i])
+        return log
+    if how == "tuple":
+        return mklog(*ids)
+    longer = mklog(*ids, *draw(st.lists(st.integers(0, 2), max_size=3)))
+    return Log(longer.values[: len(ids)])
+
+
+@given(tree_logs(), st.integers(0, 2))
+def test_log_tree_matches_slices(log, i):
+    values = log.values
+    chain = log.prefixes()
+    assert chain == sliced_prefixes(log)
+    assert chain[-1] is log
+    assert all(child.parent is parent for parent, child in zip(chain, chain[1:]))
+    if values:
+        assert log.parent == Log(values[:-1])
+    else:
+        assert log.parent is None and chain == [EMPTY_LOG]
+    child = log.extended(V[i])
+    assert child.parent is log and child == Log(values + (V[i],))
+    assert hash(log) == hash((values,))
+    # the link is neither compared nor shown
+    assert log == Log(values) and repr(log) == repr(Log(values))
+
+
+@given(st.lists(tree_logs(), min_size=1, max_size=6))
+def test_lcp_matches_value_by_value_scan(logs):
+    assert longest_common_prefix(logs) == sliced_common_prefix(logs)
+
+
+def test_lcp_matches_value_by_value_scan_on_edge_sets():
+    chain = EMPTY_LOG.extended(V[0]).extended(V[1])
+    cases = [
+        [mklog(0, 1), mklog(0, 1), mklog(0, 1)],  # duplicates
+        [chain, mklog(0, 1)],  # equal logs, one linked and one built from values
+        [mklog(2, 1, 0)],  # a single log
+        [mklog(0, 1, 2), mklog(0, 2, 1), mklog(0, 1)],  # conflicting logs
+        [mklog(1), mklog(2)],  # conflicting from the first value
+        [mklog(0, 1), EMPTY_LOG, mklog(0)],  # the empty log among them
+        [EMPTY_LOG],
+    ]
+    for logs in cases:
+        assert longest_common_prefix(logs) == sliced_common_prefix(logs)
+        assert longest_common_prefix(reversed(logs)) == sliced_common_prefix(logs)
 
 
 def test_lcp_examples():

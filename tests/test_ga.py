@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import sliced_prefixes
 from sleepy_tob.core import EMPTY_LOG, Log, Value, VoteMsg, compatible, conflicts
 from sleepy_tob.ga import (
     ForgeryError,
@@ -144,9 +145,10 @@ def vote_sets(draw):
 
 
 def per_message_tally(msgs):
+    # prefixes from slices, so the reference shares no log-tree walk with tally
     counts = {}
     for msg in msgs:
-        for p in msg.log.prefixes():
+        for p in sliced_prefixes(msg.log):
             counts[p] = counts.get(p, 0) + 1
     return counts
 

@@ -3,9 +3,12 @@
 ``check_ga_properties``, ``_quorum_holds`` and ``_find_clique`` below are
 kept verbatim as they were when the oracle built the tally pool twice,
 expanded clique candidates from every receiver's every initial vote and
-scanned every input for each output log.  The one edit: initial senders are
+scanned every input for each output log.  Two edits: initial senders are
 read from ``view.initial.messages`` (``_initial_senders``), since
-``GaRecord`` no longer carries them.  On every record both oracles must give
+``GaRecord`` no longer carries them; and prefixes and the longest common
+prefix are computed from slices of value tuples (``sliced_prefixes``,
+``sliced_common_prefix``), so the reference shares no log-tree walk with the
+oracle.  On every record both oracles must give
 the same reports, verdicts, details and witnesses alike.  The records come
 from ``ga.run_instance`` (synchronous and filtered delivery, initial sets
 holding round-``r`` voters, Byzantine equivocation, empty inputs, receivers
@@ -22,6 +25,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import sliced_common_prefix, sliced_prefixes
 from sleepy_tob import oracle
 from sleepy_tob.core import (
     Log,
@@ -29,7 +33,6 @@ from sleepy_tob.core import (
     Value,
     VoteMsg,
     is_prefix,
-    longest_common_prefix,
     maximal,
 )
 from sleepy_tob.ga import GaOutput, GaRecord, InitialVoteSet, run_instance
@@ -139,7 +142,7 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
         judge("integrity", fail)
 
         if record.inputs:
-            lcp = longest_common_prefix(record.inputs.values())
+            lcp = sliced_common_prefix(record.inputs.values())
             fail = next(
                 ({"receiver": i, "log": repr(lcp)}
                  for i, out_i in outputs.items() if out_i.grade_of(lcp) != 1),
@@ -169,10 +172,10 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
     # clique validity: try every observed log (and prefix) as the common base
     candidates: set[Log] = set()
     for log in record.inputs.values():
-        candidates.update(log.prefixes())
+        candidates.update(sliced_prefixes(log))
     for view in record.receivers.values():
         for m in view.initial.messages:
-            candidates.update(m.log.prefixes())
+            candidates.update(sliced_prefixes(m.log))
     pool_size = len(set(record.inputs) | set(record.byzantine) | set(_initial_senders(record)))
     applicable_cliques = 0
     fail = None
