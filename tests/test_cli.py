@@ -185,8 +185,8 @@ def campaign_traces(seeds: int = 8):
 def test_decision_latencies_match_the_per_value_scan():
     traces = {name: run_scenario(load_scenario(SCENARIOS / f"{name}.json"))[0]
               for name in sorted(GOLDEN)}
-    # these two decide conflicting logs, so a walk meets logs it has not seen
-    # below logs it has
+    # these two decide conflicting logs, so some walks pass logs no earlier
+    # decision held before they reach a common prefix that one did
     for name in ("prop1_baseline", "split_decision_eta0"):
         assert not is_chain(e.log for e in traces[name].decide_events())
     for trace in [*traces.values(), *campaign_traces()]:

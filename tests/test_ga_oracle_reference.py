@@ -8,8 +8,8 @@ read from ``view.initial.messages`` (``_initial_senders``), since
 ``GaRecord`` no longer carries them; and prefixes and the longest common
 prefix are computed from slices of value tuples (``sliced_prefixes``,
 ``sliced_common_prefix``), so the reference shares no log-tree walk with the
-oracle.  On every record both oracles must give
-the same reports, verdicts, details and witnesses alike.  The records come
+oracle.  On every record both oracles must give the same reports, verdicts,
+details and witnesses alike.  The records come
 from ``ga.run_instance`` (synchronous and filtered delivery, initial sets
 holding round-``r`` voters, Byzantine equivocation, empty inputs, receivers
 that sent nothing), from those records with receivers made to share view
