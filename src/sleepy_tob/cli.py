@@ -11,9 +11,10 @@ Scenario files are JSON with exact ratio strings ("1/3").  A trace is
 JSON-lines: a header carrying the scenario hash and parameters, then one
 object per line (kind, round, actor, payload) of five kinds, each fact
 written once: ``log`` (one distinct log, linked to its parent log),
-``send`` (one message, with a send id), ``deliver`` (one receive phase, by
-send id), ``decide`` (a log id) and ``ga_record`` (each receiver's
-participation and graded output).  Everything is deterministic given the
+``send`` (one message, with a send id: its index among the run's sends),
+``deliver`` (one receive phase, by the send ids its event holds),
+``decide`` (a log id) and ``ga_record`` (each receiver's participation and
+graded output).  Everything is deterministic given the
 scenario: the same file and seed produce byte-identical outputs.  The
 environment variable ``SLEEPY_TOB_SEED`` overrides the scenario seed.
 """
@@ -29,9 +30,9 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
-from .core import Log, ProposeMsg, Value, VoteMsg
+from .core import Log, Value, VoteMsg
 from .ga import GaRecord
 from .model_checks import ModelParams, beta_tilde, check_all
 from .oracle import (
@@ -308,21 +309,18 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     that line's round; ids follow first use, and the logs new to one line
     are numbered by length, then value ids.  Each ``send`` line carries an
     ``id``, its index among the send lines; ``deliver`` lines name messages
-    by that id (a message sent twice is named by its first id), and every
-    other line names logs by log id.
+    by that id, which is the index a ``DeliverEvent`` holds, and every other
+    line names logs by log id.
 
     The ``log``, ``send``, ``deliver`` and ``decide`` lines hold only
     integers, nulls and fixed strings, so each is written from a fixed
     per-kind template with its keys in sorted order; only the header and
-    ``ga_record`` lines go through the encoder.  Send ids are looked up by
-    message identity, falling back to equality for a delivered object that
-    was never sent as that object, and the id list of a delivery tuple that
-    several receivers share is formatted once.
+    ``ga_record`` lines go through the encoder.  Equal deliveries, such as
+    the ranges of the receivers of a synchronous round that stood at one
+    cursor, are formatted once.
     """
     log_ids: dict[Log, int] = {}
-    send_ids: dict[VoteMsg | ProposeMsg, int] = {}
-    by_obj: dict[int, int] = {}  # id of each message object sent -> its send id
-    id_lists: dict[int, str] = {}  # id of each delivery tuple -> its send ids
+    id_lists: dict[Sequence[int], str] = {}  # each distinct delivery -> its ids, formatted
     sends = 0
     lines = [_encode({"kind": "header", "scenario_hash": scenario.canonical_hash(),
                       "params": scenario.to_dict()["params"], "strategy": trace.strategy_name})]
@@ -353,17 +351,15 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     for e in trace.events:
         r = e.round
         if isinstance(e, DeliverEvent):
-            ids = id_lists.get(id(e.msgs))
+            ids = id_lists.get(e.ids)
             if ids is None:
-                ids = id_lists[id(e.msgs)] = ", ".join([
-                    str(by_obj[id(m)] if id(m) in by_obj else send_ids[m]) for m in e.msgs])
+                ids = id_lists[e.ids] = ", ".join(map(str, e.ids))
             append(f'{{"actor": {e.receiver}, "kind": "deliver", '
                    f'"payload": {{"msgs": [{ids}]}}, "round": {r}}}')
         elif isinstance(e, SendEvent):
             msg = e.msg
             if msg.log not in log_ids:
                 introduce((msg.log,), r)
-            by_obj[id(msg)] = send_ids.setdefault(msg, sends)
             if isinstance(msg, VoteMsg):
                 append(f'{{"actor": {msg.sender}, "id": {sends}, "kind": "send", '
                        f'"payload": {{"msg": {{"log": {log_ids[msg.log]}, "round": {msg.round}, '

@@ -189,18 +189,22 @@ class GaRecord:
     receivers: dict[ProcessId, ReceiverView]
 
 
-def delivered(q: ProcessId, queued: Sequence, chosen: Iterable) -> tuple[list, list]:
-    """Asynchronous delivery to receiver ``q``: split ``queued``, keeping
-    queue order, into the messages the adversary ``chosen`` or that ``q``
-    sent itself, and the rest, which stay held.
+def delivered(
+    q: ProcessId, sent: Sequence, queued: Iterable[int], chosen: Iterable
+) -> tuple[list[int], list[int]]:
+    """Asynchronous delivery to receiver ``q``: split ``queued``, indices
+    into ``sent``, keeping queue order, into those of the messages the
+    adversary ``chosen`` or that ``q`` sent itself, and the rest, which stay
+    held.
 
     Self-delivery is never suppressed, and a chosen message that was never
     queued (a forgery) is never delivered.
     """
     chosen = set(chosen)
     kept, held = [], []
-    for m in queued:
-        (kept if m in chosen or m.sender == q else held).append(m)
+    for i in queued:
+        m = sent[i]
+        (kept if m in chosen or m.sender == q else held).append(i)
     return kept, held
 
 
@@ -253,7 +257,8 @@ def run_instance(
         if delivery is None:
             got = sent
         else:
-            got, _ = delivered(q, sent, delivery(q, tuple(sent)))
+            kept, _ = delivered(q, sent, range(len(sent)), delivery(q, tuple(sent)))
+            got = [sent[i] for i in kept]
         merged = merge_latest(initial, got)
         views[q] = ReceiverView(
             initial=initial,

@@ -35,7 +35,6 @@ from .core import (
     EMPTY_LOG,
     Log,
     ProcessId,
-    Value,
     VoteMsg,
     compatible,
     conflicts,
@@ -349,7 +348,8 @@ def check_liveness_after(trace: Trace, r: int, window: int) -> OracleReport:
     """Every well-behaved process awake through [r, r+window] delivers, by
     round r+window, a log containing some value introduced at or after r.
 
-    Values are introduced as the fresh tip of a well-behaved proposal.
+    Values are introduced as the fresh tip of a well-behaved proposal, in
+    the round ``Trace.first_input_round`` gives.
     """
     sched = trace.schedule
     if r + window > sched.horizon:
@@ -368,10 +368,7 @@ def check_liveness_after(trace: Trace, r: int, window: int) -> OracleReport:
         return OracleReport(
             "liveness_after", Verdict.INCONCLUSIVE, detail="no continuously awake process"
         )
-    fresh: set[Value] = set()
-    for e in trace.propose_sends():
-        if e.round >= r and e.msg.sender in sched.honest(e.round) and e.msg.log.values:
-            fresh.add(e.msg.log.values[-1])
+    fresh = trace.inputs_since(r)
     if not fresh:
         return OracleReport(
             "liveness_after", Verdict.INCONCLUSIVE, detail="no value introduced after r"
@@ -453,18 +450,19 @@ def check_healing(
 
 
 def check_trace_wellformed(trace: Trace) -> OracleReport:
-    """Every delivered message was sent earlier in the trace."""
-    sent_msgs = set()
+    """Every delivered message was sent earlier in the trace: each id a
+    delivery names is the index of a send event before it."""
+    sends = 0
     for e in trace.events:
         if isinstance(e, SendEvent):
-            sent_msgs.add(e.msg)
+            sends += 1
         elif isinstance(e, DeliverEvent):
-            for m in e.msgs:
-                if m not in sent_msgs:
+            for i in e.ids:
+                if not 0 <= i < sends:
                     return OracleReport(
                         "trace_wellformed",
                         Verdict.FAIL,
                         detail="delivered message was never sent",
-                        witness={"round": e.round, "receiver": e.receiver, "msg": repr(m)},
+                        witness={"round": e.round, "receiver": e.receiver, "send": i},
                     )
     return OracleReport("trace_wellformed", Verdict.PASS)

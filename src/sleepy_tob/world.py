@@ -11,18 +11,19 @@ not yet received; in an asynchronous round the strategy picks an arbitrary
 subset, except that a process's own messages always reach it.
 
 A send is stored once, not once per receiver.  ``World`` appends it to
-one send log, ``sent``; process q has a cursor, the index of the first
-send it has not received, and a held list, the messages an asynchronous
-receive phase held back from it, in send order.  Its queue is the held
-list followed by the log from its cursor, and every receive phase moves
-its cursor to the end of the log.  A sleeping process's cursor stays put
-until its first awake receive phase; a Byzantine process never receives
-again, so its cursor and held list are never read.
+one send log, ``sent``, and a delivery names the sends it hands over by
+their indices in that log.  Process q has a cursor, the index of the first
+send it has not received, and a held list, the indices of the sends an
+asynchronous receive phase held back from it, in send order.  Its queue is
+the held list followed by the log from its cursor, and every receive phase
+moves its cursor to the end of the log.  A sleeping process's cursor stays
+put until its first awake receive phase; a Byzantine process never
+receives again, so its cursor and held list are never read.
 
-A synchronous receive phase is computed once.  The receivers that hold
-nothing back and stand at one cursor share one tuple of the log's tail as
-their delivery.  After the phase every receiver holds every message sent
-so far, so ``World`` keeps one latest-vote store and one by-view proposal
+A synchronous receive phase is computed once.  A receiver that holds
+nothing back is delivered the range of indices from its cursor to the end
+of the log.  After the phase every receiver holds every message sent so
+far, so ``World`` keeps one latest-vote store and one by-view proposal
 store of all sends, copies each once per synchronous round, gives those
 snapshots to every receiver as its stores and derives from the votes the
 one graded-agreement view they all share.
@@ -208,13 +209,15 @@ class SendEvent:
 
 @dataclass(frozen=True)
 class DeliverEvent:
-    """One receive phase of ``receiver``: the messages it took from its
-    held list and the send log past its cursor, in send order (none, if
-    there were none or all were held back)."""
+    """One receive phase of ``receiver``: the indices, among the run's
+    sends, of the messages it took from its held list and the send log past
+    its cursor, in send order (none, if there were none or all were held
+    back).  A synchronous receiver that held nothing back gets
+    ``range(cursor, end)``, any other receiver a tuple."""
 
     round: int
     receiver: ProcessId
-    msgs: tuple[Msg, ...]
+    ids: Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -293,6 +296,10 @@ class Trace:
         the fresh tip of a proposal from a well-behaved process."""
         return self._input_rounds.get(value)
 
+    def inputs_since(self, r: int) -> set[Value]:
+        """Values introduced in round ``r`` or later (``first_input_round``)."""
+        return {v for v, first in self._input_rounds.items() if first >= r}
+
 
 StrategyMessages = Callable[["World", int], Sequence[Msg]]
 StrategyFilter = Callable[["World", int, ProcessId, Sequence[Msg]], Iterable[Msg]]
@@ -329,11 +336,11 @@ class World:
             p: ProcessState(pid=p) for p in range(schedule.n)
         }
         # every message sent so far, in send order; process q has received
-        # sent[:cursor[q]] except for held[q], which an asynchronous receive
-        # phase held back from it
+        # sent[:cursor[q]] except for the indices held[q], which an
+        # asynchronous receive phase held back from it
         self.sent: list[Msg] = []
         self.cursor: list[int] = [0] * schedule.n
-        self.held: list[list[Msg]] = [[] for _ in range(schedule.n)]
+        self.held: list[list[int]] = [[] for _ in range(schedule.n)]
         self.round: int | None = None  # the last round stepped
         # every vote sent so far, folded with ga.keep_latest
         self.votes: dict[ProcessId, tuple[int, VoteMsg | None]] = {}
@@ -358,8 +365,9 @@ class World:
         chooses from.  Derived afresh on every read; empty for a process
         Byzantine in the last round stepped, which never receives again."""
         byz = self.schedule.byz(self.round) if self.round is not None else frozenset()
+        sent = self.sent
         return {
-            q: [] if q in byz else self.held[q] + self.sent[self.cursor[q]:]
+            q: [] if q in byz else [sent[i] for i in self.held[q]] + sent[self.cursor[q]:]
             for q in range(self.schedule.n)
         }
 
@@ -421,36 +429,32 @@ class World:
             by_view = {v: frozenset(s) for v, s in self.proposals.items()}
             shared = self._receive(store, r)
         views: dict[ProcessId, ReceiverView] = {}
-        # the log tail from each cursor, shared by the synchronous receivers
-        # that hold nothing back and stand at that cursor
-        tails: dict[int, tuple[Msg, ...]] = {}
         sent, end = self.sent, len(self.sent)
         for q in sorted(sched.honest(r + 1)):
             state = self.states[q]
             start, held = self.cursor[q], self.held[q]
             if synchronous:
                 if held:
-                    kept = (*held, *sent[start:])
+                    ids = (*held, *range(start, end))
                     self.held[q] = []
-                elif start in tails:
-                    kept = tails[start]
                 else:
-                    kept = tails[start] = tuple(sent[start:])
+                    ids = range(start, end)
                 state.votes_seen = store
                 state.proposals_seen = by_view
                 view = shared
             else:
-                queued = held + sent[start:]
-                chosen = self.strategy.delivery_filter(self, r, q, tuple(queued))
-                kept, self.held[q] = delivered(q, queued, chosen)
+                queued = [*held, *range(start, end)]
+                chosen = self.strategy.delivery_filter(self, r, q, tuple(sent[i] for i in queued))
+                kept, self.held[q] = delivered(q, sent, queued, chosen)
+                ids = tuple(kept)
                 # either store may be a shared snapshot
                 state.votes_seen = dict(state.votes_seen)
                 state.proposals_seen = {v: set(s) for v, s in state.proposals_seen.items()}
-                for m in kept:
-                    state.absorb(m)
+                for i in kept:
+                    state.absorb(sent[i])
                 view = self._receive(state.votes_seen, r)
             self.cursor[q] = end
-            self.events.append(DeliverEvent(round=r, receiver=q, msgs=tuple(kept)))
+            self.events.append(DeliverEvent(round=r, receiver=q, ids=ids))
             state.pending_output = view.output
             views[q] = view
 

@@ -115,7 +115,7 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
                 sent.append((r, ProposeMsg(**fields, ticket=vrf["value"])))
         elif kind == "deliver":
             msgs = [sent[i][1] for i in payload["msgs"]]
-            deliveries.append((r, actor, msgs))
+            deliveries.append((r, actor, payload["msgs"]))
             for m in msgs:
                 if isinstance(m, VoteMsg):
                     rnd, votes = newest.get((actor, m.sender), (-1, set()))
@@ -143,7 +143,7 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
             records[r] = (payload["synchronous"], set(payload["byzantine"]), inputs, views)
 
     assert [m for _, m in sent] == [e.msg for e in trace.send_events()]
-    assert deliveries == [(e.round, e.receiver, list(e.msgs))
+    assert deliveries == [(e.round, e.receiver, list(e.ids))
                           for e in trace.events if isinstance(e, DeliverEvent)]
     assert decisions == [(e.round, e.pid, e.log) for e in trace.decide_events()]
     assert records == {

@@ -1,10 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
+from test_cli import campaign_traces
 
+from sleepy_tob.cli import load_scenario, run_scenario
 from sleepy_tob.core import EMPTY_LOG, Log, Value, VoteMsg, conflicts
 from sleepy_tob.ga import (
     GaOutput,
@@ -36,6 +39,7 @@ from sleepy_tob.world import (
 )
 
 THIRD = Fraction(1, 3)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 A = Log((Value(1, 0, 1),))
 AX = Log((Value(1, 0, 1), Value(3, 1, 2)))
 B = Log((Value(2, 0, 1),))
@@ -345,25 +349,44 @@ def test_trace_wellformed():
     assert check_trace_wellformed(faultfree_trace()).verdict is Verdict.PASS
 
 
+def test_shipped_and_campaign_traces_are_wellformed():
+    # their windows hold messages back, so some deliveries are tuples of
+    # held ids followed by the log's tail
+    traces = [run_scenario(load_scenario(path))[0] for path in sorted(SCENARIOS.glob("*.json"))]
+    assert len(traces) == 6
+    traces += campaign_traces()
+    released = 0
+    for trace in traces:
+        assert check_trace_wellformed(trace).verdict is Verdict.PASS
+        window = trace.schedule.window_rounds
+        released += any(type(e.ids) is tuple for e in trace.events
+                        if isinstance(e, DeliverEvent) and e.round not in window)
+    assert released
+
+
 class TestTraceWellformedFailures:
     def hand_trace(self, *events):
         sched = constant_schedule(n=3, horizon=4, n_byz=0, params=params())
         return Trace(sched, "none", events)
 
     def test_unsent_vote_in_a_batch_fails_with_witness(self):
-        sent, unsent = VoteMsg(0, 1, A), VoteMsg(1, 1, B)
         trace = self.hand_trace(
-            SendEvent(1, sent),
-            DeliverEvent(1, 2, (sent,)),
-            DeliverEvent(1, 0, (sent, unsent)),
+            SendEvent(1, VoteMsg(0, 1, A)),
+            DeliverEvent(1, 2, (0,)),
+            DeliverEvent(1, 0, (0, 1)),
         )
         report = check_trace_wellformed(trace)
         assert report.verdict is Verdict.FAIL
-        assert report.witness == {"round": 1, "receiver": 0, "msg": repr(unsent)}
+        assert report.witness == {"round": 1, "receiver": 0, "send": 1}
 
     def test_delivery_before_its_send_fails(self):
-        vote = VoteMsg(0, 1, A)
-        trace = self.hand_trace(DeliverEvent(0, 1, (vote,)), SendEvent(1, vote))
+        trace = self.hand_trace(DeliverEvent(0, 1, range(1)), SendEvent(1, VoteMsg(0, 1, A)))
         report = check_trace_wellformed(trace)
         assert report.verdict is Verdict.FAIL
-        assert report.witness == {"round": 0, "receiver": 1, "msg": repr(vote)}
+        assert report.witness == {"round": 0, "receiver": 1, "send": 0}
+
+    def test_negative_send_id_fails(self):
+        trace = self.hand_trace(SendEvent(1, VoteMsg(0, 1, A)), DeliverEvent(1, 2, (0, -1)))
+        report = check_trace_wellformed(trace)
+        assert report.verdict is Verdict.FAIL
+        assert report.witness == {"round": 1, "receiver": 2, "send": -1}

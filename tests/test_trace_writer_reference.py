@@ -4,12 +4,16 @@
 ``reference_record_to_json``, is ``cli.trace_lines`` verbatim, docstrings
 left out, as it was when every line was a dict encoded by
 ``json.dumps(sort_keys=True)``, send ids were looked up by message equality
-and every receiver's output was scanned for new logs.  Both writers must
-give equal lines on the six shipped scenarios, one default ``campaign``
-seed, ``World`` runs of random bounded schedules with and without a window,
-and a hand-built trace that resends one message object, delivers an equal
-but distinct copy of it, decides the empty log and holds one record whose
-receivers share a view and one whose receivers do not.
+and every receiver's output was scanned for new logs.  The one change: a
+``DeliverEvent`` now names sends by index, so the reference's ``deliver``
+line first resolves each index to its message through the trace's sends.
+Both writers must give equal lines on the six shipped scenarios, one
+default ``campaign`` seed, ``World`` runs of random bounded schedules with
+and without a window, and a hand-built trace that delivers a tuple of ids,
+a range and nothing, decides the empty log and holds one record whose
+receivers share a view and one whose receivers do not.  The lines differ
+only where two sends carry equal messages: the reference names both by
+the first one's id.  ``tests/test_world.py`` pins that case.
 
 Every line must also read back to itself through ``json``, which pins the
 templates to the encoder's spacing and key order where no golden hash
@@ -76,6 +80,7 @@ def reference_record_to_json(record: GaRecord, log_id: Callable[[Log], int]) -> 
 def reference_trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     log_ids: dict[Log, int] = {}
     send_ids: dict[VoteMsg | ProposeMsg, int] = {}
+    sent = [e.msg for e in trace.send_events()]
     sends = 0
     lines = [
         json.dumps(
@@ -115,7 +120,7 @@ def reference_trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
             sends += 1
         elif isinstance(e, DeliverEvent):
             obj = {"kind": "deliver", "actor": e.receiver,
-                   "payload": {"msgs": [send_ids[m] for m in e.msgs]}}
+                   "payload": {"msgs": [send_ids[sent[i]] for i in e.ids]}}
         elif isinstance(e, DecideEvent):
             introduce((e.log,), e.round)
             obj = {"kind": "decide", "actor": e.pid, "payload": {"log": log_ids[e.log]}}
@@ -206,8 +211,6 @@ def test_hand_built_trace_matches_reference():
     c = a.extended(Value(2, 1, 1))
     d = c.extended(Value(3, 1, 2))
     vote = VoteMsg(sender=0, round=1, log=b)
-    copy = VoteMsg(sender=0, round=1, log=b)
-    assert copy == vote and copy is not vote
     other = VoteMsg(sender=1, round=1, log=c)
     propose = ProposeMsg(sender=1, view=1, log=c, ticket=2**64 - 1)
     shared = view({a: 1, b: 0}, 2)
@@ -215,9 +218,8 @@ def test_hand_built_trace_matches_reference():
         SendEvent(0, propose),
         SendEvent(1, vote),
         SendEvent(1, other),
-        SendEvent(1, vote),  # the same object again: named by its first id
-        DeliverEvent(1, 0, (vote, other)),
-        DeliverEvent(1, 1, (copy, propose)),  # equal to a sent object, never sent itself
+        DeliverEvent(1, 0, (1, 2)),
+        DeliverEvent(1, 1, range(3)),
         DeliverEvent(1, 2, ()),
         GaRecord(1, True, {0: b, 1: c}, frozenset([3]), {0: shared, 1: shared, 2: shared}),
         DecideEvent(2, 0, Log()),
@@ -230,4 +232,4 @@ def test_hand_built_trace_matches_reference():
     lines = assert_same_lines(Trace(schedule, "hand-built", events), HEADER_SCENARIO)
     assert_lines_read_back(lines)
     delivered = [json.loads(line)["payload"]["msgs"] for line in lines if '"deliver"' in line]
-    assert delivered == [[1, 2], [1, 0], []]
+    assert delivered == [[1, 2], [0, 1, 2], []]

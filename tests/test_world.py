@@ -1,10 +1,11 @@
 import dataclasses
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sleepy_tob.cli import build_schedule, load_scenario
+from sleepy_tob.cli import build_schedule, load_scenario, trace_lines
 from sleepy_tob.core import GENESIS, Log, ProposeMsg, Value, VoteMsg, vrf_eval
 from sleepy_tob.ga import ForgeryError
 from sleepy_tob.model_checks import ModelParams, check_all
@@ -28,6 +29,7 @@ from sleepy_tob.world import (
 )
 
 THIRD = Fraction(1, 3)
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def params(tau=2, eta=2, pi=0, gamma="0", beta="1/3"):
@@ -73,6 +75,8 @@ class TestTraceIndex:
         trace = Trace(sched, "none", events)
         assert trace.first_input_round(fresh) == 2
         assert trace.first_input_round(GENESIS) is None
+        # the round-3 proposal of the same tip introduces nothing new
+        assert trace.inputs_since(2) == {fresh} and trace.inputs_since(3) == set()
         assert [e.round for e in trace.send_events()] == [0, 1, 2, 3]
         assert [e.round for e in trace.vote_sends()] == [1]
         assert [e.round for e in trace.propose_sends()] == [0, 2, 3]
@@ -85,21 +89,13 @@ class TestDelivery:
     def test_sync_round_delivers_everything_once(self):
         sched = sync_faultfree(n=4, horizon=6)
         trace = run(sched, null_strategy(), seed=1)
-        seen = set()
+        got = {q: [] for q in range(4)}
         for e in trace.events:
             if isinstance(e, DeliverEvent):
-                for m in e.msgs:
-                    key = (e.receiver, m)
-                    assert key not in seen
-                    seen.add(key)
-        sent = {e.msg for e in trace.send_events()}
-        # every receiver eventually got every message
-        for q in range(4):
-            got = {
-                m for e in trace.events if isinstance(e, DeliverEvent) and e.receiver == q
-                for m in e.msgs
-            }
-            assert got == sent
+                got[e.receiver].extend(e.ids)
+        # every receiver got every send exactly once, in send order
+        everything = list(range(len(trace.send_events())))
+        assert got == dict.fromkeys(range(4), everything)
 
     def test_sleeper_gets_queued_messages_on_waking(self):
         # process 3 is asleep for rounds 3-5 and awake again at round 6: the
@@ -122,17 +118,17 @@ class TestDelivery:
         for r in range(horizon):
             world.step_round(r)
             newest_held[r] = {s: rnd for s, (rnd, _) in world.states[3].votes_seen.items()}
-        trace_events = world.events
+        trace_events, sent = world.events, world.sent
         round3_votes = {
-            m
+            i
             for e in trace_events if isinstance(e, DeliverEvent) and e.receiver == 0
-            for m in e.msgs if isinstance(m, VoteMsg) and m.round == 3
+            for i in e.ids if isinstance(sent[i], VoteMsg) and sent[i].round == 3
         }
         assert round3_votes
         deliveries_to_3 = [
             e for e in trace_events if isinstance(e, DeliverEvent) and e.receiver == 3
         ]
-        by_round = {m: e.round for e in deliveries_to_3 for m in e.msgs if m in round3_votes}
+        by_round = {i: e.round for e in deliveries_to_3 for i in e.ids if i in round3_votes}
         # nothing reached the sleeper during rounds 2-4's receive phases; the
         # backlog lands at the round-5 receive phase, entering round 6
         assert by_round and set(by_round.values()) == {5}
@@ -169,8 +165,9 @@ class TestDelivery:
         # process 3 is shown nothing but its own messages in the window
         # round 4, sleeps through the receive phases of rounds 5 and 6 and
         # receives again at round 7: it takes what round 4 held back and
-        # then every later send, in send order, apart from the tail the
-        # others share; at round 8 it holds nothing back and shares it too
+        # then every later send, in send order, as a tuple, while the others
+        # get the range of the log's tail; at round 8 it holds nothing back
+        # and gets the same range as they do
         n, horizon = 4, 10
         awake = [frozenset({0, 1, 2} if r in (6, 7) else range(n)) for r in range(horizon + 1)]
         sched = Schedule(
@@ -187,18 +184,21 @@ class TestDelivery:
             delivery_filter=lambda world, r, q, cand: [] if q == 3 else cand,
         )
         trace = run(sched, strategy, seed=2)
+        sends = trace.send_events()
         got = {
-            (e.round, e.receiver): e.msgs for e in trace.events if isinstance(e, DeliverEvent)
+            (e.round, e.receiver): e.ids for e in trace.events if isinstance(e, DeliverEvent)
         }
         assert (5, 3) not in got and (6, 3) not in got
-        backlog = [
-            e.msg for e in trace.send_events()
-            if 4 <= e.round <= 7 and e.msg not in got[4, 3]
-        ]
-        assert any(m.sender != 3 for m in got[4, 0] if m not in got[4, 3])
+        backlog = [i for i, e in enumerate(sends) if 4 <= e.round <= 7 and i not in got[4, 3]]
+        assert any(sends[i].msg.sender != 3 for i in got[4, 0] if i not in got[4, 3])
         assert got[7, 3] == tuple(backlog)
-        assert got[7, 0] is got[7, 1] is got[7, 2] is not got[7, 3]
-        assert got[8, 0] is got[8, 3]
+
+        def tail(r):
+            return range(*(sum(e.round < rd for e in sends) for rd in (r, r + 1)))
+
+        assert got[7, 0] == got[7, 1] == got[7, 2] == tail(7)
+        assert got[8, 0] == got[8, 3] == tail(8)
+        assert all(type(got[8, q]) is range for q in range(n))
 
     def test_corrupted_process_gets_no_deliveries_and_no_queue(self):
         horizon, corrupt_from = 8, 4
@@ -229,7 +229,30 @@ class TestDelivery:
             world = World(sched, null_strategy(), seed=2)
             trace = world.run()
             assert all(not held for held in world.held)
-            assert len(world.sent) == len(trace.send_events())
+            # so the index of a send event names its message in the send log
+            assert [e.msg for e in trace.send_events()] == world.sent
+
+    def test_a_message_sent_twice_is_delivered_under_each_send_id(self):
+        # one vote object broadcast twice is two sends, and every receiver
+        # is delivered both; the trace names each by its own id
+        vote = VoteMsg(sender=3, round=1, log=Log((GENESIS,)))
+        strategy = AdversaryStrategy(
+            name="twice",
+            messages=lambda world, r: [vote, vote] if r == 1 else [],
+            delivery_filter=lambda world, r, q, cand: cand,
+        )
+        sched = constant_schedule(n=4, horizon=4, n_byz=1, params=params())
+        world = World(sched, strategy, seed=1)
+        trace = world.run()
+        twice = [i for i, e in enumerate(trace.send_events()) if e.msg is vote]
+        assert len(twice) == 2 and world.sent.count(vote) == 2
+        deliveries = [e for e in trace.events if isinstance(e, DeliverEvent) and e.round == 1]
+        assert len(deliveries) == 3
+        assert all(e.ids == range(twice[0] - 3, twice[1] + 1) for e in deliveries)
+        lines = trace_lines(trace, load_scenario(SCENARIOS / "sync_faultfree.json"))
+        delivered = [json.loads(line)["payload"]["msgs"] for line in lines
+                     if '"deliver"' in line and '"round": 1}' in line]
+        assert delivered == [[*range(twice[0] - 3, twice[0]), *twice]] * 3
 
     def test_async_round_never_delivers_unsent_message(self):
         forged = VoteMsg(sender=4, round=5, log=Log((GENESIS,)))
@@ -241,8 +264,10 @@ class TestDelivery:
         p = params(tau=4, eta=4, pi=1)
         sched = constant_schedule(n=5, horizon=10, n_byz=1, params=p, r_a=4)
         world = World(sched, strategy, seed=2)
-        trace = world.run()
-        assert all(forged not in e.msgs for e in trace.events if isinstance(e, DeliverEvent))
+        world.run()
+        assert forged not in world.sent
+        assert all(i < len(world.sent) for e in world.events if isinstance(e, DeliverEvent)
+                   for i in e.ids)
         assert all(4 not in state.votes_seen for state in world.states.values())
 
     def test_async_round_with_null_strategy_degenerates_to_sync(self):

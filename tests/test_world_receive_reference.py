@@ -6,11 +6,17 @@ as they were when every receiver absorbed every delivered message into its
 own store and ran ``latest_unexpired``, ``merge_latest`` and ``grade`` on
 it, except that the seed and ``eta`` are now passed as arguments and that
 it keeps its own per-receiver queues, ``queues``, since ``World.pending``
-is derived from the send log.  After every round, ``World.pending`` must
-equal those queues for every process not Byzantine in that round, and in
-a synchronous round the receivers that held nothing back and stood at one
-cursor must share one ``DeliverEvent.msgs`` tuple.  Both worlds must give
-equal runs: every event, and each process's final
+is derived from the send log, that it splits a queue of messages with
+``split_queue``, which is ``ga.delivered`` as it was before delivery named
+send indices, and that it records each delivery as a
+(round, receiver, messages) triple, since a ``DeliverEvent`` names sends
+by their index in ``World.sent``.  After every round, ``World.pending``
+must equal those queues for every process not Byzantine in that round,
+and in a synchronous round a receiver that held nothing back must be
+delivered the range from its cursor to the end of the send log.  Both
+worlds must give equal runs: every event, a delivery compared with the
+reference's triple by resolving its ids through ``World.sent``, and each
+process's final
 ``votes_seen``, ``candidate`` and pending output, and its final
 ``proposals_seen`` on the views it can still read, those whose round-1
 step lies at or past the horizon: ``World`` no longer takes a view out of
@@ -31,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sleepy_tob.core import Log, ProcessId, VoteMsg
-from sleepy_tob.ga import ForgeryError, GaRecord, ReceiverView, delivered, grade, merge_latest
+from sleepy_tob.ga import ForgeryError, GaRecord, ReceiverView, grade, merge_latest
 from sleepy_tob.model_checks import ModelParams
 from sleepy_tob.tob import Phase, ViewClock, latest_unexpired, step_round1, step_round2, step_view0
 from sleepy_tob.world import (
@@ -51,6 +57,14 @@ ETAS = [0, 1, 2, 4, None]
 
 # ---------------------------------------------------------------------------
 # reference: one receive computation per receiver
+
+
+def split_queue(q: ProcessId, queued: list[Msg], chosen) -> tuple[list[Msg], list[Msg]]:
+    chosen = set(chosen)
+    kept, held = [], []
+    for m in queued:
+        (kept if m in chosen or m.sender == q else held).append(m)
+    return kept, held
 
 
 class PerReceiverWorld(World):
@@ -110,8 +124,8 @@ class PerReceiverWorld(World):
                 kept, self.queues[q] = queued, []
             else:
                 chosen = self.strategy.delivery_filter(self, r, q, tuple(queued))
-                kept, self.queues[q] = delivered(q, queued, chosen)
-            self.events.append(DeliverEvent(round=r, receiver=q, msgs=tuple(kept)))
+                kept, self.queues[q] = split_queue(q, queued, chosen)
+            self.events.append((r, q, tuple(kept)))
             for m in kept:
                 state.absorb(m)
             initial, current = latest_unexpired(state.votes_seen, r, sched.params.eta)
@@ -154,15 +168,16 @@ def assert_same_run(schedule: Schedule, preset: str, seed: int) -> None:
             if q not in schedule.byz(r):
                 assert pending[q] == ref.queues[q], (r, q)
         if schedule.sync(r):
-            # receivers that held nothing back and stood at one cursor share
-            # one tuple of messages
-            shared: dict[int, set[int]] = {}
+            end = len(new.sent)
             for e in new.events[before:]:
                 if isinstance(e, DeliverEvent) and e.receiver not in holding:
-                    shared.setdefault(cursor[e.receiver], set()).add(id(e.msgs))
-            assert all(len(ids) == 1 for ids in shared.values()), r
+                    assert type(e.ids) is range, (r, e.receiver)
+                    assert e.ids == range(cursor[e.receiver], end), (r, e.receiver)
+    assert [e.msg for e in new.events if isinstance(e, SendEvent)] == new.sent
     assert len(new.events) == len(ref.events)
     for got, want in zip(new.events, ref.events):
+        if isinstance(got, DeliverEvent):
+            got = (got.round, got.receiver, tuple(new.sent[i] for i in got.ids))
         assert got == want
 
     def readable(store):
