@@ -421,9 +421,22 @@ def decision_latencies(trace: Trace) -> dict[str, Any]:
 def run_scenario(scenario: Scenario) -> tuple[Trace, dict]:
     """Simulate one scenario and assemble its oracle report.
 
-    The exit code in the report is nonzero iff an oracle whose assumptions
-    hold in this run fails; out-of-model failures are reported but flagged
-    instead of gating.
+    The exit code in the report is nonzero iff a gating property fails.
+    Each property has its own rule:
+
+    * ``safety_after_0`` and ``ga_properties`` always gate, in model or not
+      (the agreement properties judge their own quorum hypotheses per
+      round);
+    * ``async_resilience`` gates when the schedule passes the model checks
+      (``in_model``) and the parameters leave no gap
+      (``async_resilience_gaps()`` is empty);
+    * ``healing`` gates when churn and the failure ratio hold
+      (``sleepy_pass``);
+    * ``liveness_after_0`` gates when ``sleepy_pass`` holds and no process
+      is Byzantine at the horizon.
+
+    The last three report their rule's outcome as ``gating``; a failure that
+    does not gate is reported all the same.
     """
     schedule = build_schedule(scenario)
     strategy = STRATEGIES[scenario.adversary]()

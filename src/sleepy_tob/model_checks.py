@@ -20,8 +20,12 @@ The churn and failure-ratio bounds are written once, as the per-round
 predicates ``churn_ok`` and ``ratio_ok`` over the trailing-window union
 ``_union``; ``world.generate_schedule`` rejects its churn moves with the
 same three.  The quorum rule of asynchrony support and sleepiness is
-written once, as ``_quorum``.  No verdict depends on floating point; every
-comparison is on ``Fraction``s or integers.
+written once, as ``_quorum``.  No verdict depends on floating point: each
+of the three thresholds compares integers, a count times a ratio's
+denominator against its numerator times a set size (``count > (1 - beta)
+* pool`` as ``count * d > (d - n) * pool`` for ``beta = n / d``), as
+``ga.grade`` compares ``3 * count`` with ``2 * m``.  ``check_all`` runs the
+validators once per schedule.
 """
 
 from __future__ import annotations
@@ -147,12 +151,12 @@ def _union(sets: Sequence[frozenset[int]], lo: int, hi: int) -> frozenset[int]:
 
 def churn_ok(recent: frozenset[int], now: frozenset[int], gamma: Fraction) -> bool:
     """At most a ``gamma`` fraction of ``recent`` is missing from ``now``."""
-    return len(recent - now) <= gamma * len(recent)
+    return len(recent - now) * gamma.denominator <= gamma.numerator * len(recent)
 
 
 def ratio_ok(n_byz: int, n_awake: int, beta_tilde: Fraction) -> bool:
     """The Byzantine share of ``n_awake`` stays below ``beta_tilde`` (strict)."""
-    return n_byz < beta_tilde * n_awake
+    return n_byz * beta_tilde.denominator < beta_tilde.numerator * n_awake
 
 
 def _judge(
@@ -199,11 +203,12 @@ def _quorum(schedule: "Schedule", tau: int, beta: Fraction, who: str) -> Callabl
     fraction of everyone awake over rounds [r - tau, r] (strict), else the
     reason, naming the counted processes ``who``."""
     beta = Fraction(beta)
+    d, keep = beta.denominator, beta.denominator - beta.numerator
     awake = [schedule.awake(r) for r in range(len(schedule.awake_honest))]
 
     def rule(r: int, count: int) -> str:
         pool = len(_union(awake, r - tau, r))
-        return "" if count > (1 - beta) * pool else f"{count} {who} vs pool {pool}"
+        return "" if count * d > keep * pool else f"{count} {who} vs pool {pool}"
 
     return rule
 
@@ -275,17 +280,24 @@ class ModelReport:
 
 
 def check_all(schedule: "Schedule") -> ModelReport:
-    """Run every validator with the schedule's own parameters."""
-    p = schedule.params
-    async_result = None
-    if schedule.r_a is not None and schedule.pi > 0:
-        async_result = check_async_conditions(
-            schedule, schedule.r_a, schedule.pi, p.tau, p.beta
+    """Run every validator with the schedule's own parameters.
+
+    A schedule is frozen, so its report is computed on the first call and
+    kept on it; a later call, such as ``cli.run_scenario``'s on the schedule
+    ``world.generate_schedule`` accepted, returns the same report."""
+    if schedule.model_report is None:
+        p = schedule.params
+        async_result = None
+        if schedule.r_a is not None and schedule.pi > 0:
+            async_result = check_async_conditions(
+                schedule, schedule.r_a, schedule.pi, p.tau, p.beta
+            )
+        report = ModelReport(
+            churn=check_churn(schedule, p.tau, p.gamma),
+            failure_ratio=check_failure_ratio(schedule, p.beta_tilde),
+            async_support=async_result,
+            tau_sleepiness=check_tau_sleepiness(schedule, p.tau, p.beta),
+            params=p,
         )
-    return ModelReport(
-        churn=check_churn(schedule, p.tau, p.gamma),
-        failure_ratio=check_failure_ratio(schedule, p.beta_tilde),
-        async_support=async_result,
-        tau_sleepiness=check_tau_sleepiness(schedule, p.tau, p.beta),
-        params=p,
-    )
+        object.__setattr__(schedule, "model_report", report)
+    return schedule.model_report

@@ -22,10 +22,27 @@ Receivers of one record that hold the same view object hold the same
 evidence and output, so the agreement properties are decided once per such
 group; in a synchronous ``World`` round every receiver shares one view.
 Witnesses still name the first receiver in record order.
+
+Clique validity searches a base log ``lam`` with ``_find_clique`` only if two
+things hold for one group: some receiver of the group has an initial vote of
+its own that extends ``lam``, and the group's initial votes extending ``lam``
+exceed two thirds of the pool.  Skipping every other base is exact.  The
+search's fixpoint only removes members, and when it ends each receiver left
+in the clique covers every member, itself included, with an initial vote
+extending ``lam``.  So a qualifying clique, which holds a receiver and more
+than two thirds of the pool, holds a receiver whose group meets both
+conditions (counting votes rather than senders can only keep more bases).
+The bases kept are searched in the same order as all of them would be, so
+the count of qualifying bases and the first failing one do not change.
+
+The trace checks read each process's delivered log from
+``Trace.decision_timeline``, built once per trace, so safety, liveness and
+both halves of healing share it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -164,13 +181,10 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
     """
     reports: dict[str, OracleReport] = {}
     groups = _by_view(record)
-    # everyone who can influence a tally, and the distinct carried-over logs
+    # everyone who can influence a tally
     pool = set(record.inputs) | record.byzantine
-    initial_logs: set[Log] = set()
     for view, _ in groups:
-        for m in view.initial.messages:
-            pool.add(m.sender)
-            initial_logs.add(m.log)
+        pool.update(m.sender for m in view.initial.messages)
     applicable = record.synchronous and 3 * len(record.inputs) > 2 * len(pool)
     # each group's output, under its first receiver
     outputs = [(qs[0], view.output) for view, qs in groups]
@@ -243,10 +257,21 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
                 break
         judge("bounded_divergence", fail)
 
-    # clique validity: a clique receiver covers every member, itself included,
-    # with an initial vote extending the base, so only prefixes of carried-over
-    # logs can qualify as the common base
-    candidates = {p for log in initial_logs for p in log.prefixes()}
+    # clique validity: only the bases the module docstring's rule keeps are
+    # searched; a group's initial votes extending a log are its subtree weight,
+    # from one walk per distinct initial log
+    candidates: set[Log] = set()
+    for view, qs in groups:
+        msgs = view.initial.messages
+        if 3 * len(msgs) <= 2 * len(pool):
+            continue  # not even the empty log has enough votes extending it
+        weight: Counter[Log] = Counter()
+        for log, k in Counter(m.log for m in msgs).items():
+            for lam in log.prefixes():
+                weight[lam] += k
+        in_group = set(qs)
+        for log in {m.log for m in msgs if m.sender in in_group}:
+            candidates.update(lam for lam in log.prefixes() if 3 * weight[lam] > 2 * len(pool))
     receivers = set(record.receivers)
     applicable_cliques = 0
     fail = None
@@ -277,21 +302,11 @@ def trace_ga_reports(trace: Trace) -> dict[int, dict[str, OracleReport]]:
 # trace-level checks
 
 
-def _decision_timeline(trace: Trace) -> dict[ProcessId, list[tuple[int, Log]]]:
-    """Per process, the delivered log after each decide event (latest
-    decision wins unless it is a prefix of what is already delivered)."""
-    timeline: dict[ProcessId, list[tuple[int, Log]]] = {}
-    for e in trace.decide_events():
-        points = timeline.setdefault(e.pid, [])
-        prev = points[-1][1] if points else EMPTY_LOG
-        new = prev if is_prefix(e.log, prev) else e.log
-        points.append((e.round, new))
-    return timeline
-
-
 def delivered_at(
     timeline: dict[ProcessId, list[tuple[int, Log]]], pid: ProcessId, r: int
 ) -> Log:
+    """The log ``pid`` has delivered at the end of round ``r``, read from a
+    ``Trace.decision_timeline``."""
     log = EMPTY_LOG
     for rd, val in timeline.get(pid, []):
         if rd <= r:
@@ -303,17 +318,21 @@ def delivered_at(
 
 def check_safety_after(trace: Trace, r: int) -> OracleReport:
     """No two well-behaved awake processes hold incompatible delivered logs
-    at any two rounds after ``r`` (the same process at two rounds counts)."""
-    timeline = _decision_timeline(trace)
+    at any two rounds after ``r`` (the same process at two rounds counts).
+
+    Each process's decision points are stepped through alongside the rounds,
+    so its delivered log at every round costs one pass over its timeline."""
+    timeline = trace.decision_timeline
     sched = trace.schedule
     snapshots: list[tuple[ProcessId, int, Log]] = []
     for pid in sorted(timeline):
-        last: Log | None = None
+        points = timeline[pid]
+        i, log, last = 0, EMPTY_LOG, None
         for r2 in range(r + 1, sched.horizon + 1):
-            if pid not in sched.honest(r2):
-                continue
-            log = delivered_at(timeline, pid, r2)
-            if last is None or log != last:
+            while i < len(points) and points[i][0] <= r2:
+                log = points[i][1]
+                i += 1
+            if pid in sched.honest(r2) and (last is None or log != last):
                 snapshots.append((pid, r2, log))
                 last = log
     if is_chain(log for _, _, log in snapshots):
@@ -373,9 +392,8 @@ def check_liveness_after(trace: Trace, r: int, window: int) -> OracleReport:
         return OracleReport(
             "liveness_after", Verdict.INCONCLUSIVE, detail="no value introduced after r"
         )
-    timeline = _decision_timeline(trace)
     for p in steady:
-        log = delivered_at(timeline, p, r + window)
+        log = delivered_at(trace.decision_timeline, p, r + window)
         if not any(v in fresh for v in log.values):
             return OracleReport(
                 "liveness_after",

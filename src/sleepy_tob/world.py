@@ -53,17 +53,19 @@ round for the oracles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from . import model_checks
 from .core import (
+    EMPTY_LOG,
     Log,
     ProcessId,
     ProposeMsg,
     Value,
     VoteMsg,
+    is_prefix,
     vrf_eval,
 )
 from .ga import (
@@ -117,7 +119,8 @@ class Schedule:
     executed round).  Synchrony is derived, not stored: the asynchronous
     rounds are exactly ``window_rounds``, [r_a+1, r_a+pi] when a window
     exists, and every other round is synchronous.  ``pi`` and every other
-    model parameter are read from ``params``.
+    model parameter are read from ``params``.  ``model_report`` is
+    ``model_checks.check_all``'s report, kept once it is computed.
     """
 
     n: int
@@ -126,6 +129,9 @@ class Schedule:
     byzantine: tuple[frozenset[ProcessId], ...]
     r_a: int | None
     params: ModelParams
+    model_report: model_checks.ModelReport | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def pi(self) -> int:
@@ -235,7 +241,9 @@ class Trace:
     """Append-only event log of one run plus the context to interpret it.
 
     The events are indexed by kind once, on first use; the accessors return
-    fresh lists, so callers may modify what they get.
+    fresh lists, so callers may modify what they get.  The decision timeline
+    is also built once, on first use, and shared by every oracle that reads
+    it, so it must not be modified.
     """
 
     schedule: Schedule
@@ -267,6 +275,18 @@ class Trace:
             if e.msg.sender in self.schedule.honest(e.round) and e.msg.log.values:
                 rounds.setdefault(e.msg.log.values[-1], e.round)
         return rounds
+
+    @cached_property
+    def decision_timeline(self) -> dict[ProcessId, list[tuple[int, Log]]]:
+        """Per process, in round order, the round of each of its decide
+        events and the log it has delivered after it: the decided log, unless
+        that is a prefix of the log already delivered, which then stays."""
+        timeline: dict[ProcessId, list[tuple[int, Log]]] = {}
+        for e in self._by_kind[DecideEvent]:
+            points = timeline.setdefault(e.pid, [])
+            prev = points[-1][1] if points else EMPTY_LOG
+            points.append((e.round, prev if is_prefix(e.log, prev) else e.log))
+        return timeline
 
     def decide_events(self) -> list[DecideEvent]:
         return list(self._by_kind[DecideEvent])

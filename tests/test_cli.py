@@ -73,6 +73,23 @@ def test_outputs_do_not_depend_on_hash_seed(name, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_outputs_do_not_depend_on_the_log_hash(tmp_path, monkeypatch):
+    """Under a perturbed ``Log.__hash__`` equal logs still hash equal, but
+    sets of logs iterate in another order.  No golden output and no default
+    campaign report follows that order."""
+    monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
+    logs = [Log((Value(i, 0, i),) * (i % 3)) for i in range(40)]
+    order = list(set(logs))
+    reports = [run_scenario(scenario)[1] for scenario in campaign_scenarios()]
+    monkeypatch.setattr(Log, "__hash__", lambda self: hash((self._hash, 7919)))
+    assert list(set(logs)) != order
+    for name, (code, trace, report) in GOLDEN.items():
+        out = tmp_path / name
+        assert main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(out)]) == code
+        assert (sha16(out / "trace.jsonl"), sha16(out / "report.json")) == (trace, report)
+    assert [run_scenario(scenario)[1] for scenario in campaign_scenarios()] == reports
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
     """trace.jsonl alone gives back every log, send, receive phase and
@@ -172,14 +189,19 @@ def per_value_decision_latencies(trace) -> tuple[int, Fraction | None]:
     return len(latencies), Fraction(sum(latencies), len(latencies)) if latencies else None
 
 
-def campaign_traces(seeds: int = 8):
-    """Traces of ``sleepy-tob campaign`` runs with its default settings."""
+def campaign_scenarios(seeds: int = 8):
+    """The runs of ``sleepy-tob campaign`` with its default settings."""
     base = Scenario(name="campaign", n=20, horizon=20, tau=4, eta=4, pi=2,
                     gamma=Fraction(1, 10), beta=Fraction(1, 3), r_a=6, seed=0,
                     schedule_spec={"generate": {"n_byz": 4}})
     for seed in range(seeds):
-        adversary = ("prop1", "split_decision")[seed % 2]
-        yield run_scenario(replace(base, seed=seed, adversary=adversary))[0]
+        yield replace(base, seed=seed, adversary=("prop1", "split_decision")[seed % 2])
+
+
+def campaign_traces(seeds: int = 8):
+    """Traces of ``sleepy-tob campaign`` runs with its default settings."""
+    for scenario in campaign_scenarios(seeds):
+        yield run_scenario(scenario)[0]
 
 
 def test_decision_latencies_match_the_per_value_scan():

@@ -22,7 +22,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from helpers import sliced_common_prefix, sliced_prefixes
@@ -199,6 +199,71 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
 
 
 # ---------------------------------------------------------------------------
+# the clique bases each oracle tries
+
+
+def reference_candidates(record: GaRecord) -> set[Log]:
+    """The base logs the reference tries: every prefix of every input and
+    initial log."""
+    candidates: set[Log] = set()
+    for log in record.inputs.values():
+        candidates.update(sliced_prefixes(log))
+    for view in record.receivers.values():
+        for m in view.initial.messages:
+            candidates.update(sliced_prefixes(m.log))
+    return candidates
+
+
+def reference_qualifying(record: GaRecord) -> dict[Log, frozenset[ProcessId]]:
+    """The base logs the reference counts as qualifying, with their cliques."""
+    pool_size = len(set(record.inputs) | set(record.byzantine) | set(_initial_senders(record)))
+    out = {}
+    for lam in reference_candidates(record):
+        clique = _find_clique(record, lam)
+        if clique & set(record.receivers) and 3 * len(clique) > 2 * pool_size:
+            out[lam] = clique
+    return out
+
+
+def searched_bases(record: GaRecord) -> list[Log]:
+    """The base logs the oracle hands to its clique search, in order."""
+    searched = []
+    find_clique = oracle._find_clique
+
+    def recording(record, groups, lam):
+        searched.append(lam)
+        return find_clique(record, groups, lam)
+
+    oracle._find_clique = recording
+    try:
+        oracle.check_ga_properties(record)
+    finally:
+        oracle._find_clique = find_clique
+    return searched
+
+
+def check_clique_prune(record: GaRecord) -> None:
+    """The invariant the oracle's prune rests on: each receiver in a
+    qualifying clique has an initial vote of its own extending the base, and
+    its initial votes extending the base exceed two thirds of the pool.  So
+    the oracle searches every qualifying base, in order, up to the first
+    failing one, where it stops."""
+    pool_size = len(set(record.inputs) | set(record.byzantine) | set(_initial_senders(record)))
+    qualifying = reference_qualifying(record)
+    for lam, clique in qualifying.items():
+        for q in clique & set(record.receivers):
+            extending = [m for m in record.receivers[q].initial.messages if is_prefix(lam, m.log)]
+            assert any(m.sender == q for m in extending)
+            assert 3 * len(extending) > 2 * pool_size
+    order = sorted(qualifying, key=lambda l: (len(l), l.lex_key))
+    tried = [lam for lam in searched_bases(record) if lam in qualifying]
+    assert tried == order[: len(tried)]
+    if tried != order:
+        report = oracle.check_ga_properties(record)["clique_validity"]
+        assert report.verdict is Verdict.FAIL and report.witness["log"] == repr(tried[-1])
+
+
+# ---------------------------------------------------------------------------
 # the two oracles on the same records
 
 
@@ -206,6 +271,7 @@ def same_reports(record: GaRecord) -> None:
     ours = {name: rep.to_dict() for name, rep in oracle.check_ga_properties(record).items()}
     reference = {name: rep.to_dict() for name, rep in check_ga_properties(record).items()}
     assert ours == reference
+    check_clique_prune(record)
 
 
 VALUES = [Value(id=i, proposer=99, view=0) for i in range(3)]
@@ -276,6 +342,29 @@ def instances(draw) -> GaRecord:
 @given(instances())
 def test_run_instance_records_match_reference(record):
     same_reports(record)
+
+
+def test_clique_prune_keeps_qualifying_bases_and_skips_others():
+    """The records include ones in which clique validity applies, so the
+    prune keeps a base, while it skips a base the reference tries.  In a
+    window attack's ``World`` run, where clique validity does not apply,
+    every base is skipped."""
+    record = find(
+        instances(),
+        lambda rec: bool(reference_qualifying(rec))
+        and len(searched_bases(rec)) < len(reference_candidates(rec)),
+        settings=settings(database=None, max_examples=2000),
+    )
+    assert oracle.check_ga_properties(record)["clique_validity"].verdict is not Verdict.NOT_APPLICABLE
+    assert set(searched_bases(record)) < reference_candidates(record)
+
+    params = ModelParams(tau=4, eta=4, pi=2, gamma=Fraction(1, 10), beta=Fraction(1, 3))
+    schedule = generate_schedule(20, 20, params, 6, 0, n_byz=4)
+    records = run(schedule, STRATEGIES["prop1"](), 0).ga_records().values()
+    assert sum(len(reference_candidates(rec)) for rec in records) > 0
+    for rec in records:
+        assert searched_bases(rec) == []
+        assert oracle.check_ga_properties(rec)["clique_validity"].verdict is Verdict.NOT_APPLICABLE
 
 
 @st.composite

@@ -1,0 +1,215 @@
+"""The trace oracles against the code they replaced.
+
+``_decision_timeline``, ``delivered_at``, ``check_safety_after``,
+``check_liveness_after`` and ``check_healing`` below are kept verbatim as
+they were when every check rebuilt the decision timeline and looked up each
+(process, round) pair's delivered log by a scan from the start of that
+process's timeline.  The conflicting-pair witness (``_safety_witness``) and
+the healing round (``first_full_view_after``) are the oracle's own, which
+that change left as they were.  On the six shipped scenarios and on default
+``campaign`` traces of every strategy in ``STRATEGIES``, with the default
+expiry and with none, both versions must give the same reports, verdicts,
+details and witnesses alike, for every round ``r`` in ``[0, horizon]``.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
+
+from sleepy_tob import oracle
+from sleepy_tob.cli import Scenario, load_scenario, run_scenario
+from sleepy_tob.core import EMPTY_LOG, Log, ProcessId, is_chain, is_prefix
+from sleepy_tob.oracle import (
+    OracleReport,
+    Verdict,
+    _safety_witness,
+    first_full_view_after,
+)
+from sleepy_tob.world import STRATEGIES, Trace
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# ---------------------------------------------------------------------------
+# reference: the trace oracles as they were
+
+
+def _decision_timeline(trace: Trace) -> dict[ProcessId, list[tuple[int, Log]]]:
+    """Per process, the delivered log after each decide event (latest
+    decision wins unless it is a prefix of what is already delivered)."""
+    timeline: dict[ProcessId, list[tuple[int, Log]]] = {}
+    for e in trace.decide_events():
+        points = timeline.setdefault(e.pid, [])
+        prev = points[-1][1] if points else EMPTY_LOG
+        new = prev if is_prefix(e.log, prev) else e.log
+        points.append((e.round, new))
+    return timeline
+
+
+def delivered_at(
+    timeline: dict[ProcessId, list[tuple[int, Log]]], pid: ProcessId, r: int
+) -> Log:
+    log = EMPTY_LOG
+    for rd, val in timeline.get(pid, []):
+        if rd <= r:
+            log = val
+        else:
+            break
+    return log
+
+
+def check_safety_after(trace: Trace, r: int) -> OracleReport:
+    """No two well-behaved awake processes hold incompatible delivered logs
+    at any two rounds after ``r`` (the same process at two rounds counts)."""
+    timeline = _decision_timeline(trace)
+    sched = trace.schedule
+    snapshots: list[tuple[ProcessId, int, Log]] = []
+    for pid in sorted(timeline):
+        last: Log | None = None
+        for r2 in range(r + 1, sched.horizon + 1):
+            if pid not in sched.honest(r2):
+                continue
+            log = delivered_at(timeline, pid, r2)
+            if last is None or log != last:
+                snapshots.append((pid, r2, log))
+                last = log
+    if is_chain(log for _, _, log in snapshots):
+        return OracleReport("safety_after", Verdict.PASS, detail=f"after round {r}")
+    return OracleReport(
+        "safety_after",
+        Verdict.FAIL,
+        detail=f"conflicting delivered logs after round {r}",
+        witness=_safety_witness(snapshots),
+    )
+
+
+def check_liveness_after(trace: Trace, r: int, window: int) -> OracleReport:
+    """Every well-behaved process awake through [r, r+window] delivers, by
+    round r+window, a log containing some value introduced at or after r.
+
+    Values are introduced as the fresh tip of a well-behaved proposal, in
+    the round ``Trace.first_input_round`` gives.
+    """
+    sched = trace.schedule
+    if r + window > sched.horizon:
+        return OracleReport(
+            "liveness_after",
+            Verdict.INCONCLUSIVE,
+            detail=f"horizon {sched.horizon} shorter than round {r}+{window}",
+        )
+    rounds = range(r, r + window + 1)
+    steady = [
+        p
+        for p in range(sched.n)
+        if all(p in sched.honest(r2) for r2 in rounds)
+    ]
+    if not steady:
+        return OracleReport(
+            "liveness_after", Verdict.INCONCLUSIVE, detail="no continuously awake process"
+        )
+    fresh = trace.inputs_since(r)
+    if not fresh:
+        return OracleReport(
+            "liveness_after", Verdict.INCONCLUSIVE, detail="no value introduced after r"
+        )
+    timeline = _decision_timeline(trace)
+    for p in steady:
+        log = delivered_at(timeline, p, r + window)
+        if not any(v in fresh for v in log.values):
+            return OracleReport(
+                "liveness_after",
+                Verdict.FAIL,
+                detail=f"no post-round-{r} value delivered within {window} rounds",
+                witness={"process": p, "delivered": repr(log)},
+            )
+    return OracleReport(
+        "liveness_after", Verdict.PASS, detail=f"window [{r}, {r + window}]"
+    )
+
+
+def check_healing(
+    trace: Trace, last_async_round: int, *, liveness_window: int
+) -> OracleReport:
+    """Safety and liveness both hold after the first view that is entirely
+    past the window (recovery-after-asynchrony, one-view healing lag)."""
+    v = first_full_view_after(last_async_round)
+    r_heal = 2 * v
+    if r_heal >= trace.horizon:
+        return OracleReport(
+            "healing", Verdict.INCONCLUSIVE, detail="trace ends inside or at the window"
+        )
+    safety = check_safety_after(trace, r_heal)
+    liveness = check_liveness_after(trace, r_heal, liveness_window)
+    if safety.verdict is Verdict.FAIL or liveness.verdict is Verdict.FAIL:
+        bad = safety if safety.verdict is Verdict.FAIL else liveness
+        return OracleReport(
+            "healing",
+            Verdict.FAIL,
+            detail=f"{bad.name} failed after healing round {r_heal}",
+            witness=bad.witness,
+        )
+    if liveness.verdict is Verdict.INCONCLUSIVE:
+        return OracleReport("healing", Verdict.INCONCLUSIVE, detail=liveness.detail)
+    return OracleReport("healing", Verdict.PASS, detail=f"healed from round {r_heal}")
+
+
+# ---------------------------------------------------------------------------
+# the two versions on the same traces
+
+#: Liveness windows tried at every round: none, a short one and the default.
+WINDOWS = (0, 3, 8)
+
+
+def shipped_traces() -> dict[str, Trace]:
+    return {path.stem: run_scenario(load_scenario(path))[0]
+            for path in sorted(SCENARIOS.glob("*.json"))}
+
+
+def campaign_traces(seeds_per_strategy: int = 3, etas=(4,)) -> dict[str, Trace]:
+    """Traces of ``sleepy-tob campaign`` runs with its default settings, for
+    every strategy, the no-op one included, and each expiry in ``etas``."""
+    base = Scenario(name="campaign", n=20, horizon=20, tau=4, eta=4, pi=2,
+                    gamma=Fraction(1, 10), beta=Fraction(1, 3), r_a=6, seed=0,
+                    schedule_spec={"generate": {"n_byz": 4}})
+    return {
+        f"{name}-eta{eta}-{seed}":
+            run_scenario(replace(base, eta=eta, seed=seed, adversary=name))[0]
+        for name in sorted(STRATEGIES)
+        for eta in etas
+        for seed in range(seeds_per_strategy)
+    }
+
+
+def reports(trace: Trace, safety, liveness, healing) -> list[dict]:
+    out = []
+    for r in range(trace.horizon + 1):
+        out.append(safety(trace, r).to_dict())
+        for window in WINDOWS:
+            out.append(liveness(trace, r, window).to_dict())
+            out.append(healing(trace, r, liveness_window=window).to_dict())
+    return out
+
+
+def test_trace_oracles_match_reference_on_shipped_and_campaign_traces():
+    """Campaign runs without expiry (eta 0) break safety while processes come
+    and go, so witnesses also name rounds at which a process wakes up."""
+    traces = {**shipped_traces(), **campaign_traces(etas=(4, 0))}
+    assert len(traces) == 6 + 3 * 2 * len(STRATEGIES)
+    verdicts = set()
+    for name, trace in traces.items():
+        ours = reports(trace, oracle.check_safety_after, oracle.check_liveness_after,
+                       oracle.check_healing)
+        reference = reports(trace, check_safety_after, check_liveness_after, check_healing)
+        assert ours == reference, name
+        verdicts.update((rep["name"], rep["verdict"]) for rep in ours)
+    # every verdict of every check occurs, so failing witnesses are compared too
+    assert verdicts >= {
+        ("safety_after", "pass"), ("safety_after", "fail"),
+        ("liveness_after", "pass"), ("liveness_after", "fail"),
+        ("liveness_after", "inconclusive"),
+        ("healing", "pass"), ("healing", "fail"), ("healing", "inconclusive"),
+    }
+
+
+def test_trace_keeps_the_reference_timeline():
+    for name, trace in {**shipped_traces(), **campaign_traces(1, etas=(4, 0))}.items():
+        assert trace.decision_timeline == _decision_timeline(trace), name
