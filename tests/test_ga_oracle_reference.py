@@ -15,7 +15,9 @@ holding round-``r`` voters, Byzantine equivocation, empty inputs, receivers
 that sent nothing), from those records with receivers made to share view
 objects or to hold equal copies, which the oracle judges once per shared
 object, and from ``World`` runs of both window attacks, whose synchronous
-rounds give every receiver one view.
+rounds give every receiver one view.  On every record the oracle must also
+hand its clique search every base the reference counts as qualifying, up to
+the first failing one, since it skips the bases its prune rules out.
 """
 
 import random
