@@ -336,7 +336,7 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
                 parent = fresh[log] = log.parent
                 log = parent
         if len(fresh) > 1:
-            fresh = {log: fresh[log] for log in sorted(fresh, key=lambda log: (len(log), log.lex_key))}
+            fresh = {log: fresh[log] for log in sorted(fresh, key=lambda log: (len(log), log))}
         for log, parent in fresh.items():
             i = log_ids[log] = len(log_ids)
             if log:
@@ -402,9 +402,7 @@ def decision_latencies(trace: Trace) -> dict[str, Any]:
             first_decided.setdefault(log.values[-1], e.round)
             log = log.parent
     latencies = []
-    for v, decided_round in sorted(
-        first_decided.items(), key=lambda item: (item[1], item[0].sort_key)
-    ):
+    for v, decided_round in sorted(first_decided.items(), key=lambda item: (item[1], item[0])):
         introduced = trace.first_input_round(v)
         if introduced is not None:
             latencies.append(decided_round - introduced)

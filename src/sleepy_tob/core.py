@@ -6,6 +6,11 @@ logs are compatible when one is a prefix of the other.  Everything else in
 the package (vote tallies, decisions, safety oracles) is phrased in terms
 of this algebra, so the operations here are kept exact and allocation-light.
 
+Values and messages are named tuples: each equals, hashes and sorts as the
+plain tuple of its fields, so values sort by ``(id, proposer, view)``.  Logs
+order lexicographically by ``values``, so a tie between logs or values is
+broken by comparing them directly, with no separate key.
+
 A proposal carries its lottery ticket as a plain integer.  Verifying a
 ticket is recomputing it, and ``World`` does that once, where a strategy's
 proposal enters the run; well-behaved processes draw theirs with the run's
@@ -17,35 +22,32 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 ProcessId = int
 
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True, slots=True)
-class Value:
+class Value(NamedTuple):
     """One log entry.  The triple (id, proposer, view) is globally unique,
-    which keeps logs unambiguous without hashing and traces readable."""
+    which keeps logs unambiguous without hashing and traces readable; it is
+    also the value's sort order and hash."""
 
     id: int
     proposer: ProcessId
     view: int
-
-    @property
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.id, self.proposer, self.view)
 
 
 #: Shared genesis entry: every round-0 proposal carries the log [GENESIS].
 GENESIS = Value(id=0, proposer=0, view=0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class Log:
-    """Immutable sequence of values, equal by value, and a node of the log
-    tree: its ``parent`` is the log without its last value.
+    """Immutable sequence of values, equal by value and ordered
+    lexicographically by ``values``, and a node of the log tree: its
+    ``parent`` is the log without its last value.
 
     The hash is computed once, at construction: logs are dict keys in every
     tally and oracle, and rehashing the whole value tuple on each lookup
@@ -102,11 +104,6 @@ class Log:
             log = log.parent
         chain.reverse()
         return chain
-
-    @property
-    def lex_key(self) -> tuple[tuple[int, int, int], ...]:
-        """Deterministic tie-break key ordering logs by their value ids."""
-        return tuple(v.sort_key for v in self.values)
 
     def __repr__(self) -> str:
         inner = ",".join(f"{v.id}.{v.proposer}v{v.view}" for v in self.values)
@@ -169,20 +166,20 @@ def longest_common_prefix(logs: Iterable[Log]) -> Log:
     return lcp
 
 
-@dataclass(frozen=True, slots=True)
-class VoteMsg:
+class VoteMsg(NamedTuple):
     """Authenticated vote for a log, tagged with its send round.  Sender
-    authenticity is enforced by the simulation environment (no forging)."""
+    authenticity is enforced by the simulation environment (no forging).
+    Equal to, and hashed as, the tuple ``(sender, round, log)``."""
 
     sender: ProcessId
     round: int
     log: Log
 
 
-@dataclass(frozen=True, slots=True)
-class ProposeMsg:
+class ProposeMsg(NamedTuple):
     """Proposal of ``log`` for ``view``, with the sender's lottery ticket
-    ``vrf_eval(seed, sender, view)`` for that view."""
+    ``vrf_eval(seed, sender, view)`` for that view.  Equal to, and hashed
+    as, the tuple ``(sender, view, log, ticket)``."""
 
     sender: ProcessId
     view: int

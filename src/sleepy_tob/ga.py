@@ -128,7 +128,7 @@ class GaOutput:
         grade1 = tuple(log for log, g in self.grades.items() if g == 1)
         top = max(map(len, self.grades), default=0)
         tied = [log for log in self.grades if len(log) == top]
-        longest_any = min(tied, key=lambda log: log.lex_key, default=None)
+        longest_any = min(tied, default=None)
         object.__setattr__(self, "_grade1", grade1)
         object.__setattr__(self, "_longest_grade1", max(grade1, key=len, default=None))
         object.__setattr__(self, "_longest_any", longest_any)
@@ -151,7 +151,7 @@ class GaOutput:
     def longest_any(self) -> Log | None:
         """Longest output at any grade.  A grade-1 log and a conflicting log
         of any grade would also need more than ``m`` votes, so equal-length
-        outputs are both grade 0; the smallest by value ids wins."""
+        outputs are both grade 0; the smallest in log order wins."""
         return self._longest_any
 
 

@@ -275,7 +275,7 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
     receivers = set(record.receivers)
     applicable_cliques = 0
     fail = None
-    for lam in sorted(candidates, key=lambda l: (len(l), l.lex_key)):
+    for lam in sorted(candidates, key=lambda l: (len(l), l)):
         clique = _find_clique(record, groups, lam)
         clique_receivers = clique & receivers
         if not clique_receivers or not 3 * len(clique) > 2 * len(pool):

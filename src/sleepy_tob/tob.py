@@ -158,7 +158,7 @@ def round1_vote_log(proposals: Iterable[ProposeMsg], candidate: Log) -> Log:
             best = pm
             continue
         key, best_key = (pm.ticket, pm.sender), (best.ticket, best.sender)
-        if key > best_key or (key == best_key and pm.log.lex_key < best.log.lex_key):
+        if key > best_key or (key == best_key and pm.log < best.log):
             best = pm
     return best.log if best is not None else candidate
 

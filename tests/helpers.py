@@ -14,6 +14,12 @@ def sliced_prefixes(log: Log) -> list[Log]:
     return [Log(log.values[:k]) for k in range(len(log) + 1)]
 
 
+def fields_key(log: Log) -> tuple[tuple[int, int, int], ...]:
+    """A log's tie-break order built by hand from its values' fields,
+    independent of how ``Log`` and ``Value`` compare."""
+    return tuple((v.id, v.proposer, v.view) for v in log.values)
+
+
 def sliced_common_prefix(logs) -> Log:
     """The longest common prefix of a nonempty collection of logs, compared
     value by value."""

@@ -74,15 +74,21 @@ def test_outputs_do_not_depend_on_hash_seed(name, tmp_path):
 
 
 def test_outputs_do_not_depend_on_the_log_hash(tmp_path, monkeypatch):
-    """Under a perturbed ``Log.__hash__`` equal logs still hash equal, but
-    sets of logs iterate in another order.  No golden output and no default
+    """Under a perturbed ``Log.__hash__``, ``VoteMsg.__hash__`` and
+    ``ProposeMsg.__hash__`` equal logs and messages still hash equal, but
+    sets of them iterate in another order.  No golden output and no default
     campaign report follows that order."""
     monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
     logs = [Log((Value(i, 0, i),) * (i % 3)) for i in range(40)]
-    order = list(set(logs))
+    msgs = [cls(i % 7, i, logs[i], *([i] if cls is ProposeMsg else []))
+            for cls in (VoteMsg, ProposeMsg) for i in range(40)]
+    log_order, msg_order = list(set(logs)), list(frozenset(msgs))
     reports = [run_scenario(scenario)[1] for scenario in campaign_scenarios()]
     monkeypatch.setattr(Log, "__hash__", lambda self: hash((self._hash, 7919)))
-    assert list(set(logs)) != order
+    for cls in (VoteMsg, ProposeMsg):
+        monkeypatch.setattr(cls, "__hash__", lambda self: hash((tuple.__hash__(self), 7919)))
+    assert list(set(logs)) != log_order
+    assert list(frozenset(msgs)) != msg_order
     for name, (code, trace, report) in GOLDEN.items():
         out = tmp_path / name
         assert main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(out)]) == code

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import sliced_common_prefix, sliced_prefixes
+from helpers import fields_key, sliced_common_prefix, sliced_prefixes
 from sleepy_tob.core import (
     EMPTY_LOG,
     Log,
+    ProposeMsg,
     Value,
+    VoteMsg,
     compatible,
     conflicts,
     is_chain,
@@ -100,6 +102,34 @@ def test_log_hash_eq_contract(ids, other_ids):
         a.values = ()
     with pytest.raises(AttributeError):
         a._hash = 0
+
+
+#: Values that differ in every field, so that ties on ``id`` fall to
+#: ``proposer`` and then to ``view``.
+values = st.builds(Value, st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+mixed_logs = st.lists(values, max_size=4).map(lambda vs: Log(tuple(vs)))
+
+
+@given(st.lists(mixed_logs, min_size=1, max_size=8), st.lists(values, min_size=1, max_size=8))
+def test_values_and_logs_order_as_their_fields(logs, vals):
+    # the reference keys are built from the fields, not from the types' order
+    assert sorted(vals) == sorted(vals, key=lambda v: (v.id, v.proposer, v.view))
+    assert sorted(logs) == sorted(logs, key=fields_key)
+    assert min(logs) == min(logs, key=fields_key)
+    for a, b in zip(logs, logs[1:]):
+        assert (a < b, a <= b, a == b) == (
+            fields_key(a) < fields_key(b), fields_key(a) <= fields_key(b),
+            fields_key(a) == fields_key(b))
+
+
+@given(st.integers(), st.integers(), st.integers(), mixed_logs)
+def test_values_and_messages_hash_as_their_field_tuples(a, b, c, log):
+    # the hashes the frozen dataclasses computed, so set orders cannot move
+    value, vote, proposal = Value(a, b, c), VoteMsg(a, b, log), ProposeMsg(a, b, log, c)
+    assert hash(value) == hash((a, b, c))
+    assert hash(vote) == hash((a, b, log))
+    assert hash(proposal) == hash((a, b, log, c))
+    assert vote != proposal and vote != value and proposal != value
 
 
 def test_structural_examples():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import sliced_prefixes
+from helpers import fields_key, sliced_prefixes
 from sleepy_tob.core import EMPTY_LOG, Log, Value, VoteMsg, compatible, conflicts
 from sleepy_tob.ga import (
     ForgeryError,
@@ -202,7 +202,7 @@ def full_tie_break_longest_grade1(out):
     """Longest grade-1 log, ties broken by value ids."""
     best = None
     for log in (log for log, g in out.grades.items() if g == 1):
-        if best is None or (len(log), log.lex_key) > (len(best), best.lex_key):
+        if best is None or (len(log), fields_key(log)) > (len(best), fields_key(best)):
             best = log
     return best
 
@@ -211,7 +211,7 @@ def full_tie_break_longest_any(out):
     """Longest log, equal lengths preferring grade 1, then value ids."""
     best = None
     for log, g in out.grades.items():
-        key = (-len(log), -g, log.lex_key)
+        key = (-len(log), -g, fields_key(log))
         if best is None or key < best[:3]:
             best = (*key, log)
     return None if best is None else best[3]

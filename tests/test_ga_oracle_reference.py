@@ -27,7 +27,7 @@ from fractions import Fraction
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from helpers import sliced_common_prefix, sliced_prefixes
+from helpers import fields_key, sliced_common_prefix, sliced_prefixes
 from sleepy_tob import oracle
 from sleepy_tob.core import (
     Log,
@@ -181,7 +181,7 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
     pool_size = len(set(record.inputs) | set(record.byzantine) | set(_initial_senders(record)))
     applicable_cliques = 0
     fail = None
-    for lam in sorted(candidates, key=lambda l: (len(l), l.lex_key)):
+    for lam in sorted(candidates, key=lambda l: (len(l), fields_key(l))):
         clique = _find_clique(record, lam)
         clique_receivers = clique & set(record.receivers)
         if not clique_receivers or not 3 * len(clique) > 2 * pool_size:
@@ -257,7 +257,7 @@ def check_clique_prune(record: GaRecord) -> None:
             extending = [m for m in record.receivers[q].initial.messages if is_prefix(lam, m.log)]
             assert any(m.sender == q for m in extending)
             assert 3 * len(extending) > 2 * pool_size
-    order = sorted(qualifying, key=lambda l: (len(l), l.lex_key))
+    order = sorted(qualifying, key=lambda l: (len(l), fields_key(l)))
     tried = [lam for lam in searched_bases(record) if lam in qualifying]
     assert tried == order[: len(tried)]
     if tried != order:

@@ -6,6 +6,7 @@ and votes outside any window."""
 from fractions import Fraction
 
 import pytest
+from helpers import fields_key
 
 from sleepy_tob.core import Log, ProposeMsg, Value, VoteMsg, vrf_eval
 from sleepy_tob.ga import GaOutput
@@ -121,7 +122,7 @@ def stale_prefix_strategy() -> AdversaryStrategy:
             if type(e) is SendEvent and e.round == r and type(e.msg) is VoteMsg
             and e.msg.sender not in byz
         ]
-        longest = max(votes, key=lambda log: (len(log), log.lex_key))
+        longest = max(votes, key=lambda log: (len(log), fields_key(log)))
         stale = Log(longest.values[:-1])
         view = clock.view + 1
         return [

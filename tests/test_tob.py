@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import fields_key
 from sleepy_tob.core import (
     EMPTY_LOG,
     GENESIS,
@@ -249,7 +250,7 @@ class TestStepRound1:
         # lexicographically smaller one, so only the sender rank picks AX
         low = ProposeMsg(sender=1, view=2, log=A, ticket=7)
         high = ProposeMsg(sender=2, view=2, log=AX, ticket=7)
-        assert A.lex_key < AX.lex_key
+        assert fields_key(A) < fields_key(AX)
         _, vote = step_round1(state(), 2, GaOutput(), [low, high][::order], {})
         assert vote.log == AX
 
@@ -323,7 +324,7 @@ def reference_step_round1(state, view, outputs, proposals, seed):
             best = pm
             continue
         key, best_key = (pm.ticket, pm.sender), (best.ticket, best.sender)
-        if key > best_key or (key == best_key and pm.log.lex_key < best.log.lex_key):
+        if key > best_key or (key == best_key and fields_key(pm.log) < fields_key(best.log)):
             best = pm
     vote_log = best.log if best is not None else state.candidate
     return outputs.longest_grade1(), VoteMsg(sender=state.pid, round=2 * view - 1, log=vote_log)

@@ -22,13 +22,13 @@ reaches.
 
 import json
 import random
-from dataclasses import asdict, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable
 
 import pytest
-from helpers import random_bounded_schedule
+from helpers import fields_key, random_bounded_schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,12 +103,12 @@ def reference_trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
             while log not in log_ids and log not in fresh:
                 fresh.add(log)
                 log = Log(log.values[:-1])
-        for log in sorted(fresh, key=lambda log: (len(log), log.lex_key)):
+        for log in sorted(fresh, key=lambda log: (len(log), fields_key(log))):
             log_ids[log] = len(log_ids)
             write({"kind": "log", "actor": None, "payload": {
                 "id": log_ids[log],
                 "parent": log_ids[Log(log.values[:-1])] if log else None,
-                "value": asdict(log.values[-1]) if log else None,
+                "value": log.values[-1]._asdict() if log else None,
             }}, r)
 
     for e in trace.events:
