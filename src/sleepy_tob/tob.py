@@ -191,7 +191,7 @@ def step_round1(
     vote_log = picks.get(key)
     if vote_log is None:
         vote_log = picks[key] = round1_vote_log(proposals, state.candidate)
-    return outputs.longest_grade1(), VoteMsg(sender=state.pid, round=2 * view - 1, log=vote_log)
+    return outputs.longest_grade1(), VoteMsg(state.pid, 2 * view - 1, vote_log)
 
 
 def step_round2(
@@ -210,14 +210,6 @@ def step_round2(
     head = outputs.longest_any()
     if head is None:
         head = state.candidate
-    fresh = Value(id=view + 1, proposer=state.pid, view=view + 1)
-    proposal = ProposeMsg(
-        sender=state.pid,
-        view=view + 1,
-        log=head.extended(fresh),
-        ticket=vrf_eval(seed, state.pid, view + 1),
-    )
-    return (
-        VoteMsg(sender=state.pid, round=2 * view, log=vote_log),
-        proposal,
-    )
+    pid, nxt = state.pid, view + 1
+    proposal = ProposeMsg(pid, nxt, head.extended(Value(nxt, pid, nxt)), vrf_eval(seed, pid, nxt))
+    return VoteMsg(pid, 2 * view, vote_log), proposal

@@ -47,7 +47,12 @@ Every run setting has one source: the seed is ``World.seed``, and the vote
 expiry window and every model bound are read from ``schedule.params``.
 Runs are deterministic functions of (schedule, strategy, seed) and record
 a full trace: sends, deliveries, decisions, and one agreement record per
-round for the oracles.
+round for the oracles.  The send, delivery and decide events are named
+tuples, built positionally once per message, receive phase and decision.
+Like the messages, each equals the plain tuple of its fields, so a
+``DecideEvent(3, 3, log)`` equals ``VoteMsg(3, 3, log)``; ``Trace`` files
+events by type, and nothing in the package compares an event with a
+message.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import model_checks
 from .core import (
@@ -207,14 +212,12 @@ def constant_schedule(
     )
 
 
-@dataclass(frozen=True)
-class SendEvent:
+class SendEvent(NamedTuple):
     round: int
     msg: Msg
 
 
-@dataclass(frozen=True)
-class DeliverEvent:
+class DeliverEvent(NamedTuple):
     """One receive phase of ``receiver``: the indices, among the run's
     sends, of the messages it took from its held list and the send log past
     its cursor, in send order (none, if there were none or all were held
@@ -226,8 +229,7 @@ class DeliverEvent:
     ids: Sequence[int]
 
 
-@dataclass(frozen=True)
-class DecideEvent:
+class DecideEvent(NamedTuple):
     round: int
     pid: ProcessId
     log: Log
@@ -256,7 +258,8 @@ class Trace:
 
     @cached_property
     def _by_kind(self) -> dict[type, list[Event]]:
-        """Events by class; send events are also filed under their message
+        """Events by class, never by value (events of different kinds may
+        be equal tuples); send events are also filed under their message
         class (``VoteMsg``, ``ProposeMsg``)."""
         by_kind: dict[type, list[Event]] = {
             SendEvent: [], DeliverEvent: [], DecideEvent: [], GaRecord: [],
@@ -372,7 +375,7 @@ class World:
             strategy.validate(self)
 
     def _broadcast(self, msg: Msg, r: int) -> None:
-        self.events.append(SendEvent(round=r, msg=msg))
+        self.events.append(SendEvent(r, msg))
         if isinstance(msg, VoteMsg):
             keep_latest(self.votes, msg)
         else:
@@ -404,6 +407,7 @@ class World:
         """Execute the send and receive phases of round ``r``."""
         sched = self.schedule
         clock = ViewClock(r)
+        phase, view = clock.phase, clock.view
         inputs: dict[ProcessId, Log] = {}
         # round-1 vote logs by (id of a proposal collection, candidate); every
         # collection is held by a process state throughout the send phase
@@ -411,21 +415,21 @@ class World:
 
         for p in sorted(sched.honest(r)):
             state = self.states[p]
-            if clock.phase is Phase.VIEW0:
+            if phase is Phase.VIEW0:
                 for pm in step_view0(state, self.seed):
                     self._broadcast(pm, r)
                 continue
             # p is awake at r, so it received in round r - 1 and its
             # pending output is that round's
             outputs = state.pending_output
-            if clock.phase is Phase.ROUND1:
-                proposals = state.proposals_seen.get(clock.view, _NO_PROPOSALS)
-                decided, vote = step_round1(state, clock.view, outputs, proposals, picks)
+            if phase is Phase.ROUND1:
+                proposals = state.proposals_seen.get(view, _NO_PROPOSALS)
+                decided, vote = step_round1(state, view, outputs, proposals, picks)
                 if decided is not None:
-                    self.events.append(DecideEvent(round=r, pid=p, log=decided))
+                    self.events.append(DecideEvent(r, p, decided))
                 self._broadcast(vote, r)
             else:
-                vote, proposal = step_round2(state, clock.view, outputs, self.seed)
+                vote, proposal = step_round2(state, view, outputs, self.seed)
                 self._broadcast(vote, r)
                 self._broadcast(proposal, r)
             inputs[p] = vote.log
@@ -474,7 +478,7 @@ class World:
                     state.absorb(sent[i])
                 view = self._receive(state.votes_seen, r)
             self.cursor[q] = end
-            self.events.append(DeliverEvent(round=r, receiver=q, ids=ids))
+            self.events.append(DeliverEvent(r, q, ids))
             state.pending_output = view.output
             views[q] = view
 
@@ -513,11 +517,18 @@ def window_attack(
     view.  Receiver ``q`` is shown only Byzantine messages for target
     ``q mod k``, so all honest-to-honest delivery is suppressed."""
 
+    # the last schedule seen and its targets: a strategy object may be
+    # reused across runs, so the targets are rebuilt when the schedule changes
+    memo: tuple[Schedule | None, list[Log]] = (None, [])
+
     def targets(sched: Schedule) -> list[Log]:
-        assert sched.r_a is not None
-        proposer = min(sched.byz(sched.r_a + 1), default=0)
-        view = ViewClock(sched.r_a + 1).view
-        return [Log((Value(id=base + i + view, proposer=proposer, view=view),)) for i in range(k)]
+        nonlocal memo
+        if memo[0] is not sched:
+            assert sched.r_a is not None
+            proposer = min(sched.byz(sched.r_a + 1), default=0)
+            view = ViewClock(sched.r_a + 1).view
+            memo = (sched, [Log((Value(base + i + view, proposer, view),)) for i in range(k)])
+        return memo[1]
 
     def messages(world: World, r: int) -> list[Msg]:
         sched = world.schedule
@@ -527,11 +538,11 @@ def window_attack(
         clock = ViewClock(r)
         out: list[Msg] = []
         for b in sorted(sched.byz(r)):
-            out.extend(VoteMsg(sender=b, round=r, log=log) for log in logs)
+            out.extend(VoteMsg(b, r, log) for log in logs)
             if proposes and clock.phase is Phase.ROUND2:
                 view = clock.view + 1
                 ticket = vrf_eval(world.seed, b, view)
-                out.extend(ProposeMsg(sender=b, view=view, log=log, ticket=ticket) for log in logs)
+                out.extend(ProposeMsg(b, view, log, ticket) for log in logs)
         return out
 
     def delivery_filter(world: World, r: int, q: ProcessId, cand: Sequence[Msg]) -> list[Msg]:

@@ -84,6 +84,27 @@ class TestTraceIndex:
         assert trace.decide_events() == [DecideEvent(2, 0, log)]
         assert trace.decided_up_to(1) == [] and trace.decided_up_to(2) == [log]
 
+    def test_events_are_named_tuples_filed_by_type(self):
+        """Events are named tuples: fixed fields, read-only, and equal to the
+        plain tuple of their fields, so a decision equals the vote with the
+        same three fields.  The index files events by type, not by value."""
+        assert SendEvent._fields == ("round", "msg")
+        assert DeliverEvent._fields == ("round", "receiver", "ids")
+        assert DecideEvent._fields == ("round", "pid", "log")
+        log = Log((GENESIS,))
+        send, decide = SendEvent(3, VoteMsg(3, 3, log)), DecideEvent(3, 3, log)
+        for event in (send, DeliverEvent(3, 0, (0,)), decide):
+            with pytest.raises(AttributeError):
+                event.round = 4
+        assert decide == send.msg == (3, 3, log)
+        assert decide._replace(round=4) == DecideEvent(4, 3, log)
+        trace = Trace(constant_schedule(n=4, horizon=4, n_byz=0, params=params()), "none",
+                      (send, decide))
+        (decided,), (voted,) = trace.decide_events(), trace.vote_sends()
+        assert decided is decide and voted is send
+        assert trace.send_events() == [send] and trace.propose_sends() == []
+        assert trace.decided_up_to(3) == [log]
+
 
 class TestDelivery:
     def test_sync_round_delivers_everything_once(self):
