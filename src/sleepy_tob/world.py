@@ -407,7 +407,7 @@ class World:
         """Execute the send and receive phases of round ``r``."""
         sched = self.schedule
         clock = ViewClock(r)
-        phase, view = clock.phase, clock.view
+        phase, this_view = clock.phase, clock.view
         inputs: dict[ProcessId, Log] = {}
         # round-1 vote logs by (id of a proposal collection, candidate); every
         # collection is held by a process state throughout the send phase
@@ -423,13 +423,13 @@ class World:
             # pending output is that round's
             outputs = state.pending_output
             if phase is Phase.ROUND1:
-                proposals = state.proposals_seen.get(view, _NO_PROPOSALS)
-                decided, vote = step_round1(state, view, outputs, proposals, picks)
+                proposals = state.proposals_seen.get(this_view, _NO_PROPOSALS)
+                decided, vote = step_round1(state, this_view, outputs, proposals, picks)
                 if decided is not None:
                     self.events.append(DecideEvent(r, p, decided))
                 self._broadcast(vote, r)
             else:
-                vote, proposal = step_round2(state, view, outputs, self.seed)
+                vote, proposal = step_round2(state, this_view, outputs, self.seed)
                 self._broadcast(vote, r)
                 self._broadcast(proposal, r)
             inputs[p] = vote.log
