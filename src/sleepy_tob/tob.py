@@ -210,6 +210,11 @@ def step_round2(
     head = outputs.longest_any()
     if head is None:
         head = state.candidate
-    pid, nxt = state.pid, view + 1
-    proposal = ProposeMsg(pid, nxt, head.extended(Value(nxt, pid, nxt)), vrf_eval(seed, pid, nxt))
-    return VoteMsg(pid, 2 * view, vote_log), proposal
+    fresh = Value(view + 1, state.pid, view + 1)
+    proposal = ProposeMsg(
+        state.pid,
+        view + 1,
+        head.extended(fresh),
+        vrf_eval(seed, state.pid, view + 1),
+    )
+    return VoteMsg(state.pid, 2 * view, vote_log), proposal

@@ -48,11 +48,10 @@ expiry window and every model bound are read from ``schedule.params``.
 Runs are deterministic functions of (schedule, strategy, seed) and record
 a full trace: sends, deliveries, decisions, and one agreement record per
 round for the oracles.  The send, delivery and decide events are named
-tuples, built positionally once per message, receive phase and decision.
-Like the messages, each equals the plain tuple of its fields, so a
-``DecideEvent(3, 3, log)`` equals ``VoteMsg(3, 3, log)``; ``Trace`` files
-events by type, and nothing in the package compares an event with a
-message.
+tuples.  Like the messages, each equals the plain tuple of its fields, so
+a ``DecideEvent(3, 3, log)`` equals ``VoteMsg(3, 3, log)``; ``Trace``
+files events by type, and nothing in the package compares an event with
+a message.
 """
 
 from __future__ import annotations
@@ -517,18 +516,11 @@ def window_attack(
     view.  Receiver ``q`` is shown only Byzantine messages for target
     ``q mod k``, so all honest-to-honest delivery is suppressed."""
 
-    # the last schedule seen and its targets: a strategy object may be
-    # reused across runs, so the targets are rebuilt when the schedule changes
-    memo: tuple[Schedule | None, list[Log]] = (None, [])
-
     def targets(sched: Schedule) -> list[Log]:
-        nonlocal memo
-        if memo[0] is not sched:
-            assert sched.r_a is not None
-            proposer = min(sched.byz(sched.r_a + 1), default=0)
-            view = ViewClock(sched.r_a + 1).view
-            memo = (sched, [Log((Value(base + i + view, proposer, view),)) for i in range(k)])
-        return memo[1]
+        assert sched.r_a is not None
+        proposer = min(sched.byz(sched.r_a + 1), default=0)
+        view = ViewClock(sched.r_a + 1).view
+        return [Log((Value(base + i + view, proposer, view),)) for i in range(k)]
 
     def messages(world: World, r: int) -> list[Msg]:
         sched = world.schedule

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepy_tob.cli import Scenario, build_schedule, trace_lines
 from sleepy_tob.core import GENESIS, Log, ProcessId, ProposeMsg, Value, VoteMsg, vrf_eval
 from sleepy_tob.model_checks import ModelParams
 from sleepy_tob.oracle import Verdict, check_async_resilience
@@ -213,28 +212,3 @@ def test_attacks_win_only_past_the_expiry_window(eta):
         ]
         fails[pi] = verdicts.count(Verdict.FAIL)
     assert fails == {eta - 1: 0, eta: 0, eta + 1: 8}
-
-
-@pytest.mark.parametrize("make", [strategy_prop1, strategy_split_decision])
-def test_reused_strategy_rebuilds_its_targets_per_schedule(make):
-    """A window attack keeps the target logs of the last schedule it ran
-    on.  One strategy object reused on schedules with another ``r_a`` and
-    another Byzantine set writes the trace a fresh object writes."""
-    shared = make()
-    byzantine_logs = []
-    for r_a, n_byz in ((4, 2), (6, 3), (4, 2)):
-        scenario = Scenario(
-            name="reuse", n=10, horizon=14, tau=4, eta=2, pi=3, gamma=Fraction(0),
-            beta=Fraction(1, 3), r_a=r_a, seed=7, schedule_spec={"constant": {"n_byz": n_byz}},
-            adversary=shared.name,
-        )
-        schedule = build_schedule(scenario)
-        fresh = run(schedule, make(), scenario.seed)
-        assert trace_lines(run(schedule, shared, scenario.seed), scenario) == trace_lines(
-            fresh, scenario
-        )
-        byzantine_logs.append({e.msg.log for e in fresh.vote_sends()
-                               if e.msg.sender in schedule.byz(e.round)})
-    # the second schedule's targets differ from the first's
-    assert byzantine_logs[0] == byzantine_logs[2]
-    assert byzantine_logs[0].isdisjoint(byzantine_logs[1])
