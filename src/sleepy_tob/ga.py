@@ -11,7 +11,10 @@ may additionally start from an *initial set* of older votes (at most one
 per sender); a sender's current-round vote takes precedence over its entry
 in the initial set, and a sender caught voting two different logs in one
 round contributes nothing at all.  With empty initial sets the primitive
-reduces to the plain single-round form.
+reduces to the plain single-round form.  When no sender appears twice among
+a round's distinct votes, which always holds for the one-vote-per-sender stores a
+``World`` receiver draws them from, merging is a single set union: the
+round's votes plus the initial votes of senders that did not vote in it.
 
 Thresholds use exact integer cross-multiplication (3*count > 2*m), never
 floating point, so runs are bit-reproducible.
@@ -20,7 +23,7 @@ floating point, so runs are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Container, Iterable, Mapping, Sequence
 
 from .core import Log, ProcessId, ProposeMsg, VoteMsg
 
@@ -49,8 +52,7 @@ class InitialVoteSet:
     messages: frozenset[VoteMsg] = frozenset()
 
     def __post_init__(self) -> None:
-        senders = [m.sender for m in self.messages]
-        if len(senders) != len(set(senders)):
+        if len({m.sender for m in self.messages}) != len(self.messages):
             raise ValueError("initial vote set holds more than one message per sender")
 
 
@@ -77,14 +79,21 @@ def merge_latest(
 ) -> frozenset[VoteMsg]:
     """Combine an initial vote set with the current round's votes.
 
-    The round's votes, all sent in the instance's round, and then the
-    strictly older initial ones are folded through ``keep_latest``:
-    current-round votes supersede initial-set entries from the same sender,
-    equivocators (two differing logs from one sender in the round) are
-    dropped entirely, and the result holds at most one message per sender.
+    Current-round votes, all sent in the instance's round, supersede
+    initial-set entries from the same sender, equivocators (two differing
+    logs from one sender in the round) are dropped entirely, and the result
+    holds at most one message per sender.  When no sender appears twice
+    among the distinct round votes, that is the round's votes plus the
+    initial votes of senders with no round vote.  Otherwise the round's
+    votes and then the strictly older initial ones are folded through
+    ``keep_latest``.
     """
+    current = frozenset(round_msgs)
+    senders = {msg.sender for msg in current}
+    if len(senders) == len(current):
+        return current.union([msg for msg in initial.messages if msg.sender not in senders])
     latest: dict[ProcessId, tuple[int, VoteMsg | None]] = {}
-    for msg in round_msgs:
+    for msg in current:
         keep_latest(latest, msg)
     for msg in initial.messages:
         keep_latest(latest, msg)
@@ -114,9 +123,10 @@ class GaOutput:
     maximal grade per log.
 
     The selections the protocol and the oracle read are made once, at
-    construction, since every receiver of a synchronous round shares one
-    output; they are not compared or shown, so an output is equal to and
-    shown as its ``grades``, which must not be changed after construction.
+    construction and in one pass over ``grades``, since every receiver of a
+    synchronous round shares one output; they are not compared or shown, so
+    an output is equal to and shown as its ``grades``, which must not be
+    changed after construction.
     """
 
     grades: dict[Log, int] = field(default_factory=dict)
@@ -125,12 +135,19 @@ class GaOutput:
     _longest_any: Log | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        grade1 = tuple(log for log, g in self.grades.items() if g == 1)
-        top = max(map(len, self.grades), default=0)
-        tied = [log for log in self.grades if len(log) == top]
-        longest_any = min(tied, default=None)
-        object.__setattr__(self, "_grade1", grade1)
-        object.__setattr__(self, "_longest_grade1", max(grade1, key=len, default=None))
+        grade1: list[Log] = []
+        longest_grade1 = longest_any = None
+        top1 = top = -1
+        for log, g in self.grades.items():
+            size = len(log.values)
+            if g == 1:
+                grade1.append(log)
+                if size > top1:
+                    longest_grade1, top1 = log, size
+            if size > top or size == top and log < longest_any:
+                longest_any, top = log, size
+        object.__setattr__(self, "_grade1", tuple(grade1))
+        object.__setattr__(self, "_longest_grade1", longest_grade1)
         object.__setattr__(self, "_longest_any", longest_any)
 
     def __bool__(self) -> bool:
@@ -155,9 +172,9 @@ class GaOutput:
         return self._longest_any
 
 
-def grade(msgs: Iterable[VoteMsg]) -> GaOutput:
-    """Grade a merged vote set (at most one message per sender)."""
-    msgs = list(msgs)
+def grade(msgs: Collection[VoteMsg]) -> GaOutput:
+    """Grade a merged vote set: a collection of at most one message per
+    sender."""
     m = len(msgs)
     grades: dict[Log, int] = {}
     for log, count in tally(msgs).items():
@@ -198,13 +215,15 @@ def delivered(
     held.
 
     Self-delivery is never suppressed, and a chosen message that was never
-    queued (a forgery) is never delivered.
+    queued (a forgery) is never delivered.  A message equal to a chosen one
+    has a chosen sender, so only a message from one is looked up.
     """
     chosen = set(chosen)
+    senders = {m.sender for m in chosen}
     kept, held = [], []
     for i in queued:
         m = sent[i]
-        (kept if m in chosen or m.sender == q else held).append(i)
+        (kept if m.sender == q or m.sender in senders and m in chosen else held).append(i)
     return kept, held
 
 

@@ -50,6 +50,9 @@ from .core import (
 from .ga import GaOutput, InitialVoteSet, keep_latest
 
 
+_NO_OLDER_VOTES = InitialVoteSet()
+
+
 class Phase(Enum):
     VIEW0 = "view0"
     ROUND1 = "round1"
@@ -120,7 +123,8 @@ def latest_unexpired(
     the round-``r`` receive phase, which ``World`` ensures by rejecting
     strategy votes that do not carry round ``r``.  The pair feeds
     ``ga.merge_latest``, which gives current-round votes precedence over
-    the carried-over set.
+    the carried-over set.  With no older vote counting, as in every
+    fault-free round, the older set is one shared empty set.
     """
     lo = 0 if eta is None else max(0, r - eta)
     initial: list[VoteMsg] = []
@@ -128,7 +132,8 @@ def latest_unexpired(
     for rnd, msg in votes_seen.values():
         if msg is not None and rnd >= lo:
             (current if rnd == r else initial).append(msg)
-    return InitialVoteSet(frozenset(initial)), frozenset(current)
+    older = InitialVoteSet(frozenset(initial)) if initial else _NO_OLDER_VOTES
+    return older, frozenset(current)
 
 
 def step_view0(state: ProcessState, seed: int) -> list[ProposeMsg]:

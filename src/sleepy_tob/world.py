@@ -467,7 +467,8 @@ class World:
                 view = shared
             else:
                 queued = [*held, *range(start, end)]
-                chosen = self.strategy.delivery_filter(self, r, q, tuple(sent[i] for i in queued))
+                shown = tuple(map(sent.__getitem__, queued))
+                chosen = self.strategy.delivery_filter(self, r, q, shown)
                 kept, self.held[q] = delivered(q, sent, queued, chosen)
                 ids = tuple(kept)
                 # either store may be a shared snapshot
