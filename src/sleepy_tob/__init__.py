@@ -23,7 +23,6 @@ from .ga import (
     ForgeryError,
     grade,
     merge_latest,
-    run_instance,
     tally,
 )
 from .model_checks import ModelParams, beta_tilde, check_all

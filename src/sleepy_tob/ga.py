@@ -11,10 +11,10 @@ may additionally start from an *initial set* of older votes (at most one
 per sender); a sender's current-round vote takes precedence over its entry
 in the initial set, and a sender caught voting two different logs in one
 round contributes nothing at all.  With empty initial sets the primitive
-reduces to the plain single-round form.  When no sender appears twice among
-a round's distinct votes, which always holds for the one-vote-per-sender stores a
-``World`` receiver draws them from, merging is a single set union: the
-round's votes plus the initial votes of senders that did not vote in it.
+reduces to the plain single-round form.  ``keep_latest`` is that rule: it
+folds each vote into a store holding one entry per sender, so the two
+halves ``tob.latest_unexpired`` splits a store into share no sender, and
+``merge_latest`` joins them by one set union.
 
 Thresholds use exact integer cross-multiplication (3*count > 2*m), never
 floating point, so runs are bit-reproducible.
@@ -23,7 +23,7 @@ floating point, so runs are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Container, Iterable, Mapping, Sequence
+from typing import Collection, Container, Iterable, Sequence
 
 from .core import Log, ProcessId, ProposeMsg, VoteMsg
 
@@ -75,29 +75,17 @@ def keep_latest(
 
 
 def merge_latest(
-    initial: InitialVoteSet, round_msgs: Iterable[VoteMsg]
+    initial: InitialVoteSet, current: frozenset[VoteMsg]
 ) -> frozenset[VoteMsg]:
-    """Combine an initial vote set with the current round's votes.
+    """The votes a receiver counts: the older votes ``initial`` and the
+    current round's votes ``current``.
 
-    Current-round votes, all sent in the instance's round, supersede
-    initial-set entries from the same sender, equivocators (two differing
-    logs from one sender in the round) are dropped entirely, and the result
-    holds at most one message per sender.  When no sender appears twice
-    among the distinct round votes, that is the round's votes plus the
-    initial votes of senders with no round vote.  Otherwise the round's
-    votes and then the strictly older initial ones are folded through
-    ``keep_latest``.
+    The halves must be the pair ``tob.latest_unexpired`` returns.  It splits
+    a store folded with ``keep_latest``, so they share no sender, and each
+    holds at most one vote per sender, none from an equivocator; their union
+    is then the merge.
     """
-    current = frozenset(round_msgs)
-    senders = {msg.sender for msg in current}
-    if len(senders) == len(current):
-        return current.union([msg for msg in initial.messages if msg.sender not in senders])
-    latest: dict[ProcessId, tuple[int, VoteMsg | None]] = {}
-    for msg in current:
-        keep_latest(latest, msg)
-    for msg in initial.messages:
-        keep_latest(latest, msg)
-    return frozenset(msg for _, msg in latest.values() if msg is not None)
+    return current | initial.messages
 
 
 def tally(msgs: Iterable[VoteMsg]) -> dict[Log, int]:
@@ -225,71 +213,3 @@ def delivered(
         m = sent[i]
         (kept if m.sender == q or m.sender in senders and m in chosen else held).append(i)
     return kept, held
-
-
-def run_instance(
-    round: int,
-    inputs: Mapping[ProcessId, Log],
-    byz_msgs: Sequence[VoteMsg] = (),
-    initial_sets: Mapping[ProcessId, InitialVoteSet] | None = None,
-    *,
-    receivers: Iterable[ProcessId] | None = None,
-    byzantine: Iterable[ProcessId] | None = None,
-    delivery: Callable[[ProcessId, Sequence[VoteMsg]], Iterable[VoteMsg]] | None = None,
-) -> GaRecord:
-    """Run one instance end to end and return its full record.
-
-    ``inputs`` maps each well-behaved sender to its input log; ``byz_msgs``
-    are adversarial votes for this round; ``initial_sets`` carry each
-    receiver's older votes.  The record is synchronous exactly when no
-    ``delivery`` is given: then every sent message reaches every receiver.
-    Otherwise ``delivery`` picks the subset each receiver sees, filtered
-    through ``delivered``: a receiver always gets the votes it sent itself,
-    and never a vote that was not sent.
-    """
-    initial_sets = dict(initial_sets or {})
-    byz_set = (
-        frozenset(byzantine)
-        if byzantine is not None
-        else frozenset(m.sender for m in byz_msgs)
-    )
-    for msg in byz_msgs:
-        if msg.sender in inputs:
-            raise ForgeryError(f"adversary vote from {msg.sender}, which has an input log")
-        check_adversary_message(msg, round, byz_set)
-
-    sent: list[VoteMsg] = [
-        VoteMsg(sender=p, round=round, log=log) for p, log in sorted(inputs.items())
-    ]
-    sent.extend(byz_msgs)
-
-    if receivers is None:
-        receiver_ids = sorted(set(inputs) | set(initial_sets))
-    else:
-        receiver_ids = sorted(set(receivers))
-
-    views: dict[ProcessId, ReceiverView] = {}
-    for q in receiver_ids:
-        initial = initial_sets.get(q, InitialVoteSet())
-        if any(m.round >= round for m in initial.messages):
-            raise ValueError("initial set contains messages not strictly older than the round")
-        if delivery is None:
-            got = sent
-        else:
-            kept, _ = delivered(q, sent, range(len(sent)), delivery(q, tuple(sent)))
-            got = [sent[i] for i in kept]
-        merged = merge_latest(initial, got)
-        views[q] = ReceiverView(
-            initial=initial,
-            received=frozenset(got),
-            output=grade(merged),
-            m=len(merged),
-        )
-
-    return GaRecord(
-        round=round,
-        synchronous=delivery is None,
-        inputs=dict(sorted(inputs.items())),
-        byzantine=byz_set,
-        receivers=views,
-    )

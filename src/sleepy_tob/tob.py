@@ -122,8 +122,8 @@ def latest_unexpired(
     older vote.  This relies on the store holding no round above ``r`` at
     the round-``r`` receive phase, which ``World`` ensures by rejecting
     strategy votes that do not carry round ``r``.  The pair feeds
-    ``ga.merge_latest``, which gives current-round votes precedence over
-    the carried-over set.  With no older vote counting, as in every
+    ``ga.merge_latest``: the store holds one entry per sender, so the two
+    halves share no sender and neither holds an equivocation.  With no older vote counting, as in every
     fault-free round, the older set is one shared empty set.
     """
     lo = 0 if eta is None else max(0, r - eta)

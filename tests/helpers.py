@@ -1,11 +1,29 @@
-"""Shared builders for randomized schedules used by both the unit tests and
-the acceptance suite, and slice-based references for the log-tree walks."""
+"""Shared builders for the tests: randomized schedules used by both the unit
+tests and the acceptance suite, slice-based references for the log-tree
+walks, and one graded-agreement instance run outside a ``World``
+(``run_instance``), which merges each receiver's votes through the receive
+computation ``World`` runs (``store_merge``)."""
 
 import random
 from fractions import Fraction
+from typing import Callable, Iterable, Mapping, Sequence
 
-from sleepy_tob.core import Log
+from hypothesis import strategies as st
+
+from sleepy_tob.core import Log, ProcessId, Value, VoteMsg
+from sleepy_tob.ga import (
+    ForgeryError,
+    GaRecord,
+    InitialVoteSet,
+    ReceiverView,
+    check_adversary_message,
+    delivered,
+    grade,
+    keep_latest,
+    merge_latest,
+)
 from sleepy_tob.model_checks import ModelParams, beta_tilde
+from sleepy_tob.tob import latest_unexpired
 from sleepy_tob.world import Schedule
 
 
@@ -74,4 +92,112 @@ def random_bounded_schedule(rng: random.Random) -> Schedule:
         byzantine=tuple([byz] * (horizon + 1)),
         r_a=None,
         params=params,
+    )
+
+
+def store_merge(
+    r: int, initial: InitialVoteSet, round_msgs: Iterable[VoteMsg]
+) -> frozenset[VoteMsg]:
+    """The votes a receiver holding ``initial`` and the round-``r`` votes
+    ``round_msgs`` counts, as ``World`` computes them: every vote folded
+    into one store with ``ga.keep_latest``, the store split by
+    ``tob.latest_unexpired`` with no expiry, and the halves merged by
+    ``ga.merge_latest``."""
+    store: dict[ProcessId, tuple[int, VoteMsg | None]] = {}
+    for msg in (*initial.messages, *round_msgs):
+        keep_latest(store, msg)
+    return merge_latest(*latest_unexpired(store, r, None))
+
+
+MERGE_LOGS = [
+    Log((Value(1, 0, 1),)),
+    Log((Value(2, 0, 1),)),
+    Log((Value(1, 0, 1), Value(3, 1, 2))),
+]
+
+
+@st.composite
+def merge_inputs(draw):
+    """A round ``r``, an initial set of at most one older vote per sender,
+    and round-``r`` votes, among them senders voting two different logs and
+    equal copies of one vote, some sharing no object with it."""
+    r = draw(st.integers(1, 6))
+    logs = st.sampled_from(MERGE_LOGS)
+    older = draw(st.dictionaries(st.integers(0, 5), st.tuples(st.integers(0, r - 1), logs)))
+    initial = InitialVoteSet(frozenset(VoteMsg(s, rnd, log) for s, (rnd, log) in older.items()))
+    votes = st.builds(VoteMsg, st.integers(0, 5), st.just(r), logs)
+    round_msgs = draw(st.lists(votes, max_size=10))
+    if round_msgs:
+        repeats = draw(st.lists(st.sampled_from(round_msgs), max_size=3))
+        round_msgs += [VoteMsg(m.sender, r, Log(m.log.values)) for m in repeats]
+    return r, initial, draw(st.permutations(round_msgs))
+
+
+def run_instance(
+    round: int,
+    inputs: Mapping[ProcessId, Log],
+    byz_msgs: Sequence[VoteMsg] = (),
+    initial_sets: Mapping[ProcessId, InitialVoteSet] | None = None,
+    *,
+    receivers: Iterable[ProcessId] | None = None,
+    byzantine: Iterable[ProcessId] | None = None,
+    delivery: Callable[[ProcessId, Sequence[VoteMsg]], Iterable[VoteMsg]] | None = None,
+) -> GaRecord:
+    """Run one graded-agreement instance end to end and return its record.
+
+    ``inputs`` maps each well-behaved sender to its input log; ``byz_msgs``
+    are adversarial votes for this round; ``initial_sets`` carry each
+    receiver's older votes.  The record is synchronous exactly when no
+    ``delivery`` is given: then every sent message reaches every receiver.
+    Otherwise ``delivery`` picks the subset each receiver sees, filtered
+    through ``ga.delivered``: a receiver always gets the votes it sent
+    itself, and never a vote that was not sent.  Each view's ``initial`` and
+    ``received`` are the receiver's initial set and delivered votes as
+    given; its output grades ``store_merge`` of them.
+    """
+    initial_sets = dict(initial_sets or {})
+    byz_set = (
+        frozenset(byzantine)
+        if byzantine is not None
+        else frozenset(m.sender for m in byz_msgs)
+    )
+    for msg in byz_msgs:
+        if msg.sender in inputs:
+            raise ForgeryError(f"adversary vote from {msg.sender}, which has an input log")
+        check_adversary_message(msg, round, byz_set)
+
+    sent: list[VoteMsg] = [
+        VoteMsg(sender=p, round=round, log=log) for p, log in sorted(inputs.items())
+    ]
+    sent.extend(byz_msgs)
+
+    if receivers is None:
+        receiver_ids = sorted(set(inputs) | set(initial_sets))
+    else:
+        receiver_ids = sorted(set(receivers))
+
+    views: dict[ProcessId, ReceiverView] = {}
+    for q in receiver_ids:
+        initial = initial_sets.get(q, InitialVoteSet())
+        if any(m.round >= round for m in initial.messages):
+            raise ValueError("initial set contains messages not strictly older than the round")
+        if delivery is None:
+            got = sent
+        else:
+            kept, _ = delivered(q, sent, range(len(sent)), delivery(q, tuple(sent)))
+            got = [sent[i] for i in kept]
+        merged = store_merge(round, initial, got)
+        views[q] = ReceiverView(
+            initial=initial,
+            received=frozenset(got),
+            output=grade(merged),
+            m=len(merged),
+        )
+
+    return GaRecord(
+        round=round,
+        synchronous=delivery is None,
+        inputs=dict(sorted(inputs.items())),
+        byzantine=byz_set,
+        receivers=views,
     )

@@ -4,15 +4,16 @@ pass/fail line.  Run with ``pytest tests/test_acceptance.py -v -s``."""
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from helpers import random_bounded_schedule
+from helpers import random_bounded_schedule, run_instance
 from sleepy_tob.cli import decimal_str, load_scenario, run_scenario, trace_lines
 from sleepy_tob.core import Log, Value, VoteMsg, conflicts
-from sleepy_tob.ga import InitialVoteSet, run_instance
+from sleepy_tob.ga import InitialVoteSet
 from sleepy_tob.model_checks import (
     ModelParams,
     beta_tilde,
@@ -26,6 +27,7 @@ from sleepy_tob.oracle import (
     check_async_resilience,
     check_ga_properties,
     check_healing,
+    naive_merged_votes,
     naive_record_outputs,
 )
 from sleepy_tob.world import (
@@ -296,7 +298,7 @@ def test_criterion_6_worked_scenario():
         assert view.output.grade_of(b_prime) != 1
     shown = record.receivers[0]
     assert shown.m == 10
-    counts = {log: c for log, c in _tally_of(shown).items()}
+    counts = _tally_of(shown)
     assert counts[b] == 6 and counts[b_prime] == 4
     grade1 = [
         (q, log)
@@ -315,9 +317,8 @@ def test_criterion_6_worked_scenario():
 
 
 def _tally_of(view):
-    from sleepy_tob.ga import merge_latest, tally
-
-    return tally(merge_latest(view.initial, view.received))
+    """Votes per log among those ``view`` counts, by the oracle's naive merge."""
+    return Counter(naive_merged_votes(view.initial.messages, view.received).values())
 
 
 # ---------------------------------------------------------------------------

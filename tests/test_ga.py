@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fields_key, sliced_prefixes
+from helpers import fields_key, merge_inputs, run_instance, sliced_prefixes, store_merge
 from sleepy_tob.core import EMPTY_LOG, Log, Value, VoteMsg, compatible, conflicts
 from sleepy_tob.ga import (
     ForgeryError,
@@ -12,7 +12,6 @@ from sleepy_tob.ga import (
     InitialVoteSet,
     grade,
     merge_latest,
-    run_instance,
     tally,
 )
 from sleepy_tob.oracle import naive_merged_votes
@@ -31,47 +30,38 @@ def initial(*msgs):
 
 
 class TestMergeLatest:
+    """``merge_latest`` on the halves ``latest_unexpired`` splits a store
+    into, the store folded with ``keep_latest`` (``helpers.store_merge``)."""
+
     def test_round_vote_supersedes_initial(self):
-        merged = merge_latest(initial(vote(1, A, round=3)), {vote(1, B)})
+        merged = store_merge(5, initial(vote(1, A, round=3)), {vote(1, B)})
         assert merged == frozenset({vote(1, B)})
 
     def test_round_equivocator_dropped_initial_kept(self):
-        merged = merge_latest(
-            initial(vote(1, A, round=3)), {vote(2, B), vote(2, AX)}
-        )
+        merged = store_merge(5, initial(vote(1, A, round=3)), {vote(2, B), vote(2, AX)})
         assert merged == frozenset({vote(1, A, round=3)})
 
     def test_empty_initial_reduces_to_round_votes(self):
-        assert merge_latest(InitialVoteSet(), {vote(1, A)}) == frozenset({vote(1, A)})
+        assert merge_latest(InitialVoteSet(), frozenset({vote(1, A)})) == frozenset({vote(1, A)})
 
     def test_round_equivocator_loses_initial_entry_too(self):
-        merged = merge_latest(initial(vote(2, A, round=3)), {vote(2, B), vote(2, AX)})
+        merged = store_merge(5, initial(vote(2, A, round=3)), {vote(2, B), vote(2, AX)})
         assert merged == frozenset()
+
+    def test_repeated_copies_count_once(self):
+        merged = store_merge(5, initial(vote(1, A, round=3)), [vote(2, B), vote(2, B)])
+        assert merged == frozenset({vote(1, A, round=3), vote(2, B)})
 
     def test_initial_set_rejects_duplicate_senders(self):
         with pytest.raises(ValueError):
             initial(vote(1, A, round=2), vote(1, B, round=3))
 
 
-@st.composite
-def merge_inputs(draw):
-    """Round-``r`` votes (duplicates and equivocations included) and an
-    initial set of at most one older vote per sender."""
-    r = draw(st.integers(1, 6))
-    logs = st.sampled_from([A, B, AX])
-    round_msgs = draw(
-        st.lists(st.builds(vote, st.integers(0, 5), logs, st.just(r)), max_size=10)
-    )
-    older = draw(st.dictionaries(st.integers(0, 5), st.tuples(st.integers(0, r - 1), logs)))
-    init = initial(*(vote(s, log, round=rnd) for s, (rnd, log) in older.items()))
-    return init, round_msgs
-
-
 @settings(max_examples=300)
 @given(merge_inputs())
 def test_merge_latest_matches_naive_merge(inputs):
-    init, round_msgs = inputs
-    merged = merge_latest(init, round_msgs)
+    r, init, round_msgs = inputs
+    merged = store_merge(r, init, round_msgs)
     assert {m.sender: m.log for m in merged} == naive_merged_votes(init.messages, round_msgs)
     assert len({m.sender for m in merged}) == len(merged)
     assert merged <= init.messages | set(round_msgs)

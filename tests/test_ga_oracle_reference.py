@@ -10,7 +10,7 @@ prefix are computed from slices of value tuples (``sliced_prefixes``,
 ``sliced_common_prefix``), so the reference shares no log-tree walk with the
 oracle.  On every record both oracles must give the same reports, verdicts,
 details and witnesses alike.  The records come
-from ``ga.run_instance`` (synchronous and filtered delivery, initial sets
+from ``helpers.run_instance`` (synchronous and filtered delivery, initial sets
 holding round-``r`` voters, Byzantine equivocation, empty inputs, receivers
 that sent nothing), from those records with receivers made to share view
 objects or to hold equal copies, which the oracle judges once per shared
@@ -27,7 +27,7 @@ from fractions import Fraction
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from helpers import fields_key, sliced_common_prefix, sliced_prefixes
+from helpers import fields_key, run_instance, sliced_common_prefix, sliced_prefixes
 from sleepy_tob import oracle
 from sleepy_tob.core import (
     Log,
@@ -37,7 +37,7 @@ from sleepy_tob.core import (
     is_prefix,
     maximal,
 )
-from sleepy_tob.ga import GaOutput, GaRecord, InitialVoteSet, run_instance
+from sleepy_tob.ga import GaOutput, GaRecord, InitialVoteSet
 from sleepy_tob.model_checks import ModelParams
 from sleepy_tob.oracle import OracleReport, Verdict
 from sleepy_tob.world import (

@@ -7,23 +7,21 @@ looked every queued message up in the chosen set; and
 ``reference_selections`` makes ``GaOutput``'s three selections as they
 were made before, in four passes over the grades.
 
-``merge_latest`` must give the reference's frozenset on both of its
-branches, which the tests tell apart by whether ``keep_latest`` is called:
-round votes with no sender repeated among the distinct ones (equal copies
-of one vote count once) take a set union, and round votes holding an
-equivocation are folded.  ``delivered`` must keep and hold the same
+The receive computation ``World`` runs (``keep_latest`` store,
+``latest_unexpired``, ``merge_latest``, as ``helpers.store_merge`` chains
+them) must give the reference's frozenset for round votes with equal copies
+and with equivocations.  ``delivered`` must keep and hold the same
 indices, in queue order, for queues that hold equal messages at two
 indices and the receiver's own sends, and for chosen messages that are
 equal but not identical to a queued one or that were never queued.
 """
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sleepy_tob import ga
+from helpers import merge_inputs, store_merge
 from sleepy_tob.core import Log, ProcessId, ProposeMsg, Value, VoteMsg
-from sleepy_tob.ga import GaOutput, InitialVoteSet, delivered, merge_latest
+from sleepy_tob.ga import GaOutput, delivered
 
 A = Log((Value(1, 0, 1),))
 B = Log((Value(2, 0, 1),))
@@ -78,62 +76,11 @@ def copy_of(msg):
 # merge_latest
 
 
-@st.composite
-def merge_inputs(draw, equivocation: bool):
-    """Round-``r`` votes with repeated copies, holding an equivocation
-    exactly when ``equivocation`` is set, and an initial set of at most one
-    older vote per sender."""
-    r = draw(st.integers(1, 6))
-    votes = draw(st.dictionaries(st.integers(0, 5), st.sampled_from(LOGS), max_size=6))
-    round_msgs = [VoteMsg(s, r, log) for s, log in votes.items()]
-    if equivocation:
-        s = draw(st.integers(0, 5))
-        first = votes.get(s)
-        if first is None:
-            first = draw(st.sampled_from(LOGS))
-            round_msgs.append(VoteMsg(s, r, first))
-        second = draw(st.sampled_from([log for log in LOGS if log != first]))
-        round_msgs.append(VoteMsg(s, r, second))
-    if round_msgs:
-        repeats = draw(st.lists(st.sampled_from(round_msgs), max_size=4))
-        round_msgs = draw(st.permutations(round_msgs + [copy_of(m) for m in repeats]))
-    older = draw(st.dictionaries(
-        st.integers(0, 5), st.tuples(st.integers(0, r - 1), st.sampled_from(LOGS))
-    ))
-    initial = InitialVoteSet(frozenset(VoteMsg(s, rnd, log) for s, (rnd, log) in older.items()))
-    return initial, round_msgs
-
-
-def merged_with_folds(initial, round_msgs):
-    """``merge_latest``'s result and the number of votes it folded."""
-    folds = []
-    keep_latest = ga.keep_latest
-
-    def counted(latest, msg):
-        folds.append(msg)
-        keep_latest(latest, msg)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ga, "keep_latest", counted)
-        return merge_latest(initial, round_msgs), len(folds)
-
-
 @settings(max_examples=300)
-@given(merge_inputs(equivocation=False))
-def test_merge_latest_union_branch_matches_fold(inputs):
-    initial, round_msgs = inputs
-    merged, folds = merged_with_folds(initial, round_msgs)
-    assert folds == 0
-    assert merged == reference_merge_latest(initial, round_msgs)
-
-
-@settings(max_examples=300)
-@given(merge_inputs(equivocation=True))
-def test_merge_latest_fold_branch_matches_fold(inputs):
-    initial, round_msgs = inputs
-    merged, folds = merged_with_folds(initial, round_msgs)
-    assert folds > 0
-    assert merged == reference_merge_latest(initial, round_msgs)
+@given(merge_inputs())
+def test_store_merge_matches_fold(inputs):
+    r, initial, round_msgs = inputs
+    assert store_merge(r, initial, round_msgs) == reference_merge_latest(initial, round_msgs)
 
 
 # ---------------------------------------------------------------------------

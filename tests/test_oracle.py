@@ -5,6 +5,7 @@ from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
+from helpers import run_instance
 from test_cli import campaign_traces
 
 from sleepy_tob.cli import load_scenario, run_scenario
@@ -14,7 +15,6 @@ from sleepy_tob.ga import (
     GaRecord,
     InitialVoteSet,
     ReceiverView,
-    run_instance,
 )
 from sleepy_tob.model_checks import ModelParams
 from sleepy_tob.oracle import (
