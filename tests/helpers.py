@@ -117,16 +117,31 @@ MERGE_LOGS = [
 
 
 @st.composite
-def merge_inputs(draw):
+def merge_inputs(draw, equivocation: bool | None = None):
     """A round ``r``, an initial set of at most one older vote per sender,
     and round-``r`` votes, among them senders voting two different logs and
-    equal copies of one vote, some sharing no object with it."""
+    equal copies of one vote, some sharing no object with it.
+
+    With ``equivocation`` False no sender votes two different logs in the
+    round; with it True at least one sender does."""
     r = draw(st.integers(1, 6))
     logs = st.sampled_from(MERGE_LOGS)
     older = draw(st.dictionaries(st.integers(0, 5), st.tuples(st.integers(0, r - 1), logs)))
     initial = InitialVoteSet(frozenset(VoteMsg(s, rnd, log) for s, (rnd, log) in older.items()))
-    votes = st.builds(VoteMsg, st.integers(0, 5), st.just(r), logs)
-    round_msgs = draw(st.lists(votes, max_size=10))
+    if equivocation is None:
+        votes = st.builds(VoteMsg, st.integers(0, 5), st.just(r), logs)
+        round_msgs = draw(st.lists(votes, max_size=10))
+    else:
+        one_each = draw(st.dictionaries(st.integers(0, 5), logs, max_size=6))
+        round_msgs = [VoteMsg(s, r, log) for s, log in one_each.items()]
+    if equivocation:
+        s = draw(st.integers(0, 5))
+        first = one_each.get(s)
+        if first is None:
+            first = draw(logs)
+            round_msgs.append(VoteMsg(s, r, first))
+        second = draw(st.sampled_from([log for log in MERGE_LOGS if log != first]))
+        round_msgs.append(VoteMsg(s, r, second))
     if round_msgs:
         repeats = draw(st.lists(st.sampled_from(round_msgs), max_size=3))
         round_msgs += [VoteMsg(m.sender, r, Log(m.log.values)) for m in repeats]

@@ -9,8 +9,10 @@ were made before, in four passes over the grades.
 
 The receive computation ``World`` runs (``keep_latest`` store,
 ``latest_unexpired``, ``merge_latest``, as ``helpers.store_merge`` chains
-them) must give the reference's frozenset for round votes with equal copies
-and with equivocations.  ``delivered`` must keep and hold the same
+them) must give the reference's frozenset for round votes with equal copies,
+both with no sender voting two logs, where the merge is a plain union of the
+round votes and the initial votes of senders with no round vote, and with an
+equivocation, whose sender the store drops.  ``delivered`` must keep and hold the same
 indices, in queue order, for queues that hold equal messages at two
 indices and the receiver's own sends, and for chosen messages that are
 equal but not identical to a queued one or that were never queued.
@@ -77,10 +79,27 @@ def copy_of(msg):
 
 
 @settings(max_examples=300)
-@given(merge_inputs())
-def test_store_merge_matches_fold(inputs):
+@given(merge_inputs(equivocation=False))
+def test_merge_latest_union_branch_matches_fold(inputs):
     r, initial, round_msgs = inputs
-    assert store_merge(r, initial, round_msgs) == reference_merge_latest(initial, round_msgs)
+    merged = store_merge(r, initial, round_msgs)
+    voted = {m.sender for m in round_msgs}
+    assert merged == frozenset(round_msgs) | {m for m in initial.messages if m.sender not in voted}
+    assert merged == reference_merge_latest(initial, round_msgs)
+
+
+@settings(max_examples=300)
+@given(merge_inputs(equivocation=True))
+def test_merge_latest_fold_branch_matches_fold(inputs):
+    r, initial, round_msgs = inputs
+    merged = store_merge(r, initial, round_msgs)
+    logs: dict[ProcessId, set[Log]] = {}
+    for m in round_msgs:
+        logs.setdefault(m.sender, set()).add(m.log)
+    equivocators = {s for s, voted in logs.items() if len(voted) > 1}
+    assert equivocators
+    assert not any(m.sender in equivocators for m in merged)
+    assert merged == reference_merge_latest(initial, round_msgs)
 
 
 # ---------------------------------------------------------------------------
