@@ -280,7 +280,8 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 
 def record_to_json(record: GaRecord, log_id: Callable[[Log], int]) -> dict:
     """The receivers' claims: each one's participation ``m`` and its graded
-    output as ``[log id, grade]`` pairs sorted by id, built once per view
+    output, the frontier expanded to every graded log, as ``[log id,
+    grade]`` pairs sorted by id, built once per view
     and shared by the receivers that hold it.  The rest of the record is
     stated by other lines: the inputs are the round's vote sends from
     senders outside ``byzantine``, and a receiver's initial and received
@@ -379,7 +380,7 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
         else:
             assert isinstance(e, GaRecord)
             outputs = {id(view.output): view.output for view in e.receivers.values()}
-            introduce((log for output in outputs.values() for log in output.grades), r)
+            introduce((log for output in outputs.values() for log in output.tops), r)
             append(_encode({"kind": "ga_record", "actor": None, "round": r,
                             "payload": record_to_json(e, log_ids.__getitem__)}))
     return lines

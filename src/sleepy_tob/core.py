@@ -137,21 +137,6 @@ def is_chain(logs: Iterable[Log]) -> bool:
     return all(is_prefix(a, b) for a, b in zip(ordered, ordered[1:]))
 
 
-def maximal(logs: Iterable[Log]) -> list[Log]:
-    """The distinct logs that are not a proper prefix of another input log,
-    longest first.
-
-    Maximal logs are pairwise conflicting, and any conflicting logs have
-    distinct maximal extensions, so the inputs hold three pairwise
-    conflicting logs iff there are at least three maximal ones.
-    """
-    tops: list[Log] = []
-    for log in sorted(dict.fromkeys(logs), key=len, reverse=True):
-        if not any(is_prefix(log, top) for top in tops):
-            tops.append(log)
-    return tops
-
-
 def longest_common_prefix(logs: Iterable[Log]) -> Log:
     """Longest log that is a prefix of every input; the input set must be
     nonempty.  The shortest input walks down its parents until it is a

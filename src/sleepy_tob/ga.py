@@ -16,16 +16,22 @@ folds each vote into a store holding one entry per sender, so the two
 halves ``tob.latest_unexpired`` splits a store into share no sender, and
 ``merge_latest`` joins them by one set union.
 
+A receiver's output is held as its frontier (``GaOutput``): the longest
+grade-1 log and the maximal graded logs, of which there are at most two.
+Both grade sets are closed under prefixes, so the frontier fixes every
+grade, and ``grade`` needs counts only for the logs extending the voted
+logs' longest common prefix, which is all ``tally`` computes.
+
 Thresholds use exact integer cross-multiplication (3*count > 2*m), never
 floating point, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Collection, Container, Iterable, Sequence
 
-from .core import Log, ProcessId, ProposeMsg, VoteMsg
+from .core import Log, ProcessId, ProposeMsg, VoteMsg, is_prefix, longest_common_prefix
 
 
 class ForgeryError(Exception):
@@ -89,88 +95,85 @@ def merge_latest(
 
 
 def tally(msgs: Iterable[VoteMsg]) -> dict[Log, int]:
-    """Vote count for every prefix of every voted log.
+    """Vote count for every prefix of a voted log that extends the voted
+    logs' longest common prefix, that prefix included.
 
     ``count(L)`` is the number of senders whose vote extends (or equals) L;
-    the input must hold at most one message per sender.  Votes are grouped
-    by log first, so each distinct log's prefixes are expanded once.
+    the input must hold at most one message per sender.  Every prefix of the
+    common prefix has count ``len(msgs)``, so the expansion stops there; in a
+    round whose votes share one log it touches that log alone, whatever its
+    length.  Votes are grouped by log first, so each distinct log is walked
+    once.
     """
     per_log: dict[Log, int] = {}
     for msg in msgs:
         per_log[msg.log] = per_log.get(msg.log, 0) + 1
+    if not per_log:
+        return {}
+    base = len(longest_common_prefix(per_log))
     counts: dict[Log, int] = {}
     for log, k in per_log.items():
-        for p in log.prefixes():
-            counts[p] = counts.get(p, 0) + k
+        while True:
+            counts[log] = counts.get(log, 0) + k
+            if len(log.values) == base:
+                break
+            log = log.parent
     return counts
 
 
 @dataclass(frozen=True)
 class GaOutput:
-    """Graded logs emitted by one receiver: log -> grade, keeping only the
-    maximal grade per log.
+    """The graded logs one receiver emits, as their frontier: ``grade1``,
+    the longest grade-1 log or ``None``, and ``tops``, the maximal graded
+    logs, longest first, with ties in log order.
 
-    The selections the protocol and the oracle read are made once, at
-    construction and in one pass over ``grades``, since every receiver of a
-    synchronous round shares one output; they are not compared or shown, so
-    an output is equal to and shown as its ``grades``, which must not be
-    changed after construction.
+    A prefix's count is at least its extension's, so both grade sets are
+    prefix-closed, and the graded logs are exactly the prefixes of the tops,
+    the grade-1 logs those of ``grade1``.  Two conflicting grade-1 logs, or a
+    grade-1 log and a conflicting graded log, would need more than ``m``
+    votes, so ``grade1`` is a prefix of every top.  Two conflicting tops have
+    disjoint supporters, each more than ``m/3``, so there are at most two.
     """
 
-    grades: dict[Log, int] = field(default_factory=dict)
-    _grade1: tuple[Log, ...] = field(init=False, compare=False, repr=False)
-    _longest_grade1: Log | None = field(init=False, compare=False, repr=False)
-    _longest_any: Log | None = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        grade1: list[Log] = []
-        longest_grade1 = longest_any = None
-        top1 = top = -1
-        for log, g in self.grades.items():
-            size = len(log.values)
-            if g == 1:
-                grade1.append(log)
-                if size > top1:
-                    longest_grade1, top1 = log, size
-            if size > top or size == top and log < longest_any:
-                longest_any, top = log, size
-        object.__setattr__(self, "_grade1", tuple(grade1))
-        object.__setattr__(self, "_longest_grade1", longest_grade1)
-        object.__setattr__(self, "_longest_any", longest_any)
+    grade1: Log | None = None
+    tops: tuple[Log, ...] = ()
 
     def __bool__(self) -> bool:
-        return bool(self.grades)
+        return bool(self.tops)
+
+    @property
+    def grades(self) -> dict[Log, int]:
+        """Every graded log with its grade: the frontier closed under
+        prefixes.  Built on each access; only serialization reads it."""
+        out = {log: 0 for top in self.tops for log in top.prefixes()}
+        if self.grade1 is not None:
+            out.update((log, 1) for log in self.grade1.prefixes())
+        return out
 
     def grade_of(self, log: Log) -> int | None:
-        return self.grades.get(log)
-
-    def grade1_logs(self) -> list[Log]:
-        return list(self._grade1)
+        if self.grade1 is not None and is_prefix(log, self.grade1):
+            return 1
+        return 0 if any(is_prefix(log, top) for top in self.tops) else None
 
     def longest_grade1(self) -> Log | None:
-        """Longest grade-1 log.  Two conflicting grade-1 logs would need more
-        than ``m`` votes, so grade-1 logs form a chain and the longest one is
-        unique."""
-        return self._longest_grade1
+        return self.grade1
 
     def longest_any(self) -> Log | None:
-        """Longest output at any grade.  A grade-1 log and a conflicting log
-        of any grade would also need more than ``m`` votes, so equal-length
-        outputs are both grade 0; the smallest in log order wins."""
-        return self._longest_any
+        """Longest output at any grade.  Equal-length tops conflict, so both
+        are grade 0; the smallest in log order wins."""
+        return self.tops[0] if self.tops else None
 
 
 def grade(msgs: Collection[VoteMsg]) -> GaOutput:
     """Grade a merged vote set: a collection of at most one message per
-    sender."""
+    sender.  A graded log is a top when no child of it is graded."""
     m = len(msgs)
-    grades: dict[Log, int] = {}
-    for log, count in tally(msgs).items():
-        if 3 * count > 2 * m:
-            grades[log] = 1
-        elif 3 * count > m:
-            grades[log] = 0
-    return GaOutput(grades)
+    counts = tally(msgs)
+    graded = [log for log, count in counts.items() if 3 * count > m]
+    grade1 = max((log for log in graded if 3 * counts[log] > 2 * m), key=len, default=None)
+    inner = {log.parent for log in graded}
+    tops = sorted((log for log in graded if log not in inner), key=lambda log: (-len(log), log))
+    return GaOutput(grade1, tuple(tops))
 
 
 @dataclass(frozen=True)

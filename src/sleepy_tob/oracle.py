@@ -8,15 +8,21 @@ three-valued -- pass, fail, or not-applicable/inconclusive -- so checks
 whose assumptions do not hold in a given run can never produce spurious
 failures, and probabilistic liveness can be reported honestly.
 
-Properties about sets of logs are decided on the log tree: a set is
-pairwise compatible iff it is a chain (``core.is_chain``), and it holds
-two or three pairwise-conflicting logs iff it has that many maximal
-elements (``core.maximal``).  For the agreement properties the test that
-decides also names the witness: the grade-1 log a receiver lacks for
-graded consistency, and the first maximal logs for uniqueness and bounded
-divergence.  Safety is decided by ``is_chain`` too, but its witness is
-still the first conflicting pair in scan order, since the golden reports
-of the attacked scenarios contain it.
+The agreement properties are decided on each output's frontier, its
+``grade1`` and its ``tops`` (``ga.GaOutput``): both grade sets are closed
+under prefixes, so each test below gives the verdict the same test over
+every graded log would.  Graded consistency asks every receiver to grade
+every receiver's ``grade1``; integrity asks each top to be a prefix of some
+input; validity asks the inputs' common prefix to have grade 1; uniqueness
+asks the ``grade1`` logs to form a chain (``core.is_chain``); and bounded
+divergence asks each output to be a frontier of at most two branches: at
+most two tops, conflicting, with its ``grade1`` under one of them.  The
+tops are read as ``grade`` found them, never capped, so a broken ``grade``
+still fails there.  Witnesses name a receiver's ``grade1`` or tops: the
+first missing ``grade1`` for graded consistency, the first conflicting pair
+of ``grade1`` logs in record order for uniqueness.  Safety is decided by
+``is_chain`` too, but its witness is the first conflicting pair in scan
+order, since the golden reports of the attacked scenarios contain it.
 
 Receivers of one record that hold the same view object hold the same
 evidence and output, so the agreement properties are decided once per such
@@ -46,6 +52,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .core import (
@@ -58,9 +65,8 @@ from .core import (
     is_chain,
     is_prefix,
     longest_common_prefix,
-    maximal,
 )
-from .ga import GaRecord, ReceiverView
+from .ga import GaOutput, GaRecord, ReceiverView
 from .world import DeliverEvent, SendEvent, Trace
 
 
@@ -170,6 +176,21 @@ def _find_clique(
         members.difference_update(bad)
 
 
+def _divergence(out: GaOutput) -> list[Log]:
+    """The logs that show ``out`` is no frontier of at most two branches:
+    its first three tops when it has more than two, both when two are
+    compatible, and its ``grade1`` with its tops when no top extends it;
+    empty when it is one."""
+    tops = out.tops
+    if len(tops) > 2:
+        return list(tops[:3])
+    if len(tops) == 2 and compatible(*tops):
+        return list(tops)
+    if out.grade1 is not None and not any(is_prefix(out.grade1, top) for top in tops):
+        return [out.grade1, *tops]
+    return []
+
+
 def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
     """Evaluate the agreement properties on one record.
 
@@ -207,30 +228,29 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
         ):
             na(name, why)
     else:
-        # each grade-1 log with the first receiver grading it 1
+        # each grade-1 frontier log with the first receiver holding it
         holder: dict[Log, ProcessId] = {}
         for q, out in outputs:
-            for lam in out.grade1_logs():
-                holder.setdefault(lam, q)
-        fail = None
-        for q, out in outputs:
-            if not out.grades.keys() >= holder.keys():
-                lam = next(lam for lam in holder if lam not in out.grades)
-                fail = {"receiver": holder[lam], "log": repr(lam), "missing_at": q}
-                break
+            if out.grade1 is not None:
+                holder.setdefault(out.grade1, q)
+        fail = next(
+            ({"receiver": holder[lam], "log": repr(lam), "missing_at": q}
+             for q, out in outputs for lam in holder if out.grade_of(lam) is None),
+            None,
+        )
         judge("graded_consistency", fail)
 
-        input_prefixes = {p for log in set(record.inputs.values()) for p in log.prefixes()}
+        inputs = set(record.inputs.values())
         fail = next(
             ({"receiver": i, "log": repr(lam)}
-             for i, out_i in outputs for lam in out_i.grades
-             if lam not in input_prefixes),
+             for i, out_i in outputs for lam in out_i.tops
+             if not any(is_prefix(lam, log) for log in inputs)),
             None,
         )
         judge("integrity", fail)
 
         if record.inputs:
-            lcp = longest_common_prefix(record.inputs.values())
+            lcp = longest_common_prefix(inputs)
             fail = next(
                 ({"receiver": i, "log": repr(lcp)}
                  for i, out_i in outputs if out_i.grade_of(lcp) != 1),
@@ -240,21 +260,18 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
         else:
             na("validity", "no well-behaved inputs")
 
-        # maximal logs conflict pairwise, so two of them violate uniqueness
-        tops = maximal(holder)
         fail = None
-        if len(tops) >= 2:
-            la, lb = tops[:2]
+        if not is_chain(holder):
+            la, lb = next((a, b) for a, b in combinations(holder, 2) if conflicts(a, b))
             fail = {"receiver_a": holder[la], "log_a": repr(la),
                     "receiver_b": holder[lb], "log_b": repr(lb)}
         judge("uniqueness", fail)
 
-        fail = None
-        for i, out_i in outputs:
-            tops = maximal(out_i.grades)
-            if len(tops) >= 3:
-                fail = {"receiver": i, "logs": [repr(lam) for lam in tops[:3]]}
-                break
+        fail = next(
+            ({"receiver": i, "logs": [repr(lam) for lam in logs]}
+             for i, out_i in outputs if (logs := _divergence(out_i))),
+            None,
+        )
         judge("bounded_divergence", fail)
 
     # clique validity: only the bases the module docstring's rule keeps are

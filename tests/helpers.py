@@ -1,18 +1,23 @@
 """Shared builders for the tests: randomized schedules used by both the unit
 tests and the acceptance suite, slice-based references for the log-tree
-walks, and one graded-agreement instance run outside a ``World``
-(``run_instance``), which merges each receiver's votes through the receive
-computation ``World`` runs (``store_merge``)."""
+walks, graded outputs built from ``{log: grade}`` maps (``frontier``) next
+to the output, tally and grading they replaced (``ReferenceGaOutput``,
+``reference_tally``, ``reference_grade``), and one graded-agreement
+instance run outside a ``World`` (``run_instance``), which merges each
+receiver's votes through the receive computation ``World`` runs
+(``store_merge``)."""
 
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from hypothesis import strategies as st
 
-from sleepy_tob.core import Log, ProcessId, Value, VoteMsg
+from sleepy_tob.core import Log, ProcessId, Value, VoteMsg, is_chain, is_prefix
 from sleepy_tob.ga import (
     ForgeryError,
+    GaOutput,
     GaRecord,
     InitialVoteSet,
     ReceiverView,
@@ -47,6 +52,111 @@ def sliced_common_prefix(logs) -> Log:
     while k < len(shortest) and all(s[k] == shortest[k] for s in seqs):
         k += 1
     return Log(shortest[:k])
+
+
+def frontier(grades: Mapping[Log, int]) -> GaOutput:
+    """The graded output that grades every prefix of a log in ``grades``,
+    each at the highest grade of a log in ``grades`` it is a prefix of: its
+    longest grade-1 log and its maximal logs, longest first, ties by value
+    fields.  Raises ``ValueError`` unless the grade-1 logs form a chain."""
+    grade1 = [log for log, g in grades.items() if g == 1]
+    if not is_chain(grade1):
+        raise ValueError("conflicting grade-1 logs have no frontier")
+    tops = [a for a in grades if not any(a != b and is_prefix(a, b) for b in grades)]
+    return GaOutput(
+        max(grade1, key=len, default=None),
+        tuple(sorted(tops, key=lambda log: (-len(log), fields_key(log)))),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the graded output as it was: every graded prefix in a dict, kept verbatim
+# (renamed, and ``tally`` given the name ``reference_tally``)
+
+
+def reference_tally(msgs: Iterable[VoteMsg]) -> dict[Log, int]:
+    """Vote count for every prefix of every voted log.
+
+    ``count(L)`` is the number of senders whose vote extends (or equals) L;
+    the input must hold at most one message per sender.  Votes are grouped
+    by log first, so each distinct log's prefixes are expanded once.
+    """
+    per_log: dict[Log, int] = {}
+    for msg in msgs:
+        per_log[msg.log] = per_log.get(msg.log, 0) + 1
+    counts: dict[Log, int] = {}
+    for log, k in per_log.items():
+        for p in log.prefixes():
+            counts[p] = counts.get(p, 0) + k
+    return counts
+
+
+@dataclass(frozen=True)
+class ReferenceGaOutput:
+    """Graded logs emitted by one receiver: log -> grade, keeping only the
+    maximal grade per log.
+
+    The selections the protocol and the oracle read are made once, at
+    construction and in one pass over ``grades``, since every receiver of a
+    synchronous round shares one output; they are not compared or shown, so
+    an output is equal to and shown as its ``grades``, which must not be
+    changed after construction.
+    """
+
+    grades: dict[Log, int] = field(default_factory=dict)
+    _grade1: tuple[Log, ...] = field(init=False, compare=False, repr=False)
+    _longest_grade1: Log | None = field(init=False, compare=False, repr=False)
+    _longest_any: Log | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        grade1: list[Log] = []
+        longest_grade1 = longest_any = None
+        top1 = top = -1
+        for log, g in self.grades.items():
+            size = len(log.values)
+            if g == 1:
+                grade1.append(log)
+                if size > top1:
+                    longest_grade1, top1 = log, size
+            if size > top or size == top and log < longest_any:
+                longest_any, top = log, size
+        object.__setattr__(self, "_grade1", tuple(grade1))
+        object.__setattr__(self, "_longest_grade1", longest_grade1)
+        object.__setattr__(self, "_longest_any", longest_any)
+
+    def __bool__(self) -> bool:
+        return bool(self.grades)
+
+    def grade_of(self, log: Log) -> int | None:
+        return self.grades.get(log)
+
+    def grade1_logs(self) -> list[Log]:
+        return list(self._grade1)
+
+    def longest_grade1(self) -> Log | None:
+        """Longest grade-1 log.  Two conflicting grade-1 logs would need more
+        than ``m`` votes, so grade-1 logs form a chain and the longest one is
+        unique."""
+        return self._longest_grade1
+
+    def longest_any(self) -> Log | None:
+        """Longest output at any grade.  A grade-1 log and a conflicting log
+        of any grade would also need more than ``m`` votes, so equal-length
+        outputs are both grade 0; the smallest in log order wins."""
+        return self._longest_any
+
+
+def reference_grade(msgs: Collection[VoteMsg]) -> ReferenceGaOutput:
+    """Grade a merged vote set: a collection of at most one message per
+    sender."""
+    m = len(msgs)
+    grades: dict[Log, int] = {}
+    for log, count in reference_tally(msgs).items():
+        if 3 * count > 2 * m:
+            grades[log] = 1
+        elif 3 * count > m:
+            grades[log] = 0
+    return ReferenceGaOutput(grades)
 
 
 def random_bounded_schedule(rng: random.Random) -> Schedule:

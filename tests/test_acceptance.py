@@ -303,7 +303,8 @@ def test_criterion_6_worked_scenario():
     grade1 = [
         (q, log)
         for q, view in record.receivers.items()
-        for log in view.output.grade1_logs()
+        for log, g in view.output.grades.items()
+        if g == 1
     ]
     for (qa, la) in grade1:
         for (qb, lb) in grade1:

@@ -16,7 +16,6 @@ from sleepy_tob.core import (
     is_chain,
     is_prefix,
     longest_common_prefix,
-    maximal,
     vrf_eval,
 )
 
@@ -135,29 +134,12 @@ def test_values_and_messages_hash_as_their_field_tuples(a, b, c, log):
 def test_structural_examples():
     assert is_chain([]) and is_chain([EMPTY_LOG, mklog(0, 1), mklog(0), mklog(0, 1)])
     assert not is_chain([mklog(0), mklog(1)])
-    assert maximal([mklog(0), EMPTY_LOG, mklog(0, 1), mklog(1), mklog(0, 1)]) == [
-        mklog(0, 1),
-        mklog(1),
-    ]
-    assert maximal([]) == []
 
 
 @given(log_sets)
 def test_is_chain_matches_pairwise_scan(logs):
     pairwise = all(compatible(a, b) for a, b in itertools.combinations(logs, 2))
     assert is_chain(logs) == pairwise
-
-
-@given(log_sets)
-def test_maximal_matches_brute_force_and_triple_scan(logs):
-    tops = maximal(logs)
-    expected = {a for a in logs if not any(is_prefix(a, b) and a != b for b in logs)}
-    assert len(tops) == len(expected) and set(tops) == expected
-    triple = any(
-        conflicts(a, b) and conflicts(a, c) and conflicts(b, c)
-        for a, b, c in itertools.combinations(logs, 3)
-    )
-    assert (len(tops) >= 3) == triple
 
 
 @st.composite

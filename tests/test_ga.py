@@ -1,11 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import fields_key, merge_inputs, run_instance, sliced_prefixes, store_merge
-from sleepy_tob.core import EMPTY_LOG, Log, Value, VoteMsg, compatible, conflicts
+from helpers import (
+    fields_key,
+    merge_inputs,
+    reference_grade,
+    run_instance,
+    sliced_common_prefix,
+    sliced_prefixes,
+    store_merge,
+)
+from sleepy_tob.core import EMPTY_LOG, Log, Value, VoteMsg, compatible, conflicts, is_prefix
 from sleepy_tob.ga import (
     ForgeryError,
     GaOutput,
@@ -14,7 +22,7 @@ from sleepy_tob.ga import (
     merge_latest,
     tally,
 )
-from sleepy_tob.oracle import naive_merged_votes
+from sleepy_tob.oracle import naive_merged_votes, naive_outputs
 
 A = Log((Value(1, 0, 1),))
 B = Log((Value(2, 0, 1),))
@@ -69,10 +77,11 @@ def test_merge_latest_matches_naive_merge(inputs):
 
 class TestTally:
     def test_extension_counting(self):
-        counts = tally({vote(1, AX), vote(2, A)})
-        assert counts[A] == 2
-        assert counts[AX] == 1
-        assert counts[EMPTY_LOG] == 2
+        # the common prefix A is counted, the empty log below it is not
+        assert tally({vote(1, AX), vote(2, A)}) == {A: 2, AX: 1}
+
+    def test_unanimous_round_counts_the_voted_log_alone(self):
+        assert tally([vote(i, AX) for i in range(3)]) == {AX: 3}
 
     def test_disjoint_heads(self):
         counts = tally({vote(1, A), vote(2, B)})
@@ -105,13 +114,14 @@ class TestGrade:
         # m=10: count(A)=6 <= 20/3, count(B)=4 <= 20/3: both grade 0 only
         assert out.grade_of(A) == 0
         assert out.grade_of(B) == 0
-        assert out.grade1_logs() == [EMPTY_LOG]
+        assert out == GaOutput(EMPTY_LOG, (A, B))
 
     def test_unanimity_grades_every_prefix(self):
         out = grade([vote(i, AX) for i in range(3)])
         assert out.grade_of(AX) == 1
         assert out.grade_of(A) == 1
         assert out.grade_of(EMPTY_LOG) == 1
+        assert out == GaOutput(AX, (AX,))
 
     def test_empty_tally_empty_output(self):
         assert not grade([])
@@ -163,15 +173,19 @@ def repeated_vote_lists(draw):
 
 @given(repeated_vote_lists())
 def test_grouped_tally_matches_per_message_expansion(msgs):
-    # same counts, and the same insertion order, which grade outputs inherit
-    assert list(tally(msgs).items()) == list(per_message_tally(msgs).items())
+    # the expansion restricted to the logs at or above the common prefix
+    expected = per_message_tally(msgs)
+    if msgs:
+        base = len(sliced_common_prefix(m.log for m in msgs))
+        expected = {log: count for log, count in expected.items() if len(log) >= base}
+    assert tally(msgs) == expected
 
 
 @given(vote_sets())
 def test_grade_thresholds_match_fraction_oracle(msgs):
     m = len(msgs)
     out = grade(msgs)
-    for log, count in tally(msgs).items():
+    for log, count in per_message_tally(msgs).items():
         expected = None
         if Fraction(count) > Fraction(2 * m, 3):
             expected = 1
@@ -182,7 +196,7 @@ def test_grade_thresholds_match_fraction_oracle(msgs):
 
 @given(vote_sets())
 def test_grade1_logs_form_a_chain(msgs):
-    g1 = grade(msgs).grade1_logs()
+    g1 = [log for log, g in grade(msgs).grades.items() if g == 1]
     for a in g1:
         for b in g1:
             assert compatible(a, b)
@@ -210,36 +224,72 @@ def full_tie_break_longest_any(out):
 @settings(max_examples=300)
 @given(vote_sets())
 def test_longest_outputs_need_no_grade_tie_break(msgs):
-    # the selections are made at construction; the references read grades
+    # the selections are the frontier's; the references read its expansion
     out = grade(msgs)
-    assert out.grade1_logs() == [log for log, g in out.grades.items() if g == 1]
     assert out.longest_grade1() == full_tie_break_longest_grade1(out)
     assert out.longest_any() == full_tie_break_longest_any(out)
 
 
 class TestGaOutput:
-    def test_equality_and_repr_follow_grades_alone(self):
-        grades = {EMPTY_LOG: 1, A: 1, AX: 0, B: 0}
-        out = GaOutput(grades)
-        assert out == GaOutput(dict(grades))
-        assert out != GaOutput({EMPTY_LOG: 1, A: 1, AX: 0})
-        assert repr(out) == f"GaOutput(grades={grades!r})"
+    def test_equality_and_repr_follow_the_frontier(self):
+        out = GaOutput(EMPTY_LOG, (AX, B))
+        assert out == GaOutput(Log(()), (AX, B))
+        assert out != GaOutput(EMPTY_LOG, (AX,))
+        assert out != GaOutput(A, (AX, B))
+        assert repr(out) == f"GaOutput(grade1={EMPTY_LOG!r}, tops={(AX, B)!r})"
 
     def test_empty_output_selects_nothing(self):
         out = GaOutput()
-        assert out.grade1_logs() == []
+        assert not out
+        assert out.grades == {}
+        assert out.grade_of(EMPTY_LOG) is None
         assert out.longest_grade1() is None
         assert out.longest_any() is None
 
-    def test_grade1_logs_is_a_fresh_list(self):
-        out = GaOutput({EMPTY_LOG: 1, A: 1})
-        out.grade1_logs().clear()
-        assert out.grade1_logs() == [EMPTY_LOG, A]
+    def test_grades_is_a_fresh_expansion(self):
+        out = GaOutput(A, (AX, B))
+        out.grades.clear()
+        assert out.grades == {EMPTY_LOG: 1, A: 1, AX: 0, B: 0}
+        assert [out.grade_of(log) for log in (A, AX, B, Log((B.values[0], AX.values[1])))] == [
+            1, 0, 0, None,
+        ]
+
+
+BRANCHES = [Value(id=i, proposer=0, view=1) for i in range(4)]
+branch_logs = st.lists(st.integers(0, 3), max_size=3).map(
+    lambda ids: Log(tuple(BRANCHES[i] for i in ids))
+)
+T0, T1, T2 = (Log((v,)) for v in BRANCHES[:3])
+
+
+@settings(max_examples=500)
+@given(st.lists(st.tuples(st.integers(0, 11), branch_logs), max_size=14))
+@example([])
+@example([(0, T0), (1, T1), (2, T1)])  # m = 3: one vote is not above a third
+@example([(s, T0) for s in range(4)] + [(4, T1), (5, T1)])  # 3 * 4 == 2 * 6: grade 0
+@example([(0, T0), (1, T0), (2, T1), (3, T1), (4, T2), (5, T2)])  # three branches
+@example([(0, T0), (0, T1), (1, T1), (2, T2)])  # sender 0 equivocates
+def test_frontier_closure_matches_reference_and_fraction_oracle(votes):
+    """Round votes over four branches, senders voting two logs among them:
+    the merged set's frontier, closed under prefixes, is the verbatim
+    reference's ``grades`` and the exact-fraction oracle's grading."""
+    raw = [vote(s, log) for s, log in votes]
+    merged = store_merge(5, InitialVoteSet(), raw)
+    out, ref = grade(merged), reference_grade(merged)
+    assert out.grades == ref.grades == naive_outputs(naive_merged_votes((), raw))
+    assert bool(out) == bool(ref)
+    assert out.longest_grade1() == ref.longest_grade1()
+    assert out.longest_any() == ref.longest_any()
+    assert len(out.tops) < 2 or len(out.tops) == 2 and conflicts(*out.tops)
+    assert all(is_prefix(out.grade1, top) for top in out.tops)
+    assert list(out.tops) == sorted(out.tops, key=lambda log: (-len(log), fields_key(log)))
 
 
 @given(vote_sets())
 def test_bounded_divergence_structural(msgs):
-    logs = list(grade(msgs).grades)
+    out = grade(msgs)
+    assert len(out.tops) <= 2
+    logs = list(out.grades)
     for i in range(len(logs)):
         for j in range(i + 1, len(logs)):
             for k in range(j + 1, len(logs)):

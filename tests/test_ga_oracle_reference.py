@@ -2,17 +2,28 @@
 
 ``check_ga_properties``, ``_quorum_holds`` and ``_find_clique`` below are
 kept verbatim as they were when the oracle built the tally pool twice,
-expanded clique candidates from every receiver's every initial vote and
-scanned every input for each output log.  Two edits: initial senders are
+expanded clique candidates from every receiver's every initial vote,
+scanned every input for each output log and decided the agreement
+properties on every graded log; ``maximal`` is kept verbatim as ``core``
+had it.  Two edits: initial senders are
 read from ``view.initial.messages`` (``_initial_senders``), since
 ``GaRecord`` no longer carries them; and prefixes and the longest common
 prefix are computed from slices of value tuples (``sliced_prefixes``,
 ``sliced_common_prefix``), so the reference shares no log-tree walk with the
-oracle.  On every record both oracles must give the same reports, verdicts,
-details and witnesses alike.  The records come
+oracle.  The reference reads each output as the graded output it replaced,
+``helpers.ReferenceGaOutput`` over the frontier's expansion.
+
+On every record both oracles must give the same reports, verdicts and
+details alike.  Witnesses must agree on validity and clique validity; on
+graded consistency, integrity and bounded divergence they must name the
+same receivers, while the oracle names a frontier's logs (a ``grade1`` or
+tops) where the reference named the first graded log its scan met; on
+uniqueness only the verdict is compared, since the oracle names the first
+conflicting pair in record order and the reference the two longest.  The
+records come
 from ``helpers.run_instance`` (synchronous and filtered delivery, initial sets
 holding round-``r`` voters, Byzantine equivocation, empty inputs, receivers
-that sent nothing), from those records with receivers made to share view
+that sent nothing, and frontiers edited into failing ones), from those records with receivers made to share view
 objects or to hold equal copies, which the oracle judges once per shared
 object, and from ``World`` runs of both window attacks, whose synchronous
 rounds give every receiver one view.  On every record the oracle must also
@@ -27,17 +38,26 @@ from fractions import Fraction
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from helpers import fields_key, run_instance, sliced_common_prefix, sliced_prefixes
+from typing import Iterable
+
+from helpers import (
+    ReferenceGaOutput,
+    fields_key,
+    frontier,
+    run_instance,
+    sliced_common_prefix,
+    sliced_prefixes,
+)
 from sleepy_tob import oracle
 from sleepy_tob.core import (
     Log,
     ProcessId,
     Value,
     VoteMsg,
+    conflicts,
     is_prefix,
-    maximal,
 )
-from sleepy_tob.ga import GaOutput, GaRecord, InitialVoteSet
+from sleepy_tob.ga import GaRecord, InitialVoteSet
 from sleepy_tob.model_checks import ModelParams
 from sleepy_tob.oracle import OracleReport, Verdict
 from sleepy_tob.world import (
@@ -50,6 +70,21 @@ from sleepy_tob.world import (
 
 # ---------------------------------------------------------------------------
 # reference: the oracle as it was
+
+
+def maximal(logs: Iterable[Log]) -> list[Log]:
+    """The distinct logs that are not a proper prefix of another input log,
+    longest first.
+
+    Maximal logs are pairwise conflicting, and any conflicting logs have
+    distinct maximal extensions, so the inputs hold three pairwise
+    conflicting logs iff there are at least three maximal ones.
+    """
+    tops: list[Log] = []
+    for log in sorted(dict.fromkeys(logs), key=len, reverse=True):
+        if not any(is_prefix(log, top) for top in tops):
+            tops.append(log)
+    return tops
 
 
 def _initial_senders(record: GaRecord) -> frozenset[ProcessId]:
@@ -269,10 +304,34 @@ def check_clique_prune(record: GaRecord) -> None:
 # the two oracles on the same records
 
 
+#: the witness keys compared only through the verdict: the logs the oracle
+#: reads from frontiers, and on uniqueness a pair in another order
+UNCOMPARED = {"graded_consistency": {"log"}, "integrity": {"log"},
+              "bounded_divergence": {"logs"},
+              "uniqueness": {"receiver_a", "log_a", "receiver_b", "log_b"}}
+
+
+def reference_record(record: GaRecord) -> GaRecord:
+    """``record`` with each output replaced by the graded output it stands
+    for, as the reference reads it."""
+    views = {q: replace(view, output=ReferenceGaOutput(view.output.grades))
+             for q, view in record.receivers.items()}
+    return replace(record, receivers=views)
+
+
+def comparable(reports: dict[str, OracleReport]) -> dict[str, dict]:
+    out = {}
+    for name, report in reports.items():
+        out[name] = report.to_dict()
+        if report.witness is not None:
+            skip = UNCOMPARED.get(name, set())
+            out[name]["witness"] = {k: v for k, v in report.witness.items() if k not in skip}
+    return out
+
+
 def same_reports(record: GaRecord) -> None:
-    ours = {name: rep.to_dict() for name, rep in oracle.check_ga_properties(record).items()}
-    reference = {name: rep.to_dict() for name, rep in check_ga_properties(record).items()}
-    assert ours == reference
+    ours = comparable(oracle.check_ga_properties(record))
+    assert ours == comparable(check_ga_properties(reference_record(record)))
     check_clique_prune(record)
 
 
@@ -292,7 +351,9 @@ def instances(draw) -> GaRecord:
     record instead gives every sender an older vote, gives every receiver
     all of them and has every well-behaved log extend one base, so that
     clique validity applies.  Up to four edits then change receivers'
-    outputs, so that every property also fails and its witness is compared.
+    outputs, so that every property also fails and its witness is compared:
+    each gives up to three logs one grade, or ungrades them, in the output's
+    expansion (``edit``), and the frontier of the result replaces the output.
     """
     plant = draw(st.booleans())
     base = draw(logs).values if plant else ()
@@ -329,15 +390,28 @@ def instances(draw) -> GaRecord:
         delivery=delivery,
     )
     views = dict(record.receivers)
-    edits = st.tuples(st.sampled_from(receivers), logs | tips, st.sampled_from([None, 0, 1]))
-    for q, lam, g in draw(st.lists(edits, max_size=4)) if receivers else ():
-        grades = dict(views[q].output.grades)
-        if g is None:
-            grades.pop(lam, None)
-        else:
-            grades[lam] = g
-        views[q] = replace(views[q], output=GaOutput(grades))
+    lams = st.lists(logs | tips, min_size=1, max_size=3)
+    edits = st.tuples(st.sampled_from(receivers), lams, st.sampled_from([None, 0, 1]))
+    for q, lams, g in draw(st.lists(edits, max_size=4)) if receivers else ():
+        grades = views[q].output.grades
+        for lam in lams:
+            grades = edit(grades, lam, g)
+        views[q] = replace(views[q], output=frontier(grades))
     return replace(record, receivers=views)
+
+
+def edit(grades: dict[Log, int], lam: Log, g: int | None) -> dict[Log, int]:
+    """The prefix-closed grades ``grades`` with ``lam`` given grade ``g``,
+    or ungraded for ``None``, changing as few other logs as keeps both grade
+    sets prefix-closed and the grade-1 logs a chain: ungrading ``lam``
+    ungrades its extensions, grade 0 demotes them to 0, and grade 1 demotes
+    the grade-1 logs that conflict with ``lam``."""
+    if g is None:
+        return {log: v for log, v in grades.items() if not is_prefix(lam, log)}
+    if g == 0:
+        return {**{log: 0 if is_prefix(lam, log) else v for log, v in grades.items()}, lam: 0}
+    return {**{log: 0 if v == 1 and conflicts(lam, log) else v
+               for log, v in grades.items()}, lam: 1}
 
 
 @settings(max_examples=600, deadline=None)
@@ -397,14 +471,15 @@ def test_shared_view_records_match_reference(record):
 
 
 def test_shared_failing_views_match_reference_and_name_the_first_receiver():
-    """Receivers 0-3 share one view that grades only the three conflicting
-    tips, 4-7 hold an equal copy of it, and 8-9 the view ``run_instance``
-    gave.  Four properties fail, and each witness names the first failing
-    receiver in record order."""
+    """Receivers 0-3 share one view that grades only three conflicting logs
+    off the input's branch, 4-7 hold an equal copy of it, and 8-9 the view
+    ``run_instance`` gave.  Four properties fail, and each witness names the
+    first failing receiver in record order."""
     inputs = {p: Log((VALUES[0],)) for p in range(8)}
     record = run_instance(ROUND, inputs, receivers=range(10))
     good = record.receivers[8]
-    bad = replace(good, output=GaOutput({tip: 0 for tip in (Log((v,)) for v in VALUES)}))
+    off = [Log((VALUES[1], VALUES[0])), Log((VALUES[1], VALUES[2])), Log((VALUES[2],))]
+    bad = replace(good, output=frontier({log: 0 for log in off}))
     copy = replace(bad)
     views = {q: bad if q < 4 else copy if q < 8 else good for q in range(10)}
     record = replace(record, receivers={q: views[q] for q in (8, 2, 0, 5, 1, 3, 4, 6, 7, 9)})

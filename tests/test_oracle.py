@@ -5,11 +5,11 @@ from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
-from helpers import run_instance
+from helpers import frontier, run_instance
 from test_cli import campaign_traces
 
 from sleepy_tob.cli import load_scenario, run_scenario
-from sleepy_tob.core import EMPTY_LOG, Log, Value, VoteMsg, conflicts
+from sleepy_tob.core import EMPTY_LOG, Log, Value, VoteMsg, conflicts, is_chain
 from sleepy_tob.ga import (
     GaOutput,
     GaRecord,
@@ -126,7 +126,7 @@ class TestGaProperties:
 def hand_built_record(outputs):
     """Synchronous record with quorum (every receiver is an awake honest
     sender, no Byzantine or initial senders) whose receivers output the given
-    grades, whatever their inputs would have produced."""
+    frontiers, whatever their inputs would have produced."""
     return GaRecord(
         round=3,
         synchronous=True,
@@ -136,32 +136,35 @@ def hand_built_record(outputs):
             q: ReceiverView(
                 initial=InitialVoteSet(),
                 received=frozenset(),
-                output=GaOutput(grades),
+                output=output,
                 m=len(outputs),
             )
-            for q, grades in outputs.items()
+            for q, output in outputs.items()
         },
     )
 
 
 class TestGaPropertyWitnesses:
-    """Each FAIL names the violation the deciding test finds: the first
-    receiver missing a grade-1 log, the first two maximal grade-1 logs, and
-    the first receiver's first three maximal outputs."""
+    """Each FAIL names the violation the deciding test finds on frontiers:
+    the first receiver missing another's ``grade1``, the first conflicting
+    pair of ``grade1`` logs in record order, and the first receiver whose
+    output is no frontier of at most two branches, with the logs showing
+    it."""
 
     def test_graded_consistency_witness(self):
         record = hand_built_record(
             {
-                0: {EMPTY_LOG: 1, A: 1, AX: 0},
-                1: {EMPTY_LOG: 1, A: 0, AX: 1},
-                2: {EMPTY_LOG: 1},
+                0: frontier({AX: 1}),
+                1: frontier({A: 1, AX: 0}),
+                2: frontier({EMPTY_LOG: 1}),
             }
         )
         reports = check_ga_properties(record)
         assert reports["graded_consistency"].verdict is Verdict.FAIL
+        # receiver 0's grade1 AX, though its prefix A is missing at 2 too
         assert reports["graded_consistency"].witness == {
             "receiver": 0,
-            "log": repr(A),
+            "log": repr(AX),
             "missing_at": 2,
         }
         assert reports["uniqueness"].verdict is Verdict.PASS
@@ -170,9 +173,9 @@ class TestGaPropertyWitnesses:
     def test_uniqueness_witness(self):
         record = hand_built_record(
             {
-                0: {EMPTY_LOG: 1, A: 1, B: 0},
-                1: {EMPTY_LOG: 1, B: 1, A: 0},
-                2: {EMPTY_LOG: 1, A: 0, B: 0},
+                0: frontier({A: 1, B: 0}),
+                1: frontier({B: 1, A: 0}),
+                2: frontier({EMPTY_LOG: 1, A: 0, B: 0}),
             }
         )
         reports = check_ga_properties(record)
@@ -186,17 +189,28 @@ class TestGaPropertyWitnesses:
         assert reports["graded_consistency"].verdict is Verdict.PASS
         assert reports["bounded_divergence"].verdict is Verdict.PASS
 
+    def test_uniqueness_witness_is_the_first_pair_in_record_order(self):
+        # B extended is longer than A, and still named second
+        bx = Log((*B.values, Value(5, 1, 2)))
+        record = hand_built_record({0: frontier({A: 1}), 1: frontier({A: 0, bx: 1})})
+        assert check_ga_properties(record)["uniqueness"].witness == {
+            "receiver_a": 0,
+            "log_a": repr(A),
+            "receiver_b": 1,
+            "log_b": repr(bx),
+        }
+
     def test_bounded_divergence_witness(self):
         record = hand_built_record(
             {
-                0: {EMPTY_LOG: 1, A: 0, B: 0},
-                1: {EMPTY_LOG: 1, A: 0, AX: 0, B: 0, C: 0},
-                2: {EMPTY_LOG: 1, A: 0, B: 0, C: 0},
+                0: frontier({EMPTY_LOG: 1, A: 0, B: 0}),
+                1: frontier({EMPTY_LOG: 1, A: 0, AX: 0, B: 0, C: 0}),
+                2: frontier({EMPTY_LOG: 1, A: 0, B: 0, C: 0}),
             }
         )
+        assert record.receivers[1].output.tops == (AX, B, C)
         reports = check_ga_properties(record)
         assert reports["bounded_divergence"].verdict is Verdict.FAIL
-        # AX, not A, because A is a proper prefix of AX
         assert reports["bounded_divergence"].witness == {
             "receiver": 1,
             "logs": [repr(AX), repr(B), repr(C)],
@@ -204,32 +218,52 @@ class TestGaPropertyWitnesses:
         assert reports["graded_consistency"].verdict is Verdict.PASS
         assert reports["uniqueness"].verdict is Verdict.PASS
 
+    def test_three_conflicting_tops_fail_bounded_divergence(self):
+        record = hand_built_record({0: frontier({EMPTY_LOG: 1}), 1: GaOutput(EMPTY_LOG, (A, B, C))})
+        report = check_ga_properties(record)["bounded_divergence"]
+        assert report.verdict is Verdict.FAIL
+        assert report.witness == {"receiver": 1, "logs": [repr(A), repr(B), repr(C)]}
+
+    def test_malformed_frontiers_fail_bounded_divergence(self):
+        # two compatible tops, a grade1 under no top, and one with no tops
+        for output, logs in [
+            (GaOutput(EMPTY_LOG, (AX, A)), [AX, A]),
+            (GaOutput(B, (AX,)), [B, AX]),
+            (GaOutput(A, ()), [A]),
+        ]:
+            record = hand_built_record({0: frontier({A: 1}), 1: output})
+            report = check_ga_properties(record)["bounded_divergence"]
+            assert report.verdict is Verdict.FAIL, output
+            assert report.witness == {"receiver": 1, "logs": [repr(lam) for lam in logs]}
+
 
 @st.composite
 def hand_built_outputs(draw):
     """One to three receivers, each grading a few logs drawn from a pool of
-    seven that holds chains and conflicts."""
+    seven that holds chains and conflicts, its grade-1 logs a chain."""
     pool = [
         EMPTY_LOG, A, AX, B, C,
         Log((Value(1, 0, 1), Value(5, 1, 2))),
         Log((Value(2, 0, 1), Value(6, 1, 2))),
     ]
     receivers = draw(st.integers(1, 3))
-    return {
-        q: draw(st.dictionaries(st.sampled_from(pool), st.integers(0, 1), max_size=5))
-        for q in range(receivers)
-    }
+    grades = st.dictionaries(st.sampled_from(pool), st.integers(0, 1), max_size=5).filter(
+        lambda g: is_chain(lam for lam, v in g.items() if v == 1)
+    )
+    return {q: frontier(draw(grades)) for q in range(receivers)}
 
 
 @given(hand_built_outputs())
 def test_structural_verdicts_match_brute_force(outputs):
+    # brute force over every graded log: the frontiers closed under prefixes
+    graded = {q: out.grades for q, out in outputs.items()}
     reports = check_ga_properties(hand_built_record(outputs))
-    grade1 = [lam for g in outputs.values() for lam, v in g.items() if v == 1]
-    consistent = all(lam in g for lam in grade1 for g in outputs.values())
+    grade1 = [lam for g in graded.values() for lam, v in g.items() if v == 1]
+    consistent = all(lam in g for lam in grade1 for g in graded.values())
     unique = not any(conflicts(a, b) for a, b in itertools.combinations(grade1, 2))
     bounded = not any(
         conflicts(a, b) and conflicts(a, c) and conflicts(b, c)
-        for g in outputs.values()
+        for g in graded.values()
         for a, b, c in itertools.combinations(g, 3)
     )
     for name, holds in [
@@ -241,20 +275,20 @@ def test_structural_verdicts_match_brute_force(outputs):
         assert (reports[name].witness is None) == holds, name
 
     # every witness is a real violation
-    log_of = {repr(lam): lam for g in outputs.values() for lam in g}
+    log_of = {repr(lam): lam for g in graded.values() for lam in g}
     if not consistent:
         w = reports["graded_consistency"].witness
-        assert outputs[w["receiver"]][log_of[w["log"]]] == 1
-        assert w["log"] not in map(repr, outputs[w["missing_at"]])
+        assert graded[w["receiver"]][log_of[w["log"]]] == 1
+        assert w["log"] not in map(repr, graded[w["missing_at"]])
     if not unique:
         w = reports["uniqueness"].witness
         la, lb = log_of[w["log_a"]], log_of[w["log_b"]]
-        assert outputs[w["receiver_a"]][la] == outputs[w["receiver_b"]][lb] == 1
+        assert graded[w["receiver_a"]][la] == graded[w["receiver_b"]][lb] == 1
         assert conflicts(la, lb)
     if not bounded:
         w = reports["bounded_divergence"].witness
         a, b, c = (log_of[r] for r in w["logs"])
-        assert {a, b, c} <= outputs[w["receiver"]].keys()
+        assert {a, b, c} <= graded[w["receiver"]].keys()
         assert conflicts(a, b) and conflicts(a, c) and conflicts(b, c)
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import fields_key
+from helpers import fields_key, frontier
 from sleepy_tob.core import (
     EMPTY_LOG,
     GENESIS,
@@ -10,6 +10,7 @@ from sleepy_tob.core import (
     ProposeMsg,
     Value,
     VoteMsg,
+    is_chain,
     is_prefix,
     vrf_eval,
 )
@@ -220,7 +221,7 @@ def proposal(sender, view, log, seed=SEED):
 class TestStepRound1:
     def test_decides_grade1_and_sets_candidate(self):
         st = state()
-        out = GaOutput({A: 1, EMPTY_LOG: 1})
+        out = frontier({A: 1, EMPTY_LOG: 1})
         decided, vote = step_round1(st, 2, out, [], {})
         assert decided == A
         assert st.candidate == A
@@ -233,13 +234,13 @@ class TestStepRound1:
         # regardless of score
         p_conflict = proposal(1, 2, B)
         p_extend = proposal(2, 2, AX)
-        _, vote = step_round1(st, 2, GaOutput({A: 1}), [p_conflict, p_extend], {})
+        _, vote = step_round1(st, 2, frontier({A: 1}), [p_conflict, p_extend], {})
         assert vote.log == AX
 
     def test_highest_valid_score_wins_among_compatible(self):
         st = state()
         props = [proposal(s, 2, AX) for s in range(5)]
-        _, vote = step_round1(st, 2, GaOutput({A: 1}), props, {})
+        _, vote = step_round1(st, 2, frontier({A: 1}), props, {})
         best = max(props, key=lambda p: (p.ticket, p.sender))
         assert vote.log == best.log == AX
 
@@ -263,18 +264,18 @@ class TestStepRound1:
     def test_conflicting_decision_adopted(self):
         st = state()
         st.candidate = B
-        decided, _ = step_round1(st, 2, GaOutput({A: 1}), [], {})
+        decided, _ = step_round1(st, 2, frontier({A: 1}), [], {})
         assert decided == A
 
     def test_no_grade1_output_decides_nothing(self):
-        decided, _ = step_round1(state(), 2, GaOutput({A: 0}), [], {})
+        decided, _ = step_round1(state(), 2, frontier({A: 0}), [], {})
         assert decided is None
 
 
 class TestStepRound2:
     def test_votes_longest_grade1_proposes_longest_any(self):
         st = state(pid=4)
-        out = GaOutput({A: 1, AX: 0})
+        out = frontier({A: 1, AX: 0})
         vote, pm = step_round2(st, 3, out, SEED)
         assert vote.log == A
         assert pm.view == 4
@@ -283,7 +284,7 @@ class TestStepRound2:
 
     def test_genesis_case(self):
         st = state()
-        vote, pm = step_round2(st, 1, GaOutput({EMPTY_LOG: 1}), SEED)
+        vote, pm = step_round2(st, 1, frontier({EMPTY_LOG: 1}), SEED)
         assert vote.log == EMPTY_LOG
         assert len(pm.log) == 1
 
@@ -336,6 +337,10 @@ TREE = [Value(1, 0, 1), Value(2, 0, 1), Value(3, 1, 2), Value(4, 2, 2), Value(5,
 tree_logs = st.lists(st.sampled_from(TREE), max_size=3, unique=True).map(
     lambda vs: Log(tuple(sorted(vs, key=lambda v: v.id)))
 )
+#: graded outputs given as ``{log: grade}`` maps whose grade-1 logs form a chain
+graded_maps = st.dictionaries(tree_logs, st.integers(0, 1), max_size=3).filter(
+    lambda g: is_chain(log for log, v in g.items() if v == 1)
+)
 
 
 @settings(max_examples=400, deadline=None)
@@ -343,7 +348,7 @@ tree_logs = st.lists(st.sampled_from(TREE), max_size=3, unique=True).map(
     seed=st.integers(0, 3),
     view=st.integers(1, 4),
     candidate=tree_logs,
-    outputs=st.dictionaries(tree_logs, st.integers(0, 1), max_size=3),
+    outputs=graded_maps,
     # few senders, so one proposer often equivocates under a single ticket
     props=st.lists(st.tuples(st.integers(0, 3), tree_logs), max_size=8),
 )
@@ -363,8 +368,8 @@ def test_step_round1_matches_the_verifying_reference(seed, view, candidate, outp
     ]
     got_state = state(candidate=candidate)
     ref_state = state(candidate=candidate)
-    got = step_round1(got_state, view, GaOutput(dict(outputs)), proposals, {})
-    want = reference_step_round1(ref_state, view, GaOutput(dict(outputs)), proposals, seed)
+    got = step_round1(got_state, view, frontier(outputs), proposals, {})
+    want = reference_step_round1(ref_state, view, frontier(outputs), proposals, seed)
     assert got == want
     assert got_state.candidate == ref_state.candidate
 
@@ -379,7 +384,7 @@ def test_step_round1_matches_the_verifying_reference(seed, view, candidate, outp
     # per process: the collection it holds, its candidate and its outputs
     steps=st.lists(
         st.tuples(
-            st.integers(0, 2), tree_logs, st.dictionaries(tree_logs, st.integers(0, 1), max_size=2)
+            st.integers(0, 2), tree_logs, graded_maps
         ),
         min_size=1,
         max_size=8,
@@ -400,7 +405,7 @@ def test_shared_picks_match_fresh_calls(seed, view, collections, steps):
         proposals = held[i % len(held)]
         got_state = state(pid=pid, candidate=candidate)
         fresh_state = state(pid=pid, candidate=candidate)
-        got = step_round1(got_state, view, GaOutput(dict(outputs)), proposals, picks)
-        want = step_round1(fresh_state, view, GaOutput(dict(outputs)), proposals, {})
+        got = step_round1(got_state, view, frontier(outputs), proposals, picks)
+        want = step_round1(fresh_state, view, frontier(outputs), proposals, {})
         assert got == want
         assert got_state.candidate == fresh_state.candidate

@@ -7,7 +7,9 @@ left out, as it was when every line was a dict encoded by
 and every receiver's output was scanned for new logs.  The one change: a
 ``DeliverEvent`` now names sends by index, so the reference's ``deliver``
 line first resolves each index to its message through the trace's sends.
-Both writers must give equal lines on the six shipped scenarios, one
+The reference reads every graded log from ``GaOutput.grades``, now the
+expansion of the output's frontier, where the writer introduces only the
+tops and lets the parent walk add their prefixes.  Both writers must give equal lines on the six shipped scenarios, one
 default ``campaign`` seed, ``World`` runs of random bounded schedules with
 and without a window, and a hand-built trace that delivers a tuple of ids,
 a range and nothing, decides the empty log and holds one record whose
@@ -28,13 +30,13 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 import pytest
-from helpers import fields_key, random_bounded_schedule
+from helpers import fields_key, frontier, random_bounded_schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sleepy_tob.cli import Scenario, load_scenario, run_scenario, trace_lines
 from sleepy_tob.core import GENESIS, Log, ProposeMsg, Value, VoteMsg
-from sleepy_tob.ga import GaOutput, GaRecord, InitialVoteSet, ReceiverView
+from sleepy_tob.ga import GaRecord, InitialVoteSet, ReceiverView
 from sleepy_tob.model_checks import ModelParams
 from sleepy_tob.world import (
     STRATEGIES,
@@ -201,8 +203,8 @@ def test_world_runs_match_reference(preset, schedule_seed, window, seed):
     assert_same_lines(run(schedule, STRATEGIES[preset](), seed), HEADER_SCENARIO)
 
 
-def view(output: dict[Log, int], m: int) -> ReceiverView:
-    return ReceiverView(InitialVoteSet(), frozenset(), GaOutput(output), m)
+def view(grades: dict[Log, int], m: int) -> ReceiverView:
+    return ReceiverView(InitialVoteSet(), frozenset(), frontier(grades), m)
 
 
 def test_hand_built_trace_matches_reference():
