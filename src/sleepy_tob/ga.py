@@ -145,9 +145,12 @@ class GaOutput:
     def grades(self) -> dict[Log, int]:
         """Every graded log with its grade: the frontier closed under
         prefixes.  Built on each access; only serialization reads it."""
-        out = {log: 0 for top in self.tops for log in top.prefixes()}
-        if self.grade1 is not None:
-            out.update((log, 1) for log in self.grade1.prefixes())
+        out = dict.fromkeys(self.grade1.prefixes(), 1) if self.grade1 is not None else {}
+        for top in self.tops:
+            log = top
+            while log is not None and log not in out:  # its prefixes are in out
+                out[log] = 0
+                log = log.parent
         return out
 
     def grade_of(self, log: Log) -> int | None:
@@ -168,11 +171,17 @@ def grade(msgs: Collection[VoteMsg]) -> GaOutput:
     """Grade a merged vote set: a collection of at most one message per
     sender.  A graded log is a top when no child of it is graded."""
     m = len(msgs)
-    counts = tally(msgs)
-    graded = [log for log, count in counts.items() if 3 * count > m]
-    grade1 = max((log for log in graded if 3 * counts[log] > 2 * m), key=len, default=None)
+    graded: list[Log] = []
+    grade1 = None
+    for log, count in tally(msgs).items():
+        if 3 * count > m:
+            graded.append(log)
+            if 3 * count > 2 * m and (grade1 is None or len(log.values) > len(grade1.values)):
+                grade1 = log
     inner = {log.parent for log in graded}
-    tops = sorted((log for log in graded if log not in inner), key=lambda log: (-len(log), log))
+    tops = [log for log in graded if log not in inner]
+    if len(tops) > 1:
+        tops.sort(key=lambda log: (-len(log.values), log))
     return GaOutput(grade1, tuple(tops))
 
 

@@ -10,8 +10,9 @@ failures, and probabilistic liveness can be reported honestly.
 
 The agreement properties are decided on each output's frontier, its
 ``grade1`` and its ``tops`` (``ga.GaOutput``): both grade sets are closed
-under prefixes, so each test below gives the verdict the same test over
-every graded log would.  Graded consistency asks every receiver to grade
+under prefixes, so on a well-formed frontier each test below gives the
+verdict the same test over every graded log would, and bounded divergence
+fails any other frontier.  Graded consistency asks every receiver to grade
 every receiver's ``grade1``; integrity asks each top to be a prefix of some
 input; validity asks the inputs' common prefix to have grade 1; uniqueness
 asks the ``grade1`` logs to form a chain (``core.is_chain``); and bounded
