@@ -34,11 +34,10 @@ the first failing one, since it skips the bases its prune rules out.
 import random
 from dataclasses import replace
 from fractions import Fraction
+from typing import Iterable
 
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
-
-from typing import Iterable
 
 from helpers import (
     ReferenceGaOutput,

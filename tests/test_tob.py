@@ -337,10 +337,14 @@ TREE = [Value(1, 0, 1), Value(2, 0, 1), Value(3, 1, 2), Value(4, 2, 2), Value(5,
 tree_logs = st.lists(st.sampled_from(TREE), max_size=3, unique=True).map(
     lambda vs: Log(tuple(sorted(vs, key=lambda v: v.id)))
 )
-#: graded outputs given as ``{log: grade}`` maps whose grade-1 logs form a chain
-graded_maps = st.dictionaries(tree_logs, st.integers(0, 1), max_size=3).filter(
-    lambda g: is_chain(log for log, v in g.items() if v == 1)
-)
+
+
+def graded_maps(max_size):
+    """Graded outputs given as ``{log: grade}`` maps whose grade-1 logs form
+    a chain."""
+    return st.dictionaries(tree_logs, st.integers(0, 1), max_size=max_size).filter(
+        lambda g: is_chain(log for log, v in g.items() if v == 1)
+    )
 
 
 @settings(max_examples=400, deadline=None)
@@ -348,7 +352,7 @@ graded_maps = st.dictionaries(tree_logs, st.integers(0, 1), max_size=3).filter(
     seed=st.integers(0, 3),
     view=st.integers(1, 4),
     candidate=tree_logs,
-    outputs=graded_maps,
+    outputs=graded_maps(3),
     # few senders, so one proposer often equivocates under a single ticket
     props=st.lists(st.tuples(st.integers(0, 3), tree_logs), max_size=8),
 )
@@ -384,7 +388,7 @@ def test_step_round1_matches_the_verifying_reference(seed, view, candidate, outp
     # per process: the collection it holds, its candidate and its outputs
     steps=st.lists(
         st.tuples(
-            st.integers(0, 2), tree_logs, graded_maps
+            st.integers(0, 2), tree_logs, graded_maps(2)
         ),
         min_size=1,
         max_size=8,
