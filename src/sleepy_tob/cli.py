@@ -8,15 +8,16 @@ reduced failure-ratio curve), and ``campaign`` (many randomized
 constraint-respecting runs with aggregated verdicts).
 
 Scenario files are JSON with exact ratio strings ("1/3").  A trace is
-JSON-lines: a header carrying the scenario hash and parameters, then one
+JSON-lines: a header carrying the whole scenario and its hash, then one
 object per line (kind, round, actor, payload) of five kinds, each fact
 written once: ``log`` (one distinct log, linked to its parent log),
 ``send`` (one message, with a send id: its index among the run's sends),
-``deliver`` (one receive phase, by the send ids its event holds),
-``decide`` (a log id) and ``ga_record`` (each receiver's participation and
-graded output).  Everything is deterministic given the
-scenario: the same file and seed produce byte-identical outputs.  The
-environment variable ``SLEEPY_TOB_SEED`` overrides the scenario seed.
+``deliver`` (one receive phase, by a run of send ids or the ids its event
+holds), ``decide`` (a log id) and ``ga_record`` (each distinct claim of
+participation and graded frontier, with its receivers).  Everything is
+deterministic given the scenario: the same file and seed produce
+byte-identical outputs.  The environment variable ``SLEEPY_TOB_SEED``
+overrides the scenario seed.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
-from .core import Log, Value, VoteMsg
+from .core import Log, ProcessId, Value, VoteMsg
 from .ga import GaRecord
 from .model_checks import ModelParams, beta_tilde, check_all
 from .oracle import (
@@ -273,36 +274,39 @@ def build_schedule(scenario: Scenario) -> Schedule:
 # serialization
 
 
-#: Encodes the header and ``ga_record`` lines; the other kinds are written
-#: from templates that lay their keys out as it does.
-_encode = json.JSONEncoder(sort_keys=True).encode
-
-
-def record_to_json(record: GaRecord, log_id: Callable[[Log], int]) -> dict:
-    """The receivers' claims: each one's participation ``m`` and its graded
-    output, the frontier expanded to every graded log, as ``[log id,
-    grade]`` pairs sorted by id, built once per view
-    and shared by the receivers that hold it.  The rest of the record is
-    stated by other lines: the inputs are the round's vote sends from
-    senders outside ``byzantine``, and a receiver's initial and received
-    votes are its ``deliver`` lines folded by the latest-vote rule within
-    the header's ``eta``."""
-    views = {id(view): view for view in record.receivers.values()}
-    claims = {
-        key: {"m": view.m,
-              "output": sorted([log_id(log), g] for log, g in view.output.grades.items())}
-        for key, view in views.items()
-    }
-    return {
-        "synchronous": record.synchronous,
-        "byzantine": sorted(record.byzantine),
-        "receivers": {str(q): claims[id(view)] for q, view in record.receivers.items()},
-    }
+def record_to_json(record: GaRecord, log_id: Callable[[Log], int]) -> str:
+    """The payload of a ``ga_record`` line: one claim per distinct
+    participation ``m`` and graded output, ordered by its first receiver,
+    with its ``receivers`` in record order and the output as its frontier,
+    the ``grade1`` log id (null if none) and the ``tops`` ids, longest
+    first.  Each view is keyed once, however many receivers share it.  The
+    rest of the record is stated by other lines: the inputs are the round's
+    vote sends from senders outside ``byzantine``, a receiver's initial and
+    received votes are its ``deliver`` lines folded by the latest-vote rule
+    within the header's ``eta``, and every graded prefix is a ``log`` line
+    reached from the frontier through parent ids."""
+    keys: dict[int, tuple] = {}  # id(view) -> its claim's key
+    claims: dict[tuple, list[ProcessId]] = {}  # (m, grade1 id, top ids) -> receivers
+    for q, view in record.receivers.items():
+        key = keys.get(id(view))
+        if key is None:
+            out = view.output
+            key = keys[id(view)] = (view.m, "null" if out.grade1 is None else log_id(out.grade1),
+                                    ", ".join(str(log_id(top)) for top in out.tops))
+        claims.setdefault(key, []).append(q)
+    text = ", ".join(
+        f'{{"grade1": {grade1}, "m": {m}, "receivers": [{", ".join(map(str, receivers))}], '
+        f'"tops": [{tops}]}}'
+        for (m, grade1, tops), receivers in claims.items()
+    )
+    return (f'{{"byzantine": [{", ".join(map(str, sorted(record.byzantine)))}], '
+            f'"claims": [{text}], "synchronous": {"true" if record.synchronous else "false"}}}')
 
 
 def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
-    """JSON-lines rendition: a header then one object per line, each byte
-    for byte what ``json.dumps(obj, sort_keys=True)`` writes.
+    """JSON-lines rendition: a header holding the whole scenario, its hash
+    and the strategy's name, then one object per line, each byte for byte
+    what ``json.dumps(obj, sort_keys=True)`` writes.
 
     Each distinct log is written once, as a ``log`` line whose payload is
     its ``id``, its ``parent`` id and its last ``value`` (both null for the
@@ -311,20 +315,20 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     are numbered by length, then value ids.  Each ``send`` line carries an
     ``id``, its index among the send lines; ``deliver`` lines name messages
     by that id, which is the index a ``DeliverEvent`` holds, and every other
-    line names logs by log id.
+    line names logs by log id.  A delivery whose ids are a ``range``, that
+    of a synchronous receiver that held nothing back, is written as the
+    half-open run ``from``, ``to``; any other lists its ids as ``msgs``.
 
-    The ``log``, ``send``, ``deliver`` and ``decide`` lines hold only
-    integers, nulls and fixed strings, so each is written from a fixed
-    per-kind template with its keys in sorted order; only the header and
-    ``ga_record`` lines go through the encoder.  Equal deliveries, such as
-    the ranges of the receivers of a synchronous round that stood at one
-    cursor, are formatted once.
+    Every line but the header holds only integers, nulls, booleans and
+    fixed strings, so each is written from a fixed per-kind template with
+    its keys in sorted order.  Every fact takes O(1) bytes, but for the
+    send ids an adversary chose and a claim's list of receivers.
     """
     log_ids: dict[Log, int] = {}
-    id_lists: dict[Sequence[int], str] = {}  # each distinct delivery -> its ids, formatted
     sends = 0
-    lines = [_encode({"kind": "header", "scenario_hash": scenario.canonical_hash(),
-                      "params": scenario.to_dict()["params"], "strategy": trace.strategy_name})]
+    lines = [json.dumps({"kind": "header", "scenario": scenario.to_dict(),
+                         "scenario_hash": scenario.canonical_hash(),
+                         "strategy": trace.strategy_name}, sort_keys=True)]
     append = lines.append
 
     def introduce(logs: Iterable[Log], r: int) -> None:
@@ -352,11 +356,13 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     for e in trace.events:
         r = e.round
         if isinstance(e, DeliverEvent):
-            ids = id_lists.get(e.ids)
-            if ids is None:
-                ids = id_lists[e.ids] = ", ".join(map(str, e.ids))
-            append(f'{{"actor": {e.receiver}, "kind": "deliver", '
-                   f'"payload": {{"msgs": [{ids}]}}, "round": {r}}}')
+            ids = e.ids
+            if isinstance(ids, range):
+                append(f'{{"actor": {e.receiver}, "kind": "deliver", '
+                       f'"payload": {{"from": {ids.start}, "to": {ids.stop}}}, "round": {r}}}')
+            else:
+                append(f'{{"actor": {e.receiver}, "kind": "deliver", '
+                       f'"payload": {{"msgs": [{", ".join(map(str, ids))}]}}, "round": {r}}}')
         elif isinstance(e, SendEvent):
             msg = e.msg
             if msg.log not in log_ids:
@@ -380,9 +386,11 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
         else:
             assert isinstance(e, GaRecord)
             outputs = {id(view.output): view.output for view in e.receivers.values()}
-            introduce((log for output in outputs.values() for log in output.tops), r)
-            append(_encode({"kind": "ga_record", "actor": None, "round": r,
-                            "payload": record_to_json(e, log_ids.__getitem__)}))
+            # a malformed frontier's grade1 may lie under no top
+            introduce((log for output in outputs.values()
+                       for log in (*output.tops, output.grade1) if log is not None), r)
+            append(f'{{"actor": null, "kind": "ga_record", '
+                   f'"payload": {record_to_json(e, log_ids.__getitem__)}, "round": {r}}}')
     return lines
 
 

@@ -141,18 +141,6 @@ class GaOutput:
     def __bool__(self) -> bool:
         return bool(self.tops)
 
-    @property
-    def grades(self) -> dict[Log, int]:
-        """Every graded log with its grade: the frontier closed under
-        prefixes.  Built on each access; only serialization reads it."""
-        out = dict.fromkeys(self.grade1.prefixes(), 1) if self.grade1 is not None else {}
-        for top in self.tops:
-            log = top
-            while log is not None and log not in out:  # its prefixes are in out
-                out[log] = 0
-                log = log.parent
-        return out
-
     def grade_of(self, log: Log) -> int | None:
         if self.grade1 is not None and is_prefix(log, self.grade1):
             return 1

@@ -1,11 +1,11 @@
 """Shared builders for the tests: randomized schedules used by both the unit
 tests and the acceptance suite, slice-based references for the log-tree
-walks, graded outputs built from ``{log: grade}`` maps (``frontier``) next
-to the output, tally and grading they replaced (``ReferenceGaOutput``,
-``reference_tally``, ``reference_grade``), and one graded-agreement
-instance run outside a ``World`` (``run_instance``), which merges each
-receiver's votes through the receive computation ``World`` runs
-(``store_merge``)."""
+walks, graded outputs built from ``{log: grade}`` maps (``frontier``) and
+expanded back to them (``expand``), next to the output, tally and grading
+they replaced (``ReferenceGaOutput``, ``reference_tally``,
+``reference_grade``), and one graded-agreement instance run outside a
+``World`` (``run_instance``), which merges each receiver's votes through
+the receive computation ``World`` runs (``store_merge``)."""
 
 import random
 from dataclasses import dataclass, field
@@ -67,6 +67,19 @@ def frontier(grades: Mapping[Log, int]) -> GaOutput:
         max(grade1, key=len, default=None),
         tuple(sorted(tops, key=lambda log: (-len(log), fields_key(log)))),
     )
+
+
+def expand(output: GaOutput) -> dict[Log, int]:
+    """Every log ``output`` grades, with its grade: the frontier closed
+    under prefixes, the grade-1 log's prefixes at 1 and the rest of the
+    tops' prefixes at 0."""
+    out = dict.fromkeys(output.grade1.prefixes(), 1) if output.grade1 is not None else {}
+    for top in output.tops:
+        log = top
+        while log is not None and log not in out:  # its prefixes are in out
+            out[log] = 0
+            log = log.parent
+    return out
 
 
 # ---------------------------------------------------------------------------

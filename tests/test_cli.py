@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import sliced_prefixes
+from helpers import expand, sliced_prefixes
 from sleepy_tob import model_checks
 from sleepy_tob.cli import (
     Scenario,
@@ -31,12 +31,12 @@ SCENARIOS = ROOT / "scenarios"
 
 #: scenario -> (exit code, sha256[:16] of trace.jsonl, sha256[:16] of report.json)
 GOLDEN = {
-    "prop1_baseline": (1, "0be6ac476cf52aa4", "3c15a622f1fea58b"),
-    "prop1_expiring": (0, "101e6f346fff8bf1", "8336d6af4f488323"),
-    "split_decision_eta0": (1, "153838206fc95bb2", "b58322772f586e04"),
-    "split_decision_eta2": (0, "f73161e3e1385412", "1836facf6f02d65a"),
-    "stall_participation_drop": (0, "9ecd97ce39581630", "ccb9169d3a61bd3a"),
-    "sync_faultfree": (0, "214eb4757072e1d1", "fda45c4855c02d40"),
+    "prop1_baseline": (1, "c2b737c10b0f98f7", "3c15a622f1fea58b"),
+    "prop1_expiring": (0, "37a0a3944555a308", "8336d6af4f488323"),
+    "split_decision_eta0": (1, "a7b0f3dc8a31766f", "b58322772f586e04"),
+    "split_decision_eta2": (0, "2647b23e41c36430", "1836facf6f02d65a"),
+    "stall_participation_drop": (0, "c76abe7f5d46f89a", "ccb9169d3a61bd3a"),
+    "sync_faultfree": (0, "2794b6a69e28ff61", "fda45c4855c02d40"),
 }
 
 
@@ -98,19 +98,24 @@ def test_outputs_do_not_depend_on_the_log_hash(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
-    """trace.jsonl alone gives back every log, send, receive phase and
-    decision of the run, and per instance its inputs and each receiver's
-    initial and received votes, participation and output.
+    """trace.jsonl alone gives back the scenario, every log, send, receive
+    phase and decision of the run, and per instance its inputs and each
+    receiver's initial and received votes, participation and full grade
+    map, expanded from its claim's frontier through the parent ids.
 
     The votes are folded here, not with the package's rule: per receiver
     and sender, the newest round delivered counts if it is inside the
     expiry window, unless the sender voted two logs in that round."""
     monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
     main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path)])
-    trace, _ = run_scenario(load_scenario(SCENARIOS / f"{name}.json"))
+    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    trace, _ = run_scenario(scenario)
     header, *lines = map(json.loads, (tmp_path / "trace.jsonl").read_text().splitlines())
-    eta = header["params"]["eta"]
+    assert Scenario.from_dict(header["scenario"]) == scenario
+    assert Scenario.from_dict(header["scenario"]).canonical_hash() == header["scenario_hash"]
+    eta = header["scenario"]["params"]["eta"]
     logs: list[Log] = []
+    parents: list[int | None] = []
     sent, deliveries, decisions, records = [], [], [], {}
     newest = {}  # (receiver, sender) -> (newest round delivered, its votes)
 
@@ -118,10 +123,20 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
         assert 0 <= i < len(logs)  # written before the first line naming it
         return logs[i]
 
+    def grade_map(claim):
+        """The claim's grades, by walking parent ids from its frontier."""
+        grades = {}
+        for i, g in [(claim["grade1"], 1), *((top, 0) for top in claim["tops"])]:
+            while i is not None and i not in grades:
+                grades[i] = g
+                i = parents[i]
+        return {log(i): g for i, g in grades.items()}
+
     for obj in lines:
         kind, r, actor, payload = obj["kind"], obj["round"], obj["actor"], obj["payload"]
         if kind == "log":
             assert payload["id"] == len(logs)
+            parents.append(payload["parent"])
             if payload["parent"] is None:
                 assert payload["value"] is None
                 logs.append(Log())
@@ -137,9 +152,13 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
                 assert (vrf["sender"], vrf["view"]) == (fields["sender"], fields["view"])
                 sent.append((r, ProposeMsg(**fields, ticket=vrf["value"])))
         elif kind == "deliver":
-            msgs = [sent[i][1] for i in payload["msgs"]]
-            deliveries.append((r, actor, payload["msgs"]))
-            for m in msgs:
+            if "msgs" in payload:
+                ids = payload["msgs"]
+            else:
+                assert set(payload) == {"from", "to"}
+                ids = list(range(payload["from"], payload["to"]))
+            deliveries.append((r, actor, ids))
+            for m in (sent[i][1] for i in ids):
                 if isinstance(m, VoteMsg):
                     rnd, votes = newest.get((actor, m.sender), (-1, set()))
                     if m.round > rnd:
@@ -152,15 +171,18 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
             assert kind == "ga_record"
             start = 0 if eta is None else r - eta
             views = {}
-            for q, claim in payload["receivers"].items():
-                counted = [next(iter(votes)) for (receiver, _), (rnd, votes) in newest.items()
-                           if receiver == int(q) and rnd >= start and len(votes) == 1]
-                views[int(q)] = (
-                    {m for m in counted if m.round < r},
-                    {m for m in counted if m.round == r},
-                    claim["m"],
-                    {log(i): g for i, g in claim["output"]},
-                )
+            for claim in payload["claims"]:
+                grades = grade_map(claim)
+                for q in claim["receivers"]:
+                    assert q not in views
+                    counted = [next(iter(votes)) for (receiver, _), (rnd, votes) in newest.items()
+                               if receiver == q and rnd >= start and len(votes) == 1]
+                    views[q] = (
+                        {m for m in counted if m.round < r},
+                        {m for m in counted if m.round == r},
+                        claim["m"],
+                        grades,
+                    )
             inputs = {m.sender: m.log for rnd, m in sent if rnd == r and isinstance(m, VoteMsg)
                       and m.sender not in payload["byzantine"]}
             records[r] = (payload["synchronous"], set(payload["byzantine"]), inputs, views)
@@ -171,16 +193,39 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
     assert decisions == [(e.round, e.pid, e.log) for e in trace.decide_events()]
     assert records == {
         r: (record.synchronous, set(record.byzantine), record.inputs,
-            {q: (set(view.initial.messages), set(view.received), view.m, view.output.grades)
+            {q: (set(view.initial.messages), set(view.received), view.m, expand(view.output))
              for q, view in record.receivers.items()})
         for r, record in trace.ga_records().items()
     }
     named = [m.log for _, m in sent] + [log for _, _, log in decisions] + [
         log for record in trace.ga_records().values()
-        for view in record.receivers.values() for log in view.output.grades
+        for view in record.receivers.values() for log in expand(view.output)
     ]
     assert len(set(logs)) == len(logs)
     assert set(logs) == {prefix for log in named for prefix in sliced_prefixes(log)}
+
+
+@pytest.mark.parametrize("n", [8, 40])
+def test_synchronous_facts_take_one_line_of_fixed_shape(n):
+    """In a fault-free run every receive phase is synchronous and holds
+    nothing back, so each ``deliver`` line is a run of send ids, and each
+    ``ga_record`` line is one claim held by the round's awake receivers."""
+    scenario = Scenario(name="faultfree", n=n, horizon=12, tau=4, eta=4, pi=0,
+                        gamma=Fraction(0), beta=Fraction(1, 3), r_a=None, seed=1,
+                        schedule_spec={"constant": {}})
+    trace, report = run_scenario(scenario)
+    assert report["exit_code"] == 0
+    schedule = trace.schedule
+    objs = [json.loads(line) for line in trace_lines(trace, scenario)[1:]]
+    deliveries = [obj for obj in objs if obj["kind"] == "deliver"]
+    records = [obj for obj in objs if obj["kind"] == "ga_record"]
+    assert len(deliveries) == n * schedule.horizon
+    assert all(set(obj["payload"]) == {"from", "to"} for obj in deliveries)
+    assert len(records) == schedule.horizon - 1
+    for obj in records:
+        assert obj["payload"]["synchronous"]
+        [claim] = obj["payload"]["claims"]
+        assert claim["receivers"] == sorted(schedule.honest(obj["round"] + 1))
 
 
 def per_value_decision_latencies(trace) -> tuple[int, Fraction | None]:
@@ -294,7 +339,7 @@ class TestCmdRun:
         monkeypatch.setenv("SLEEPY_TOB_SEED", "99")
         main(["run", str(SCENARIOS / "sync_faultfree.json"), "--out", str(tmp_path)])
         header = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[0])
-        assert header["params"]["seed"] == 99
+        assert header["scenario"]["params"]["seed"] == 99
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    expand,
     fields_key,
     merge_inputs,
     reference_grade,
@@ -196,7 +197,7 @@ def test_grade_thresholds_match_fraction_oracle(msgs):
 
 @given(vote_sets())
 def test_grade1_logs_form_a_chain(msgs):
-    g1 = [log for log, g in grade(msgs).grades.items() if g == 1]
+    g1 = [log for log, g in expand(grade(msgs)).items() if g == 1]
     for a in g1:
         for b in g1:
             assert compatible(a, b)
@@ -205,7 +206,7 @@ def test_grade1_logs_form_a_chain(msgs):
 def full_tie_break_longest_grade1(out):
     """Longest grade-1 log, ties broken by value ids."""
     best = None
-    for log in (log for log, g in out.grades.items() if g == 1):
+    for log in (log for log, g in expand(out).items() if g == 1):
         if best is None or (len(log), fields_key(log)) > (len(best), fields_key(best)):
             best = log
     return best
@@ -214,7 +215,7 @@ def full_tie_break_longest_grade1(out):
 def full_tie_break_longest_any(out):
     """Longest log, equal lengths preferring grade 1, then value ids."""
     best = None
-    for log, g in out.grades.items():
+    for log, g in expand(out).items():
         key = (-len(log), -g, fields_key(log))
         if best is None or key < best[:3]:
             best = (*key, log)
@@ -241,15 +242,15 @@ class TestGaOutput:
     def test_empty_output_selects_nothing(self):
         out = GaOutput()
         assert not out
-        assert out.grades == {}
+        assert expand(out) == {}
         assert out.grade_of(EMPTY_LOG) is None
         assert out.longest_grade1() is None
         assert out.longest_any() is None
 
     def test_grades_is_a_fresh_expansion(self):
         out = GaOutput(A, (AX, B))
-        out.grades.clear()
-        assert out.grades == {EMPTY_LOG: 1, A: 1, AX: 0, B: 0}
+        expand(out).clear()
+        assert expand(out) == {EMPTY_LOG: 1, A: 1, AX: 0, B: 0}
         assert [out.grade_of(log) for log in (A, AX, B, Log((B.values[0], AX.values[1])))] == [
             1, 0, 0, None,
         ]
@@ -276,7 +277,7 @@ def test_frontier_closure_matches_reference_and_fraction_oracle(votes):
     raw = [vote(s, log) for s, log in votes]
     merged = store_merge(5, InitialVoteSet(), raw)
     out, ref = grade(merged), reference_grade(merged)
-    assert out.grades == ref.grades == naive_outputs(naive_merged_votes((), raw))
+    assert expand(out) == ref.grades == naive_outputs(naive_merged_votes((), raw))
     assert bool(out) == bool(ref)
     assert out.longest_grade1() == ref.longest_grade1()
     assert out.longest_any() == ref.longest_any()
@@ -289,7 +290,7 @@ def test_frontier_closure_matches_reference_and_fraction_oracle(votes):
 def test_bounded_divergence_structural(msgs):
     out = grade(msgs)
     assert len(out.tops) <= 2
-    logs = list(out.grades)
+    logs = list(expand(out))
     for i in range(len(logs)):
         for j in range(i + 1, len(logs)):
             for k in range(j + 1, len(logs)):

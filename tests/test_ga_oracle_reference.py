@@ -41,6 +41,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     ReferenceGaOutput,
+    expand,
     fields_key,
     frontier,
     run_instance,
@@ -313,7 +314,7 @@ UNCOMPARED = {"graded_consistency": {"log"}, "integrity": {"log"},
 def reference_record(record: GaRecord) -> GaRecord:
     """``record`` with each output replaced by the graded output it stands
     for, as the reference reads it."""
-    views = {q: replace(view, output=ReferenceGaOutput(view.output.grades))
+    views = {q: replace(view, output=ReferenceGaOutput(expand(view.output)))
              for q, view in record.receivers.items()}
     return replace(record, receivers=views)
 
@@ -392,7 +393,7 @@ def instances(draw) -> GaRecord:
     lams = st.lists(logs | tips, min_size=1, max_size=3)
     edits = st.tuples(st.sampled_from(receivers), lams, st.sampled_from([None, 0, 1]))
     for q, lams, g in draw(st.lists(edits, max_size=4)) if receivers else ():
-        grades = views[q].output.grades
+        grades = expand(views[q].output)
         for lam in lams:
             grades = edit(grades, lam, g)
         views[q] = replace(views[q], output=frontier(grades))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
-from helpers import frontier, run_instance
+from helpers import expand, frontier, run_instance
 from test_cli import campaign_traces
 
 from sleepy_tob.cli import load_scenario, run_scenario
@@ -120,7 +120,7 @@ class TestGaProperties:
                 inputs[s] = Log(tuple(vs[i] for i in ids))
             record = run_instance(round=2, inputs=inputs)
             for q, view in record.receivers.items():
-                assert naive_record_outputs(record, q) == view.output.grades
+                assert naive_record_outputs(record, q) == expand(view.output)
 
 
 def hand_built_record(outputs):
@@ -256,7 +256,7 @@ def hand_built_outputs(draw):
 @given(hand_built_outputs())
 def test_structural_verdicts_match_brute_force(outputs):
     # brute force over every graded log: the frontiers closed under prefixes
-    graded = {q: out.grades for q, out in outputs.items()}
+    graded = {q: expand(out) for q, out in outputs.items()}
     reports = check_ga_properties(hand_built_record(outputs))
     grade1 = [lam for g in graded.values() for lam, v in g.items() if v == 1]
     consistent = all(lam in g for lam in grade1 for g in graded.values())

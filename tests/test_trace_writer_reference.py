@@ -1,21 +1,20 @@
-"""The trace writer against the one it replaced.
+"""The trace writer against a reference that builds one dict per line and
+encodes it with ``json.dumps(sort_keys=True)``.
 
 ``reference_trace_lines`` below, with ``reference_msg_to_json`` and
-``reference_record_to_json``, is ``cli.trace_lines`` verbatim, docstrings
-left out, as it was when every line was a dict encoded by
-``json.dumps(sort_keys=True)``, send ids were looked up by message equality
-and every receiver's output was scanned for new logs.  The one change: a
-``DeliverEvent`` now names sends by index, so the reference's ``deliver``
-line first resolves each index to its message through the trace's sends.
-The reference reads every graded log from ``GaOutput.grades``, now the
-expansion of the output's frontier, where the writer introduces only the
-tops and lets the parent walk add their prefixes.  Both writers must give equal lines on the six shipped scenarios, one
-default ``campaign`` seed, ``World`` runs of random bounded schedules with
-and without a window, and a hand-built trace that delivers a tuple of ids,
-a range and nothing, decides the empty log and holds one record whose
-receivers share a view and one whose receivers do not.  The lines differ
-only where two sends carry equal messages: the reference names both by
-the first one's id.  ``tests/test_world.py`` pins that case.
+``reference_record_to_json``, is written from the format alone: it numbers
+logs by slicing, names a ``deliver`` line's sends by the run of ids a
+``range`` event holds or by its listed ids, and groups a record's
+receivers into claims by comparing each receiver's ``m`` and frontier ids
+with the claims so far.  It introduces every log a receiver grades, read
+from the frontier's expansion, where the writer introduces only the
+frontier and lets the parent walk add the prefixes.  Both writers must give
+equal lines on the six shipped scenarios, one default ``campaign`` seed,
+``World`` runs of random bounded schedules with and without a window, and
+a hand-built trace that delivers a tuple of ids, a range and nothing,
+decides the empty log and holds one record whose receivers share a view,
+one whose receivers do not, and one with a malformed frontier next to two
+receivers that hold equal claims in different view objects.
 
 Every line must also read back to itself through ``json``, which pins the
 templates to the encoder's spacing and key order where no golden hash
@@ -30,13 +29,13 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 import pytest
-from helpers import fields_key, frontier, random_bounded_schedule
+from helpers import expand, fields_key, frontier, random_bounded_schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sleepy_tob.cli import Scenario, load_scenario, run_scenario, trace_lines
 from sleepy_tob.core import GENESIS, Log, ProposeMsg, Value, VoteMsg
-from sleepy_tob.ga import GaRecord, InitialVoteSet, ReceiverView
+from sleepy_tob.ga import GaOutput, GaRecord, InitialVoteSet, ReceiverView
 from sleepy_tob.model_checks import ModelParams
 from sleepy_tob.world import (
     STRATEGIES,
@@ -68,28 +67,32 @@ def reference_msg_to_json(msg: VoteMsg | ProposeMsg, log_id: Callable[[Log], int
 
 
 def reference_record_to_json(record: GaRecord, log_id: Callable[[Log], int]) -> dict:
+    claims: list[dict] = []
+    for q, view in record.receivers.items():
+        grade1 = None if view.output.grade1 is None else log_id(view.output.grade1)
+        tops = [log_id(top) for top in view.output.tops]
+        for claim in claims:
+            if (claim["m"], claim["grade1"], claim["tops"]) == (view.m, grade1, tops):
+                claim["receivers"].append(q)
+                break
+        else:
+            claims.append({"m": view.m, "grade1": grade1, "tops": tops, "receivers": [q]})
     return {
         "synchronous": record.synchronous,
         "byzantine": sorted(record.byzantine),
-        "receivers": {
-            str(q): {"m": view.m,
-                     "output": sorted([log_id(log), g] for log, g in view.output.grades.items())}
-            for q, view in record.receivers.items()
-        },
+        "claims": claims,
     }
 
 
 def reference_trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     log_ids: dict[Log, int] = {}
-    send_ids: dict[VoteMsg | ProposeMsg, int] = {}
-    sent = [e.msg for e in trace.send_events()]
     sends = 0
     lines = [
         json.dumps(
             {
                 "kind": "header",
+                "scenario": scenario.to_dict(),
                 "scenario_hash": scenario.canonical_hash(),
-                "params": scenario.to_dict()["params"],
                 "strategy": trace.strategy_name,
             },
             sort_keys=True,
@@ -116,20 +119,22 @@ def reference_trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     for e in trace.events:
         if isinstance(e, SendEvent):
             introduce((e.msg.log,), e.round)
-            send_ids.setdefault(e.msg, sends)
             obj = {"kind": "send", "id": sends, "actor": e.msg.sender,
                    "payload": {"msg": reference_msg_to_json(e.msg, log_ids.__getitem__)}}
             sends += 1
         elif isinstance(e, DeliverEvent):
-            obj = {"kind": "deliver", "actor": e.receiver,
-                   "payload": {"msgs": [send_ids[sent[i]] for i in e.ids]}}
+            if isinstance(e.ids, range):
+                payload = {"from": e.ids.start, "to": e.ids.stop}
+            else:
+                payload = {"msgs": list(e.ids)}
+            obj = {"kind": "deliver", "actor": e.receiver, "payload": payload}
         elif isinstance(e, DecideEvent):
             introduce((e.log,), e.round)
             obj = {"kind": "decide", "actor": e.pid, "payload": {"log": log_ids[e.log]}}
         else:
             assert isinstance(e, GaRecord)
             introduce((log for view in e.receivers.values()
-                       for log in view.output.grades), e.round)
+                       for log in expand(view.output)), e.round)
             obj = {"kind": "ga_record", "actor": None,
                    "payload": reference_record_to_json(e, log_ids.__getitem__)}
         write(obj, e.round)
@@ -151,8 +156,8 @@ def assert_lines_read_back(lines: list[str]) -> None:
         assert json.dumps(json.loads(line), sort_keys=True) == line
 
 
-#: The header reads only the scenario's parameters and hash; traces that
-#: come from no scenario file borrow this one's.
+#: The header reads only the scenario and its hash; traces that come from
+#: no scenario file borrow this one's.
 HEADER_SCENARIO = load_scenario(SCENARIOS / "sync_faultfree.json")
 
 
@@ -212,10 +217,14 @@ def test_hand_built_trace_matches_reference():
     b = a.extended(Value(1, 0, 1))
     c = a.extended(Value(2, 1, 1))
     d = c.extended(Value(3, 1, 2))
+    e = a.extended(Value(4, 2, 2))
     vote = VoteMsg(sender=0, round=1, log=b)
     other = VoteMsg(sender=1, round=1, log=c)
     propose = ProposeMsg(sender=1, view=1, log=c, ticket=2**64 - 1)
     shared = view({a: 1, b: 0}, 2)
+    # grade1 e lies under no top: the frontier bounded divergence exists to
+    # fail, and the writer must still name e
+    malformed = ReceiverView(InitialVoteSet(), frozenset(), GaOutput(e, (b,)), 2)
     events = (
         SendEvent(0, propose),
         SendEvent(1, vote),
@@ -228,10 +237,16 @@ def test_hand_built_trace_matches_reference():
         GaRecord(2, False, {0: b}, frozenset([3]),
                  {0: view({b: 1}, 1), 1: view({d: 0, a: 1}, 2), 2: view({}, 0)}),
         DecideEvent(2, 1, d),
+        GaRecord(3, False, {0: b}, frozenset([3]),
+                 {0: malformed, 1: view({d: 0}, 2), 2: view({d: 0}, 2)}),
     )
     schedule = constant_schedule(4, 4, 1, ModelParams(tau=2, eta=2, pi=0, gamma=Fraction(0),
                                                       beta=Fraction(1, 3)))
     lines = assert_same_lines(Trace(schedule, "hand-built", events), HEADER_SCENARIO)
     assert_lines_read_back(lines)
-    delivered = [json.loads(line)["payload"]["msgs"] for line in lines if '"deliver"' in line]
-    assert delivered == [[1, 2], [0, 1, 2], []]
+    delivered = [json.loads(line)["payload"] for line in lines if '"deliver"' in line]
+    assert delivered == [{"msgs": [1, 2]}, {"from": 0, "to": 3}, {"msgs": []}]
+    records = [json.loads(line)["payload"]["claims"] for line in lines if '"ga_record"' in line]
+    assert [[claim["receivers"] for claim in claims] for claims in records] == [
+        [[0, 1, 2]], [[0], [1], [2]], [[0], [1, 2]],
+    ]
