@@ -28,6 +28,12 @@ ProcessId = int
 
 _MASK64 = (1 << 64) - 1
 
+#: ``new_record(Cls, fields)`` builds the named tuple ``Cls(*fields)`` with the
+#: C call that a NamedTuple's generated ``__new__`` makes, without running that
+#: Python frame.  It skips the field-count check too, so callers pass exactly
+#: ``len(Cls._fields)`` fields, in order.
+new_record = tuple.__new__
+
 
 class Value(NamedTuple):
     """One log entry.  The triple (id, proposer, view) is globally unique,
@@ -90,7 +96,11 @@ class Log:
         return parent
 
     def extended(self, value: Value) -> "Log":
-        child = Log(self.values + (value,))
+        # sets the fields __init__ and __post_init__ would, without their frames
+        values = self.values + (value,)
+        child = object.__new__(Log)
+        object.__setattr__(child, "values", values)
+        object.__setattr__(child, "_hash", hash((values,)))
         object.__setattr__(child, "_parent", self)
         return child
 

@@ -24,6 +24,14 @@ sender whose newest votes disagree contributing nothing.  ``eta = 0``
 reproduces the plain current-round-only protocol; ``eta`` is read from the
 run's parameters and not stored here.
 
+The round-1 and round-2 steps take a cohort: processes awake in one round
+that hold the same pending output, the same proposal store and the same
+candidate.  A step reads nothing else of a member but its pid, so it works
+out the decision, the vote log and the proposal base once for the cohort and
+builds each member's messages from them.  ``World`` forms the cohorts; after
+a synchronous receive phase every receiver holds one output and one proposal
+store, so a synchronous round is normally one cohort.
+
 Proposals are ranked by their lottery tickets as given: ``World`` admits a
 strategy's proposal only with its genuine ticket, and the step functions
 draw a well-behaved process's ticket with the seed they are passed, which
@@ -34,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import (
     EMPTY_LOG,
@@ -45,6 +53,7 @@ from .core import (
     Value,
     VoteMsg,
     compatible,
+    new_record,
     vrf_eval,
 )
 from .ga import GaOutput, InitialVoteSet, keep_latest
@@ -153,8 +162,8 @@ def round1_vote_log(proposals: Iterable[ProposeMsg], candidate: Log) -> Log:
     """The log a round-1 step votes: that of the highest-ticket proposal
     extending ``candidate``, ties broken by the higher sender and then the
     lexicographically smaller log, or ``candidate`` itself when no proposal
-    extends it.  A pure function of its arguments, so processes holding the
-    same proposals and candidate may share one result."""
+    extends it.  A pure function of its arguments, so a cohort, whose
+    members hold the same proposals and candidate, computes it once."""
     best: ProposeMsg | None = None
     for pm in proposals:
         if not (len(pm.log) >= len(candidate) and compatible(pm.log, candidate)):
@@ -169,57 +178,56 @@ def round1_vote_log(proposals: Iterable[ProposeMsg], candidate: Log) -> Log:
 
 
 def step_round1(
-    state: ProcessState,
+    cohort: Sequence[ProcessState],
     view: int,
     outputs: GaOutput,
     proposals: Iterable[ProposeMsg],
-    picks: dict[tuple[int, Log], Log],
-) -> tuple[Log | None, VoteMsg]:
-    """Round 2v-1: decide, refresh the candidate, and vote a proposal.
+) -> tuple[Log | None, list[VoteMsg]]:
+    """Round 2v-1 for a cohort: decide, refresh the candidate, and vote a
+    proposal.
 
-    ``proposals`` are the proposals for ``view`` this process holds; they
-    may be shared with other processes and are not changed.  Returns the
-    decided log (the longest grade-1 output, or ``None``) and the vote this
-    process multicasts, whose log is ``round1_vote_log`` of the proposals
-    and the refreshed candidate.  Falling back to the candidate, and never
-    voting a strict prefix of it, keeps the vote extending anything this
-    process has decided.
-
-    ``picks`` memoises that log by (``id(proposals)``, candidate) for one
-    round; the caller keeps every proposal collection it passes alive while
-    the dict is in use, so an id names one collection.
+    Every member holds ``outputs``, ``proposals`` (its proposals for
+    ``view``, which may be shared and are not changed) and the same
+    candidate.  Returns the decided log (the longest grade-1 output, or
+    ``None``) and one vote per member, in cohort order, whose log is
+    ``round1_vote_log`` of the proposals and the refreshed candidate.
+    Falling back to the candidate, and never voting a strict prefix of it,
+    keeps the vote extending anything the member has decided.
     """
-    longest = outputs.longest_any()
-    if longest is not None:
-        state.candidate = longest
-    key = (id(proposals), state.candidate)
-    vote_log = picks.get(key)
-    if vote_log is None:
-        vote_log = picks[key] = round1_vote_log(proposals, state.candidate)
-    return outputs.longest_grade1(), VoteMsg(state.pid, 2 * view - 1, vote_log)
+    candidate = outputs.longest_any()
+    if candidate is None:
+        candidate = cohort[0].candidate
+    for state in cohort:
+        state.candidate = candidate
+    vote_log = round1_vote_log(proposals, candidate)
+    r = 2 * view - 1
+    votes = [new_record(VoteMsg, (state.pid, r, vote_log)) for state in cohort]
+    return outputs.longest_grade1(), votes
 
 
 def step_round2(
-    state: ProcessState, view: int, outputs: GaOutput, seed: int
-) -> tuple[VoteMsg, ProposeMsg]:
-    """Round 2v: vote the longest grade-1 output and propose for view v+1,
-    with the run ``seed``'s lottery ticket.
+    cohort: Sequence[ProcessState], view: int, outputs: GaOutput, seed: int
+) -> list[tuple[VoteMsg, ProposeMsg]]:
+    """Round 2v for a cohort holding ``outputs`` and one candidate: each
+    member votes the longest grade-1 output and proposes for view v+1, with
+    the run ``seed``'s lottery ticket.  Returns each member's vote and
+    proposal, in cohort order.
 
-    An empty tally (possible only for a process that woke mid-view and was
-    shown nothing) falls back to the stale candidate for both the vote and
-    the proposal base.
+    With no grade-1 output the vote falls back to the stale candidate, and
+    with an empty output (possible only for a process that woke mid-view and
+    was shown nothing) so does the proposal base.
     """
     vote_log = outputs.longest_grade1()
     if vote_log is None:
-        vote_log = state.candidate
+        vote_log = cohort[0].candidate
     head = outputs.longest_any()
     if head is None:
-        head = state.candidate
-    fresh = Value(view + 1, state.pid, view + 1)
-    proposal = ProposeMsg(
-        state.pid,
-        view + 1,
-        head.extended(fresh),
-        vrf_eval(seed, state.pid, view + 1),
-    )
-    return VoteMsg(state.pid, 2 * view, vote_log), proposal
+        head = cohort[0].candidate
+    r, nxt = 2 * view, view + 1
+    sends = []
+    for state in cohort:
+        pid = state.pid
+        fresh = new_record(Value, (nxt, pid, nxt))
+        pm = new_record(ProposeMsg, (pid, nxt, head.extended(fresh), vrf_eval(seed, pid, nxt)))
+        sends.append((new_record(VoteMsg, (pid, r, vote_log)), pm))
+    return sends

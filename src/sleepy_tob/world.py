@@ -34,6 +34,16 @@ be shared snapshots) before absorbing what the strategy let through, and
 computes a view of its own.  Round 0 is no agreement instance (no
 well-behaved process votes in it), so its receivers get an empty view.
 
+The send phase is stepped once per cohort (see ``tob``).  ``World`` groups
+the processes awake in a round by the key ``(id(pending_output),
+id(proposals_seen), candidate)``.  Their states hold both objects throughout
+the send phase, which replaces neither, so no two live objects share an id
+while the keys are in use and equal keys mean one output and one store.  A
+synchronous receive phase hands every receiver the same output and proposal
+snapshot, so after one only a process whose candidate is stale (it slept
+through a round-1 step) steps in a cohort of its own.  The decide and send
+events are then recorded in pid order, as if each process had stepped alone.
+
 The adversary's messages are checked once, where they enter the run: a
 message whose sender is not Byzantine in its round, a vote that does not
 carry the current round, or a proposal whose lottery ticket is not
@@ -59,6 +69,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import model_checks
@@ -70,6 +81,7 @@ from .core import (
     Value,
     VoteMsg,
     is_prefix,
+    new_record,
     vrf_eval,
 )
 from .ga import (
@@ -374,7 +386,10 @@ class World:
             strategy.validate(self)
 
     def _broadcast(self, msg: Msg, r: int) -> None:
-        self.events.append(SendEvent(r, msg))
+        """Send ``msg`` in round ``r``: record the send, fold the message into
+        the stores and append it to the send log.  ``step_round`` does the
+        same inline for the messages of the well-behaved processes."""
+        self.events.append(new_record(SendEvent, (r, msg)))
         if isinstance(msg, VoteMsg):
             keep_latest(self.votes, msg)
         else:
@@ -407,31 +422,47 @@ class World:
         sched = self.schedule
         clock = ViewClock(r)
         phase, this_view = clock.phase, clock.view
+        states, events = self.states, self.events
         inputs: dict[ProcessId, Log] = {}
-        # round-1 vote logs by (id of a proposal collection, candidate); every
-        # collection is held by a process state throughout the send phase
-        picks: dict[tuple[int, Log], Log] = {}
 
-        for p in sorted(sched.honest(r)):
-            state = self.states[p]
-            if phase is Phase.VIEW0:
-                for pm in step_view0(state, self.seed):
+        if phase is Phase.VIEW0:
+            for p in sorted(sched.honest(r)):
+                for pm in step_view0(states[p], self.seed):
                     self._broadcast(pm, r)
-                continue
-            # p is awake at r, so it received in round r - 1 and its
-            # pending output is that round's
-            outputs = state.pending_output
-            if phase is Phase.ROUND1:
-                proposals = state.proposals_seen.get(this_view, _NO_PROPOSALS)
-                decided, vote = step_round1(state, this_view, outputs, proposals, picks)
-                if decided is not None:
-                    self.events.append(DecideEvent(r, p, decided))
-                self._broadcast(vote, r)
-            else:
-                vote, proposal = step_round2(state, this_view, outputs, self.seed)
-                self._broadcast(vote, r)
-                self._broadcast(proposal, r)
-            inputs[p] = vote.log
+        else:
+            # a process awake at r received in round r - 1, so its pending
+            # output is that round's; the ids in a key name objects the
+            # states hold throughout the send phase
+            cohorts: dict[tuple[int, int, Log], list[ProcessState]] = {}
+            for p in sorted(sched.honest(r)):
+                state = states[p]
+                key = (id(state.pending_output), id(state.proposals_seen), state.candidate)
+                cohorts.setdefault(key, []).append(state)
+            round1 = phase is Phase.ROUND1
+            # per member: its vote and its decision (round 1) or proposal
+            rows: list[tuple[VoteMsg, Log | None] | tuple[VoteMsg, ProposeMsg]] = []
+            for cohort in cohorts.values():
+                outputs = cohort[0].pending_output
+                if round1:
+                    props = cohort[0].proposals_seen.get(this_view, _NO_PROPOSALS)
+                    decided, cast = step_round1(cohort, this_view, outputs, props)
+                    rows.extend(zip(cast, repeat(decided)))
+                else:
+                    rows.extend(step_round2(cohort, this_view, outputs, self.seed))
+            rows.sort()  # the votes' senders are distinct, so this is pid order
+            # _broadcast, inlined
+            sent, votes, proposals = self.sent, self.votes, self.proposals
+            for vote, second in rows:
+                if round1 and second is not None:
+                    events.append(new_record(DecideEvent, (r, vote.sender, second)))
+                events.append(new_record(SendEvent, (r, vote)))
+                keep_latest(votes, vote)
+                sent.append(vote)
+                if not round1:
+                    events.append(new_record(SendEvent, (r, second)))
+                    proposals.setdefault(second.view, set()).add(second)
+                    sent.append(second)
+                inputs[vote.sender] = vote.log
 
         for msg in self.strategy.messages(self, r):
             check_adversary_message(msg, r, sched.byz(r))
@@ -478,7 +509,7 @@ class World:
                     state.absorb(sent[i])
                 view = self._receive(state.votes_seen, r)
             self.cursor[q] = end
-            self.events.append(DeliverEvent(r, q, ids))
+            events.append(new_record(DeliverEvent, (r, q, ids)))
             state.pending_output = view.output
             views[q] = view
 

@@ -3,9 +3,11 @@ tests and the acceptance suite, slice-based references for the log-tree
 walks, graded outputs built from ``{log: grade}`` maps (``frontier``) and
 expanded back to them (``expand``), next to the output, tally and grading
 they replaced (``ReferenceGaOutput``, ``reference_tally``,
-``reference_grade``), and one graded-agreement instance run outside a
-``World`` (``run_instance``), which merges each receiver's votes through
-the receive computation ``World`` runs (``store_merge``)."""
+``reference_grade``), the per-process round steps the cohort steps replaced
+(``reference_step_round1``, ``reference_step_round2``), and one
+graded-agreement instance run outside a ``World`` (``run_instance``), which
+merges each receiver's votes through the receive computation ``World`` runs
+(``store_merge``)."""
 
 import random
 from dataclasses import dataclass, field
@@ -14,7 +16,16 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from hypothesis import strategies as st
 
-from sleepy_tob.core import Log, ProcessId, Value, VoteMsg, is_chain, is_prefix
+from sleepy_tob.core import (
+    Log,
+    ProcessId,
+    ProposeMsg,
+    Value,
+    VoteMsg,
+    is_chain,
+    is_prefix,
+    vrf_eval,
+)
 from sleepy_tob.ga import (
     ForgeryError,
     GaOutput,
@@ -28,7 +39,7 @@ from sleepy_tob.ga import (
     merge_latest,
 )
 from sleepy_tob.model_checks import ModelParams, beta_tilde
-from sleepy_tob.tob import latest_unexpired
+from sleepy_tob.tob import ProcessState, latest_unexpired, round1_vote_log
 from sleepy_tob.world import Schedule
 
 
@@ -216,6 +227,63 @@ def random_bounded_schedule(rng: random.Random) -> Schedule:
         r_a=None,
         params=params,
     )
+
+
+def reference_step_round1(
+    state: ProcessState,
+    view: int,
+    outputs: GaOutput,
+    proposals: Iterable[ProposeMsg],
+    picks: dict[tuple[int, Log], Log],
+) -> tuple[Log | None, VoteMsg]:
+    """Round 2v-1: decide, refresh the candidate, and vote a proposal.
+
+    ``proposals`` are the proposals for ``view`` this process holds; they
+    may be shared with other processes and are not changed.  Returns the
+    decided log (the longest grade-1 output, or ``None``) and the vote this
+    process multicasts, whose log is ``round1_vote_log`` of the proposals
+    and the refreshed candidate.  Falling back to the candidate, and never
+    voting a strict prefix of it, keeps the vote extending anything this
+    process has decided.
+
+    ``picks`` memoises that log by (``id(proposals)``, candidate) for one
+    round; the caller keeps every proposal collection it passes alive while
+    the dict is in use, so an id names one collection.
+    """
+    longest = outputs.longest_any()
+    if longest is not None:
+        state.candidate = longest
+    key = (id(proposals), state.candidate)
+    vote_log = picks.get(key)
+    if vote_log is None:
+        vote_log = picks[key] = round1_vote_log(proposals, state.candidate)
+    return outputs.longest_grade1(), VoteMsg(state.pid, 2 * view - 1, vote_log)
+
+
+def reference_step_round2(
+    state: ProcessState, view: int, outputs: GaOutput, seed: int
+) -> tuple[VoteMsg, ProposeMsg]:
+    """Round 2v: vote the longest grade-1 output and propose for view v+1,
+    with the run ``seed``'s lottery ticket.
+
+    An empty tally (possible only for a process that woke mid-view and was
+    shown nothing) falls back to the stale candidate for both the vote and
+    the proposal base.
+    """
+    vote_log = outputs.longest_grade1()
+    if vote_log is None:
+        vote_log = state.candidate
+    head = outputs.longest_any()
+    if head is None:
+        head = state.candidate
+    fresh = Value(view + 1, state.pid, view + 1)
+    proposal = ProposeMsg(
+        state.pid,
+        view + 1,
+        head.extended(fresh),
+        vrf_eval(seed, state.pid, view + 1),
+    )
+    return VoteMsg(state.pid, 2 * view, vote_log), proposal
 
 
 def store_merge(

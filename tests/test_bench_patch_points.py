@@ -5,6 +5,10 @@ them must fail here, not only when the benchmark runs."""
 import ast
 import importlib.util
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,3 +126,25 @@ def test_benchmark_golden_reports_match_the_golden_table():
     assert {name: (code, report) for name, (code, report, _trace) in bench.items()} == {
         name: (code, report) for name, (code, _trace, report) in GOLDEN.items()
     }
+
+
+def test_traced_benchmark_run_is_correct(tmp_path):
+    """One traced long_horizon pass, run from a copy of the checkout so that
+    nothing is written into it: the benchmark's own checks (traced against
+    untraced reports, exact counts of a repeated pass, the report digest)
+    must all hold, with no tracer warning."""
+    root = LAYERS.parent.parent
+    for name in ("src", "scenarios", "perfbench"):
+        shutil.copytree(root / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPATH", None)
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "long_horizon", "--seed", "1",
+         "--trace", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    info, result = (json.loads(line) for line in done.stdout.splitlines())
+    assert info["warnings"] == [] and info["problems"] == []
+    assert info["report_digest"].split()[0] == "37bb25a8a60d3e60"
+    assert result["correct"] is True and result["failed"] == 0

@@ -24,7 +24,7 @@ from sleepy_tob.cli import (
     trace_lines,
 )
 from sleepy_tob.core import Log, ProposeMsg, Value, VoteMsg, is_chain
-from sleepy_tob.world import DecideEvent, DeliverEvent
+from sleepy_tob.world import DecideEvent, DeliverEvent, SendEvent
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -267,6 +267,24 @@ def test_decision_latencies_match_the_per_value_scan():
         got = decision_latencies(trace)
         assert got["decided_values"] == count
         assert got["mean_decision_latency"] == (None if mean is None else ratio_str(mean))
+
+
+def test_events_and_messages_have_their_class_shape():
+    # World and the round steps build these with tuple.__new__, which does
+    # not check the field count that the classes' own constructors check
+    traces = [run_scenario(load_scenario(SCENARIOS / f"{name}.json"))[0] for name in GOLDEN]
+    records = []
+    for trace in [*traces, *campaign_traces()]:
+        for event in trace.events:
+            if isinstance(event, tuple):
+                records.append(event)
+                if isinstance(event, SendEvent):
+                    records += [event.msg, *event.msg.log.values]
+    assert {type(x) for x in records} == {
+        SendEvent, DeliverEvent, DecideEvent, VoteMsg, ProposeMsg, Value
+    }
+    for x in records:
+        assert len(x) == len(type(x)._fields) and type(x)(*x) == x, x
 
 
 def test_decision_latencies_keep_the_first_decision_of_a_value_under_two_prefixes():

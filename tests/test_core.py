@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -173,6 +174,9 @@ def test_log_tree_matches_slices(log, i):
     child = log.extended(V[i])
     assert child.parent is log and child == Log(values + (V[i],))
     assert hash(log) == hash((values,))
+    assert hash(child) == hash((child.values,))
+    with pytest.raises(FrozenInstanceError):
+        child.values = values
     # the link is neither compared nor shown
     assert log == Log(values) and repr(log) == repr(Log(values))
 

@@ -100,7 +100,7 @@ def test_proposal_equivocation_resolved_by_smallest_log():
     pa = ProposeMsg(sender=5, view=2, log=large, ticket=tag)
     pb = ProposeMsg(sender=5, view=2, log=small, ticket=tag)
     for ordering in ([pa, pb], [pb, pa]):
-        _, vote = step_round1(state, 2, GaOutput(), ordering, {})
+        _, (vote,) = step_round1([state], 2, GaOutput(), ordering)
         assert vote.log == small
 
 

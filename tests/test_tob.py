@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import fields_key, frontier
+from helpers import fields_key, frontier, reference_step_round1, reference_step_round2
 from sleepy_tob.core import (
     EMPTY_LOG,
     GENESIS,
@@ -222,7 +222,7 @@ class TestStepRound1:
     def test_decides_grade1_and_sets_candidate(self):
         st = state()
         out = frontier({A: 1, EMPTY_LOG: 1})
-        decided, vote = step_round1(st, 2, out, [], {})
+        decided, (vote,) = step_round1([st], 2, out, [])
         assert decided == A
         assert st.candidate == A
         assert vote.round == 3
@@ -234,13 +234,13 @@ class TestStepRound1:
         # regardless of score
         p_conflict = proposal(1, 2, B)
         p_extend = proposal(2, 2, AX)
-        _, vote = step_round1(st, 2, frontier({A: 1}), [p_conflict, p_extend], {})
+        _, (vote,) = step_round1([st], 2, frontier({A: 1}), [p_conflict, p_extend])
         assert vote.log == AX
 
     def test_highest_valid_score_wins_among_compatible(self):
         st = state()
         props = [proposal(s, 2, AX) for s in range(5)]
-        _, vote = step_round1(st, 2, frontier({A: 1}), props, {})
+        _, (vote,) = step_round1([st], 2, frontier({A: 1}), props)
         best = max(props, key=lambda p: (p.ticket, p.sender))
         assert vote.log == best.log == AX
 
@@ -252,23 +252,23 @@ class TestStepRound1:
         low = ProposeMsg(sender=1, view=2, log=A, ticket=7)
         high = ProposeMsg(sender=2, view=2, log=AX, ticket=7)
         assert fields_key(A) < fields_key(AX)
-        _, vote = step_round1(state(), 2, GaOutput(), [low, high][::order], {})
+        _, (vote,) = step_round1([state()], 2, GaOutput(), [low, high][::order])
         assert vote.log == AX
 
     def test_no_proposal_falls_back_to_candidate(self):
         st = state()
         st.candidate = AX
-        _, vote = step_round1(st, 3, GaOutput(), [], {})
+        _, (vote,) = step_round1([st], 3, GaOutput(), [])
         assert vote.log == AX
 
     def test_conflicting_decision_adopted(self):
         st = state()
         st.candidate = B
-        decided, _ = step_round1(st, 2, frontier({A: 1}), [], {})
+        decided, _ = step_round1([st], 2, frontier({A: 1}), [])
         assert decided == A
 
     def test_no_grade1_output_decides_nothing(self):
-        decided, _ = step_round1(state(), 2, frontier({A: 0}), [], {})
+        decided, _ = step_round1([state()], 2, frontier({A: 0}), [])
         assert decided is None
 
 
@@ -276,7 +276,7 @@ class TestStepRound2:
     def test_votes_longest_grade1_proposes_longest_any(self):
         st = state(pid=4)
         out = frontier({A: 1, AX: 0})
-        vote, pm = step_round2(st, 3, out, SEED)
+        [(vote, pm)] = step_round2([st], 3, out, SEED)
         assert vote.log == A
         assert pm.view == 4
         assert pm.log.values[:-1] == AX.values
@@ -284,19 +284,19 @@ class TestStepRound2:
 
     def test_genesis_case(self):
         st = state()
-        vote, pm = step_round2(st, 1, frontier({EMPTY_LOG: 1}), SEED)
+        [(vote, pm)] = step_round2([st], 1, frontier({EMPTY_LOG: 1}), SEED)
         assert vote.log == EMPTY_LOG
         assert len(pm.log) == 1
 
     def test_empty_output_falls_back_to_candidate(self):
         st = state()
         st.candidate = A
-        vote, pm = step_round2(st, 3, GaOutput(), SEED)
+        [(vote, pm)] = step_round2([st], 3, GaOutput(), SEED)
         assert vote.log == A
         assert pm.log.values[:-1] == A.values
 
 
-def reference_step_round1(state, view, outputs, proposals, seed):
+def verifying_step_round1(state, view, outputs, proposals, seed):
     """``step_round1`` as it was when every receiver re-verified each
     proposal's ticket, kept verbatim except for field access (the ticket
     is ``pm.ticket``, the tag's sender and view were the message's own
@@ -372,9 +372,9 @@ def test_step_round1_matches_the_verifying_reference(seed, view, candidate, outp
     ]
     got_state = state(candidate=candidate)
     ref_state = state(candidate=candidate)
-    got = step_round1(got_state, view, frontier(outputs), proposals, {})
-    want = reference_step_round1(ref_state, view, frontier(outputs), proposals, seed)
-    assert got == want
+    decided, votes = step_round1([got_state], view, frontier(outputs), proposals)
+    want = verifying_step_round1(ref_state, view, frontier(outputs), proposals, seed)
+    assert (decided, *votes) == want
     assert got_state.candidate == ref_state.candidate
 
 
@@ -382,34 +382,35 @@ def test_step_round1_matches_the_verifying_reference(seed, view, candidate, outp
 @given(
     seed=st.integers(0, 3),
     view=st.integers(1, 4),
-    collections=st.lists(
-        st.lists(st.tuples(st.integers(0, 3), tree_logs), max_size=6), min_size=1, max_size=3
-    ),
-    # per process: the collection it holds, its candidate and its outputs
-    steps=st.lists(
-        st.tuples(
-            st.integers(0, 2), tree_logs, graded_maps(2)
-        ),
-        min_size=1,
-        max_size=8,
+    # an empty output, often: every member then keeps its stale candidate
+    outputs=st.just({}) | graded_maps(3),
+    props=st.lists(st.tuples(st.integers(0, 3), tree_logs), max_size=6),
+    # per member: its pid and its stale candidate, which differ between members
+    members=st.lists(
+        st.tuples(st.integers(0, 9), tree_logs), min_size=1, max_size=8, unique_by=lambda m: m[0]
     ),
 )
-def test_shared_picks_match_fresh_calls(seed, view, collections, steps):
-    # every collection stays referenced while picks is in use, as World's
-    # do for a round's send phase
-    held = [
-        frozenset(
-            ProposeMsg(sender=s, view=view, log=log, ticket=vrf_eval(seed, s, view))
-            for s, log in props
-        )
-        for props in collections
-    ]
-    picks = {}
-    for pid, (i, candidate, outputs) in enumerate(steps):
-        proposals = held[i % len(held)]
-        got_state = state(pid=pid, candidate=candidate)
-        fresh_state = state(pid=pid, candidate=candidate)
-        got = step_round1(got_state, view, frontier(outputs), proposals, picks)
-        want = step_round1(fresh_state, view, frontier(outputs), proposals, {})
-        assert got == want
-        assert got_state.candidate == fresh_state.candidate
+def test_cohort_steps_match_each_members_reference_step(seed, view, outputs, props, members):
+    output = frontier(outputs)
+    proposals = frozenset(
+        ProposeMsg(sender=s, view=view, log=log, ticket=vrf_eval(seed, s, view))
+        for s, log in props
+    )
+    # members holding one candidate form a cohort, as World's key groups them
+    cohorts: dict[Log, list[int]] = {}
+    for pid, candidate in members:
+        cohorts.setdefault(candidate, []).append(pid)
+    picks = {}  # one memo for the round, as World kept it
+    for candidate, pids in cohorts.items():
+        cohort = [state(pid=p, candidate=candidate) for p in pids]
+        refs = [state(pid=p, candidate=candidate) for p in pids]
+        decided, votes = step_round1(cohort, view, output, proposals)
+        want = [reference_step_round1(ref, view, output, proposals, picks) for ref in refs]
+        assert [(decided, vote) for vote in votes] == want
+        assert [s.candidate for s in cohort] == [s.candidate for s in refs]
+
+        cohort = [state(pid=p, candidate=candidate) for p in pids]
+        refs = [state(pid=p, candidate=candidate) for p in pids]
+        got = step_round2(cohort, view, output, seed)
+        assert got == [reference_step_round2(ref, view, output, seed) for ref in refs]
+        assert [s.candidate for s in cohort] == [s.candidate for s in refs]

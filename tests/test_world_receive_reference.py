@@ -1,14 +1,16 @@
-"""The shared receive phase of ``World`` against the per-receiver one it
-replaced.
+"""The shared receive phase and the cohort send phase of ``World`` against
+the per-receiver, per-process ones they replaced.
 
 ``PerReceiverWorld`` below keeps ``_broadcast`` and ``step_round`` verbatim
 as they were when every receiver absorbed every delivered message into its
 own store and ran ``latest_unexpired``, ``merge_latest`` and ``grade`` on
-it, except that the seed and ``eta`` are now passed as arguments and that
-it keeps its own per-receiver queues, ``queues``, since ``World.pending``
-is derived from the send log, that it splits a queue of messages with
-``split_queue``, which is ``ga.delivered`` as it was before delivery named
-send indices, and that it records each delivery as a
+it, except that the seed and ``eta`` are now passed as arguments, that it
+steps each process on its own with ``helpers.reference_step_round1`` and
+``reference_step_round2``, the per-process steps the cohort steps replaced,
+that it keeps its own per-receiver queues, ``queues``, since
+``World.pending`` is derived from the send log, that it splits a queue of
+messages with ``split_queue``, which is ``ga.delivered`` as it was before
+delivery named send indices, and that it records each delivery as a
 (round, receiver, messages) triple, since a ``DeliverEvent`` names sends
 by their index in ``World.sent``.  After every round, ``World.pending``
 must equal those queues for every process not Byzantine in that round,
@@ -16,32 +18,36 @@ and in a synchronous round a receiver that held nothing back must be
 delivered the range from its cursor to the end of the send log.  Both
 worlds must give equal runs: every event, a delivery compared with the
 reference's triple by resolving its ids through ``World.sent``, and each
-process's final
-``votes_seen``, ``candidate`` and pending output, and its final
-``proposals_seen`` on the views it can still read, those whose round-1
-step lies at or past the horizon: ``World`` no longer takes a view out of
-a store at its round-1 step, and drops views that no step reads again.
-The processes awake at the horizon, whose last receive phase is
+process's final ``votes_seen``, ``candidate`` and pending output, and its
+final ``proposals_seen`` on the views it can still read, those whose
+round-1 step lies at or past the horizon: ``World`` no longer takes a view
+out of a store at its round-1 step, and drops views that no step reads
+again.  The processes awake at the horizon, whose last receive phase is
 synchronous, must share one proposal store.  No preset votes in round 0,
 so the reference's round-0 view is empty, as ``World``'s is.
 Events are compared by value, so the vote sets of each ``GaRecord`` view
 compare as sets; their iteration order may differ after a window and is
 not compared.  Schedules are generated ones with windows, and hand-built
 ones whose receivers sleep through a window, wake inside it, or are
-corrupted on the way.
+corrupted on the way, and one in which a stale candidate splits a
+synchronous round into two cohorts.
 """
 
 from fractions import Fraction
+from typing import Callable
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_step_round1, reference_step_round2
+
 from sleepy_tob.core import Log, ProcessId, VoteMsg
 from sleepy_tob.ga import ForgeryError, GaRecord, ReceiverView, grade, merge_latest
 from sleepy_tob.model_checks import ModelParams
-from sleepy_tob.tob import Phase, ViewClock, latest_unexpired, step_round1, step_round2, step_view0
+from sleepy_tob.tob import Phase, ViewClock, latest_unexpired, step_view0
 from sleepy_tob.world import (
     STRATEGIES,
+    AdversaryStrategy,
     DecideEvent,
     DeliverEvent,
     InfeasibleScheduleError,
@@ -94,12 +100,12 @@ class PerReceiverWorld(World):
             outputs = state.pending_output
             if clock.phase is Phase.ROUND1:
                 proposals = state.proposals_seen.pop(clock.view, set())
-                decided, vote = step_round1(state, clock.view, outputs, proposals, {})
+                decided, vote = reference_step_round1(state, clock.view, outputs, proposals, {})
                 if decided is not None:
                     self.events.append(DecideEvent(round=r, pid=p, log=decided))
                 self._broadcast(vote, r)
             else:
-                vote, proposal = step_round2(state, clock.view, outputs, self.seed)
+                vote, proposal = reference_step_round2(state, clock.view, outputs, self.seed)
                 self._broadcast(vote, r)
                 self._broadcast(proposal, r)
             inputs[p] = vote.log
@@ -153,9 +159,11 @@ class PerReceiverWorld(World):
 # the comparison
 
 
-def assert_same_run(schedule: Schedule, preset: str, seed: int) -> None:
-    ref = PerReceiverWorld(schedule, STRATEGIES[preset](), seed)
-    new = World(schedule, STRATEGIES[preset](), seed)
+def assert_same_run(
+    schedule: Schedule, make_strategy: Callable[[], AdversaryStrategy], seed: int
+) -> None:
+    ref = PerReceiverWorld(schedule, make_strategy(), seed)
+    new = World(schedule, make_strategy(), seed)
     horizon = schedule.horizon
     for r in range(horizon):
         before = len(new.events)
@@ -220,7 +228,7 @@ def test_generated_windows_match_reference(preset, n, n_byz, tau, eta, window, s
         schedule = generate_schedule(n, horizon, p, r_a, seed, n_byz=n_byz, max_attempts=3)
     except InfeasibleScheduleError:
         schedule = constant_schedule(n, horizon, n_byz, p, r_a=r_a)
-    assert_same_run(schedule, preset, seed)
+    assert_same_run(schedule, STRATEGIES[preset], seed)
 
 
 @st.composite
@@ -272,5 +280,43 @@ def hand_built(draw):
 @given(hand_built())
 def test_sleepers_and_wakers_match_reference(case):
     schedule, preset, seed = case
-    assert_same_run(schedule, preset, seed)
+    assert_same_run(schedule, STRATEGIES[preset], seed)
 
+
+
+
+def test_a_stale_candidate_steps_in_a_cohort_of_its_own():
+    """Process 1 sleeps at round 3, view 2's round-1 step, so it keeps the
+    candidate it set in view 1 while the others refresh theirs.  Nobody is
+    awake at round 5, view 3's round-1 step, so with ``eta`` 0 the shared
+    output of that synchronous round is empty, and every process wakes into
+    its round-2 step at round 6 falling back to its own candidate: the round
+    steps two cohorts, which a cohort key without the candidate would merge.
+    (A nonempty output always grades the empty log 1, so only an empty one
+    lets the candidate through.)"""
+    horizon = 8
+    schedule = Schedule(
+        n=4,
+        horizon=horizon,
+        awake_honest=tuple(
+            frozenset() if r == 5 else frozenset(p for p in range(4) if (p, r) != (1, 3))
+            for r in range(horizon + 1)
+        ),
+        byzantine=(frozenset(),) * (horizon + 1),
+        r_a=None,
+        params=params(0, 0, 2),
+    )
+    assert_same_run(schedule, STRATEGIES["none"], 7)
+    world = World(schedule, STRATEGIES["none"](), 7)
+    for r in range(6):
+        world.step_round(r)
+    states = world.states
+    output = states[0].pending_output
+    assert not output and all(states[q].pending_output is output for q in range(4))
+    assert len({id(states[q].proposals_seen) for q in range(4)}) == 1
+    stale, fresh = states[1].candidate, states[0].candidate
+    assert stale != fresh and all(states[q].candidate == fresh for q in (2, 3))
+    world.step_round(6)
+    record = world.events[-1]
+    assert isinstance(record, GaRecord) and record.synchronous
+    assert record.inputs == {0: fresh, 1: stale, 2: fresh, 3: fresh}
