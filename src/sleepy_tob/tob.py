@@ -25,12 +25,15 @@ reproduces the plain current-round-only protocol; ``eta`` is read from the
 run's parameters and not stored here.
 
 The round-1 and round-2 steps take a cohort: processes awake in one round
-that hold the same pending output, the same proposal store and the same
-candidate.  A step reads nothing else of a member but its pid, so it works
-out the decision, the vote log and the proposal base once for the cohort and
-builds each member's messages from them.  ``World`` forms the cohorts; after
-a synchronous receive phase every receiver holds one output and one proposal
-store, so a synchronous round is normally one cohort.
+that hold the same pending output and proposal store and, if that output
+has no grade-1 log, the same candidate.  A step reads a member's candidate
+only then, since an output with a grade-1 log also has a longest log, which
+the steps take in its place, and it reads nothing else of a member but its
+pid.  So a step works out the decision, the vote log and the proposal base
+once for the cohort and builds each member's messages from them.  ``World``
+forms the cohorts; after a synchronous receive phase every receiver holds
+one output and one proposal store, so a synchronous round is normally one
+cohort.
 
 Proposals are ranked by their lottery tickets as given: ``World`` admits a
 strategy's proposal only with its genuine ticket, and the step functions
@@ -187,10 +190,11 @@ def step_round1(
     proposal.
 
     Every member holds ``outputs``, ``proposals`` (its proposals for
-    ``view``, which may be shared and are not changed) and the same
-    candidate.  Returns the decided log (the longest grade-1 output, or
-    ``None``) and one vote per member, in cohort order, whose log is
-    ``round1_vote_log`` of the proposals and the refreshed candidate.
+    ``view``, which may be shared and are not changed) and, if ``outputs``
+    has no grade-1 log, the same candidate.  Returns the decided log (the
+    longest grade-1 output, or ``None``) and one vote per member, in cohort
+    order, whose log is ``round1_vote_log`` of the proposals and the
+    refreshed candidate.
     Falling back to the candidate, and never voting a strict prefix of it,
     keeps the vote extending anything the member has decided.
     """
@@ -208,10 +212,10 @@ def step_round1(
 def step_round2(
     cohort: Sequence[ProcessState], view: int, outputs: GaOutput, seed: int
 ) -> list[tuple[VoteMsg, ProposeMsg]]:
-    """Round 2v for a cohort holding ``outputs`` and one candidate: each
-    member votes the longest grade-1 output and proposes for view v+1, with
-    the run ``seed``'s lottery ticket.  Returns each member's vote and
-    proposal, in cohort order.
+    """Round 2v for a cohort holding ``outputs`` and, if it has no grade-1
+    log, one candidate: each member votes the longest grade-1 output and
+    proposes for view v+1, with the run ``seed``'s lottery ticket.  Returns
+    each member's vote and proposal, in cohort order.
 
     With no grade-1 output the vote falls back to the stale candidate, and
     with an empty output (possible only for a process that woke mid-view and

@@ -36,13 +36,16 @@ well-behaved process votes in it), so its receivers get an empty view.
 
 The send phase is stepped once per cohort (see ``tob``).  ``World`` groups
 the processes awake in a round by the key ``(id(pending_output),
-id(proposals_seen), candidate)``.  Their states hold both objects throughout
-the send phase, which replaces neither, so no two live objects share an id
-while the keys are in use and equal keys mean one output and one store.  A
-synchronous receive phase hands every receiver the same output and proposal
-snapshot, so after one only a process whose candidate is stale (it slept
-through a round-1 step) steps in a cohort of its own.  The decide and send
-events are then recorded in pid order, as if each process had stepped alone.
+id(proposals_seen), candidate)``, with ``None`` for the candidate when the
+output has a grade-1 log, as the steps then do not read it.  The states hold
+both objects throughout the send phase, which replaces neither, so no two
+live objects share an id while the keys are in use and equal keys mean one
+output and one store.  A synchronous receive phase hands every receiver the
+same output and proposal snapshot, so after one the round is a single
+cohort, unless the output is empty and some candidates differ (a process
+that slept through a round-1 step keeps an older one).  The decide and send
+events are then recorded in pid order, as if each process had stepped
+alone.
 
 The adversary's messages are checked once, where they enter the run: a
 message whose sender is not Byzantine in its round, a vote that does not
@@ -432,12 +435,14 @@ class World:
         else:
             # a process awake at r received in round r - 1, so its pending
             # output is that round's; the ids in a key name objects the
-            # states hold throughout the send phase
-            cohorts: dict[tuple[int, int, Log], list[ProcessState]] = {}
+            # states hold throughout the send phase, and a step reads the
+            # candidate only when the output has no grade-1 log
+            cohorts: dict[tuple[int, int, Log | None], list[ProcessState]] = {}
             for p in sorted(sched.honest(r)):
                 state = states[p]
-                key = (id(state.pending_output), id(state.proposals_seen), state.candidate)
-                cohorts.setdefault(key, []).append(state)
+                output = state.pending_output
+                stale = state.candidate if output.grade1 is None else None
+                cohorts.setdefault((id(output), id(state.proposals_seen), stale), []).append(state)
             round1 = phase is Phase.ROUND1
             # per member: its vote and its decision (round 1) or proposal
             rows: list[tuple[VoteMsg, Log | None] | tuple[VoteMsg, ProposeMsg]] = []

@@ -396,21 +396,23 @@ def test_cohort_steps_match_each_members_reference_step(seed, view, outputs, pro
         ProposeMsg(sender=s, view=view, log=log, ticket=vrf_eval(seed, s, view))
         for s, log in props
     )
-    # members holding one candidate form a cohort, as World's key groups them
-    cohorts: dict[Log, list[int]] = {}
+    # World's cohorts: one when the output has a grade-1 log, whatever the
+    # members' stale candidates, and one per candidate when it has none
+    cohorts: dict[Log | None, list[tuple[int, Log]]] = {}
     for pid, candidate in members:
-        cohorts.setdefault(candidate, []).append(pid)
+        key = candidate if output.grade1 is None else None
+        cohorts.setdefault(key, []).append((pid, candidate))
     picks = {}  # one memo for the round, as World kept it
-    for candidate, pids in cohorts.items():
-        cohort = [state(pid=p, candidate=candidate) for p in pids]
-        refs = [state(pid=p, candidate=candidate) for p in pids]
+    for cohort_members in cohorts.values():
+        cohort = [state(pid=p, candidate=c) for p, c in cohort_members]
+        refs = [state(pid=p, candidate=c) for p, c in cohort_members]
         decided, votes = step_round1(cohort, view, output, proposals)
         want = [reference_step_round1(ref, view, output, proposals, picks) for ref in refs]
         assert [(decided, vote) for vote in votes] == want
         assert [s.candidate for s in cohort] == [s.candidate for s in refs]
 
-        cohort = [state(pid=p, candidate=candidate) for p in pids]
-        refs = [state(pid=p, candidate=candidate) for p in pids]
+        cohort = [state(pid=p, candidate=c) for p, c in cohort_members]
+        refs = [state(pid=p, candidate=c) for p, c in cohort_members]
         got = step_round2(cohort, view, output, seed)
         assert got == [reference_step_round2(ref, view, output, seed) for ref in refs]
         assert [s.candidate for s in cohort] == [s.candidate for s in refs]
