@@ -166,7 +166,8 @@ def round1_vote_log(proposals: Iterable[ProposeMsg], candidate: Log) -> Log:
     extending ``candidate``, ties broken by the higher sender and then the
     lexicographically smaller log, or ``candidate`` itself when no proposal
     extends it.  A pure function of its arguments, so a cohort, whose
-    members hold the same proposals and candidate, computes it once."""
+    members hold the same proposals and refreshed candidate, computes it
+    once."""
     best: ProposeMsg | None = None
     for pm in proposals:
         if not (len(pm.log) >= len(candidate) and compatible(pm.log, candidate)):
@@ -194,9 +195,9 @@ def step_round1(
     has no grade-1 log, the same candidate.  Returns the decided log (the
     longest grade-1 output, or ``None``) and one vote per member, in cohort
     order, whose log is ``round1_vote_log`` of the proposals and the
-    refreshed candidate.
-    Falling back to the candidate, and never voting a strict prefix of it,
-    keeps the vote extending anything the member has decided.
+    refreshed candidate.  Falling back to the candidate, and never voting a
+    strict prefix of it, keeps the vote extending anything the member has
+    decided.
     """
     candidate = outputs.longest_any()
     if candidate is None:
