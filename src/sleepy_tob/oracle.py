@@ -27,8 +27,11 @@ order, since the golden reports of the attacked scenarios contain it.
 
 Receivers of one record that hold the same view object hold the same
 evidence and output, so the agreement properties are decided once per such
-group; in a synchronous ``World`` round every receiver shares one view.
-Witnesses still name the first receiver in record order.
+group; in a synchronous ``World`` round every receiver shares one view, and
+that one group is taken without a grouping dict.  Witnesses still name the
+first receiver in record order.  A pass without detail, and each
+not-applicable verdict with its fixed reason, is one shared frozen report;
+a report is built only when it carries a witness or a clique count.
 
 Clique validity searches a base log ``lam`` with ``_find_clique`` only if two
 things hold for one group: some receiver of the group has an initial vote of
@@ -44,7 +47,12 @@ the count of qualifying bases and the first failing one do not change.
 
 The trace checks read each process's delivered log from
 ``Trace.decision_timeline``, built once per trace, so safety, liveness and
-both halves of healing share it.
+both halves of healing share it.  Every log safety compares is a decided log
+or the empty log, and every log asynchrony resilience compares is a decided
+log, so when the trace's decided logs form one chain
+(``Trace.decisions_form_chain``, also built once) both pass at once: a subset
+of a chain, with the empty log added, is a chain.  Only a trace whose
+decisions conflict is scanned, process by process and round by round.
 """
 
 from __future__ import annotations
@@ -53,7 +61,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import is_
 from typing import Iterable, Mapping
 
 from .core import (
@@ -140,6 +149,20 @@ def naive_record_outputs(record: GaRecord, receiver: ProcessId) -> dict[Log, int
 # ---------------------------------------------------------------------------
 # graded-agreement properties
 
+# the properties asserted only under synchrony and the quorum assumption
+_QUORUM_PROPERTIES = (
+    "graded_consistency", "integrity", "validity", "uniqueness", "bounded_divergence",
+)
+# the reports every record and call shares: a pass without detail per
+# property, and each not-applicable verdict with its fixed reason
+_PASSED = {name: OracleReport(name, Verdict.PASS) for name in _QUORUM_PROPERTIES}
+_NOT_SYNCHRONOUS, _NO_QUORUM = (
+    {name: OracleReport(name, Verdict.NOT_APPLICABLE, detail=why) for name in _QUORUM_PROPERTIES}
+    for why in ("round not synchronous", "quorum assumption absent")
+)
+_NO_INPUTS = OracleReport("validity", Verdict.NOT_APPLICABLE, detail="no well-behaved inputs")
+_NO_CLIQUE = OracleReport("clique_validity", Verdict.NOT_APPLICABLE, detail="no qualifying clique")
+
 
 def _by_view(record: GaRecord) -> list[tuple[ReceiverView, list[ProcessId]]]:
     """The record's receivers grouped by the view object they hold, groups
@@ -148,8 +171,15 @@ def _by_view(record: GaRecord) -> list[tuple[ReceiverView, list[ProcessId]]]:
     Receivers holding one object hold the same evidence and output, so each
     per-receiver test is decided once per group.  A scan of the receivers in
     record order stops at the first failing one, which is the first member
-    of its group, so that member names the group in witnesses.
+    of its group, so that member names the group in witnesses.  When every
+    receiver holds the first one's very object (``is``, never ``==``), that
+    is the one group.
     """
+    receivers = record.receivers
+    if receivers:
+        first = next(iter(receivers.values()))
+        if all(map(is_, receivers.values(), repeat(first))):
+            return [(first, list(receivers))]
     groups: dict[int, tuple[ReceiverView, list[ProcessId]]] = {}
     for q, view in record.receivers.items():
         groups.setdefault(id(view), (view, []))[1].append(q)
@@ -201,7 +231,6 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
     clique validity is evaluated whenever its own hypotheses hold, in
     synchronous and asynchronous rounds alike.
     """
-    reports: dict[str, OracleReport] = {}
     groups = _by_view(record)
     # everyone who can influence a tally
     pool = set(record.inputs) | record.byzantine
@@ -211,24 +240,13 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
     # each group's output, under its first receiver
     outputs = [(qs[0], view.output) for view, qs in groups]
 
-    def judge(name: str, witness: dict | None, detail: str = "") -> None:
-        verdict = Verdict.FAIL if witness else Verdict.PASS
-        reports[name] = OracleReport(name, verdict, detail=detail, witness=witness)
-
-    def na(name: str, why: str) -> None:
-        reports[name] = OracleReport(name, Verdict.NOT_APPLICABLE, detail=why)
+    def judge(name: str, witness: dict | None) -> None:
+        reports[name] = OracleReport(name, Verdict.FAIL, witness=witness) if witness else _PASSED[name]
 
     if not applicable:
-        why = "round not synchronous" if not record.synchronous else "quorum assumption absent"
-        for name in (
-            "graded_consistency",
-            "integrity",
-            "validity",
-            "uniqueness",
-            "bounded_divergence",
-        ):
-            na(name, why)
+        reports = dict(_NO_QUORUM if record.synchronous else _NOT_SYNCHRONOUS)
     else:
+        reports = {}
         # each grade-1 frontier log with the first receiver holding it
         holder: dict[Log, ProcessId] = {}
         for q, out in outputs:
@@ -259,7 +277,7 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
             )
             judge("validity", fail)
         else:
-            na("validity", "no well-behaved inputs")
+            reports["validity"] = _NO_INPUTS
 
         fail = None
         if not is_chain(holder):
@@ -306,9 +324,12 @@ def check_ga_properties(record: GaRecord) -> dict[str, OracleReport]:
         if fail:
             break
     if applicable_cliques == 0:
-        na("clique_validity", "no qualifying clique")
+        reports["clique_validity"] = _NO_CLIQUE
     else:
-        judge("clique_validity", fail, detail=f"{applicable_cliques} qualifying base logs")
+        reports["clique_validity"] = OracleReport(
+            "clique_validity", Verdict.FAIL if fail else Verdict.PASS,
+            detail=f"{applicable_cliques} qualifying base logs", witness=fail,
+        )
     return reports
 
 
@@ -338,8 +359,13 @@ def check_safety_after(trace: Trace, r: int) -> OracleReport:
     """No two well-behaved awake processes hold incompatible delivered logs
     at any two rounds after ``r`` (the same process at two rounds counts).
 
-    Each process's decision points are stepped through alongside the rounds,
-    so its delivered log at every round costs one pass over its timeline."""
+    Every delivered log is a decided log or the empty log, so when the
+    trace's decided logs form one chain the check passes without a scan.
+    Otherwise each process's decision points are stepped through alongside
+    the rounds, so its delivered log at every round costs one pass over its
+    timeline."""
+    if trace.decisions_form_chain:
+        return OracleReport("safety_after", Verdict.PASS, detail=f"after round {r}")
     timeline = trace.decision_timeline
     sched = trace.schedule
     snapshots: list[tuple[ProcessId, int, Log]] = []
@@ -427,7 +453,15 @@ def check_liveness_after(trace: Trace, r: int, window: int) -> OracleReport:
 def check_async_resilience(trace: Trace, r_a: int, pi: int) -> OracleReport:
     """No decision conflicting with the logs decided by round ``r_a``:
     during the window (and one round beyond) for processes awake at r_a,
-    and afterwards for every well-behaved process."""
+    and afterwards for every well-behaved process.
+
+    Both sides of every comparison are decided logs, so when the trace's
+    decided logs form one chain no decision conflicts and the check passes
+    without a scan."""
+    if trace.decisions_form_chain:
+        return OracleReport(
+            "async_resilience", Verdict.PASS, detail=f"window [{r_a + 1}, {r_a + pi}]"
+        )
     d_ra = trace.decided_up_to(r_a)
     h_ra = trace.schedule.honest(r_a)
     for e in trace.decide_events():

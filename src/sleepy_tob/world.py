@@ -83,6 +83,7 @@ from .core import (
     ProposeMsg,
     Value,
     VoteMsg,
+    is_chain,
     is_prefix,
     new_record,
     vrf_eval,
@@ -258,8 +259,9 @@ class Trace:
 
     The events are indexed by kind once, on first use; the accessors return
     fresh lists, so callers may modify what they get.  The decision timeline
-    is also built once, on first use, and shared by every oracle that reads
-    it, so it must not be modified.
+    and whether the decisions form one chain are also worked out once, on
+    first use, and shared by every oracle that reads them, so the timeline
+    must not be modified.
     """
 
     schedule: Schedule
@@ -304,6 +306,12 @@ class Trace:
             prev = points[-1][1] if points else EMPTY_LOG
             points.append((e.round, prev if is_prefix(e.log, prev) else e.log))
         return timeline
+
+    @cached_property
+    def decisions_form_chain(self) -> bool:
+        """Whether the distinct logs decided in the trace are pairwise
+        compatible (``core.is_chain``)."""
+        return is_chain(e.log for e in self._by_kind[DecideEvent])
 
     def decide_events(self) -> list[DecideEvent]:
         return list(self._by_kind[DecideEvent])

@@ -449,7 +449,10 @@ def shared_view_records(draw) -> GaRecord:
     takes the very view object of one of the first two receivers, or takes
     an equal but distinct copy of it.  Those two views may first lose one
     sender's initial vote, so that a shared cover can miss a clique member;
-    edited (failing) views are shared like any other."""
+    edited (failing) views are shared like any other.  Two shapes are also
+    drawn: every receiver holds the first receiver's very view object (the
+    oracle's one-view path), or all do but the last, which holds an equal
+    but distinct copy (so the one-view path must decline)."""
     record = draw(instances())
     own = dict(record.receivers)
     for q in list(own)[:2]:
@@ -461,13 +464,40 @@ def shared_view_records(draw) -> GaRecord:
         other = own[draw(st.sampled_from(list(own)[:2]))]
         how = draw(st.sampled_from(["own", "share", "share", "copy"]))
         views[q] = own[q] if how == "own" else other if how == "share" else replace(other)
+    shape = draw(st.sampled_from(["mixed", "mixed", "one_view", "last_copy"]))
+    if shape != "mixed" and views:
+        first = next(iter(views.values()))
+        views = dict.fromkeys(views, first)
+        if shape == "last_copy":
+            views[list(views)[-1]] = replace(first)
     return replace(record, receivers=views)
+
+
+def one_view(record: GaRecord) -> bool:
+    """Every receiver, and more than one, holds the first one's view object."""
+    views = list(record.receivers.values())
+    return len(views) > 1 and all(view is views[0] for view in views)
+
+
+def last_copy(record: GaRecord) -> bool:
+    """Every receiver but the last, and more than one, holds the first
+    one's view object; the last holds an equal but distinct copy."""
+    views = list(record.receivers.values())
+    return (len(views) > 1 and all(view is views[0] for view in views[:-1])
+            and views[-1] is not views[0] and views[-1] == views[0])
 
 
 @settings(max_examples=600, deadline=None)
 @given(shared_view_records())
 def test_shared_view_records_match_reference(record):
     same_reports(record)
+    # one group per distinct view object, never per equal value
+    assert len(oracle._by_view(record)) == len({id(v) for v in record.receivers.values()})
+
+
+def test_shared_view_records_draw_the_one_view_shapes():
+    for shape in (one_view, last_copy):
+        find(shared_view_records(), shape, settings=settings(database=None, max_examples=500))
 
 
 def test_shared_failing_views_match_reference_and_name_the_first_receiver():

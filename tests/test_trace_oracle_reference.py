@@ -4,21 +4,27 @@
 ``check_liveness_after`` and ``check_healing`` below are kept verbatim as
 they were when every check rebuilt the decision timeline and looked up each
 (process, round) pair's delivered log by a scan from the start of that
-process's timeline.  The conflicting-pair witness (``_safety_witness``) and
-the healing round (``first_full_view_after``) are the oracle's own, which
-that change left as they were.  On the six shipped scenarios and on default
-``campaign`` traces of every strategy in ``STRATEGIES``, with the default
-expiry and with none, both versions must give the same reports, verdicts,
-details and witnesses alike, for every round ``r`` in ``[0, horizon]``.
+process's timeline; ``check_async_resilience`` is kept verbatim as it was
+when it compared every later decision with the logs decided by ``r_a``, and
+safety scanned every trace, before both passed at once on a trace whose
+decided logs form one chain.  The conflicting-pair witness
+(``_safety_witness``) and the healing round (``first_full_view_after``) are
+the oracle's own, which those changes left as they were.  On the six
+shipped scenarios and on default ``campaign`` traces of every strategy in
+``STRATEGIES``, with the default expiry and with none, both versions must
+give the same reports, verdicts, details and witnesses alike, for every
+round ``r`` in ``[0, horizon]`` (asynchrony resilience: every ``r_a`` in
+``[0, horizon)``).
 """
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from sleepy_tob import oracle
 from sleepy_tob.cli import Scenario, load_scenario, run_scenario
-from sleepy_tob.core import EMPTY_LOG, Log, ProcessId, is_chain, is_prefix
+from sleepy_tob.core import EMPTY_LOG, Log, ProcessId, conflicts, is_chain, is_prefix
 from sleepy_tob.oracle import (
     OracleReport,
     Verdict,
@@ -152,6 +158,36 @@ def check_healing(
     return OracleReport("healing", Verdict.PASS, detail=f"healed from round {r_heal}")
 
 
+def check_async_resilience(trace: Trace, r_a: int, pi: int) -> OracleReport:
+    """No decision conflicting with the logs decided by round ``r_a``:
+    during the window (and one round beyond) for processes awake at r_a,
+    and afterwards for every well-behaved process."""
+    d_ra = trace.decided_up_to(r_a)
+    h_ra = trace.schedule.honest(r_a)
+    for e in trace.decide_events():
+        if e.round <= r_a:
+            continue
+        conflicting = [d for d in d_ra if conflicts(e.log, d)]
+        if not conflicting:
+            continue
+        in_window = e.round <= r_a + pi + 1
+        if not in_window or e.pid in h_ra:
+            return OracleReport(
+                "async_resilience",
+                Verdict.FAIL,
+                detail="decision conflicts with a pre-window decision",
+                witness={
+                    "process": e.pid,
+                    "round": e.round,
+                    "log": repr(e.log),
+                    "conflicts_with": repr(conflicting[0]),
+                },
+            )
+    return OracleReport(
+        "async_resilience", Verdict.PASS, detail=f"window [{r_a + 1}, {r_a + pi}]"
+    )
+
+
 # ---------------------------------------------------------------------------
 # the two versions on the same traces
 
@@ -179,6 +215,14 @@ def campaign_traces(seeds_per_strategy: int = 3, etas=(4,)) -> dict[str, Trace]:
     }
 
 
+@cache
+def compared_traces() -> dict[str, Trace]:
+    """The shipped traces and the campaign traces with and without expiry."""
+    traces = {**shipped_traces(), **campaign_traces(etas=(4, 0))}
+    assert len(traces) == 6 + 3 * 2 * len(STRATEGIES)
+    return traces
+
+
 def reports(trace: Trace, safety, liveness, healing) -> list[dict]:
     out = []
     for r in range(trace.horizon + 1):
@@ -191,16 +235,22 @@ def reports(trace: Trace, safety, liveness, healing) -> list[dict]:
 
 def test_trace_oracles_match_reference_on_shipped_and_campaign_traces():
     """Campaign runs without expiry (eta 0) break safety while processes come
-    and go, so witnesses also name rounds at which a process wakes up."""
-    traces = {**shipped_traces(), **campaign_traces(etas=(4, 0))}
-    assert len(traces) == 6 + 3 * 2 * len(STRATEGIES)
+    and go, so witnesses also name rounds at which a process wakes up.  Some
+    trace's decided logs conflict while safety after an early enough round
+    still passes, so the scan's pass branch is compared too, not only the
+    one-chain shortcut (after the horizon the scan passes trivially)."""
     verdicts = set()
-    for name, trace in traces.items():
+    scanned_pass = False
+    for name, trace in compared_traces().items():
         ours = reports(trace, oracle.check_safety_after, oracle.check_liveness_after,
                        oracle.check_healing)
         reference = reports(trace, check_safety_after, check_liveness_after, check_healing)
         assert ours == reference, name
         verdicts.update((rep["name"], rep["verdict"]) for rep in ours)
+        if not is_chain(trace.decided_up_to(trace.horizon)):
+            scanned_pass |= any(check_safety_after(trace, r).verdict is Verdict.PASS
+                                for r in range(trace.horizon))
+    assert scanned_pass
     # every verdict of every check occurs, so failing witnesses are compared too
     assert verdicts >= {
         ("safety_after", "pass"), ("safety_after", "fail"),
@@ -213,3 +263,17 @@ def test_trace_oracles_match_reference_on_shipped_and_campaign_traces():
 def test_trace_keeps_the_reference_timeline():
     for name, trace in {**shipped_traces(), **campaign_traces(1, etas=(4, 0))}.items():
         assert trace.decision_timeline == _decision_timeline(trace), name
+
+
+def test_async_resilience_matches_reference_on_shipped_and_campaign_traces():
+    """Every ``r_a`` before the horizon, with the trace's window length (1
+    when it has none); traces whose decisions conflict fail it at early
+    enough rounds, so both verdicts and the failing witnesses are compared."""
+    verdicts = set()
+    for name, trace in compared_traces().items():
+        pi = trace.schedule.pi or 1
+        for r_a in range(trace.horizon):
+            ours = oracle.check_async_resilience(trace, r_a, pi).to_dict()
+            assert ours == check_async_resilience(trace, r_a, pi).to_dict(), (name, r_a)
+            verdicts.add(ours["verdict"])
+    assert verdicts == {"pass", "fail"}
