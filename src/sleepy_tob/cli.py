@@ -374,9 +374,8 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
             else:
                 append(f'{{"actor": {msg.sender}, "id": {sends}, "kind": "send", '
                        f'"payload": {{"msg": {{"log": {log_ids[msg.log]}, '
-                       f'"sender": {msg.sender}, "type": "propose", "view": {msg.view}, '
-                       f'"vrf": {{"sender": {msg.sender}, "value": {msg.ticket}, '
-                       f'"view": {msg.view}}}}}}}, "round": {r}}}')
+                       f'"sender": {msg.sender}, "ticket": {msg.ticket}, "type": "propose", '
+                       f'"view": {msg.view}}}}}, "round": {r}}}')
             sends += 1
         elif isinstance(e, DecideEvent):
             if e.log not in log_ids:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Container, Iterable, Sequence
 
-from .core import Log, ProcessId, ProposeMsg, VoteMsg, is_prefix, longest_common_prefix
+from .core import Log, ProcessId, ProposeMsg, VoteMsg, is_prefix, longest_common_prefix, vrf_eval
 
 
 class ForgeryError(Exception):
@@ -40,14 +40,21 @@ class ForgeryError(Exception):
 
 
 def check_adversary_message(
-    msg: VoteMsg | ProposeMsg, r: int, byzantine: Container[ProcessId]
+    msg: VoteMsg | ProposeMsg, r: int, byzantine: Container[ProcessId], seed: int
 ) -> None:
     """Raise ``ForgeryError`` unless the adversary may send ``msg`` in round
-    ``r``: its sender is Byzantine in ``r``, and a vote carries round ``r``."""
+    ``r``: its sender is Byzantine in ``r``, a vote carries round ``r``, and
+    a proposal carries the run ``seed``'s ticket ``vrf_eval(seed, sender,
+    view)``."""
     if msg.sender not in byzantine:
         raise ForgeryError(f"adversary message from {msg.sender}, not Byzantine in round {r}")
-    if isinstance(msg, VoteMsg) and msg.round != r:
-        raise ForgeryError(f"adversary vote claims round {msg.round} during round {r}")
+    if isinstance(msg, VoteMsg):
+        if msg.round != r:
+            raise ForgeryError(f"adversary vote claims round {msg.round} during round {r}")
+    elif msg.ticket != vrf_eval(seed, msg.sender, msg.view):
+        raise ForgeryError(
+            f"adversary proposal from {msg.sender} has a forged ticket for view {msg.view}"
+        )
 
 
 @dataclass(frozen=True)
@@ -133,6 +140,10 @@ class GaOutput:
     grade-1 log and a conflicting graded log, would need more than ``m``
     votes, so ``grade1`` is a prefix of every top.  Two conflicting tops have
     disjoint supporters, each more than ``m/3``, so there are at most two.
+
+    ``grade`` returns an empty output exactly when it tallies no vote.
+    Otherwise every vote extends the voted logs' common prefix, which then
+    has grade 1, so an output is empty or has a ``grade1``.
     """
 
     grade1: Log | None = None
@@ -145,14 +156,6 @@ class GaOutput:
         if self.grade1 is not None and is_prefix(log, self.grade1):
             return 1
         return 0 if any(is_prefix(log, top) for top in self.tops) else None
-
-    def longest_grade1(self) -> Log | None:
-        return self.grade1
-
-    def longest_any(self) -> Log | None:
-        """Longest output at any grade.  Equal-length tops conflict, so both
-        are grade 0; the smallest in log order wins."""
-        return self.tops[0] if self.tops else None
 
 
 def grade(msgs: Collection[VoteMsg]) -> GaOutput:

@@ -26,18 +26,20 @@ run's parameters and not stored here.
 
 The round-1 and round-2 steps take a cohort: processes awake in one round
 that hold the same pending output and proposal store and, if that output
-has no grade-1 log, the same candidate.  A step reads a member's candidate
-only then, since an output with a grade-1 log also has a longest log, which
-the steps take in its place, and it reads nothing else of a member but its
-pid.  So a step works out the decision, the vote log and the proposal base
-once for the cohort and builds each member's messages from them.  ``World``
-forms the cohorts; after a synchronous receive phase every receiver holds
-one output and one proposal store, so a synchronous round is normally one
-cohort.
+is empty, the same candidate.  A step reads a member's candidate only when
+its output is empty: ``ga.grade`` returns an empty output exactly when it
+tallies no vote, and any other output has a grade-1 log and a longest log,
+which the steps take in its place.  A step reads nothing else of a member
+but its pid.  So a step works out the decision, the vote log and the
+proposal base once for the cohort and builds each member's messages from
+them.  ``World`` forms the cohorts; after a synchronous receive phase every
+receiver holds one output and one proposal store, so a synchronous round
+is normally one cohort.
 
 Proposals are ranked by their lottery tickets as given: ``World`` admits a
-strategy's proposal only with its genuine ticket, and the step functions
-draw a well-behaved process's ticket with the seed they are passed, which
+strategy's proposal only with its genuine ticket
+(``ga.check_adversary_message``), and the step functions draw a
+well-behaved process's ticket with the seed they are passed, which
 ``World`` sets to its own, so no receiver checks one again.
 """
 
@@ -192,42 +194,39 @@ def step_round1(
 
     Every member holds ``outputs``, ``proposals`` (its proposals for
     ``view``, which may be shared and are not changed) and, if ``outputs``
-    has no grade-1 log, the same candidate.  Returns the decided log (the
-    longest grade-1 output, or ``None``) and one vote per member, in cohort
-    order, whose log is ``round1_vote_log`` of the proposals and the
-    refreshed candidate.  Falling back to the candidate, and never voting a
-    strict prefix of it, keeps the vote extending anything the member has
-    decided.
+    is empty, the same candidate.  Returns the decided log (the longest
+    grade-1 output, or ``None``) and one vote per member, in cohort order,
+    whose log is ``round1_vote_log`` of the proposals and the refreshed
+    candidate: the longest output, or the stale candidate when ``outputs``
+    is empty.  Falling back to the candidate, and never voting a strict
+    prefix of it, keeps the vote extending anything the member has decided.
     """
-    candidate = outputs.longest_any()
-    if candidate is None:
-        candidate = cohort[0].candidate
+    candidate = outputs.tops[0] if outputs else cohort[0].candidate
     for state in cohort:
         state.candidate = candidate
     vote_log = round1_vote_log(proposals, candidate)
     r = 2 * view - 1
     votes = [new_record(VoteMsg, (state.pid, r, vote_log)) for state in cohort]
-    return outputs.longest_grade1(), votes
+    return outputs.grade1, votes
 
 
 def step_round2(
     cohort: Sequence[ProcessState], view: int, outputs: GaOutput, seed: int
 ) -> list[tuple[VoteMsg, ProposeMsg]]:
-    """Round 2v for a cohort holding ``outputs`` and, if it has no grade-1
-    log, one candidate: each member votes the longest grade-1 output and
-    proposes for view v+1, with the run ``seed``'s lottery ticket.  Returns
-    each member's vote and proposal, in cohort order.
+    """Round 2v for a cohort holding ``outputs`` and, if it is empty, one
+    candidate: each member votes the longest grade-1 output and proposes
+    for view v+1, extending the longest output, with the run ``seed``'s
+    lottery ticket.  Returns each member's vote and proposal, in cohort
+    order.
 
-    With no grade-1 output the vote falls back to the stale candidate, and
-    with an empty output (possible only for a process that woke mid-view and
-    was shown nothing) so does the proposal base.
+    An empty output, from an instance that counted no vote (as for a process
+    that woke mid-view and was shown nothing), has neither log, and both
+    fall back to the stale candidate.
     """
-    vote_log = outputs.longest_grade1()
-    if vote_log is None:
-        vote_log = cohort[0].candidate
-    head = outputs.longest_any()
-    if head is None:
-        head = cohort[0].candidate
+    if outputs:
+        vote_log, head = outputs.grade1, outputs.tops[0]
+    else:
+        vote_log = head = cohort[0].candidate
     r, nxt = 2 * view, view + 1
     sends = []
     for state in cohort:

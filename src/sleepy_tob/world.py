@@ -36,25 +36,25 @@ well-behaved process votes in it), so its receivers get an empty view.
 
 The send phase is stepped once per cohort (see ``tob``).  ``World`` groups
 the processes awake in a round by the key ``(id(pending_output),
-id(proposals_seen), candidate)``, with ``None`` for the candidate when the
-output has a grade-1 log, as the steps then do not read it.  The states hold
-both objects throughout the send phase, which replaces neither, so no two
-live objects share an id while the keys are in use and equal keys mean one
-output and one store.  A synchronous receive phase hands every receiver the
-same output and proposal snapshot, so after one the round is a single
-cohort, unless the output is empty and some candidates differ (a process
-that slept through a round-1 step keeps an older one).  The decide and send
-events are then recorded in pid order, as if each process had stepped
-alone.
+id(proposals_seen), candidate)``, with ``None`` for the candidate unless the
+output is empty, as a step reads a member's candidate only when its output
+is empty.  The states hold both objects throughout the send phase, which
+replaces neither, so no two live objects share an id while the keys are in
+use and equal keys mean one output and one store.  A synchronous receive
+phase hands every receiver the same output and proposal snapshot, so after
+one the round is a single cohort, unless the output is empty and some
+candidates differ (a process that slept through a round-1 step keeps an
+older one).  The decide and send events are then recorded in pid order, as
+if each process had stepped alone.
 
-The adversary's messages are checked once, where they enter the run: a
-message whose sender is not Byzantine in its round, a vote that does not
-carry the current round, or a proposal whose lottery ticket is not
-``vrf_eval(seed, sender, view)`` raises ``ForgeryError``.  ``World`` hands
-the same seed to the step functions that draw the well-behaved processes'
-tickets, and delivery never hands over a message that was not queued, so
-every proposal a process holds carries a genuine ticket and no receiver
-verifies one.
+The adversary's messages are checked once, where they enter the run, by
+``ga.check_adversary_message``: a message whose sender is not Byzantine in
+its round, a vote that does not carry the current round, or a proposal
+whose lottery ticket is not ``vrf_eval(seed, sender, view)`` raises
+``ForgeryError``.  ``World`` hands the same seed to the step functions that
+draw the well-behaved processes' tickets, and delivery never hands over a
+message that was not queued, so every proposal a process holds carries a
+genuine ticket and no receiver verifies one.
 
 Every run setting has one source: the seed is ``World.seed``, and the vote
 expiry window and every model bound are read from ``schedule.params``.
@@ -63,8 +63,8 @@ a full trace: sends, deliveries, decisions, and one agreement record per
 round for the oracles.  The send, delivery and decide events are named
 tuples.  Like the messages, each equals the plain tuple of its fields, so
 a ``DecideEvent(3, 3, log)`` equals ``VoteMsg(3, 3, log)``; ``Trace``
-files events by type, and nothing in the package compares an event with
-a message.
+selects events by class, and nothing in the package compares an event
+with a message.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ from .core import (
     vrf_eval,
 )
 from .ga import (
-    ForgeryError,
     GaOutput,
     GaRecord,
     InitialVoteSet,
@@ -255,13 +254,14 @@ Event = SendEvent | DeliverEvent | DecideEvent | GaRecord
 
 @dataclass(frozen=True)
 class Trace:
-    """Append-only event log of one run plus the context to interpret it.
+    """Append-only event log of one run, in round order, plus the context to
+    interpret it.
 
-    The events are indexed by kind once, on first use; the accessors return
-    fresh lists, so callers may modify what they get.  The decision timeline
-    and whether the decisions form one chain are also worked out once, on
-    first use, and shared by every oracle that reads them, so the timeline
-    must not be modified.
+    Events of different kinds may be equal tuples, so they are selected by
+    class, never by value.  The accessors return fresh lists, so callers may
+    modify what they get.  The decide events, the decision timeline and the
+    distinct decided logs are worked out once, on first use, and shared by
+    every oracle that reads them, so the timeline must not be modified.
     """
 
     schedule: Schedule
@@ -273,24 +273,22 @@ class Trace:
         return self.schedule.horizon
 
     @cached_property
-    def _by_kind(self) -> dict[type, list[Event]]:
-        """Events by class, never by value (events of different kinds may
-        be equal tuples); send events are also filed under their message
-        class (``VoteMsg``, ``ProposeMsg``)."""
-        by_kind: dict[type, list[Event]] = {
-            SendEvent: [], DeliverEvent: [], DecideEvent: [], GaRecord: [],
-            VoteMsg: [], ProposeMsg: [],
-        }
-        for e in self.events:
-            by_kind[type(e)].append(e)
-            if type(e) is SendEvent:
-                by_kind[type(e.msg)].append(e)
-        return by_kind
+    def _decides(self) -> list[DecideEvent]:
+        return [e for e in self.events if type(e) is DecideEvent]
+
+    @cached_property
+    def _first_decided(self) -> dict[Log, int]:
+        """Each distinct decided log, in order of first decision, with the
+        round it was first decided in."""
+        first: dict[Log, int] = {}
+        for e in self._decides:
+            first.setdefault(e.log, e.round)
+        return first
 
     @cached_property
     def _input_rounds(self) -> dict[Value, int]:
         rounds: dict[Value, int] = {}
-        for e in self._by_kind[ProposeMsg]:
+        for e in self.propose_sends():
             if e.msg.sender in self.schedule.honest(e.round) and e.msg.log.values:
                 rounds.setdefault(e.msg.log.values[-1], e.round)
         return rounds
@@ -301,7 +299,7 @@ class Trace:
         events and the log it has delivered after it: the decided log, unless
         that is a prefix of the log already delivered, which then stays."""
         timeline: dict[ProcessId, list[tuple[int, Log]]] = {}
-        for e in self._by_kind[DecideEvent]:
+        for e in self._decides:
             points = timeline.setdefault(e.pid, [])
             prev = points[-1][1] if points else EMPTY_LOG
             points.append((e.round, prev if is_prefix(e.log, prev) else e.log))
@@ -311,30 +309,26 @@ class Trace:
     def decisions_form_chain(self) -> bool:
         """Whether the distinct logs decided in the trace are pairwise
         compatible (``core.is_chain``)."""
-        return is_chain(e.log for e in self._by_kind[DecideEvent])
+        return is_chain(self._first_decided)
 
     def decide_events(self) -> list[DecideEvent]:
-        return list(self._by_kind[DecideEvent])
+        return list(self._decides)
 
     def send_events(self) -> list[SendEvent]:
-        return list(self._by_kind[SendEvent])
+        return [e for e in self.events if type(e) is SendEvent]
 
     def vote_sends(self) -> list[SendEvent]:
-        return list(self._by_kind[VoteMsg])
+        return [e for e in self.events if type(e) is SendEvent and type(e.msg) is VoteMsg]
 
     def propose_sends(self) -> list[SendEvent]:
-        return list(self._by_kind[ProposeMsg])
+        return [e for e in self.events if type(e) is SendEvent and type(e.msg) is ProposeMsg]
 
     def ga_records(self) -> dict[int, GaRecord]:
-        return {rec.round: rec for rec in self._by_kind[GaRecord]}
+        return {e.round: e for e in self.events if type(e) is GaRecord}
 
     def decided_up_to(self, r: int) -> list[Log]:
         """Distinct logs decided by well-behaved processes in rounds <= r."""
-        seen: dict[Log, None] = {}
-        for e in self._by_kind[DecideEvent]:
-            if e.round <= r:
-                seen.setdefault(e.log, None)
-        return list(seen)
+        return [log for log, first in self._first_decided.items() if first <= r]
 
     def first_input_round(self, value: Value) -> int | None:
         """Round in which ``value`` was introduced: its first appearance as
@@ -444,12 +438,12 @@ class World:
             # a process awake at r received in round r - 1, so its pending
             # output is that round's; the ids in a key name objects the
             # states hold throughout the send phase, and a step reads the
-            # candidate only when the output has no grade-1 log
+            # candidate only when the output is empty
             cohorts: dict[tuple[int, int, Log | None], list[ProcessState]] = {}
             for p in sorted(sched.honest(r)):
                 state = states[p]
                 output = state.pending_output
-                stale = state.candidate if output.grade1 is None else None
+                stale = None if output else state.candidate
                 cohorts.setdefault((id(output), id(state.proposals_seen), stale), []).append(state)
             round1 = phase is Phase.ROUND1
             # per member: its vote and its decision (round 1) or proposal
@@ -478,13 +472,7 @@ class World:
                 inputs[vote.sender] = vote.log
 
         for msg in self.strategy.messages(self, r):
-            check_adversary_message(msg, r, sched.byz(r))
-            if isinstance(msg, ProposeMsg) and msg.ticket != vrf_eval(
-                self.seed, msg.sender, msg.view
-            ):
-                raise ForgeryError(
-                    f"adversary proposal from {msg.sender} has a forged ticket for view {msg.view}"
-                )
+            check_adversary_message(msg, r, sched.byz(r), self.seed)
             self._broadcast(msg, r)
 
         if synchronous := sched.sync(r):

@@ -1,7 +1,8 @@
 """Shared builders for the tests: randomized schedules used by both the unit
 tests and the acceptance suite, slice-based references for the log-tree
-walks, graded outputs built from ``{log: grade}`` maps (``frontier``) and
-expanded back to them (``expand``), next to the output, tally and grading
+walks, graded outputs built from ``{log: grade}`` maps (``frontier``),
+expanded back to them (``expand``) and read for their longest log
+(``longest_any``), next to the output, tally and grading
 they replaced (``ReferenceGaOutput``, ``reference_tally``,
 ``reference_grade``), the per-process round steps the cohort steps replaced
 (``reference_step_round1``, ``reference_step_round2``), and one
@@ -78,6 +79,12 @@ def frontier(grades: Mapping[Log, int]) -> GaOutput:
         max(grade1, key=len, default=None),
         tuple(sorted(tops, key=lambda log: (-len(log), fields_key(log)))),
     )
+
+
+def longest_any(output: GaOutput) -> Log | None:
+    """The longest log ``output`` grades, its first top, or ``None`` when it
+    is empty."""
+    return output.tops[0] if output.tops else None
 
 
 def expand(output: GaOutput) -> dict[Log, int]:
@@ -250,14 +257,14 @@ def reference_step_round1(
     round; the caller keeps every proposal collection it passes alive while
     the dict is in use, so an id names one collection.
     """
-    longest = outputs.longest_any()
+    longest = longest_any(outputs)
     if longest is not None:
         state.candidate = longest
     key = (id(proposals), state.candidate)
     vote_log = picks.get(key)
     if vote_log is None:
         vote_log = picks[key] = round1_vote_log(proposals, state.candidate)
-    return outputs.longest_grade1(), VoteMsg(state.pid, 2 * view - 1, vote_log)
+    return outputs.grade1, VoteMsg(state.pid, 2 * view - 1, vote_log)
 
 
 def reference_step_round2(
@@ -270,10 +277,10 @@ def reference_step_round2(
     shown nothing) falls back to the stale candidate for both the vote and
     the proposal base.
     """
-    vote_log = outputs.longest_grade1()
+    vote_log = outputs.grade1
     if vote_log is None:
         vote_log = state.candidate
-    head = outputs.longest_any()
+    head = longest_any(outputs)
     if head is None:
         head = state.candidate
     fresh = Value(view + 1, state.pid, view + 1)
@@ -370,7 +377,7 @@ def run_instance(
     for msg in byz_msgs:
         if msg.sender in inputs:
             raise ForgeryError(f"adversary vote from {msg.sender}, which has an input log")
-        check_adversary_message(msg, round, byz_set)
+        check_adversary_message(msg, round, byz_set, seed=0)  # votes carry no ticket
 
     sent: list[VoteMsg] = [
         VoteMsg(sender=p, round=round, log=log) for p, log in sorted(inputs.items())

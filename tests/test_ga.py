@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import (
     expand,
     fields_key,
+    longest_any,
     merge_inputs,
     reference_grade,
     run_instance,
@@ -14,11 +15,22 @@ from helpers import (
     sliced_prefixes,
     store_merge,
 )
-from sleepy_tob.core import EMPTY_LOG, Log, Value, VoteMsg, compatible, conflicts, is_prefix
+from sleepy_tob.core import (
+    EMPTY_LOG,
+    Log,
+    ProposeMsg,
+    Value,
+    VoteMsg,
+    compatible,
+    conflicts,
+    is_prefix,
+    vrf_eval,
+)
 from sleepy_tob.ga import (
     ForgeryError,
     GaOutput,
     InitialVoteSet,
+    check_adversary_message,
     grade,
     merge_latest,
     tally,
@@ -131,7 +143,20 @@ class TestGrade:
         out = grade([vote(1, AX), vote(2, AX), vote(3, B)])
         # m=3: AX has 2 votes (grade 0: 6 > 3, not > 6), B has 1 (no grade)
         assert out.grade_of(AX) == 0
-        assert out.longest_any() == AX
+        assert longest_any(out) == AX
+
+
+@settings(max_examples=300)
+@given(merge_inputs())
+def test_grade_is_empty_exactly_without_votes_and_else_has_grade1(inputs):
+    """The round steps fall back on a member's candidate only for an empty
+    output, since every output ``grade`` returns is empty exactly when it
+    counted no vote, and otherwise has a grade-1 log under every top."""
+    msgs = store_merge(*inputs)
+    out = grade(msgs)
+    assert bool(out) == bool(msgs)
+    assert out.grade1 is not None or not out.tops
+    assert all(is_prefix(out.grade1, top) for top in out.tops)
 
 
 @st.composite
@@ -227,8 +252,8 @@ def full_tie_break_longest_any(out):
 def test_longest_outputs_need_no_grade_tie_break(msgs):
     # the selections are the frontier's; the references read its expansion
     out = grade(msgs)
-    assert out.longest_grade1() == full_tie_break_longest_grade1(out)
-    assert out.longest_any() == full_tie_break_longest_any(out)
+    assert out.grade1 == full_tie_break_longest_grade1(out)
+    assert longest_any(out) == full_tie_break_longest_any(out)
 
 
 class TestGaOutput:
@@ -244,8 +269,8 @@ class TestGaOutput:
         assert not out
         assert expand(out) == {}
         assert out.grade_of(EMPTY_LOG) is None
-        assert out.longest_grade1() is None
-        assert out.longest_any() is None
+        assert out.grade1 is None
+        assert out.tops == ()
 
     def test_grades_is_a_fresh_expansion(self):
         out = GaOutput(A, (AX, B))
@@ -279,8 +304,8 @@ def test_frontier_closure_matches_reference_and_fraction_oracle(votes):
     out, ref = grade(merged), reference_grade(merged)
     assert expand(out) == ref.grades == naive_outputs(naive_merged_votes((), raw))
     assert bool(out) == bool(ref)
-    assert out.longest_grade1() == ref.longest_grade1()
-    assert out.longest_any() == ref.longest_any()
+    assert out.grade1 == ref.longest_grade1()
+    assert longest_any(out) == ref.longest_any()
     assert len(out.tops) < 2 or len(out.tops) == 2 and conflicts(*out.tops)
     assert all(is_prefix(out.grade1, top) for top in out.tops)
     assert list(out.tops) == sorted(out.tops, key=lambda log: (-len(log), fields_key(log)))
@@ -377,3 +402,36 @@ class TestRunInstance:
                 inputs={0: A},
                 initial_sets={0: initial(vote(1, A, round=3))},
             )
+
+
+class TestCheckAdversaryMessage:
+    """The one admission check ``World`` runs on every strategy message."""
+
+    SEED = 11
+
+    def proposal(self, sender, view, ticket=None):
+        if ticket is None:
+            ticket = vrf_eval(self.SEED, sender, view)
+        return ProposeMsg(sender=sender, view=view, log=A, ticket=ticket)
+
+    def test_genuine_ticket_passes(self):
+        check_adversary_message(self.proposal(3, 2), 3, {3}, self.SEED)
+
+    def test_forged_ticket_rejected(self):
+        forged = self.proposal(3, 2, ticket=vrf_eval(self.SEED, 3, 2) ^ 1)
+        with pytest.raises(ForgeryError, match="proposal from 3 has a forged ticket for view 2"):
+            check_adversary_message(forged, 3, {3}, self.SEED)
+        with pytest.raises(ForgeryError, match="forged ticket"):
+            check_adversary_message(self.proposal(3, 2), 3, {3}, self.SEED + 1)
+
+    def test_sender_is_checked_before_the_ticket(self):
+        forged = self.proposal(3, 2, ticket=0)
+        with pytest.raises(ForgeryError, match="from 3, not Byzantine in round 3"):
+            check_adversary_message(forged, 3, {4}, self.SEED)
+
+    def test_vote_for_another_round_fails_first(self):
+        check_adversary_message(vote(3, A, round=3), 3, {3}, self.SEED)
+        with pytest.raises(ForgeryError, match="claims round 2 during round 3"):
+            check_adversary_message(vote(3, A, round=2), 3, {3}, self.SEED)
+        with pytest.raises(ForgeryError, match="from 3, not Byzantine in round 3"):
+            check_adversary_message(vote(3, A, round=2), 3, set(), self.SEED)

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import fields_key, frontier, reference_step_round1, reference_step_round2
+from helpers import (
+    fields_key,
+    frontier,
+    longest_any,
+    reference_step_round1,
+    reference_step_round2,
+)
 from sleepy_tob.core import (
     EMPTY_LOG,
     GENESIS,
@@ -300,10 +306,11 @@ def verifying_step_round1(state, view, outputs, proposals, seed):
     """``step_round1`` as it was when every receiver re-verified each
     proposal's ticket, kept verbatim except for field access (the ticket
     is ``pm.ticket``, the tag's sender and view were the message's own
-    ``pm.sender`` and ``pm.view``, and the seed was held by the state) and
+    ``pm.sender`` and ``pm.view``, the seed was held by the state, and the
+    output's longest logs are read as ``grade1`` and ``longest_any``) and
     for the round-1 rule: a proposal qualifies only if it extends the
     candidate, where it once had only to be compatible with it."""
-    longest = outputs.longest_any()
+    longest = longest_any(outputs)
     if longest is not None:
         state.candidate = longest
 
@@ -328,7 +335,7 @@ def verifying_step_round1(state, view, outputs, proposals, seed):
         if key > best_key or (key == best_key and fields_key(pm.log) < fields_key(best.log)):
             best = pm
     vote_log = best.log if best is not None else state.candidate
-    return outputs.longest_grade1(), VoteMsg(sender=state.pid, round=2 * view - 1, log=vote_log)
+    return outputs.grade1, VoteMsg(sender=state.pid, round=2 * view - 1, log=vote_log)
 
 
 # logs over a small value tree: [1], [1, 3], [1, 4] and [2] conflict in
@@ -382,8 +389,10 @@ def test_step_round1_matches_the_verifying_reference(seed, view, candidate, outp
 @given(
     seed=st.integers(0, 3),
     view=st.integers(1, 4),
-    # an empty output, often: every member then keeps its stale candidate
-    outputs=st.just({}) | graded_maps(3),
+    # an empty output, often: every member then keeps its stale candidate;
+    # any other output grades the empty log 1, as every output of ga.grade
+    # that counted a vote does
+    outputs=st.just({}) | graded_maps(3).filter(bool).map(lambda g: {**g, EMPTY_LOG: 1}),
     props=st.lists(st.tuples(st.integers(0, 3), tree_logs), max_size=6),
     # per member: its pid and its stale candidate, which differ between members
     members=st.lists(
@@ -396,11 +405,11 @@ def test_cohort_steps_match_each_members_reference_step(seed, view, outputs, pro
         ProposeMsg(sender=s, view=view, log=log, ticket=vrf_eval(seed, s, view))
         for s, log in props
     )
-    # World's cohorts: one when the output has a grade-1 log, whatever the
-    # members' stale candidates, and one per candidate when it has none
+    # World's cohorts: one when the output is not empty, whatever the
+    # members' stale candidates, and one per candidate when it is
     cohorts: dict[Log | None, list[tuple[int, Log]]] = {}
     for pid, candidate in members:
-        key = candidate if output.grade1 is None else None
+        key = None if output else candidate
         cohorts.setdefault(key, []).append((pid, candidate))
     picks = {}  # one memo for the round, as World kept it
     for cohort_members in cohorts.values():

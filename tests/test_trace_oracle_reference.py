@@ -15,23 +15,41 @@ shipped scenarios and on default ``campaign`` traces of every strategy in
 give the same reports, verdicts, details and witnesses alike, for every
 round ``r`` in ``[0, horizon]`` (asynchrony resilience: every ``r_a`` in
 ``[0, horizon)``).
+
+``FiledTrace`` keeps ``Trace``'s event index (``_by_kind``) and the
+accessors that read it verbatim, as they were when every event was filed
+by kind in one pass on first use.  On the same traces, ``Trace`` must give
+the same decide, send, vote-send and propose-send events, agreement
+records, input rounds, chain verdict and decided logs at every round, by
+value, by class and in order.
 """
 
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 
 from sleepy_tob import oracle
 from sleepy_tob.cli import Scenario, load_scenario, run_scenario
-from sleepy_tob.core import EMPTY_LOG, Log, ProcessId, conflicts, is_chain, is_prefix
+from sleepy_tob.core import (
+    EMPTY_LOG,
+    Log,
+    ProcessId,
+    ProposeMsg,
+    Value,
+    VoteMsg,
+    conflicts,
+    is_chain,
+    is_prefix,
+)
+from sleepy_tob.ga import GaRecord
 from sleepy_tob.oracle import (
     OracleReport,
     Verdict,
     _safety_witness,
     first_full_view_after,
 )
-from sleepy_tob.world import STRATEGIES, Trace
+from sleepy_tob.world import STRATEGIES, DecideEvent, DeliverEvent, Event, SendEvent, Trace
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -188,6 +206,71 @@ def check_async_resilience(trace: Trace, r_a: int, pi: int) -> OracleReport:
     )
 
 
+class FiledTrace:
+    """A trace's events filed by kind, with the accessors that read the
+    files; ``schedule`` and ``events`` are the trace's."""
+
+    def __init__(self, trace: Trace):
+        self.schedule, self.events = trace.schedule, trace.events
+
+    @cached_property
+    def _by_kind(self) -> dict[type, list[Event]]:
+        """Events by class, never by value (events of different kinds may
+        be equal tuples); send events are also filed under their message
+        class (``VoteMsg``, ``ProposeMsg``)."""
+        by_kind: dict[type, list[Event]] = {
+            SendEvent: [], DeliverEvent: [], DecideEvent: [], GaRecord: [],
+            VoteMsg: [], ProposeMsg: [],
+        }
+        for e in self.events:
+            by_kind[type(e)].append(e)
+            if type(e) is SendEvent:
+                by_kind[type(e.msg)].append(e)
+        return by_kind
+
+    @cached_property
+    def _input_rounds(self) -> dict[Value, int]:
+        rounds: dict[Value, int] = {}
+        for e in self._by_kind[ProposeMsg]:
+            if e.msg.sender in self.schedule.honest(e.round) and e.msg.log.values:
+                rounds.setdefault(e.msg.log.values[-1], e.round)
+        return rounds
+
+    @cached_property
+    def decisions_form_chain(self) -> bool:
+        """Whether the distinct logs decided in the trace are pairwise
+        compatible (``core.is_chain``)."""
+        return is_chain(e.log for e in self._by_kind[DecideEvent])
+
+    def decide_events(self) -> list[DecideEvent]:
+        return list(self._by_kind[DecideEvent])
+
+    def send_events(self) -> list[SendEvent]:
+        return list(self._by_kind[SendEvent])
+
+    def vote_sends(self) -> list[SendEvent]:
+        return list(self._by_kind[VoteMsg])
+
+    def propose_sends(self) -> list[SendEvent]:
+        return list(self._by_kind[ProposeMsg])
+
+    def ga_records(self) -> dict[int, GaRecord]:
+        return {rec.round: rec for rec in self._by_kind[GaRecord]}
+
+    def decided_up_to(self, r: int) -> list[Log]:
+        """Distinct logs decided by well-behaved processes in rounds <= r."""
+        seen: dict[Log, None] = {}
+        for e in self._by_kind[DecideEvent]:
+            if e.round <= r:
+                seen.setdefault(e.log, None)
+        return list(seen)
+
+    def first_input_round(self, value: Value) -> int | None:
+        """Round in which ``value`` was introduced: its first appearance as
+        the fresh tip of a proposal from a well-behaved process."""
+        return self._input_rounds.get(value)
+
+
 # ---------------------------------------------------------------------------
 # the two versions on the same traces
 
@@ -277,3 +360,36 @@ def test_async_resilience_matches_reference_on_shipped_and_campaign_traces():
             assert ours == check_async_resilience(trace, r_a, pi).to_dict(), (name, r_a)
             verdicts.add(ours["verdict"])
     assert verdicts == {"pass", "fail"}
+
+
+def filed(trace) -> dict:
+    """Everything the event index answers, each event with its class, so
+    events of different kinds that are equal tuples still differ."""
+    def typed(events):
+        return [(type(e), type(getattr(e, "msg", None)), e) for e in events]
+
+    values = {e.msg.log.values[-1] for e in trace.events
+              if type(e) is SendEvent and e.msg.log.values}
+    return {
+        "decide_events": typed(trace.decide_events()),
+        "send_events": typed(trace.send_events()),
+        "vote_sends": typed(trace.vote_sends()),
+        "propose_sends": typed(trace.propose_sends()),
+        "ga_records": [(r, type(rec), rec) for r, rec in trace.ga_records().items()],
+        "first_input_round": [(v, trace.first_input_round(v)) for v in sorted(values)],
+        "decisions_form_chain": trace.decisions_form_chain,
+        "decided_up_to": [trace.decided_up_to(r) for r in range(trace.schedule.horizon + 1)],
+    }
+
+
+def test_trace_files_its_events_as_the_reference_index():
+    """Traces whose decisions form one chain and traces whose decisions
+    conflict are both compared; a value no proposal introduced reads
+    ``None`` in both."""
+    chains = set()
+    for name, trace in compared_traces().items():
+        ours = filed(trace)
+        assert ours == filed(FiledTrace(trace)), name
+        assert trace.first_input_round(Value(-1, -1, -1)) is None
+        chains.add(ours["decisions_form_chain"])
+    assert chains == {True, False}

@@ -62,7 +62,7 @@ def reference_msg_to_json(msg: VoteMsg | ProposeMsg, log_id: Callable[[Log], int
         "sender": msg.sender,
         "view": msg.view,
         "log": log_id(msg.log),
-        "vrf": {"value": msg.ticket, "sender": msg.sender, "view": msg.view},
+        "ticket": msg.ticket,
     }
 
 
