@@ -143,7 +143,7 @@ class GaOutput:
 
     ``grade`` returns an empty output exactly when it tallies no vote.
     Otherwise every vote extends the voted logs' common prefix, which then
-    has grade 1, so an output is empty or has a ``grade1``.
+    has grade 1, so an output of ``grade`` is empty or has a ``grade1``.
     """
 
     grade1: Log | None = None
