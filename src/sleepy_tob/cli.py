@@ -11,7 +11,8 @@ Scenario files are JSON with exact ratio strings ("1/3").  A trace is
 JSON-lines: a header carrying the whole scenario and its hash, then one
 object per line (kind, round, actor, payload) of five kinds, each fact
 written once: ``log`` (one distinct log, linked to its parent log),
-``send`` (one message, with a send id: its index among the run's sends),
+``send`` (one message, with a send id: its index among the run's sends;
+its sender is the line's actor and a vote's round the line's round),
 ``deliver`` (one receive phase, by a run of send ids or the ids its event
 holds), ``decide`` (a log id) and ``ga_record`` (each distinct claim of
 participation and graded frontier, with its receivers).  Everything is
@@ -369,13 +370,12 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
                 introduce((msg.log,), r)
             if isinstance(msg, VoteMsg):
                 append(f'{{"actor": {msg.sender}, "id": {sends}, "kind": "send", '
-                       f'"payload": {{"msg": {{"log": {log_ids[msg.log]}, "round": {msg.round}, '
-                       f'"sender": {msg.sender}, "type": "vote"}}}}, "round": {r}}}')
+                       f'"payload": {{"msg": {{"log": {log_ids[msg.log]}, "type": "vote"}}}}, '
+                       f'"round": {r}}}')
             else:
                 append(f'{{"actor": {msg.sender}, "id": {sends}, "kind": "send", '
-                       f'"payload": {{"msg": {{"log": {log_ids[msg.log]}, '
-                       f'"sender": {msg.sender}, "ticket": {msg.ticket}, "type": "propose", '
-                       f'"view": {msg.view}}}}}, "round": {r}}}')
+                       f'"payload": {{"msg": {{"log": {log_ids[msg.log]}, "ticket": {msg.ticket}, '
+                       f'"type": "propose", "view": {msg.view}}}}}, "round": {r}}}')
             sends += 1
         elif isinstance(e, DecideEvent):
             if e.log not in log_ids:
@@ -496,7 +496,7 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, dict]:
         # probabilistic with Byzantine leaders in play, so only fault-free
         # in-model runs gate on it
         liveness_applicable = (
-            model_report.sleepy_pass and len(schedule.byz(schedule.horizon)) == 0
+            model_report.sleepy_pass and len(schedule.byzantine[schedule.horizon]) == 0
         )
         reports["liveness_after_0"] = {**liveness.to_dict(), "gating": liveness_applicable}
         gate(liveness, liveness_applicable)

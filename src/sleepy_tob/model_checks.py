@@ -16,15 +16,17 @@ The model bounds four things, all with exact rational arithmetic:
 * sleepiness: each round's awake well-behaved processes exceed the usual
   quorum fraction of everyone awake during the trailing window.
 
-The churn and failure-ratio bounds are written once, as the per-round
-predicates ``churn_ok`` and ``ratio_ok`` over the trailing-window union
-``_union``; ``world.generate_schedule`` rejects its churn moves with the
-same three.  The quorum rule of asynchrony support and sleepiness is
-written once, as ``_quorum``.  No verdict depends on floating point: each
-of the three thresholds compares integers, a count times a ratio's
-denominator against its numerator times a set size (``count > (1 - beta)
-* pool`` as ``count * d > (d - n) * pool`` for ``beta = n / d``), as
-``ga.grade`` compares ``3 * count`` with ``2 * m``.  ``check_all`` runs the
+A schedule is read as its per-round sets, ``awake_honest[r]`` and
+``byzantine[r]``.  The churn and failure-ratio bounds are written once, as
+the per-round predicates ``churn_ok`` and ``ratio_ok`` over the
+trailing-window union ``_union``, one set union over a slice of rounds;
+``world.generate_schedule`` rejects its churn moves with the same three.
+The quorum rule of asynchrony support and sleepiness is written once, as
+``_quorum``.  No verdict depends on floating point: each of the three
+thresholds compares integers, a count times a ratio's denominator against
+its numerator times a set size (``count > (1 - beta) * pool`` as
+``count * d > (d - n) * pool`` for ``beta = n / d``), as ``ga.grade``
+compares ``3 * count`` with ``2 * m``.  ``check_all`` runs the
 validators once per schedule.
 """
 
@@ -140,13 +142,9 @@ class CheckResult:
 
 
 def _union(sets: Sequence[frozenset[int]], lo: int, hi: int) -> frozenset[int]:
-    """Union of per-round sets over rounds [max(lo, 0), hi]; empty when the
-    range is empty."""
-    out: set[int] = set()
-    for r in range(max(lo, 0), hi + 1):
-        if 0 <= r < len(sets):
-            out |= sets[r]
-    return frozenset(out)
+    """Union of per-round sets over rounds [max(lo, 0), hi], clipped to the
+    rounds ``sets`` holds; empty when that range is."""
+    return frozenset().union(*sets[max(lo, 0):max(hi + 1, 0)])
 
 
 def churn_ok(recent: frozenset[int], now: frozenset[int], gamma: Fraction) -> bool:
@@ -178,7 +176,7 @@ def check_churn(schedule: "Schedule", tau: int, gamma: Fraction) -> CheckResult:
     gamma = Fraction(gamma)
 
     def rule(r: int) -> str | None:
-        window, now = _union(schedule.awake_honest, r - tau, r - 1), schedule.honest(r)
+        window, now = _union(schedule.awake_honest, r - tau, r - 1), schedule.awake_honest[r]
         if not window:
             return None
         absent = len(window - now)
@@ -192,7 +190,7 @@ def check_failure_ratio(schedule: "Schedule", beta_tilde: Fraction) -> CheckResu
     beta_tilde = Fraction(beta_tilde)
 
     def rule(r: int) -> str:
-        nb, ns = len(schedule.byz(r)), len(schedule.awake(r))
+        nb, ns = len(schedule.byzantine[r]), len(schedule.awake(r))
         return "" if ratio_ok(nb, ns, beta_tilde) else f"{nb} Byzantine of {ns} awake"
 
     return _judge("failure_ratio", range(schedule.horizon), rule)
@@ -223,16 +221,16 @@ def check_async_conditions(
     (1 - beta) fraction of everyone awake over the trailing tau rounds; and
     that awake set must still be intact at the end of round r_a.
     """
-    h_ra = schedule.honest(r_a)
+    h_ra = schedule.awake_honest[r_a]
     rounds = len(schedule.awake_honest)
     quorum = _quorum(schedule, tau, beta, "survivors")
 
     def rule(r: int) -> str:
         if r >= rounds:
             return "round beyond schedule"
-        return quorum(r, len(h_ra - schedule.byz(r)))
+        return quorum(r, len(h_ra - schedule.byzantine[r]))
 
-    contained = r_a + 1 < rounds and h_ra <= schedule.honest(r_a + 1)
+    contained = r_a + 1 < rounds and h_ra <= schedule.awake_honest[r_a + 1]
     return _judge(
         "async_support", range(r_a + 1, r_a + pi + 2), rule,
         "" if contained else "awake set not contained in the next round",
@@ -243,7 +241,7 @@ def check_tau_sleepiness(schedule: "Schedule", tau: int, beta: Fraction) -> Chec
     """Per round r: |H_r| > (1 - beta) * |S_[r-tau, r]| (strict)."""
     quorum = _quorum(schedule, tau, beta, "awake honest")
     return _judge(
-        "tau_sleepiness", range(schedule.horizon), lambda r: quorum(r, len(schedule.honest(r)))
+        "tau_sleepiness", range(schedule.horizon), lambda r: quorum(r, len(schedule.awake_honest[r]))
     )
 
 

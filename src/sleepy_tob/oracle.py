@@ -376,7 +376,7 @@ def check_safety_after(trace: Trace, r: int) -> OracleReport:
             while i < len(points) and points[i][0] <= r2:
                 log = points[i][1]
                 i += 1
-            if pid in sched.honest(r2) and (last is None or log != last):
+            if pid in sched.awake_honest[r2] and (last is None or log != last):
                 snapshots.append((pid, r2, log))
                 last = log
     if is_chain(log for _, _, log in snapshots):
@@ -421,12 +421,7 @@ def check_liveness_after(trace: Trace, r: int, window: int) -> OracleReport:
             Verdict.INCONCLUSIVE,
             detail=f"horizon {sched.horizon} shorter than round {r}+{window}",
         )
-    rounds = range(r, r + window + 1)
-    steady = [
-        p
-        for p in range(sched.n)
-        if all(p in sched.honest(r2) for r2 in rounds)
-    ]
+    steady = sorted(frozenset.intersection(*sched.awake_honest[r:r + window + 1]))
     if not steady:
         return OracleReport(
             "liveness_after", Verdict.INCONCLUSIVE, detail="no continuously awake process"
@@ -463,7 +458,7 @@ def check_async_resilience(trace: Trace, r_a: int, pi: int) -> OracleReport:
             "async_resilience", Verdict.PASS, detail=f"window [{r_a + 1}, {r_a + pi}]"
         )
     d_ra = trace.decided_up_to(r_a)
-    h_ra = trace.schedule.honest(r_a)
+    h_ra = trace.schedule.awake_honest[r_a]
     for e in trace.decide_events():
         if e.round <= r_a:
             continue

@@ -57,7 +57,8 @@ from .core import (
     ProposeMsg,
     Value,
     VoteMsg,
-    compatible,
+    compatible,  # not called here, but perfbench/layers.py patches tob.compatible
+    is_prefix,
     new_record,
     vrf_eval,
 )
@@ -172,7 +173,7 @@ def round1_vote_log(proposals: Iterable[ProposeMsg], candidate: Log) -> Log:
     once."""
     best: ProposeMsg | None = None
     for pm in proposals:
-        if not (len(pm.log) >= len(candidate) and compatible(pm.log, candidate)):
+        if not is_prefix(candidate, pm.log):
             continue
         if best is None:
             best = pm

@@ -135,10 +135,13 @@ class Schedule:
 
     ``awake_honest`` and ``byzantine`` hold beginning-of-round sets for
     rounds 0..horizon (one extra entry: who is awake at the end of the last
-    executed round).  Synchrony is derived, not stored: the asynchronous
-    rounds are exactly ``window_rounds``, [r_a+1, r_a+pi] when a window
-    exists, and every other round is synchronous.  ``pi`` and every other
-    model parameter are read from ``params``.  ``model_report`` is
+    executed round), H_r as ``awake_honest[r]`` and B_r as ``byzantine[r]``.
+    Readers index them directly, and combine a window of rounds with one set
+    operation over a slice.  ``awake(r)`` is H_r | B_r.  Synchrony is
+    derived, not stored: the asynchronous rounds are exactly
+    ``window_rounds``, [r_a+1, r_a+pi] when a window exists, every other
+    round is synchronous, and ``sync(r)`` tells which.  ``pi`` and every
+    other model parameter are read from ``params``.  ``model_report`` is
     ``model_checks.check_all``'s report, kept once it is computed.
     """
 
@@ -155,12 +158,6 @@ class Schedule:
     @property
     def pi(self) -> int:
         return self.params.pi
-
-    def honest(self, r: int) -> frozenset[ProcessId]:
-        return self.awake_honest[r]
-
-    def byz(self, r: int) -> frozenset[ProcessId]:
-        return self.byzantine[r]
 
     def awake(self, r: int) -> frozenset[ProcessId]:
         return self.awake_honest[r] | self.byzantine[r]
@@ -289,7 +286,7 @@ class Trace:
     def _input_rounds(self) -> dict[Value, int]:
         rounds: dict[Value, int] = {}
         for e in self.propose_sends():
-            if e.msg.sender in self.schedule.honest(e.round) and e.msg.log.values:
+            if e.msg.sender in self.schedule.awake_honest[e.round] and e.msg.log.values:
                 rounds.setdefault(e.msg.log.values[-1], e.round)
         return rounds
 
@@ -406,7 +403,7 @@ class World:
         """Each process's queue, in send order: what its next receive phase
         chooses from.  Derived afresh on every read; empty for a process
         Byzantine in the last round stepped, which never receives again."""
-        byz = self.schedule.byz(self.round) if self.round is not None else frozenset()
+        byz = self.schedule.byzantine[self.round] if self.round is not None else frozenset()
         sent = self.sent
         return {
             q: [] if q in byz else [sent[i] for i in self.held[q]] + sent[self.cursor[q]:]
@@ -431,7 +428,7 @@ class World:
         inputs: dict[ProcessId, Log] = {}
 
         if phase is Phase.VIEW0:
-            for p in sorted(sched.honest(r)):
+            for p in sorted(sched.awake_honest[r]):
                 for pm in step_view0(states[p], self.seed):
                     self._broadcast(pm, r)
         else:
@@ -440,7 +437,7 @@ class World:
             # states hold throughout the send phase, and a step reads the
             # candidate only when the output is empty
             cohorts: dict[tuple[int, int, Log | None], list[ProcessState]] = {}
-            for p in sorted(sched.honest(r)):
+            for p in sorted(sched.awake_honest[r]):
                 state = states[p]
                 output = state.pending_output
                 stale = None if output else state.candidate
@@ -472,7 +469,7 @@ class World:
                 inputs[vote.sender] = vote.log
 
         for msg in self.strategy.messages(self, r):
-            check_adversary_message(msg, r, sched.byz(r), self.seed)
+            check_adversary_message(msg, r, sched.byzantine[r], self.seed)
             self._broadcast(msg, r)
 
         if synchronous := sched.sync(r):
@@ -485,7 +482,7 @@ class World:
             shared = self._receive(store, r)
         views: dict[ProcessId, ReceiverView] = {}
         sent, end = self.sent, len(self.sent)
-        for q in sorted(sched.honest(r + 1)):
+        for q in sorted(sched.awake_honest[r + 1]):
             state = self.states[q]
             start, held = self.cursor[q], self.held[q]
             if synchronous:
@@ -520,7 +517,7 @@ class World:
                 round=r,
                 synchronous=synchronous,
                 inputs=inputs,
-                byzantine=sched.byz(r),
+                byzantine=sched.byzantine[r],
                 receivers=views,
             ))
 
@@ -551,7 +548,7 @@ def window_attack(
 
     def targets(sched: Schedule) -> list[Log]:
         assert sched.r_a is not None
-        proposer = min(sched.byz(sched.r_a + 1), default=0)
+        proposer = min(sched.byzantine[sched.r_a + 1], default=0)
         view = ViewClock(sched.r_a + 1).view
         return [Log((Value(base + i + view, proposer, view),)) for i in range(k)]
 
@@ -562,7 +559,7 @@ def window_attack(
         logs = targets(sched)
         clock = ViewClock(r)
         out: list[Msg] = []
-        for b in sorted(sched.byz(r)):
+        for b in sorted(sched.byzantine[r]):
             out.extend(VoteMsg(b, r, log) for log in logs)
             if proposes and clock.phase is Phase.ROUND2:
                 view = clock.view + 1
@@ -571,7 +568,7 @@ def window_attack(
         return out
 
     def delivery_filter(world: World, r: int, q: ProcessId, cand: Sequence[Msg]) -> list[Msg]:
-        byz = world.schedule.byz(r)
+        byz = world.schedule.byzantine[r]
         mine = targets(world.schedule)[q % k]
         return [m for m in cand if m.sender in byz and m.log == mine]
 
@@ -580,7 +577,7 @@ def window_attack(
 
 def _two_byzantine_in_window(world: World) -> None:
     sched = world.schedule
-    if any(len(sched.byz(r)) < 2 for r in sched.window_rounds):
+    if any(len(sched.byzantine[r]) < 2 for r in sched.window_rounds):
         raise ValueError("the suppression attack needs at least two Byzantine processes")
 
 

@@ -31,12 +31,12 @@ SCENARIOS = ROOT / "scenarios"
 
 #: scenario -> (exit code, sha256[:16] of trace.jsonl, sha256[:16] of report.json)
 GOLDEN = {
-    "prop1_baseline": (1, "1ff357812d658fa6", "3c15a622f1fea58b"),
-    "prop1_expiring": (0, "efbbb4f8cd8e3ed9", "8336d6af4f488323"),
-    "split_decision_eta0": (1, "c8bea2dab9e2dbc5", "b58322772f586e04"),
-    "split_decision_eta2": (0, "9b62a4d8075b4f8d", "1836facf6f02d65a"),
-    "stall_participation_drop": (0, "2b04e346dc9fd2bc", "ccb9169d3a61bd3a"),
-    "sync_faultfree": (0, "c584fac96cbb13bc", "fda45c4855c02d40"),
+    "prop1_baseline": (1, "6bd909ee237ff1e5", "3c15a622f1fea58b"),
+    "prop1_expiring": (0, "6ed2968293da389d", "8336d6af4f488323"),
+    "split_decision_eta0": (1, "88e1c8a747fab34d", "b58322772f586e04"),
+    "split_decision_eta2": (0, "1f1bf3899acbe49e", "1836facf6f02d65a"),
+    "stall_participation_drop": (0, "61ed4606eb74f022", "ccb9169d3a61bd3a"),
+    "sync_faultfree": (0, "7d7e4ec943edcc96", "fda45c4855c02d40"),
 }
 
 
@@ -144,9 +144,11 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
                 logs.append(log(payload["parent"]).extended(Value(**payload["value"])))
         elif kind == "send":
             assert obj["id"] == len(sent)
-            fields = {**payload["msg"], "log": log(payload["msg"]["log"])}
+            # a send line names its sender once, as its actor, and a vote's
+            # round once, as the line's round
+            fields = {**payload["msg"], "sender": actor, "log": log(payload["msg"]["log"])}
             if fields.pop("type") == "vote":
-                sent.append((r, VoteMsg(**fields)))
+                sent.append((r, VoteMsg(round=r, **fields)))
             else:
                 sent.append((r, ProposeMsg(**fields)))
         elif kind == "deliver":
@@ -223,7 +225,7 @@ def test_synchronous_facts_take_one_line_of_fixed_shape(n):
     for obj in records:
         assert obj["payload"]["synchronous"]
         [claim] = obj["payload"]["claims"]
-        assert claim["receivers"] == sorted(schedule.honest(obj["round"] + 1))
+        assert claim["receivers"] == sorted(schedule.awake_honest[obj["round"] + 1])
 
 
 def per_value_decision_latencies(trace) -> tuple[int, Fraction | None]:

@@ -47,7 +47,7 @@ def test_churny_faultfree_run_stays_safe_and_live():
     assert check_liveness_after(trace, 0, 10).verdict is Verdict.PASS
     # someone actually slept and woke again, so queued delivery was exercised
     slept = any(
-        p not in sched.honest(r) and p in sched.honest(r + 1)
+        p not in sched.awake_honest[r] and p in sched.awake_honest[r + 1]
         for r in range(sched.horizon)
         for p in range(sched.n)
     )
@@ -116,7 +116,7 @@ def stale_prefix_strategy() -> AdversaryStrategy:
         clock = ViewClock(r)
         if clock.phase is not Phase.ROUND2:
             return []
-        byz = world.schedule.byz(r)
+        byz = world.schedule.byzantine[r]
         votes = [
             e.msg.log for e in world.events
             if type(e) is SendEvent and e.round == r and type(e.msg) is VoteMsg
@@ -158,11 +158,11 @@ def test_round0_votes_decide_nothing_at_round1():
     def messages(world: World, r: int) -> list[VoteMsg]:
         if r != 0:
             return []
-        return [VoteMsg(sender=b, round=0, log=target) for b in sorted(world.schedule.byz(0))]
+        return [VoteMsg(sender=b, round=0, log=target) for b in sorted(world.schedule.byzantine[0])]
 
     world = World(sched, AdversaryStrategy("round0", messages, lambda w, r, q, c: c), seed=5)
     world.step_round(0)
-    assert all(world.states[p].pending_output == GaOutput() for p in sched.honest(1))
+    assert all(world.states[p].pending_output == GaOutput() for p in sched.awake_honest[1])
     for r in range(1, sched.horizon):
         world.step_round(r)
     trace = Trace(sched, "round0", tuple(world.events))

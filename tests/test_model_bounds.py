@@ -8,7 +8,9 @@ own copy of those rules; the one edit is that the reference generator calls
 the reference ``check_all``.  On random parameters both generators must
 return the same schedule or raise the same exception type, and both
 ``check_all``s must give the same report, on generated schedules and on
-arbitrary ones that break the bounds.
+arbitrary ones that break the bounds.  ``model_checks._union``, one set
+operation over a slice, must equal the reference loop on bounds before the
+first round, past the last, crossed, and below -1.
 """
 
 import random
@@ -46,7 +48,7 @@ def check_churn(schedule: "Schedule", tau: int, gamma: Fraction) -> CheckResult:
         if not window:
             verdicts.append(RoundVerdict(r, True, vacuous=True))
             continue
-        absent = len(window - schedule.honest(r))
+        absent = len(window - schedule.awake_honest[r])
         ok = absent <= gamma * len(window)
         verdicts.append(
             RoundVerdict(r, ok, detail="" if ok else f"{absent}/{len(window)} dropped off")
@@ -63,7 +65,7 @@ def check_failure_ratio(schedule: "Schedule", beta_tilde: Fraction) -> CheckResu
     beta_tilde = Fraction(beta_tilde)
     verdicts = []
     for r in range(schedule.horizon):
-        nb, ns = len(schedule.byz(r)), len(schedule.awake(r))
+        nb, ns = len(schedule.byzantine[r]), len(schedule.awake(r))
         ok = nb < beta_tilde * ns
         verdicts.append(
             RoundVerdict(r, ok, detail="" if ok else f"{nb} Byzantine of {ns} awake")
@@ -86,22 +88,20 @@ def check_async_conditions(
     that awake set must still be intact at the end of round r_a.
     """
     beta = Fraction(beta)
-    h_ra = schedule.honest(r_a)
+    h_ra = schedule.awake_honest[r_a]
     awake = [schedule.awake(r) for r in range(len(schedule.awake_honest))]
     verdicts = []
     for r in range(r_a + 1, r_a + pi + 2):
         if r >= len(schedule.awake_honest):
             verdicts.append(RoundVerdict(r, False, detail="round beyond schedule"))
             continue
-        survivors = len(h_ra - schedule.byz(r))
+        survivors = len(h_ra - schedule.byzantine[r])
         pool = len(_union(awake, r - tau, r))
         ok = survivors > (1 - beta) * pool
         verdicts.append(
             RoundVerdict(r, ok, detail="" if ok else f"{survivors} survivors vs pool {pool}")
         )
-    containment = r_a + 1 < len(schedule.awake_honest) and h_ra <= schedule.honest(
-        r_a + 1
-    )
+    containment = r_a + 1 < len(schedule.awake_honest) and h_ra <= schedule.awake_honest[r_a + 1]
     passed = all(v.passed for v in verdicts) and containment
     return CheckResult(
         name="async_support",
@@ -117,7 +117,7 @@ def check_tau_sleepiness(schedule: "Schedule", tau: int, beta: Fraction) -> Chec
     awake = [schedule.awake(r) for r in range(len(schedule.awake_honest))]
     verdicts = []
     for r in range(schedule.horizon):
-        nh = len(schedule.honest(r))
+        nh = len(schedule.awake_honest[r])
         pool = len(_union(awake, r - tau, r))
         ok = nh > (1 - beta) * pool
         verdicts.append(
@@ -318,3 +318,15 @@ def test_validators_match_reference(params, n, horizon, r_a, seed):
     r_a = None if r_a is None else min(r_a, horizon)
     schedule = Schedule(n, horizon, honest, tuple(byz), r_a, params)
     same_reports(schedule)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    sets=st.lists(st.frozensets(st.integers(0, 5), max_size=3), max_size=6),
+    # bounds below the first round, past the last, crossed (lo > hi) and
+    # with hi <= -2, where a plain slice would wrap from the end
+    lo=st.integers(-4, 8),
+    hi=st.integers(-4, 8),
+)
+def test_union_matches_reference(sets, lo, hi):
+    assert model_checks._union(sets, lo, hi) == _union(sets, lo, hi)

@@ -29,7 +29,9 @@ from sleepy_tob.oracle import (
     naive_record_outputs,
 )
 from sleepy_tob.world import (
+    DecideEvent,
     DeliverEvent,
+    Schedule,
     SendEvent,
     Trace,
     constant_schedule,
@@ -321,8 +323,6 @@ class TestLiveness:
     def test_stalled_run_fails_liveness(self):
         # participation drop past the quorum margin: values introduced after
         # the drop cannot be delivered inside the window
-        from sleepy_tob.world import Schedule
-
         horizon = 12
         awake = [
             frozenset(range(12)) if r <= 4 else frozenset(range(7))
@@ -344,8 +344,6 @@ class TestLiveness:
         trace = faultfree_trace()
         # measure over a window that nobody spans: impossible here, so instead
         # check the empty-steady-set branch via a schedule with total churn
-        from sleepy_tob.world import Schedule
-
         horizon = 13
         awake = [frozenset({r % 3}) for r in range(horizon + 1)]
         sched = Schedule(
@@ -377,6 +375,31 @@ class TestResilienceAndHealing:
     def test_trace_ending_inside_window_inconclusive(self):
         trace = prop1_trace(eta=4, horizon=8)
         assert check_healing(trace, 6, liveness_window=8).verdict is Verdict.INCONCLUSIVE
+
+    def test_grace_for_a_process_asleep_at_r_a_ends_one_round_after_the_window(self):
+        # window [4, 5] after r_a = 3; process 2 sleeps through r_a, so its
+        # conflicting decision is excused up to round r_a + pi + 1 = 6 only
+        horizon = 10
+        sched = Schedule(
+            n=4,
+            horizon=horizon,
+            awake_honest=(frozenset({0, 1}),) * 4 + (frozenset({0, 1, 2}),) * (horizon - 3),
+            byzantine=(frozenset({3}),) * (horizon + 1),
+            r_a=3,
+            params=params(tau=3, eta=3, pi=2),
+        )
+        sched.validate()
+
+        def resilience(late_round):
+            events = (DecideEvent(3, 0, A), DecideEvent(late_round, 2, B))
+            return check_async_resilience(Trace(sched, "none", events), 3, 2)
+
+        assert resilience(6).verdict is Verdict.PASS
+        report = resilience(7)
+        assert report.verdict is Verdict.FAIL
+        assert report.witness == {
+            "process": 2, "round": 7, "log": repr(B), "conflicts_with": repr(A)
+        }
 
 
 def test_trace_wellformed():

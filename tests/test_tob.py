@@ -16,6 +16,7 @@ from sleepy_tob.core import (
     ProposeMsg,
     Value,
     VoteMsg,
+    compatible,
     is_chain,
     is_prefix,
     vrf_eval,
@@ -26,6 +27,7 @@ from sleepy_tob.tob import (
     ProcessState,
     ViewClock,
     latest_unexpired,
+    round1_vote_log,
     step_round1,
     step_round2,
     step_view0,
@@ -384,6 +386,62 @@ def test_step_round1_matches_the_verifying_reference(seed, view, candidate, outp
     assert (decided, *votes) == want
     assert got_state.candidate == ref_state.candidate
 
+
+
+def length_checked_round1_vote_log(proposals, candidate):
+    """``round1_vote_log`` as it was when it tested ``compatible`` after a
+    length check, kept verbatim."""
+    best = None
+    for pm in proposals:
+        if not (len(pm.log) >= len(candidate) and compatible(pm.log, candidate)):
+            continue
+        if best is None:
+            best = pm
+            continue
+        key, best_key = (pm.ticket, pm.sender), (best.ticket, best.sender)
+        if key > best_key or (key == best_key and pm.log < best.log):
+            best = pm
+    return best.log if best is not None else candidate
+
+
+ROUND1_VALUES = [Value(i, i % 3, 1 + i % 2) for i in range(1, 7)]
+
+
+@st.composite
+def round1_cases(draw):
+    """A candidate and proposals that each hold, relative to it, an equal
+    log (often another object), a strict prefix, an extension, a
+    conflicting log or any log."""
+    values = st.sampled_from(ROUND1_VALUES)
+    candidate = Log(tuple(draw(st.lists(values, max_size=3))))
+    proposals = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["equal", "prefix", "extension", "conflict", "any"]))
+        cut = draw(st.integers(0, len(candidate)))
+        if kind == "equal":
+            log = draw(st.sampled_from([candidate, Log(candidate.values)]))
+        elif kind == "prefix":
+            log = Log(candidate.values[:min(cut, len(candidate) - 1)]) if candidate else candidate
+        elif kind == "extension":
+            log = Log(candidate.values + tuple(draw(st.lists(values, min_size=1, max_size=2))))
+        elif kind == "conflict" and cut < len(candidate):
+            other = draw(values.filter(lambda v: v != candidate.values[cut]))
+            log = Log(candidate.values[:cut] + (other,) + tuple(draw(st.lists(values, max_size=1))))
+        else:
+            log = Log(tuple(draw(st.lists(values, max_size=4))))
+        # few senders and tickets, so ties on both reach the log tie-break
+        proposals.append(ProposeMsg(sender=draw(st.integers(0, 2)), view=1, log=log,
+                                    ticket=draw(st.integers(0, 2))))
+    return candidate, proposals
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=round1_cases())
+def test_round1_vote_log_matches_the_length_checked_predicate(case):
+    candidate, proposals = case
+    assert round1_vote_log(proposals, candidate) == length_checked_round1_vote_log(
+        proposals, candidate
+    )
 
 @settings(max_examples=300, deadline=None)
 @given(

@@ -90,7 +90,7 @@ def check_safety_after(trace: Trace, r: int) -> OracleReport:
     for pid in sorted(timeline):
         last: Log | None = None
         for r2 in range(r + 1, sched.horizon + 1):
-            if pid not in sched.honest(r2):
+            if pid not in sched.awake_honest[r2]:
                 continue
             log = delivered_at(timeline, pid, r2)
             if last is None or log != last:
@@ -124,7 +124,7 @@ def check_liveness_after(trace: Trace, r: int, window: int) -> OracleReport:
     steady = [
         p
         for p in range(sched.n)
-        if all(p in sched.honest(r2) for r2 in rounds)
+        if all(p in sched.awake_honest[r2] for r2 in rounds)
     ]
     if not steady:
         return OracleReport(
@@ -181,7 +181,7 @@ def check_async_resilience(trace: Trace, r_a: int, pi: int) -> OracleReport:
     during the window (and one round beyond) for processes awake at r_a,
     and afterwards for every well-behaved process."""
     d_ra = trace.decided_up_to(r_a)
-    h_ra = trace.schedule.honest(r_a)
+    h_ra = trace.schedule.awake_honest[r_a]
     for e in trace.decide_events():
         if e.round <= r_a:
             continue
@@ -232,7 +232,7 @@ class FiledTrace:
     def _input_rounds(self) -> dict[Value, int]:
         rounds: dict[Value, int] = {}
         for e in self._by_kind[ProposeMsg]:
-            if e.msg.sender in self.schedule.honest(e.round) and e.msg.log.values:
+            if e.msg.sender in self.schedule.awake_honest[e.round] and e.msg.log.values:
                 rounds.setdefault(e.msg.log.values[-1], e.round)
         return rounds
 

@@ -55,11 +55,12 @@ NAMES = sorted(path.stem for path in SCENARIOS.glob("*.json"))
 
 
 def reference_msg_to_json(msg: VoteMsg | ProposeMsg, log_id: Callable[[Log], int]) -> dict:
+    """The message without its sender, which is the line's actor, and
+    without a vote's round, which is the line's round."""
     if isinstance(msg, VoteMsg):
-        return {"type": "vote", "sender": msg.sender, "round": msg.round, "log": log_id(msg.log)}
+        return {"type": "vote", "log": log_id(msg.log)}
     return {
         "type": "propose",
-        "sender": msg.sender,
         "view": msg.view,
         "log": log_id(msg.log),
         "ticket": msg.ticket,
@@ -200,7 +201,7 @@ def test_world_runs_match_reference(preset, schedule_seed, window, seed):
     round when one is drawn; ``prop1``'s window attack needs two Byzantine
     processes, so with fewer it runs without one."""
     schedule = random_bounded_schedule(random.Random(schedule_seed))
-    if window is not None and (preset != "prop1" or len(schedule.byz(0)) >= 2):
+    if window is not None and (preset != "prop1" or len(schedule.byzantine[0]) >= 2):
         r_a = min(window[0], schedule.horizon - 3)
         pi = min(window[1], schedule.horizon - r_a - 2)
         schedule = replace(schedule, r_a=r_a, params=replace(schedule.params, pi=pi))

@@ -36,7 +36,7 @@ from sleepy_tob.world import (
 def _window_target(world: World) -> Log:
     sched = world.schedule
     assert sched.r_a is not None
-    first_byz = min(sched.byz(sched.r_a + 1))
+    first_byz = min(sched.byzantine[sched.r_a + 1])
     view = ViewClock(sched.r_a + 1).view
     return Log((Value(id=10_000 + view, proposer=first_byz, view=view),))
 
@@ -48,7 +48,7 @@ def reference_prop1() -> AdversaryStrategy:
             return []
         target = _window_target(world)
         out: list[Msg] = []
-        for b in sorted(sched.byz(r)):
+        for b in sorted(sched.byzantine[r]):
             out.append(VoteMsg(sender=b, round=r, log=target))
             if r % 2 == 0 and r >= 2:
                 next_view = r // 2 + 1
@@ -65,13 +65,13 @@ def reference_prop1() -> AdversaryStrategy:
     def delivery_filter(
         world: World, r: int, q: ProcessId, cand: Sequence[Msg]
     ) -> list[Msg]:
-        byz = world.schedule.byz(r)
+        byz = world.schedule.byzantine[r]
         return [m for m in cand if m.sender in byz]
 
     def validate(world: World) -> None:
         sched = world.schedule
         for r in sched.window_rounds:
-            if len(sched.byz(r)) < 2:
+            if len(sched.byzantine[r]) < 2:
                 raise ValueError(
                     "the suppression attack needs at least two Byzantine processes"
                 )
@@ -83,7 +83,7 @@ def reference_split_decision() -> AdversaryStrategy:
     def _targets(world: World) -> tuple[Log, Log]:
         sched = world.schedule
         assert sched.r_a is not None
-        byz = sched.byz(sched.r_a + 1)
+        byz = sched.byzantine[sched.r_a + 1]
         first_byz = min(byz) if byz else 0
         view = ViewClock(sched.r_a + 1).view
         return (
@@ -97,7 +97,7 @@ def reference_split_decision() -> AdversaryStrategy:
             return []
         left, right = _targets(world)
         out: list[Msg] = []
-        for b in sorted(sched.byz(r)):
+        for b in sorted(sched.byzantine[r]):
             out.append(VoteMsg(sender=b, round=r, log=left))
             out.append(VoteMsg(sender=b, round=r, log=right))
         return out
@@ -105,7 +105,7 @@ def reference_split_decision() -> AdversaryStrategy:
     def delivery_filter(
         world: World, r: int, q: ProcessId, cand: Sequence[Msg]
     ) -> list[Msg]:
-        byz = world.schedule.byz(r)
+        byz = world.schedule.byzantine[r]
         left, right = _targets(world)
         mine = left if q % 2 == 0 else right
         return [
@@ -146,7 +146,7 @@ def honest_messages(sched: Schedule, seed: int, r: int) -> list[Msg]:
     for a genesis chain and, on round-2 rounds, a proposal extending it."""
     clock = ViewClock(r)
     out: list[Msg] = []
-    for h in sorted(sched.honest(r)):
+    for h in sorted(sched.awake_honest[r]):
         log = Log((GENESIS,)).extended(Value(id=clock.view, proposer=h, view=clock.view))
         out.append(VoteMsg(sender=h, round=r, log=log))
         if r % 2 == 0:

@@ -177,7 +177,7 @@ class TestDelivery:
             world.step_round(r)
             for q, queue in world.pending.items():
                 deepest[q] = max(deepest[q], len(queue))
-        byz = sched.byz(sched.horizon)
+        byz = sched.byzantine[sched.horizon]
         assert byz == {8, 9}
         assert {q: deepest[q] for q in byz} == {8: 0, 9: 0}
         assert max(depth for q, depth in deepest.items() if q not in byz) == 21
@@ -495,7 +495,7 @@ class TestGenerateSchedule:
             r_a=None, seed=3,
         )
         for r in range(sched.horizon):
-            assert sched.honest(r) <= sched.honest(r + 1)
+            assert sched.awake_honest[r] <= sched.awake_honest[r + 1]
 
     def test_tau_zero_unconstrained_churn_allowed(self):
         sched = generate_schedule(

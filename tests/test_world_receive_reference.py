@@ -89,7 +89,7 @@ class PerReceiverWorld(World):
         clock = ViewClock(r)
         inputs: dict[ProcessId, Log] = {}
 
-        for p in sorted(sched.honest(r)):
+        for p in sorted(sched.awake_honest[r]):
             state = self.states[p]
             if clock.phase is Phase.VIEW0:
                 for pm in step_view0(state, self.seed):
@@ -111,7 +111,7 @@ class PerReceiverWorld(World):
             inputs[p] = vote.log
 
         for msg in self.strategy.messages(self, r):
-            if msg.sender not in sched.byz(r):
+            if msg.sender not in sched.byzantine[r]:
                 raise ForgeryError(
                     f"strategy authored a message for {msg.sender}, not Byzantine in round {r}"
                 )
@@ -123,7 +123,7 @@ class PerReceiverWorld(World):
 
         synchronous = sched.sync(r)
         views: dict[ProcessId, ReceiverView] = {}
-        for q in sorted(sched.honest(r + 1)):
+        for q in sorted(sched.awake_honest[r + 1]):
             state = self.states[q]
             queued = self.queues[q]
             if synchronous:
@@ -150,7 +150,7 @@ class PerReceiverWorld(World):
                 round=r,
                 synchronous=synchronous,
                 inputs=inputs,
-                byzantine=sched.byz(r),
+                byzantine=sched.byzantine[r],
                 receivers=views,
             ))
 
@@ -173,7 +173,7 @@ def assert_same_run(
         new.step_round(r)
         pending = new.pending
         for q in range(schedule.n):
-            if q not in schedule.byz(r):
+            if q not in schedule.byzantine[r]:
                 assert pending[q] == ref.queues[q], (r, q)
         if schedule.sync(r):
             end = len(new.sent)
@@ -197,7 +197,7 @@ def assert_same_run(
         assert readable(got.proposals_seen) == readable(want.proposals_seen), p
         assert got.candidate == want.candidate, p
         assert got.pending_output == want.pending_output, p
-    assert len({id(new.states[q].proposals_seen) for q in schedule.honest(horizon)}) <= 1
+    assert len({id(new.states[q].proposals_seen) for q in schedule.awake_honest[horizon]}) <= 1
     for record in new.events:
         if isinstance(record, GaRecord) and record.synchronous:
             assert len({id(view) for view in record.receivers.values()}) <= 1
