@@ -88,18 +88,23 @@ def decimal_str(x: Fraction, places: int = 12) -> str:
 
 
 SCENARIO_KEYS = {"name", "params", "schedule", "adversary", "oracles"}
-PARAM_KEYS = {"n", "horizon", "tau", "eta", "pi", "gamma", "beta", "r_a", "seed"}
+#: Each scenario parameter, in the order the loader checks them, and the
+#: value a file that leaves it out gets; ``n`` and ``horizon`` get none, so
+#: leaving them out fails the integer check.
+PARAMS = {"n": None, "horizon": None, "tau": 0, "eta": None, "pi": 0, "gamma": "0",
+          "beta": "1/3", "r_a": None, "seed": 0}
+RATIOS = {"gamma", "beta"}  # exact ratio strings; every other parameter is an integer
 SCHEDULE_KEYS = {"constant": {"n_byz"}, "explicit": {"awake_honest", "byzantine"},
                  "generate": {"n_byz"}}
 ORACLE_KEYS = {"liveness_window"}
 LIVENESS_WINDOW = 8
 
 
-def _object(value: object, where: str, known: set[str]) -> dict:
+def _object(value: object, where: str, known: Iterable[str]) -> dict:
     """``value`` if it is an object whose keys are all in ``known``."""
     if not isinstance(value, dict):
         raise ScenarioError(f"{where} must map to an object, got {value!r}")
-    unknown = sorted(set(value) - known)
+    unknown = sorted(set(value).difference(known))
     if unknown:
         raise ScenarioError(f"unknown {where} key {', '.join(map(repr, unknown))}")
     return value
@@ -187,30 +192,24 @@ class Scenario:
     @staticmethod
     def from_dict(data: object) -> "Scenario":
         data = _object(data, "scenario", SCENARIO_KEYS)
-        p = _object(data.get("params"), "params", PARAM_KEYS)
+        p = _object(data.get("params"), "params", PARAMS)
         spec = data.get("adversary", {})
         if not isinstance(spec, dict):
             raise ScenarioError(
                 f'adversary must be an object like {{"name": "prop1"}}, got {spec!r}'
             )
 
-        def integer(key: str, default: int | None = None) -> int | None:
-            value = p.get(key, default)
+        def param(key: str) -> Any:
+            value = p.get(key, PARAMS[key])
+            if key in RATIOS:
+                return parse_ratio(value)
             if type(value) is not int and not (value is None and key in ("eta", "r_a")):
                 raise ScenarioError(f"params {key} must be an integer, got {value!r}")
             return value
 
         return Scenario(
             name=data.get("name", "scenario"),
-            n=integer("n"),
-            horizon=integer("horizon"),
-            tau=integer("tau", 0),
-            eta=integer("eta"),
-            pi=integer("pi", 0),
-            gamma=parse_ratio(p.get("gamma", "0")),
-            beta=parse_ratio(p.get("beta", "1/3")),
-            r_a=integer("r_a"),
-            seed=integer("seed", 0),
+            **{key: param(key) for key in PARAMS},
             schedule_spec=data.get("schedule", {"constant": {}}),
             adversary=_object(spec, "adversary", {"name"}).get("name", "none"),
             oracles=data.get("oracles", {}),
@@ -219,17 +218,8 @@ class Scenario:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "params": {
-                "n": self.n,
-                "horizon": self.horizon,
-                "tau": self.tau,
-                "eta": self.eta,
-                "pi": self.pi,
-                "gamma": ratio_str(self.gamma),
-                "beta": ratio_str(self.beta),
-                "r_a": self.r_a,
-                "seed": self.seed,
-            },
+            "params": {key: ratio_str(getattr(self, key)) if key in RATIOS else getattr(self, key)
+                       for key in PARAMS},
             "schedule": self.schedule_spec,
             "adversary": {"name": self.adversary},
             "oracles": self.oracles,
@@ -312,13 +302,13 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     Each distinct log is written once, as a ``log`` line whose payload is
     its ``id``, its ``parent`` id and its last ``value`` (both null for the
     empty log, the root).  It comes before the first line naming it, with
-    that line's round; ids follow first use, and the logs new to one line
-    are numbered by length, then value ids.  Each ``send`` line carries an
-    ``id``, its index among the send lines; ``deliver`` lines name messages
-    by that id, which is the index a ``DeliverEvent`` holds, and every other
-    line names logs by log id.  A delivery whose ids are a ``range``, that
-    of a synchronous receiver that held nothing back, is written as the
-    half-open run ``from``, ``to``; any other lists its ids as ``msgs``.
+    that line's round; ids follow first use, a log's parent first.  Each
+    ``send`` line carries an ``id``, its index among the send lines;
+    ``deliver`` lines name messages by that id, which is the index a
+    ``DeliverEvent`` holds, and every other line names logs by log id.  A
+    delivery whose ids are a ``range``, that of a synchronous receiver that
+    held nothing back, is written as the half-open run ``from``, ``to``; any
+    other lists its ids as ``msgs``.
 
     Every line but the header holds only integers, nulls, booleans and
     fixed strings, so each is written from a fixed per-kind template with
@@ -332,23 +322,20 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
                          "strategy": trace.strategy_name}, sort_keys=True)]
     append = lines.append
 
-    def introduce(logs: Iterable[Log], r: int) -> None:
-        """Write a ``log`` line for each of ``logs`` and their prefixes that
-        no earlier line named."""
-        fresh: dict[Log, Log | None] = {}  # log -> its parent
-        for log in logs:
-            # the walk ends at the empty log at the latest: it has no parent
-            while log is not None and log not in log_ids and log not in fresh:
-                parent = fresh[log] = log.parent
-                log = parent
-        if len(fresh) > 1:
-            fresh = {log: fresh[log] for log in sorted(fresh, key=lambda log: (len(log), log))}
-        for log, parent in fresh.items():
+    def introduce(log: Log, r: int) -> None:
+        """Write a ``log`` line for ``log`` and each of its prefixes that no
+        earlier line named, parent first."""
+        fresh = []
+        # the walk ends at the empty log at the latest: it has no parent
+        while log is not None and log not in log_ids:
+            fresh.append(log)
+            log = log.parent
+        for log in reversed(fresh):
             i = log_ids[log] = len(log_ids)
             if log:
                 v = log.values[-1]
                 append(f'{{"actor": null, "kind": "log", "payload": {{"id": {i}, '
-                       f'"parent": {log_ids[parent]}, "value": {{"id": {v.id}, '
+                       f'"parent": {log_ids[log.parent]}, "value": {{"id": {v.id}, '
                        f'"proposer": {v.proposer}, "view": {v.view}}}}}, "round": {r}}}')
             else:
                 append(f'{{"actor": null, "kind": "log", "payload": {{"id": {i}, '
@@ -367,7 +354,7 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
         elif isinstance(e, SendEvent):
             msg = e.msg
             if msg.log not in log_ids:
-                introduce((msg.log,), r)
+                introduce(msg.log, r)
             if isinstance(msg, VoteMsg):
                 append(f'{{"actor": {msg.sender}, "id": {sends}, "kind": "send", '
                        f'"payload": {{"msg": {{"log": {log_ids[msg.log]}, "type": "vote"}}}}, '
@@ -379,15 +366,16 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
             sends += 1
         elif isinstance(e, DecideEvent):
             if e.log not in log_ids:
-                introduce((e.log,), r)
+                introduce(e.log, r)
             append(f'{{"actor": {e.pid}, "kind": "decide", '
                    f'"payload": {{"log": {log_ids[e.log]}}}, "round": {r}}}')
         else:
             assert isinstance(e, GaRecord)
-            outputs = {id(view.output): view.output for view in e.receivers.values()}
-            # a malformed frontier's grade1 may lie under no top
-            introduce((log for output in outputs.values()
-                       for log in (*output.tops, output.grade1) if log is not None), r)
+            for output in {id(view.output): view.output for view in e.receivers.values()}.values():
+                # a malformed frontier's grade1 may lie under no top
+                for log in (*output.tops, output.grade1):
+                    if log is not None and log not in log_ids:
+                        introduce(log, r)
             append(f'{{"actor": null, "kind": "ga_record", '
                    f'"payload": {record_to_json(e, log_ids.__getitem__)}, "round": {r}}}')
     return lines
@@ -428,21 +416,13 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, dict]:
     """Simulate one scenario and assemble its oracle report.
 
     The exit code in the report is nonzero iff a gating property fails.
-    Each property has its own rule:
-
-    * ``safety_after_0`` and ``ga_properties`` always gate, in model or not
-      (the agreement properties judge their own quorum hypotheses per
-      round);
-    * ``async_resilience`` gates when the schedule passes the model checks
-      (``in_model``) and the parameters leave no gap
-      (``async_resilience_gaps()`` is empty);
-    * ``healing`` gates when churn and the failure ratio hold
-      (``sleepy_pass``);
-    * ``liveness_after_0`` gates when ``sleepy_pass`` holds and no process
-      is Byzantine at the horizon.
-
-    The last three report their rule's outcome as ``gating``; a failure that
-    does not gate is reported all the same.
+    Each property enters the report through ``gate(key, report, gating)``,
+    whose third argument is that property's gating rule, written once
+    beside the check it gates.  A rule's outcome is reported as
+    ``gating``, and a failure that does not gate is reported all the same;
+    ``None`` means the property always gates and states no rule
+    (``safety_after_0``).  ``ga_properties`` always gates too: the
+    agreement properties judge their own quorum hypotheses per round.
     """
     schedule = build_schedule(scenario)
     strategy = STRATEGIES[scenario.adversary]()
@@ -452,13 +432,14 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, dict]:
     reports: dict[str, dict] = {}
     failures: list[str] = []
 
-    def gate(report: OracleReport, gating: bool = True) -> None:
-        if gating and report.verdict is Verdict.FAIL:
+    def gate(key: str, report: OracleReport, gating: bool | None = None) -> None:
+        reports[key] = report.to_dict()
+        if gating is not None:
+            reports[key]["gating"] = gating
+        if gating is not False and report.verdict is Verdict.FAIL:
             failures.append(report.name)
 
-    safety = check_safety_after(trace, 0)
-    gate(safety)
-    reports["safety_after_0"] = safety.to_dict()
+    gate("safety_after_0", check_safety_after(trace, 0))
 
     ga_reports = trace_ga_reports(trace)
     ga_failures = []
@@ -478,28 +459,18 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, dict]:
 
     in_model = model_report.all_pass
     if schedule.r_a is not None:
-        resilience = check_async_resilience(trace, schedule.r_a, schedule.pi)
-        resilience_applicable = in_model and not schedule.params.async_resilience_gaps()
-        reports["async_resilience"] = {
-            **resilience.to_dict(),
-            "gating": resilience_applicable,
-        }
-        gate(resilience, resilience_applicable)
-
-        last_async = schedule.r_a + schedule.pi
-        healing = check_healing(trace, last_async, liveness_window=liveness_window)
-        healing_applicable = model_report.sleepy_pass
-        reports["healing"] = {**healing.to_dict(), "gating": healing_applicable}
-        gate(healing, healing_applicable)
+        # in model, and the parameters leave no gap
+        gate("async_resilience", check_async_resilience(trace, schedule.r_a, schedule.pi),
+             in_model and not schedule.params.async_resilience_gaps())
+        # churn and the failure ratio hold
+        gate("healing", check_healing(trace, schedule.r_a + schedule.pi,
+                                      liveness_window=liveness_window),
+             model_report.sleepy_pass)
     else:
-        liveness = check_liveness_after(trace, 0, liveness_window)
         # probabilistic with Byzantine leaders in play, so only fault-free
         # in-model runs gate on it
-        liveness_applicable = (
-            model_report.sleepy_pass and len(schedule.byzantine[schedule.horizon]) == 0
-        )
-        reports["liveness_after_0"] = {**liveness.to_dict(), "gating": liveness_applicable}
-        gate(liveness, liveness_applicable)
+        gate("liveness_after_0", check_liveness_after(trace, 0, liveness_window),
+             model_report.sleepy_pass and not schedule.byzantine[schedule.horizon])
 
     summary = {
         "decide_events": len(trace.decide_events()),

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from helpers import expand, sliced_prefixes
-from sleepy_tob import model_checks
+from sleepy_tob import cli, model_checks
 from sleepy_tob.cli import (
     Scenario,
     build_schedule,
@@ -24,6 +24,7 @@ from sleepy_tob.cli import (
     trace_lines,
 )
 from sleepy_tob.core import Log, ProposeMsg, Value, VoteMsg, is_chain
+from sleepy_tob.oracle import Verdict
 from sleepy_tob.world import DecideEvent, DeliverEvent, SendEvent
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -520,14 +521,14 @@ def test_every_schedule_kind_carries_the_scenario_params(kind):
 def test_readme_scenario_examples_load():
     """Every JSON block in the README is a scenario the loader accepts, and
     the README names every key the loader knows."""
-    from sleepy_tob.cli import ORACLE_KEYS, PARAM_KEYS, SCHEDULE_KEYS
+    from sleepy_tob.cli import ORACLE_KEYS, PARAMS, SCHEDULE_KEYS
 
     readme = (ROOT / "README.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
     assert blocks
     for block in blocks:
         Scenario.from_dict(json.loads(block))
-    keys = PARAM_KEYS | ORACLE_KEYS | set(SCHEDULE_KEYS).union(*SCHEDULE_KEYS.values())
+    keys = set(PARAMS) | ORACLE_KEYS | set(SCHEDULE_KEYS).union(*SCHEDULE_KEYS.values())
     for key in sorted(keys):
         assert f"`{key}`" in readme, key
 
@@ -535,14 +536,14 @@ def test_readme_scenario_examples_load():
 def test_readme_key_tables_list_exactly_the_loader_keys():
     """The README's "Scenario files" table lists, for each object it names
     below, exactly the keys the loader accepts."""
-    from sleepy_tob.cli import ORACLE_KEYS, PARAM_KEYS, SCENARIO_KEYS, SCHEDULE_KEYS
+    from sleepy_tob.cli import ORACLE_KEYS, PARAMS, SCENARIO_KEYS, SCHEDULE_KEYS
 
     readme = (ROOT / "README.md").read_text()
     section = readme.split("### Scenario files\n", 1)[1].split("\n### ", 1)[0]
     rows = dict(re.findall(r"^\| (.+?) \| (.+) \|$", section, re.M))
     want = {
         "top level": SCENARIO_KEYS,
-        "`params`": PARAM_KEYS,
+        "`params`": set(PARAMS),
         "`schedule`": set(SCHEDULE_KEYS),
         "`oracles`": ORACLE_KEYS,
         **{f"`{kind}`": keys for kind, keys in SCHEDULE_KEYS.items()},
@@ -895,12 +896,54 @@ class TestAggregation:
         assert agg["counts"]["out_of_model_failures"] == 1
 
 
+def default_campaign_base(monkeypatch) -> Scenario:
+    """The first run of ``sleepy-tob campaign`` with every option left at
+    its default: the campaign's base scenario with its seed and adversary."""
+    seen = []
+
+    def catch(scenario: Scenario):
+        seen.append(scenario)
+        raise RuntimeError("not run")
+
+    monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
+    monkeypatch.setattr(cli, "run_scenario", catch)
+    assert main(["campaign", "--seeds", "1"]) == 2  # its one run raised
+    [scenario] = seen
+    return scenario
+
+
+#: A scenario file holding only the required parameters.
+MINIMAL_SCENARIO = {"params": {"n": 4, "horizon": 6}}
+
+
 class TestScenarioRoundTrip:
-    def test_dict_round_trip_and_hash_stability(self):
-        scenario = load_scenario(SCENARIOS / "prop1_expiring.json")
-        again = Scenario.from_dict(scenario.to_dict())
-        assert again == scenario
-        assert again.canonical_hash() == scenario.canonical_hash()
+    def test_dict_round_trip_and_hash_stability(self, monkeypatch):
+        """The six shipped scenarios write back the files they came from, and
+        they, the default campaign base and a file holding only ``n`` and
+        ``horizon`` read back to equal scenarios with equal hashes."""
+        files = [json.loads((SCENARIOS / f"{name}.json").read_text()) for name in sorted(GOLDEN)]
+        shipped = [Scenario.from_dict(data) for data in files]
+        assert [scenario.to_dict() for scenario in shipped] == files
+        campaign = default_campaign_base(monkeypatch)
+        assert campaign.to_dict()["params"] == {
+            "n": 20, "horizon": 20, "tau": 4, "eta": 4, "pi": 2, "gamma": "1/10",
+            "beta": "1/3", "r_a": 6, "seed": 0,
+        }
+        for scenario in (*shipped, campaign, Scenario.from_dict(MINIMAL_SCENARIO)):
+            again = Scenario.from_dict(scenario.to_dict())
+            assert again == scenario
+            assert again.canonical_hash() == scenario.canonical_hash()
+
+    def test_params_left_out_get_their_defaults(self):
+        scenario = Scenario.from_dict(MINIMAL_SCENARIO)
+        filled = {"n": 4, "horizon": 6, "tau": 0, "eta": None, "pi": 0, "gamma": "0",
+                  "beta": "1/3", "r_a": None, "seed": 0}
+        assert scenario.to_dict()["params"] == filled
+        assert (scenario.tau, scenario.eta, scenario.pi, scenario.gamma, scenario.beta,
+                scenario.r_a, scenario.seed) == (0, None, 0, 0, Fraction(1, 3), None, 0)
+        spelled_out = Scenario.from_dict({"params": filled})
+        assert spelled_out.canonical_hash() == scenario.canonical_hash()
+        assert scenario.canonical_hash()[:16] == "b10b304224d71360"
 
     def test_run_scenario_report_replays(self):
         scenario = load_scenario(SCENARIOS / "split_decision_eta2.json")
@@ -908,3 +951,68 @@ class TestScenarioRoundTrip:
         t2, r2 = run_scenario(scenario)
         assert trace_lines(t1, scenario) == trace_lines(t2, scenario)
         assert r1 == r2
+
+
+def gate_case(name: str, schedule: dict | None = None) -> dict:
+    data = json.loads((SCENARIOS / f"{name}.json").read_text())
+    return data if schedule is None else {**data, "schedule": schedule}
+
+
+#: One run per gating rule and outcome: the scenario, each property's
+#: reported ``gating`` (``None``: the property states no rule) and the exit
+#: code.
+GATE_CASES = {
+    "window_in_model": (
+        gate_case("prop1_expiring"),
+        {"safety_after_0": None, "ga_properties": None, "async_resilience": True,
+         "healing": True}, 0),
+    "window_out_of_model": (
+        gate_case("prop1_baseline"),
+        {"safety_after_0": None, "ga_properties": None, "async_resilience": False,
+         "healing": True}, 1),
+    # gamma 0 forbids any drop-off, so one process asleep from round 10 on
+    # breaks churn, the window's run is out of model and healing does not gate
+    "window_broken_churn": (
+        gate_case("prop1_expiring", {"explicit": {
+            "awake_honest": [list(range(8))] * 10 + [list(range(7))] * 7,
+            "byzantine": [[8, 9]] * 17}}),
+        {"safety_after_0": None, "ga_properties": None, "async_resilience": False,
+         "healing": False}, 0),
+    "no_window_fault_free": (
+        gate_case("sync_faultfree"),
+        {"safety_after_0": None, "ga_properties": None, "liveness_after_0": True}, 0),
+    "no_window_byzantine_at_horizon": (
+        gate_case("sync_faultfree", {"constant": {"n_byz": 2}}),
+        {"safety_after_0": None, "ga_properties": None, "liveness_after_0": False}, 0),
+    "no_window_broken_churn": (
+        gate_case("stall_participation_drop"),
+        {"safety_after_0": None, "ga_properties": None, "liveness_after_0": False}, 0),
+}
+
+
+class TestGateRules:
+    @pytest.mark.parametrize("case", sorted(GATE_CASES))
+    def test_each_property_reports_its_gating_rule(self, case):
+        data, gating, exit_code = GATE_CASES[case]
+        _, report = run_scenario(Scenario.from_dict(data))
+        assert {key: rep.get("gating") for key, rep in report["oracles"].items()} == gating
+        assert "gating" not in report["oracles"]["safety_after_0"]
+        assert "gating" not in report["oracles"]["ga_properties"]
+        assert report["exit_code"] == exit_code
+
+    @pytest.mark.parametrize("case", sorted(GATE_CASES))
+    def test_a_failure_gates_exactly_when_its_rule_holds(self, case, monkeypatch):
+        """Every gated check is made to fail: the exit code is 1 and the
+        failures list the properties whose rule holds, in report order."""
+        for name in ("check_safety_after", "check_async_resilience", "check_healing",
+                     "check_liveness_after"):
+            check = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, check=check, **k: replace(
+                check(*a, **k), verdict=Verdict.FAIL))
+        data, gating, _ = GATE_CASES[case]
+        _, report = run_scenario(Scenario.from_dict(data))
+        assert report["failures"] == [
+            report["oracles"][key]["name"] for key, rule in gating.items()
+            if key != "ga_properties" and rule is not False
+        ]
+        assert report["exit_code"] == 1

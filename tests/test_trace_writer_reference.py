@@ -6,15 +6,17 @@ encodes it with ``json.dumps(sort_keys=True)``.
 logs by slicing, names a ``deliver`` line's sends by the run of ids a
 ``range`` event holds or by its listed ids, and groups a record's
 receivers into claims by comparing each receiver's ``m`` and frontier ids
-with the claims so far.  It introduces every log a receiver grades, read
-from the frontier's expansion, where the writer introduces only the
-frontier and lets the parent walk add the prefixes.  Both writers must give
-equal lines on the six shipped scenarios, one default ``campaign`` seed,
-``World`` runs of random bounded schedules with and without a window, and
-a hand-built trace that delivers a tuple of ids, a range and nothing,
-decides the empty log and holds one record whose receivers share a view,
-one whose receivers do not, and one with a malformed frontier next to two
-receivers that hold equal claims in different view objects.
+with the claims so far.  It names a log's unnamed prefixes by slicing it,
+shortest first, where the writer walks up parent links; a record's logs are
+each receiver's tops, then its grade-1 log, and every log the frontier's
+expansion grades must be named after them.  Both writers must give equal
+lines on the six shipped scenarios, one default ``campaign`` seed, ``World``
+runs of random bounded schedules with and without a window, and a
+hand-built trace that delivers a tuple of ids, a range and nothing, decides
+the empty log and holds one record whose receivers share a view, one whose
+receivers do not, one with a malformed frontier next to two receivers that
+hold equal claims in different view objects, and one whose frontier names
+two unnamed logs on different branches.
 
 Every line must also read back to itself through ``json``, which pins the
 templates to the encoder's spacing and key order where no golden hash
@@ -26,10 +28,10 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import pytest
-from helpers import expand, fields_key, frontier, random_bounded_schedule
+from helpers import expand, frontier, random_bounded_schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,23 +105,20 @@ def reference_trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     def write(obj: dict, r: int) -> None:
         lines.append(json.dumps({**obj, "round": r}, sort_keys=True))
 
-    def introduce(logs: Iterable[Log], r: int) -> None:
-        fresh: set[Log] = set()
-        for log in logs:
-            while log not in log_ids and log not in fresh:
-                fresh.add(log)
-                log = Log(log.values[:-1])
-        for log in sorted(fresh, key=lambda log: (len(log), fields_key(log))):
-            log_ids[log] = len(log_ids)
-            write({"kind": "log", "actor": None, "payload": {
-                "id": log_ids[log],
-                "parent": log_ids[Log(log.values[:-1])] if log else None,
-                "value": log.values[-1]._asdict() if log else None,
-            }}, r)
+    def introduce(log: Log, r: int) -> None:
+        for k in range(len(log) + 1):
+            prefix = Log(log.values[:k])
+            if prefix not in log_ids:
+                log_ids[prefix] = len(log_ids)
+                write({"kind": "log", "actor": None, "payload": {
+                    "id": log_ids[prefix],
+                    "parent": log_ids[Log(log.values[:k - 1])] if k else None,
+                    "value": log.values[k - 1]._asdict() if k else None,
+                }}, r)
 
     for e in trace.events:
         if isinstance(e, SendEvent):
-            introduce((e.msg.log,), e.round)
+            introduce(e.msg.log, e.round)
             obj = {"kind": "send", "id": sends, "actor": e.msg.sender,
                    "payload": {"msg": reference_msg_to_json(e.msg, log_ids.__getitem__)}}
             sends += 1
@@ -130,12 +129,15 @@ def reference_trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
                 payload = {"msgs": list(e.ids)}
             obj = {"kind": "deliver", "actor": e.receiver, "payload": payload}
         elif isinstance(e, DecideEvent):
-            introduce((e.log,), e.round)
+            introduce(e.log, e.round)
             obj = {"kind": "decide", "actor": e.pid, "payload": {"log": log_ids[e.log]}}
         else:
             assert isinstance(e, GaRecord)
-            introduce((log for view in e.receivers.values()
-                       for log in expand(view.output)), e.round)
+            for view in e.receivers.values():
+                for log in (*view.output.tops, view.output.grade1):
+                    if log is not None:
+                        introduce(log, e.round)
+                assert all(log in log_ids for log in expand(view.output))
             obj = {"kind": "ga_record", "actor": None,
                    "payload": reference_record_to_json(e, log_ids.__getitem__)}
         write(obj, e.round)
@@ -219,6 +221,9 @@ def test_hand_built_trace_matches_reference():
     c = a.extended(Value(2, 1, 1))
     d = c.extended(Value(3, 1, 2))
     e = a.extended(Value(4, 2, 2))
+    f = b.extended(Value(5, 0, 3))
+    g = f.extended(Value(6, 0, 4))
+    h = e.extended(Value(7, 2, 3))
     vote = VoteMsg(sender=0, round=1, log=b)
     other = VoteMsg(sender=1, round=1, log=c)
     propose = ProposeMsg(sender=1, view=1, log=c, ticket=2**64 - 1)
@@ -240,6 +245,9 @@ def test_hand_built_trace_matches_reference():
         DecideEvent(2, 1, d),
         GaRecord(3, False, {0: b}, frozenset([3]),
                  {0: malformed, 1: view({d: 0}, 2), 2: view({d: 0}, 2)}),
+        # tops g and h are unnamed and on different branches: f and g, the
+        # prefixes of the first top, are numbered before h
+        GaRecord(4, False, {0: b}, frozenset([3]), {0: view({g: 0, h: 0}, 2)}),
     )
     schedule = constant_schedule(4, 4, 1, ModelParams(tau=2, eta=2, pi=0, gamma=Fraction(0),
                                                       beta=Fraction(1, 3)))
@@ -249,5 +257,8 @@ def test_hand_built_trace_matches_reference():
     assert delivered == [{"msgs": [1, 2]}, {"from": 0, "to": 3}, {"msgs": []}]
     records = [json.loads(line)["payload"]["claims"] for line in lines if '"ga_record"' in line]
     assert [[claim["receivers"] for claim in claims] for claims in records] == [
-        [[0, 1, 2]], [[0], [1], [2]], [[0], [1, 2]],
+        [[0, 1, 2]], [[0], [1], [2]], [[0], [1, 2]], [[0]],
     ]
+    fresh = [obj["payload"]["value"]["id"] for obj in map(json.loads, lines)
+             if obj["kind"] == "log" and obj["round"] == 4]
+    assert fresh == [5, 6, 7]
