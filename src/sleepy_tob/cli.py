@@ -11,13 +11,15 @@ Scenario files are JSON with exact ratio strings ("1/3").  A trace is
 JSON-lines: a header carrying the whole scenario and its hash, then one
 object per line (kind, round, actor, payload) of five kinds, each fact
 written once: ``log`` (one distinct log, linked to its parent log),
-``send`` (one message, with a send id: its index among the run's sends;
-its sender is the line's actor and a vote's round the line's round),
-``deliver`` (one receive phase, by a run of send ids or the ids its event
-holds), ``decide`` (a log id) and ``ga_record`` (each distinct claim of
-participation and graded frontier, with its receivers).  Everything is
-deterministic given the scenario: the same file and seed produce
-byte-identical outputs.  The environment variable ``SLEEPY_TOB_SEED``
+``send`` (a proposal, or the votes of one round for one log, with the send
+id of the first: its index among the run's sends; the sender, or the list
+of senders, is the line's actor and a vote's round the line's round),
+``deliver`` (one receive phase by the ids its event holds, or the
+receivers of one round given one run of send ids), ``decide`` (the
+processes deciding one log in one round) and ``ga_record`` (each distinct
+claim of participation and graded frontier, with its receivers).
+Everything is deterministic given the scenario: the same file and seed
+produce byte-identical outputs.  The environment variable ``SLEEPY_TOB_SEED``
 overrides the scenario seed.
 """
 
@@ -88,10 +90,12 @@ def decimal_str(x: Fraction, places: int = 12) -> str:
 
 
 SCENARIO_KEYS = {"name", "params", "schedule", "adversary", "oracles"}
+REQUIRED = object()  # the default of a parameter that a file must give
 #: Each scenario parameter, in the order the loader checks them, and the
-#: value a file that leaves it out gets; ``n`` and ``horizon`` get none, so
-#: leaving them out fails the integer check.
-PARAMS = {"n": None, "horizon": None, "tau": 0, "eta": None, "pi": 0, "gamma": "0",
+#: value a file that leaves it out gets.  A parameter whose default is None
+#: may be null; one that is ``REQUIRED`` reads as null when left out, so
+#: leaving it out fails the integer check.
+PARAMS = {"n": REQUIRED, "horizon": REQUIRED, "tau": 0, "eta": None, "pi": 0, "gamma": "0",
           "beta": "1/3", "r_a": None, "seed": 0}
 RATIOS = {"gamma", "beta"}  # exact ratio strings; every other parameter is an integer
 SCHEDULE_KEYS = {"constant": {"n_byz"}, "explicit": {"awake_honest", "byzantine"},
@@ -200,10 +204,11 @@ class Scenario:
             )
 
         def param(key: str) -> Any:
-            value = p.get(key, PARAMS[key])
+            default = PARAMS[key]
+            value = p.get(key, None if default is REQUIRED else default)
             if key in RATIOS:
                 return parse_ratio(value)
-            if type(value) is not int and not (value is None and key in ("eta", "r_a")):
+            if type(value) is not int and not (value is None and default is None):
                 raise ScenarioError(f"params {key} must be an integer, got {value!r}")
             return value
 
@@ -302,18 +307,29 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     Each distinct log is written once, as a ``log`` line whose payload is
     its ``id``, its ``parent`` id and its last ``value`` (both null for the
     empty log, the root).  It comes before the first line naming it, with
-    that line's round; ids follow first use, a log's parent first.  Each
-    ``send`` line carries an ``id``, its index among the send lines;
-    ``deliver`` lines name messages by that id, which is the index a
-    ``DeliverEvent`` holds, and every other line names logs by log id.  A
-    delivery whose ids are a ``range``, that of a synchronous receiver that
-    held nothing back, is written as the half-open run ``from``, ``to``; any
-    other lists its ids as ``msgs``.
+    that line's round; ids follow first use, a log's parent first.  Sends
+    are numbered in send order, which is the index a ``DeliverEvent``
+    holds; ``deliver`` lines name messages by that id, and every other line
+    names logs by log id.  A delivery whose ids are a ``range``, that of a
+    synchronous receiver that held nothing back, is written as the
+    half-open run ``from``, ``to``; any other lists its ids as ``msgs``.
+
+    A run of consecutive events that state one fact is one cohort line,
+    whose ``actor`` lists the events' processes in event order: the vote
+    sends of one round for one log, whose ``id`` is the first vote's, the
+    k-th sender's vote having id ``id + k``; the decide events of one round
+    for one log; and the range deliveries of one round with one ``from``
+    and ``to``.  Such a line lists its actors even when it holds one.  A
+    proposal ``send`` line (with its sender and its own ``id``), a
+    ``msgs`` delivery (with its receiver) and every other line name one
+    actor, or none.  A run is told apart by comparing each event with the
+    one before it.
 
     Every line but the header holds only integers, nulls, booleans and
     fixed strings, so each is written from a fixed per-kind template with
     its keys in sorted order.  Every fact takes O(1) bytes, but for the
-    send ids an adversary chose and a claim's list of receivers.
+    send ids an adversary chose and the lists of actors and receivers,
+    which grow with the cohort that shares the fact.
     """
     log_ids: dict[Log, int] = {}
     sends = 0
@@ -341,34 +357,59 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
                 append(f'{{"actor": null, "kind": "log", "payload": {{"id": {i}, '
                        f'"parent": null, "value": null}}, "round": {r}}}')
 
+    # each cohort line: its index in lines, its actors and the text after them
+    cohorts: list[tuple[int, list[ProcessId], str]] = []
+    actors: list[ProcessId] = []  # those of the open cohort line
+    prev = None  # the last event of the open cohort line, None if none is open
+
+    def cohort(actor: ProcessId, rest: str) -> list[ProcessId]:
+        """Open a cohort line, to be filled in once its run has ended."""
+        members = [actor]
+        cohorts.append((len(lines), members, rest))
+        append("")
+        return members
+
     for e in trace.events:
         r = e.round
         if isinstance(e, DeliverEvent):
             ids = e.ids
-            if isinstance(ids, range):
-                append(f'{{"actor": {e.receiver}, "kind": "deliver", '
-                       f'"payload": {{"from": {ids.start}, "to": {ids.stop}}}, "round": {r}}}')
-            else:
+            if not isinstance(ids, range):
                 append(f'{{"actor": {e.receiver}, "kind": "deliver", '
                        f'"payload": {{"msgs": [{", ".join(map(str, ids))}]}}, "round": {r}}}')
+                prev = None
+                continue
+            if (type(prev) is DeliverEvent and prev.round == r and prev.ids.start == ids.start
+                    and prev.ids.stop == ids.stop):
+                actors.append(e.receiver)
+            else:
+                actors = cohort(e.receiver, f'"kind": "deliver", "payload": {{"from": '
+                                            f'{ids.start}, "to": {ids.stop}}}, "round": {r}}}')
         elif isinstance(e, SendEvent):
             msg = e.msg
-            if msg.log not in log_ids:
-                introduce(msg.log, r)
-            if isinstance(msg, VoteMsg):
-                append(f'{{"actor": {msg.sender}, "id": {sends}, "kind": "send", '
-                       f'"payload": {{"msg": {{"log": {log_ids[msg.log]}, "type": "vote"}}}}, '
-                       f'"round": {r}}}')
+            i, sends = sends, sends + 1
+            # the votes of a cohort share one log object, so ``is`` settles most tests
+            if (isinstance(msg, VoteMsg) and type(prev) is SendEvent and prev.round == r
+                    and (prev.msg.log is msg.log or prev.msg.log == msg.log)):
+                actors.append(msg.sender)
             else:
-                append(f'{{"actor": {msg.sender}, "id": {sends}, "kind": "send", '
-                       f'"payload": {{"msg": {{"log": {log_ids[msg.log]}, "ticket": {msg.ticket}, '
-                       f'"type": "propose", "view": {msg.view}}}}}, "round": {r}}}')
-            sends += 1
+                if msg.log not in log_ids:
+                    introduce(msg.log, r)
+                if not isinstance(msg, VoteMsg):
+                    append(f'{{"actor": {msg.sender}, "id": {i}, "kind": "send", "payload": '
+                           f'{{"msg": {{"log": {log_ids[msg.log]}, "ticket": {msg.ticket}, '
+                           f'"type": "propose", "view": {msg.view}}}}}, "round": {r}}}')
+                    prev = None
+                    continue
+                actors = cohort(msg.sender, f'"id": {i}, "kind": "send", "payload": {{"msg": '
+                                f'{{"log": {log_ids[msg.log]}, "type": "vote"}}}}, "round": {r}}}')
         elif isinstance(e, DecideEvent):
-            if e.log not in log_ids:
-                introduce(e.log, r)
-            append(f'{{"actor": {e.pid}, "kind": "decide", '
-                   f'"payload": {{"log": {log_ids[e.log]}}}, "round": {r}}}')
+            if type(prev) is DecideEvent and prev.round == r and prev.log == e.log:
+                actors.append(e.pid)
+            else:
+                if e.log not in log_ids:
+                    introduce(e.log, r)
+                actors = cohort(e.pid, f'"kind": "decide", "payload": {{"log": {log_ids[e.log]}}}, '
+                                       f'"round": {r}}}')
         else:
             assert isinstance(e, GaRecord)
             for output in {id(view.output): view.output for view in e.receivers.values()}.values():
@@ -378,6 +419,11 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
                         introduce(log, r)
             append(f'{{"actor": null, "kind": "ga_record", '
                    f'"payload": {record_to_json(e, log_ids.__getitem__)}, "round": {r}}}')
+            prev = None
+            continue
+        prev = e
+    for at, members, rest in cohorts:
+        lines[at] = f'{{"actor": [{", ".join(map(str, members))}], {rest}'
     return lines
 
 

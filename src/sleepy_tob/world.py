@@ -44,8 +44,11 @@ use and equal keys mean one output and one store.  A synchronous receive
 phase hands every receiver the same output and proposal snapshot, so after
 one the round is a single cohort, unless the output is empty and some
 candidates differ (a process that slept through a round-1 step keeps an
-older one).  The decide and send events are then recorded in pid order, as
-if each process had stepped alone.
+older one).  A round's send phase is recorded in runs of one kind: every
+decide event, then every vote send, then every proposal send, each run in
+pid order, then the strategy's messages.  So the votes of a cohort take one
+run of send ids, and its decisions and votes are consecutive events, which
+the trace writes as one line each (``cli.trace_lines``).
 
 The adversary's messages are checked once, where they enter the run, by
 ``ga.check_adversary_message``: a message whose sender is not Byzantine in
@@ -454,19 +457,22 @@ class World:
                 else:
                     rows.extend(step_round2(cohort, this_view, outputs, self.seed))
             rows.sort()  # the votes' senders are distinct, so this is pid order
-            # _broadcast, inlined
+            # the decisions, then the votes, then the proposals, each a run
+            # in pid order; _broadcast, inlined
             sent, votes, proposals = self.sent, self.votes, self.proposals
-            for vote, second in rows:
-                if round1 and second is not None:
-                    events.append(new_record(DecideEvent, (r, vote.sender, second)))
+            if round1:
+                events.extend(new_record(DecideEvent, (r, vote.sender, decided))
+                              for vote, decided in rows if decided is not None)
+            for vote, _ in rows:
                 events.append(new_record(SendEvent, (r, vote)))
                 keep_latest(votes, vote)
                 sent.append(vote)
-                if not round1:
-                    events.append(new_record(SendEvent, (r, second)))
-                    proposals.setdefault(second.view, set()).add(second)
-                    sent.append(second)
                 inputs[vote.sender] = vote.log
+            if not round1:
+                for _, pm in rows:
+                    events.append(new_record(SendEvent, (r, pm)))
+                    proposals.setdefault(pm.view, set()).add(pm)
+                    sent.append(pm)
 
         for msg in self.strategy.messages(self, r):
             check_adversary_message(msg, r, sched.byzantine[r], self.seed)

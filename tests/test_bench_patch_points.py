@@ -128,11 +128,16 @@ def test_benchmark_golden_reports_match_the_golden_table():
     }
 
 
-def test_traced_benchmark_run_is_correct(tmp_path):
-    """One traced long_horizon pass, run from a copy of the checkout so that
+@pytest.mark.parametrize("workload, digest", [("long_horizon", "37bb25a8a60d3e60"),
+                                              ("scenarios", "adf17b6c85f4b120")],
+                         ids=["long_horizon", "scenarios"])
+def test_traced_benchmark_run_is_correct(tmp_path, workload, digest):
+    """One traced pass of a workload, run from a copy of the checkout so that
     nothing is written into it: the benchmark's own checks (traced against
     untraced reports, exact counts of a repeated pass, the report digest)
-    must all hold, with no tracer warning."""
+    must all hold, with no tracer warning.  On scenarios they also compare
+    the traced ``trace.jsonl`` with the untraced one, and count the bytes of
+    every line by its kind."""
     root = LAYERS.parent.parent
     for name in ("src", "scenarios", "perfbench"):
         shutil.copytree(root / name, tmp_path / name,
@@ -140,11 +145,11 @@ def test_traced_benchmark_run_is_correct(tmp_path):
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("PYTHONPATH", None)
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "long_horizon", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--trace", "1"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     info, result = (json.loads(line) for line in done.stdout.splitlines())
     assert info["warnings"] == [] and info["problems"] == []
-    assert info["report_digest"].split()[0] == "37bb25a8a60d3e60"
+    assert info["report_digest"].split()[0] == digest
     assert result["correct"] is True and result["failed"] == 0

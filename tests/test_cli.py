@@ -32,12 +32,12 @@ SCENARIOS = ROOT / "scenarios"
 
 #: scenario -> (exit code, sha256[:16] of trace.jsonl, sha256[:16] of report.json)
 GOLDEN = {
-    "prop1_baseline": (1, "6bd909ee237ff1e5", "3c15a622f1fea58b"),
-    "prop1_expiring": (0, "6ed2968293da389d", "8336d6af4f488323"),
-    "split_decision_eta0": (1, "88e1c8a747fab34d", "b58322772f586e04"),
-    "split_decision_eta2": (0, "1f1bf3899acbe49e", "1836facf6f02d65a"),
-    "stall_participation_drop": (0, "61ed4606eb74f022", "ccb9169d3a61bd3a"),
-    "sync_faultfree": (0, "7d7e4ec943edcc96", "fda45c4855c02d40"),
+    "prop1_baseline": (1, "65ab90bec25bb2ab", "3c15a622f1fea58b"),
+    "prop1_expiring": (0, "7b8d4cfc123691c6", "8336d6af4f488323"),
+    "split_decision_eta0": (1, "e1aac0c5a829ef4e", "b58322772f586e04"),
+    "split_decision_eta2": (0, "19022866382bff14", "1836facf6f02d65a"),
+    "stall_participation_drop": (0, "3f82e50cb5ace850", "ccb9169d3a61bd3a"),
+    "sync_faultfree": (0, "1d0737aff51a0cbc", "fda45c4855c02d40"),
 }
 
 
@@ -102,7 +102,10 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
     """trace.jsonl alone gives back the scenario, every log, send, receive
     phase and decision of the run, and per instance its inputs and each
     receiver's initial and received votes, participation and full grade
-    map, expanded from its claim's frontier through the parent ids.
+    map, expanded from its claim's frontier through the parent ids.  A line
+    whose actor is a list (the vote sends, decisions or synchronous
+    deliveries of one round that state one fact) expands into one fact per
+    member, and no two adjacent lines could have been one such line.
 
     The votes are folded here, not with the package's rule: per receiver
     and sender, the newest round delivered counts if it is inside the
@@ -145,29 +148,36 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
                 logs.append(log(payload["parent"]).extended(Value(**payload["value"])))
         elif kind == "send":
             assert obj["id"] == len(sent)
-            # a send line names its sender once, as its actor, and a vote's
-            # round once, as the line's round
-            fields = {**payload["msg"], "sender": actor, "log": log(payload["msg"]["log"])}
+            # a send line names its senders once, as its actor, and a vote's
+            # round once, as the line's round; a vote line lists the senders
+            # of one run, the k-th of them sending id + k
+            fields = {**payload["msg"], "log": log(payload["msg"]["log"])}
             if fields.pop("type") == "vote":
-                sent.append((r, VoteMsg(round=r, **fields)))
+                assert type(actor) is list
+                sent += [(r, VoteMsg(sender=p, round=r, **fields)) for p in actor]
             else:
-                sent.append((r, ProposeMsg(**fields)))
+                assert type(actor) is int
+                sent.append((r, ProposeMsg(sender=actor, **fields)))
         elif kind == "deliver":
             if "msgs" in payload:
-                ids = payload["msgs"]
+                assert type(actor) is int
+                receivers, ids = [actor], payload["msgs"]
             else:
-                assert set(payload) == {"from", "to"}
-                ids = list(range(payload["from"], payload["to"]))
-            deliveries.append((r, actor, ids))
-            for m in (sent[i][1] for i in ids):
-                if isinstance(m, VoteMsg):
-                    rnd, votes = newest.get((actor, m.sender), (-1, set()))
-                    if m.round > rnd:
-                        newest[actor, m.sender] = (m.round, {m})
-                    elif m.round == rnd:
-                        votes.add(m)
+                # the receivers of one run of send ids
+                assert set(payload) == {"from", "to"} and type(actor) is list
+                receivers, ids = actor, list(range(payload["from"], payload["to"]))
+            for q in receivers:
+                deliveries.append((r, q, ids))
+                for m in (sent[i][1] for i in ids):
+                    if isinstance(m, VoteMsg):
+                        rnd, votes = newest.get((q, m.sender), (-1, set()))
+                        if m.round > rnd:
+                            newest[q, m.sender] = (m.round, {m})
+                        elif m.round == rnd:
+                            votes.add(m)
         elif kind == "decide":
-            decisions.append((r, actor, log(payload["log"])))
+            assert type(actor) is list
+            decisions += [(r, p, log(payload["log"])) for p in actor]
         else:
             assert kind == "ga_record"
             start = 0 if eta is None else r - eta
@@ -188,6 +198,12 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
                       and m.sender not in payload["byzantine"]}
             records[r] = (payload["synchronous"], set(payload["byzantine"]), inputs, views)
 
+    # each line with an actor list holds a whole run: no two adjacent lines
+    # state one fact, of one kind and round, with the next send id for votes
+    for a, b in zip(lines, lines[1:]):
+        same = [(obj["kind"], obj["round"], obj["payload"]) for obj in (a, b)]
+        assert not (type(a["actor"]) is list and type(b["actor"]) is list and same[0] == same[1]
+                    and (a["kind"] != "send" or b["id"] == a["id"] + len(a["actor"]))), (a, b)
     assert [m for _, m in sent] == [e.msg for e in trace.send_events()]
     assert deliveries == [(e.round, e.receiver, list(e.ids))
                           for e in trace.events if isinstance(e, DeliverEvent)]
@@ -209,8 +225,11 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("n", [8, 40])
 def test_synchronous_facts_take_one_line_of_fixed_shape(n):
     """In a fault-free run every receive phase is synchronous and holds
-    nothing back, so each ``deliver`` line is a run of send ids, and each
-    ``ga_record`` line is one claim held by the round's awake receivers."""
+    nothing back, and every round is one cohort.  So each round's
+    deliveries are one ``deliver`` line, a run of send ids held by the
+    round's receivers, each round's votes one ``send`` line and its
+    decisions at most one ``decide`` line, and each ``ga_record`` line is
+    one claim held by the round's awake receivers."""
     scenario = Scenario(name="faultfree", n=n, horizon=12, tau=4, eta=4, pi=0,
                         gamma=Fraction(0), beta=Fraction(1, 3), r_a=None, seed=1,
                         schedule_spec={"constant": {}})
@@ -220,8 +239,16 @@ def test_synchronous_facts_take_one_line_of_fixed_shape(n):
     objs = [json.loads(line) for line in trace_lines(trace, scenario)[1:]]
     deliveries = [obj for obj in objs if obj["kind"] == "deliver"]
     records = [obj for obj in objs if obj["kind"] == "ga_record"]
-    assert len(deliveries) == n * schedule.horizon
-    assert all(set(obj["payload"]) == {"from", "to"} for obj in deliveries)
+    assert [obj["round"] for obj in deliveries] == list(range(schedule.horizon))
+    for obj in deliveries:
+        assert set(obj["payload"]) == {"from", "to"}
+        assert obj["actor"] == sorted(schedule.awake_honest[obj["round"] + 1])
+    votes = [obj for obj in objs
+             if obj["kind"] == "send" and obj["payload"]["msg"]["type"] == "vote"]
+    assert [obj["round"] for obj in votes] == list(range(1, schedule.horizon))
+    assert all(obj["actor"] == list(range(n)) for obj in votes)
+    decided = [obj["round"] for obj in objs if obj["kind"] == "decide"]
+    assert decided and len(set(decided)) == len(decided)
     assert len(records) == schedule.horizon - 1
     for obj in records:
         assert obj["payload"]["synchronous"]
@@ -944,6 +971,22 @@ class TestScenarioRoundTrip:
         spelled_out = Scenario.from_dict({"params": filled})
         assert spelled_out.canonical_hash() == scenario.canonical_hash()
         assert scenario.canonical_hash()[:16] == "b10b304224d71360"
+
+    def test_only_parameters_defaulting_to_null_may_be_null(self):
+        """``eta`` and ``r_a`` may be null; ``n`` and ``horizon``, which a
+        file must give, and ``tau`` may not, and leaving ``n`` out reads as
+        a null ``n``."""
+        for key in ("eta", "r_a"):
+            params = {**MINIMAL_SCENARIO["params"], key: None}
+            assert getattr(Scenario.from_dict({"params": params}), key) is None
+        for key in ("n", "horizon", "tau"):
+            params = {**MINIMAL_SCENARIO["params"], key: None}
+            with pytest.raises(cli.ScenarioError) as err:
+                Scenario.from_dict({"params": params})
+            assert str(err.value) == f"params {key} must be an integer, got None"
+        with pytest.raises(cli.ScenarioError) as err:
+            Scenario.from_dict({"params": {"horizon": 6}})
+        assert str(err.value) == "params n must be an integer, got None"
 
     def test_run_scenario_report_replays(self):
         scenario = load_scenario(SCENARIOS / "split_decision_eta2.json")

@@ -9,14 +9,24 @@ receivers into claims by comparing each receiver's ``m`` and frontier ids
 with the claims so far.  It names a log's unnamed prefixes by slicing it,
 shortest first, where the writer walks up parent links; a record's logs are
 each receiver's tops, then its grade-1 log, and every log the frontier's
-expansion grades must be named after them.  Both writers must give equal
-lines on the six shipped scenarios, one default ``campaign`` seed, ``World``
+expansion grades must be named after them.  It writes one dict per event,
+and ``reference_merge`` then states the cohort rule from the format alone:
+adjacent dicts of one kind and round with equal payloads, each a vote
+send, a decision or a range delivery, become one dict whose actor lists
+theirs, a vote joining only with the next send id.  Both writers must give
+equal lines on the six shipped scenarios, one default ``campaign`` seed, ``World``
 runs of random bounded schedules with and without a window, and a
 hand-built trace that delivers a tuple of ids, a range and nothing, decides
 the empty log and holds one record whose receivers share a view, one whose
 receivers do not, one with a malformed frontier next to two receivers that
 hold equal claims in different view objects, and one whose frontier names
-two unnamed logs on different branches.
+two unnamed logs on different branches.  A second hand-built trace holds
+runs that must break a cohort line: two vote logs in one round, a
+Byzantine sender voting two logs in one round, a decide run split by a
+different log, two range deliveries of one round with different ``from``
+(a process waking) or ``to``, and a vote, decide and delivery run each
+followed by the same fact in the next round; and one that must join it, a
+Byzantine vote for a cohort's log right after the cohort.
 
 Every line must also read back to itself through ``json``, which pins the
 templates to the encoder's spacing and key order where no golden hash
@@ -87,23 +97,48 @@ def reference_record_to_json(record: GaRecord, log_id: Callable[[Log], int]) -> 
     }
 
 
+def states_cohort_fact(obj: dict) -> bool:
+    """Whether a per-event dict is one that a cohort line may hold: a vote
+    send, a decision or a delivery of a run of send ids."""
+    kind, payload = obj["kind"], obj["payload"]
+    return (kind == "decide" or kind == "send" and payload["msg"]["type"] == "vote"
+            or kind == "deliver" and "from" in payload)
+
+
+def reference_merge(objs: list[dict]) -> list[dict]:
+    """Adjacent dicts of one kind and round that state one fact (equal
+    payloads) become one, whose actor lists theirs in order; a vote joins
+    only with the next send id.  Every dict that may join one has an actor
+    list, however many it holds."""
+    merged: list[dict] = []
+    for obj in objs:
+        if not states_cohort_fact(obj):
+            merged.append(obj)
+            continue
+        last = merged[-1] if merged else None
+        if (last is not None and type(last["actor"]) is list
+                and (last["kind"], last["round"], last["payload"])
+                == (obj["kind"], obj["round"], obj["payload"])
+                and (obj["kind"] != "send" or obj["id"] == last["id"] + len(last["actor"]))):
+            last["actor"].append(obj["actor"])
+        else:
+            merged.append({**obj, "actor": [obj["actor"]]})
+    return merged
+
+
 def reference_trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     log_ids: dict[Log, int] = {}
     sends = 0
-    lines = [
-        json.dumps(
-            {
-                "kind": "header",
-                "scenario": scenario.to_dict(),
-                "scenario_hash": scenario.canonical_hash(),
-                "strategy": trace.strategy_name,
-            },
-            sort_keys=True,
-        )
-    ]
+    header = {
+        "kind": "header",
+        "scenario": scenario.to_dict(),
+        "scenario_hash": scenario.canonical_hash(),
+        "strategy": trace.strategy_name,
+    }
+    objs: list[dict] = []
 
     def write(obj: dict, r: int) -> None:
-        lines.append(json.dumps({**obj, "round": r}, sort_keys=True))
+        objs.append({**obj, "round": r})
 
     def introduce(log: Log, r: int) -> None:
         for k in range(len(log) + 1):
@@ -141,7 +176,7 @@ def reference_trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
             obj = {"kind": "ga_record", "actor": None,
                    "payload": reference_record_to_json(e, log_ids.__getitem__)}
         write(obj, e.round)
-    return lines
+    return [json.dumps(obj, sort_keys=True) for obj in (header, *reference_merge(objs))]
 
 
 # ---------------------------------------------------------------------------
@@ -262,3 +297,53 @@ def test_hand_built_trace_matches_reference():
     fresh = [obj["payload"]["value"]["id"] for obj in map(json.loads, lines)
              if obj["kind"] == "log" and obj["round"] == 4]
     assert fresh == [5, 6, 7]
+
+
+def test_cohort_lines_break_where_the_fact_changes():
+    """Runs of adjacent vote sends, decisions and range deliveries are one
+    line while kind, round and fact hold: a vote line breaks at a second
+    log in its round and at a new round, and holds a Byzantine vote for the
+    cohort's log right after it; a decide run breaks at a different log and
+    a new round; a delivery run at a different ``from`` (a process waking
+    with an older cursor), a different ``to`` and a new round."""
+    a = Log((GENESIS,))
+    b = a.extended(Value(1, 0, 1))
+
+    def vote(p, r, log):
+        return SendEvent(r, VoteMsg(p, r, log))
+
+    events = (
+        # process 4 is Byzantine: it votes the second cohort's log, then the first's
+        vote(0, 1, a), vote(1, 1, a), vote(2, 1, b), vote(4, 1, b), vote(4, 1, a),
+        vote(0, 2, a), vote(1, 2, a),
+        DecideEvent(2, 0, a), DecideEvent(2, 1, a), DecideEvent(2, 2, b), DecideEvent(2, 3, a),
+        DecideEvent(3, 0, a),
+        DeliverEvent(3, 0, range(0, 9)), DeliverEvent(3, 1, range(0, 9)),
+        DeliverEvent(3, 3, range(2, 9)), DeliverEvent(3, 2, range(0, 9)),
+        DeliverEvent(4, 0, range(0, 9)), DeliverEvent(4, 1, range(0, 10)),
+    )
+    schedule = constant_schedule(5, 5, 1, ModelParams(tau=2, eta=2, pi=0, gamma=Fraction(0),
+                                                      beta=Fraction(1, 3)))
+    lines = assert_same_lines(Trace(schedule, "hand-built", events), HEADER_SCENARIO)
+    assert_lines_read_back(lines)
+    facts = [(obj["kind"], obj["round"], obj["actor"], obj.get("id"), obj["payload"])
+             for obj in map(json.loads, lines[1:]) if obj["kind"] != "log"]
+
+    def voted(log_id):
+        return {"msg": {"log": log_id, "type": "vote"}}
+
+    assert facts == [
+        ("send", 1, [0, 1], 0, voted(1)),
+        ("send", 1, [2, 4], 2, voted(2)),
+        ("send", 1, [4], 4, voted(1)),
+        ("send", 2, [0, 1], 5, voted(1)),
+        ("decide", 2, [0, 1], None, {"log": 1}),
+        ("decide", 2, [2], None, {"log": 2}),
+        ("decide", 2, [3], None, {"log": 1}),
+        ("decide", 3, [0], None, {"log": 1}),
+        ("deliver", 3, [0, 1], None, {"from": 0, "to": 9}),
+        ("deliver", 3, [3], None, {"from": 2, "to": 9}),
+        ("deliver", 3, [2], None, {"from": 0, "to": 9}),
+        ("deliver", 4, [0], None, {"from": 0, "to": 9}),
+        ("deliver", 4, [1], None, {"from": 0, "to": 10}),
+    ]

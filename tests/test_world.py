@@ -271,9 +271,11 @@ class TestDelivery:
         assert len(deliveries) == 3
         assert all(e.ids == range(twice[0] - 3, twice[1] + 1) for e in deliveries)
         lines = trace_lines(trace, load_scenario(SCENARIOS / "sync_faultfree.json"))
-        delivered = [json.loads(line)["payload"] for line in lines
+        delivered = [json.loads(line) for line in lines
                      if '"deliver"' in line and '"round": 1}' in line]
-        assert delivered == [{"from": twice[0] - 3, "to": twice[1] + 1}] * 3
+        assert [(obj["actor"], obj["payload"]) for obj in delivered] == [
+            ([0, 1, 2], {"from": twice[0] - 3, "to": twice[1] + 1})
+        ]
 
     def test_async_round_never_delivers_unsent_message(self):
         forged = VoteMsg(sender=4, round=5, log=Log((GENESIS,)))

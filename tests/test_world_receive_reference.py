@@ -12,7 +12,9 @@ that it keeps its own per-receiver queues, ``queues``, since
 messages with ``split_queue``, which is ``ga.delivered`` as it was before
 delivery named send indices, and that it records each delivery as a
 (round, receiver, messages) triple, since a ``DeliverEvent`` names sends
-by their index in ``World.sent``.  After every round, ``World.pending``
+by their index in ``World.sent``, and that it records a round's send phase
+in ``World``'s order: every decision, then every vote, then every
+proposal, each in pid order, then the strategy's messages.  After every round, ``World.pending``
 must equal those queues for every process not Byzantine in that round,
 and in a synchronous round a receiver that held nothing back must be
 delivered the range from its cursor to the end of the send log.  Both
@@ -88,12 +90,15 @@ class PerReceiverWorld(World):
         sched = self.schedule
         clock = ViewClock(r)
         inputs: dict[ProcessId, Log] = {}
+        # the decisions are recorded as they are taken, the votes and then
+        # the proposals once every process has stepped
+        cast: list[Msg] = []
+        proposed: list[Msg] = []
 
         for p in sorted(sched.awake_honest[r]):
             state = self.states[p]
             if clock.phase is Phase.VIEW0:
-                for pm in step_view0(state, self.seed):
-                    self._broadcast(pm, r)
+                proposed += step_view0(state, self.seed)
                 continue
             # p is awake at r, so it received in round r - 1 and its
             # pending output is that round's
@@ -103,12 +108,14 @@ class PerReceiverWorld(World):
                 decided, vote = reference_step_round1(state, clock.view, outputs, proposals, {})
                 if decided is not None:
                     self.events.append(DecideEvent(round=r, pid=p, log=decided))
-                self._broadcast(vote, r)
+                cast.append(vote)
             else:
                 vote, proposal = reference_step_round2(state, clock.view, outputs, self.seed)
-                self._broadcast(vote, r)
-                self._broadcast(proposal, r)
+                cast.append(vote)
+                proposed.append(proposal)
             inputs[p] = vote.log
+        for msg in (*cast, *proposed):
+            self._broadcast(msg, r)
 
         for msg in self.strategy.messages(self, r):
             if msg.sender not in sched.byzantine[r]:
