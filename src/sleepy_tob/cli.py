@@ -21,11 +21,18 @@ claim of participation and graded frontier, with its receivers).
 Everything is deterministic given the scenario: the same file and seed
 produce byte-identical outputs.  The environment variable ``SLEEPY_TOB_SEED``
 overrides the scenario seed.
+
+A run builds no reference cycles, so ``run_scenario`` (and with it each
+``campaign`` run) and ``run`` through its trace and report writes pause
+CPython's cyclic collector (``PausedCollector``), which would otherwise
+walk the run's events, messages and logs again on every pass, and restore
+the caller's collector state when they return or raise.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -458,6 +465,33 @@ def decision_latencies(trace: Trace) -> dict[str, Any]:
     }
 
 
+class PausedCollector:
+    """A ``with`` block in which CPython's cyclic collector does not run.
+
+    Entry records whether the collector is enabled and disables it; exit
+    enables it again only if it was, on an exception too, so a caller that
+    disabled it keeps it disabled.  A judged run builds no reference
+    cycles, so reference counting frees all it makes, and the collector
+    would only walk, again and again, the events, messages and logs the run
+    keeps until its verdicts are in.
+
+    A paused collector still counts allocations, so a tracked allocation
+    after ``gc.enable()`` may start a young-generation collection over
+    every object the block left alive.  ``__exit__`` therefore enables
+    the collector last, and a function that returns from inside the block
+    frees its locals, or hands them to its caller, before it allocates
+    again.
+    """
+
+    def __enter__(self) -> None:
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.was_enabled:
+            gc.enable()
+
+
 def run_scenario(scenario: Scenario) -> tuple[Trace, dict]:
     """Simulate one scenario and assemble its oracle report.
 
@@ -469,71 +503,78 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, dict]:
     ``None`` means the property always gates and states no rule
     (``safety_after_0``).  ``ga_properties`` always gates too: the
     agreement properties judge their own quorum hypotheses per round.
+
+    The run is simulated and judged with the cyclic collector paused, and
+    the caller's collector state is restored on return and on an exception.
+    A caller that keeps the returned trace pays for one young-generation
+    collection over it at its next allocation; one that drops it at once,
+    as ``campaign`` does, pays nothing.
     """
-    schedule = build_schedule(scenario)
-    strategy = STRATEGIES[scenario.adversary]()
-    trace = run(schedule, strategy, scenario.seed)
-    model_report = check_all(schedule)
-    liveness_window = scenario.oracles.get("liveness_window", LIVENESS_WINDOW)
-    reports: dict[str, dict] = {}
-    failures: list[str] = []
+    with PausedCollector():
+        schedule = build_schedule(scenario)
+        strategy = STRATEGIES[scenario.adversary]()
+        trace = run(schedule, strategy, scenario.seed)
+        model_report = check_all(schedule)
+        liveness_window = scenario.oracles.get("liveness_window", LIVENESS_WINDOW)
+        reports: dict[str, dict] = {}
+        failures: list[str] = []
 
-    def gate(key: str, report: OracleReport, gating: bool | None = None) -> None:
-        reports[key] = report.to_dict()
-        if gating is not None:
-            reports[key]["gating"] = gating
-        if gating is not False and report.verdict is Verdict.FAIL:
-            failures.append(report.name)
+        def gate(key: str, report: OracleReport, gating: bool | None = None) -> None:
+            reports[key] = report.to_dict()
+            if gating is not None:
+                reports[key]["gating"] = gating
+            if gating is not False and report.verdict is Verdict.FAIL:
+                failures.append(report.name)
 
-    gate("safety_after_0", check_safety_after(trace, 0))
+        gate("safety_after_0", check_safety_after(trace, 0))
 
-    ga_reports = trace_ga_reports(trace)
-    ga_failures = []
-    applicable_rounds = 0
-    for rnd, per_check in ga_reports.items():
-        if any(rep.verdict is not Verdict.NOT_APPLICABLE for rep in per_check.values()):
-            applicable_rounds += 1
-        for rep in per_check.values():
-            if rep.verdict is Verdict.FAIL:
-                ga_failures.append({"round": rnd, **rep.to_dict()})
-    reports["ga_properties"] = {
-        "rounds_checked": applicable_rounds,
-        "failures": ga_failures,
-    }
-    if ga_failures:
-        failures.append("ga_properties")
+        ga_reports = trace_ga_reports(trace)
+        ga_failures = []
+        applicable_rounds = 0
+        for rnd, per_check in ga_reports.items():
+            if any(rep.verdict is not Verdict.NOT_APPLICABLE for rep in per_check.values()):
+                applicable_rounds += 1
+            for rep in per_check.values():
+                if rep.verdict is Verdict.FAIL:
+                    ga_failures.append({"round": rnd, **rep.to_dict()})
+        reports["ga_properties"] = {
+            "rounds_checked": applicable_rounds,
+            "failures": ga_failures,
+        }
+        if ga_failures:
+            failures.append("ga_properties")
 
-    in_model = model_report.all_pass
-    if schedule.r_a is not None:
-        # in model, and the parameters leave no gap
-        gate("async_resilience", check_async_resilience(trace, schedule.r_a, schedule.pi),
-             in_model and not schedule.params.async_resilience_gaps())
-        # churn and the failure ratio hold
-        gate("healing", check_healing(trace, schedule.r_a + schedule.pi,
-                                      liveness_window=liveness_window),
-             model_report.sleepy_pass)
-    else:
-        # probabilistic with Byzantine leaders in play, so only fault-free
-        # in-model runs gate on it
-        gate("liveness_after_0", check_liveness_after(trace, 0, liveness_window),
-             model_report.sleepy_pass and not schedule.byzantine[schedule.horizon])
+        in_model = model_report.all_pass
+        if schedule.r_a is not None:
+            # in model, and the parameters leave no gap
+            gate("async_resilience", check_async_resilience(trace, schedule.r_a, schedule.pi),
+                 in_model and not schedule.params.async_resilience_gaps())
+            # churn and the failure ratio hold
+            gate("healing", check_healing(trace, schedule.r_a + schedule.pi,
+                                          liveness_window=liveness_window),
+                 model_report.sleepy_pass)
+        else:
+            # probabilistic with Byzantine leaders in play, so only fault-free
+            # in-model runs gate on it
+            gate("liveness_after_0", check_liveness_after(trace, 0, liveness_window),
+                 model_report.sleepy_pass and not schedule.byzantine[schedule.horizon])
 
-    summary = {
-        "decide_events": len(trace.decide_events()),
-        "distinct_decided": len(trace.decided_up_to(trace.horizon)),
-        **decision_latencies(trace),
-    }
-    report = {
-        "scenario": scenario.to_dict(),
-        "scenario_hash": scenario.canonical_hash(),
-        "in_model": in_model,
-        "model_checks": model_report.to_dict(),
-        "oracles": reports,
-        "summary": summary,
-        "failures": failures,
-        "exit_code": 0 if not failures else 1,
-    }
-    return trace, report
+        summary = {
+            "decide_events": len(trace.decide_events()),
+            "distinct_decided": len(trace.decided_up_to(trace.horizon)),
+            **decision_latencies(trace),
+        }
+        report = {
+            "scenario": scenario.to_dict(),
+            "scenario_hash": scenario.canonical_hash(),
+            "in_model": in_model,
+            "model_checks": model_report.to_dict(),
+            "oracles": reports,
+            "summary": summary,
+            "failures": failures,
+            "exit_code": 0 if not failures else 1,
+        }
+        return trace, report
 
 
 # ---------------------------------------------------------------------------
@@ -571,35 +612,36 @@ def scenario_error(exc: Exception) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        seed = seed_override(args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        scenario = load_scenario(args.scenario)
-        if seed is not None:
-            scenario = replace(scenario, seed=seed)
-        trace, report = run_scenario(scenario)
-    except SCENARIO_ERRORS as exc:
-        print(scenario_error(exc), file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"error: run failed: {exc}", file=sys.stderr)
-        return 2
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "trace.jsonl").write_text("\n".join(trace_lines(trace, scenario)) + "\n")
-    (outdir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    status = "ok" if report["exit_code"] == 0 else "FAIL"
-    print(
-        f"{scenario.name}: {status}; decided {report['summary']['distinct_decided']} logs; "
-        f"mean latency {report['summary'].get('mean_decision_latency')}"
-    )
-    if report["failures"]:
-        print(json.dumps({"failures": report["failures"], "oracles": report["oracles"]},
-                         sort_keys=True))
-    return report["exit_code"]
+    with PausedCollector():
+        try:
+            seed = seed_override(args.seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            scenario = load_scenario(args.scenario)
+            if seed is not None:
+                scenario = replace(scenario, seed=seed)
+            trace, report = run_scenario(scenario)
+        except SCENARIO_ERRORS as exc:
+            print(scenario_error(exc), file=sys.stderr)
+            return 2
+        except Exception as exc:
+            print(f"error: run failed: {exc}", file=sys.stderr)
+            return 2
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "trace.jsonl").write_text("\n".join(trace_lines(trace, scenario)) + "\n")
+        (outdir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        status = "ok" if report["exit_code"] == 0 else "FAIL"
+        print(
+            f"{scenario.name}: {status}; decided {report['summary']['distinct_decided']} logs; "
+            f"mean latency {report['summary'].get('mean_decision_latency')}"
+        )
+        if report["failures"]:
+            print(json.dumps({"failures": report["failures"], "oracles": report["oracles"]},
+                             sort_keys=True))
+        return report["exit_code"]
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -706,7 +748,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             adversary=strategies[i % len(strategies)],
         )
         try:
-            _, report = run_scenario(scenario)
+            report = run_scenario(scenario)[1]  # its trace is freed here
         except InfeasibleScheduleError as exc:
             failed["infeasible"].append(str(exc))
             continue

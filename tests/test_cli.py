@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -1059,3 +1060,115 @@ class TestGateRules:
             if key != "ga_properties" and rule is not False
         ]
         assert report["exit_code"] == 1
+
+
+def long_horizon_scenario(seed: int) -> Scenario:
+    """A fault-free n20 H32 run, the size of perfbench's long_horizon runs."""
+    return Scenario(name="long-horizon", n=20, horizon=32, tau=4, eta=4, pi=0,
+                    gamma=Fraction(0), beta=Fraction(1, 3), r_a=None, seed=seed,
+                    schedule_spec={"constant": {"n_byz": 0}})
+
+
+def infeasible_run() -> None:
+    scenario = replace(next(campaign_scenarios(1)), schedule_spec={"generate": {"n_byz": 19}})
+    with pytest.raises(cli.InfeasibleScheduleError):
+        run_scenario(scenario)
+
+
+#: Each entry point that may pause the collector, given an output directory:
+#: whether it simulates a run, and what it returns.
+COLLECTOR_CASES = {
+    "run": (True, 0, lambda out: main(["run", str(SCENARIOS / "sync_faultfree.json"),
+                                       "--out", str(out)])),
+    "run-missing-scenario": (False, 2, lambda out: main(["run", str(out / "missing.json")])),
+    "check": (False, 0, lambda out: main(["check", str(SCENARIOS / "sync_faultfree.json")])),
+    "sweep-beta": (False, 0, lambda out: main(["sweep-beta", "--steps", "2"])),
+    "campaign": (True, 0, lambda out: main(["campaign", "--seeds", "2", "--n", "8",
+                                            "--horizon", "8", "--pi", "0"])),
+    "campaign-every-run-raises": (False, 2, lambda out: main(["campaign", "--seeds", "2",
+                                                              "--r-a", "100"])),
+    "run_scenario": (True, None, lambda out: run_scenario(long_horizon_scenario(0)) and None),
+    "run_scenario-raises": (False, None, lambda out: infeasible_run()),
+}
+
+
+class TestPausedCollector:
+    def test_a_judged_run_builds_no_reference_cycles(self):
+        """With the collector paused, ``run_scenario`` and ``trace_lines`` on
+        the shipped scenarios and eight default campaign runs leave nothing
+        that only the collector could free, so a paused run holds no memory
+        past its last reference."""
+        scenarios = [*(load_scenario(SCENARIOS / f"{name}.json") for name in sorted(GOLDEN)),
+                     *campaign_scenarios()]
+        enabled, flags, garbage = gc.isenabled(), gc.get_debug(), gc.garbage[:]
+        gc.collect()
+        gc.disable()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for scenario in scenarios:
+                trace_lines(run_scenario(scenario)[0], scenario)
+            found = gc.collect()
+            assert (found, [type(obj).__name__ for obj in gc.garbage[:10]]) == (0, [])
+        finally:
+            gc.set_debug(flags)
+            gc.garbage[:] = garbage
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case", list(COLLECTOR_CASES))
+    def test_the_callers_collector_state_is_restored(self, case, enabled, tmp_path,
+                                                     monkeypatch, capsys):
+        """Every command, ``run_scenario`` and each way they fail leave the
+        collector as the caller had it, and every simulated run runs with it
+        paused."""
+        simulates, code, call = COLLECTOR_CASES[case]
+        seen = []
+
+        def run(*args):
+            seen.append(gc.isenabled())
+            return world_run(*args)
+
+        world_run = cli.run
+        monkeypatch.setattr(cli, "run", run)
+        monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert call(tmp_path) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert set(seen) == ({False} if simulates else set())
+
+    def test_no_collection_starts_inside_a_judged_run(self):
+        """Over 20 long_horizon-sized runs, each started with the young
+        generation empty, the collector never starts while a
+        ``run_scenario`` frame is on the stack: not during the run, and not
+        on the way out, where re-enabling it comes after the last
+        allocation."""
+        code = cli.run_scenario.__code__
+        starts = 0
+
+        def hook(phase: str, info: dict) -> None:
+            nonlocal starts
+            frame = sys._getframe()
+            while phase == "start" and frame is not None:
+                if frame.f_code is code:
+                    starts += 1
+                    break
+                frame = frame.f_back
+
+        enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(hook)
+        try:
+            for seed in range(20):
+                gc.collect()
+                run_scenario(long_horizon_scenario(seed))
+        finally:
+            gc.callbacks.remove(hook)
+            if not enabled:
+                gc.disable()
+        assert starts == 0
