@@ -22,11 +22,10 @@ Everything is deterministic given the scenario: the same file and seed
 produce byte-identical outputs.  The environment variable ``SLEEPY_TOB_SEED``
 overrides the scenario seed.
 
-A run builds no reference cycles, so ``run_scenario`` (and with it each
-``campaign`` run) and ``run`` through its trace and report writes pause
-CPython's cyclic collector (``PausedCollector``), which would otherwise
-walk the run's events, messages and logs again on every pass, and restore
-the caller's collector state when they return or raise.
+``run_scenario`` (so each ``campaign`` run) and ``run``, through its trace
+and report writes, pause CPython's cyclic collector and then restore the
+caller's collector state (``PausedCollector``): a run builds no reference
+cycles, so the collector would only walk its events, messages and logs.
 """
 
 from __future__ import annotations

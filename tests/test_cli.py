@@ -1087,7 +1087,7 @@ COLLECTOR_CASES = {
                                             "--horizon", "8", "--pi", "0"])),
     "campaign-every-run-raises": (False, 2, lambda out: main(["campaign", "--seeds", "2",
                                                               "--r-a", "100"])),
-    "run_scenario": (True, None, lambda out: run_scenario(long_horizon_scenario(0)) and None),
+    "run_scenario": (True, 0, lambda out: run_scenario(long_horizon_scenario(0))[1]["exit_code"]),
     "run_scenario-raises": (False, None, lambda out: infeasible_run()),
 }
 
