@@ -22,10 +22,11 @@ Everything is deterministic given the scenario: the same file and seed
 produce byte-identical outputs.  The environment variable ``SLEEPY_TOB_SEED``
 overrides the scenario seed.
 
-``run_scenario`` (so each ``campaign`` run) and ``run``, through its trace
-and report writes, pause CPython's cyclic collector and then restore the
-caller's collector state (``PausedCollector``): a run builds no reference
-cycles, so the collector would only walk its events, messages and logs.
+``main`` runs every command with CPython's cyclic collector paused and
+then restores the caller's collector state (``PausedCollector``), and so
+does ``run_scenario`` for callers of the Python API: a run builds no
+reference cycles, so the collector would only walk its events, messages
+and logs.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -286,15 +289,20 @@ def record_to_json(record: GaRecord, log_id: Callable[[Log], int]) -> str:
     vote sends from senders outside ``byzantine``, a receiver's initial and
     received votes are its ``deliver`` lines folded by the latest-vote rule
     within the header's ``eta``, and every graded prefix is a ``log`` line
-    reached from the frontier through parent ids."""
+    reached from the frontier through parent ids.
+
+    ``log_id`` is asked for each new view's tops, then its grade-1 log, in
+    receiver order; ``trace_lines`` passes one that writes the ``log`` lines
+    of a log no earlier line named."""
     keys: dict[int, tuple] = {}  # id(view) -> its claim's key
     claims: dict[tuple, list[ProcessId]] = {}  # (m, grade1 id, top ids) -> receivers
     for q, view in record.receivers.items():
         key = keys.get(id(view))
         if key is None:
             out = view.output
+            tops = ", ".join(str(log_id(top)) for top in out.tops)  # named before grade1
             key = keys[id(view)] = (view.m, "null" if out.grade1 is None else log_id(out.grade1),
-                                    ", ".join(str(log_id(top)) for top in out.tops))
+                                    tops)
         claims.setdefault(key, []).append(q)
     text = ", ".join(
         f'{{"grade1": {grade1}, "m": {m}, "receivers": [{", ".join(map(str, receivers))}], '
@@ -305,10 +313,29 @@ def record_to_json(record: GaRecord, log_id: Callable[[Log], int]) -> str:
             f'"claims": [{text}], "synchronous": {"true" if record.synchronous else "false"}}}')
 
 
+def cohort_key(e: object) -> object:
+    """The fact an event states with its neighbours: a run of consecutive
+    events with equal keys is one cohort line.  The range deliveries of one
+    round with one ``from`` and ``to``, the vote sends of one round for one
+    log and the decide events of one round for one log share a key; any
+    other event is keyed by its ``id``, which no other event's key equals."""
+    kind = type(e)
+    if kind is DeliverEvent:
+        if type(e.ids) is range:
+            return "deliver", e.round, e.ids.start, e.ids.stop
+    elif kind is SendEvent:
+        if type(e.msg) is VoteMsg:
+            return "vote", e.round, e.msg.log
+    elif kind is DecideEvent:
+        return "decide", e.round, e.log
+    return id(e)
+
+
 def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     """JSON-lines rendition: a header holding the whole scenario, its hash
     and the strategy's name, then one object per line, each byte for byte
-    what ``json.dumps(obj, sort_keys=True)`` writes.
+    what ``json.dumps(obj, sort_keys=True)`` writes.  Each line is written
+    once, in order, in one pass over the runs of ``cohort_key``.
 
     Each distinct log is written once, as a ``log`` line whose payload is
     its ``id``, its ``parent`` id and its last ``value`` (both null for the
@@ -320,16 +347,12 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     synchronous receiver that held nothing back, is written as the
     half-open run ``from``, ``to``; any other lists its ids as ``msgs``.
 
-    A run of consecutive events that state one fact is one cohort line,
-    whose ``actor`` lists the events' processes in event order: the vote
-    sends of one round for one log, whose ``id`` is the first vote's, the
-    k-th sender's vote having id ``id + k``; the decide events of one round
-    for one log; and the range deliveries of one round with one ``from``
-    and ``to``.  Such a line lists its actors even when it holds one.  A
-    proposal ``send`` line (with its sender and its own ``id``), a
-    ``msgs`` delivery (with its receiver) and every other line name one
-    actor, or none.  A run is told apart by comparing each event with the
-    one before it.
+    A run of events that share a ``cohort_key`` is one cohort line, whose
+    ``actor`` lists the events' processes in event order: a vote line's
+    ``id`` is the first vote's, the k-th sender's vote having id ``id + k``.
+    Such a line lists its actors even when it holds one.  A proposal
+    ``send`` line (with its sender and its own ``id``), a ``msgs`` delivery
+    (with its receiver) and every other line name one actor, or none.
 
     Every line but the header holds only integers, nulls, booleans and
     fixed strings, so each is written from a fixed per-kind template with
@@ -344,9 +367,13 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
                          "strategy": trace.strategy_name}, sort_keys=True)]
     append = lines.append
 
-    def introduce(log: Log, r: int) -> None:
-        """Write a ``log`` line for ``log`` and each of its prefixes that no
-        earlier line named, parent first."""
+    def log_id(log: Log) -> int:
+        """``log``'s id, first writing a ``log`` line, in the round ``r`` of
+        the line that names it, for it and each prefix no line named yet,
+        parent first."""
+        i = log_ids.get(log)
+        if i is not None:
+            return i
         fresh = []
         # the walk ends at the empty log at the latest: it has no parent
         while log is not None and log not in log_ids:
@@ -362,74 +389,38 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
             else:
                 append(f'{{"actor": null, "kind": "log", "payload": {{"id": {i}, '
                        f'"parent": null, "value": null}}, "round": {r}}}')
+        return i
 
-    # each cohort line: its index in lines, its actors and the text after them
-    cohorts: list[tuple[int, list[ProcessId], str]] = []
-    actors: list[ProcessId] = []  # those of the open cohort line
-    prev = None  # the last event of the open cohort line, None if none is open
-
-    def cohort(actor: ProcessId, rest: str) -> list[ProcessId]:
-        """Open a cohort line, to be filled in once its run has ended."""
-        members = [actor]
-        cohorts.append((len(lines), members, rest))
-        append("")
-        return members
-
-    for e in trace.events:
+    for key, cohort in groupby(trace.events, cohort_key):
+        e = next(cohort)
         r = e.round
         if isinstance(e, DeliverEvent):
-            ids = e.ids
-            if not isinstance(ids, range):
+            if type(key) is int:
                 append(f'{{"actor": {e.receiver}, "kind": "deliver", '
-                       f'"payload": {{"msgs": [{", ".join(map(str, ids))}]}}, "round": {r}}}')
-                prev = None
+                       f'"payload": {{"msgs": [{", ".join(map(str, e.ids))}]}}, "round": {r}}}')
                 continue
-            if (type(prev) is DeliverEvent and prev.round == r and prev.ids.start == ids.start
-                    and prev.ids.stop == ids.stop):
-                actors.append(e.receiver)
-            else:
-                actors = cohort(e.receiver, f'"kind": "deliver", "payload": {{"from": '
-                                            f'{ids.start}, "to": {ids.stop}}}, "round": {r}}}')
+            rest = f'"kind": "deliver", "payload": {{"from": {key[2]}, "to": {key[3]}}}'
+            actors = [e.receiver, *map(attrgetter("receiver"), cohort)]
         elif isinstance(e, SendEvent):
             msg = e.msg
-            i, sends = sends, sends + 1
-            # the votes of a cohort share one log object, so ``is`` settles most tests
-            if (isinstance(msg, VoteMsg) and type(prev) is SendEvent and prev.round == r
-                    and (prev.msg.log is msg.log or prev.msg.log == msg.log)):
-                actors.append(msg.sender)
-            else:
-                if msg.log not in log_ids:
-                    introduce(msg.log, r)
-                if not isinstance(msg, VoteMsg):
-                    append(f'{{"actor": {msg.sender}, "id": {i}, "kind": "send", "payload": '
-                           f'{{"msg": {{"log": {log_ids[msg.log]}, "ticket": {msg.ticket}, '
-                           f'"type": "propose", "view": {msg.view}}}}}, "round": {r}}}')
-                    prev = None
-                    continue
-                actors = cohort(msg.sender, f'"id": {i}, "kind": "send", "payload": {{"msg": '
-                                f'{{"log": {log_ids[msg.log]}, "type": "vote"}}}}, "round": {r}}}')
+            if type(key) is int:
+                append(f'{{"actor": {msg.sender}, "id": {sends}, "kind": "send", "payload": '
+                       f'{{"msg": {{"log": {log_id(msg.log)}, "ticket": {msg.ticket}, '
+                       f'"type": "propose", "view": {msg.view}}}}}, "round": {r}}}')
+                sends += 1
+                continue
+            rest = (f'"id": {sends}, "kind": "send", '
+                    f'"payload": {{"msg": {{"log": {log_id(msg.log)}, "type": "vote"}}}}')
+            actors = [msg.sender, *map(attrgetter("msg.sender"), cohort)]
+            sends += len(actors)
         elif isinstance(e, DecideEvent):
-            if type(prev) is DecideEvent and prev.round == r and prev.log == e.log:
-                actors.append(e.pid)
-            else:
-                if e.log not in log_ids:
-                    introduce(e.log, r)
-                actors = cohort(e.pid, f'"kind": "decide", "payload": {{"log": {log_ids[e.log]}}}, '
-                                       f'"round": {r}}}')
+            rest = f'"kind": "decide", "payload": {{"log": {log_id(e.log)}}}'
+            actors = [e.pid, *map(attrgetter("pid"), cohort)]
         else:
-            assert isinstance(e, GaRecord)
-            for output in {id(view.output): view.output for view in e.receivers.values()}.values():
-                # a malformed frontier's grade1 may lie under no top
-                for log in (*output.tops, output.grade1):
-                    if log is not None and log not in log_ids:
-                        introduce(log, r)
             append(f'{{"actor": null, "kind": "ga_record", '
-                   f'"payload": {record_to_json(e, log_ids.__getitem__)}, "round": {r}}}')
-            prev = None
+                   f'"payload": {record_to_json(e, log_id)}, "round": {r}}}')
             continue
-        prev = e
-    for at, members, rest in cohorts:
-        lines[at] = f'{{"actor": [{", ".join(map(str, members))}], {rest}'
+        append(f'{{"actor": [{", ".join(map(str, actors))}], {rest}, "round": {r}}}')
     return lines
 
 
@@ -449,11 +440,9 @@ def decision_latencies(trace: Trace) -> dict[str, Any]:
             seen.add(log)
             first_decided.setdefault(log.values[-1], e.round)
             log = log.parent
-    latencies = []
-    for v, decided_round in sorted(first_decided.items(), key=lambda item: (item[1], item[0])):
-        introduced = trace.first_input_round(v)
-        if introduced is not None:
-            latencies.append(decided_round - introduced)
+    # the mean is exact, so the order of the sum does not matter
+    latencies = [decided - introduced for v, decided in first_decided.items()
+                 if (introduced := trace.first_input_round(v)) is not None]
     if not latencies:
         return {"decided_values": 0, "mean_decision_latency": None}
     mean = Fraction(sum(latencies), len(latencies))
@@ -479,7 +468,9 @@ class PausedCollector:
     every object the block left alive.  ``__exit__`` therefore enables
     the collector last, and a function that returns from inside the block
     frees its locals, or hands them to its caller, before it allocates
-    again.
+    again.  ``main`` holds one around every command, whose frame, with the
+    run it made, is gone before the block ends; ``run_scenario`` holds its
+    own, which inside ``main`` leaves the collector paused.
     """
 
     def __enter__(self) -> None:
@@ -505,9 +496,10 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, dict]:
 
     The run is simulated and judged with the cyclic collector paused, and
     the caller's collector state is restored on return and on an exception.
-    A caller that keeps the returned trace pays for one young-generation
-    collection over it at its next allocation; one that drops it at once,
-    as ``campaign`` does, pays nothing.
+    A Python API caller with the collector enabled that keeps the returned
+    trace pays for one young-generation collection over it at its next
+    allocation; one that drops it at once pays nothing.  The commands run
+    inside ``main``'s pause, so there it pays nothing either way.
     """
     with PausedCollector():
         schedule = build_schedule(scenario)
@@ -611,36 +603,35 @@ def scenario_error(exc: Exception) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    with PausedCollector():
-        try:
-            seed = seed_override(args.seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            scenario = load_scenario(args.scenario)
-            if seed is not None:
-                scenario = replace(scenario, seed=seed)
-            trace, report = run_scenario(scenario)
-        except SCENARIO_ERRORS as exc:
-            print(scenario_error(exc), file=sys.stderr)
-            return 2
-        except Exception as exc:
-            print(f"error: run failed: {exc}", file=sys.stderr)
-            return 2
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "trace.jsonl").write_text("\n".join(trace_lines(trace, scenario)) + "\n")
-        (outdir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        status = "ok" if report["exit_code"] == 0 else "FAIL"
-        print(
-            f"{scenario.name}: {status}; decided {report['summary']['distinct_decided']} logs; "
-            f"mean latency {report['summary'].get('mean_decision_latency')}"
-        )
-        if report["failures"]:
-            print(json.dumps({"failures": report["failures"], "oracles": report["oracles"]},
-                             sort_keys=True))
-        return report["exit_code"]
+    try:
+        seed = seed_override(args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        scenario = load_scenario(args.scenario)
+        if seed is not None:
+            scenario = replace(scenario, seed=seed)
+        trace, report = run_scenario(scenario)
+    except SCENARIO_ERRORS as exc:
+        print(scenario_error(exc), file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"error: run failed: {exc}", file=sys.stderr)
+        return 2
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "trace.jsonl").write_text("\n".join(trace_lines(trace, scenario)) + "\n")
+    (outdir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    status = "ok" if report["exit_code"] == 0 else "FAIL"
+    print(
+        f"{scenario.name}: {status}; decided {report['summary']['distinct_decided']} logs; "
+        f"mean latency {report['summary'].get('mean_decision_latency')}"
+    )
+    if report["failures"]:
+        print(json.dumps({"failures": report["failures"], "oracles": report["oracles"]},
+                         sort_keys=True))
+    return report["exit_code"]
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -769,7 +760,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 1 if aggregate["counterexamples"] else 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sleepy-tob",
         description="simulate and verify an asynchrony-resilient dynamically "
@@ -781,17 +772,14 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("scenario")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default="out")
-    p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="validate a scenario against the model")
     p_check.add_argument("scenario")
-    p_check.set_defaults(func=cmd_check)
 
     p_sweep = sub.add_parser("sweep-beta", help="emit the reduced failure-ratio curve")
     p_sweep.add_argument("--beta", default="1/3")
     p_sweep.add_argument("--steps", type=int, default=100)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(func=cmd_sweep_beta)
 
     p_camp = sub.add_parser("campaign", help="run many randomized scenarios")
     p_camp.add_argument("--seeds", type=int, default=20)
@@ -807,17 +795,29 @@ def main(argv: list[str] | None = None) -> int:
     p_camp.add_argument("--beta", default="1/3")
     p_camp.add_argument("--strategies", default="prop1,split_decision")
     p_camp.add_argument("--out", default=None)
-    p_camp.set_defaults(func=cmd_campaign)
+    return parser
 
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except OSError as exc:
-        if exc.filename is None:  # not a path, e.g. a closed stdout
-            raise
-        # every command reports its own input errors, so the path is an --out
-        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
+
+#: Built once: each subcommand ``name`` runs ``cmd_<name>`` (dashes as
+#: underscores), which ``main`` looks up when it runs, so a replaced
+#: ``cmd_run`` is the one called.
+PARSER = build_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Parse ``argv`` with ``PARSER`` and run its command with the cyclic
+    collector paused (``PausedCollector``); the caller's collector state is
+    restored on return and on an exception."""
+    args = PARSER.parse_args(argv)
+    with PausedCollector():
+        try:
+            return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
+        except OSError as exc:
+            if exc.filename is None:  # not a path, e.g. a closed stdout
+                raise
+            # every command reports its own input errors, so the path is an --out
+            print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

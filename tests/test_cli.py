@@ -403,6 +403,25 @@ class TestCmdRun:
         assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
 
+def test_main_builds_no_parser_and_finds_its_command_by_name(monkeypatch, capsys):
+    """``main`` parses with the parser built at import and calls the command
+    its subcommand names when it runs, so a replaced ``cmd_run`` is called."""
+    def no_parser(*args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    calls = []
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", no_parser)
+    monkeypatch.setattr(cli, "cmd_run", lambda args: calls.append(args) or 7)
+    monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
+    assert main(["run", "scenario.json", "--out", "elsewhere"]) == 7
+    assert [(a.command, a.scenario, a.seed, a.out) for a in calls] == [
+        ("run", "scenario.json", None, "elsewhere")]
+    assert main(["check", str(SCENARIOS / "sync_faultfree.json")]) == 0
+    assert main(["sweep-beta", "--steps", "2"]) == 0
+    assert main(["campaign", "--seeds", "1"]) == 0
+    assert len(calls) == 1
+
+
 class TestUnknownScenarioKeys:
     @pytest.mark.parametrize("command", ["run", "check"])
     @pytest.mark.parametrize(
@@ -1121,17 +1140,25 @@ class TestPausedCollector:
     def test_the_callers_collector_state_is_restored(self, case, enabled, tmp_path,
                                                      monkeypatch, capsys):
         """Every command, ``run_scenario`` and each way they fail leave the
-        collector as the caller had it, and every simulated run runs with it
-        paused."""
+        collector as the caller had it, and every command's body and every
+        simulated run runs with it paused."""
         simulates, code, call = COLLECTOR_CASES[case]
-        seen = []
+        seen, bodies = [], []
 
         def run(*args):
             seen.append(gc.isenabled())
             return world_run(*args)
 
+        def body(command):
+            def paused(args):
+                bodies.append(gc.isenabled())
+                return command(args)
+            return paused
+
         world_run = cli.run
         monkeypatch.setattr(cli, "run", run)
+        for name in ("cmd_run", "cmd_check", "cmd_sweep_beta", "cmd_campaign"):
+            monkeypatch.setattr(cli, name, body(getattr(cli, name)))
         monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
         before = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
@@ -1141,6 +1168,8 @@ class TestPausedCollector:
         finally:
             (gc.enable if before else gc.disable)()
         assert set(seen) == ({False} if simulates else set())
+        # every command's body runs paused; run_scenario is called directly
+        assert bodies == ([] if case.startswith("run_scenario") else [False])
 
     def test_no_collection_starts_inside_a_judged_run(self):
         """Over 20 long_horizon-sized runs, each started with the young
