@@ -300,9 +300,9 @@ def record_to_json(record: GaRecord, log_id: Callable[[Log], int]) -> str:
         key = keys.get(id(view))
         if key is None:
             out = view.output
-            tops = ", ".join(str(log_id(top)) for top in out.tops)  # named before grade1
-            key = keys[id(view)] = (view.m, "null" if out.grade1 is None else log_id(out.grade1),
-                                    tops)
+            tops = ", ".join(str(log_id(top)) for top in out.tops)
+            grade1 = "null" if out.grade1 is None else log_id(out.grade1)
+            key = keys[id(view)] = (view.m, grade1, tops)
         claims.setdefault(key, []).append(q)
     text = ", ".join(
         f'{{"grade1": {grade1}, "m": {m}, "receivers": [{", ".join(map(str, receivers))}], '
