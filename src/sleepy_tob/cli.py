@@ -11,9 +11,10 @@ Scenario files are JSON with exact ratio strings ("1/3").  A trace is
 JSON-lines: a header carrying the whole scenario and its hash, then one
 object per line (kind, round, actor, payload) of five kinds, each fact
 written once: ``log`` (one distinct log, linked to its parent log),
-``send`` (a proposal, or the votes of one round for one log, with the send
-id of the first: its index among the run's sends; the sender, or the list
-of senders, is the line's actor and a vote's round the line's round),
+``send`` (the votes of one round for one log, or the proposals of one round
+and view of one log or of one base each extends by its sender's own value,
+with the send id of the first: its index among the run's sends; the list of
+senders is the line's actor and a vote's round the line's round),
 ``deliver`` (one receive phase by the ids its event holds, or the
 receivers of one round given one run of send ids), ``decide`` (the
 processes deciding one log in one round) and ``ga_record`` (each distinct
@@ -317,15 +318,24 @@ def cohort_key(e: object) -> object:
     """The fact an event states with its neighbours: a run of consecutive
     events with equal keys is one cohort line.  The range deliveries of one
     round with one ``from`` and ``to``, the vote sends of one round for one
-    log and the decide events of one round for one log share a key; any
-    other event is keyed by its ``id``, which no other event's key equals."""
+    log, the decide events of one round for one log and the proposal sends
+    of one round and view share a key: those that each extend one base by
+    the sender's own value ``Value(view, sender, view)``, keyed ``"ext"``
+    with the base, and those of one other log, the empty log included,
+    keyed ``"same"`` with that log.  Any other event is keyed by its
+    ``id``, which no other event's key equals."""
     kind = type(e)
     if kind is DeliverEvent:
         if type(e.ids) is range:
             return "deliver", e.round, e.ids.start, e.ids.stop
     elif kind is SendEvent:
-        if type(e.msg) is VoteMsg:
-            return "vote", e.round, e.msg.log
+        msg = e.msg
+        if type(msg) is VoteMsg:
+            return "vote", e.round, msg.log
+        log, view = msg.log, msg.view
+        if log and log.values[-1] == (view, msg.sender, view):
+            return "propose", e.round, view, "ext", log.parent
+        return "propose", e.round, view, "same", log
     elif kind is DecideEvent:
         return "decide", e.round, e.log
     return id(e)
@@ -348,11 +358,16 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     half-open run ``from``, ``to``; any other lists its ids as ``msgs``.
 
     A run of events that share a ``cohort_key`` is one cohort line, whose
-    ``actor`` lists the events' processes in event order: a vote line's
-    ``id`` is the first vote's, the k-th sender's vote having id ``id + k``.
-    Such a line lists its actors even when it holds one.  A proposal
-    ``send`` line (with its sender and its own ``id``), a ``msgs`` delivery
-    (with its receiver) and every other line name one actor, or none.
+    ``actor`` lists the events' processes in event order: a send line's
+    ``id`` is the first send's, the k-th sender's having id ``id + k``.
+    Such a line lists its actors even when it holds one.  A proposal line
+    keyed ``"ext"`` names its ``base``, and the k-th sender's log is the
+    base extended by that sender's own value: the line itself states these
+    logs, and each that no line named yet takes the next id, in sender
+    order, with no ``log`` line.  Any other proposal line names its one
+    ``log``.  No proposal line holds its ticket, which the header's seed
+    implies.  A ``msgs`` delivery (with its receiver) and every other line
+    name one actor, or none.
 
     Every line but the header holds only integers, nulls, booleans and
     fixed strings, so each is written from a fixed per-kind template with
@@ -402,16 +417,19 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
             rest = f'"kind": "deliver", "payload": {{"from": {key[2]}, "to": {key[3]}}}'
             actors = [e.receiver, *map(attrgetter("receiver"), cohort)]
         elif isinstance(e, SendEvent):
-            msg = e.msg
-            if type(key) is int:
-                append(f'{{"actor": {msg.sender}, "id": {sends}, "kind": "send", "payload": '
-                       f'{{"msg": {{"log": {log_id(msg.log)}, "ticket": {msg.ticket}, '
-                       f'"type": "propose", "view": {msg.view}}}}}, "round": {r}}}')
-                sends += 1
-                continue
-            rest = (f'"id": {sends}, "kind": "send", '
-                    f'"payload": {{"msg": {{"log": {log_id(msg.log)}, "type": "vote"}}}}')
-            actors = [msg.sender, *map(attrgetter("msg.sender"), cohort)]
+            msgs = [e.msg, *map(attrgetter("msg"), cohort)]
+            if key[0] == "vote":
+                fact = f'"log": {log_id(key[2])}, "type": "vote"'
+            else:
+                if key[3] == "ext":
+                    fact = f'"base": {log_id(key[4])}'
+                    for msg in msgs:  # a log no line named takes the next id
+                        log_ids.setdefault(msg.log, len(log_ids))
+                else:
+                    fact = f'"log": {log_id(key[4])}'
+                fact += f', "type": "propose", "view": {key[2]}'
+            actors = [msg.sender for msg in msgs]
+            rest = f'"id": {sends}, "kind": "send", "payload": {{"msg": {{{fact}}}}}'
             sends += len(actors)
         elif isinstance(e, DecideEvent):
             rest = f'"kind": "decide", "payload": {{"log": {log_id(e.log)}}}'
@@ -742,6 +760,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         except InfeasibleScheduleError as exc:
             failed["infeasible"].append(str(exc))
             continue
+        except ScheduleError as exc:  # structural, so every seed would raise it
+            print(scenario_error(exc), file=sys.stderr)
+            return 2
         except Exception as exc:  # one broken run must not end the campaign
             failed["error"].append(f"{type(exc).__name__}: {exc}")
             continue

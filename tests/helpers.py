@@ -2,7 +2,8 @@
 tests and the acceptance suite, slice-based references for the log-tree
 walks, graded outputs built from ``{log: grade}`` maps (``frontier``),
 expanded back to them (``expand``) and read for their longest log
-(``longest_any``), next to the output, tally and grading
+(``longest_any``), a trace reader's table of the logs a trace names
+(``TraceLogs``), next to the output, tally and grading
 they replaced (``ReferenceGaOutput``, ``reference_tally``,
 ``reference_grade``), the per-process round steps the cohort steps replaced
 (``reference_step_round1``, ``reference_step_round2``), and one
@@ -98,6 +99,57 @@ def expand(output: GaOutput) -> dict[Log, int]:
             out[log] = 0
             log = log.parent
     return out
+
+
+@dataclass
+class TraceLogs:
+    """The logs a ``trace.jsonl`` names, by id, as a reader of its lines
+    rebuilds them: a ``log`` line states one, and a proposal line with a
+    ``base`` states each of its senders' logs that no earlier line named."""
+
+    logs: list[Log] = field(default_factory=list)
+    parents: list[int | None] = field(default_factory=list)
+    ids: dict[Log, int] = field(default_factory=dict)
+
+    def __getitem__(self, i: int) -> Log:
+        assert 0 <= i < len(self.logs)  # named before the first line naming it
+        return self.logs[i]
+
+    def name(self, log: Log, parent: int | None) -> None:
+        """Give ``log``, which no line named yet, the next id."""
+        assert log not in self.ids
+        self.ids[log] = len(self.logs)
+        self.logs.append(log)
+        self.parents.append(parent)
+
+    def read_log_line(self, payload: dict) -> None:
+        assert payload["id"] == len(self.logs)
+        if payload["parent"] is None:
+            assert payload["value"] is None
+            self.name(Log(), None)
+        else:
+            self.name(self[payload["parent"]].extended(Value(**payload["value"])),
+                      payload["parent"])
+
+    def proposals(self, obj: dict, seed: int) -> list[ProposeMsg]:
+        """The proposals a proposal ``send`` line states, one per sender in
+        its actor list, each with the ticket ``seed`` draws for it.  With a
+        ``base``, a sender's log is the base extended by its own value, and
+        one that no line named yet takes the next id."""
+        msg = obj["payload"]["msg"]
+        assert msg["type"] == "propose" and type(obj["actor"]) is list
+        assert len(msg) == 3 and ("base" in msg) != ("log" in msg)
+        view = msg["view"]
+        sent = []
+        for p in obj["actor"]:
+            if "base" in msg:
+                log = self[msg["base"]].extended(Value(view, p, view))
+                if log not in self.ids:
+                    self.name(log, msg["base"])
+            else:
+                log = self[msg["log"]]
+            sent.append(ProposeMsg(p, view, log, vrf_eval(seed, p, view)))
+        return sent
 
 
 # ---------------------------------------------------------------------------

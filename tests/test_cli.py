@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import expand, sliced_prefixes
+from helpers import TraceLogs, expand, sliced_prefixes
 from sleepy_tob import cli, model_checks
 from sleepy_tob.cli import (
     Scenario,
@@ -33,12 +33,12 @@ SCENARIOS = ROOT / "scenarios"
 
 #: scenario -> (exit code, sha256[:16] of trace.jsonl, sha256[:16] of report.json)
 GOLDEN = {
-    "prop1_baseline": (1, "65ab90bec25bb2ab", "3c15a622f1fea58b"),
-    "prop1_expiring": (0, "7b8d4cfc123691c6", "8336d6af4f488323"),
-    "split_decision_eta0": (1, "e1aac0c5a829ef4e", "b58322772f586e04"),
-    "split_decision_eta2": (0, "19022866382bff14", "1836facf6f02d65a"),
-    "stall_participation_drop": (0, "3f82e50cb5ace850", "ccb9169d3a61bd3a"),
-    "sync_faultfree": (0, "1d0737aff51a0cbc", "fda45c4855c02d40"),
+    "prop1_baseline": (1, "c904308cb45ad583", "3c15a622f1fea58b"),
+    "prop1_expiring": (0, "cab2f8e0793a9d85", "8336d6af4f488323"),
+    "split_decision_eta0": (1, "9d9d34cea17b0e47", "b58322772f586e04"),
+    "split_decision_eta2": (0, "c3f58520686bc463", "1836facf6f02d65a"),
+    "stall_participation_drop": (0, "854b745868daf3ff", "ccb9169d3a61bd3a"),
+    "sync_faultfree": (0, "5656254b341d320f", "fda45c4855c02d40"),
 }
 
 
@@ -98,35 +98,49 @@ def test_outputs_do_not_depend_on_the_log_hash(tmp_path, monkeypatch):
     assert [run_scenario(scenario)[1] for scenario in campaign_scenarios()] == reports
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
+#: The runs whose trace.jsonl is read back: each shipped scenario, one run
+#: under ``--seed``, so that a ticket must come from the header and not from
+#: the scenario file, and the first run of a default ``campaign``.
+READ_BACK = {**{name: (name, []) for name in sorted(GOLDEN)},
+             "sync_faultfree-seed-3": ("sync_faultfree", ["--seed", "3"]),
+             "campaign-0": ("campaign-0", [])}
+
+
+@pytest.mark.parametrize("case", sorted(READ_BACK))
+def test_compact_trace_loses_nothing(case, tmp_path, monkeypatch):
     """trace.jsonl alone gives back the scenario, every log, send, receive
     phase and decision of the run, and per instance its inputs and each
     receiver's initial and received votes, participation and full grade
     map, expanded from its claim's frontier through the parent ids.  A line
-    whose actor is a list (the vote sends, decisions or synchronous
-    deliveries of one round that state one fact) expands into one fact per
-    member, and no two adjacent lines could have been one such line.
+    whose actor is a list (the vote sends, proposal sends, decisions or
+    synchronous deliveries of one round that state one fact) expands into
+    one fact per member, and no two adjacent lines could have been one such
+    line.  A proposal's log is rebuilt from its line's log or base, and its
+    ticket from the header's seed.
 
     The votes are folded here, not with the package's rule: per receiver
     and sender, the newest round delivered counts if it is inside the
     expiry window, unless the sender voted two logs in that round."""
     monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
-    main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path)])
-    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    name, argv = READ_BACK[case]
+    if name == "campaign-0":
+        with pytest.MonkeyPatch.context() as mp:
+            path = tmp_path / "campaign-0.json"
+            path.write_text(json.dumps(default_campaign_base(mp).to_dict()))
+    else:
+        path = SCENARIOS / f"{name}.json"
+    main(["run", str(path), "--out", str(tmp_path), *argv])
+    scenario = load_scenario(path)
+    if argv:
+        scenario = replace(scenario, seed=int(argv[1]))
     trace, _ = run_scenario(scenario)
     header, *lines = map(json.loads, (tmp_path / "trace.jsonl").read_text().splitlines())
     assert Scenario.from_dict(header["scenario"]) == scenario
     assert Scenario.from_dict(header["scenario"]).canonical_hash() == header["scenario_hash"]
-    eta = header["scenario"]["params"]["eta"]
-    logs: list[Log] = []
-    parents: list[int | None] = []
+    eta, seed = header["scenario"]["params"]["eta"], header["scenario"]["params"]["seed"]
+    logs = TraceLogs()
     sent, deliveries, decisions, records = [], [], [], {}
     newest = {}  # (receiver, sender) -> (newest round delivered, its votes)
-
-    def log(i):
-        assert 0 <= i < len(logs)  # written before the first line naming it
-        return logs[i]
 
     def grade_map(claim):
         """The claim's grades, by walking parent ids from its frontier."""
@@ -134,31 +148,24 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
         for i, g in [(claim["grade1"], 1), *((top, 0) for top in claim["tops"])]:
             while i is not None and i not in grades:
                 grades[i] = g
-                i = parents[i]
-        return {log(i): g for i, g in grades.items()}
+                i = logs.parents[i]
+        return {logs[i]: g for i, g in grades.items()}
 
     for obj in lines:
         kind, r, actor, payload = obj["kind"], obj["round"], obj["actor"], obj["payload"]
         if kind == "log":
-            assert payload["id"] == len(logs)
-            parents.append(payload["parent"])
-            if payload["parent"] is None:
-                assert payload["value"] is None
-                logs.append(Log())
-            else:
-                logs.append(log(payload["parent"]).extended(Value(**payload["value"])))
+            logs.read_log_line(payload)
         elif kind == "send":
-            assert obj["id"] == len(sent)
+            assert obj["id"] == len(sent) and type(actor) is list
             # a send line names its senders once, as its actor, and a vote's
-            # round once, as the line's round; a vote line lists the senders
-            # of one run, the k-th of them sending id + k
-            fields = {**payload["msg"], "log": log(payload["msg"]["log"])}
-            if fields.pop("type") == "vote":
-                assert type(actor) is list
-                sent += [(r, VoteMsg(sender=p, round=r, **fields)) for p in actor]
+            # round once, as the line's round; it lists the senders of one
+            # run, the k-th of them sending id + k
+            if payload["msg"]["type"] == "vote":
+                assert set(payload["msg"]) == {"log", "type"}
+                log = logs[payload["msg"]["log"]]
+                sent += [(r, VoteMsg(sender=p, round=r, log=log)) for p in actor]
             else:
-                assert type(actor) is int
-                sent.append((r, ProposeMsg(sender=actor, **fields)))
+                sent += [(r, pm) for pm in logs.proposals(obj, seed)]
         elif kind == "deliver":
             if "msgs" in payload:
                 assert type(actor) is int
@@ -178,7 +185,7 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
                             votes.add(m)
         elif kind == "decide":
             assert type(actor) is list
-            decisions += [(r, p, log(payload["log"])) for p in actor]
+            decisions += [(r, p, logs[payload["log"]]) for p in actor]
         else:
             assert kind == "ga_record"
             start = 0 if eta is None else r - eta
@@ -200,11 +207,12 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
             records[r] = (payload["synchronous"], set(payload["byzantine"]), inputs, views)
 
     # each line with an actor list holds a whole run: no two adjacent lines
-    # state one fact, of one kind and round, with the next send id for votes
+    # state one fact, of one kind and round, with the next send id for sends
     for a, b in zip(lines, lines[1:]):
         same = [(obj["kind"], obj["round"], obj["payload"]) for obj in (a, b)]
         assert not (type(a["actor"]) is list and type(b["actor"]) is list and same[0] == same[1]
                     and (a["kind"] != "send" or b["id"] == a["id"] + len(a["actor"]))), (a, b)
+    # tickets included: every proposal in the run carries the seed's ticket
     assert [m for _, m in sent] == [e.msg for e in trace.send_events()]
     assert deliveries == [(e.round, e.receiver, list(e.ids))
                           for e in trace.events if isinstance(e, DeliverEvent)]
@@ -219,8 +227,13 @@ def test_compact_trace_loses_nothing(name, tmp_path, monkeypatch):
         log for record in trace.ga_records().values()
         for view in record.receivers.values() for log in expand(view.output)
     ]
-    assert len(set(logs)) == len(logs)
-    assert set(logs) == {prefix for log in named for prefix in sliced_prefixes(log)}
+    assert set(logs.logs) == {prefix for log in named for prefix in sliced_prefixes(log)}
+    if name == "sync_faultfree":
+        # every awake process proposes in round 0 and each round 2v: one line a round
+        proposing = [obj["round"] for obj in lines
+                     if obj["kind"] == "send" and obj["payload"]["msg"]["type"] == "propose"]
+        assert proposing == sorted({e.round for e in trace.propose_sends()})
+        assert proposing == list(range(0, scenario.horizon, 2))
 
 
 @pytest.mark.parametrize("n", [8, 40])
@@ -827,9 +840,8 @@ class TestCmdCampaign:
         [
             (["--n", "5", "--n-byz", "4"], "infeasible: no schedule satisfying"),
             (["--n", "3", "--strategies", "prop1"], "error: ValueError: the suppression"),
-            (["--n", "0"], "error: ScheduleError: need at least 1 process, got n = 0"),
         ],
-        ids=["infeasible", "error", "no-process"],
+        ids=["infeasible", "error"],
     )
     def test_no_completed_run_exits_2(self, argv, reason, capsys):
         assert main(["campaign", "--seeds", "2", *argv]) == 2
@@ -840,6 +852,33 @@ class TestCmdCampaign:
         assert lines[0].startswith("error: no campaign run completed (")
         assert reason in lines[0]
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "0"], "need at least 1 process, got n = 0"),
+            (["--n", "-1"], "need at least 1 process, got n = -1"),
+            (["--horizon", "0"], "horizon must be at least 1 round"),
+            (["--r-a", "30"], "window must end before the final round"),
+        ],
+        ids=["no-process", "negative-n", "no-horizon", "window-past-horizon"],
+    )
+    def test_schedule_error_ends_the_campaign(self, argv, message, capsys, monkeypatch):
+        """A schedule error does not depend on the seed, so the first run
+        that raises one ends the campaign, labelled as ``run`` labels it."""
+        runs = []
+
+        def counted(scenario):
+            runs.append(scenario.seed)
+            return run_scenario(scenario)
+
+        monkeypatch.delenv("SLEEPY_TOB_SEED", raising=False)
+        monkeypatch.setattr(cli, "run_scenario", counted)
+        assert main(["campaign", "--seeds", "5", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"schedule error: {message}"]
+        assert runs == [0]
 
     def test_impossible_byzantine_count_names_the_reason(self, capsys):
         assert main(["campaign", "--seeds", "2", "--n-byz", "19"]) == 2

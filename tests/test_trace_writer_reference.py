@@ -9,14 +9,16 @@ receivers into claims by comparing each receiver's ``m`` and frontier ids
 with the claims so far.  It names a log's unnamed prefixes by slicing it,
 shortest first, where the writer walks up parent links; a record's logs are
 each receiver's tops, then its grade-1 log, and every log the frontier's
-expansion grades must be named after them.  It writes one dict per event,
-and ``reference_merge`` then states the cohort rule from the format alone:
-adjacent dicts of one kind and round with equal payloads, each a vote
-send, a decision or a range delivery, become one dict whose actor lists
-theirs, a vote joining only with the next send id.  Both writers must give
-equal lines on the six shipped scenarios, one default ``campaign`` seed, ``World``
-runs of random bounded schedules with and without a window, and a
-hand-built trace that delivers a tuple of ids, a range and nothing, decides
+expansion grades must be named after them.  A proposal of a base
+extended by its sender's own value names the base, and its log takes the
+next id with no ``log`` dict unless a line named it before.  It writes one
+dict per event, and ``reference_merge`` then states the cohort rule from
+the format alone: adjacent dicts of one kind and round with equal
+payloads, each a send, a decision or a range delivery, become one dict
+whose actor lists theirs, a send joining only with the next send id.
+Both writers must give equal lines on the six shipped scenarios, one
+default ``campaign`` seed, ``World`` runs of random bounded schedules with
+and without a window, and a hand-built trace that delivers a tuple of ids, a range and nothing, decides
 the empty log and holds one record whose receivers share a view, one whose
 receivers do not, one with a malformed frontier next to two receivers that
 hold equal claims in different view objects, and one whose frontier names
@@ -26,7 +28,11 @@ Byzantine sender voting two logs in one round, a decide run split by a
 different log, two range deliveries of one round with different ``from``
 (a process waking) or ``to``, and a vote, decide and delivery run each
 followed by the same fact in the next round; and one that must join it, a
-Byzantine vote for a cohort's log right after the cohort.
+Byzantine vote for a cohort's log right after the cohort.  A third holds
+proposal runs: round 0's genesis proposals, a cohort split across two
+heads, a Byzantine proposal of another sender's value, one own-value
+proposal sent twice, the same fact in the next round, a cohort one of
+whose logs a Byzantine vote named first, and proposals of the empty log.
 
 Every line must also read back to itself through ``json``, which pins the
 templates to the encoder's spacing and key order where no golden hash
@@ -41,12 +47,12 @@ from pathlib import Path
 from typing import Callable
 
 import pytest
-from helpers import expand, frontier, random_bounded_schedule
+from helpers import TraceLogs, expand, frontier, random_bounded_schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sleepy_tob.cli import Scenario, load_scenario, run_scenario, trace_lines
-from sleepy_tob.core import GENESIS, Log, ProposeMsg, Value, VoteMsg
+from sleepy_tob.core import GENESIS, Log, ProposeMsg, Value, VoteMsg, vrf_eval
 from sleepy_tob.ga import GaOutput, GaRecord, InitialVoteSet, ReceiverView
 from sleepy_tob.model_checks import ModelParams
 from sleepy_tob.world import (
@@ -66,17 +72,22 @@ NAMES = sorted(path.stem for path in SCENARIOS.glob("*.json"))
 # reference: one dict per line, encoded by json.dumps
 
 
-def reference_msg_to_json(msg: VoteMsg | ProposeMsg, log_id: Callable[[Log], int]) -> dict:
-    """The message without its sender, which is the line's actor, and
-    without a vote's round, which is the line's round."""
+def reference_msg_to_json(msg: VoteMsg | ProposeMsg, log_id: Callable[[Log], int],
+                          log_ids: dict[Log, int]) -> dict:
+    """The message without its sender, which is the line's actor, without a
+    vote's round, which is the line's round, and without a proposal's
+    ticket, which the header's seed implies.  ``log_id`` names a log,
+    writing its unnamed prefixes' ``log`` dicts.  A proposal of a base
+    extended by the sender's own value names the base; its log, if no line
+    named it, takes the next id with no ``log`` dict."""
     if isinstance(msg, VoteMsg):
         return {"type": "vote", "log": log_id(msg.log)}
-    return {
-        "type": "propose",
-        "view": msg.view,
-        "log": log_id(msg.log),
-        "ticket": msg.ticket,
-    }
+    own = Value(msg.view, msg.sender, msg.view)
+    if msg.log and msg.log.values[-1] == own:
+        base = log_id(Log(msg.log.values[:-1]))
+        log_ids.setdefault(msg.log, len(log_ids))
+        return {"type": "propose", "view": msg.view, "base": base}
+    return {"type": "propose", "view": msg.view, "log": log_id(msg.log)}
 
 
 def reference_record_to_json(record: GaRecord, log_id: Callable[[Log], int]) -> dict:
@@ -98,16 +109,15 @@ def reference_record_to_json(record: GaRecord, log_id: Callable[[Log], int]) -> 
 
 
 def states_cohort_fact(obj: dict) -> bool:
-    """Whether a per-event dict is one that a cohort line may hold: a vote
-    send, a decision or a delivery of a run of send ids."""
-    kind, payload = obj["kind"], obj["payload"]
-    return (kind == "decide" or kind == "send" and payload["msg"]["type"] == "vote"
-            or kind == "deliver" and "from" in payload)
+    """Whether a per-event dict is one that a cohort line may hold: a send,
+    a decision or a delivery of a run of send ids."""
+    kind = obj["kind"]
+    return kind in ("send", "decide") or kind == "deliver" and "from" in obj["payload"]
 
 
 def reference_merge(objs: list[dict]) -> list[dict]:
     """Adjacent dicts of one kind and round that state one fact (equal
-    payloads) become one, whose actor lists theirs in order; a vote joins
+    payloads) become one, whose actor lists theirs in order; a send joins
     only with the next send id.  Every dict that may join one has an actor
     list, however many it holds."""
     merged: list[dict] = []
@@ -140,7 +150,7 @@ def reference_trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     def write(obj: dict, r: int) -> None:
         objs.append({**obj, "round": r})
 
-    def introduce(log: Log, r: int) -> None:
+    def introduce(log: Log, r: int) -> int:
         for k in range(len(log) + 1):
             prefix = Log(log.values[:k])
             if prefix not in log_ids:
@@ -150,12 +160,12 @@ def reference_trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
                     "parent": log_ids[Log(log.values[:k - 1])] if k else None,
                     "value": log.values[k - 1]._asdict() if k else None,
                 }}, r)
+        return log_ids[log]
 
     for e in trace.events:
         if isinstance(e, SendEvent):
-            introduce(e.msg.log, e.round)
-            obj = {"kind": "send", "id": sends, "actor": e.msg.sender,
-                   "payload": {"msg": reference_msg_to_json(e.msg, log_ids.__getitem__)}}
+            msg = reference_msg_to_json(e.msg, lambda log: introduce(log, e.round), log_ids)
+            obj = {"kind": "send", "id": sends, "actor": e.msg.sender, "payload": {"msg": msg}}
             sends += 1
         elif isinstance(e, DeliverEvent):
             if isinstance(e.ids, range):
@@ -261,7 +271,7 @@ def test_hand_built_trace_matches_reference():
     h = e.extended(Value(7, 2, 3))
     vote = VoteMsg(sender=0, round=1, log=b)
     other = VoteMsg(sender=1, round=1, log=c)
-    propose = ProposeMsg(sender=1, view=1, log=c, ticket=2**64 - 1)
+    propose = ProposeMsg(sender=1, view=1, log=c, ticket=vrf_eval(HEADER_SCENARIO.seed, 1, 1))
     shared = view({a: 1, b: 0}, 2)
     # grade1 e lies under no top: the frontier bounded divergence exists to
     # fail, and the writer must still name e
@@ -347,3 +357,79 @@ def test_cohort_lines_break_where_the_fact_changes():
         ("deliver", 4, [0], None, {"from": 0, "to": 9}),
         ("deliver", 4, [1], None, {"from": 0, "to": 10}),
     ]
+
+
+def test_proposal_lines_break_where_the_fact_changes():
+    """Runs of adjacent proposal sends are one line while round, view and
+    fact hold: one log, or one base each sender extends by its own value.
+    A line breaks at a Byzantine proposal of a value that is not its
+    sender's own, at a cohort's second head, and at the same fact in the
+    next round.  A line stays whole, and correct, when a member's log was
+    named before (here by a Byzantine vote), when one own-value proposal is
+    sent twice in a row, and when the proposed log is the empty log.  Each
+    line reads back to its proposals, tickets drawn from the header's seed."""
+    seed = HEADER_SCENARIO.seed
+    a = Log((GENESIS,))
+    b = a.extended(Value(1, 0, 1))
+
+    def own(base, p, view):
+        return base.extended(Value(view, p, view))
+
+    def propose(r, p, view, log):
+        return SendEvent(r, ProposeMsg(p, view, log, vrf_eval(seed, p, view)))
+
+    c = own(a, 0, 2)
+    events = (
+        propose(0, 0, 1, a), propose(0, 1, 1, a), propose(0, 2, 1, a),
+        # round 2 splits across heads a and b; Byzantine 4 proposes 1's
+        # value, then its own twice
+        propose(2, 0, 2, c), propose(2, 1, 2, own(a, 1, 2)),
+        propose(2, 2, 2, own(b, 2, 2)), propose(2, 3, 2, own(b, 3, 2)),
+        propose(2, 4, 2, own(a, 1, 2)),
+        propose(2, 4, 2, own(a, 4, 2)), propose(2, 4, 2, own(a, 4, 2)),
+        propose(3, 5, 2, own(a, 5, 2)),
+        # a Byzantine vote names 1's log before 1 proposes it
+        SendEvent(4, VoteMsg(4, 4, own(c, 1, 3))),
+        propose(4, 0, 3, own(c, 0, 3)), propose(4, 1, 3, own(c, 1, 3)),
+        propose(4, 2, 3, own(c, 2, 3)),
+        propose(4, 5, 3, Log()), propose(4, 6, 3, Log()),
+    )
+    schedule = constant_schedule(7, 5, 2, ModelParams(tau=2, eta=2, pi=0, gamma=Fraction(0),
+                                                      beta=Fraction(1, 3)))
+    lines = assert_same_lines(Trace(schedule, "hand-built", events), HEADER_SCENARIO)
+    assert_lines_read_back(lines)
+    objs = [json.loads(line) for line in lines[1:]]
+    facts = [(obj["kind"], obj["round"], obj["actor"], obj.get("id"), obj["payload"])
+             for obj in objs]
+
+    def proposed(view, **fact):
+        return {"msg": {**fact, "type": "propose", "view": view}}
+
+    assert facts == [
+        ("log", 0, None, None, {"id": 0, "parent": None, "value": None}),
+        ("log", 0, None, None, {"id": 1, "parent": 0, "value": GENESIS._asdict()}),
+        ("send", 0, [0, 1, 2], 0, proposed(1, log=1)),
+        # c and 1's log take ids 2 and 3; b is named, then 2's and 3's logs
+        ("send", 2, [0, 1], 3, proposed(2, base=1)),
+        ("log", 2, None, None, {"id": 4, "parent": 1, "value": Value(1, 0, 1)._asdict()}),
+        ("send", 2, [2, 3], 5, proposed(2, base=4)),
+        ("send", 2, [4], 7, proposed(2, log=3)),
+        ("send", 2, [4, 4], 8, proposed(2, base=1)),
+        ("send", 3, [5], 10, proposed(2, base=1)),
+        ("log", 4, None, None, {"id": 9, "parent": 2, "value": Value(3, 1, 3)._asdict()}),
+        ("send", 4, [4], 11, {"msg": {"log": 9, "type": "vote"}}),
+        ("send", 4, [0, 1, 2], 12, proposed(3, base=2)),
+        ("send", 4, [5, 6], 15, proposed(3, log=0)),
+    ]
+    logs, sent = TraceLogs(), []
+    for obj in objs:
+        if obj["kind"] == "log":
+            logs.read_log_line(obj["payload"])
+        elif obj["payload"]["msg"]["type"] == "propose":
+            sent += logs.proposals(obj, seed)
+        else:
+            sent.append(VoteMsg(obj["actor"][0], obj["round"], logs[obj["payload"]["msg"]["log"]]))
+    assert sent == [e.msg for e in events]
+    # ids 5-8 and 10-11 went to the allotted logs, in sender order
+    assert [logs.ids[log] for log in (own(b, 2, 2), own(b, 3, 2), own(a, 4, 2), own(a, 5, 2),
+                                      own(c, 0, 3), own(c, 2, 3))] == [5, 6, 7, 8, 10, 11]
