@@ -241,9 +241,11 @@ def test_synchronous_facts_take_one_line_of_fixed_shape(n):
     """In a fault-free run every receive phase is synchronous and holds
     nothing back, and every round is one cohort.  So each round's
     deliveries are one ``deliver`` line, a run of send ids held by the
-    round's receivers, each round's votes one ``send`` line and its
-    decisions at most one ``decide`` line, and each ``ga_record`` line is
-    one claim held by the round's awake receivers."""
+    round's receivers, each round's votes one ``send`` line, each
+    proposing round's proposals one ``send`` line (after round 0's genesis
+    proposals, a ``base`` line) and its decisions at most one ``decide``
+    line, and each ``ga_record`` line is one claim held by the round's
+    awake receivers."""
     scenario = Scenario(name="faultfree", n=n, horizon=12, tau=4, eta=4, pi=0,
                         gamma=Fraction(0), beta=Fraction(1, 3), r_a=None, seed=1,
                         schedule_spec={"constant": {}})
@@ -261,6 +263,11 @@ def test_synchronous_facts_take_one_line_of_fixed_shape(n):
              if obj["kind"] == "send" and obj["payload"]["msg"]["type"] == "vote"]
     assert [obj["round"] for obj in votes] == list(range(1, schedule.horizon))
     assert all(obj["actor"] == list(range(n)) for obj in votes)
+    proposals = [obj for obj in objs
+                 if obj["kind"] == "send" and obj["payload"]["msg"]["type"] == "propose"]
+    assert [obj["round"] for obj in proposals] == list(range(0, schedule.horizon, 2))
+    assert all(obj["actor"] == list(range(n)) for obj in proposals)
+    assert all("base" in obj["payload"]["msg"] for obj in proposals[1:])
     decided = [obj["round"] for obj in objs if obj["kind"] == "decide"]
     assert decided and len(set(decided)) == len(decided)
     assert len(records) == schedule.horizon - 1

@@ -18,11 +18,12 @@ payloads, each a send, a decision or a range delivery, become one dict
 whose actor lists theirs, a send joining only with the next send id.
 Both writers must give equal lines on the six shipped scenarios, one
 default ``campaign`` seed, ``World`` runs of random bounded schedules with
-and without a window, and a hand-built trace that delivers a tuple of ids, a range and nothing, decides
-the empty log and holds one record whose receivers share a view, one whose
-receivers do not, one with a malformed frontier next to two receivers that
-hold equal claims in different view objects, and one whose frontier names
-two unnamed logs on different branches.  A second hand-built trace holds
+and without a window, and a hand-built trace that delivers a tuple of ids,
+a range and nothing, decides the empty log and holds one record whose
+receivers share a view, one whose receivers do not, one with a malformed
+frontier next to two receivers that hold equal claims in different view
+objects, and one whose frontier names two unnamed logs on different
+branches.  A second hand-built trace holds
 runs that must break a cohort line: two vote logs in one round, a
 Byzantine sender voting two logs in one round, a decide run split by a
 different log, two range deliveries of one round with different ``from``
