@@ -26,7 +26,7 @@ from .ga import (
     tally,
 )
 from .model_checks import ModelParams, beta_tilde, check_all
-from .tob import ProcessState, ViewClock, latest_unexpired
+from .tob import ProcessState, latest_unexpired, view_of
 from .world import (
     AdversaryStrategy,
     Schedule,

@@ -26,7 +26,10 @@ The quorum rule of asynchrony support and sleepiness is written once, as
 thresholds compares integers, a count times a ratio's denominator against
 its numerator times a set size (``count > (1 - beta) * pool`` as
 ``count * d > (d - n) * pool`` for ``beta = n / d``), as ``ga.grade``
-compares ``3 * count`` with ``2 * m``.  ``check_all`` runs the
+compares ``3 * count`` with ``2 * m``.  A validator's result is the
+numbers of the rounds its rule failed in and of those where it held
+vacuously (a churn window with nobody awake), plus a reason that fails
+the check as a whole; ``_judge`` collects them.  ``check_all`` runs the
 validators once per schedule.
 """
 
@@ -113,30 +116,26 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class RoundVerdict:
-    round: int
-    passed: bool
-    vacuous: bool = False
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class CheckResult:
+    """One validator's verdict: the rounds whose rule failed, those where it
+    held vacuously, and ``detail``, a reason that fails the check as a
+    whole."""
+
     name: str
-    rounds: tuple[RoundVerdict, ...] = ()
-    passed: bool = True
+    failing_rounds: tuple[int, ...] = ()
+    vacuous_rounds: tuple[int, ...] = ()
     detail: str = ""
 
     @property
-    def failing_rounds(self) -> list[int]:
-        return [v.round for v in self.rounds if not v.passed]
+    def passed(self) -> bool:
+        return not self.failing_rounds and not self.detail
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "passed": self.passed,
-            "failing_rounds": self.failing_rounds,
-            "vacuous_rounds": [v.round for v in self.rounds if v.vacuous],
+            "failing_rounds": list(self.failing_rounds),
+            "vacuous_rounds": list(self.vacuous_rounds),
             "detail": self.detail,
         }
 
@@ -158,29 +157,28 @@ def ratio_ok(n_byz: int, n_awake: int, beta_tilde: Fraction) -> bool:
 
 
 def _judge(
-    name: str, rounds: Iterable[int], rule: Callable[[int], str | None], detail: str = ""
+    name: str, rounds: Iterable[int], rule: Callable[[int], bool | None], detail: str = ""
 ) -> CheckResult:
-    """One verdict per round: ``rule(r)`` is ``None`` for a vacuous pass,
-    ``""`` for a pass and the reason for a failure.  A non-empty ``detail``
-    fails the check as a whole."""
-    verdicts = []
+    """Judge each round: ``rule(r)`` is ``None`` for a vacuous pass, else
+    whether round ``r`` passes.  A non-empty ``detail`` fails the check as a
+    whole."""
+    failing, vacuous = [], []
     for r in rounds:
-        why = rule(r)
-        verdicts.append(RoundVerdict(r, not why, vacuous=why is None, detail=why or ""))
-    passed = all(v.passed for v in verdicts) and not detail
-    return CheckResult(name, tuple(verdicts), passed, detail)
+        ok = rule(r)
+        if ok is None:
+            vacuous.append(r)
+        elif not ok:
+            failing.append(r)
+    return CheckResult(name, tuple(failing), tuple(vacuous), detail)
 
 
 def check_churn(schedule: "Schedule", tau: int, gamma: Fraction) -> CheckResult:
     """Per round r: |H_[r-tau, r-1] \\ H_r| <= gamma * |H_[r-tau, r-1]|."""
     gamma = Fraction(gamma)
 
-    def rule(r: int) -> str | None:
-        window, now = _union(schedule.awake_honest, r - tau, r - 1), schedule.awake_honest[r]
-        if not window:
-            return None
-        absent = len(window - now)
-        return "" if churn_ok(window, now, gamma) else f"{absent}/{len(window)} dropped off"
+    def rule(r: int) -> bool | None:
+        window = _union(schedule.awake_honest, r - tau, r - 1)
+        return churn_ok(window, schedule.awake_honest[r], gamma) if window else None
 
     return _judge("churn_bound", range(schedule.horizon), rule)
 
@@ -188,25 +186,21 @@ def check_churn(schedule: "Schedule", tau: int, gamma: Fraction) -> CheckResult:
 def check_failure_ratio(schedule: "Schedule", beta_tilde: Fraction) -> CheckResult:
     """Per round r: |B_r| < beta_tilde * |S_r| (strict)."""
     beta_tilde = Fraction(beta_tilde)
-
-    def rule(r: int) -> str:
-        nb, ns = len(schedule.byzantine[r]), len(schedule.awake(r))
-        return "" if ratio_ok(nb, ns, beta_tilde) else f"{nb} Byzantine of {ns} awake"
-
-    return _judge("failure_ratio", range(schedule.horizon), rule)
+    return _judge(
+        "failure_ratio", range(schedule.horizon),
+        lambda r: ratio_ok(len(schedule.byzantine[r]), len(schedule.awake(r)), beta_tilde),
+    )
 
 
-def _quorum(schedule: "Schedule", tau: int, beta: Fraction, who: str) -> Callable[[int, int], str]:
-    """``rule(r, count)``: a pass when ``count`` processes exceed a (1 - beta)
-    fraction of everyone awake over rounds [r - tau, r] (strict), else the
-    reason, naming the counted processes ``who``."""
+def _quorum(schedule: "Schedule", tau: int, beta: Fraction) -> Callable[[int, int], bool]:
+    """``rule(r, count)``: whether ``count`` processes exceed a (1 - beta)
+    fraction of everyone awake over rounds [r - tau, r] (strict)."""
     beta = Fraction(beta)
     d, keep = beta.denominator, beta.denominator - beta.numerator
     awake = [schedule.awake(r) for r in range(len(schedule.awake_honest))]
 
-    def rule(r: int, count: int) -> str:
-        pool = len(_union(awake, r - tau, r))
-        return "" if count * d > keep * pool else f"{count} {who} vs pool {pool}"
+    def rule(r: int, count: int) -> bool:
+        return count * d > keep * len(_union(awake, r - tau, r))
 
     return rule
 
@@ -223,12 +217,10 @@ def check_async_conditions(
     """
     h_ra = schedule.awake_honest[r_a]
     rounds = len(schedule.awake_honest)
-    quorum = _quorum(schedule, tau, beta, "survivors")
+    quorum = _quorum(schedule, tau, beta)
 
-    def rule(r: int) -> str:
-        if r >= rounds:
-            return "round beyond schedule"
-        return quorum(r, len(h_ra - schedule.byzantine[r]))
+    def rule(r: int) -> bool:
+        return r < rounds and quorum(r, len(h_ra - schedule.byzantine[r]))
 
     contained = r_a + 1 < rounds and h_ra <= schedule.awake_honest[r_a + 1]
     return _judge(
@@ -239,7 +231,7 @@ def check_async_conditions(
 
 def check_tau_sleepiness(schedule: "Schedule", tau: int, beta: Fraction) -> CheckResult:
     """Per round r: |H_r| > (1 - beta) * |S_[r-tau, r]| (strict)."""
-    quorum = _quorum(schedule, tau, beta, "awake honest")
+    quorum = _quorum(schedule, tau, beta)
     return _judge(
         "tau_sleepiness", range(schedule.horizon), lambda r: quorum(r, len(schedule.awake_honest[r]))
     )
@@ -255,10 +247,7 @@ class ModelReport:
 
     @property
     def all_pass(self) -> bool:
-        core = self.churn.passed and self.failure_ratio.passed
-        if self.async_support is not None:
-            core = core and self.async_support.passed
-        return core
+        return self.sleepy_pass and (self.async_support is None or self.async_support.passed)
 
     @property
     def sleepy_pass(self) -> bool:

@@ -77,6 +77,7 @@ from .core import (
     longest_common_prefix,
 )
 from .ga import GaOutput, GaRecord, ReceiverView
+from .tob import view_of
 from .world import DeliverEvent, SendEvent, Trace
 
 
@@ -485,7 +486,7 @@ def check_async_resilience(trace: Trace, r_a: int, pi: int) -> OracleReport:
 
 def first_full_view_after(last_async_round: int) -> int:
     """First view both of whose rounds come after ``last_async_round``."""
-    return (last_async_round + 1) // 2 + 1
+    return view_of(last_async_round) + 1
 
 
 def check_healing(

@@ -1,7 +1,9 @@
 """Per-process state machine for the total-order broadcast.
 
 View 0 occupies round 0 and only multicasts a proposal for the genesis log.
-Every later view v >= 1 spans rounds 2v-1 and 2v:
+Every later view v >= 1 spans rounds 2v-1 and 2v, so round r belongs to
+view ``view_of(r) = (r + 1) // 2`` and, past round 0, its parity tells
+which of the two steps it takes:
 
 * round 2v-1: take the outputs of the previous round's agreement
   instance, decide the longest grade-1 log (it extends every other
@@ -46,7 +48,6 @@ well-behaved process's ticket with the seed they are passed, which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .core import (
@@ -68,28 +69,10 @@ from .ga import GaOutput, InitialVoteSet, keep_latest
 _NO_OLDER_VOTES = InitialVoteSet()
 
 
-class Phase(Enum):
-    VIEW0 = "view0"
-    ROUND1 = "round1"
-    ROUND2 = "round2"
-
-
-@dataclass(frozen=True, slots=True)
-class ViewClock:
-    """Maps a round number onto its view and phase: view 0 lasts one round,
-    view v >= 1 occupies rounds 2v-1 and 2v."""
-
-    round: int
-
-    @property
-    def view(self) -> int:
-        return 0 if self.round == 0 else (self.round + 1) // 2
-
-    @property
-    def phase(self) -> Phase:
-        if self.round == 0:
-            return Phase.VIEW0
-        return Phase.ROUND1 if self.round % 2 == 1 else Phase.ROUND2
+def view_of(r: int) -> int:
+    """The view round ``r`` belongs to: view 0 is round 0 and view v >= 1
+    spans rounds 2v-1 and 2v."""
+    return (r + 1) // 2
 
 
 @dataclass

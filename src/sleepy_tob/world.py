@@ -104,13 +104,12 @@ from .ga import (
 )
 from .model_checks import ModelParams, _union, churn_ok, ratio_ok
 from .tob import (
-    Phase,
     ProcessState,
-    ViewClock,
     latest_unexpired,
     step_round1,
     step_round2,
     step_view0,
+    view_of,
 )
 
 Msg = VoteMsg | ProposeMsg
@@ -390,16 +389,17 @@ class World:
         if strategy.validate is not None:
             strategy.validate(self)
 
-    def _broadcast(self, msg: Msg, r: int) -> None:
-        """Send ``msg`` in round ``r``: record the send, fold the message into
-        the stores and append it to the send log.  ``step_round`` does the
-        same inline for the messages of the well-behaved processes."""
-        self.events.append(new_record(SendEvent, (r, msg)))
-        if isinstance(msg, VoteMsg):
-            keep_latest(self.votes, msg)
-        else:
-            self.proposals.setdefault(msg.view, set()).add(msg)
-        self.sent.append(msg)
+    def _send(self, r: int, msgs: Iterable[Msg]) -> None:
+        """Send ``msgs`` in round ``r``, in order: record each send, fold the
+        message into the stores and append it to the send log."""
+        events, votes, proposals, sent = self.events, self.votes, self.proposals, self.sent
+        for msg in msgs:
+            events.append(new_record(SendEvent, (r, msg)))
+            if isinstance(msg, VoteMsg):
+                keep_latest(votes, msg)
+            else:
+                proposals.setdefault(msg.view, set()).add(msg)
+            sent.append(msg)
 
     @property
     def pending(self) -> dict[ProcessId, list[Msg]]:
@@ -424,16 +424,13 @@ class World:
 
     def step_round(self, r: int) -> None:
         """Execute the send and receive phases of round ``r``."""
-        sched = self.schedule
-        clock = ViewClock(r)
-        phase, this_view = clock.phase, clock.view
-        states, events = self.states, self.events
+        sched, states, events = self.schedule, self.states, self.events
+        this_view = view_of(r)
         inputs: dict[ProcessId, Log] = {}
 
-        if phase is Phase.VIEW0:
-            for p in sorted(sched.awake_honest[r]):
-                for pm in step_view0(states[p], self.seed):
-                    self._broadcast(pm, r)
+        if r == 0:
+            self._send(r, [pm for p in sorted(sched.awake_honest[r])
+                           for pm in step_view0(states[p], self.seed)])
         else:
             # a process awake at r received in round r - 1, so its pending
             # output is that round's; the ids in a key name objects the
@@ -445,7 +442,7 @@ class World:
                 output = state.pending_output
                 stale = None if output else state.candidate
                 cohorts.setdefault((id(output), id(state.proposals_seen), stale), []).append(state)
-            round1 = phase is Phase.ROUND1
+            round1 = r % 2 == 1
             # per member: its vote and its decision (round 1) or proposal
             rows: list[tuple[VoteMsg, Log | None] | tuple[VoteMsg, ProposeMsg]] = []
             for cohort in cohorts.values():
@@ -458,32 +455,29 @@ class World:
                     rows.extend(step_round2(cohort, this_view, outputs, self.seed))
             rows.sort()  # the votes' senders are distinct, so this is pid order
             # the decisions, then the votes, then the proposals, each a run
-            # in pid order; _broadcast, inlined
-            sent, votes, proposals = self.sent, self.votes, self.proposals
+            # in pid order
+            sends = [vote for vote, _ in rows]
             if round1:
                 events.extend(new_record(DecideEvent, (r, vote.sender, decided))
                               for vote, decided in rows if decided is not None)
-            for vote, _ in rows:
-                events.append(new_record(SendEvent, (r, vote)))
-                keep_latest(votes, vote)
-                sent.append(vote)
-                inputs[vote.sender] = vote.log
-            if not round1:
-                for _, pm in rows:
-                    events.append(new_record(SendEvent, (r, pm)))
-                    proposals.setdefault(pm.view, set()).add(pm)
-                    sent.append(pm)
+            else:
+                sends += [pm for _, pm in rows]
+            self._send(r, sends)
+            inputs = {vote.sender: vote.log for vote, _ in rows}
 
-        for msg in self.strategy.messages(self, r):
+        strategy_msgs = tuple(self.strategy.messages(self, r))
+        for msg in strategy_msgs:
             check_adversary_message(msg, r, sched.byzantine[r], self.seed)
-            self._broadcast(msg, r)
+        self._send(r, strategy_msgs)
 
         if synchronous := sched.sync(r):
             # every receiver takes its whole queue, which holds every send it
             # has not yet received, so each ends up holding every message
             # sent: one pair of stores and one view serve them all
             store = dict(self.votes)
-            self.proposals = {v: s for v, s in self.proposals.items() if 2 * v - 1 > r}
+            # view v's proposals are read at round 2v - 1, which is still to
+            # come exactly when v > view_of(r)
+            self.proposals = {v: s for v, s in self.proposals.items() if v > this_view}
             by_view = {v: frozenset(s) for v, s in self.proposals.items()}
             shared = self._receive(store, r)
         views: dict[ProcessId, ReceiverView] = {}
@@ -555,7 +549,7 @@ def window_attack(
     def targets(sched: Schedule) -> list[Log]:
         assert sched.r_a is not None
         proposer = min(sched.byzantine[sched.r_a + 1], default=0)
-        view = ViewClock(sched.r_a + 1).view
+        view = view_of(sched.r_a + 1)
         return [Log((Value(base + i + view, proposer, view),)) for i in range(k)]
 
     def messages(world: World, r: int) -> list[Msg]:
@@ -563,12 +557,11 @@ def window_attack(
         if r not in sched.window_rounds:
             return []
         logs = targets(sched)
-        clock = ViewClock(r)
         out: list[Msg] = []
         for b in sorted(sched.byzantine[r]):
             out.extend(VoteMsg(b, r, log) for log in logs)
-            if proposes and clock.phase is Phase.ROUND2:
-                view = clock.view + 1
+            if proposes and r % 2 == 0:
+                view = view_of(r) + 1
                 ticket = vrf_eval(world.seed, b, view)
                 out.extend(ProposeMsg(b, view, log, ticket) for log in logs)
         return out
@@ -623,15 +616,15 @@ def generate_schedule(
     failure-ratio bounds, the awake set is frozen around any asynchronous
     window so the window support conditions hold, and the result is passed
     through the full validator before being returned.  No process at all,
-    or a window that the schedule's structure cannot hold, raises
-    ``ScheduleError`` at once, and a Byzantine count that breaks the
+    a window not shorter than ``tau``, or a window that the schedule's
+    structure cannot hold, raises ``ScheduleError`` at once, and a Byzantine count that breaks the
     failure ratio even with every process awake raises
     ``InfeasibleScheduleError`` at once.
     """
     _check_process_count(n)
     tau, pi, gamma, bt = params.tau, params.pi, params.gamma, params.beta_tilde
     if pi >= 1 and tau <= pi:
-        raise ValueError(f"window must be shorter than the churn window (pi={pi}, tau={tau})")
+        raise ScheduleError(f"window must be shorter than the churn window (pi={pi}, tau={tau})")
 
     rng = random.Random(seed)
     frozen = range(max(0, r_a - tau), r_a + pi + 2) if r_a is not None else range(0)

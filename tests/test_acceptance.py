@@ -414,15 +414,15 @@ def test_criterion_9_bounds_imply_sleepiness():
         attempts += 1
         sched = random_bounded_schedule(rng)
         p = sched.params
-        churn = check_churn(sched, p.tau, p.gamma).rounds
-        ratio = check_failure_ratio(sched, p.beta_tilde).rounds
-        if not all(v.passed for v in churn) or not all(v.passed for v in ratio):
+        churn = check_churn(sched, p.tau, p.gamma).failing_rounds
+        ratio = check_failure_ratio(sched, p.beta_tilde).failing_rounds
+        if churn or ratio:
             continue
         qualifying += 1
-        sleepy = check_tau_sleepiness(sched, p.tau, p.beta).rounds
+        sleepy = check_tau_sleepiness(sched, p.tau, p.beta).failing_rounds
         for r in range(sched.horizon):
             rounds_checked += 1
-            if not sleepy[r].passed:
+            if r in sleepy:
                 replay = {
                     "n": sched.n,
                     "horizon": sched.horizon,

@@ -867,8 +867,11 @@ class TestCmdCampaign:
             (["--n", "-1"], "need at least 1 process, got n = -1"),
             (["--horizon", "0"], "horizon must be at least 1 round"),
             (["--r-a", "30"], "window must end before the final round"),
+            (["--pi", "4", "--tau", "4"],
+             "window must be shorter than the churn window (pi=4, tau=4)"),
         ],
-        ids=["no-process", "negative-n", "no-horizon", "window-past-horizon"],
+        ids=["no-process", "negative-n", "no-horizon", "window-past-horizon",
+             "window-not-shorter-than-tau"],
     )
     def test_schedule_error_ends_the_campaign(self, argv, message, capsys, monkeypatch):
         """A schedule error does not depend on the seed, so the first run

@@ -88,6 +88,6 @@ def test_round_with_nobody_awake_can_break_safety_under_expiry():
         params=ModelParams(tau=0, eta=0, pi=0, gamma=Fraction(1, 4), beta=THIRD),
     )
     sleepiness = check_tau_sleepiness(schedule, 0, THIRD)
-    assert sleepiness.failing_rounds == [4, 5, 6, 7]
+    assert sleepiness.failing_rounds == (4, 5, 6, 7)
     trace = run(schedule, null_strategy(), 0)
     assert check_safety_after(trace, 0).verdict is Verdict.FAIL

@@ -18,7 +18,7 @@ from sleepy_tob.oracle import (
     check_liveness_after,
     check_safety_after,
 )
-from sleepy_tob.tob import Phase, ProcessState, ViewClock, step_round1
+from sleepy_tob.tob import ProcessState, step_round1, view_of
 from sleepy_tob.world import (
     AdversaryStrategy,
     Schedule,
@@ -113,8 +113,7 @@ def stale_prefix_strategy() -> AdversaryStrategy:
     decided."""
 
     def messages(world: World, r: int) -> list[ProposeMsg]:
-        clock = ViewClock(r)
-        if clock.phase is not Phase.ROUND2:
+        if r == 0 or r % 2:
             return []
         byz = world.schedule.byzantine[r]
         votes = [
@@ -124,7 +123,7 @@ def stale_prefix_strategy() -> AdversaryStrategy:
         ]
         longest = max(votes, key=lambda log: (len(log), fields_key(log)))
         stale = Log(longest.values[:-1])
-        view = clock.view + 1
+        view = view_of(r) + 1
         return [
             ProposeMsg(sender=b, view=view, log=stale, ticket=vrf_eval(world.seed, b, view))
             for b in sorted(byz)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sleepy_tob.model_checks import (
     ModelParams,
+    _judge,
     beta_tilde,
     check_async_conditions,
     check_churn,
@@ -73,6 +74,37 @@ def params(tau=2, eta=2, pi=0, gamma="0", beta="1/3"):
     )
 
 
+# per round: a vacuous pass (None), a pass or a failure
+RULE = {0: None, 1: True, 2: False, 3: None, 4: True, 5: False}.get
+
+
+@pytest.mark.parametrize(
+    "rounds, detail, passed",
+    [
+        ([0, 1, 3, 4], "", True),
+        ([0, 1, 3, 4], "awake set not contained in the next round", False),
+        ([1, 2, 3], "", False),
+        ([0, 2, 4, 5], "", False),
+        ([], "", True),
+    ],
+    ids=["vacuous-and-passing", "detail", "one-failing", "two-failing", "no-round"],
+)
+def test_judge_fails_exactly_on_a_failing_round_or_a_detail(rounds, detail, passed):
+    result = _judge("check", rounds, RULE, detail)
+    failing = [r for r in rounds if RULE(r) is False]
+    vacuous = [r for r in rounds if RULE(r) is None]
+    assert result.passed is passed is (not failing and not detail)
+    assert result.failing_rounds == tuple(failing)
+    assert result.vacuous_rounds == tuple(vacuous)
+    assert result.to_dict() == {
+        "name": "check",
+        "passed": passed,
+        "failing_rounds": failing,
+        "vacuous_rounds": vacuous,
+        "detail": detail,
+    }
+
+
 class TestChurn:
     def test_constant_participation_passes_any_gamma(self):
         awake = [frozenset(range(10))] * 9
@@ -92,7 +124,7 @@ class TestChurn:
         sched = mk_schedule(awake, [frozenset()] * 3, params())
         result = check_churn(sched, tau=0, gamma=Fraction(0))
         assert result.passed
-        assert all(v.vacuous for v in result.rounds)
+        assert result.vacuous_rounds == tuple(range(sched.horizon))
 
 
 class TestFailureRatio:
@@ -115,8 +147,8 @@ class TestFailureRatio:
             [frozenset(range(7))] * 4, [frozenset(range(20, 23))] * 4, params()
         )
         derived = beta_tilde(THIRD, Fraction(0))
-        a = [v.passed for v in check_failure_ratio(sched, derived).rounds]
-        b = [v.passed for v in check_failure_ratio(sched, THIRD).rounds]
+        a = check_failure_ratio(sched, derived).failing_rounds
+        b = check_failure_ratio(sched, THIRD).failing_rounds
         assert a == b
 
 
@@ -202,11 +234,13 @@ def test_bounds_imply_sleepiness_sampled():
     for _ in range(300):
         sched = random_bounded_schedule(rng)
         p = sched.params
-        churn = check_churn(sched, p.tau, p.gamma).rounds
-        ratio = check_failure_ratio(sched, p.beta_tilde).rounds
-        sleepy = check_tau_sleepiness(sched, p.tau, p.beta).rounds
+        failing = {
+            *check_churn(sched, p.tau, p.gamma).failing_rounds,
+            *check_failure_ratio(sched, p.beta_tilde).failing_rounds,
+        }
+        sleepy = check_tau_sleepiness(sched, p.tau, p.beta).failing_rounds
         for r in range(sched.horizon):
-            if churn[r].passed and ratio[r].passed:
+            if r not in failing:
                 checked += 1
-                assert sleepy[r].passed, f"round {r} of {sched}"
+                assert r not in sleepy, f"round {r} of {sched}"
     assert checked > 500

@@ -23,14 +23,13 @@ from sleepy_tob.core import (
 )
 from sleepy_tob.ga import GaOutput
 from sleepy_tob.tob import (
-    Phase,
     ProcessState,
-    ViewClock,
     latest_unexpired,
     round1_vote_log,
     step_round1,
     step_round2,
     step_view0,
+    view_of,
 )
 
 A = Log((Value(1, 0, 1),))
@@ -46,16 +45,15 @@ def state(pid=0, **kw):
 
 
 class TestViewClock:
+    """``view_of``, the map from rounds to views."""
+
     def test_view0_is_round0(self):
-        assert ViewClock(0).view == 0
-        assert ViewClock(0).phase is Phase.VIEW0
+        assert view_of(0) == 0
 
     @pytest.mark.parametrize("view", [1, 2, 3, 7])
     def test_views_span_two_rounds(self, view):
-        assert ViewClock(2 * view - 1).view == view
-        assert ViewClock(2 * view - 1).phase is Phase.ROUND1
-        assert ViewClock(2 * view).view == view
-        assert ViewClock(2 * view).phase is Phase.ROUND2
+        assert view_of(2 * view - 1) == view
+        assert view_of(2 * view) == view
 
 
 def absorbed(*votes):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from sleepy_tob.core import GENESIS, Log, ProcessId, ProposeMsg, Value, VoteMsg, vrf_eval
 from sleepy_tob.model_checks import ModelParams
 from sleepy_tob.oracle import Verdict, check_async_resilience
-from sleepy_tob.tob import ViewClock
+from sleepy_tob.tob import view_of
 from sleepy_tob.world import (
     AdversaryStrategy,
     InfeasibleScheduleError,
@@ -37,7 +37,7 @@ def _window_target(world: World) -> Log:
     sched = world.schedule
     assert sched.r_a is not None
     first_byz = min(sched.byzantine[sched.r_a + 1])
-    view = ViewClock(sched.r_a + 1).view
+    view = view_of(sched.r_a + 1)
     return Log((Value(id=10_000 + view, proposer=first_byz, view=view),))
 
 
@@ -85,7 +85,7 @@ def reference_split_decision() -> AdversaryStrategy:
         assert sched.r_a is not None
         byz = sched.byzantine[sched.r_a + 1]
         first_byz = min(byz) if byz else 0
-        view = ViewClock(sched.r_a + 1).view
+        view = view_of(sched.r_a + 1)
         return (
             Log((Value(id=20_000 + view, proposer=first_byz, view=view),)),
             Log((Value(id=20_001 + view, proposer=first_byz, view=view),)),
@@ -144,13 +144,13 @@ def schedules(draw) -> Schedule:
 def honest_messages(sched: Schedule, seed: int, r: int) -> list[Msg]:
     """What the well-behaved processes send in round ``r``, roughly: a vote
     for a genesis chain and, on round-2 rounds, a proposal extending it."""
-    clock = ViewClock(r)
+    this_view = view_of(r)
     out: list[Msg] = []
     for h in sorted(sched.awake_honest[r]):
-        log = Log((GENESIS,)).extended(Value(id=clock.view, proposer=h, view=clock.view))
+        log = Log((GENESIS,)).extended(Value(id=this_view, proposer=h, view=this_view))
         out.append(VoteMsg(sender=h, round=r, log=log))
         if r % 2 == 0:
-            view = clock.view + 1
+            view = this_view + 1
             out.append(ProposeMsg(sender=h, view=view, log=log, ticket=vrf_eval(seed, h, view)))
     return out
 

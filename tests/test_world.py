@@ -516,7 +516,7 @@ class TestGenerateSchedule:
             )
 
     def test_window_longer_than_tau_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScheduleError, match="shorter than the churn window"):
             generate_schedule(
                 n=12, horizon=12,
                 params=ModelParams(tau=2, eta=2, pi=3, gamma=Fraction(0), beta=THIRD),

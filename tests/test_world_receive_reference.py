@@ -1,8 +1,8 @@
 """The shared receive phase and the cohort send phase of ``World`` against
 the per-receiver, per-process ones they replaced.
 
-``PerReceiverWorld`` below keeps ``_broadcast`` and ``step_round`` verbatim
-as they were when every receiver absorbed every delivered message into its
+``PerReceiverWorld`` below keeps ``_broadcast`` and ``step_round`` verbatim,
+with the ``Phase`` and ``ViewClock`` they read, as they were when every receiver absorbed every delivered message into its
 own store and ran ``latest_unexpired``, ``merge_latest`` and ``grade`` on
 it, except that the seed and ``eta`` are now passed as arguments, that it
 steps each process on its own with ``helpers.reference_step_round1`` and
@@ -35,6 +35,8 @@ corrupted on the way, and one in which a stale candidate splits a
 synchronous round into two cohorts.
 """
 
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
@@ -46,7 +48,7 @@ from helpers import reference_step_round1, reference_step_round2
 from sleepy_tob.core import Log, ProcessId, VoteMsg
 from sleepy_tob.ga import ForgeryError, GaRecord, ReceiverView, grade, merge_latest
 from sleepy_tob.model_checks import ModelParams
-from sleepy_tob.tob import Phase, ViewClock, latest_unexpired, step_view0
+from sleepy_tob.tob import latest_unexpired, step_view0
 from sleepy_tob.world import (
     STRATEGIES,
     AdversaryStrategy,
@@ -65,6 +67,30 @@ ETAS = [0, 1, 2, 4, None]
 
 # ---------------------------------------------------------------------------
 # reference: one receive computation per receiver
+
+
+class Phase(Enum):
+    VIEW0 = "view0"
+    ROUND1 = "round1"
+    ROUND2 = "round2"
+
+
+@dataclass(frozen=True, slots=True)
+class ViewClock:
+    """Maps a round number onto its view and phase: view 0 lasts one round,
+    view v >= 1 occupies rounds 2v-1 and 2v."""
+
+    round: int
+
+    @property
+    def view(self) -> int:
+        return 0 if self.round == 0 else (self.round + 1) // 2
+
+    @property
+    def phase(self) -> Phase:
+        if self.round == 0:
+            return Phase.VIEW0
+        return Phase.ROUND1 if self.round % 2 == 1 else Phase.ROUND2
 
 
 def split_queue(q: ProcessId, queued: list[Msg], chosen) -> tuple[list[Msg], list[Msg]]:
