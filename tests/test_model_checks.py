@@ -93,7 +93,8 @@ def test_judge_fails_exactly_on_a_failing_round_or_a_detail(rounds, detail, pass
     result = _judge("check", rounds, RULE, detail)
     failing = [r for r in rounds if RULE(r) is False]
     vacuous = [r for r in rounds if RULE(r) is None]
-    assert result.passed is passed is (not failing and not detail)
+    assert passed is (not failing and not detail)
+    assert result.passed is passed
     assert result.failing_rounds == tuple(failing)
     assert result.vacuous_rounds == tuple(vacuous)
     assert result.to_dict() == {
