@@ -23,7 +23,8 @@ def main() -> int:
             else:
                 print(f"  {key:<18} {rep['verdict']}")
         decides = trace.decide_events()
-        print(f"  decisions: {len(decides)}, latest log: {decides[-1].log if decides else None}")
+        print(f"  decisions: {sum(len(e.pids) for e in decides)}, "
+              f"latest log: {decides[-1].log if decides else None}")
         print(f"  exit code: {report['exit_code']}")
     return 0
 

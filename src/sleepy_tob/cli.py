@@ -41,12 +41,10 @@ import sys
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import groupby
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .core import Log, ProcessId, Value, VoteMsg
+from .core import Log, ProcessId, Value
 from .ga import GaRecord
 from .model_checks import ModelParams, beta_tilde, check_all
 from .oracle import (
@@ -314,33 +312,6 @@ def record_to_json(record: GaRecord, log_id: Callable[[Log], int]) -> str:
             f'"claims": [{text}], "synchronous": {"true" if record.synchronous else "false"}}}')
 
 
-def cohort_key(e: object) -> object:
-    """The fact an event states with its neighbours: a run of consecutive
-    events with equal keys is one cohort line.  The range deliveries of one
-    round with one ``from`` and ``to``, the vote sends of one round for one
-    log, the decide events of one round for one log and the proposal sends
-    of one round and view share a key: those that each extend one base by
-    the sender's own value ``Value(view, sender, view)``, keyed ``"ext"``
-    with the base, and those of one other log, the empty log included,
-    keyed ``"same"`` with that log.  Any other event is keyed by its
-    ``id``, which no other event's key equals."""
-    kind = type(e)
-    if kind is DeliverEvent:
-        if type(e.ids) is range:
-            return "deliver", e.round, e.ids.start, e.ids.stop
-    elif kind is SendEvent:
-        msg = e.msg
-        if type(msg) is VoteMsg:
-            return "vote", e.round, msg.log
-        log, view = msg.log, msg.view
-        if log and log.values[-1] == (view, msg.sender, view):
-            return "propose", e.round, view, "ext", log.parent
-        return "propose", e.round, view, "same", log
-    elif kind is DecideEvent:
-        return "decide", e.round, e.log
-    return id(e)
-
-
 def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     """JSON-lines rendition: a header holding the whole scenario, its hash
     and the strategy's name, then one object per line, each byte for byte
@@ -375,8 +346,10 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     send ids an adversary chose and the lists of actors and receivers,
     which grow with the cohort that shares the fact.
     """
-    log_ids: dict[Log, int] = {}
-    sends = 0
+    # each log's id, by (parent id, last value) and None for the empty log,
+    # so that a proposal run names its members' logs without building them
+    log_ids: dict[tuple[int, Value] | None, int] = {}
+    named: dict[Log, int] = {}  # the id of each log object looked up
     lines = [json.dumps({"kind": "header", "scenario": scenario.to_dict(),
                          "scenario_hash": scenario.canonical_hash(),
                          "strategy": trace.strategy_name}, sort_keys=True)]
@@ -386,54 +359,47 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
         """``log``'s id, first writing a ``log`` line, in the round ``r`` of
         the line that names it, for it and each prefix no line named yet,
         parent first."""
-        i = log_ids.get(log)
-        if i is not None:
-            return i
         fresh = []
         # the walk ends at the empty log at the latest: it has no parent
-        while log is not None and log not in log_ids:
+        while log is not None and log not in named:
             fresh.append(log)
             log = log.parent
         for log in reversed(fresh):
-            i = log_ids[log] = len(log_ids)
-            if log:
-                v = log.values[-1]
+            key = (named[log.parent], log.values[-1]) if log else None
+            i = log_ids.get(key)
+            if i is None:
+                i = log_ids[key] = len(log_ids)
+                parent, value = ("null", "null") if key is None else (key[0], (
+                    f'{{"id": {key[1].id}, "proposer": {key[1].proposer}, "view": {key[1].view}}}'))
                 append(f'{{"actor": null, "kind": "log", "payload": {{"id": {i}, '
-                       f'"parent": {log_ids[log.parent]}, "value": {{"id": {v.id}, '
-                       f'"proposer": {v.proposer}, "view": {v.view}}}}}, "round": {r}}}')
-            else:
-                append(f'{{"actor": null, "kind": "log", "payload": {{"id": {i}, '
-                       f'"parent": null, "value": null}}, "round": {r}}}')
-        return i
+                       f'"parent": {parent}, "value": {value}}}, "round": {r}}}')
+            named[log] = i
+        return named[log]  # the walk's first log, or a named one
 
-    for key, cohort in groupby(trace.events, cohort_key):
-        e = next(cohort)
-        r = e.round
-        if isinstance(e, DeliverEvent):
-            if type(key) is int:
-                append(f'{{"actor": {e.receiver}, "kind": "deliver", '
+    for e in trace.events:
+        r, kind = e.round, type(e)
+        if kind is SendEvent:
+            if e.view is None:
+                fact = f'"log": {log_id(e.log)}, "type": "vote"'
+            elif e.extends:
+                base = log_id(e.log)
+                for p in e.senders:  # a log no line named takes the next id
+                    log_ids.setdefault((base, (e.view, p, e.view)), len(log_ids))
+                fact = f'"base": {base}, "type": "propose", "view": {e.view}'
+            else:
+                fact = f'"log": {log_id(e.log)}, "type": "propose", "view": {e.view}'
+            actors = e.senders
+            rest = f'"id": {e.first}, "kind": "send", "payload": {{"msg": {{{fact}}}}}'
+        elif kind is DeliverEvent:
+            if type(e.ids) is not range:
+                append(f'{{"actor": {e.receivers[0]}, "kind": "deliver", '
                        f'"payload": {{"msgs": [{", ".join(map(str, e.ids))}]}}, "round": {r}}}')
                 continue
-            rest = f'"kind": "deliver", "payload": {{"from": {key[2]}, "to": {key[3]}}}'
-            actors = [e.receiver, *map(attrgetter("receiver"), cohort)]
-        elif isinstance(e, SendEvent):
-            msgs = [e.msg, *map(attrgetter("msg"), cohort)]
-            if key[0] == "vote":
-                fact = f'"log": {log_id(key[2])}, "type": "vote"'
-            else:
-                if key[3] == "ext":
-                    fact = f'"base": {log_id(key[4])}'
-                    for msg in msgs:  # a log no line named takes the next id
-                        log_ids.setdefault(msg.log, len(log_ids))
-                else:
-                    fact = f'"log": {log_id(key[4])}'
-                fact += f', "type": "propose", "view": {key[2]}'
-            actors = [msg.sender for msg in msgs]
-            rest = f'"id": {sends}, "kind": "send", "payload": {{"msg": {{{fact}}}}}'
-            sends += len(actors)
-        elif isinstance(e, DecideEvent):
+            rest = f'"kind": "deliver", "payload": {{"from": {e.ids.start}, "to": {e.ids.stop}}}'
+            actors = e.receivers
+        elif kind is DecideEvent:
             rest = f'"kind": "decide", "payload": {{"log": {log_id(e.log)}}}'
-            actors = [e.pid, *map(attrgetter("pid"), cohort)]
+            actors = e.pids
         else:
             append(f'{{"actor": null, "kind": "ga_record", '
                    f'"payload": {record_to_json(e, log_id)}, "round": {r}}}')
@@ -569,7 +535,7 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, dict]:
                  model_report.sleepy_pass and not schedule.byzantine[schedule.horizon])
 
         summary = {
-            "decide_events": len(trace.decide_events()),
+            "decide_events": sum(len(e.pids) for e in trace.decide_events()),
             "distinct_decided": len(trace.decided_up_to(trace.horizon)),
             **decision_latencies(trace),
         }

@@ -467,13 +467,13 @@ def check_async_resilience(trace: Trace, r_a: int, pi: int) -> OracleReport:
         if not conflicting:
             continue
         in_window = e.round <= r_a + pi + 1
-        if not in_window or e.pid in h_ra:
+        if (pid := next((p for p in e.pids if not in_window or p in h_ra), None)) is not None:
             return OracleReport(
                 "async_resilience",
                 Verdict.FAIL,
                 detail="decision conflicts with a pre-window decision",
                 witness={
-                    "process": e.pid,
+                    "process": pid,
                     "round": e.round,
                     "log": repr(e.log),
                     "conflicts_with": repr(conflicting[0]),
@@ -517,11 +517,12 @@ def check_healing(
 
 def check_trace_wellformed(trace: Trace) -> OracleReport:
     """Every delivered message was sent earlier in the trace: each id a
-    delivery names is the index of a send event before it."""
+    delivery names is the index of a send before it, and a send event
+    counts one send per sender."""
     sends = 0
     for e in trace.events:
         if isinstance(e, SendEvent):
-            sends += 1
+            sends += len(e.senders)
         elif isinstance(e, DeliverEvent):
             for i in e.ids:
                 if not 0 <= i < sends:
@@ -529,6 +530,6 @@ def check_trace_wellformed(trace: Trace) -> OracleReport:
                         "trace_wellformed",
                         Verdict.FAIL,
                         detail="delivered message was never sent",
-                        witness={"round": e.round, "receiver": e.receiver, "send": i},
+                        witness={"round": e.round, "receiver": e.receivers[0], "send": i},
                     )
     return OracleReport("trace_wellformed", Verdict.PASS)

@@ -56,7 +56,6 @@ from .core import (
     Log,
     ProcessId,
     ProposeMsg,
-    Value,
     VoteMsg,
     compatible,  # not called here, but perfbench/layers.py patches tob.compatible
     is_prefix,
@@ -134,37 +133,49 @@ def latest_unexpired(
     return older, frozenset(current)
 
 
-def step_view0(state: ProcessState, seed: int) -> list[ProposeMsg]:
-    """Round 0: propose the genesis log with the run ``seed``'s lottery
-    ticket for view 1."""
-    return [
-        ProposeMsg(
-            sender=state.pid,
-            view=1,
-            log=Log((GENESIS,)),
-            ticket=vrf_eval(seed, state.pid, 1),
-        )
-    ]
+def step_view0(cohort: Sequence[ProcessState], seed: int) -> tuple[Log, list[int]]:
+    """Round 0: every member proposes the genesis log for view 1, with the
+    run ``seed``'s lottery ticket.  Returns that log and each member's
+    ticket, in cohort order: the proposals are one fact."""
+    return Log((GENESIS,)), [vrf_eval(seed, state.pid, 1) for state in cohort]
 
 
-def round1_vote_log(proposals: Iterable[ProposeMsg], candidate: Log) -> Log:
+def round1_vote_log(proposals: Iterable, candidate: Log) -> Log:
     """The log a round-1 step votes: that of the highest-ticket proposal
     extending ``candidate``, ties broken by the higher sender and then the
     lexicographically smaller log, or ``candidate`` itself when no proposal
     extends it.  A pure function of its arguments, so a cohort, whose
     members hold the same proposals and refreshed candidate, computes it
-    once."""
-    best: ProposeMsg | None = None
+    once.
+
+    ``proposals`` holds messages and runs of proposals (``world.SendEvent``),
+    each of one log or of one base that each sender extends by its own
+    value.  A run counts the highest (ticket, sender) of its members whose
+    log extends the candidate: every member when the candidate is a prefix
+    of the run's log or base, else only a member whose log equals the
+    candidate.  Only the winner's log is built, or two logs on a tie."""
+    best_key = best = None  # the winning key and log, or the (run, k) to build it from
     for pm in proposals:
-        if not is_prefix(candidate, pm.log):
+        if type(pm) is ProposeMsg:
+            if not is_prefix(candidate, pm.log):
+                continue
+            key, won = (pm.ticket, pm.sender), pm.log
+        elif is_prefix(candidate, pm.log):
+            key = max(zip(pm.tickets, pm.senders))
+            won = (pm, pm.senders.index(key[1])) if pm.extends else pm.log
+        elif (pm.extends and candidate.parent == pm.log
+              and (v := candidate.values[-1]).id == v.view == pm.view and v.proposer in pm.senders):
+            key, won = (pm.tickets[pm.senders.index(v.proposer)], v.proposer), candidate
+        else:
             continue
-        if best is None:
-            best = pm
-            continue
-        key, best_key = (pm.ticket, pm.sender), (best.ticket, best.sender)
-        if key > best_key or (key == best_key and pm.log < best.log):
-            best = pm
-    return best.log if best is not None else candidate
+        if best_key is None or key > best_key or key == best_key and _built(won) < _built(best):
+            best_key, best = key, won
+    return candidate if best_key is None else _built(best)
+
+
+def _built(won: Log | tuple) -> Log:
+    """A ranked log, or that of the ``k``-th sender of a ``(run, k)``."""
+    return won if type(won) is Log else won[0].proposal(won[1]).log
 
 
 def step_round1(
@@ -196,12 +207,13 @@ def step_round1(
 
 def step_round2(
     cohort: Sequence[ProcessState], view: int, outputs: GaOutput, seed: int
-) -> list[tuple[VoteMsg, ProposeMsg]]:
+) -> tuple[Log, list[VoteMsg], list[int]]:
     """Round 2v for a cohort holding ``outputs`` and, if it is empty, one
     candidate: each member votes the longest grade-1 output and proposes
-    for view v+1, extending the longest output, with the run ``seed``'s
-    lottery ticket.  Returns each member's vote and proposal, in cohort
-    order.
+    for view v+1 the longest output extended by its own value
+    ``Value(v+1, pid, v+1)``, with the run ``seed``'s lottery ticket.
+    Returns that base, each member's vote and each member's ticket, in
+    cohort order; the proposals are one fact, and no member's log is built.
 
     An empty output, from an instance that counted no vote (as for a process
     that woke mid-view and was shown nothing), has neither log, and both
@@ -212,10 +224,5 @@ def step_round2(
     else:
         vote_log = head = cohort[0].candidate
     r, nxt = 2 * view, view + 1
-    sends = []
-    for state in cohort:
-        pid = state.pid
-        fresh = new_record(Value, (nxt, pid, nxt))
-        pm = new_record(ProposeMsg, (pid, nxt, head.extended(fresh), vrf_eval(seed, pid, nxt)))
-        sends.append((new_record(VoteMsg, (pid, r, vote_log)), pm))
-    return sends
+    votes = [new_record(VoteMsg, (state.pid, r, vote_log)) for state in cohort]
+    return head, votes, [vrf_eval(seed, state.pid, nxt) for state in cohort]

@@ -114,7 +114,6 @@ from .tob import (
 
 Msg = VoteMsg | ProposeMsg
 
-_NO_PROPOSALS: frozenset[ProposeMsg] = frozenset()
 _NO_INSTANCE = ReceiverView(InitialVoteSet(), frozenset(), GaOutput(), 0)
 
 
@@ -226,25 +225,46 @@ def constant_schedule(
 
 
 class SendEvent(NamedTuple):
+    """A run of sends of one round that state one fact, ``senders[k]``
+    sending id ``first + k``.  With ``view`` None they are votes of
+    ``round`` for ``log``.  Otherwise they are proposals for ``view``, each
+    of ``log`` or, with ``extends``, of ``log`` extended by the sender's own
+    value ``Value(view, sender, view)``, the k-th with ticket ``tickets[k]``
+    (a vote run holds no tickets)."""
+
     round: int
-    msg: Msg
+    first: int
+    senders: tuple[ProcessId, ...]
+    log: Log
+    view: int | None
+    extends: bool
+    tickets: tuple[int, ...]
+
+    def proposal(self, k: int) -> ProposeMsg:
+        """The proposal of the ``k``-th sender of a proposal run."""
+        p, view = self.senders[k], self.view
+        log = self.log.extended(new_record(Value, (view, p, view))) if self.extends else self.log
+        return new_record(ProposeMsg, (p, view, log, self.tickets[k]))
 
 
 class DeliverEvent(NamedTuple):
-    """One receive phase of ``receiver``: the indices, among the run's
-    sends, of the messages it took from its held list and the send log past
-    its cursor, in send order (none, if there were none or all were held
-    back).  A synchronous receiver that held nothing back gets
-    ``range(cursor, end)``, any other receiver a tuple."""
+    """A receive phase of each of ``receivers``: the indices, among the
+    run's sends, of the messages each took from its held list and the send
+    log past its cursor, in send order (none, if there were none or all
+    were held back).  Synchronous receivers that held nothing back get
+    ``range(cursor, end)``, and a run of them with one range is one event;
+    any other receiver gets a tuple, in an event of its own."""
 
     round: int
-    receiver: ProcessId
+    receivers: tuple[ProcessId, ...]
     ids: Sequence[int]
 
 
 class DecideEvent(NamedTuple):
+    """The processes ``pids``, a run in pid order, deciding ``log``."""
+
     round: int
-    pid: ProcessId
+    pids: tuple[ProcessId, ...]
     log: Log
 
 
@@ -257,7 +277,8 @@ class Trace:
     interpret it.
 
     Events of different kinds may be equal tuples, so they are selected by
-    class, never by value.  The accessors return fresh lists, so callers may
+    class, never by value.  The accessors return the events as recorded, one
+    per run of processes sharing a fact, in fresh lists, so callers may
     modify what they get.  The decide events, the decision timeline and the
     distinct decided logs are worked out once, on first use, and shared by
     every oracle that reads them, so the timeline must not be modified.
@@ -286,22 +307,29 @@ class Trace:
 
     @cached_property
     def _input_rounds(self) -> dict[Value, int]:
+        """The last value of each well-behaved proposal, read off its run:
+        the sender's own ``Value(view, sender, view)`` in a run that extends
+        a base, the run's log's last value in any other."""
         rounds: dict[Value, int] = {}
         for e in self.propose_sends():
-            if e.msg.sender in self.schedule.awake_honest[e.round] and e.msg.log.values:
-                rounds.setdefault(e.msg.log.values[-1], e.round)
+            honest = self.schedule.awake_honest[e.round]
+            for p in e.senders:
+                if p in honest and (e.extends or e.log):
+                    value = new_record(Value, (e.view, p, e.view)) if e.extends else e.log.values[-1]
+                    rounds.setdefault(value, e.round)
         return rounds
 
     @cached_property
     def decision_timeline(self) -> dict[ProcessId, list[tuple[int, Log]]]:
-        """Per process, in round order, the round of each of its decide
-        events and the log it has delivered after it: the decided log, unless
-        that is a prefix of the log already delivered, which then stays."""
+        """Per process, in round order, the round of each of its decisions
+        and the log it has delivered after it: the decided log, unless that
+        is a prefix of the log already delivered, which then stays."""
         timeline: dict[ProcessId, list[tuple[int, Log]]] = {}
         for e in self._decides:
-            points = timeline.setdefault(e.pid, [])
-            prev = points[-1][1] if points else EMPTY_LOG
-            points.append((e.round, prev if is_prefix(e.log, prev) else e.log))
+            for pid in e.pids:
+                points = timeline.setdefault(pid, [])
+                prev = points[-1][1] if points else EMPTY_LOG
+                points.append((e.round, prev if is_prefix(e.log, prev) else e.log))
         return timeline
 
     @cached_property
@@ -317,10 +345,10 @@ class Trace:
         return [e for e in self.events if type(e) is SendEvent]
 
     def vote_sends(self) -> list[SendEvent]:
-        return [e for e in self.events if type(e) is SendEvent and type(e.msg) is VoteMsg]
+        return [e for e in self.events if type(e) is SendEvent and e.view is None]
 
     def propose_sends(self) -> list[SendEvent]:
-        return [e for e in self.events if type(e) is SendEvent and type(e.msg) is ProposeMsg]
+        return [e for e in self.events if type(e) is SendEvent and e.view is not None]
 
     def ga_records(self) -> dict[int, GaRecord]:
         return {e.round: e for e in self.events if type(e) is GaRecord}
@@ -362,6 +390,28 @@ def null_strategy() -> AdversaryStrategy:
     )
 
 
+def _join(runs: list, key: object, senders: list[ProcessId], items: list) -> None:
+    """Append a run of sends in the making, its key (for sends ``(view,
+    log, extends)`` as a ``SendEvent`` holds them), its senders and their
+    votes or tickets, to ``runs``, or extend the last run if its key is
+    ``key``."""
+    if runs and runs[-1][0] == key:
+        runs[-1][1].extend(senders)
+        runs[-1][2].extend(items)
+    else:
+        runs.append((key, list(senders), list(items)))
+
+
+def _run_of(msg: Msg) -> tuple:
+    """A message as a run of one: a vote keyed by its log, a proposal by
+    its base when its last value is its sender's own, else by its log."""
+    if isinstance(msg, VoteMsg):
+        return (None, msg.log, False), [msg.sender], [msg]
+    log, view = msg.log, msg.view
+    own = bool(log) and log.values[-1] == (view, msg.sender, view)
+    return (view, log.parent if own else log, own), [msg.sender], [msg.ticket]
+
+
 class World:
     """Deterministic single-run event loop."""
 
@@ -373,33 +423,62 @@ class World:
         self.states: dict[ProcessId, ProcessState] = {
             p: ProcessState(pid=p) for p in range(schedule.n)
         }
-        # every message sent so far, in send order; process q has received
-        # sent[:cursor[q]] except for the indices held[q], which an
-        # asynchronous receive phase held back from it
-        self.sent: list[Msg] = []
+        # one entry per send id, in send order: a vote or the run of a
+        # proposal not yet read (see ``sent``); process q has received
+        # [:cursor[q]] except for the indices held[q], which an asynchronous
+        # receive phase held back from it
+        self._entries: list[Msg | SendEvent] = []
         self.cursor: list[int] = [0] * schedule.n
         self.held: list[list[int]] = [[] for _ in range(schedule.n)]
         self.round: int | None = None  # the last round stepped
         # every vote sent so far, folded with ga.keep_latest
         self.votes: dict[ProcessId, tuple[int, VoteMsg | None]] = {}
-        # every proposal sent so far, by view, for the views whose round-1
-        # step has not passed by the last synchronous receive phase
-        self.proposals: dict[int, set[ProposeMsg]] = {}
+        # every proposal sent so far, by view, as its run or, once delivered
+        # asynchronously, its message, for the views whose round-1 step has
+        # not passed by the last synchronous receive phase
+        self.proposals: dict[int, set[ProposeMsg | SendEvent]] = {}
         self.events: list[Event] = []
         if strategy.validate is not None:
             strategy.validate(self)
 
-    def _send(self, r: int, msgs: Iterable[Msg]) -> None:
-        """Send ``msgs`` in round ``r``, in order: record each send, fold the
-        message into the stores and append it to the send log."""
-        events, votes, proposals, sent = self.events, self.votes, self.proposals, self.sent
-        for msg in msgs:
-            events.append(new_record(SendEvent, (r, msg)))
-            if isinstance(msg, VoteMsg):
-                keep_latest(votes, msg)
+    def _send(self, r: int, runs: list) -> None:
+        """Send ``runs`` in round ``r``, in order: record each as one event,
+        or as the last event extended when it states the same fact (a
+        strategy's message after a cohort's run, say), fold its votes, or
+        the event itself, into the stores and append one entry per sender
+        to the send log."""
+        events, votes, proposals, entries = self.events, self.votes, self.proposals, self._entries
+        for (view, log, extends), senders, items in runs:
+            last, tickets = events[-1] if events else None, () if view is None else tuple(items)
+            if type(last) is SendEvent and last[:1] + last[3:6] == (r, log, view, extends):
+                proposals.get(view, set()).discard(last)
+                event = events[-1] = last._replace(senders=last.senders + tuple(senders),
+                                                   tickets=last.tickets + tickets)
             else:
-                proposals.setdefault(msg.view, set()).add(msg)
-            sent.append(msg)
+                event = new_record(SendEvent, (r, len(entries), tuple(senders), log, view, extends,
+                                               tickets))
+                events.append(event)
+            if view is None:
+                for vote in items:
+                    keep_latest(votes, vote)
+                entries += items
+            else:
+                proposals.setdefault(view, set()).add(event)
+                entries += repeat(event, len(senders))
+
+    def _built(self, start: int) -> list[Msg]:
+        """The send log, every entry from index ``start`` on a message: the
+        first read of a proposal's entry builds it from its run."""
+        entries = self._entries
+        for i in range(start, len(entries)):
+            if type(e := entries[i]) is SendEvent:
+                entries[i] = e.proposal(i - e.first)
+        return entries
+
+    @property
+    def sent(self) -> list[Msg]:
+        """Every message sent so far, in send order, one per send id."""
+        return self._built(0)
 
     @property
     def pending(self) -> dict[ProcessId, list[Msg]]:
@@ -407,7 +486,7 @@ class World:
         chooses from.  Derived afresh on every read; empty for a process
         Byzantine in the last round stepped, which never receives again."""
         byz = self.schedule.byzantine[self.round] if self.round is not None else frozenset()
-        sent = self.sent
+        sent = self._built(min(self.cursor))
         return {
             q: [] if q in byz else [sent[i] for i in self.held[q]] + sent[self.cursor[q]:]
             for q in range(self.schedule.n)
@@ -426,11 +505,12 @@ class World:
         """Execute the send and receive phases of round ``r``."""
         sched, states, events = self.schedule, self.states, self.events
         this_view = view_of(r)
-        inputs: dict[ProcessId, Log] = {}
+        runs: list = []
 
         if r == 0:
-            self._send(r, [pm for p in sorted(sched.awake_honest[r])
-                           for pm in step_view0(states[p], self.seed)])
+            pids = sorted(sched.awake_honest[r])
+            genesis, tickets = step_view0([states[p] for p in pids], self.seed)
+            runs.append(((1, genesis, False), pids, tickets))
         else:
             # a process awake at r received in round r - 1, so its pending
             # output is that round's; the ids in a key name objects the
@@ -443,33 +523,40 @@ class World:
                 stale = None if output else state.candidate
                 cohorts.setdefault((id(output), id(state.proposals_seen), stale), []).append(state)
             round1 = r % 2 == 1
-            # per member: its vote and its decision (round 1) or proposal
-            rows: list[tuple[VoteMsg, Log | None] | tuple[VoteMsg, ProposeMsg]] = []
+            # per cohort: its decision (round 1) or proposal base, its votes
+            # and its tickets
+            facts: list[tuple[Log | None, list[VoteMsg], Sequence[int]]] = []
             for cohort in cohorts.values():
                 outputs = cohort[0].pending_output
                 if round1:
-                    props = cohort[0].proposals_seen.get(this_view, _NO_PROPOSALS)
-                    decided, cast = step_round1(cohort, this_view, outputs, props)
-                    rows.extend(zip(cast, repeat(decided)))
+                    props = cohort[0].proposals_seen.get(this_view, ())
+                    facts.append((*step_round1(cohort, this_view, outputs, props), ()))
                 else:
-                    rows.extend(step_round2(cohort, this_view, outputs, self.seed))
-            rows.sort()  # the votes' senders are distinct, so this is pid order
-            # the decisions, then the votes, then the proposals, each a run
-            # in pid order
-            sends = [vote for vote, _ in rows]
-            if round1:
-                events.extend(new_record(DecideEvent, (r, vote.sender, decided))
-                              for vote, decided in rows if decided is not None)
-            else:
-                sends += [pm for _, pm in rows]
-            self._send(r, sends)
-            inputs = {vote.sender: vote.log for vote, _ in rows}
+                    facts.append(step_round2(cohort, this_view, outputs, self.seed))
+            if len(facts) > 1:
+                # one fact per member, in pid order; equal neighbours join
+                facts = sorted(((x, [vote], tickets[k:k + 1]) for x, votes, tickets in facts
+                                for k, vote in enumerate(votes)), key=lambda f: f[1][0].sender)
+            # the decisions, then the votes, then the proposals, each in pid order
+            decides, proposals = [], []
+            for x, votes, tickets in facts:
+                pids = [vote.sender for vote in votes]
+                _join(runs, (None, votes[0].log, False), pids, votes)
+                if not round1:
+                    _join(proposals, (this_view + 1, x, True), pids, tickets)
+                elif x is not None:
+                    _join(decides, x, pids, [])
+            events.extend(new_record(DecideEvent, (r, tuple(pids), log)) for log, pids, _ in decides)
+            runs += proposals
+            inputs = {vote.sender: vote.log for _, votes, _ in facts for vote in votes}
 
+        self._send(r, runs)
         strategy_msgs = tuple(self.strategy.messages(self, r))
         for msg in strategy_msgs:
             check_adversary_message(msg, r, sched.byzantine[r], self.seed)
-        self._send(r, strategy_msgs)
+        self._send(r, list(map(_run_of, strategy_msgs)))
 
+        receivers = sorted(sched.awake_honest[r + 1])
         if synchronous := sched.sync(r):
             # every receiver takes its whole queue, which holds every send it
             # has not yet received, so each ends up holding every message
@@ -480,9 +567,13 @@ class World:
             self.proposals = {v: s for v, s in self.proposals.items() if v > this_view}
             by_view = {v: frozenset(s) for v, s in self.proposals.items()}
             shared = self._receive(store, r)
+        else:
+            # the strategy is shown messages, so every queued proposal is built
+            sent = self._built(min((self.cursor[q] for q in receivers), default=0))
         views: dict[ProcessId, ReceiverView] = {}
-        sent, end = self.sent, len(self.sent)
-        for q in sorted(sched.awake_honest[r + 1]):
+        deliveries: list[tuple[Sequence[int], list[ProcessId]]] = []
+        end = len(self._entries)
+        for q in receivers:
             state = self.states[q]
             start, held = self.cursor[q], self.held[q]
             if synchronous:
@@ -507,9 +598,13 @@ class World:
                     state.absorb(sent[i])
                 view = self._receive(state.votes_seen, r)
             self.cursor[q] = end
-            events.append(new_record(DeliverEvent, (r, q, ids)))
+            if type(ids) is range and deliveries and deliveries[-1][0] == ids:
+                deliveries[-1][1].append(q)  # receivers of one range are one event
+            else:
+                deliveries.append((ids, [q]))
             state.pending_output = view.output
             views[q] = view
+        events.extend(new_record(DeliverEvent, (r, tuple(qs), ids)) for ids, qs in deliveries)
 
         self.round = r
         if r >= 1:

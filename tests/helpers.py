@@ -6,19 +6,23 @@ expanded back to them (``expand``) and read for their longest log
 (``TraceLogs``), next to the output, tally and grading
 they replaced (``ReferenceGaOutput``, ``reference_tally``,
 ``reference_grade``), the per-process round steps the cohort steps replaced
-(``reference_step_round1``, ``reference_step_round2``), and one
+(``reference_step_view0``, ``reference_step_round1``,
+``reference_step_round2``), and one
 graded-agreement instance run outside a ``World`` (``run_instance``), which
 merges each receiver's votes through the receive computation ``World`` runs
-(``store_merge``)."""
+(``store_merge``), and the per-member events and messages that ``World``'s
+runs of events state (``expand_events``, ``sends``, ``deliveries``,
+``decisions``, ``expand_proposals``)."""
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from hypothesis import strategies as st
 
 from sleepy_tob.core import (
+    GENESIS,
     Log,
     ProcessId,
     ProposeMsg,
@@ -42,7 +46,7 @@ from sleepy_tob.ga import (
 )
 from sleepy_tob.model_checks import ModelParams, beta_tilde
 from sleepy_tob.tob import ProcessState, latest_unexpired, round1_vote_log
-from sleepy_tob.world import Schedule
+from sleepy_tob.world import DecideEvent, DeliverEvent, Schedule, SendEvent
 
 
 def sliced_prefixes(log: Log) -> list[Log]:
@@ -150,6 +154,86 @@ class TraceLogs:
                 log = self[msg["log"]]
             sent.append(ProposeMsg(p, view, log, vrf_eval(seed, p, view)))
         return sent
+
+
+# ---------------------------------------------------------------------------
+# per-member events, as World recorded them before it recorded runs
+
+
+class Sent(NamedTuple):
+    """One send: its round and its message."""
+
+    round: int
+    msg: VoteMsg | ProposeMsg
+
+
+class Delivered(NamedTuple):
+    """One receive phase of one receiver: the send ids it took."""
+
+    round: int
+    receiver: ProcessId
+    ids: Sequence[int]
+
+
+class Decided(NamedTuple):
+    """One process deciding one log."""
+
+    round: int
+    pid: ProcessId
+    log: Log
+
+
+def member_message(e: SendEvent, p: ProcessId, seed: int) -> VoteMsg | ProposeMsg:
+    """Sender ``p``'s message in the run ``e``, built from the run's fact
+    alone: a vote of the run's round for its log, or a proposal of its log
+    or, in a run that extends a base, of the base's values and ``p``'s own
+    value, with the ticket ``seed`` draws for ``p``."""
+    if e.view is None:
+        return VoteMsg(p, e.round, e.log)
+    log = Log((*e.log.values, Value(e.view, p, e.view))) if e.extends else e.log
+    return ProposeMsg(p, e.view, log, vrf_eval(seed, p, e.view))
+
+
+def expand_events(events: Iterable, seed: int | None = None) -> list:
+    """The per-member events that ``events`` state, in order: a ``Sent``
+    per sender of a send run, a ``Delivered`` per receiver of a delivery and
+    a ``Decided`` per process of a decision; agreement records as they are.
+    A proposal run's tickets must be the ones the run's ``seed`` draws."""
+    out: list = []
+    for e in events:
+        if type(e) is SendEvent:
+            if e.view is not None:
+                assert seed is not None, "proposals need the run's seed"
+                assert e.tickets == tuple(vrf_eval(seed, p, e.view) for p in e.senders), e
+            out += [Sent(e.round, member_message(e, p, seed)) for p in e.senders]
+        elif type(e) is DeliverEvent:
+            assert type(e.ids) is range or len(e.receivers) == 1, e
+            out += [Delivered(e.round, q, e.ids) for q in e.receivers]
+        elif type(e) is DecideEvent:
+            out += [Decided(e.round, p, e.log) for p in e.pids]
+        else:
+            out.append(e)
+    return out
+
+
+def sends(events: Iterable, seed: int) -> list[Sent]:
+    return [e for e in expand_events(events, seed) if type(e) is Sent]
+
+
+def deliveries(events: Iterable) -> list[Delivered]:
+    return expand_events(e for e in events if type(e) is DeliverEvent)
+
+
+def decisions(events: Iterable) -> list[Decided]:
+    return expand_events(e for e in events if type(e) is DecideEvent)
+
+
+def expand_proposals(store: Mapping[int, Iterable], seed: int) -> dict[int, set[ProposeMsg]]:
+    """A proposal store with each run in it replaced by its members'
+    proposals."""
+    return {view: {pm for x in props for pm in (
+        [member_message(x, p, seed) for p in x.senders] if type(x) is SendEvent else [x])}
+        for view, props in store.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +370,19 @@ def random_bounded_schedule(rng: random.Random) -> Schedule:
         r_a=None,
         params=params,
     )
+
+
+def reference_step_view0(state: ProcessState, seed: int) -> list[ProposeMsg]:
+    """Round 0: propose the genesis log with the run ``seed``'s lottery
+    ticket for view 1."""
+    return [
+        ProposeMsg(
+            sender=state.pid,
+            view=1,
+            log=Log((GENESIS,)),
+            ticket=vrf_eval(seed, state.pid, 1),
+        )
+    ]
 
 
 def reference_step_round1(

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import expand, random_bounded_schedule, run_instance
+from helpers import expand, random_bounded_schedule, run_instance, sends
 from sleepy_tob.cli import decimal_str, load_scenario, run_scenario, trace_lines
 from sleepy_tob.core import Log, Value, VoteMsg, conflicts
 from sleepy_tob.ga import InitialVoteSet
@@ -335,7 +335,7 @@ def test_criterion_7_stall_on_participation_drop():
     trace = run(sched, STRATEGIES["none"](), scenario.seed)
 
     # the value introduced for view 3 (proposed in round 4, before the drop)
-    props = [e.msg for e in trace.propose_sends() if e.round == 4]
+    props = [e.msg for e in sends(trace.propose_sends(), scenario.seed) if e.round == 4]
     winner = max(props, key=lambda m: (m.ticket, m.sender))
     fresh = winner.log.values[-1]
 
@@ -380,7 +380,7 @@ def test_criterion_8_liveness_statistics():
             proposal_round = 2 * (view - 1)
             props = [
                 e.msg
-                for e in trace.propose_sends()
+                for e in sends(trace.propose_sends(), seed)
                 if e.round == proposal_round and e.msg.view == view
             ]
             if not props:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 from helpers import TraceLogs, expand, sliced_prefixes
 from sleepy_tob import cli, model_checks
 from sleepy_tob.cli import (
@@ -26,7 +27,7 @@ from sleepy_tob.cli import (
 )
 from sleepy_tob.core import Log, ProposeMsg, Value, VoteMsg, is_chain
 from sleepy_tob.oracle import Verdict
-from sleepy_tob.world import DecideEvent, DeliverEvent, SendEvent
+from sleepy_tob.world import STRATEGIES, DecideEvent, DeliverEvent, SendEvent, World
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -212,11 +213,13 @@ def test_compact_trace_loses_nothing(case, tmp_path, monkeypatch):
         same = [(obj["kind"], obj["round"], obj["payload"]) for obj in (a, b)]
         assert not (type(a["actor"]) is list and type(b["actor"]) is list and same[0] == same[1]
                     and (a["kind"] != "send" or b["id"] == a["id"] + len(a["actor"]))), (a, b)
+    # one line per event, besides the log lines
+    assert len([obj for obj in lines if obj["kind"] != "log"]) == len(trace.events)
     # tickets included: every proposal in the run carries the seed's ticket
-    assert [m for _, m in sent] == [e.msg for e in trace.send_events()]
+    assert [m for _, m in sent] == [e.msg for e in helpers.sends(trace.events, seed)]
     assert deliveries == [(e.round, e.receiver, list(e.ids))
-                          for e in trace.events if isinstance(e, DeliverEvent)]
-    assert decisions == [(e.round, e.pid, e.log) for e in trace.decide_events()]
+                          for e in helpers.deliveries(trace.events)]
+    assert decisions == [(e.round, e.pid, e.log) for e in helpers.decisions(trace.events)]
     assert records == {
         r: (record.synchronous, set(record.byzantine), record.inputs,
             {q: (set(view.initial.messages), set(view.received), view.m, expand(view.output))
@@ -320,15 +323,15 @@ def test_decision_latencies_match_the_per_value_scan():
 
 def test_events_and_messages_have_their_class_shape():
     # World and the round steps build these with tuple.__new__, which does
-    # not check the field count that the classes' own constructors check
-    traces = [run_scenario(load_scenario(SCENARIOS / f"{name}.json"))[0] for name in GOLDEN]
+    # not check the field count that the classes' own constructors check;
+    # reading the send log builds each proposal from its run
+    scenarios = [load_scenario(SCENARIOS / f"{name}.json") for name in GOLDEN]
     records = []
-    for trace in [*traces, *campaign_traces()]:
-        for event in trace.events:
-            if isinstance(event, tuple):
-                records.append(event)
-                if isinstance(event, SendEvent):
-                    records += [event.msg, *event.msg.log.values]
+    for scenario in [*scenarios, *campaign_scenarios()]:
+        world = World(build_schedule(scenario), STRATEGIES[scenario.adversary](), scenario.seed)
+        records += [event for event in world.run().events if isinstance(event, tuple)]
+        for msg in world.sent:
+            records += [msg, *msg.log.values]
     assert {type(x) for x in records} == {
         SendEvent, DeliverEvent, DecideEvent, VoteMsg, ProposeMsg, Value
     }
@@ -343,7 +346,7 @@ def test_decision_latencies_keep_the_first_decision_of_a_value_under_two_prefixe
 
     class Decisions:
         def decide_events(self):
-            return [DecideEvent(3, 0, Log((a, x))), DecideEvent(5, 0, Log((b, x)))]
+            return [DecideEvent(3, (0,), Log((a, x))), DecideEvent(5, (0,), Log((b, x)))]
 
         def first_input_round(self, v):
             return 1

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import decisions
 
 from sleepy_tob.model_checks import ModelParams, check_tau_sleepiness
 from sleepy_tob.oracle import Verdict, check_safety_after, check_trace_wellformed
@@ -64,7 +65,7 @@ def test_honest_synchronous_runs_are_always_safe(schedule, seed):
 def test_honest_runs_decide_only_extensions_per_process(schedule, seed):
     trace = run(schedule, null_strategy(), seed)
     last = {}
-    for e in trace.decide_events():
+    for e in decisions(trace.events):
         prev = last.get(e.pid)
         if prev is not None:
             from sleepy_tob.core import compatible

@@ -6,7 +6,7 @@ and votes outside any window."""
 from fractions import Fraction
 
 import pytest
-from helpers import fields_key
+from helpers import fields_key, sends
 
 from sleepy_tob.core import Log, ProposeMsg, Value, VoteMsg, vrf_eval
 from sleepy_tob.ga import GaOutput
@@ -22,7 +22,6 @@ from sleepy_tob.tob import ProcessState, step_round1, view_of
 from sleepy_tob.world import (
     AdversaryStrategy,
     Schedule,
-    SendEvent,
     Trace,
     World,
     constant_schedule,
@@ -117,9 +116,8 @@ def stale_prefix_strategy() -> AdversaryStrategy:
             return []
         byz = world.schedule.byzantine[r]
         votes = [
-            e.msg.log for e in world.events
-            if type(e) is SendEvent and e.round == r and type(e.msg) is VoteMsg
-            and e.msg.sender not in byz
+            e.msg.log for e in sends(world.events, world.seed)
+            if e.round == r and type(e.msg) is VoteMsg and e.msg.sender not in byz
         ]
         longest = max(votes, key=lambda log: (len(log), fields_key(log)))
         stale = Log(longest.values[:-1])

@@ -390,8 +390,8 @@ class TestResilienceAndHealing:
         )
         sched.validate()
 
-        def resilience(late_round):
-            events = (DecideEvent(3, 0, A), DecideEvent(late_round, 2, B))
+        def resilience(late_round, pids=(2,)):
+            events = (DecideEvent(3, (0,), A), DecideEvent(late_round, pids, B))
             return check_async_resilience(Trace(sched, "none", events), 3, 2)
 
         assert resilience(6).verdict is Verdict.PASS
@@ -400,6 +400,10 @@ class TestResilienceAndHealing:
         assert report.witness == {
             "process": 2, "round": 7, "log": repr(B), "conflicts_with": repr(A)
         }
+        # in the grace rounds a cohort's witness is its first member awake
+        # at r_a; after them, its first member
+        assert resilience(6, (2, 1, 0)).witness["process"] == 1
+        assert resilience(7, (2, 1, 0)).witness["process"] == 2
 
 
 def test_trace_wellformed():
@@ -418,6 +422,8 @@ def test_shipped_and_campaign_traces_are_wellformed():
         window = trace.schedule.window_rounds
         released += any(type(e.ids) is tuple for e in trace.events
                         if isinstance(e, DeliverEvent) and e.round not in window)
+        assert all(len(e.receivers) == 1 for e in trace.events
+                   if isinstance(e, DeliverEvent) and type(e.ids) is tuple)
     assert released
 
 
@@ -426,24 +432,40 @@ class TestTraceWellformedFailures:
         sched = constant_schedule(n=3, horizon=4, n_byz=0, params=params())
         return Trace(sched, "none", events)
 
+    @staticmethod
+    def votes(r, first, senders):
+        return SendEvent(r, first, senders, A, None, False, ())
+
     def test_unsent_vote_in_a_batch_fails_with_witness(self):
         trace = self.hand_trace(
-            SendEvent(1, VoteMsg(0, 1, A)),
-            DeliverEvent(1, 2, (0,)),
-            DeliverEvent(1, 0, (0, 1)),
+            self.votes(1, 0, (0,)),
+            DeliverEvent(1, (2,), (0,)),
+            DeliverEvent(1, (0,), (0, 1)),
         )
         report = check_trace_wellformed(trace)
         assert report.verdict is Verdict.FAIL
         assert report.witness == {"round": 1, "receiver": 0, "send": 1}
 
     def test_delivery_before_its_send_fails(self):
-        trace = self.hand_trace(DeliverEvent(0, 1, range(1)), SendEvent(1, VoteMsg(0, 1, A)))
+        trace = self.hand_trace(DeliverEvent(0, (1,), range(1)), self.votes(1, 0, (0,)))
         report = check_trace_wellformed(trace)
         assert report.verdict is Verdict.FAIL
         assert report.witness == {"round": 0, "receiver": 1, "send": 0}
 
     def test_negative_send_id_fails(self):
-        trace = self.hand_trace(SendEvent(1, VoteMsg(0, 1, A)), DeliverEvent(1, 2, (0, -1)))
+        trace = self.hand_trace(self.votes(1, 0, (0,)), DeliverEvent(1, (2,), (0, -1)))
         report = check_trace_wellformed(trace)
         assert report.verdict is Verdict.FAIL
         assert report.witness == {"round": 1, "receiver": 2, "send": -1}
+
+    def test_every_member_of_a_cohort_send_counts(self):
+        # three voters and a proposal run of two take ids 0-4: a range of
+        # them all is well formed, and one past the last member is not
+        proposals = SendEvent(2, 3, (0, 1), A, 2, True, (5, 6))
+        sent = (self.votes(1, 0, (0, 1, 2)), proposals)
+        assert check_trace_wellformed(
+            self.hand_trace(*sent, DeliverEvent(2, (0, 1, 2), range(5)))).verdict is Verdict.PASS
+        report = check_trace_wellformed(
+            self.hand_trace(*sent, DeliverEvent(2, (1, 2), range(6))))
+        assert report.verdict is Verdict.FAIL
+        assert report.witness == {"round": 2, "receiver": 1, "send": 5}

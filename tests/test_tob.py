@@ -6,8 +6,10 @@ from helpers import (
     fields_key,
     frontier,
     longest_any,
+    member_message,
     reference_step_round1,
     reference_step_round2,
+    reference_step_view0,
 )
 from sleepy_tob.core import (
     EMPTY_LOG,
@@ -31,6 +33,7 @@ from sleepy_tob.tob import (
     step_view0,
     view_of,
 )
+from sleepy_tob.world import SendEvent
 
 A = Log((Value(1, 0, 1),))
 AX = Log((Value(1, 0, 1), Value(3, 1, 2)))
@@ -206,18 +209,17 @@ def test_latest_unexpired_matches_per_round_reference(phases, eta):
 
 class TestStepView0:
     def test_awake_process_proposes_genesis(self):
-        msgs = step_view0(state(pid=3), SEED)
-        assert len(msgs) == 1
-        pm = msgs[0]
-        assert pm.log == Log((GENESIS,))
-        assert pm.view == 1
-        assert pm.ticket == vrf_eval(SEED, 3, 1)
+        log, tickets = step_view0([state(pid=3)], SEED)
+        assert len(tickets) == 1
+        assert log == Log((GENESIS,))
+        assert tickets == [vrf_eval(SEED, 3, 1)]
+        assert reference_step_view0(state(pid=3), SEED) == [ProposeMsg(3, 1, log, tickets[0])]
 
     def test_two_processes_same_log_different_scores(self):
-        a = step_view0(state(pid=0), SEED)[0]
-        b = step_view0(state(pid=1), SEED)[0]
-        assert a.log == b.log
-        assert a.ticket != b.ticket
+        log, (a, b) = step_view0([state(pid=0), state(pid=1)], SEED)
+        assert [ProposeMsg(p, 1, log, ticket) for p, ticket in ((0, a), (1, b))] == [
+            pm for p in (0, 1) for pm in reference_step_view0(state(pid=p), SEED)]
+        assert a != b
 
 
 def proposal(sender, view, log, seed=SEED):
@@ -278,11 +280,21 @@ class TestStepRound1:
         assert decided is None
 
 
+def round2_pairs(step, cohort, view):
+    """A round-2 step's result as each member's vote and proposal: the
+    returned base extended by the member's own value, with its ticket."""
+    base, votes, tickets = step
+    nxt = view + 1
+    return [(vote, ProposeMsg(s.pid, nxt, Log((*base.values, Value(nxt, s.pid, nxt))), ticket))
+            for s, vote, ticket in zip(cohort, votes, tickets, strict=True)]
+
+
 class TestStepRound2:
     def test_votes_longest_grade1_proposes_longest_any(self):
         st = state(pid=4)
         out = frontier({A: 1, AX: 0})
-        [(vote, pm)] = step_round2([st], 3, out, SEED)
+        [(vote, pm)] = round2_pairs(step_round2([st], 3, out, SEED), [st], 3)
+        assert pm.ticket == vrf_eval(SEED, 4, 4)
         assert vote.log == A
         assert pm.view == 4
         assert pm.log.values[:-1] == AX.values
@@ -290,14 +302,14 @@ class TestStepRound2:
 
     def test_genesis_case(self):
         st = state()
-        [(vote, pm)] = step_round2([st], 1, frontier({EMPTY_LOG: 1}), SEED)
+        [(vote, pm)] = round2_pairs(step_round2([st], 1, frontier({EMPTY_LOG: 1}), SEED), [st], 1)
         assert vote.log == EMPTY_LOG
         assert len(pm.log) == 1
 
     def test_empty_output_falls_back_to_candidate(self):
         st = state()
         st.candidate = A
-        [(vote, pm)] = step_round2([st], 3, GaOutput(), SEED)
+        [(vote, pm)] = round2_pairs(step_round2([st], 3, GaOutput(), SEED), [st], 3)
         assert vote.log == A
         assert pm.log.values[:-1] == A.values
 
@@ -441,6 +453,92 @@ def test_round1_vote_log_matches_the_length_checked_predicate(case):
         proposals, candidate
     )
 
+
+def proposal_run(seed, view, senders, log, extends):
+    """A run of proposals for ``view`` as ``World`` records it, with the
+    tickets ``seed`` draws."""
+    senders = tuple(senders)
+    tickets = tuple(vrf_eval(seed, p, view) for p in senders)
+    return SendEvent(2 * view - 2, 0, senders, log, view, extends, tickets)
+
+
+def assert_ranks_as_built(seed, candidate, items):
+    """``round1_vote_log`` over runs and messages is the log it gives over
+    every run built into its members' proposals (``helpers.member_message``)
+    in the same order, and the log the verbatim length-checked version
+    gives over them."""
+    built = [pm for x in items for pm in (
+        [member_message(x, p, seed) for p in x.senders] if type(x) is SendEvent else [x])]
+    got = round1_vote_log(items, candidate)
+    assert got == round1_vote_log(built, candidate)
+    assert got == length_checked_round1_vote_log(built, candidate)
+    return got
+
+
+@st.composite
+def mixed_views(draw):
+    """A candidate and one view's proposals as a round-1 step holds them:
+    runs, each of one log or of one base its senders extend by their own
+    values, some naming a sender twice, and single proposals, a strategy's
+    or ones delivered one by one, in any order.  A single proposal often
+    equals or extends a member's log, or comes from a run's sender with
+    another log, so (ticket, sender) keys tie; the candidate is often a
+    member's log, a prefix of a run's log or base, or a log that conflicts
+    with it."""
+    seed, view = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    senders = st.integers(0, 5)
+    runs = [proposal_run(seed, view, draw(st.lists(senders, min_size=1, max_size=5)),
+                         draw(tree_logs), draw(st.booleans()))
+            for _ in range(draw(st.integers(0, 3)))]
+    members = [member_message(e, p, seed).log for e in runs for p in e.senders]
+    longer = st.sampled_from(members).map(lambda log: log.extended(Value(9, 9, 9)))
+    logs = st.sampled_from(members) | longer | tree_logs if members else tree_logs
+    singles = [ProposeMsg(p, view, draw(logs), vrf_eval(seed, p, view))
+               for p in draw(st.lists(senders, max_size=4))]
+    bases = [Log(e.log.values[:k]) for e in runs for k in range(len(e.log) + 1)]
+    candidate = draw(st.sampled_from(members + bases) | tree_logs if runs else tree_logs)
+    return seed, candidate, draw(st.permutations(runs + singles))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=mixed_views())
+def test_round1_ranks_runs_as_their_built_proposals(case):
+    assert_ranks_as_built(*case)
+
+
+def test_round1_ranks_each_case_of_a_run_as_its_built_proposals():
+    """The cases a run's ranking must get right, each against the built
+    proposals: a candidate equal to one member's log that outranks a
+    message extending it; a Byzantine proposal equal to a member's log; a
+    sender proposing twice, so (ticket, sender) keys tie and the smaller
+    log wins; and a candidate that conflicts with the base."""
+    seed, view = SEED, 2
+    base = Log((TREE[0],))
+    # the run lists its senders by rising ticket, so its first is no winner
+    by_ticket = sorted(range(4), key=lambda p: vrf_eval(seed, p, view))
+    low, high = by_ticket[0], by_ticket[-1]
+    run = proposal_run(seed, view, by_ticket, base, True)
+    own = {p: member_message(run, p, seed).log for p in range(4)}
+    # the candidate is high's log, and low extends it: high's own log wins
+    longer = ProposeMsg(low, view, own[high].extended(TREE[4]), vrf_eval(seed, low, view))
+    assert assert_ranks_as_built(seed, own[high], [run, longer]) == own[high]
+    assert assert_ranks_as_built(seed, own[low], [longer, run]) == own[low]
+    # Byzantine 9 proposes low's log: the higher of the two keys wins
+    copy = ProposeMsg(9, view, own[low], vrf_eval(seed, 9, view))
+    assert assert_ranks_as_built(seed, own[low], [run, copy]) == own[low]
+    # high proposes a second log, with its one ticket: the smaller log wins
+    for log in (Log(()).extended(TREE[1]), own[high].extended(TREE[4])):
+        twice = ProposeMsg(high, view, log, vrf_eval(seed, high, view))
+        want = min(log, own[high])
+        assert assert_ranks_as_built(seed, EMPTY_LOG, [run, twice]) == want
+        assert assert_ranks_as_built(seed, EMPTY_LOG, [twice, run]) == want
+    # every member extends the empty candidate and the base: high's log wins
+    assert assert_ranks_as_built(seed, base, [run]) == own[high]
+    # a candidate conflicting with the base: no member extends it
+    conflicting = Log((TREE[1],))
+    assert assert_ranks_as_built(seed, conflicting, [run]) == conflicting
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 3),
@@ -478,6 +576,6 @@ def test_cohort_steps_match_each_members_reference_step(seed, view, outputs, pro
 
         cohort = [state(pid=p, candidate=c) for p, c in cohort_members]
         refs = [state(pid=p, candidate=c) for p, c in cohort_members]
-        got = step_round2(cohort, view, output, seed)
+        got = round2_pairs(step_round2(cohort, view, output, seed), cohort, view)
         assert got == [reference_step_round2(ref, view, output, seed) for ref in refs]
         assert [s.candidate for s in cohort] == [s.candidate for s in refs]

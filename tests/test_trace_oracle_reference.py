@@ -18,16 +18,21 @@ round ``r`` in ``[0, horizon]`` (asynchrony resilience: every ``r_a`` in
 
 ``FiledTrace`` keeps ``Trace``'s event index (``_by_kind``) and the
 accessors that read it verbatim, as they were when every event was filed
-by kind in one pass on first use.  On the same traces, ``Trace`` must give
-the same decide, send, vote-send and propose-send events, agreement
-records, input rounds, chain verdict and decided logs at every round, by
-value, by class and in order.
+by kind in one pass on first use, and when ``World`` recorded one event
+per member: it files a trace's events expanded to their members
+(``helpers.expand_events``), and the reference oracles read that per-member
+index.  On the same traces, ``Trace`` must give the same decide, send,
+vote-send and propose-send events, each expanded to its members,
+agreement records, input rounds, chain verdict and decided logs at every
+round, by value, by class and in order.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache, cached_property
 from pathlib import Path
+
+from helpers import Decided, Delivered, Sent, expand_events, sends
 
 from sleepy_tob import oracle
 from sleepy_tob.cli import Scenario, load_scenario, run_scenario
@@ -49,7 +54,7 @@ from sleepy_tob.oracle import (
     _safety_witness,
     first_full_view_after,
 )
-from sleepy_tob.world import STRATEGIES, DecideEvent, DeliverEvent, Event, SendEvent, Trace
+from sleepy_tob.world import STRATEGIES, Trace
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -207,24 +212,29 @@ def check_async_resilience(trace: Trace, r_a: int, pi: int) -> OracleReport:
 
 
 class FiledTrace:
-    """A trace's events filed by kind, with the accessors that read the
-    files; ``schedule`` and ``events`` are the trace's."""
+    """A trace's events, expanded to their members, filed by kind, with the
+    accessors that read the files; ``schedule`` is the trace's, and
+    ``seed`` its run's, which draws the proposals' tickets."""
 
-    def __init__(self, trace: Trace):
-        self.schedule, self.events = trace.schedule, trace.events
+    def __init__(self, trace: Trace, seed: int):
+        self.schedule, self.events = trace.schedule, expand_events(trace.events, seed)
+
+    @property
+    def horizon(self) -> int:
+        return self.schedule.horizon
 
     @cached_property
-    def _by_kind(self) -> dict[type, list[Event]]:
+    def _by_kind(self) -> dict[type, list]:
         """Events by class, never by value (events of different kinds may
         be equal tuples); send events are also filed under their message
         class (``VoteMsg``, ``ProposeMsg``)."""
-        by_kind: dict[type, list[Event]] = {
-            SendEvent: [], DeliverEvent: [], DecideEvent: [], GaRecord: [],
+        by_kind: dict[type, list] = {
+            Sent: [], Delivered: [], Decided: [], GaRecord: [],
             VoteMsg: [], ProposeMsg: [],
         }
         for e in self.events:
             by_kind[type(e)].append(e)
-            if type(e) is SendEvent:
+            if type(e) is Sent:
                 by_kind[type(e.msg)].append(e)
         return by_kind
 
@@ -240,18 +250,18 @@ class FiledTrace:
     def decisions_form_chain(self) -> bool:
         """Whether the distinct logs decided in the trace are pairwise
         compatible (``core.is_chain``)."""
-        return is_chain(e.log for e in self._by_kind[DecideEvent])
+        return is_chain(e.log for e in self._by_kind[Decided])
 
-    def decide_events(self) -> list[DecideEvent]:
-        return list(self._by_kind[DecideEvent])
+    def decide_events(self) -> list[Decided]:
+        return list(self._by_kind[Decided])
 
-    def send_events(self) -> list[SendEvent]:
-        return list(self._by_kind[SendEvent])
+    def send_events(self) -> list[Sent]:
+        return list(self._by_kind[Sent])
 
-    def vote_sends(self) -> list[SendEvent]:
+    def vote_sends(self) -> list[Sent]:
         return list(self._by_kind[VoteMsg])
 
-    def propose_sends(self) -> list[SendEvent]:
+    def propose_sends(self) -> list[Sent]:
         return list(self._by_kind[ProposeMsg])
 
     def ga_records(self) -> dict[int, GaRecord]:
@@ -260,7 +270,7 @@ class FiledTrace:
     def decided_up_to(self, r: int) -> list[Log]:
         """Distinct logs decided by well-behaved processes in rounds <= r."""
         seen: dict[Log, None] = {}
-        for e in self._by_kind[DecideEvent]:
+        for e in self._by_kind[Decided]:
             if e.round <= r:
                 seen.setdefault(e.log, None)
         return list(seen)
@@ -270,6 +280,10 @@ class FiledTrace:
         the fresh tip of a proposal from a well-behaved process."""
         return self._input_rounds.get(value)
 
+    def inputs_since(self, r: int) -> set[Value]:
+        """Values introduced in round ``r`` or later (``first_input_round``)."""
+        return {v for v, first in self._input_rounds.items() if first >= r}
+
 
 # ---------------------------------------------------------------------------
 # the two versions on the same traces
@@ -278,20 +292,23 @@ class FiledTrace:
 WINDOWS = (0, 3, 8)
 
 
-def shipped_traces() -> dict[str, Trace]:
-    return {path.stem: run_scenario(load_scenario(path))[0]
-            for path in sorted(SCENARIOS.glob("*.json"))}
+def shipped_traces() -> dict[str, tuple[Trace, int]]:
+    """Each shipped scenario's trace, with its seed."""
+    return {path.stem: (run_scenario(scenario)[0], scenario.seed)
+            for path in sorted(SCENARIOS.glob("*.json"))
+            for scenario in [load_scenario(path)]}
 
 
-def campaign_traces(seeds_per_strategy: int = 3, etas=(4,)) -> dict[str, Trace]:
+def campaign_traces(seeds_per_strategy: int = 3, etas=(4,)) -> dict[str, tuple[Trace, int]]:
     """Traces of ``sleepy-tob campaign`` runs with its default settings, for
-    every strategy, the no-op one included, and each expiry in ``etas``."""
+    every strategy, the no-op one included, and each expiry in ``etas``,
+    each with its seed."""
     base = Scenario(name="campaign", n=20, horizon=20, tau=4, eta=4, pi=2,
                     gamma=Fraction(1, 10), beta=Fraction(1, 3), r_a=6, seed=0,
                     schedule_spec={"generate": {"n_byz": 4}})
     return {
         f"{name}-eta{eta}-{seed}":
-            run_scenario(replace(base, eta=eta, seed=seed, adversary=name))[0]
+            (run_scenario(replace(base, eta=eta, seed=seed, adversary=name))[0], seed)
         for name in sorted(STRATEGIES)
         for eta in etas
         for seed in range(seeds_per_strategy)
@@ -299,7 +316,7 @@ def campaign_traces(seeds_per_strategy: int = 3, etas=(4,)) -> dict[str, Trace]:
 
 
 @cache
-def compared_traces() -> dict[str, Trace]:
+def compared_traces() -> dict[str, tuple[Trace, int]]:
     """The shipped traces and the campaign traces with and without expiry."""
     traces = {**shipped_traces(), **campaign_traces(etas=(4, 0))}
     assert len(traces) == 6 + 3 * 2 * len(STRATEGIES)
@@ -324,14 +341,15 @@ def test_trace_oracles_match_reference_on_shipped_and_campaign_traces():
     one-chain shortcut (after the horizon the scan passes trivially)."""
     verdicts = set()
     scanned_pass = False
-    for name, trace in compared_traces().items():
+    for name, (trace, seed) in compared_traces().items():
         ours = reports(trace, oracle.check_safety_after, oracle.check_liveness_after,
                        oracle.check_healing)
-        reference = reports(trace, check_safety_after, check_liveness_after, check_healing)
+        members = FiledTrace(trace, seed)
+        reference = reports(members, check_safety_after, check_liveness_after, check_healing)
         assert ours == reference, name
         verdicts.update((rep["name"], rep["verdict"]) for rep in ours)
         if not is_chain(trace.decided_up_to(trace.horizon)):
-            scanned_pass |= any(check_safety_after(trace, r).verdict is Verdict.PASS
+            scanned_pass |= any(check_safety_after(members, r).verdict is Verdict.PASS
                                 for r in range(trace.horizon))
     assert scanned_pass
     # every verdict of every check occurs, so failing witnesses are compared too
@@ -344,8 +362,8 @@ def test_trace_oracles_match_reference_on_shipped_and_campaign_traces():
 
 
 def test_trace_keeps_the_reference_timeline():
-    for name, trace in {**shipped_traces(), **campaign_traces(1, etas=(4, 0))}.items():
-        assert trace.decision_timeline == _decision_timeline(trace), name
+    for name, (trace, seed) in {**shipped_traces(), **campaign_traces(1, etas=(4, 0))}.items():
+        assert trace.decision_timeline == _decision_timeline(FiledTrace(trace, seed)), name
 
 
 def test_async_resilience_matches_reference_on_shipped_and_campaign_traces():
@@ -353,23 +371,24 @@ def test_async_resilience_matches_reference_on_shipped_and_campaign_traces():
     when it has none); traces whose decisions conflict fail it at early
     enough rounds, so both verdicts and the failing witnesses are compared."""
     verdicts = set()
-    for name, trace in compared_traces().items():
+    for name, (trace, seed) in compared_traces().items():
         pi = trace.schedule.pi or 1
+        members = FiledTrace(trace, seed)
         for r_a in range(trace.horizon):
             ours = oracle.check_async_resilience(trace, r_a, pi).to_dict()
-            assert ours == check_async_resilience(trace, r_a, pi).to_dict(), (name, r_a)
+            assert ours == check_async_resilience(members, r_a, pi).to_dict(), (name, r_a)
             verdicts.add(ours["verdict"])
     assert verdicts == {"pass", "fail"}
 
 
-def filed(trace) -> dict:
-    """Everything the event index answers, each event with its class, so
-    events of different kinds that are equal tuples still differ."""
+def filed(trace, seed: int) -> dict:
+    """Everything the event index answers, each event expanded to its
+    members (a per-member event as it is) and with its class, so events of
+    different kinds that are equal tuples still differ."""
     def typed(events):
-        return [(type(e), type(getattr(e, "msg", None)), e) for e in events]
+        return [(type(e), type(getattr(e, "msg", None)), e) for e in expand_events(events, seed)]
 
-    values = {e.msg.log.values[-1] for e in trace.events
-              if type(e) is SendEvent and e.msg.log.values}
+    values = {e.msg.log.values[-1] for e in sends(trace.events, seed) if e.msg.log.values}
     return {
         "decide_events": typed(trace.decide_events()),
         "send_events": typed(trace.send_events()),
@@ -387,9 +406,9 @@ def test_trace_files_its_events_as_the_reference_index():
     conflict are both compared; a value no proposal introduced reads
     ``None`` in both."""
     chains = set()
-    for name, trace in compared_traces().items():
-        ours = filed(trace)
-        assert ours == filed(FiledTrace(trace)), name
+    for name, (trace, seed) in compared_traces().items():
+        ours = filed(trace, seed)
+        assert ours == filed(FiledTrace(trace, seed), seed), name
         assert trace.first_input_round(Value(-1, -1, -1)) is None
         chains.add(ours["decisions_form_chain"])
     assert chains == {True, False}

@@ -12,13 +12,17 @@ each receiver's tops, then its grade-1 log, and every log the frontier's
 expansion grades must be named after them.  A proposal of a base
 extended by its sender's own value names the base, and its log takes the
 next id with no ``log`` dict unless a line named it before.  It writes one
-dict per event, and ``reference_merge`` then states the cohort rule from
-the format alone: adjacent dicts of one kind and round with equal
-payloads, each a send, a decision or a range delivery, become one dict
-whose actor lists theirs, a send joining only with the next send id.
-Both writers must give equal lines on the six shipped scenarios, one
-default ``campaign`` seed, ``World`` runs of random bounded schedules with
-and without a window, and a hand-built trace that delivers a tuple of ids,
+dict per member of each event (``helpers.expand_events``), and
+``reference_merge`` then states the cohort rule from the format alone:
+adjacent dicts of one kind and round with equal payloads, each a send, a
+decision or a range delivery, become one dict whose actor lists theirs, a
+send joining only with the next send id.  The writer writes one line per
+event, so the two agree only where every event is a whole run, as
+``World`` records them.  Both writers must give equal lines on the six
+shipped scenarios, one default ``campaign`` seed, ``World`` runs of random
+bounded schedules with and without a window, a ``World`` run whose
+strategy's messages join and break the cohorts' runs, and hand-built
+traces, each event the run ``World`` would record: one that delivers a tuple of ids,
 a range and nothing, decides the empty log and holds one record whose
 receivers share a view, one whose receivers do not, one with a malformed
 frontier next to two receivers that hold equal claims in different view
@@ -48,7 +52,17 @@ from pathlib import Path
 from typing import Callable
 
 import pytest
-from helpers import TraceLogs, expand, frontier, random_bounded_schedule
+from helpers import (
+    Decided,
+    Delivered,
+    Sent,
+    TraceLogs,
+    expand,
+    expand_events,
+    frontier,
+    random_bounded_schedule,
+    sends,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,10 +72,12 @@ from sleepy_tob.ga import GaOutput, GaRecord, InitialVoteSet, ReceiverView
 from sleepy_tob.model_checks import ModelParams
 from sleepy_tob.world import (
     STRATEGIES,
+    AdversaryStrategy,
     DecideEvent,
     DeliverEvent,
     SendEvent,
     Trace,
+    World,
     constant_schedule,
     run,
 )
@@ -137,9 +153,9 @@ def reference_merge(objs: list[dict]) -> list[dict]:
     return merged
 
 
-def reference_trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
+def reference_trace_lines(trace: Trace, scenario: Scenario, seed: int) -> list[str]:
     log_ids: dict[Log, int] = {}
-    sends = 0
+    sent = 0
     header = {
         "kind": "header",
         "scenario": scenario.to_dict(),
@@ -163,18 +179,18 @@ def reference_trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
                 }}, r)
         return log_ids[log]
 
-    for e in trace.events:
-        if isinstance(e, SendEvent):
+    for e in expand_events(trace.events, seed):
+        if isinstance(e, Sent):
             msg = reference_msg_to_json(e.msg, lambda log: introduce(log, e.round), log_ids)
-            obj = {"kind": "send", "id": sends, "actor": e.msg.sender, "payload": {"msg": msg}}
-            sends += 1
-        elif isinstance(e, DeliverEvent):
+            obj = {"kind": "send", "id": sent, "actor": e.msg.sender, "payload": {"msg": msg}}
+            sent += 1
+        elif isinstance(e, Delivered):
             if isinstance(e.ids, range):
                 payload = {"from": e.ids.start, "to": e.ids.stop}
             else:
                 payload = {"msgs": list(e.ids)}
             obj = {"kind": "deliver", "actor": e.receiver, "payload": payload}
-        elif isinstance(e, DecideEvent):
+        elif isinstance(e, Decided):
             introduce(e.log, e.round)
             obj = {"kind": "decide", "actor": e.pid, "payload": {"log": log_ids[e.log]}}
         else:
@@ -194,9 +210,12 @@ def reference_trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
 # inputs
 
 
-def assert_same_lines(trace: Trace, scenario: Scenario) -> list[str]:
+def assert_same_lines(trace: Trace, scenario: Scenario, seed: int | None = None) -> list[str]:
+    """The writer's lines, which must be the reference's; ``seed`` is the
+    run's, the scenario's unless given."""
     lines = trace_lines(trace, scenario)
-    assert lines == reference_trace_lines(trace, scenario)
+    assert lines == reference_trace_lines(trace, scenario,
+                                          scenario.seed if seed is None else seed)
     return lines
 
 
@@ -254,7 +273,7 @@ def test_world_runs_match_reference(preset, schedule_seed, window, seed):
         pi = min(window[1], schedule.horizon - r_a - 2)
         schedule = replace(schedule, r_a=r_a, params=replace(schedule.params, pi=pi))
         schedule.validate()
-    assert_same_lines(run(schedule, STRATEGIES[preset](), seed), HEADER_SCENARIO)
+    assert_same_lines(run(schedule, STRATEGIES[preset](), seed), HEADER_SCENARIO, seed)
 
 
 def view(grades: dict[Log, int], m: int) -> ReceiverView:
@@ -270,25 +289,23 @@ def test_hand_built_trace_matches_reference():
     f = b.extended(Value(5, 0, 3))
     g = f.extended(Value(6, 0, 4))
     h = e.extended(Value(7, 2, 3))
-    vote = VoteMsg(sender=0, round=1, log=b)
-    other = VoteMsg(sender=1, round=1, log=c)
-    propose = ProposeMsg(sender=1, view=1, log=c, ticket=vrf_eval(HEADER_SCENARIO.seed, 1, 1))
+    ticket = vrf_eval(HEADER_SCENARIO.seed, 1, 1)
     shared = view({a: 1, b: 0}, 2)
     # grade1 e lies under no top: the frontier bounded divergence exists to
     # fail, and the writer must still name e
     malformed = ReceiverView(InitialVoteSet(), frozenset(), GaOutput(e, (b,)), 2)
     events = (
-        SendEvent(0, propose),
-        SendEvent(1, vote),
-        SendEvent(1, other),
-        DeliverEvent(1, 0, (1, 2)),
-        DeliverEvent(1, 1, range(3)),
-        DeliverEvent(1, 2, ()),
+        SendEvent(0, 0, (1,), c, 1, False, (ticket,)),
+        SendEvent(1, 1, (0,), b, None, False, ()),
+        SendEvent(1, 2, (1,), c, None, False, ()),
+        DeliverEvent(1, (0,), (1, 2)),
+        DeliverEvent(1, (1,), range(3)),
+        DeliverEvent(1, (2,), ()),
         GaRecord(1, True, {0: b, 1: c}, frozenset([3]), {0: shared, 1: shared, 2: shared}),
-        DecideEvent(2, 0, Log()),
+        DecideEvent(2, (0,), Log()),
         GaRecord(2, False, {0: b}, frozenset([3]),
                  {0: view({b: 1}, 1), 1: view({d: 0, a: 1}, 2), 2: view({}, 0)}),
-        DecideEvent(2, 1, d),
+        DecideEvent(2, (1,), d),
         GaRecord(3, False, {0: b}, frozenset([3]),
                  {0: malformed, 1: view({d: 0}, 2), 2: view({d: 0}, 2)}),
         # tops g and h are unnamed and on different branches: f and g, the
@@ -320,18 +337,18 @@ def test_cohort_lines_break_where_the_fact_changes():
     a = Log((GENESIS,))
     b = a.extended(Value(1, 0, 1))
 
-    def vote(p, r, log):
-        return SendEvent(r, VoteMsg(p, r, log))
+    def votes(r, first, senders, log):
+        return SendEvent(r, first, senders, log, None, False, ())
 
     events = (
         # process 4 is Byzantine: it votes the second cohort's log, then the first's
-        vote(0, 1, a), vote(1, 1, a), vote(2, 1, b), vote(4, 1, b), vote(4, 1, a),
-        vote(0, 2, a), vote(1, 2, a),
-        DecideEvent(2, 0, a), DecideEvent(2, 1, a), DecideEvent(2, 2, b), DecideEvent(2, 3, a),
-        DecideEvent(3, 0, a),
-        DeliverEvent(3, 0, range(0, 9)), DeliverEvent(3, 1, range(0, 9)),
-        DeliverEvent(3, 3, range(2, 9)), DeliverEvent(3, 2, range(0, 9)),
-        DeliverEvent(4, 0, range(0, 9)), DeliverEvent(4, 1, range(0, 10)),
+        votes(1, 0, (0, 1), a), votes(1, 2, (2, 4), b), votes(1, 4, (4,), a),
+        votes(2, 5, (0, 1), a),
+        DecideEvent(2, (0, 1), a), DecideEvent(2, (2,), b), DecideEvent(2, (3,), a),
+        DecideEvent(3, (0,), a),
+        DeliverEvent(3, (0, 1), range(0, 9)), DeliverEvent(3, (3,), range(2, 9)),
+        DeliverEvent(3, (2,), range(0, 9)),
+        DeliverEvent(4, (0,), range(0, 9)), DeliverEvent(4, (1,), range(0, 10)),
     )
     schedule = constant_schedule(5, 5, 1, ModelParams(tau=2, eta=2, pi=0, gamma=Fraction(0),
                                                       beta=Fraction(1, 3)))
@@ -376,24 +393,24 @@ def test_proposal_lines_break_where_the_fact_changes():
     def own(base, p, view):
         return base.extended(Value(view, p, view))
 
-    def propose(r, p, view, log):
-        return SendEvent(r, ProposeMsg(p, view, log, vrf_eval(seed, p, view)))
+    def propose(r, first, senders, view, log, extends=False):
+        tickets = tuple(vrf_eval(seed, p, view) for p in senders)
+        return SendEvent(r, first, senders, log, view, extends, tickets)
 
     c = own(a, 0, 2)
     events = (
-        propose(0, 0, 1, a), propose(0, 1, 1, a), propose(0, 2, 1, a),
+        propose(0, 0, (0, 1, 2), 1, a),
         # round 2 splits across heads a and b; Byzantine 4 proposes 1's
         # value, then its own twice
-        propose(2, 0, 2, c), propose(2, 1, 2, own(a, 1, 2)),
-        propose(2, 2, 2, own(b, 2, 2)), propose(2, 3, 2, own(b, 3, 2)),
-        propose(2, 4, 2, own(a, 1, 2)),
-        propose(2, 4, 2, own(a, 4, 2)), propose(2, 4, 2, own(a, 4, 2)),
-        propose(3, 5, 2, own(a, 5, 2)),
+        propose(2, 3, (0, 1), 2, a, extends=True),
+        propose(2, 5, (2, 3), 2, b, extends=True),
+        propose(2, 7, (4,), 2, own(a, 1, 2)),
+        propose(2, 8, (4, 4), 2, a, extends=True),
+        propose(3, 10, (5,), 2, a, extends=True),
         # a Byzantine vote names 1's log before 1 proposes it
-        SendEvent(4, VoteMsg(4, 4, own(c, 1, 3))),
-        propose(4, 0, 3, own(c, 0, 3)), propose(4, 1, 3, own(c, 1, 3)),
-        propose(4, 2, 3, own(c, 2, 3)),
-        propose(4, 5, 3, Log()), propose(4, 6, 3, Log()),
+        SendEvent(4, 11, (4,), own(c, 1, 3), None, False, ()),
+        propose(4, 12, (0, 1, 2), 3, c, extends=True),
+        propose(4, 15, (5, 6), 3, Log()),
     )
     schedule = constant_schedule(7, 5, 2, ModelParams(tau=2, eta=2, pi=0, gamma=Fraction(0),
                                                       beta=Fraction(1, 3)))
@@ -430,7 +447,54 @@ def test_proposal_lines_break_where_the_fact_changes():
             sent += logs.proposals(obj, seed)
         else:
             sent.append(VoteMsg(obj["actor"][0], obj["round"], logs[obj["payload"]["msg"]["log"]]))
-    assert sent == [e.msg for e in events]
+    assert sent == [e.msg for e in sends(events, seed)]
     # ids 5-8 and 10-11 went to the allotted logs, in sender order
     assert [logs.ids[log] for log in (own(b, 2, 2), own(b, 3, 2), own(a, 4, 2), own(a, 5, 2),
                                       own(c, 0, 3), own(c, 2, 3))] == [5, 6, 7, 8, 10, 11]
+
+
+def test_world_joins_a_strategy_message_to_the_run_of_its_fact():
+    """``World`` records a strategy's message in the last event when the
+    message states its fact, as the cohort line takes it: in round 1
+    Byzantine votes for the cohort's log join the cohort's vote run, and
+    their votes for another log are a run of their own; in round 2 a
+    Byzantine proposal of its own value on the cohort's base joins the
+    cohort's proposal run, one of another sender's value breaks it, and the
+    same own-value proposal twice is one run.  The strategy reads each fact
+    off the round's events, which hold the cohort's runs when it is asked.
+    The lines are the reference's, the send log is the events' expansion,
+    and the run steps as the per-process reference world does."""
+    from test_world_receive_reference import assert_same_run
+
+    other = Log((Value(99, 4, 1),))
+
+    def messages(world, r):
+        # the cohort's last run, or in the per-process reference world the
+        # last member's message: its vote log, or its proposal's base
+        last = world.events[-1]
+        log = last.log if isinstance(last, SendEvent) else last.msg.log
+        if r == 1:
+            return [VoteMsg(4, 1, log), VoteMsg(5, 1, log),
+                    VoteMsg(4, 1, other), VoteMsg(5, 1, other)]
+        if r == 2:
+            base = log if isinstance(last, SendEvent) else log.parent
+            fours, fives = (base.extended(Value(2, p, 2)) for p in (4, 5))
+            return [ProposeMsg(4, 2, fours, vrf_eval(world.seed, 4, 2)),
+                    *(ProposeMsg(5, 2, log, vrf_eval(world.seed, 5, 2))
+                      for log in (fours, fives, fives))]
+        return []
+
+    strategy = lambda: AdversaryStrategy("joins", messages, lambda world, r, q, cand: cand)  # noqa: E731
+    schedule = constant_schedule(6, 6, 2, ModelParams(tau=2, eta=2, pi=0, gamma=Fraction(0),
+                                                      beta=Fraction(1, 3)))
+    world = World(schedule, strategy(), 3)
+    trace = world.run()
+    runs = [(e.round, e.senders, e.view, e.extends) for e in trace.send_events() if e.round in (1, 2)]
+    assert runs == [
+        (1, (0, 1, 2, 3, 4, 5), None, False), (1, (4, 5), None, False),
+        (2, (0, 1, 2, 3), None, False),
+        (2, (0, 1, 2, 3, 4), 2, True), (2, (5,), 2, False), (2, (5, 5), 2, True),
+    ]
+    assert [e.msg for e in sends(trace.events, 3)] == world.sent
+    assert_lines_read_back(assert_same_lines(trace, HEADER_SCENARIO, 3))
+    assert_same_run(schedule, strategy, 3)

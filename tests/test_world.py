@@ -1,9 +1,11 @@
 import dataclasses
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import deliveries, sends
 
 from sleepy_tob.cli import build_schedule, load_scenario, trace_lines
 from sleepy_tob.core import GENESIS, Log, ProposeMsg, Value, VoteMsg, vrf_eval
@@ -62,42 +64,49 @@ class TestTraceIndex:
         fresh = Value(7, 0, 1)
         log = Log((GENESIS, fresh))
 
-        def propose(sender, view):
-            return ProposeMsg(sender=sender, view=view, log=log, ticket=vrf_eval(0, sender, view))
+        def propose(r, first, senders, view, extends=False):
+            tickets = tuple(vrf_eval(0, p, view) for p in senders)
+            return SendEvent(r, first, senders, log, view, extends, tickets)
 
         events = (
-            SendEvent(0, propose(2, 1)),  # Byzantine: introduces nothing
-            SendEvent(1, VoteMsg(sender=0, round=1, log=log)),
-            SendEvent(2, propose(0, 1)),  # first well-behaved proposal of the tip
-            DecideEvent(2, 0, log),
-            SendEvent(3, propose(1, 2)),
+            propose(0, 0, (2,), 1),  # Byzantine: introduces nothing
+            SendEvent(1, 1, (0,), log, None, False, ()),
+            propose(2, 2, (0,), 1),  # first well-behaved proposal of the tip
+            DecideEvent(2, (0,), log),
+            propose(3, 3, (1,), 2),
+            # each sender extends the tip by its own value; 2 is Byzantine
+            propose(4, 4, (0, 2), 3, extends=True),
         )
         trace = Trace(sched, "none", events)
         assert trace.first_input_round(fresh) == 2
         assert trace.first_input_round(GENESIS) is None
         # the round-3 proposal of the same tip introduces nothing new
-        assert trace.inputs_since(2) == {fresh} and trace.inputs_since(3) == set()
-        assert [e.round for e in trace.send_events()] == [0, 1, 2, 3]
+        assert trace.inputs_since(2) == {fresh, Value(3, 0, 3)}
+        assert trace.inputs_since(3) == trace.inputs_since(4) == {Value(3, 0, 3)}
+        assert trace.first_input_round(Value(3, 2, 3)) is None
+        assert [e.round for e in trace.send_events()] == [0, 1, 2, 3, 4]
         assert [e.round for e in trace.vote_sends()] == [1]
-        assert [e.round for e in trace.propose_sends()] == [0, 2, 3]
+        assert [e.round for e in trace.propose_sends()] == [0, 2, 3, 4]
         trace.decide_events().clear()
-        assert trace.decide_events() == [DecideEvent(2, 0, log)]
+        assert trace.decide_events() == [DecideEvent(2, (0,), log)]
         assert trace.decided_up_to(1) == [] and trace.decided_up_to(2) == [log]
 
     def test_events_are_named_tuples_filed_by_type(self):
         """Events are named tuples: fixed fields, read-only, and equal to the
-        plain tuple of their fields, so a decision equals the vote with the
-        same three fields.  The index files events by type, not by value."""
-        assert SendEvent._fields == ("round", "msg")
-        assert DeliverEvent._fields == ("round", "receiver", "ids")
-        assert DecideEvent._fields == ("round", "pid", "log")
+        plain tuple of their fields, so a decision equals the delivery with
+        the same three fields.  The index files events by type, not by
+        value."""
+        assert SendEvent._fields == (
+            "round", "first", "senders", "log", "view", "extends", "tickets")
+        assert DeliverEvent._fields == ("round", "receivers", "ids")
+        assert DecideEvent._fields == ("round", "pids", "log")
         log = Log((GENESIS,))
-        send, decide = SendEvent(3, VoteMsg(3, 3, log)), DecideEvent(3, 3, log)
-        for event in (send, DeliverEvent(3, 0, (0,)), decide):
+        send, decide = SendEvent(3, 0, (3,), log, None, False, ()), DecideEvent(3, (3,), log)
+        for event in (send, DeliverEvent(3, (0,), (0,)), decide):
             with pytest.raises(AttributeError):
                 event.round = 4
-        assert decide == send.msg == (3, 3, log)
-        assert decide._replace(round=4) == DecideEvent(4, 3, log)
+        assert decide == DeliverEvent(3, (3,), log) == (3, (3,), log)
+        assert decide._replace(round=4) == DecideEvent(4, (3,), log)
         trace = Trace(constant_schedule(n=4, horizon=4, n_byz=0, params=params()), "none",
                       (send, decide))
         (decided,), (voted,) = trace.decide_events(), trace.vote_sends()
@@ -111,11 +120,10 @@ class TestDelivery:
         sched = sync_faultfree(n=4, horizon=6)
         trace = run(sched, null_strategy(), seed=1)
         got = {q: [] for q in range(4)}
-        for e in trace.events:
-            if isinstance(e, DeliverEvent):
-                got[e.receiver].extend(e.ids)
+        for e in deliveries(trace.events):
+            got[e.receiver].extend(e.ids)
         # every receiver got every send exactly once, in send order
-        everything = list(range(len(trace.send_events())))
+        everything = list(range(len(sends(trace.events, 1))))
         assert got == dict.fromkeys(range(4), everything)
 
     def test_sleeper_gets_queued_messages_on_waking(self):
@@ -139,16 +147,14 @@ class TestDelivery:
         for r in range(horizon):
             world.step_round(r)
             newest_held[r] = {s: rnd for s, (rnd, _) in world.states[3].votes_seen.items()}
-        trace_events, sent = world.events, world.sent
+        delivered, sent = deliveries(world.events), world.sent
         round3_votes = {
             i
-            for e in trace_events if isinstance(e, DeliverEvent) and e.receiver == 0
+            for e in delivered if e.receiver == 0
             for i in e.ids if isinstance(sent[i], VoteMsg) and sent[i].round == 3
         }
         assert round3_votes
-        deliveries_to_3 = [
-            e for e in trace_events if isinstance(e, DeliverEvent) and e.receiver == 3
-        ]
+        deliveries_to_3 = [e for e in delivered if e.receiver == 3]
         by_round = {i: e.round for e in deliveries_to_3 for i in e.ids if i in round3_votes}
         # nothing reached the sleeper during rounds 2-4's receive phases; the
         # backlog lands at the round-5 receive phase, entering round 6
@@ -160,10 +166,7 @@ class TestDelivery:
         assert newest_held[4] == {0: 1, 1: 1, 2: 1, 3: 1}
         assert newest_held[5] == {0: 5, 1: 5, 2: 5, 3: 2}
         # asleep rounds produce no messages
-        sends_by_3 = [
-            e.round for e in trace_events
-            if not isinstance(e, DeliverEvent) and hasattr(e, "msg") and e.msg.sender == 3
-        ]
+        sends_by_3 = [e.round for e in sends(world.events, 3) if e.msg.sender == 3]
         assert sends_by_3 and not any(3 <= r <= 5 for r in sends_by_3)
 
     def test_no_message_is_queued_for_a_byzantine_process(self):
@@ -205,17 +208,15 @@ class TestDelivery:
             delivery_filter=lambda world, r, q, cand: [] if q == 3 else cand,
         )
         trace = run(sched, strategy, seed=2)
-        sends = trace.send_events()
-        got = {
-            (e.round, e.receiver): e.ids for e in trace.events if isinstance(e, DeliverEvent)
-        }
+        sent = sends(trace.events, 2)
+        got = {(e.round, e.receiver): e.ids for e in deliveries(trace.events)}
         assert (5, 3) not in got and (6, 3) not in got
-        backlog = [i for i, e in enumerate(sends) if 4 <= e.round <= 7 and i not in got[4, 3]]
-        assert any(sends[i].msg.sender != 3 for i in got[4, 0] if i not in got[4, 3])
+        backlog = [i for i, e in enumerate(sent) if 4 <= e.round <= 7 and i not in got[4, 3]]
+        assert any(sent[i].msg.sender != 3 for i in got[4, 0] if i not in got[4, 3])
         assert got[7, 3] == tuple(backlog)
 
         def tail(r):
-            return range(*(sum(e.round < rd for e in sends) for rd in (r, r + 1)))
+            return range(*(sum(e.round < rd for e in sent) for rd in (r, r + 1)))
 
         assert got[7, 0] == got[7, 1] == got[7, 2] == tail(7)
         assert got[8, 0] == got[8, 3] == tail(8)
@@ -239,7 +240,7 @@ class TestDelivery:
         for r in range(horizon):
             world.step_round(r)
             assert bool(world.pending[0]) == (r == corrupt_from - 1), r
-        to_0 = [e.round for e in world.events if isinstance(e, DeliverEvent) and e.receiver == 0]
+        to_0 = [e.round for e in deliveries(world.events) if e.receiver == 0]
         # its last receive phase is the one before it falls asleep, at the
         # end of round corrupt_from - 2
         assert max(to_0) == corrupt_from - 2
@@ -251,7 +252,7 @@ class TestDelivery:
             trace = world.run()
             assert all(not held for held in world.held)
             # so the index of a send event names its message in the send log
-            assert [e.msg for e in trace.send_events()] == world.sent
+            assert [e.msg for e in sends(trace.events, 2)] == world.sent
 
     def test_a_message_sent_twice_is_delivered_under_each_send_id(self):
         # one vote object broadcast twice is two sends, and every receiver
@@ -265,11 +266,12 @@ class TestDelivery:
         sched = constant_schedule(n=4, horizon=4, n_byz=1, params=params())
         world = World(sched, strategy, seed=1)
         trace = world.run()
-        twice = [i for i, e in enumerate(trace.send_events()) if e.msg is vote]
+        twice = [i for i, m in enumerate(world.sent) if m is vote]
         assert len(twice) == 2 and world.sent.count(vote) == 2
-        deliveries = [e for e in trace.events if isinstance(e, DeliverEvent) and e.round == 1]
-        assert len(deliveries) == 3
-        assert all(e.ids == range(twice[0] - 3, twice[1] + 1) for e in deliveries)
+        assert [e.msg for e in sends(trace.events, 1)] == world.sent
+        delivered = [e for e in deliveries(trace.events) if e.round == 1]
+        assert len(delivered) == 3
+        assert all(e.ids == range(twice[0] - 3, twice[1] + 1) for e in delivered)
         lines = trace_lines(trace, load_scenario(SCENARIOS / "sync_faultfree.json"))
         delivered = [json.loads(line) for line in lines
                      if '"deliver"' in line and '"round": 1}' in line]
@@ -359,8 +361,9 @@ class TestForgery:
         sched = constant_schedule(n=4, horizon=4, n_byz=1, params=params())
         strategy = self.proposer(lambda seed: vrf_eval(seed, 3, 1))
         trace = run(sched, strategy, seed=seed)
-        [byz_proposal] = [e.msg for e in trace.propose_sends() if e.msg.sender == 3]
-        votes = [e.msg.log for e in trace.vote_sends() if e.round == 1]
+        sent = sends(trace.events, seed)
+        [byz_proposal] = [e.msg for e in sent if type(e.msg) is ProposeMsg and e.msg.sender == 3]
+        votes = [e.msg.log for e in sent if type(e.msg) is VoteMsg and e.round == 1]
         assert votes == [byz_proposal.log] * 3
 
 
@@ -410,14 +413,14 @@ class TestStrategies:
     def test_prop1_without_window_is_inert(self):
         sched = constant_schedule(n=6, horizon=10, n_byz=2, params=params())
         trace = run(sched, strategy_prop1(), seed=0)
-        byz_sends = [e for e in trace.send_events() if e.msg.sender >= 4]
+        byz_sends = [e for e in sends(trace.events, 0) if e.msg.sender >= 4]
         assert byz_sends == []
 
     def test_split_decision_without_byzantine_emits_nothing(self):
         p = params(tau=4, eta=4, pi=1)
         sched = constant_schedule(n=6, horizon=10, n_byz=0, params=p, r_a=4)
         trace = run(sched, strategy_split_decision(), seed=0)
-        assert all(e.msg.sender < 6 for e in trace.send_events())
+        assert all(e.msg.sender < 6 for e in sends(trace.events, 0))
 
     def test_prop1_on_expiring_protocol_trace_has_no_conflicts(self):
         p = params(tau=4, eta=4, pi=2)
@@ -447,7 +450,7 @@ class TestStrategies:
         trace = run(sched, strategy_prop1(), seed=7)
         record = trace.ga_records()[5]
         target = next(
-            e.msg.log for e in trace.send_events()
+            e.msg.log for e in sends(trace.events, 7)
             if isinstance(e.msg, VoteMsg) and e.msg.sender >= 7 and e.round == 5
         )
         assert record.receivers
@@ -476,7 +479,7 @@ class TestGrowingAdversary:
             params=params(),
         )
         trace = run(sched, null_strategy(), seed=1)
-        votes_by_0 = [e for e in trace.vote_sends() if e.msg.sender == 0]
+        votes_by_0 = [e for e in sends(trace.vote_sends(), 1) if e.msg.sender == 0]
         assert votes_by_0 and all(e.round < corrupt_from for e in votes_by_0)
 
 
@@ -555,3 +558,39 @@ def test_schedule_window_length_is_read_from_params():
     sched = constant_schedule(n=6, horizon=10, n_byz=0, params=params(tau=4, eta=4, pi=2), r_a=4)
     assert "pi" not in {f.name for f in dataclasses.fields(Schedule)}
     assert sched.pi == 2 and list(sched.window_rounds) == [5, 6]
+
+
+def shipped_and_campaign_scenarios():
+    from test_cli import campaign_scenarios
+
+    return [*(load_scenario(path) for path in sorted(SCENARIOS.glob("*.json"))),
+            *campaign_scenarios(8)]
+
+
+@pytest.mark.parametrize("scenario", shipped_and_campaign_scenarios(),
+                         ids=lambda scenario: f"{scenario.name}-{scenario.seed}")
+def test_each_send_id_names_the_send_its_event_states(scenario):
+    """``World.sent[i]`` is the i-th send of the events expanded to their
+    members, a proposal built from its run and its ticket drawn afresh."""
+    world = World(build_schedule(scenario), STRATEGIES[scenario.adversary](), scenario.seed)
+    expanded = sends(world.run().events, scenario.seed)
+    sent = world.sent
+    assert len(sent) == len(expanded) > 0
+    for i, e in enumerate(expanded):
+        assert sent[i] == e.msg, i
+
+
+def test_a_fault_free_run_builds_at_most_one_member_proposal_log_per_view(monkeypatch):
+    """A cohort's proposals are one fact: round 1 builds the winner's log
+    alone, and nothing else builds a member's log until the send log is
+    read."""
+    built = []
+    extended = Log.extended
+    monkeypatch.setattr(Log, "extended", lambda log, value: built.append(value.view)
+                        or extended(log, value))
+    world = World(sync_faultfree(n=20, horizon=32, eta=4), null_strategy(), seed=1)
+    trace = world.run()
+    assert len(trace.propose_sends()) == 16
+    assert built and max(Counter(built).values()) == 1
+    assert len(world.sent) == sum(len(e.senders) for e in trace.send_events())
+    assert len(built) > 20 * 15  # reading the send log builds each member's proposal

@@ -12,16 +12,20 @@ that it keeps its own per-receiver queues, ``queues``, since
 messages with ``split_queue``, which is ``ga.delivered`` as it was before
 delivery named send indices, and that it records each delivery as a
 (round, receiver, messages) triple, since a ``DeliverEvent`` names sends
-by their index in ``World.sent``, and that it records a round's send phase
+by their index in ``World.sent``, that it records a round's send phase
 in ``World``'s order: every decision, then every vote, then every
-proposal, each in pid order, then the strategy's messages.  After every round, ``World.pending``
-must equal those queues for every process not Byzantine in that round,
-and in a synchronous round a receiver that held nothing back must be
-delivered the range from its cursor to the end of the send log.  Both
-worlds must give equal runs: every event, a delivery compared with the
-reference's triple by resolving its ids through ``World.sent``, and each
-process's final ``votes_seen``, ``candidate`` and pending output, and its
-final ``proposals_seen`` on the views it can still read, those whose
+proposal, each in pid order, then the strategy's messages, and that it
+records one event per member (``helpers.Sent``, ``helpers.Decided``), as
+``World`` did before it recorded runs.  After every round,
+``World.pending`` must equal those queues for every process not Byzantine
+in that round, and in a synchronous round a receiver that held nothing
+back must be delivered the range from its cursor to the end of the send
+log.  Both worlds must give equal runs: every event of ``World``'s, each
+run expanded to its members (``helpers.expand_events``), a delivery
+compared with the reference's triple by resolving its ids through
+``World.sent``, and each process's final ``votes_seen``, ``candidate`` and
+pending output, and its final ``proposals_seen``, each run in it expanded
+to its members' proposals, on the views it can still read, those whose
 round-1 step lies at or past the horizon: ``World`` no longer takes a view
 out of a store at its round-1 step, and drops views that no step reads
 again.  The processes awake at the horizon, whose last receive phase is
@@ -43,21 +47,29 @@ from typing import Callable
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_step_round1, reference_step_round2
+from helpers import (
+    Decided,
+    Delivered,
+    Sent,
+    deliveries,
+    expand_events,
+    expand_proposals,
+    reference_step_round1,
+    reference_step_round2,
+    reference_step_view0,
+    sends,
+)
 
 from sleepy_tob.core import Log, ProcessId, VoteMsg
 from sleepy_tob.ga import ForgeryError, GaRecord, ReceiverView, grade, merge_latest
 from sleepy_tob.model_checks import ModelParams
-from sleepy_tob.tob import latest_unexpired, step_view0
+from sleepy_tob.tob import latest_unexpired
 from sleepy_tob.world import (
     STRATEGIES,
     AdversaryStrategy,
-    DecideEvent,
-    DeliverEvent,
     InfeasibleScheduleError,
     Msg,
     Schedule,
-    SendEvent,
     World,
     constant_schedule,
     generate_schedule,
@@ -107,7 +119,7 @@ class PerReceiverWorld(World):
         self.queues: dict[ProcessId, list[Msg]] = {p: [] for p in range(schedule.n)}
 
     def _broadcast(self, msg: Msg, r: int) -> None:
-        self.events.append(SendEvent(round=r, msg=msg))
+        self.events.append(Sent(round=r, msg=msg))
         for q in range(self.schedule.n):
             self.queues[q].append(msg)
 
@@ -124,7 +136,7 @@ class PerReceiverWorld(World):
         for p in sorted(sched.awake_honest[r]):
             state = self.states[p]
             if clock.phase is Phase.VIEW0:
-                proposed += step_view0(state, self.seed)
+                proposed += reference_step_view0(state, self.seed)
                 continue
             # p is awake at r, so it received in round r - 1 and its
             # pending output is that round's
@@ -133,7 +145,7 @@ class PerReceiverWorld(World):
                 proposals = state.proposals_seen.pop(clock.view, set())
                 decided, vote = reference_step_round1(state, clock.view, outputs, proposals, {})
                 if decided is not None:
-                    self.events.append(DecideEvent(round=r, pid=p, log=decided))
+                    self.events.append(Decided(round=r, pid=p, log=decided))
                 cast.append(vote)
             else:
                 vote, proposal = reference_step_round2(state, clock.view, outputs, self.seed)
@@ -210,14 +222,15 @@ def assert_same_run(
                 assert pending[q] == ref.queues[q], (r, q)
         if schedule.sync(r):
             end = len(new.sent)
-            for e in new.events[before:]:
-                if isinstance(e, DeliverEvent) and e.receiver not in holding:
+            for e in deliveries(new.events[before:]):
+                if e.receiver not in holding:
                     assert type(e.ids) is range, (r, e.receiver)
                     assert e.ids == range(cursor[e.receiver], end), (r, e.receiver)
-    assert [e.msg for e in new.events if isinstance(e, SendEvent)] == new.sent
-    assert len(new.events) == len(ref.events)
-    for got, want in zip(new.events, ref.events):
-        if isinstance(got, DeliverEvent):
+    assert [e.msg for e in sends(new.events, seed)] == new.sent
+    events = expand_events(new.events, seed)
+    assert len(events) == len(ref.events)
+    for got, want in zip(events, ref.events):
+        if isinstance(got, Delivered):
             got = (got.round, got.receiver, tuple(new.sent[i] for i in got.ids))
         assert got == want
 
@@ -227,7 +240,8 @@ def assert_same_run(
     for p, want in ref.states.items():
         got = new.states[p]
         assert got.votes_seen == want.votes_seen, p
-        assert readable(got.proposals_seen) == readable(want.proposals_seen), p
+        assert readable(expand_proposals(got.proposals_seen, seed)) == readable(
+            want.proposals_seen), p
         assert got.candidate == want.candidate, p
         assert got.pending_output == want.pending_output, p
     assert len({id(new.states[q].proposals_seen) for q in schedule.awake_honest[horizon]}) <= 1
