@@ -10,7 +10,9 @@ constraint-respecting runs with aggregated verdicts).
 Scenario files are JSON with exact ratio strings ("1/3").  A trace is
 JSON-lines: a header carrying the whole scenario and its hash, then one
 object per line (kind, round, actor, payload) of five kinds, each fact
-written once: ``log`` (one distinct log, linked to its parent log),
+written once, one line per event of the run (``World`` records one event
+per run of processes that state one fact), besides the ``log`` lines:
+``log`` (one distinct log, linked to its parent log),
 ``send`` (the votes of one round for one log, or the proposals of one round
 and view of one log or of one base each extends by its sender's own value,
 with the send id of the first: its index among the run's sends; the list of
@@ -316,7 +318,7 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     """JSON-lines rendition: a header holding the whole scenario, its hash
     and the strategy's name, then one object per line, each byte for byte
     what ``json.dumps(obj, sort_keys=True)`` writes.  Each line is written
-    once, in order, in one pass over the runs of ``cohort_key``.
+    once, in order, in one pass over the events, one line per event.
 
     Each distinct log is written once, as a ``log`` line whose payload is
     its ``id``, its ``parent`` id and its last ``value`` (both null for the
@@ -328,17 +330,18 @@ def trace_lines(trace: Trace, scenario: Scenario) -> list[str]:
     synchronous receiver that held nothing back, is written as the
     half-open run ``from``, ``to``; any other lists its ids as ``msgs``.
 
-    A run of events that share a ``cohort_key`` is one cohort line, whose
-    ``actor`` lists the events' processes in event order: a send line's
-    ``id`` is the first send's, the k-th sender's having id ``id + k``.
-    Such a line lists its actors even when it holds one.  A proposal line
-    keyed ``"ext"`` names its ``base``, and the k-th sender's log is the
-    base extended by that sender's own value: the line itself states these
-    logs, and each that no line named yet takes the next id, in sender
-    order, with no ``log`` line.  Any other proposal line names its one
-    ``log``.  No proposal line holds its ticket, which the header's seed
-    implies.  A ``msgs`` delivery (with its receiver) and every other line
-    name one actor, or none.
+    A send, decide or range-delivery event is one cohort line, whose
+    ``actor`` lists the event's processes in order: a send line's ``id``
+    is the event's ``first``, the k-th sender's having id ``id + k``.  Such
+    a line lists its actors even when it holds one.  A proposal event that
+    ``extends`` names its ``base``, and the k-th sender's log is the base
+    extended by that sender's own value: the line itself states these logs,
+    and each that no line named yet takes the next id, in sender order,
+    with no ``log`` line.  The table of ids keys a log by its parent's id
+    and its last value, so these logs are never built.  Any other proposal
+    line names its one ``log``.  No proposal line holds its ticket, which
+    the header's seed implies.  A ``msgs`` delivery (the event's one
+    receiver) and every other line name one actor, or none.
 
     Every line but the header holds only integers, nulls, booleans and
     fixed strings, so each is written from a fixed per-kind template with

@@ -33,10 +33,13 @@ its output is empty: ``ga.grade`` returns an empty output exactly when it
 tallies no vote, and any other output has a grade-1 log and a longest log,
 which the steps take in its place.  A step reads nothing else of a member
 but its pid.  So a step works out the decision, the vote log and the
-proposal base once for the cohort and builds each member's messages from
-them.  ``World`` forms the cohorts; after a synchronous receive phase every
-receiver holds one output and one proposal store, so a synchronous round
-is normally one cohort.
+proposal base once for the cohort and builds each member's vote.  A
+cohort's proposals are one fact, the base and each member's ticket, and
+no step builds a member's proposal: round 1 ranks such a run as the
+proposals it stands for (``round1_vote_log``).  ``World`` forms the
+cohorts; after a synchronous receive phase every receiver holds one
+output and one proposal store, so a synchronous round is normally one
+cohort.
 
 Proposals are ranked by their lottery tickets as given: ``World`` admits a
 strategy's proposal only with its genuine ticket
@@ -90,9 +93,10 @@ class ProcessState:
     # round; a shared store is never changed in place, as World copies it
     # before absorbing votes into it
     votes_seen: dict[ProcessId, tuple[int, VoteMsg | None]] = field(default_factory=dict)
-    # proposals_seen[view] holds the proposals for that view; World may set
-    # it to a snapshot of frozensets shared by every receiver of a
-    # synchronous round, and copies it before absorbing proposals into it
+    # proposals_seen[view] holds the proposals for that view, each a message
+    # or a run of them (world.SendEvent); World may set it to a snapshot of
+    # frozensets shared by every receiver of a synchronous round, and
+    # copies it before absorbing proposals into it
     proposals_seen: dict[int, set[ProposeMsg] | frozenset[ProposeMsg]] = field(
         default_factory=dict
     )

@@ -12,9 +12,13 @@ subset, except that a process's own messages always reach it.
 
 A send is stored once, not once per receiver.  ``World`` appends it to
 one send log, ``sent``, and a delivery names the sends it hands over by
-their indices in that log.  Process q has a cursor, the index of the first
-send it has not received, and a held list, the indices of the sends an
-asynchronous receive phase held back from it, in send order.  Its queue is
+their indices in that log.  A cohort's proposal is kept in the log as its
+run's event until something reads its entry (``sent``, ``pending`` or an
+asynchronous receive phase, whose strategy is shown messages), which
+builds the ``ProposeMsg``; a synchronous round reads none.  Process q has
+a cursor, the index of the first send it has not received, and a held
+list, the indices of the sends an asynchronous receive phase held back
+from it, in send order.  Its queue is
 the held list followed by the log from its cursor, and every receive phase
 moves its cursor to the end of the log.  A sleeping process's cursor stays
 put until its first awake receive phase; a Byzantine process never
@@ -44,11 +48,22 @@ use and equal keys mean one output and one store.  A synchronous receive
 phase hands every receiver the same output and proposal snapshot, so after
 one the round is a single cohort, unless the output is empty and some
 candidates differ (a process that slept through a round-1 step keeps an
-older one).  A round's send phase is recorded in runs of one kind: every
-decide event, then every vote send, then every proposal send, each run in
-pid order, then the strategy's messages.  So the votes of a cohort take one
-run of send ids, and its decisions and votes are consecutive events, which
-the trace writes as one line each (``cli.trace_lines``).
+older one).
+
+A round is recorded the way ``trace.jsonl`` states it: one event per run
+of processes that state one fact, which the trace writes as one line
+(``cli.trace_lines``).  The send phase records every decision, then every
+vote, then every proposal, each in pid order, then the strategy's
+messages.  The runs are the deciders of one log, the voters for one log,
+the proposers for one view of one log or of one base that each extends by
+its own value ``Value(view, sender, view)``, and the receivers handed one
+range of send ids; with one cohort, each is the cohort, and with several
+the members are merged in pid order and equal neighbours join.  A
+strategy's message joins the last event when it states that event's fact.
+A cohort's proposals are one fact: its base, its members and their
+tickets.  Round 1 ranks that run without building its members' logs
+(``tob.round1_vote_log``), and the event is what the proposal store
+holds, beside any proposal a receiver took one by one.
 
 The adversary's messages are checked once, where they enter the run, by
 ``ga.check_adversary_message``: a message whose sender is not Byzantine in
@@ -65,9 +80,9 @@ Runs are deterministic functions of (schedule, strategy, seed) and record
 a full trace: sends, deliveries, decisions, and one agreement record per
 round for the oracles.  The send, delivery and decide events are named
 tuples.  Like the messages, each equals the plain tuple of its fields, so
-a ``DecideEvent(3, 3, log)`` equals ``VoteMsg(3, 3, log)``; ``Trace``
-selects events by class, and nothing in the package compares an event
-with a message.
+a ``DecideEvent(3, (3,), log)`` equals ``DeliverEvent(3, (3,), log)``;
+``Trace`` selects events by class, and nothing in the package compares an
+event with a message.
 """
 
 from __future__ import annotations
@@ -315,8 +330,8 @@ class Trace:
             honest = self.schedule.awake_honest[e.round]
             for p in e.senders:
                 if p in honest and (e.extends or e.log):
-                    value = new_record(Value, (e.view, p, e.view)) if e.extends else e.log.values[-1]
-                    rounds.setdefault(value, e.round)
+                    own = new_record(Value, (e.view, p, e.view))
+                    rounds.setdefault(own if e.extends else e.log.values[-1], e.round)
         return rounds
 
     @cached_property
@@ -391,10 +406,10 @@ def null_strategy() -> AdversaryStrategy:
 
 
 def _join(runs: list, key: object, senders: list[ProcessId], items: list) -> None:
-    """Append a run of sends in the making, its key (for sends ``(view,
-    log, extends)`` as a ``SendEvent`` holds them), its senders and their
-    votes or tickets, to ``runs``, or extend the last run if its key is
-    ``key``."""
+    """Append a run in the making, ``(key, senders, items)``, to ``runs``,
+    or extend the last run if its key is ``key``.  A run of sends is keyed
+    ``(view, log, extends)``, as a ``SendEvent`` holds them, and its items
+    are its votes or tickets; a run of deciders is keyed by its log."""
     if runs and runs[-1][0] == key:
         runs[-1][1].extend(senders)
         runs[-1][2].extend(items)
@@ -450,7 +465,8 @@ class World:
         events, votes, proposals, entries = self.events, self.votes, self.proposals, self._entries
         for (view, log, extends), senders, items in runs:
             last, tickets = events[-1] if events else None, () if view is None else tuple(items)
-            if type(last) is SendEvent and last[:1] + last[3:6] == (r, log, view, extends):
+            if (type(last) is SendEvent
+                    and (last.round, last.log, last.view, last.extends) == (r, log, view, extends)):
                 proposals.get(view, set()).discard(last)
                 event = events[-1] = last._replace(senders=last.senders + tuple(senders),
                                                    tickets=last.tickets + tickets)
@@ -477,14 +493,16 @@ class World:
 
     @property
     def sent(self) -> list[Msg]:
-        """Every message sent so far, in send order, one per send id."""
+        """Every message sent so far, in send order, one per send id; the
+        read builds each proposal still held as its run."""
         return self._built(0)
 
     @property
     def pending(self) -> dict[ProcessId, list[Msg]]:
         """Each process's queue, in send order: what its next receive phase
-        chooses from.  Derived afresh on every read; empty for a process
-        Byzantine in the last round stepped, which never receives again."""
+        chooses from.  Derived afresh on every read, which builds the
+        proposals queued; empty for a process Byzantine in the last round
+        stepped, which never receives again."""
         byz = self.schedule.byzantine[self.round] if self.round is not None else frozenset()
         sent = self._built(min(self.cursor))
         return {
@@ -546,7 +564,8 @@ class World:
                     _join(proposals, (this_view + 1, x, True), pids, tickets)
                 elif x is not None:
                     _join(decides, x, pids, [])
-            events.extend(new_record(DecideEvent, (r, tuple(pids), log)) for log, pids, _ in decides)
+            events.extend(new_record(DecideEvent, (r, tuple(pids), log))
+                          for log, pids, _ in decides)
             runs += proposals
             inputs = {vote.sender: vote.log for _, votes, _ in facts for vote in votes}
 
