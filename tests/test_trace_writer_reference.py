@@ -484,7 +484,9 @@ def test_world_joins_a_strategy_message_to_the_run_of_its_fact():
                       for log in (fours, fives, fives))]
         return []
 
-    strategy = lambda: AdversaryStrategy("joins", messages, lambda world, r, q, cand: cand)  # noqa: E731
+    def strategy():
+        return AdversaryStrategy("joins", messages, lambda world, r, q, cand: cand)
+
     schedule = constant_schedule(6, 6, 2, ModelParams(tau=2, eta=2, pi=0, gamma=Fraction(0),
                                                       beta=Fraction(1, 3)))
     world = World(schedule, strategy(), 3)
