@@ -51,7 +51,7 @@ well-behaved process's ticket with the seed they are passed, which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
     EMPTY_LOG,
@@ -66,6 +66,11 @@ from .core import (
     vrf_eval,
 )
 from .ga import GaOutput, InitialVoteSet, keep_latest
+
+if TYPE_CHECKING:  # only for annotations; world imports this module
+    from .world import SendEvent
+
+    Proposal = ProposeMsg | SendEvent  # a message, or a run of them
 
 
 _NO_OLDER_VOTES = InitialVoteSet()
@@ -97,7 +102,7 @@ class ProcessState:
     # or a run of them (world.SendEvent); World may set it to a snapshot of
     # frozensets shared by every receiver of a synchronous round, and
     # copies it before absorbing proposals into it
-    proposals_seen: dict[int, set[ProposeMsg] | frozenset[ProposeMsg]] = field(
+    proposals_seen: dict[int, set[Proposal] | frozenset[Proposal]] = field(
         default_factory=dict
     )
     pending_output: GaOutput = field(default_factory=GaOutput)  # read by the next step
@@ -144,7 +149,7 @@ def step_view0(cohort: Sequence[ProcessState], seed: int) -> tuple[Log, list[int
     return Log((GENESIS,)), [vrf_eval(seed, state.pid, 1) for state in cohort]
 
 
-def round1_vote_log(proposals: Iterable, candidate: Log) -> Log:
+def round1_vote_log(proposals: Iterable[Proposal], candidate: Log) -> Log:
     """The log a round-1 step votes: that of the highest-ticket proposal
     extending ``candidate``, ties broken by the higher sender and then the
     lexicographically smaller log, or ``candidate`` itself when no proposal
@@ -186,7 +191,7 @@ def step_round1(
     cohort: Sequence[ProcessState],
     view: int,
     outputs: GaOutput,
-    proposals: Iterable[ProposeMsg],
+    proposals: Iterable[Proposal],
 ) -> tuple[Log | None, list[VoteMsg]]:
     """Round 2v-1 for a cohort: decide, refresh the candidate, and vote a
     proposal.

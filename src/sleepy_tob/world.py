@@ -409,7 +409,9 @@ def _join(runs: list, key: object, senders: list[ProcessId], items: list) -> Non
     """Append a run in the making, ``(key, senders, items)``, to ``runs``,
     or extend the last run if its key is ``key``.  A run of sends is keyed
     ``(view, log, extends)``, as a ``SendEvent`` holds them, and its items
-    are its votes or tickets; a run of deciders is keyed by its log."""
+    are its votes or tickets; a run of deciders is keyed by its log.  Runs
+    are joined here, in lists, before ``World._send`` records them; its own
+    join, of a strategy's message to the last event, copies the event."""
     if runs and runs[-1][0] == key:
         runs[-1][1].extend(senders)
         runs[-1][2].extend(items)
@@ -443,15 +445,16 @@ class World:
         # [:cursor[q]] except for the indices held[q], which an asynchronous
         # receive phase held back from it
         self._entries: list[Msg | SendEvent] = []
+        self._unbuilt = 0  # every entry below this index is a message
         self.cursor: list[int] = [0] * schedule.n
         self.held: list[list[int]] = [[] for _ in range(schedule.n)]
         self.round: int | None = None  # the last round stepped
         # every vote sent so far, folded with ga.keep_latest
         self.votes: dict[ProcessId, tuple[int, VoteMsg | None]] = {}
-        # every proposal sent so far, by view, as its run or, once delivered
-        # asynchronously, its message, for the views whose round-1 step has
-        # not passed by the last synchronous receive phase
-        self.proposals: dict[int, set[ProposeMsg | SendEvent]] = {}
+        # every proposal sent so far, by view, as the run it was sent in, for
+        # the views whose round-1 step has not passed by the last synchronous
+        # receive phase
+        self.proposals: dict[int, set[SendEvent]] = {}
         self.events: list[Event] = []
         if strategy.validate is not None:
             strategy.validate(self)
@@ -484,11 +487,13 @@ class World:
 
     def _built(self, start: int) -> list[Msg]:
         """The send log, every entry from index ``start`` on a message: the
-        first read of a proposal's entry builds it from its run."""
-        entries = self._entries
-        for i in range(start, len(entries)):
+        first read of a proposal's entry builds it from its run.  Entries
+        below ``_unbuilt`` are built already and are not scanned again."""
+        entries, unbuilt = self._entries, self._unbuilt
+        for i in range(max(start, unbuilt), len(entries)):
             if type(e := entries[i]) is SendEvent:
                 entries[i] = e.proposal(i - e.first)
+        self._unbuilt = len(entries) if start <= unbuilt else unbuilt
         return entries
 
     @property
@@ -526,9 +531,10 @@ class World:
         runs: list = []
 
         if r == 0:
-            pids = sorted(sched.awake_honest[r])
-            genesis, tickets = step_view0([states[p] for p in pids], self.seed)
-            runs.append(((1, genesis, False), pids, tickets))
+            # a run holds at least one sender, and round 0 may have none
+            if pids := sorted(sched.awake_honest[r]):
+                genesis, tickets = step_view0([states[p] for p in pids], self.seed)
+                runs.append(((1, genesis, False), pids, tickets))
         else:
             # a process awake at r received in round r - 1, so its pending
             # output is that round's; the ids in a key name objects the
@@ -564,8 +570,7 @@ class World:
                     _join(proposals, (this_view + 1, x, True), pids, tickets)
                 elif x is not None:
                     _join(decides, x, pids, [])
-            events.extend(new_record(DecideEvent, (r, tuple(pids), log))
-                          for log, pids, _ in decides)
+            events.extend(new_record(DecideEvent, (r, tuple(pids), log)) for log, pids, _ in decides)
             runs += proposals
             inputs = {vote.sender: vote.log for _, votes, _ in facts for vote in votes}
 
@@ -596,11 +601,8 @@ class World:
             state = self.states[q]
             start, held = self.cursor[q], self.held[q]
             if synchronous:
-                if held:
-                    ids = (*held, *range(start, end))
-                    self.held[q] = []
-                else:
-                    ids = range(start, end)
+                ids = (*held, *range(start, end)) if held else range(start, end)
+                held.clear()
                 state.votes_seen = store
                 state.proposals_seen = by_view
                 view = shared

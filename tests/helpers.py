@@ -3,7 +3,10 @@ tests and the acceptance suite, slice-based references for the log-tree
 walks, graded outputs built from ``{log: grade}`` maps (``frontier``),
 expanded back to them (``expand``) and read for their longest log
 (``longest_any``), a trace reader's table of the logs a trace names
-(``TraceLogs``), next to the output, tally and grading
+(``TraceLogs``), a schedule with nobody well-behaved awake at round 0
+and a strategy that proposes the genesis log in it
+(``late_start_schedule``, ``byzantine_genesis``), next to the output,
+tally and grading
 they replaced (``ReferenceGaOutput``, ``reference_tally``,
 ``reference_grade``), the per-process round steps the cohort steps replaced
 (``reference_step_view0``, ``reference_step_round1``,
@@ -46,7 +49,7 @@ from sleepy_tob.ga import (
 )
 from sleepy_tob.model_checks import ModelParams, beta_tilde
 from sleepy_tob.tob import ProcessState, latest_unexpired, round1_vote_log
-from sleepy_tob.world import DecideEvent, DeliverEvent, Schedule, SendEvent
+from sleepy_tob.world import AdversaryStrategy, DecideEvent, DeliverEvent, Schedule, SendEvent
 
 
 def sliced_prefixes(log: Log) -> list[Log]:
@@ -370,6 +373,30 @@ def random_bounded_schedule(rng: random.Random) -> Schedule:
         r_a=None,
         params=params,
     )
+
+
+def late_start_schedule(horizon: int = 8) -> Schedule:
+    """Processes 0-3 well-behaved and awake from round 1 on, none of them
+    awake at round 0, which ``Schedule.validate`` allows; process 4
+    Byzantine throughout."""
+    return Schedule(
+        n=5,
+        horizon=horizon,
+        awake_honest=(frozenset(), *[frozenset(range(4))] * horizon),
+        byzantine=(frozenset([4]),) * (horizon + 1),
+        r_a=None,
+        params=ModelParams(tau=4, eta=4, pi=0, gamma=Fraction(0), beta=Fraction(1, 3)),
+    )
+
+
+def byzantine_genesis() -> AdversaryStrategy:
+    """Process 4 proposes the genesis log in round 0, as a well-behaved
+    process does, and sends nothing else."""
+
+    def messages(world, r: int) -> list[ProposeMsg]:
+        return [ProposeMsg(4, 1, Log((GENESIS,)), vrf_eval(world.seed, 4, 1))] if r == 0 else []
+
+    return AdversaryStrategy("byzantine_genesis", messages, lambda world, r, q, cand: cand)
 
 
 def reference_step_view0(state: ProcessState, seed: int) -> list[ProposeMsg]:

@@ -57,9 +57,11 @@ from helpers import (
     Delivered,
     Sent,
     TraceLogs,
+    byzantine_genesis,
     expand,
     expand_events,
     frontier,
+    late_start_schedule,
     random_bounded_schedule,
     sends,
 )
@@ -274,6 +276,19 @@ def test_world_runs_match_reference(preset, schedule_seed, window, seed):
         schedule = replace(schedule, r_a=r_a, params=replace(schedule.params, pi=pi))
         schedule.validate()
     assert_same_lines(run(schedule, STRATEGIES[preset](), seed), HEADER_SCENARIO, seed)
+
+
+@pytest.mark.parametrize("make_strategy", [STRATEGIES["none"], byzantine_genesis],
+                         ids=["none", "byzantine_genesis"])
+def test_a_round_0_without_a_well_behaved_process_writes_no_line_of_theirs(make_strategy):
+    """Nobody well-behaved is awake at round 0, so it writes the strategy's
+    lines and the delivery to the round-1 processes alone: no send line
+    without an actor and, without a strategy message, no log line."""
+    lines = assert_same_lines(run(late_start_schedule(), make_strategy(), 3), HEADER_SCENARIO, 3)
+    round0 = [obj["kind"] for obj in map(json.loads, lines[1:]) if obj["round"] == 0]
+    assert round0 == (["log", "log", "send"] if make_strategy is byzantine_genesis else []) + [
+        "deliver"]
+    assert all(obj["actor"] for obj in map(json.loads, lines[1:]) if obj["kind"] == "send")
 
 
 def view(grades: dict[Log, int], m: int) -> ReceiverView:

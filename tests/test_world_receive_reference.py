@@ -44,6 +44,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,9 +52,11 @@ from helpers import (
     Decided,
     Delivered,
     Sent,
+    byzantine_genesis,
     deliveries,
     expand_events,
     expand_proposals,
+    late_start_schedule,
     reference_step_round1,
     reference_step_round2,
     reference_step_view0,
@@ -367,3 +370,18 @@ def test_a_stale_candidate_steps_in_a_cohort_of_its_own():
     record = world.events[-1]
     assert isinstance(record, GaRecord) and record.synchronous
     assert record.inputs == {0: fresh, 1: stale, 2: fresh, 3: fresh}
+
+
+@pytest.mark.parametrize("make_strategy", [STRATEGIES["none"], byzantine_genesis],
+                         ids=["none", "byzantine_genesis"])
+def test_a_round_0_without_a_well_behaved_process_sends_no_run_of_theirs(make_strategy):
+    """With nobody well-behaved awake at round 0 no one proposes the genesis
+    log for them: round 0 sends only the strategy's messages, so round 1
+    votes the empty candidate, or the genesis log a Byzantine process
+    proposed, and every send event names a sender."""
+    schedule = late_start_schedule()
+    assert_same_run(schedule, make_strategy, 3)
+    trace = World(schedule, make_strategy(), 3).run()
+    assert all(e.senders for e in trace.send_events())
+    round0 = [e.senders for e in trace.send_events() if e.round == 0]
+    assert round0 == ([(4,)] if make_strategy is byzantine_genesis else [])
