@@ -15,7 +15,9 @@ one send log, ``sent``, and a delivery names the sends it hands over by
 their indices in that log.  A cohort's proposal is kept in the log as its
 run's event until something reads its entry (``sent``, ``pending`` or an
 asynchronous receive phase, whose strategy is shown messages), which
-builds the ``ProposeMsg``; a synchronous round reads none.  Process q has
+builds the ``ProposeMsg``; a synchronous round reads none.  ``World``
+keeps the index below which every entry is built, and a read scans only
+past it.  Process q has
 a cursor, the index of the first send it has not received, and a held
 list, the indices of the sends an asynchronous receive phase held back
 from it, in send order.  Its queue is
@@ -54,7 +56,9 @@ A round is recorded the way ``trace.jsonl`` states it: one event per run
 of processes that state one fact, which the trace writes as one line
 (``cli.trace_lines``).  The send phase records every decision, then every
 vote, then every proposal, each in pid order, then the strategy's
-messages.  The runs are the deciders of one log, the voters for one log,
+messages.  A run names at least one process, so a round 0 with no
+well-behaved process awake sends only the strategy's messages.  The runs
+are the deciders of one log, the voters for one log,
 the proposers for one view of one log or of one base that each extends by
 its own value ``Value(view, sender, view)``, and the receivers handed one
 range of send ids; with one cohort, each is the cohort, and with several
@@ -570,7 +574,8 @@ class World:
                     _join(proposals, (this_view + 1, x, True), pids, tickets)
                 elif x is not None:
                     _join(decides, x, pids, [])
-            events.extend(new_record(DecideEvent, (r, tuple(pids), log)) for log, pids, _ in decides)
+            events.extend(new_record(DecideEvent, (r, tuple(pids), log))
+                          for log, pids, _ in decides)
             runs += proposals
             inputs = {vote.sender: vote.log for _, votes, _ in facts for vote in votes}
 
